@@ -189,7 +189,7 @@ impl AppSessions {
 
     /// One client thread's share of a window.
     fn client(&self, client: usize, window_index: u64, budget: Duration, start: Instant) -> Window {
-        let mut part = Window::starting(start);
+        let mut part = Window::default();
         let mut rng = Rng::new(
             self.seed ^ window_index.rotate_left(32),
             0xA990_0001 + client as u64,

@@ -202,7 +202,7 @@ impl World for Figure4 {
         let mut window = Window {
             attempted: self.warmup_failed,
             failed: std::mem::take(&mut self.warmup_failed),
-            ..Window::starting(start)
+            ..Window::default()
         };
         run_for(budget, || self.round(&mut window, Some((start, budget))));
         window.elapsed = start.elapsed();

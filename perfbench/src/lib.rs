@@ -29,20 +29,13 @@ use escudo_net::{Method, Request, SharedCookieJar, SharedNetwork, Url};
 use stats::{median, ms, quantile, ratio, us};
 use trace::{TraceCounts, Tracer};
 
-/// Chunks of an end-to-end run (see [`run_end_to_end`]).
-pub const CHUNKS: usize = 5;
-
-/// Setups per chunk of an end-to-end run; `setup_s` is the median of all
-/// `CHUNKS × SETUPS` of them.
-pub const SETUPS: usize = 2;
-
 /// Share of a traced run's budget spent on the untraced baseline window that
 /// `trace.overhead_ratio` and `tail.latency_ms_p99` are read from.
 const UNTRACED_SHARE: f64 = 0.4;
 
 /// Budget of each reference pass that fills per-layer metrics the traced
 /// workload does not exercise (see [`run_traced`]).
-const REFERENCE_BUDGET: Duration = Duration::from_millis(500);
+const REFERENCE_BUDGET: Duration = Duration::from_secs(2);
 
 /// The scenario ids of `escudo_apps::scenario::registry()`, in registry order.
 pub const SCENARIOS: [&str; 6] = ["forum", "calendar", "blog", "spa", "adnet", "vault"];
@@ -75,18 +68,18 @@ pub fn per_layer_metrics() -> Vec<(String, &'static str)> {
         ("net.fanout_us_p50", "us"),
         ("net.fanout_overlap", "ratio"),
         ("net.fetch_pool.jobs_per_op", "count/op"),
-        ("net.fetch_pool.preemptions", "count"),
+        ("net.fetch_pool.preemptions_per_op", "count/op"),
         ("net.dispatch.requests_per_op", "count/op"),
         ("apps.origin_busy_us_per_op", "us/op"),
-        ("net.log.dropped", "count"),
-        ("net.retries", "count"),
-        ("net.subresource_errors", "count"),
+        ("net.log.dropped_per_op", "count/op"),
+        ("net.retries_per_op", "count/op"),
+        ("net.subresource_errors_per_op", "count/op"),
         ("net.response_cache.hit_ratio", "ratio"),
         ("net.response_cache.stored_per_op", "count/op"),
         ("net.response_cache.entries", "count"),
         ("net.shared_jar.stored_per_op", "count/op"),
         ("net.shared_jar.replaced_per_op", "count/op"),
-        ("net.shared_jar.evicted", "count"),
+        ("net.shared_jar.evicted_per_op", "count/op"),
     ] {
         names.push((n.to_string(), u));
     }
@@ -106,15 +99,19 @@ pub enum Workload {
     /// Two sessions on one engine, jar and fabric, each loading its own site
     /// of 16 images behind 100 µs origins with the response cache on.
     SharedFabric,
+    /// `SharedFabric` with the response cache off and only the `no-store`
+    /// images: the same dispatches, with no cache consult.
+    SharedFabricNoCache,
     /// Two clients replaying the 64-cell scenario matrix.
     AppSessions,
 }
 
 impl Workload {
     /// Every workload.
-    pub const ALL: [Workload; 3] = [
+    pub const ALL: [Workload; 4] = [
         Workload::Figure4,
         Workload::SharedFabric,
+        Workload::SharedFabricNoCache,
         Workload::AppSessions,
     ];
 
@@ -124,6 +121,7 @@ impl Workload {
         match self {
             Workload::Figure4 => "figure4",
             Workload::SharedFabric => "shared_fabric",
+            Workload::SharedFabricNoCache => "shared_fabric_nocache",
             Workload::AppSessions => "app_sessions",
         }
     }
@@ -139,7 +137,7 @@ impl Workload {
     pub fn sessions(self) -> usize {
         match self {
             Workload::Figure4 => 1,
-            Workload::SharedFabric => fabric::SESSIONS,
+            Workload::SharedFabric | Workload::SharedFabricNoCache => fabric::SESSIONS,
             Workload::AppSessions => apps::CLIENTS,
         }
     }
@@ -152,19 +150,13 @@ pub trait World {
 }
 
 /// Builds `workload`'s world from `seed`: inputs, servers, sessions and
-/// warm-up. With a tracer, the instruments are installed. With `fault`, one
-/// shared-fabric image origin fails its first dispatches (the negative check
-/// of the benchmark's own tests; the other workloads ignore it).
+/// warm-up. With a tracer, the instruments are installed.
 #[must_use]
-pub fn build(
-    workload: Workload,
-    seed: u64,
-    tracer: Option<&Arc<Tracer>>,
-    fault: bool,
-) -> Box<dyn World> {
+pub fn build(workload: Workload, seed: u64, tracer: Option<&Arc<Tracer>>) -> Box<dyn World> {
     match workload {
         Workload::Figure4 => Box::new(figure4::Figure4::new(seed, tracer)),
-        Workload::SharedFabric => Box::new(fabric::SharedFabric::new(seed, tracer, fault)),
+        Workload::SharedFabric => Box::new(fabric::SharedFabric::new(seed, tracer, true)),
+        Workload::SharedFabricNoCache => Box::new(fabric::SharedFabric::new(seed, tracer, false)),
         Workload::AppSessions => Box::new(apps::AppSessions::new(seed, tracer)),
     }
 }
@@ -176,119 +168,33 @@ pub struct Window {
     pub attempted: u64,
     /// Ops whose outputs failed a check.
     pub failed: u64,
-    /// When the window started (`None` while warming up).
-    pub started: Option<Instant>,
     /// Wall time of the window.
     pub elapsed: Duration,
-    /// Completed ops and latency samples per [`SLICE`] since `started`. The
-    /// samples are kept compact so that the benchmark's own storage barely
-    /// moves `rss_mb_peak`.
-    pub slices: Vec<Slice>,
+    /// Wall time (ns) of each op the latency metrics cover, per op class (a
+    /// Figure 4 page; one class elsewhere). The samples are kept compact so
+    /// that the benchmark's own storage barely moves `rss_mb_peak`.
+    pub latency_ns: Vec<Vec<u32>>,
     /// ESCUDO/SOP wall-time ratio per pair of ops.
     pub pair_ratios: Vec<f32>,
     /// Per-layer samples (collected only when traced).
     pub layers: Layers,
 }
 
-/// One [`SLICE`] of a window.
-#[derive(Debug, Default, Clone)]
-pub struct Slice {
-    /// Ops completed in the slice.
-    pub ops: u32,
-    /// When the slice's first and last op completed.
-    pub span: Option<(Instant, Instant)>,
-    /// Wall time (ns) of each op completed in the slice that the latency
-    /// metrics cover, per op class (a Figure 4 page; one class elsewhere).
-    pub latency_ns: Vec<Vec<u32>>,
-}
-
-/// Length of the slices the end-to-end latency and throughput are computed
-/// in. On a shared host, co-tenants' load slows stretches of a run, from a
-/// fraction of a second to minutes, by up to 60%.
-pub const SLICE: Duration = Duration::from_millis(250);
-
-/// Which per-slice value the end-to-end latency and throughput report: the
-/// calm end of the slices, the 10th percentile of per-slice latencies and
-/// the 90th of per-slice rates. It reads the code's own speed as long as a
-/// tenth of a run is calm, and no single odd slice sets it.
-pub const CALM: f64 = 0.1;
-
-impl Slice {
-    /// Ops per second between the slice's first and last completion.
-    #[must_use]
-    pub fn rate(&self) -> Option<f64> {
-        let (first, last) = self.span?;
-        let seconds = (last - first).as_secs_f64();
-        (self.ops > 1 && seconds > 0.0).then(|| f64::from(self.ops - 1) / seconds)
-    }
-
-    fn count(&mut self, at: Instant) {
-        self.ops += 1;
-        self.span = Some(
-            self.span
-                .map_or((at, at), |(first, last)| (first.min(at), last.max(at))),
-        );
-    }
-
-    fn absorb(&mut self, other: Slice) {
-        if let Some((first, last)) = other.span {
-            self.span = Some(
-                self.span
-                    .map_or((first, last), |(f, l)| (f.min(first), l.max(last))),
-            );
-        }
-        self.ops += other.ops;
-        if self.latency_ns.len() < other.latency_ns.len() {
-            self.latency_ns
-                .resize_with(other.latency_ns.len(), Vec::new);
-        }
-        for (mine, theirs) in self.latency_ns.iter_mut().zip(other.latency_ns) {
-            mine.extend(theirs);
-        }
-    }
-}
-
 impl Window {
-    /// An empty window measured from `started`.
-    #[must_use]
-    pub fn starting(started: Instant) -> Self {
-        Window {
-            started: Some(started),
-            ..Window::default()
-        }
-    }
-
-    /// The slice the present instant falls in (`None` while warming up).
-    fn slice(&mut self) -> Option<&mut Slice> {
-        let index = usize::try_from(self.started?.elapsed().as_nanos() / SLICE.as_nanos())
-            .unwrap_or(usize::MAX);
-        if self.slices.len() <= index {
-            self.slices.resize_with(index + 1, Slice::default);
-        }
-        Some(&mut self.slices[index])
-    }
-
     /// Counts one op that just completed and whether its checks passed.
     pub fn record(&mut self, ok: bool) {
         self.attempted += 1;
         if !ok {
             self.failed += 1;
         }
-        let now = Instant::now();
-        if let Some(slice) = self.slice() {
-            slice.count(now);
-        }
     }
 
-    /// Adds the wall time of an op of `class` that just completed to the
-    /// latency samples.
+    /// Adds the wall time of an op of `class` to the latency samples.
     pub fn latency(&mut self, class: usize, ns: u64) {
-        if let Some(slice) = self.slice() {
-            if slice.latency_ns.len() <= class {
-                slice.latency_ns.resize_with(class + 1, Vec::new);
-            }
-            slice.latency_ns[class].push(u32::try_from(ns).unwrap_or(u32::MAX));
+        if self.latency_ns.len() <= class {
+            self.latency_ns.resize_with(class + 1, Vec::new);
         }
+        self.latency_ns[class].push(u32::try_from(ns).unwrap_or(u32::MAX));
     }
 
     /// Adds the ESCUDO/SOP ratio of one pair of ops.
@@ -299,70 +205,51 @@ impl Window {
 
     /// Every latency sample, ns.
     #[must_use]
-    pub fn latency_ns(&self) -> Vec<u64> {
-        self.slices
+    pub fn all_latency_ns(&self) -> Vec<u64> {
+        self.latency_ns
             .iter()
-            .flat_map(|s| s.latency_ns.iter().flatten().map(|&ns| u64::from(ns)))
+            .flatten()
+            .map(|&ns| u64::from(ns))
             .collect()
     }
 
-    /// Folds another session's window into this one.
+    /// The per-op latency `q`-quantile, ms: the geometric mean over op
+    /// classes of each class's quantile. The eight Figure 4 pages differ in
+    /// size by 25×, and a quantile pooled over them would sit on the edge
+    /// between two pages and jump with the page mix of the run.
+    #[must_use]
+    pub fn latency_ms(&self, q: f64) -> f64 {
+        let logs: Vec<f64> = self
+            .latency_ns
+            .iter()
+            .filter_map(|class| quantile(class, q))
+            .map(|ns| f64::from(ns).ln())
+            .collect();
+        if logs.is_empty() {
+            return 0.0;
+        }
+        (logs.iter().sum::<f64>() / logs.len() as f64).exp() / 1e6
+    }
+
+    /// Completed ops per second of the window.
+    #[must_use]
+    pub fn throughput(&self) -> f64 {
+        ratio(self.attempted as f64, self.elapsed.as_secs_f64())
+    }
+
+    /// Folds in another session's window, measured over the same time.
     pub fn merge(&mut self, other: Window) {
         self.attempted += other.attempted;
         self.failed += other.failed;
-        if self.slices.len() < other.slices.len() {
-            self.slices.resize_with(other.slices.len(), Slice::default);
+        if self.latency_ns.len() < other.latency_ns.len() {
+            self.latency_ns
+                .resize_with(other.latency_ns.len(), Vec::new);
         }
-        for (mine, theirs) in self.slices.iter_mut().zip(other.slices) {
-            mine.absorb(theirs);
+        for (mine, theirs) in self.latency_ns.iter_mut().zip(other.latency_ns) {
+            mine.extend(theirs);
         }
         self.pair_ratios.extend(other.pair_ratios);
         self.layers.merge(other.layers);
-    }
-
-    /// The latency `q`-quantile of the calm slices ([`CALM`]), ms. A slice's quantile
-    /// is the geometric mean over op classes of each class's quantile: the
-    /// eight Figure 4 pages differ in size by 25×, and a quantile pooled over
-    /// them would sit on the edge between two pages and jump with the page
-    /// mix of the slice.
-    #[must_use]
-    pub fn calm_ms(&self, q: f64) -> f64 {
-        let per_slice: Vec<f64> = self
-            .slices
-            .iter()
-            .filter_map(|s| {
-                let logs: Vec<f64> = s
-                    .latency_ns
-                    .iter()
-                    .filter_map(|class| quantile(class, q))
-                    .map(|ns| f64::from(ns).ln())
-                    .collect();
-                (!logs.is_empty()).then(|| (logs.iter().sum::<f64>() / logs.len() as f64).exp())
-            })
-            .collect();
-        quantile(&per_slice, CALM).map_or(0.0, |ns| ns / 1e6)
-    }
-
-    /// Appends a window measured after this one: its ops and samples join
-    /// these, its slices follow these. Ops that completed after the last
-    /// whole slice of `later` (the final op's overshoot past the budget)
-    /// count in that slice.
-    pub fn append(&mut self, mut later: Window) {
-        let whole = usize::try_from(later.elapsed.as_nanos() / SLICE.as_nanos())
-            .unwrap_or(usize::MAX)
-            .clamp(1, later.slices.len().max(1));
-        if later.slices.len() > whole {
-            let overshoot: Vec<Slice> = later.slices.drain(whole..).collect();
-            for slice in overshoot {
-                later.slices[whole - 1].absorb(slice);
-            }
-        }
-        self.attempted += later.attempted;
-        self.failed += later.failed;
-        self.elapsed += later.elapsed;
-        self.slices.append(&mut later.slices);
-        self.pair_ratios.append(&mut later.pair_ratios);
-        self.layers.merge(later.layers);
     }
 }
 
@@ -710,52 +597,47 @@ pub fn rss_mb_peak() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// The end-to-end run, in [`CHUNKS`] chunks: each chunk builds the world
-/// `setups` times (timing each build) and measures the last build for a
-/// share of `budget`. Spreading the builds over the run keeps one burst of
-/// co-tenant load from setting `setup_s`, and measuring several worlds
-/// averages over their memory layouts.
+/// The end-to-end run, in `CHUNKS` chunks. Each chunk builds the world afresh,
+/// timing the build, and measures it for an equal share of `budget`.
+/// `setup_s`, the latency percentiles and the op rate are each the median
+/// over the chunks of the chunk's own figure: on a shared host, a stretch of
+/// co-tenant load that covers less than half of a run does not move them,
+/// while a change that slows most ops moves every chunk. The overhead ratio
+/// is the median over every pair of the run.
 #[must_use]
-pub fn run_end_to_end(
-    workload: Workload,
-    seed: u64,
-    budget: Duration,
-    setups: usize,
-    fault: bool,
-) -> Outcome {
-    let mut setup_s = Vec::new();
-    let mut window = Window::default();
-    for _ in 0..CHUNKS {
-        let mut world = None;
-        for _ in 0..setups.max(1) {
-            drop(world.take());
-            let start = Instant::now();
-            world = Some(build(workload, seed, None, fault));
-            setup_s.push(start.elapsed().as_secs_f64());
-        }
-        let mut world = world.expect("at least one setup ran");
-        window.append(world.measure(budget.div_f64(CHUNKS as f64)));
-    }
-
+pub fn run_end_to_end(workload: Workload, seed: u64, budget: Duration) -> Outcome {
+    const CHUNKS: u32 = 30;
     let mut outcome = Outcome::default();
-    outcome.absorb(&window);
-    // Latency and throughput come from the calm slices (see `CALM`).
-    let rates: Vec<f64> = window.slices.iter().filter_map(Slice::rate).collect();
-    let samples = window.latency_ns().len();
+    let mut setup_s = Vec::new();
+    let (mut p50, mut p90, mut rates) = (Vec::new(), Vec::new(), Vec::new());
+    let mut samples = 0;
+    let mut ratios = Vec::new();
+    for _ in 0..CHUNKS {
+        let start = Instant::now();
+        let mut world = build(workload, seed, None);
+        setup_s.push(start.elapsed().as_secs_f64());
+        let chunk = world.measure(budget / CHUNKS);
+        outcome.absorb(&chunk);
+        p50.push(chunk.latency_ms(0.5));
+        p90.push(chunk.latency_ms(0.9));
+        rates.push(chunk.throughput());
+        samples += chunk.latency_ns.iter().map(Vec::len).sum::<usize>();
+        ratios.extend(chunk.pair_ratios);
+    }
     outcome.metrics = vec![
-        metric("latency_ms_p50", window.calm_ms(0.5), "ms", samples),
-        metric("latency_ms_p90", window.calm_ms(0.9), "ms", samples),
+        metric("latency_ms_p50", median(&p50).unwrap_or(0.0), "ms", samples),
+        metric("latency_ms_p90", median(&p90).unwrap_or(0.0), "ms", samples),
         metric(
             "throughput_ops_s",
-            quantile(&rates, 1.0 - CALM).unwrap_or(0.0),
+            median(&rates).unwrap_or(0.0),
             "1/s",
-            window.attempted as usize,
+            outcome.attempted as usize,
         ),
         metric(
             "escudo_overhead_ratio",
-            median(&window.pair_ratios).map_or(0.0, f64::from),
+            median(&ratios).map_or(0.0, f64::from),
             "ratio",
-            window.pair_ratios.len(),
+            ratios.len(),
         ),
         metric(
             "setup_s",
@@ -861,7 +743,11 @@ fn layer_table(window: &Window, counts: TraceCounts) -> BTreeMap<String, Metric>
             per_op(c.pool_jobs),
             "count/op",
         ),
-        ("net.fetch_pool.preemptions", c.preemptions as f64, "count"),
+        (
+            "net.fetch_pool.preemptions_per_op",
+            per_op(c.preemptions),
+            "count/op",
+        ),
         (
             "net.dispatch.requests_per_op",
             per_op(counts.dispatches),
@@ -872,12 +758,12 @@ fn layer_table(window: &Window, counts: TraceCounts) -> BTreeMap<String, Metric>
             us(counts.origin_busy_ns) / ops,
             "us/op",
         ),
-        ("net.log.dropped", c.log_dropped as f64, "count"),
-        ("net.retries", c.retries as f64, "count"),
+        ("net.log.dropped_per_op", per_op(c.log_dropped), "count/op"),
+        ("net.retries_per_op", per_op(c.retries), "count/op"),
         (
-            "net.subresource_errors",
-            l.subresource_errors as f64,
-            "count",
+            "net.subresource_errors_per_op",
+            per_op(l.subresource_errors),
+            "count/op",
         ),
         (
             "net.response_cache.hit_ratio",
@@ -904,7 +790,11 @@ fn layer_table(window: &Window, counts: TraceCounts) -> BTreeMap<String, Metric>
             per_op(c.jar_replaced),
             "count/op",
         ),
-        ("net.shared_jar.evicted", c.jar_evicted as f64, "count"),
+        (
+            "net.shared_jar.evicted_per_op",
+            per_op(c.jar_evicted),
+            "count/op",
+        ),
     ] {
         put(metric(name, value, unit, n));
     }
@@ -917,13 +807,11 @@ fn traced_window(
     workload: Workload,
     seed: u64,
     budget: Duration,
-    fault: bool,
 ) -> (Window, Arc<Tracer>, TraceCounts) {
     let tracer = Tracer::new(workload.sessions());
-    let mut world = build(workload, seed, Some(&tracer), fault);
+    let mut world = build(workload, seed, Some(&tracer));
     let before = tracer.counts();
-    let mut window = Window::default();
-    window.append(world.measure(budget));
+    let window = world.measure(budget);
     drop(world);
     let after = tracer.counts();
     let counts = TraceCounts {
@@ -944,46 +832,43 @@ fn traced_window(
 /// traced reference passes of the other workloads, and are marked as such in
 /// the table. Returns the outcome and the main window's tracer.
 #[must_use]
-pub fn run_traced(
-    workload: Workload,
-    seed: u64,
-    budget: Duration,
-    fault: bool,
-) -> (Outcome, Arc<Tracer>) {
+pub fn run_traced(workload: Workload, seed: u64, budget: Duration) -> (Outcome, Arc<Tracer>) {
     let mut outcome = Outcome::default();
 
-    let mut baseline = Window::default();
-    baseline.append(build(workload, seed, None, fault).measure(budget.mul_f64(UNTRACED_SHARE)));
+    let baseline = build(workload, seed, None).measure(budget.mul_f64(UNTRACED_SHARE));
     outcome.absorb(&baseline);
 
     let (window, tracer, counts) =
-        traced_window(workload, seed, budget.mul_f64(1.0 - UNTRACED_SHARE), fault);
+        traced_window(workload, seed, budget.mul_f64(1.0 - UNTRACED_SHARE));
     outcome.absorb(&window);
     let mut table = layer_table(&window, counts);
-    let baseline_ns = baseline.latency_ns();
+    let baseline_ns = baseline.all_latency_ns();
     let p99 = quantile(&baseline_ns, 0.99).map_or(0.0, ms);
     table.insert(
         "tail.latency_ms_p99".to_string(),
         metric("tail.latency_ms_p99", p99, "ms", baseline_ns.len()),
     );
-    // Both windows' calm slices, so that machine noise between the two
-    // windows does not pass for tracing cost.
     table.insert(
         "trace.overhead_ratio".to_string(),
         metric(
             "trace.overhead_ratio",
-            ratio(window.calm_ms(0.5), baseline.calm_ms(0.5)),
+            ratio(window.latency_ms(0.5), baseline.latency_ms(0.5)),
             "ratio",
-            window.latency_ns().len(),
+            window.all_latency_ns().len(),
         ),
     );
 
     let names = per_layer_metrics();
-    for other in Workload::ALL {
+    let references = [
+        Workload::Figure4,
+        Workload::SharedFabric,
+        Workload::AppSessions,
+    ];
+    for other in references {
         if other == workload || names.iter().all(|(name, _)| table.contains_key(name)) {
             continue;
         }
-        let (reference, _, counts) = traced_window(other, seed, REFERENCE_BUDGET, false);
+        let (reference, _, counts) = traced_window(other, seed, REFERENCE_BUDGET);
         outcome.absorb(&reference);
         for (name, mut m) in layer_table(&reference, counts) {
             m.source = Some(other.name());

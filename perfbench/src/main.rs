@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <figure4|shared_fabric|app_sessions> --seed <n> --seconds <n> --trace <0|1>
+//!     --workload <shared_fabric|shared_fabric_nocache|figure4|app_sessions> \
+//!     --seed <n> --seconds <n> --trace <0|1>
 //! ```
 //!
 //! Prints a table of every metric with its unit and sample count, then, as the
@@ -15,7 +16,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use escudo_perfbench::{run_end_to_end, run_traced, Workload, SETUPS};
+use escudo_perfbench::{run_end_to_end, run_traced, Workload};
 
 struct Args {
     workload: Workload,
@@ -69,7 +70,7 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(message) => {
             eprintln!(
-                "perfbench: {message}\nusage: --workload <figure4|shared_fabric|app_sessions> --seed <n> --seconds <n> --trace <0|1>"
+                "perfbench: {message}\nusage: --workload <shared_fabric|shared_fabric_nocache|figure4|app_sessions> --seed <n> --seconds <n> --trace <0|1>"
             );
             return ExitCode::from(2);
         }
@@ -77,7 +78,7 @@ fn main() -> ExitCode {
     let budget = Duration::from_secs_f64(args.seconds);
     let name = args.workload.name();
     let outcome = if args.trace {
-        let (outcome, tracer) = run_traced(args.workload, args.seed, budget, false);
+        let (outcome, tracer) = run_traced(args.workload, args.seed, budget);
         let path = PathBuf::from(".bench_trace").join(format!("{name}-seed{}.jsonl", args.seed));
         let (stored, dropped) = tracer.span_count();
         match tracer.write_jsonl(&path) {
@@ -89,7 +90,7 @@ fn main() -> ExitCode {
         }
         outcome
     } else {
-        run_end_to_end(args.workload, args.seed, budget, SETUPS, false)
+        run_end_to_end(args.workload, args.seed, budget)
     };
     println!(
         "workload {name} seed {} trace {} (available parallelism {})",

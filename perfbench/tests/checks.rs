@@ -5,7 +5,8 @@
 use std::time::Duration;
 
 use escudo_perfbench::apps::AppSessions;
-use escudo_perfbench::{run_end_to_end, run_traced, Outcome, Workload};
+use escudo_perfbench::fabric::SharedFabric;
+use escudo_perfbench::{run_end_to_end, run_traced, Outcome, Workload, World};
 
 const TINY: Duration = Duration::from_millis(150);
 
@@ -63,7 +64,7 @@ fn assert_emits(outcome: &Outcome, section: &str, workload: Workload) {
 #[test]
 fn every_workload_emits_every_declared_metric_and_fails_nothing() {
     for workload in Workload::ALL {
-        let outcome = run_end_to_end(workload, 7, TINY, 1, false);
+        let outcome = run_end_to_end(workload, 7, TINY);
         assert_emits(&outcome, "end_to_end", workload);
         assert_eq!(
             outcome.fail_frac(),
@@ -74,7 +75,7 @@ fn every_workload_emits_every_declared_metric_and_fails_nothing() {
         assert!(outcome.correct());
         assert!(outcome.to_json().starts_with("{\"correct\": true, "));
 
-        let (traced, _) = run_traced(workload, 7, TINY, false);
+        let (traced, _) = run_traced(workload, 7, TINY);
         assert_emits(&traced, "per_layer", workload);
         assert_eq!(traced.fail_frac(), 0.0, "{workload:?}: {}", traced.table());
     }
@@ -84,10 +85,11 @@ fn every_workload_emits_every_declared_metric_and_fails_nothing() {
 fn a_failing_image_origin_makes_shared_fabric_ops_fail() {
     // FailFirst on one image origin of site 0, under the sessions' default
     // FetchPolicy::disabled(): no retry can mask it.
-    let outcome = run_end_to_end(Workload::SharedFabric, 7, TINY, 1, true);
-    assert!(outcome.fail_frac() > 0.0, "{}", outcome.table());
-    assert!(!outcome.correct());
-    assert!(outcome.to_json().starts_with("{\"correct\": false, "));
+    let mut world = SharedFabric::new(7, None, true);
+    world.fail_image_origin();
+    let window = world.measure(TINY);
+    let fail_frac = window.failed as f64 / window.attempted as f64;
+    assert!(fail_frac > 0.0, "{window:?}");
 }
 
 #[test]
