@@ -1,6 +1,6 @@
 //! Pipelined-vs-sequential subresource loading over the shared network fabric:
-//! page loads whose `img` fetches fan out across a bounded worker pool, against
-//! the inline sequential oracle.
+//! page loads whose `img` fetches overlap in a bounded deadline window, against
+//! the sequential oracle (a window of width 1).
 //!
 //! Run with `cargo bench --bench loader_concurrent` (optionally
 //! `-- --threads N --images K --passes P`). This is a plain `harness = false`
@@ -11,11 +11,11 @@
 //!   be at least **2× faster** than the sequential oracle (the fan-out must
 //!   actually overlap the service times),
 //! * with zero latency the pipelined loader must not regress below **90%** of
-//!   sequential throughput (the adaptive cutover keeps memory-speed pages on the
-//!   inline path),
-//! * just above the cutover threshold — where the worker pool *actually
-//!   engages* — the pipelined loader must likewise stay above **90%** of
-//!   sequential (catches fan-out machinery regressions the cutover would hide),
+//!   sequential throughput (a due request completes before the next send, so
+//!   the window runs memory-speed pages in plan order),
+//! * at a small per-origin latency the pipelined loader must likewise stay
+//!   above **90%** of sequential (catches window machinery regressions that
+//!   only show once requests actually wait),
 //! * the sequence-sorted request log of a pipelined run under *reverse-skewed*
 //!   latency must be **byte-identical** to the sequential oracle's, attached
 //!   cookie names included, and per-subresource outcomes must be recorded in
@@ -41,15 +41,11 @@ const NO_REGRESSION_FRACTION: f64 = 0.9;
 /// specified at ≥ 100µs).
 const GATE_LATENCY: Duration = Duration::from_micros(200);
 
-/// Per-origin latency just above the loader's adaptive fan-out cutover
-/// (8 images × 25µs = 200µs estimated > the 150µs threshold): the worker pool
-/// *actually engages* here, so this gate — unlike the zero-latency one, where
-/// the cutover keeps both sides on the inline path — catches regressions in the
-/// fan-out machinery itself (submission cost, batch rendezvous, slot
-/// recording). The cutover dropped from 300µs to 150µs when the per-page
-/// scoped-thread spawn was replaced by the fabric's persistent parked pool, so
-/// this gate now runs at less than half the latency the spawn-based loader
-/// could afford — the direct measure of the cheaper fan-out constant.
+/// A small per-origin latency at which requests really wait: the window keeps
+/// several in flight here, so this gate — unlike the zero-latency one, where
+/// every request is due at once and the window runs in plan order — catches
+/// regressions in the window machinery itself (send bookkeeping, due-order
+/// completion, slot recording) on a page whose waits are short.
 const EDGE_LATENCY: Duration = Duration::from_micros(25);
 
 fn report_line(label: &str, sample: &LoaderSample) {
@@ -119,7 +115,7 @@ fn main() {
 
     // ------------------------------------------------- fan-out-engaged edge gate
     println!(
-        "page loads at {}µs per-origin latency (just above the fan-out cutover):",
+        "page loads at {}µs per-origin latency (short waits):",
         EDGE_LATENCY.as_micros()
     );
     let sequential_edge = best_page_loads(images, origins, EDGE_LATENCY, 1, passes, 3);
@@ -130,12 +126,12 @@ fn main() {
     if retained_edge >= NO_REGRESSION_FRACTION {
         println!(
             "ok: engaged fan-out sustains {retained_edge:.2}x sequential throughput \
-             at the cutover edge"
+             at short waits"
         );
     } else {
         eprintln!(
-            "FAIL: engaged fan-out at the cutover edge fell to {:.0}% of sequential \
-             throughput (gate: ≥ {:.0}%) — worker-pool overhead regression",
+            "FAIL: engaged fan-out at short waits fell to {:.0}% of sequential \
+             throughput (gate: ≥ {:.0}%) — deadline-window overhead regression",
             retained_edge * 100.0,
             NO_REGRESSION_FRACTION * 100.0
         );

@@ -8,11 +8,11 @@
 //!
 //! * **lane gate** — p99 navigation latency while N sibling sessions flood the
 //!   same fabric with bulk image batches must stay within **2×** the unloaded
-//!   p99. The two-lane queue (navigation tickets jump the bulk backlog, bulk
-//!   drains yield at request boundaries) is what holds this; on a host without
+//!   p99. Every plan here is latency-bound, so each session waits on its own
+//!   deadline window and the sessions share only the CPU; on a host without
 //!   two hardware threads the storm and the navigator timeshare one core and
-//!   the ratio measures the OS scheduler, not the lanes, so the gate degrades
-//!   to observability with the reason printed,
+//!   the ratio measures the OS scheduler, so the gate degrades to
+//!   observability with the reason printed,
 //! * **prefetch gate** — with a `rel=prefetch` hint and 200µs origin latency,
 //!   the hinted repeat navigation must be at least **1.3×** faster with
 //!   speculation enabled, and every pass must consume its prefetch-cache hit,

@@ -4,10 +4,13 @@
 //! This module backs the `scheduler_concurrent` bench and its CI gates:
 //!
 //! * [`run_navigation_storm`] — one navigation-heavy session measures p99 page
-//!   latency while N sibling sessions flood the **same** fabric's worker pool
-//!   with bulk image batches. The two-lane queue (navigation tickets jump the
-//!   bulk backlog, bulk drains yield at request boundaries) is what keeps the
-//!   loaded p99 within a small factor of the unloaded baseline.
+//!   latency while N sibling sessions flood the **same** fabric with bulk
+//!   image batches. Every origin's cost is latency, so each session's plans
+//!   run as deadline windows on its own thread and never queue in the worker
+//!   pool; what keeps the loaded p99 within a small factor of the unloaded
+//!   baseline is that nothing but the CPU is shared. (The pool's two-lane
+//!   queue, which handler-bound plans ride, is exercised by the
+//!   `pipelined_loader` integration tests.)
 //! * [`run_prefetch_speedup`] — a hub page carries `rel=prefetch` markup for
 //!   the next page; with speculation enabled the repeat navigation is served
 //!   from the prefetch cache and skips the origin's simulated latency
@@ -38,9 +41,8 @@ use escudo_net::{Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
 use crate::loader::register_loader_world;
 
 /// Per-origin simulated latency of the navigation site's render-blocking
-/// subresources: three critical origins at 100µs keep the batch's estimated
-/// service time above the loader's 150µs fan-out cutover, so the navigation
-/// *lane* (not the inline path) is what the storm measurement exercises.
+/// subresources: three critical origins at 100µs, overlapped by the loader's
+/// deadline window.
 pub const NAV_CRITICAL_LATENCY: Duration = Duration::from_micros(100);
 
 /// The URL the navigation-storm session loads repeatedly.

@@ -13,7 +13,7 @@ use escudo_core::{
 use escudo_dom::EventType;
 use escudo_net::{
     BackgroundBatch, CacheLayers, FetchPolicy, Method, Network, Priority, Request, Response,
-    SharedCookieJar, SharedNetwork, Url,
+    ResponseCache, SharedCookieJar, SharedNetwork, Url,
 };
 use escudo_script::Interpreter;
 
@@ -29,26 +29,24 @@ use crate::render::Renderer;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageId(usize);
 
-/// Default bound on the pipelined subresource loader's worker pool. Page loads
-/// with a single planned subresource (or a bound of 1) dispatch inline on the
-/// navigating thread — that inline path *is* the sequential oracle the
-/// `loader_concurrent` bench compares against.
+/// Default bound on the subresource requests one page load keeps **in
+/// flight** at once — the width of its deadline window
+/// ([`SharedNetwork::dispatch_window`]), or of its pool batch when the plan's
+/// handler work goes to the fetch pool. It is not a thread count: a window
+/// waits on all of its requests from the navigating thread. A bound of 1 sends
+/// each request only after the previous one completed — the sequential oracle
+/// the `loader_concurrent` bench compares against.
 pub const DEFAULT_SUBRESOURCE_WORKERS: usize = 4;
 
-/// Estimated total fetch cost (in nanoseconds) below which the loader dispatches
-/// its plan inline instead of fanning out. The estimate comes from the fabric's
-/// per-origin service-time model ([`SharedNetwork::estimated_service_ns`]:
-/// configured simulated latency or the observed dispatch-time EWMA, whichever is
-/// larger), so slow origins — simulated or genuinely expensive handlers — engage
-/// the pipeline and fast in-memory ones keep the sequential fast path.
-///
-/// The threshold was 300µs when fanning out meant *spawning* scoped threads
-/// (tens of microseconds per worker per page). Fan-out now submits the
-/// pre-mediated plan to the fabric's **persistent parked worker pool**
-/// ([`SharedNetwork::dispatch_batch`]) — a queue push and a condvar notify — so
-/// the machinery pays for itself on much cheaper pages and the cutover dropped
-/// to 150µs.
-const SUBRESOURCE_FANOUT_THRESHOLD_NS: u64 = 150_000;
+/// Estimated total **handler** time (in nanoseconds) at and above which the
+/// loader hands a plan to the fabric's fetch pool instead of running it as a
+/// deadline window on the navigating thread. The estimate comes from the
+/// fabric's per-origin handler-time EWMA
+/// ([`SharedNetwork::estimated_handler_ns`]). Latency never counts: the
+/// window overlaps it without a thread, so only handler work that would
+/// otherwise serialize on the navigating thread is worth the pool's thread
+/// hand-offs.
+const SUBRESOURCE_POOL_THRESHOLD_NS: u64 = 150_000;
 
 /// Per-slot result of a subresource plan dispatch: `(status, error, retries)`.
 type SlotOutcome = (Option<u16>, Option<String>, u32);
@@ -74,7 +72,8 @@ pub struct Browser {
     visited: HashSet<String>,
     pages: Vec<Option<Page>>,
     viewport_width: u32,
-    /// Bound on the subresource fetch worker pool (≥ 1; 1 = fully sequential).
+    /// Bound on a page's in-flight subresource requests (≥ 1; 1 = fully
+    /// sequential).
     subresource_workers: usize,
     /// Cookie policies remembered per (host, cookie name), so a policy declared when a
     /// cookie was set keeps protecting it on later pages of the same application.
@@ -256,14 +255,15 @@ impl Browser {
         self.network.fabric()
     }
 
-    /// Bounds the pipelined subresource loader's worker pool. `1` makes the
-    /// fetch fan-out fully sequential (the oracle path the bench gates compare
-    /// against); values are clamped to at least 1.
+    /// Bounds how many subresource requests a page load keeps in flight at
+    /// once (see [`DEFAULT_SUBRESOURCE_WORKERS`]). `1` makes the fetch fan-out
+    /// fully sequential (the oracle path the bench gates compare against);
+    /// values are clamped to at least 1.
     pub fn set_subresource_workers(&mut self, workers: usize) {
         self.subresource_workers = workers.max(1);
     }
 
-    /// The configured subresource worker-pool bound.
+    /// The configured bound on in-flight subresource requests.
     #[must_use]
     pub fn subresource_workers(&self) -> usize {
         self.subresource_workers
@@ -605,10 +605,7 @@ impl Browser {
                 let response = Arc::new(fetched);
                 if self.response_cache_enabled
                     && cacheable
-                    && response.status.is_success()
-                    && !response.headers.cache_no_store()
-                    && response.headers.get("Set-Cookie").is_none()
-                    && response.headers.cache_max_age().is_some()
+                    && ResponseCache::admits(&response, false)
                 {
                     self.network.fabric().cache_store(
                         Method::Get,
@@ -1017,9 +1014,8 @@ impl Browser {
     // ------------------------------------------------------------- subresources
 
     /// Issues the HTTP requests for the page's external subresources. The
-    /// render-critical ones (`link rel=stylesheet`, `script src`) ride the
-    /// fetch pool's **navigation lane**, ahead of any session's queued bulk
-    /// traffic; `img` fetches ride the **bulk lane**. Each element is an
+    /// render-critical ones (`link rel=stylesheet`, `script src`) are
+    /// dispatched first, then the `img` fetches. Each element is an
     /// HTTP-request-issuing principal; cookie attachment for its request is
     /// mediated exactly like any other `use` of the cookies (`img` is the
     /// CSRF-by-image vector).
@@ -1033,12 +1029,16 @@ impl Browser {
     ///    request's cookie attachment (one jar walk per distinct URL, one engine
     ///    batch per page). No fetch has been dispatched yet, so no completion
     ///    order — and no scheduling decision — can influence a decision.
-    /// 2. **Fan out** — the already-mediated critical requests are submitted to
-    ///    the fabric's persistent worker pool at [`Priority::Navigation`], then
-    ///    the image requests at [`Priority::Bulk`] (the navigating thread
-    ///    drains each batch alongside the ticketed pool workers, so it is
-    ///    still worker 0), each under a sequence number pre-reserved in plan
-    ///    order. Outcomes come back in plan index order, so
+    /// 2. **Fan out** — the already-mediated critical requests, then the image
+    ///    requests, each under a sequence number pre-reserved in plan order.
+    ///    A plan whose cost is latency runs as a **deadline window** on the
+    ///    navigating thread ([`SharedNetwork::dispatch_window`]): up to
+    ///    `subresource_workers` requests in flight, completed in due order,
+    ///    with no pool thread woken. Only a plan whose estimated handler time
+    ///    reaches [`SUBRESOURCE_POOL_THRESHOLD_NS`] goes to the fabric's
+    ///    worker pool, the critical requests on [`Priority::Navigation`]
+    ///    (ahead of any session's queued bulk traffic) and the images on
+    ///    [`Priority::Bulk`]. Outcomes come back in plan index order, so
     ///    [`Page::subresources`] and the sequence-sorted request log both read
     ///    in plan order regardless of which fetch finished first.
     fn load_subresources(&mut self, page: &mut Page) {
@@ -1183,19 +1183,13 @@ impl Browser {
             if entries.is_empty() {
                 continue;
             }
-            // Adaptive cutover per lane: fan out only when the estimated total
-            // fetch cost can pay for the pool submission; otherwise the plan
-            // dispatches inline (the sequential fast path — identical
-            // semantics, no queue round-trip).
-            let estimated_ns: u64 = entries
+            // Cutover per lane: a plan whose cost is latency runs as a
+            // deadline window on this thread; only a plan with enough handler
+            // work to pay for thread hand-offs goes to the pool.
+            let handler_ns: u64 = entries
                 .iter()
-                .map(|(_, request)| fabric.estimated_service_ns(&request.url.origin()))
+                .map(|(_, request)| fabric.estimated_handler_ns(&request.url.origin()))
                 .fold(0, u64::saturating_add);
-            let workers = if estimated_ns < SUBRESOURCE_FANOUT_THRESHOLD_NS {
-                1
-            } else {
-                self.subresource_workers.min(entries.len())
-            };
             let store_keys: Vec<(Url, String)> = if self.response_cache_enabled {
                 entries
                     .iter()
@@ -1208,25 +1202,23 @@ impl Browser {
                 Vec::new()
             };
             let slots: Vec<usize> = entries.iter().map(|(slot, _)| *slot).collect();
-            let results = fabric
-                .dispatch_batch_offsets_with_policy(base, entries, workers, priority, &policy);
+            let width = self.subresource_workers;
+            let results = if handler_ns < SUBRESOURCE_POOL_THRESHOLD_NS {
+                fabric.dispatch_window(base, entries, width, &policy)
+            } else {
+                fabric.dispatch_batch_offsets_with_policy(base, entries, width, priority, &policy)
+            };
             for (j, (result, retries)) in results.into_iter().enumerate() {
-                if self.response_cache_enabled {
-                    if let Ok(response) = &result {
-                        if response.status.is_success()
-                            && !response.headers.cache_no_store()
-                            && response.headers.get("Set-Cookie").is_none()
-                            && response.headers.cache_max_age().is_some()
-                        {
-                            let (url, cookie_header) = &store_keys[j];
-                            fabric.cache_store(
-                                Method::Get,
-                                url,
-                                cookie_header,
-                                response.clone(),
-                                false,
-                            );
-                        }
+                if let Ok(response) = &result {
+                    if self.response_cache_enabled && ResponseCache::admits(response, false) {
+                        let (url, cookie_header) = &store_keys[j];
+                        fabric.cache_store(
+                            Method::Get,
+                            url,
+                            cookie_header,
+                            response.clone(),
+                            false,
+                        );
                     }
                 }
                 outcomes[slots[j]] = Some(match result {
@@ -1263,21 +1255,16 @@ impl Browser {
                     );
                     let (result, retries) =
                         fabric.dispatch_sequenced_with_policy(base + i as u64, request, &policy);
-                    if self.response_cache_enabled {
-                        if let Ok(response) = &result {
-                            if response.status.is_success()
-                                && !response.headers.cache_no_store()
-                                && response.headers.get("Set-Cookie").is_none()
-                                && response.headers.cache_max_age().is_some()
-                            {
-                                fabric.cache_store(
-                                    Method::Get,
-                                    &store_key.0,
-                                    &store_key.1,
-                                    response.clone(),
-                                    false,
-                                );
-                            }
+                    if let Ok(response) = &result {
+                        if self.response_cache_enabled && ResponseCache::admits(response, false) {
+                            let (url, cookie_header) = &store_key;
+                            fabric.cache_store(
+                                Method::Get,
+                                url,
+                                cookie_header,
+                                response.clone(),
+                                false,
+                            );
                         }
                     }
                     outcomes[i] = Some(match result {

@@ -12,7 +12,9 @@ use escudo_core::config::{NativeApi, AC_ATTRIBUTES};
 use escudo_core::{Operation, PolicyMode, PrincipalContext};
 use escudo_dom::{Document, NodeId};
 use escudo_html::{Token, Tokenizer};
-use escudo_net::{FetchPolicy, Method, Network, Request, SetCookie, SharedCookieJar, Url};
+use escudo_net::{
+    FetchPolicy, Method, Network, Request, ResponseCache, SetCookie, SharedCookieJar, Url,
+};
 use escudo_script::{Host, HostError, HostNodeId, HostXhrId, XhrOutcome};
 
 use crate::context::SecurityContextTable;
@@ -488,12 +490,7 @@ impl Host for BrowserHost<'_> {
         let store_url = cacheable.then(|| request.url.clone());
         match fabric.dispatch_with_policy(request, &self.fetch_policy) {
             Ok(response) => {
-                if let Some(url) = store_url.filter(|_| {
-                    response.status.is_success()
-                        && !response.headers.cache_no_store()
-                        && response.headers.get("Set-Cookie").is_none()
-                        && response.headers.cache_max_age().is_some()
-                }) {
+                if let Some(url) = store_url.filter(|_| ResponseCache::admits(&response, false)) {
                     fabric.cache_store(Method::Get, &url, &cookie_header, response.clone(), false);
                 }
                 Ok(XhrOutcome {

@@ -13,8 +13,8 @@
 //!   counter's value, so two runs with the same plan fault the same
 //!   dispatches in the same order. Faulted dispatches return
 //!   [`NetError::Timeout`] (or panic, contained per-slot on the batch paths)
-//!   and are **excluded from the EWMA service-time model** so injected
-//!   slowness cannot poison the planner's adaptive fan-out cutover.
+//!   and are **excluded from the handler-time EWMA** so injected slowness
+//!   cannot poison the planner's pool cutover.
 //! * **Fetch policy.** A [`FetchPolicy`] turns bare dispatches into a
 //!   resilient loop: bounded retries with deterministic exponential backoff
 //!   metered against the fabric's injectable [`Clock`] (the backoff is
@@ -40,9 +40,9 @@ use std::sync::{Arc, Mutex};
 use escudo_core::{Clock, Origin};
 
 use crate::error::NetError;
-use crate::fetch_pool::dispatch_containing_panics;
 use crate::message::{Request, Response};
 use crate::shared_network::SharedNetwork;
+use crate::window::run_window;
 
 /// One deterministic fault rule, evaluated against the origin's 0-based
 /// dispatch index. Rules compose inside a [`FaultPlan`]; when several rules
@@ -55,8 +55,8 @@ pub enum FaultSchedule {
     /// Time out every `k`-th dispatch (the k-th, 2k-th, …; `0` never fires).
     EveryNth(u64),
     /// Add a synthetic slowdown of this many nanoseconds to every dispatch
-    /// (slept like configured latency, outside all locks, but **excluded**
-    /// from the planner EWMA).
+    /// (waited on like configured latency, outside all locks, but
+    /// **excluded** from the planner EWMA).
     SlowBy(u64),
     /// Panic inside every dispatch, before the origin's handler runs (so the
     /// handler mutex is never poisoned and the origin can heal when the plan
@@ -68,7 +68,7 @@ pub enum FaultSchedule {
 
 /// What a dispatch does once its origin's fault plan has been consulted.
 /// `Proceed` with `slow_ns == 0` is the clean case — and the only case that
-/// feeds the service-time EWMA.
+/// feeds the handler-time EWMA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultOutcome {
     /// Dispatch normally.
@@ -100,7 +100,7 @@ impl Default for FaultDecision {
 
 impl FaultDecision {
     /// `true` when no schedule touched this dispatch — only clean dispatches
-    /// feed the EWMA service-time model.
+    /// feed the handler-time EWMA.
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.slow_ns == 0 && self.outcome == FaultOutcome::Proceed
@@ -384,79 +384,68 @@ impl BatchBudget {
             virtual_backoff_ns: AtomicU64::new(0),
         }
     }
-}
 
-/// The resilient per-slot dispatch loop shared by the pooled drain, the
-/// inline batch path and the single-request `dispatch_with_policy`:
-/// breaker admission, one contained dispatch attempt, bounded retries with
-/// virtual backoff metered against the batch deadline. Returns the final
-/// outcome plus how many retries this slot consumed.
-///
-/// The request is re-sent **verbatim** on every attempt — same URL, same
-/// mediated `Cookie` header, same reserved sequence number — so a retry can
-/// never widen what the reference monitor already decided, and the
-/// sequence-sorted log stays oracle-identical (failed attempts are unlogged;
-/// the eventual success logs under the original sequence).
-pub(crate) fn dispatch_slot_resilient(
-    fabric: &SharedNetwork,
-    base: Option<u64>,
-    index: usize,
-    request: Request,
-    budget: &BatchBudget,
-) -> (Result<Response, NetError>, u32) {
-    let policy = budget.policy;
-    let origin = request.url.origin();
-    let mut retries: u32 = 0;
-    loop {
-        if let Err(open) = fabric.breaker_admit(&origin, &policy) {
-            return (Err(open), retries);
+    /// Records a slot's successful attempt: closes the origin's breaker and
+    /// counts a retry success when the slot needed retries to get there.
+    pub(crate) fn record_success(&self, fabric: &SharedNetwork, origin: &Origin, retries: u32) {
+        fabric.breaker_record(origin, &self.policy, true);
+        if retries > 0 {
+            fabric
+                .chaos()
+                .retry_successes
+                .fetch_add(1, Ordering::Relaxed);
         }
-        match dispatch_containing_panics(fabric, base, index, request.clone()) {
-            Ok(response) => {
-                fabric.breaker_record(&origin, &policy, true);
-                if retries > 0 {
-                    fabric
-                        .chaos()
-                        .retry_successes
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                return (Ok(response), retries);
-            }
-            Err(error) => {
-                if !error.is_transient() {
-                    // A missing server or an open breaker is a fact, not a
-                    // blip — and a denial never even reaches here, because a
-                    // denied plan dispatches (cookie-less) successfully: the
-                    // monitor's "no" is not an error to retry around.
-                    return (Err(error), retries);
-                }
-                fabric.breaker_record(&origin, &policy, false);
-                if retries >= policy.max_retries {
-                    return (Err(error), retries);
-                }
-                // Deterministic virtual backoff: accounted against the batch
-                // deadline on the fabric clock, never slept — under a
-                // ManualClock the whole retry schedule is exactly countable.
-                let backoff = policy.backoff_ns(retries);
-                let owed = budget
-                    .virtual_backoff_ns
-                    .fetch_add(backoff, Ordering::Relaxed)
-                    .saturating_add(backoff);
-                let spent = fabric.clock_now_ns().saturating_sub(budget.started_ns);
-                if policy.deadline_ns > 0 && spent.saturating_add(owed) >= policy.deadline_ns {
-                    fabric
-                        .chaos()
-                        .retry_deadline_exhausted
-                        .fetch_add(1, Ordering::Relaxed);
-                    return (Err(error), retries);
-                }
-                retries += 1;
-                fabric
-                    .chaos()
-                    .retry_attempts
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+    }
+
+    /// Judges a slot's failed attempt after `retries` retries: `Ok(())`
+    /// grants (and counts) one more attempt, `Err` hands back the final
+    /// error. Only transient errors are retried, at most `max_retries` times,
+    /// and only while the batch deadline has room for the slot's virtual
+    /// backoff. The caller re-sends the request **verbatim** — same URL,
+    /// same mediated `Cookie` header, same reserved sequence number — so a
+    /// retry can never widen what the reference monitor already decided, and
+    /// the sequence-sorted log stays oracle-identical (failed attempts are
+    /// unlogged; the eventual success logs under the original sequence).
+    pub(crate) fn grant_retry(
+        &self,
+        fabric: &SharedNetwork,
+        origin: &Origin,
+        retries: u32,
+        error: NetError,
+    ) -> Result<(), NetError> {
+        let policy = &self.policy;
+        if !error.is_transient() {
+            // A missing server or an open breaker is a fact, not a blip — and
+            // a denial never even reaches here, because a denied plan
+            // dispatches (cookie-less) successfully: the monitor's "no" is
+            // not an error to retry around.
+            return Err(error);
         }
+        fabric.breaker_record(origin, policy, false);
+        if retries >= policy.max_retries {
+            return Err(error);
+        }
+        // Deterministic virtual backoff: accounted against the batch deadline
+        // on the fabric clock, never slept — under a ManualClock the whole
+        // retry schedule is exactly countable.
+        let backoff = policy.backoff_ns(retries);
+        let owed = self
+            .virtual_backoff_ns
+            .fetch_add(backoff, Ordering::Relaxed)
+            .saturating_add(backoff);
+        let spent = fabric.clock_now_ns().saturating_sub(self.started_ns);
+        if policy.deadline_ns > 0 && spent.saturating_add(owed) >= policy.deadline_ns {
+            fabric
+                .chaos()
+                .retry_deadline_exhausted
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(error);
+        }
+        fabric
+            .chaos()
+            .retry_attempts
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -667,8 +656,8 @@ impl SharedNetwork {
             return self.dispatch(request);
         }
         let sequence = self.reserve_sequences(1);
-        let budget = BatchBudget::new(self, *policy);
-        dispatch_slot_resilient(self, Some(sequence), 0, request, &budget).0
+        self.dispatch_sequenced_with_policy(sequence, request, policy)
+            .0
     }
 
     /// Dispatches one request under a **caller-reserved** sequence number
@@ -694,7 +683,18 @@ impl SharedNetwork {
             return (self.dispatch_sequenced(sequence, request), 0);
         }
         let budget = BatchBudget::new(self, *policy);
-        dispatch_slot_resilient(self, Some(sequence), 0, request, &budget)
+        let mut outcome = run_window(self, Some(sequence), vec![(0, request)], 1, Some(&budget));
+        outcome.pop().expect("one request, one outcome")
+    }
+
+    /// Dispatches sent to `origin` under its installed fault plan so far.
+    #[cfg(test)]
+    pub(crate) fn fault_plan_sends(&self, origin: &Origin) -> u64 {
+        self.faults
+            .read()
+            .expect("fault plan map lock")
+            .get(origin)
+            .map_or(0, |state| state.counter.load(Ordering::Relaxed))
     }
 
     /// Failing faults injected so far (timeouts and planned panics).

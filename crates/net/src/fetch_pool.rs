@@ -1,19 +1,24 @@
 //! The persistent fetch worker pool: parked OS threads the fabric reuses across
 //! page loads, scheduled over a **two-lane priority queue**.
 //!
-//! PR 4's pipelined loader fanned each page's pre-mediated fetches out over
-//! *scoped threads spawned per page load*. Spawning costs tens of microseconds a
-//! thread, which is why the loader needed a 300µs adaptive cutover before fanning
-//! out at all — the fan-out machinery had to pay for itself on every single page.
-//! This module replaces the per-page spawn with a **fabric-owned pool of parked
-//! workers**:
+//! Waiting on a fetch's latency needs no thread: the deadline window
+//! ([`crate::window`]) keeps a plan's requests in flight on the navigating
+//! thread and sleeps once for all of them. The pool exists for the work that
+//! does need threads — **expensive handlers** (the browser's loader hands a
+//! plan to the pool only when its estimated handler time crosses a cutover),
+//! callers that ask [`SharedNetwork::dispatch_batch`] for an explicit batch
+//! width, and **background prefetch**, which must overlap whatever the
+//! navigating thread does next. Each lane runs its claimed request as a
+//! width-1 window, so a lane, too, waits on the request's due time rather
+//! than on a fixed sleep:
 //!
 //! * a lane-split job queue plus a `Condvar` the idle workers park on —
 //!   submission is a short lock hold and one notify per woken worker,
 //!   microseconds instead of thread spawns;
 //! * workers are spawned **lazily** the first time a batch actually needs them
-//!   (fabrics that never fan out — most unit tests — never start a thread) and
-//!   then persist, parked, for the fabric's lifetime;
+//!   (fabrics that never fan out — most unit tests, and every plan whose cost
+//!   is latency — never start a thread) and then persist, parked, for the
+//!   fabric's lifetime;
 //! * the pool grows on demand up to [`MAX_POOL_WORKERS`], sized by each batch's
 //!   requested parallelism with [`std::thread::available_parallelism`] as the
 //!   floor for the first growth step;
@@ -70,9 +75,10 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 
 use crate::error::NetError;
-use crate::fault::{dispatch_slot_resilient, BatchBudget, FetchPolicy};
+use crate::fault::{BatchBudget, FetchPolicy};
 use crate::message::{Request, Response};
 use crate::shared_network::SharedNetwork;
+use crate::window::{run_window, SlotResult};
 
 /// Hard bound on pool threads, far above any realistic fan-out parallelism — a
 /// backstop against a caller requesting absurd batch widths, not a tuning knob.
@@ -101,9 +107,6 @@ pub enum Priority {
     /// and yields to navigation work between requests.
     Background,
 }
-
-/// One slot's final outcome plus the retries that slot consumed.
-type SlotResult = (Result<Response, NetError>, u32);
 
 /// One submitted batch: the pending requests any ticket holder may claim, the
 /// per-request result slots, and the rendezvous the submitter waits on.
@@ -196,15 +199,10 @@ impl BatchWork {
         };
         let outcome = match self.fabric.upgrade() {
             Some(fabric) => {
-                let outcome = match &self.budget {
-                    Some(budget) => {
-                        dispatch_slot_resilient(&fabric, self.base, offset, request, budget)
-                    }
-                    None => (
-                        dispatch_containing_panics(&fabric, self.base, offset, request),
-                        0,
-                    ),
-                };
+                let entry = vec![(offset, request)];
+                let outcome = run_window(&fabric, self.base, entry, 1, self.budget.as_deref())
+                    .pop()
+                    .expect("one request, one outcome");
                 // The strong reference must die *before* the completion
                 // signal: once `complete` wakes the submitter, the
                 // fabric's owner may drop it at any moment, and this
@@ -268,29 +266,6 @@ impl BatchWork {
             })
             .collect()
     }
-}
-
-/// Dispatches batch request `index` — under its pre-reserved sequence when the
-/// batch is logged, or unlogged for speculative batches — catching a panicking
-/// origin handler and converting it into [`NetError::FetchPanicked`]. Shared by
-/// the pooled drain, the inline (parallelism ≤ 1) path and the resilient retry
-/// loop ([`crate::fault`]) so a batch's panic semantics do not depend on which
-/// side of the fan-out cutover it landed on.
-pub(crate) fn dispatch_containing_panics(
-    fabric: &SharedNetwork,
-    base: Option<u64>,
-    index: usize,
-    request: Request,
-) -> Result<Response, NetError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match base {
-        Some(base) => fabric.dispatch_sequenced(base + index as u64, request),
-        None => fabric.dispatch_unlogged(request),
-    }))
-    .unwrap_or_else(|_| {
-        Err(NetError::FetchPanicked(format!(
-            "origin handler panicked on batch request {index}"
-        )))
-    })
 }
 
 /// The state workers share: the lane-split ticket queue and the park/wake
@@ -663,21 +638,10 @@ impl SharedNetwork {
         let budget = (!policy.is_disabled()).then(|| Arc::new(BatchBudget::new(self, *policy)));
         let parallelism = parallelism.min(count);
         if parallelism <= 1 {
-            // Same panic containment as the pooled drain: whether a batch lands
-            // on the inline or the fanned-out side of the cutover must not
-            // change what a poisoned handler does to the navigating thread.
-            return entries
-                .into_iter()
-                .map(|(offset, request)| match &budget {
-                    Some(budget) => {
-                        dispatch_slot_resilient(self, Some(base), offset, request, budget)
-                    }
-                    None => (
-                        dispatch_containing_panics(self, Some(base), offset, request),
-                        0,
-                    ),
-                })
-                .collect();
+            // A width-1 window: the same panic containment and retry loop as
+            // the pooled drain, so whether a batch lands inline or on the
+            // pool never changes what a poisoned handler does to the caller.
+            return run_window(self, Some(base), entries, 1, budget.as_deref());
         }
         let work = BatchWork::with_offsets(self, Some(base), entries, budget);
         // The submitter is one of the `parallelism` lanes; ticket the rest.

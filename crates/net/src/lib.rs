@@ -54,6 +54,7 @@ pub mod response_cache;
 pub mod shared_jar;
 pub mod shared_network;
 pub mod url;
+pub mod window;
 
 pub use cookie::{Cookie, SetCookie};
 pub use error::NetError;

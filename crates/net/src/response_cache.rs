@@ -172,6 +172,20 @@ impl ResponseCache {
         }
     }
 
+    /// The one cacheability rule: a response may enter the cache only when it
+    /// is a 2xx, is not marked `no-store`, and carries no `Set-Cookie` (that
+    /// is per-recipient state — caching it would replay one session's
+    /// credential into another session whose mediated header matches).
+    /// Persistent entries additionally need an explicit `max-age`, so dynamic
+    /// pages never enter the shared cache; one-shot (prefetch) entries do not.
+    #[must_use]
+    pub fn admits(response: &Response, one_shot: bool) -> bool {
+        response.status.is_success()
+            && !response.headers.cache_no_store()
+            && response.headers.get("Set-Cookie").is_none()
+            && (one_shot || response.headers.cache_max_age().is_some())
+    }
+
     fn key(method: Method, url: &str) -> String {
         format!("{method} {url}")
     }
@@ -183,15 +197,11 @@ impl ResponseCache {
     }
 
     /// Stores a response fetched under `cookie_header`, overwriting any previous
-    /// entry for `(method, url)`. Returns `false` (and stores nothing) when the
-    /// response refuses caching: `no-store` always wins, a response carrying
-    /// `Set-Cookie` is never shared (it is per-recipient state — caching it
-    /// would replay one session's credential into another session whose
-    /// mediated header matches), and persistent entries additionally require an
-    /// explicit `max-age` so dynamic pages never enter the shared cache.
-    /// One-shot (prefetch) entries are stored without requiring `max-age`
-    /// (falling back to [`ONE_SHOT_DEFAULT_TTL_NS`]) — but a one-shot store
-    /// never downgrades a fresh persistent entry to consumed-on-first-hit.
+    /// entry for `(method, url)`. Returns `false` (and stores nothing) when
+    /// [`ResponseCache::admits`] refuses the response. One-shot (prefetch)
+    /// entries without `max-age` fall back to [`ONE_SHOT_DEFAULT_TTL_NS`] —
+    /// but a one-shot store never downgrades a fresh persistent entry to
+    /// consumed-on-first-hit.
     pub fn store(
         &self,
         method: Method,
@@ -201,18 +211,15 @@ impl ResponseCache {
         now_ns: u64,
         one_shot: bool,
     ) -> bool {
-        if response.headers.cache_no_store() || response.headers.get("Set-Cookie").is_some() {
+        if !ResponseCache::admits(&response, one_shot) {
             return false;
         }
-        let max_age_ns = response
+        let ttl_ns = response
             .headers
             .cache_max_age()
-            .map(|seconds| seconds.saturating_mul(1_000_000_000));
-        let ttl_ns = match (max_age_ns, one_shot) {
-            (Some(ttl), _) => ttl,
-            (None, true) => ONE_SHOT_DEFAULT_TTL_NS,
-            (None, false) => return false,
-        };
+            .map_or(ONE_SHOT_DEFAULT_TTL_NS, |seconds| {
+                seconds.saturating_mul(1_000_000_000)
+            });
         let key = ResponseCache::key(method, url);
         let mut shard = self.shard_for(&key).lock().expect("cache shard lock");
         if one_shot {

@@ -24,16 +24,24 @@
 //!   most [`SharedNetwork::log_capacity`] entries; overflow drops the
 //!   oldest (lowest-sequence) entries in amortized batches and counts them, so
 //!   long multi-session runs stop growing memory without bound.
-//! * **Simulated per-origin latency.** [`SharedNetwork::set_latency`] attaches a
-//!   synthetic service time to an origin, slept *outside* every lock — so the
-//!   pipelining win of overlapping slow fetches is measurable in-process, without
+//! * **Simulated per-origin latency, waited on a deadline.** A dispatch is
+//!   split into *send* and *complete*. [`SharedNetwork::set_latency`] attaches
+//!   a synthetic service time to an origin; sending a request decides its
+//!   fault verdict and breaker admission and stamps it with a due time (now +
+//!   latency + any injected slowdown), and completing it sleeps only while
+//!   that due time is still ahead, then calls the handler. Waiting on a fetch
+//!   therefore costs no thread: the deadline window ([`crate::window`], behind
+//!   [`SharedNetwork::dispatch_window`]) keeps several requests in flight on
+//!   the calling thread and completes them in due order, so the pipelining
+//!   win of overlapping slow fetches is measurable in-process, without
 //!   sockets.
-//! * **Persistent fetch worker pool.** [`SharedNetwork::dispatch_batch`] fans a
-//!   pre-planned request batch out over parked worker threads the fabric owns
-//!   and reuses across page loads ([`crate::fetch_pool`]) — submission costs a
-//!   queue push and a notify, not a thread spawn per page. The pool's queue has
-//!   two effective priority tiers (navigation preempts bulk/background, see
-//!   [`crate::fetch_pool::Priority`]).
+//! * **Fetch worker pool for handler work.** [`SharedNetwork::dispatch_batch`]
+//!   fans a pre-planned batch out over parked worker threads the fabric owns
+//!   and reuses across page loads ([`crate::fetch_pool`]). Latency needs no
+//!   thread, so the pool exists for what does: expensive handlers, callers
+//!   that ask for an explicit batch width, and background prefetch. Its
+//!   queue has two effective priority tiers (navigation preempts
+//!   bulk/background, see [`crate::fetch_pool::Priority`]).
 //! * **Mediation-keyed response cache.** The fabric owns one shared
 //!   [`ResponseCache`](crate::response_cache::ResponseCache): sharded,
 //!   capacity-bounded, holding `Arc<Response>` entries keyed by
@@ -50,12 +58,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use escudo_core::{Clock, MonotonicClock, Origin};
 
 use crate::error::NetError;
-use crate::fault::FaultOutcome;
+use crate::fault::{FaultDecision, FaultOutcome, FetchPolicy};
 use crate::message::{Method, Request, Response};
 use crate::network::{LoggedRequest, Server};
 use crate::response_cache::{
@@ -70,8 +78,8 @@ pub const DEFAULT_LOG_CAPACITY: usize = 64 * 1024;
 
 /// One registered origin: the handler behind its own short-held mutex, the
 /// synthetic service latency dispatches to this origin pay, and an EWMA of the
-/// observed end-to-end service time (latency sleep + handler call) that lets
-/// planners estimate whether fanning fetches out is worth the thread overhead.
+/// time the handler call itself takes, which lets planners tell handler work
+/// (worth a pool thread) from latency (waited on a deadline).
 /// Handlers live behind an `Arc` so a dispatch can clone its handle out of the
 /// origin map and **drop the map's read guard before sleeping or calling the
 /// handler** — a concurrent `register` write therefore only ever waits for the
@@ -82,15 +90,28 @@ struct OriginHandler {
     /// Configured simulated latency in nanoseconds (atomic so `set_latency` can
     /// update it through the map's *read* guard).
     latency_ns: AtomicU64,
-    /// EWMA of observed dispatch service time in nanoseconds (0 = no samples yet);
-    /// relaxed updates — an estimate, not an accounting invariant.
-    observed_ns: AtomicU64,
+    /// EWMA of the handler call's duration in nanoseconds (0 = no samples
+    /// yet); relaxed updates — an estimate, not an accounting invariant.
+    handler_ns: AtomicU64,
 }
 
 impl OriginHandler {
     fn latency(&self) -> Duration {
         Duration::from_nanos(self.latency_ns.load(Ordering::Relaxed))
     }
+}
+
+/// A request that has been sent and not yet completed: its breaker admission
+/// and fault verdict are decided, and its response may be taken no earlier
+/// than `due` (see [`SharedNetwork::send`] and [`SharedNetwork::complete`]).
+pub(crate) struct InFlight {
+    handler: Arc<OriginHandler>,
+    pub(crate) origin: Origin,
+    /// Kept whole so a retry can re-send it verbatim.
+    pub(crate) request: Request,
+    fault: FaultDecision,
+    sent: Instant,
+    pub(crate) due: Instant,
 }
 
 /// A log entry tagged with its global sequence number. Entries within a stripe are
@@ -232,10 +253,10 @@ impl SharedNetwork {
     /// Registers a server for an already-parsed origin.
     pub fn register_origin<S: Server + Send + 'static>(&self, origin: Origin, server: S) {
         let mut servers = self.servers.write().expect("network server map lock");
-        let (latency_ns, observed) = servers.get(&origin).map_or((0, 0), |h| {
+        let (latency_ns, handler_ns) = servers.get(&origin).map_or((0, 0), |h| {
             (
                 h.latency_ns.load(Ordering::Relaxed),
-                h.observed_ns.load(Ordering::Relaxed),
+                h.handler_ns.load(Ordering::Relaxed),
             )
         });
         servers.insert(
@@ -243,7 +264,7 @@ impl SharedNetwork {
             Arc::new(OriginHandler {
                 server: Mutex::new(Box::new(server)),
                 latency_ns: AtomicU64::new(latency_ns),
-                observed_ns: AtomicU64::new(observed),
+                handler_ns: AtomicU64::new(handler_ns),
             }),
         );
     }
@@ -261,7 +282,8 @@ impl SharedNetwork {
     }
 
     /// Configures the synthetic service latency every dispatch to this origin
-    /// pays (slept outside all locks, so concurrent fetches overlap their waits).
+    /// pays (waited on a deadline outside all locks, so in-flight fetches
+    /// overlap their waits).
     ///
     /// # Panics
     ///
@@ -286,19 +308,28 @@ impl SharedNetwork {
     }
 
     /// Estimated service time of one dispatch to `origin`, in nanoseconds: the
-    /// larger of the configured latency and the EWMA of observed dispatch times
-    /// (so a freshly configured latency counts before any sample exists, and
-    /// expensive handlers count even with no configured latency). Zero when the
-    /// origin is unregistered or nothing is known yet. Planners use this to
-    /// decide whether fanning a batch of fetches out across threads can pay for
-    /// the fan-out overhead.
+    /// configured latency plus the EWMA of the handler call's duration (see
+    /// [`estimated_handler_ns`](SharedNetwork::estimated_handler_ns)). Zero
+    /// when the origin is unregistered or nothing is known yet.
     #[must_use]
     pub fn estimated_service_ns(&self, origin: &Origin) -> u64 {
         self.handler(origin).map_or(0, |h| {
             h.latency_ns
                 .load(Ordering::Relaxed)
-                .max(h.observed_ns.load(Ordering::Relaxed))
+                .saturating_add(h.handler_ns.load(Ordering::Relaxed))
         })
+    }
+
+    /// EWMA of the time one handler call to `origin` takes, in nanoseconds,
+    /// over clean dispatches only (latency and injected slowdowns are not
+    /// part of it). Zero when the origin is unregistered or has not served
+    /// yet. Planners use this to decide whether a batch has enough handler
+    /// work to pay for pool threads: latency alone never does, because the
+    /// deadline window waits on it without a thread.
+    #[must_use]
+    pub fn estimated_handler_ns(&self, origin: &Origin) -> u64 {
+        self.handler(origin)
+            .map_or(0, |h| h.handler_ns.load(Ordering::Relaxed))
     }
 
     /// `true` when a server is registered for the origin of `url`.
@@ -331,10 +362,10 @@ impl SharedNetwork {
         self.dispatch_sequenced(sequence, request)
     }
 
-    /// Dispatches a request under a caller-reserved sequence number: sleeps the
-    /// origin's simulated latency (outside all locks), takes the origin's handler
-    /// mutex for exactly one `handle` call, and records the log entry under
-    /// `sequence`.
+    /// Dispatches a request under a caller-reserved sequence number: sends it,
+    /// waits out the origin's simulated latency (outside all locks), takes the
+    /// origin's handler mutex for exactly one `handle` call, and records the
+    /// log entry under `sequence`.
     ///
     /// # Errors
     ///
@@ -346,17 +377,8 @@ impl SharedNetwork {
         sequence: u64,
         request: Request,
     ) -> Result<Response, NetError> {
-        let response = self.service(&request)?;
-        self.record(
-            sequence,
-            LoggedRequest {
-                method: request.method,
-                url: request.url.clone(),
-                cookie_names: request.cookie_names(),
-                status: response.status.0,
-            },
-        );
-        Ok(response)
+        let flight = self.send(request, &FetchPolicy::disabled())?;
+        self.complete(&flight, Some(sequence))
     }
 
     /// Dispatches a request **without** recording a log entry: the speculative
@@ -372,28 +394,73 @@ impl SharedNetwork {
     /// Returns [`NetError::HostUnreachable`] when no server is registered for
     /// the request's origin.
     pub fn dispatch_unlogged(&self, request: Request) -> Result<Response, NetError> {
-        self.service(&request)
+        let flight = self.send(request, &FetchPolicy::disabled())?;
+        self.complete(&flight, None)
     }
 
-    /// The shared dispatch machinery: consult the origin's fault plan, sleep
-    /// the origin's simulated latency plus any injected slowdown (outside all
-    /// locks), take the origin's handler mutex for exactly one `handle` call,
-    /// and fold the observed service time into the planner EWMA — but **only
-    /// for clean dispatches**: faulted or slowed dispatches never feed the
-    /// EWMA, so injected chaos cannot poison the adaptive fan-out cutover.
-    fn service(&self, request: &Request) -> Result<Response, NetError> {
+    /// The *send* half of a dispatch: admits the request through the origin's
+    /// circuit breaker (when `policy` has one), consults the origin's fault
+    /// plan, and stamps the request with the instant its response is due —
+    /// now + the configured latency + any injected slowdown. Nothing waits
+    /// here; [`complete`](SharedNetwork::complete) does, and only while the
+    /// due time is still ahead.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::CircuitOpen`] when the breaker refused admission, and
+    /// [`NetError::HostUnreachable`] when no server is registered for the
+    /// request's origin. Neither is retried.
+    pub(crate) fn send(
+        &self,
+        request: Request,
+        policy: &FetchPolicy,
+    ) -> Result<InFlight, NetError> {
         let origin = request.url.origin();
-        // The map's read guard is dropped inside `handler()`: the sleep and the
-        // handler call below hold only this origin's own mutex, so registration
+        self.breaker_admit(&origin, policy)?;
+        // The map's read guard is dropped inside `handler()`: the wait and the
+        // handler call hold only this origin's own mutex, so registration
         // writes and dispatches to other origins proceed unimpeded.
         let handler = self.handler(&origin)?;
         let fault = self.fault_decision(&origin);
-        let latency = handler.latency();
-        let service_start = std::time::Instant::now();
-        let sleep_for = latency.saturating_add(Duration::from_nanos(fault.slow_ns));
-        if !sleep_for.is_zero() {
-            std::thread::sleep(sleep_for);
+        let sent = Instant::now();
+        let wait = handler
+            .latency()
+            .saturating_add(Duration::from_nanos(fault.slow_ns));
+        Ok(InFlight {
+            handler,
+            origin,
+            request,
+            fault,
+            sent,
+            due: sent + wait,
+        })
+    }
+
+    /// The *complete* half of a dispatch: sleeps only while the request's due
+    /// time is still ahead, applies its fault verdict, takes the origin's
+    /// handler mutex for exactly one `handle` call, folds the call's duration
+    /// into the handler-time EWMA — but **only for clean dispatches**, so
+    /// injected chaos cannot poison the planner's pool cutover — and records
+    /// the log entry under `sequence` (speculative dispatches pass `None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fault plan injects a panic, and whenever the handler
+    /// itself panics; the batch paths contain both per slot.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Timeout`] when the fault plan times the dispatch out.
+    pub(crate) fn complete(
+        &self,
+        flight: &InFlight,
+        sequence: Option<u64>,
+    ) -> Result<Response, NetError> {
+        let ahead = flight.due.saturating_duration_since(Instant::now());
+        if !ahead.is_zero() {
+            std::thread::sleep(ahead);
         }
+        let fault = flight.fault;
         if fault.slow_ns > 0 {
             self.chaos.fault_slowdowns.fetch_add(1, Ordering::Relaxed);
         }
@@ -403,34 +470,57 @@ impl SharedNetwork {
                 // Deliberately *before* the handler lock: an injected panic
                 // must not poison the origin's mutex, so the origin heals the
                 // moment its schedule (or a retry) lets a dispatch through.
-                panic!("injected fault: origin `{origin}` panicked by plan");
+                panic!(
+                    "injected fault: origin `{}` panicked by plan",
+                    flight.origin
+                );
             }
             FaultOutcome::Timeout => {
                 self.chaos.faults_injected.fetch_add(1, Ordering::Relaxed);
                 let elapsed_ns =
-                    u64::try_from(service_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    u64::try_from(flight.sent.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 return Err(NetError::Timeout {
-                    origin: origin.to_string(),
+                    origin: flight.origin.to_string(),
                     elapsed_ns,
                 });
             }
             FaultOutcome::Proceed => {}
         }
-        let response = {
-            let mut server = handler.server.lock().expect("origin handler lock");
-            server.handle(request)
+        let (response, handler_ns) = {
+            let mut server = flight.handler.server.lock().expect("origin handler lock");
+            let start = Instant::now();
+            let response = server.handle(&flight.request);
+            (response, start.elapsed())
         };
-        // Fold the observed service time (sleep + handler) into the EWMA a
-        // planner reads through `estimated_service_ns`: new = 7/8·old + 1/8·sample.
+        // Fold the handler call's duration into the EWMA a planner reads
+        // through `estimated_handler_ns`: new = 7/8·old + 1/8·sample. A
+        // sample is at least 1 ns (0 means "no samples yet") and at most 8×
+        // the current estimate, so one call the OS scheduler preempted
+        // mid-handler moves the estimate by under 2×, while a handler that
+        // really turned expensive still overtakes it within a dozen calls.
         if fault.is_clean() {
-            let sample = u64::try_from(service_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let old = handler.observed_ns.load(Ordering::Relaxed);
+            let sample = u64::try_from(handler_ns.as_nanos())
+                .unwrap_or(u64::MAX)
+                .max(1);
+            let ewma = &flight.handler.handler_ns;
+            let old = ewma.load(Ordering::Relaxed);
             let next = if old == 0 {
                 sample
             } else {
-                old - old / 8 + sample / 8
+                old - old / 8 + sample.min(old.saturating_mul(8)) / 8
             };
-            handler.observed_ns.store(next, Ordering::Relaxed);
+            ewma.store(next, Ordering::Relaxed);
+        }
+        if let Some(sequence) = sequence {
+            self.record(
+                sequence,
+                LoggedRequest {
+                    method: flight.request.method,
+                    url: flight.request.url.clone(),
+                    cookie_names: flight.request.cookie_names(),
+                    status: response.status.0,
+                },
+            );
         }
         Ok(response)
     }
@@ -438,11 +528,9 @@ impl SharedNetwork {
     /// Stores a response in the shared mediation-keyed cache, fetched under the
     /// plan summarized by `cookie_header` (the exact `Cookie` header value the
     /// monitor attached, empty string for none). `one_shot` entries (speculative
-    /// prefetch) are consumed on first hit and need no `max-age`; persistent
-    /// entries require an explicit `Cache-Control: max-age=N`. `no-store`
-    /// responses are never stored, and neither is any response carrying
-    /// `Set-Cookie` — per-recipient state must not enter a cache shared across
-    /// sessions. Returns `true` when the response entered the cache.
+    /// prefetch) are consumed on first hit. What may enter at all is
+    /// [`ResponseCache::admits`]'s one rule. Returns `true` when the response
+    /// entered the cache.
     pub fn cache_store(
         &self,
         method: Method,
@@ -491,7 +579,7 @@ impl SharedNetwork {
     /// [`cache_store`](SharedNetwork::cache_store)). Fresher speculation for
     /// the same URL overwrites a previous one-shot entry — but never a fresh
     /// persistent one. Returns `true` when the response entered the cache
-    /// (`no-store` and `Set-Cookie`-bearing responses are refused).
+    /// (see [`ResponseCache::admits`]).
     pub fn store_prefetched(
         &self,
         url: &crate::url::Url,
@@ -854,6 +942,34 @@ mod tests {
         assert_eq!(
             net.latency(&Origin::parse_url("http://other.example").unwrap()),
             Duration::ZERO
+        );
+    }
+
+    #[test]
+    fn the_service_estimate_is_latency_plus_handler_time_not_timer_slack() {
+        // The EWMA times the handler call only, so the sleep's timer slack
+        // (50µs by default on Linux, far more on a loaded host) never reaches
+        // the estimate: an echo origin at 2ms reads 2ms plus a few µs.
+        let net = SharedNetwork::new();
+        net.register("http://slow.example", echo_server);
+        net.set_latency("http://slow.example", Duration::from_millis(2));
+        let origin = Origin::parse_url("http://slow.example").unwrap();
+        assert_eq!(
+            net.estimated_service_ns(&origin),
+            2_000_000,
+            "no samples yet"
+        );
+        for i in 0..5 {
+            net.dispatch(Request::get(&format!("http://slow.example/{i}")).unwrap())
+                .unwrap();
+        }
+        let handler_ns = net.estimated_handler_ns(&origin);
+        assert!(handler_ns > 0, "clean dispatches seeded the handler EWMA");
+        let estimate = net.estimated_service_ns(&origin);
+        assert_eq!(estimate, 2_000_000 + handler_ns);
+        assert!(
+            estimate < 3_000_000,
+            "estimate {estimate}ns carries more than handler time on top of the latency"
         );
     }
 

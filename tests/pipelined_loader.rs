@@ -6,9 +6,12 @@
 //! * attached cookie names are **byte-identical** to the sequential oracle path
 //!   (workers = 1), because mediation is fixed in phase 1 before any fetch,
 //! * 8 sessions sharing one fabric + jar + engine leak nothing across sessions,
-//! * a navigation's critical batch **preempts** a draining bulk batch at a
-//!   request boundary, and a continuous navigation storm never **starves** the
-//!   bulk lane (the anti-starvation credit), and
+//! * a bulk storm whose cost is origin latency never reaches the fetch pool
+//!   (its plans are deadline windows on its own navigating thread),
+//! * a navigation's handler-bound critical batch **preempts** a draining
+//!   handler-bound bulk batch at a request boundary, and a continuous
+//!   navigation storm never **starves** the bulk lane (the anti-starvation
+//!   credit), and
 //! * speculative prefetch is **oracle-equivalent**: prefetch on vs off produces
 //!   byte-identical mediation decisions, attachments and request logs.
 //!
@@ -24,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use escudo::browser::Browser;
 use escudo::core::{engine_for_mode, EscudoEngine, PolicyEngine, PolicyMode};
-use escudo::net::{SharedCookieJar, SharedNetwork};
+use escudo::net::{Request, Response, SharedCookieJar, SharedNetwork};
 use escudo_bench::loader::{register_loader_world, reverse_skewed_latency};
 use escudo_bench::scheduler::{register_nav_world, run_prefetch_oracle, NAV_PAGE_URL};
 
@@ -171,59 +174,160 @@ fn eight_sessions_sharing_one_fabric_stay_isolated() {
     }
 }
 
+/// Registers a page at `http://{host}` whose subresources are served by
+/// handlers that spend `service` inside the handler call itself — handler
+/// work, which the loader hands to the fetch pool — rather than in simulated
+/// latency. `critical` pulls a stylesheet and two scripts from three asset
+/// origins; otherwise the page carries `IMAGES` images over `ORIGINS` origins.
+fn register_handler_bound_world(
+    fabric: &SharedNetwork,
+    host: &str,
+    critical: bool,
+    service: Duration,
+) {
+    let (markup, origins): (String, Vec<String>) = if critical {
+        (
+            format!(
+                "<link rel=\"stylesheet\" href=\"http://css.{host}/site.css\">\
+                 <script src=\"http://js0.{host}/a.js\"></script>\
+                 <script src=\"http://js1.{host}/b.js\"></script>"
+            ),
+            ["css", "js0", "js1"]
+                .iter()
+                .map(|sub| format!("http://{sub}.{host}"))
+                .collect(),
+        )
+    } else {
+        (
+            (0..IMAGES)
+                .map(|i| format!("<img src=\"http://img{}.{host}/img{i}.png\">", i % ORIGINS))
+                .collect(),
+            (0..ORIGINS)
+                .map(|k| format!("http://img{k}.{host}"))
+                .collect(),
+        )
+    };
+    let html = format!("<html><body>{markup}</body></html>");
+    fabric.register(&format!("http://{host}"), move |_req: &Request| {
+        Response::ok_html(html.clone())
+    });
+    for origin in origins {
+        fabric.register(&origin, move |req: &Request| {
+            thread::sleep(service);
+            Response::ok_text(format!("asset {}", req.url.path()))
+        });
+    }
+}
+
+/// Runs a bulk session looping `bulk_url` at 2 workers (so one pool worker,
+/// when the plan goes to the pool, drains most of each batch and has request
+/// boundaries to yield at) while a navigating session loads `nav_url` at 8
+/// workers for as long as `keep_navigating` says. Every load of both sessions
+/// must succeed.
+fn navigate_during_bulk_storm(
+    fabric: &Arc<SharedNetwork>,
+    bulk_url: &str,
+    nav_url: &str,
+    mut keep_navigating: impl FnMut() -> bool,
+) {
+    let engine = Arc::new(EscudoEngine::new());
+    let jar = Arc::new(SharedCookieJar::new());
+    let stop = AtomicBool::new(false);
+    thread::scope(|scope| {
+        let storm_fabric = Arc::clone(fabric);
+        let storm_engine: Arc<dyn PolicyEngine> = Arc::clone(&engine) as _;
+        let storm_jar = Arc::clone(&jar);
+        let stop = &stop;
+        let storm = scope.spawn(move || {
+            let mut browser = Browser::with_network(storm_engine, storm_jar, storm_fabric);
+            browser.set_subresource_workers(2);
+            let mut loads = 0usize;
+            while !stop.load(Ordering::Acquire) {
+                let page = browser.navigate(bulk_url).unwrap();
+                assert!(browser
+                    .page(page)
+                    .subresources
+                    .iter()
+                    .all(|s| s.succeeded()));
+                loads += 1;
+            }
+            loads
+        });
+        let mut browser = Browser::with_network(
+            Arc::clone(&engine) as _,
+            Arc::clone(&jar),
+            Arc::clone(fabric),
+        );
+        browser.set_subresource_workers(8);
+        while keep_navigating() {
+            let page = browser.navigate(nav_url).unwrap();
+            assert!(browser
+                .page(page)
+                .subresources
+                .iter()
+                .all(|s| s.succeeded()));
+        }
+        stop.store(true, Ordering::Release);
+        assert!(storm.join().unwrap() > 0, "the storm never loaded a page");
+    });
+}
+
 #[test]
 fn a_navigation_preempts_a_draining_bulk_batch() {
-    // One fabric, two sessions: a bulk session loops slow image-heavy page
-    // loads at 2 workers (so one pool worker drains most of each batch and has
-    // request boundaries to yield at), while the navigating session loads a
-    // page whose three critical subresources ride the navigation lane. A bulk
-    // worker must park its ticket for the queued navigation work — witnessed
-    // by the fabric's preemption counter.
+    // A latency-bound storm: image-heavy bulk loads whose cost is origin
+    // latency, next to a navigation whose three critical subresources carry
+    // latency too. Cheap handlers make both plans deadline windows on their
+    // own navigating threads, so the storm never reaches the fetch pool —
+    // nothing holds a pool lane, and nothing is left to preempt.
     let fabric = Arc::new(SharedNetwork::new());
     register_nav_world(&fabric, "nav.example");
     register_loader_world(&fabric, "bulk.example", "sid", IMAGES, ORIGINS, |_| {
         Duration::from_micros(500)
     });
-    let engine = Arc::new(EscudoEngine::new());
-    let jar = Arc::new(SharedCookieJar::new());
-    let stop = AtomicBool::new(false);
+    // Settle every origin's handler-time estimate first: an origin's first
+    // sample is taken as is, and a cold or preempted first call could
+    // otherwise hold the estimate above the cutover for a few loads.
+    let mut warm = browser_over(&fabric, 8);
+    for _ in 0..30 {
+        warm.navigate("http://bulk.example/index.php").unwrap();
+        warm.navigate(NAV_PAGE_URL).unwrap();
+    }
+    let jobs_before = fabric.fetch_pool_jobs_executed();
+    let mut navigations = 0;
+    navigate_during_bulk_storm(
+        &fabric,
+        "http://bulk.example/index.php",
+        NAV_PAGE_URL,
+        || {
+            navigations += 1;
+            navigations <= 40
+        },
+    );
+    assert_eq!(
+        fabric.fetch_pool_jobs_executed(),
+        jobs_before,
+        "the storm reached the pool"
+    );
 
-    thread::scope(|scope| {
-        let storm_fabric = Arc::clone(&fabric);
-        let storm_engine: Arc<dyn PolicyEngine> = Arc::clone(&engine) as _;
-        let storm_jar = Arc::clone(&jar);
-        let stop = &stop;
-        scope.spawn(move || {
-            let mut browser = Browser::with_network(storm_engine, storm_jar, storm_fabric);
-            browser.set_subresource_workers(2);
-            while !stop.load(Ordering::Acquire) {
-                browser.navigate("http://bulk.example/index.php").unwrap();
-            }
-        });
-
-        let mut browser = Browser::with_network(
-            Arc::clone(&engine) as _,
-            Arc::clone(&jar),
-            Arc::clone(&fabric),
-        );
-        browser.set_subresource_workers(8);
-        // Navigate until a bulk drain demonstrably yielded; the counter is
-        // monotonic, so one observation settles it.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while fabric.fetch_pool_preemptions() == 0 && Instant::now() < deadline {
-            let page = browser.navigate(NAV_PAGE_URL).unwrap();
-            assert!(browser
-                .page(page)
-                .subresources
-                .iter()
-                .all(|s| s.error.is_none()));
-        }
-        stop.store(true, Ordering::Release);
-        assert!(
-            fabric.fetch_pool_preemptions() >= 1,
-            "no bulk worker ever yielded to queued navigation work"
-        );
-    });
+    // A handler-bound storm: the same shapes with the service time inside
+    // the handlers, so both plans go to the pool. A bulk worker must park its
+    // ticket for the queued navigation work — witnessed by the fabric's
+    // preemption counter. Navigate until a bulk drain demonstrably yielded;
+    // the counter is monotonic, so one observation settles it.
+    let fabric = Arc::new(SharedNetwork::new());
+    register_handler_bound_world(&fabric, "nav.example", true, Duration::from_micros(100));
+    register_handler_bound_world(&fabric, "bulk.example", false, Duration::from_micros(500));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    navigate_during_bulk_storm(
+        &fabric,
+        "http://bulk.example/index.php",
+        NAV_PAGE_URL,
+        || fabric.fetch_pool_preemptions() == 0 && Instant::now() < deadline,
+    );
+    assert!(
+        fabric.fetch_pool_preemptions() >= 1,
+        "no bulk worker ever yielded to queued navigation work"
+    );
 }
 
 #[test]
