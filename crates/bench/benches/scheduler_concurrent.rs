@@ -8,8 +8,10 @@
 //!
 //! * **lane gate** — p99 navigation latency while N sibling sessions flood the
 //!   same fabric with bulk image batches must stay within **2×** the unloaded
-//!   p99. Every plan here is latency-bound, so each session waits on its own
-//!   deadline window and the sessions share only the CPU; on a host without
+//!   p99. Page loads run every subresource plan as a deadline window, so each
+//!   session waits on its own thread and the sessions share only the CPU
+//!   (`storm_preemptions` stays 0: no page load queues in the pool's lanes);
+//!   on a host without
 //!   two hardware threads the storm and the navigator timeshare one core and
 //!   the ratio measures the OS scheduler, so the gate degrades to
 //!   observability with the reason printed,
@@ -85,7 +87,7 @@ fn main() {
     if hardware_threads < 2 {
         println!(
             "note: single hardware thread — the storm and the navigator timeshare one core, \
-             so the p99 ratio measures the OS scheduler, not the lanes; lane gate skipped"
+             so the p99 ratio measures the OS scheduler, not the fabric; lane gate skipped"
         );
     } else if storm.p99_ratio() <= MAX_LOADED_P99_RATIO {
         println!(
@@ -95,7 +97,7 @@ fn main() {
     } else {
         eprintln!(
             "FAIL: navigation p99 degraded {:.2}x under the bulk storm (gate: ≤ \
-             {MAX_LOADED_P99_RATIO:.1}x) — the navigation lane is not preempting bulk work",
+             {MAX_LOADED_P99_RATIO:.1}x) — the sessions contend for more than the CPU",
             storm.p99_ratio()
         );
         failed = true;

@@ -5,12 +5,12 @@
 //!
 //! * [`run_navigation_storm`] — one navigation-heavy session measures p99 page
 //!   latency while N sibling sessions flood the **same** fabric with bulk
-//!   image batches. Every origin's cost is latency, so each session's plans
-//!   run as deadline windows on its own thread and never queue in the worker
-//!   pool; what keeps the loaded p99 within a small factor of the unloaded
-//!   baseline is that nothing but the CPU is shared. (The pool's two-lane
-//!   queue, which handler-bound plans ride, is exercised by the
-//!   `pipelined_loader` integration tests.)
+//!   image batches. Page loads run every subresource plan as a deadline
+//!   window on the session's own thread and never queue in the worker pool;
+//!   what keeps the loaded p99 within a small factor of the unloaded baseline
+//!   is that nothing but the CPU is shared. (The pool's two-lane queue, which
+//!   explicit-width batches ride, is exercised by the `fetch_pool` unit tests
+//!   and the `pipelined_loader` integration tests.)
 //! * [`run_prefetch_speedup`] — a hub page carries `rel=prefetch` markup for
 //!   the next page; with speculation enabled the repeat navigation is served
 //!   from the prefetch cache and skips the origin's simulated latency

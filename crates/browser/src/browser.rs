@@ -12,8 +12,8 @@ use escudo_core::{
 };
 use escudo_dom::EventType;
 use escudo_net::{
-    BackgroundBatch, CacheLayers, FetchPolicy, Method, Network, Priority, Request, Response,
-    ResponseCache, SharedCookieJar, SharedNetwork, Url,
+    BackgroundBatch, CacheLayers, FetchPolicy, Method, Network, Request, Response, ResponseCache,
+    SharedCookieJar, SharedNetwork, Url,
 };
 use escudo_script::Interpreter;
 
@@ -31,22 +31,11 @@ pub struct PageId(usize);
 
 /// Default bound on the subresource requests one page load keeps **in
 /// flight** at once — the width of its deadline window
-/// ([`SharedNetwork::dispatch_window`]), or of its pool batch when the plan's
-/// handler work goes to the fetch pool. It is not a thread count: a window
+/// ([`SharedNetwork::dispatch_window`]). It is not a thread count: a window
 /// waits on all of its requests from the navigating thread. A bound of 1 sends
 /// each request only after the previous one completed — the sequential oracle
 /// the `loader_concurrent` bench compares against.
 pub const DEFAULT_SUBRESOURCE_WORKERS: usize = 4;
-
-/// Estimated total **handler** time (in nanoseconds) at and above which the
-/// loader hands a plan to the fabric's fetch pool instead of running it as a
-/// deadline window on the navigating thread. The estimate comes from the
-/// fabric's per-origin handler-time EWMA
-/// ([`SharedNetwork::estimated_handler_ns`]). Latency never counts: the
-/// window overlaps it without a thread, so only handler work that would
-/// otherwise serialize on the navigating thread is worth the pool's thread
-/// hand-offs.
-const SUBRESOURCE_POOL_THRESHOLD_NS: u64 = 150_000;
 
 /// Per-slot result of a subresource plan dispatch: `(status, error, retries)`.
 type SlotOutcome = (Option<u16>, Option<String>, u32);
@@ -544,7 +533,7 @@ impl Browser {
 
         // Start speculating on the *next* navigation before fanning out this
         // page's subresources: the speculative batch drains on the pool's
-        // background lane while the navigation/bulk fan-out below is in flight,
+        // background lane while the subresource windows below are in flight,
         // so prediction overlaps the current page's own fetch work.
         let speculation = self.begin_prefetch(&page);
 
@@ -1031,14 +1020,10 @@ impl Browser {
     ///    order — and no scheduling decision — can influence a decision.
     /// 2. **Fan out** — the already-mediated critical requests, then the image
     ///    requests, each under a sequence number pre-reserved in plan order.
-    ///    A plan whose cost is latency runs as a **deadline window** on the
-    ///    navigating thread ([`SharedNetwork::dispatch_window`]): up to
-    ///    `subresource_workers` requests in flight, completed in due order,
-    ///    with no pool thread woken. Only a plan whose estimated handler time
-    ///    reaches [`SUBRESOURCE_POOL_THRESHOLD_NS`] goes to the fabric's
-    ///    worker pool, the critical requests on [`Priority::Navigation`]
-    ///    (ahead of any session's queued bulk traffic) and the images on
-    ///    [`Priority::Bulk`]. Outcomes come back in plan index order, so
+    ///    Each runs as a **deadline window** on the navigating thread
+    ///    ([`SharedNetwork::dispatch_window`]): up to `subresource_workers`
+    ///    requests in flight, completed in due order, with no pool thread
+    ///    woken. Outcomes come back in plan index order, so
     ///    [`Page::subresources`] and the sequence-sorted request log both read
     ///    in plan order regardless of which fetch finished first.
     fn load_subresources(&mut self, page: &mut Page) {
@@ -1163,14 +1148,11 @@ impl Browser {
             }
         }
 
-        // Dispatch the unserved primary slots, critical lane first. Entries
+        // Dispatch the unserved primary slots, critical window first. Entries
         // carry their *global* plan offset, so each fetch logs under
-        // `base + slot` no matter how the lanes were thinned.
+        // `base + slot` no matter how the windows were thinned.
         let mut slot_requests: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
-        for (range, priority) in [
-            (0..critical_count, Priority::Navigation),
-            (critical_count..count, Priority::Bulk),
-        ] {
+        for range in [0..critical_count, critical_count..count] {
             let mut entries: Vec<(usize, Request)> = Vec::new();
             for i in range {
                 if outcomes[i].is_none() && primary_of[i].is_none() {
@@ -1183,13 +1165,6 @@ impl Browser {
             if entries.is_empty() {
                 continue;
             }
-            // Cutover per lane: a plan whose cost is latency runs as a
-            // deadline window on this thread; only a plan with enough handler
-            // work to pay for thread hand-offs goes to the pool.
-            let handler_ns: u64 = entries
-                .iter()
-                .map(|(_, request)| fabric.estimated_handler_ns(&request.url.origin()))
-                .fold(0, u64::saturating_add);
             let store_keys: Vec<(Url, String)> = if self.response_cache_enabled {
                 entries
                     .iter()
@@ -1202,12 +1177,7 @@ impl Browser {
                 Vec::new()
             };
             let slots: Vec<usize> = entries.iter().map(|(slot, _)| *slot).collect();
-            let width = self.subresource_workers;
-            let results = if handler_ns < SUBRESOURCE_POOL_THRESHOLD_NS {
-                fabric.dispatch_window(base, entries, width, &policy)
-            } else {
-                fabric.dispatch_batch_offsets_with_policy(base, entries, width, priority, &policy)
-            };
+            let results = fabric.dispatch_window(base, entries, self.subresource_workers, &policy);
             for (j, (result, retries)) in results.into_iter().enumerate() {
                 if let Ok(response) = &result {
                     if self.response_cache_enabled && ResponseCache::admits(response, false) {
@@ -1584,7 +1554,7 @@ mod tests {
             ]
         );
         assert!(page.subresources.iter().all(SubresourceOutcome::succeeded));
-        // The sequence-sorted log reads in plan order: critical lane first.
+        // The sequence-sorted log reads in plan order: critical window first.
         let paths: Vec<String> = browser
             .network()
             .log()

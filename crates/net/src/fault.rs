@@ -14,7 +14,7 @@
 //!   dispatches in the same order. Faulted dispatches return
 //!   [`NetError::Timeout`] (or panic, contained per-slot on the batch paths)
 //!   and are **excluded from the handler-time EWMA** so injected slowness
-//!   cannot poison the planner's pool cutover.
+//!   cannot poison the fabric's service-time estimate.
 //! * **Fetch policy.** A [`FetchPolicy`] turns bare dispatches into a
 //!   resilient loop: bounded retries with deterministic exponential backoff
 //!   metered against the fabric's injectable [`Clock`] (the backoff is
@@ -56,7 +56,7 @@ pub enum FaultSchedule {
     EveryNth(u64),
     /// Add a synthetic slowdown of this many nanoseconds to every dispatch
     /// (waited on like configured latency, outside all locks, but
-    /// **excluded** from the planner EWMA).
+    /// **excluded** from the handler-time EWMA).
     SlowBy(u64),
     /// Panic inside every dispatch, before the origin's handler runs (so the
     /// handler mutex is never poisoned and the origin can heal when the plan

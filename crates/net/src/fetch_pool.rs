@@ -4,11 +4,11 @@
 //! Waiting on a fetch's latency needs no thread: the deadline window
 //! ([`crate::window`]) keeps a plan's requests in flight on the navigating
 //! thread and sleeps once for all of them. The pool exists for the work that
-//! does need threads — **expensive handlers** (the browser's loader hands a
-//! plan to the pool only when its estimated handler time crosses a cutover),
-//! callers that ask [`SharedNetwork::dispatch_batch`] for an explicit batch
-//! width, and **background prefetch**, which must overlap whatever the
-//! navigating thread does next. Each lane runs its claimed request as a
+//! does need threads: callers that ask [`SharedNetwork::dispatch_batch`] for
+//! an explicit batch width, so their handler calls run on several threads,
+//! and **background prefetch**, which must overlap whatever the navigating
+//! thread does next. The browser's page loads never come here; every
+//! subresource plan is a window. Each lane runs its claimed request as a
 //! width-1 window, so a lane, too, waits on the request's due time rather
 //! than on a fixed sleep:
 //!
@@ -16,9 +16,9 @@
 //!   submission is a short lock hold and one notify per woken worker,
 //!   microseconds instead of thread spawns;
 //! * workers are spawned **lazily** the first time a batch actually needs them
-//!   (fabrics that never fan out — most unit tests, and every plan whose cost
-//!   is latency — never start a thread) and then persist, parked, for the
-//!   fabric's lifetime;
+//!   (fabrics that never fan out — most unit tests, and sessions that load
+//!   pages without prefetch — never start a thread) and then persist,
+//!   parked, for the fabric's lifetime;
 //! * the pool grows on demand up to [`MAX_POOL_WORKERS`], sized by each batch's
 //!   requested parallelism with [`std::thread::available_parallelism`] as the
 //!   floor for the first growth step;
@@ -123,14 +123,10 @@ struct BatchWork {
     /// which dispatch unlogged so prefetch cannot perturb the sequence-ordered
     /// log the oracle-equivalence harness compares.
     base: Option<u64>,
-    /// Requests not yet claimed, as `(slot, sequence_offset, request)`. The
-    /// slot indexes the result array; the sequence offset is added to `base`
-    /// for the log. They coincide for ordinary batches, but a single-flight
-    /// plan with coalesced duplicates dispatches only the first occurrences —
-    /// each still under its *own* plan position's sequence, so the sorted log
-    /// keeps exact plan order. One short lock hold per claim; ticket holders
-    /// loop until this is empty.
-    pending: Mutex<VecDeque<(usize, usize, Request)>>,
+    /// Requests not yet claimed, as `(index, request)`: the index picks the
+    /// result slot and is added to `base` for the log. One short lock hold
+    /// per claim; ticket holders loop until this is empty.
+    pending: Mutex<VecDeque<(usize, Request)>>,
     /// Per-request outcome plus the retries that slot consumed (always 0
     /// without a retry budget).
     slots: Vec<Mutex<Option<SlotResult>>>,
@@ -150,31 +146,11 @@ impl BatchWork {
         requests: Vec<Request>,
         budget: Option<Arc<BatchBudget>>,
     ) -> Arc<Self> {
-        let entries = requests.into_iter().enumerate().collect();
-        BatchWork::with_offsets(fabric, base, entries, budget)
-    }
-
-    /// A batch whose requests carry explicit sequence offsets (`base + offset`
-    /// in the log) decoupled from their result-slot positions — the
-    /// single-flight loader dispatches a plan with duplicate slots removed,
-    /// leaving offset gaps the coalesced hits fill in at consumption time.
-    fn with_offsets(
-        fabric: &Arc<SharedNetwork>,
-        base: Option<u64>,
-        entries: Vec<(usize, Request)>,
-        budget: Option<Arc<BatchBudget>>,
-    ) -> Arc<Self> {
-        let count = entries.len();
+        let count = requests.len();
         Arc::new(BatchWork {
             fabric: Arc::downgrade(fabric),
             base,
-            pending: Mutex::new(
-                entries
-                    .into_iter()
-                    .enumerate()
-                    .map(|(slot, (offset, request))| (slot, offset, request))
-                    .collect(),
-            ),
+            pending: Mutex::new(requests.into_iter().enumerate().collect()),
             slots: (0..count).map(|_| Mutex::new(None)).collect(),
             remaining: AtomicUsize::new(count),
             // An empty batch is born finished; `wait` must not park on it.
@@ -194,12 +170,12 @@ impl BatchWork {
     /// worker.
     fn drain_one(&self) -> bool {
         let claimed = self.pending.lock().expect("batch pending list").pop_front();
-        let Some((index, offset, request)) = claimed else {
+        let Some((index, request)) = claimed else {
             return false;
         };
         let outcome = match self.fabric.upgrade() {
             Some(fabric) => {
-                let entry = vec![(offset, request)];
+                let entry = vec![(index, request)];
                 let outcome = run_window(&fabric, self.base, entry, 1, self.budget.as_deref())
                     .pop()
                     .expect("one request, one outcome");
@@ -606,32 +582,7 @@ impl SharedNetwork {
         priority: Priority,
         policy: &FetchPolicy,
     ) -> Vec<(Result<Response, NetError>, u32)> {
-        let entries = requests.into_iter().enumerate().collect();
-        self.dispatch_batch_offsets_with_policy(base, entries, parallelism, priority, policy)
-    }
-
-    /// [`dispatch_batch_with_policy`](SharedNetwork::dispatch_batch_with_policy)
-    /// with explicit per-request sequence offsets: entry `(offset, request)`
-    /// logs under `base + offset`, and results come back in entry order. The
-    /// single-flight loader uses this to dispatch a plan whose duplicate slots
-    /// were coalesced away — the surviving first occurrences keep their exact
-    /// plan positions in the sequence-sorted log, and the skipped duplicates'
-    /// sequences are filled by [`record_cache_hit`](SharedNetwork::record_cache_hit)
-    /// at fan-out time.
-    ///
-    /// # Errors
-    ///
-    /// Per-slot, exactly as
-    /// [`dispatch_batch_with_policy`](SharedNetwork::dispatch_batch_with_policy).
-    pub fn dispatch_batch_offsets_with_policy(
-        self: &Arc<Self>,
-        base: u64,
-        entries: Vec<(usize, Request)>,
-        parallelism: usize,
-        priority: Priority,
-        policy: &FetchPolicy,
-    ) -> Vec<(Result<Response, NetError>, u32)> {
-        let count = entries.len();
+        let count = requests.len();
         if count == 0 {
             return Vec::new();
         }
@@ -641,9 +592,10 @@ impl SharedNetwork {
             // A width-1 window: the same panic containment and retry loop as
             // the pooled drain, so whether a batch lands inline or on the
             // pool never changes what a poisoned handler does to the caller.
+            let entries = requests.into_iter().enumerate().collect();
             return run_window(self, Some(base), entries, 1, budget.as_deref());
         }
-        let work = BatchWork::with_offsets(self, Some(base), entries, budget);
+        let work = BatchWork::new(self, Some(base), requests, budget);
         // The submitter is one of the `parallelism` lanes; ticket the rest.
         self.pool().ensure_workers(parallelism - 1);
         self.pool().submit(&work, parallelism - 1, priority);
@@ -813,9 +765,9 @@ mod tests {
     #[test]
     fn inline_batches_contain_panics_like_pooled_ones() {
         // Parallelism 1 takes the inline path; a panicking handler must fail
-        // its own slot there too — which side of the fan-out cutover a batch
-        // lands on must not decide between a soft error and a crashed
-        // navigating thread.
+        // its own slot there too — whether a batch runs inline or on the pool
+        // must not decide between a soft error and a crashed navigating
+        // thread.
         let fabric = fabric_with_origins(1, Duration::ZERO);
         fabric.register("http://boom.example", |_req: &Request| -> Response {
             panic!("inline handler exploded")

@@ -35,11 +35,12 @@
 //!   the calling thread and completes them in due order, so the pipelining
 //!   win of overlapping slow fetches is measurable in-process, without
 //!   sockets.
-//! * **Fetch worker pool for handler work.** [`SharedNetwork::dispatch_batch`]
-//!   fans a pre-planned batch out over parked worker threads the fabric owns
-//!   and reuses across page loads ([`crate::fetch_pool`]). Latency needs no
-//!   thread, so the pool exists for what does: expensive handlers, callers
-//!   that ask for an explicit batch width, and background prefetch. Its
+//! * **Fetch worker pool for explicit widths and prefetch.**
+//!   [`SharedNetwork::dispatch_batch`] fans a pre-planned batch out over
+//!   parked worker threads the fabric owns and reuses ([`crate::fetch_pool`]).
+//!   Latency needs no thread, so page loads never use the pool; it exists for
+//!   callers that ask for an explicit batch width (their handler calls run on
+//!   several threads) and for background prefetch. Its
 //!   queue has two effective priority tiers (navigation preempts
 //!   bulk/background, see [`crate::fetch_pool::Priority`]).
 //! * **Mediation-keyed response cache.** The fabric owns one shared
@@ -78,8 +79,7 @@ pub const DEFAULT_LOG_CAPACITY: usize = 64 * 1024;
 
 /// One registered origin: the handler behind its own short-held mutex, the
 /// synthetic service latency dispatches to this origin pay, and an EWMA of the
-/// time the handler call itself takes, which lets planners tell handler work
-/// (worth a pool thread) from latency (waited on a deadline).
+/// time the handler call itself takes.
 /// Handlers live behind an `Arc` so a dispatch can clone its handle out of the
 /// origin map and **drop the map's read guard before sleeping or calling the
 /// handler** — a concurrent `register` write therefore only ever waits for the
@@ -308,9 +308,10 @@ impl SharedNetwork {
     }
 
     /// Estimated service time of one dispatch to `origin`, in nanoseconds: the
-    /// configured latency plus the EWMA of the handler call's duration (see
-    /// [`estimated_handler_ns`](SharedNetwork::estimated_handler_ns)). Zero
-    /// when the origin is unregistered or nothing is known yet.
+    /// configured latency plus the EWMA of the handler call's duration, taken
+    /// over clean dispatches only (latency, timer slack and injected
+    /// slowdowns are not part of it). Zero when the origin is unregistered or
+    /// nothing is known yet.
     #[must_use]
     pub fn estimated_service_ns(&self, origin: &Origin) -> u64 {
         self.handler(origin).map_or(0, |h| {
@@ -318,18 +319,6 @@ impl SharedNetwork {
                 .load(Ordering::Relaxed)
                 .saturating_add(h.handler_ns.load(Ordering::Relaxed))
         })
-    }
-
-    /// EWMA of the time one handler call to `origin` takes, in nanoseconds,
-    /// over clean dispatches only (latency and injected slowdowns are not
-    /// part of it). Zero when the origin is unregistered or has not served
-    /// yet. Planners use this to decide whether a batch has enough handler
-    /// work to pay for pool threads: latency alone never does, because the
-    /// deadline window waits on it without a thread.
-    #[must_use]
-    pub fn estimated_handler_ns(&self, origin: &Origin) -> u64 {
-        self.handler(origin)
-            .map_or(0, |h| h.handler_ns.load(Ordering::Relaxed))
     }
 
     /// `true` when a server is registered for the origin of `url`.
@@ -440,7 +429,7 @@ impl SharedNetwork {
     /// time is still ahead, applies its fault verdict, takes the origin's
     /// handler mutex for exactly one `handle` call, folds the call's duration
     /// into the handler-time EWMA — but **only for clean dispatches**, so
-    /// injected chaos cannot poison the planner's pool cutover — and records
+    /// injected chaos cannot poison the service-time estimate — and records
     /// the log entry under `sequence` (speculative dispatches pass `None`).
     ///
     /// # Panics
@@ -492,12 +481,9 @@ impl SharedNetwork {
             let response = server.handle(&flight.request);
             (response, start.elapsed())
         };
-        // Fold the handler call's duration into the EWMA a planner reads
-        // through `estimated_handler_ns`: new = 7/8·old + 1/8·sample. A
-        // sample is at least 1 ns (0 means "no samples yet") and at most 8×
-        // the current estimate, so one call the OS scheduler preempted
-        // mid-handler moves the estimate by under 2×, while a handler that
-        // really turned expensive still overtakes it within a dozen calls.
+        // Fold the handler call's duration into the EWMA behind
+        // `estimated_service_ns`: new = 7/8·old + 1/8·sample. A sample is at
+        // least 1 ns, because 0 means "no samples yet".
         if fault.is_clean() {
             let sample = u64::try_from(handler_ns.as_nanos())
                 .unwrap_or(u64::MAX)
@@ -507,7 +493,7 @@ impl SharedNetwork {
             let next = if old == 0 {
                 sample
             } else {
-                old - old / 8 + sample.min(old.saturating_mul(8)) / 8
+                old - old / 8 + sample / 8
             };
             ewma.store(next, Ordering::Relaxed);
         }
@@ -963,10 +949,11 @@ mod tests {
             net.dispatch(Request::get(&format!("http://slow.example/{i}")).unwrap())
                 .unwrap();
         }
-        let handler_ns = net.estimated_handler_ns(&origin);
-        assert!(handler_ns > 0, "clean dispatches seeded the handler EWMA");
         let estimate = net.estimated_service_ns(&origin);
-        assert_eq!(estimate, 2_000_000 + handler_ns);
+        assert!(
+            estimate > 2_000_000,
+            "clean dispatches seeded the handler EWMA"
+        );
         assert!(
             estimate < 3_000_000,
             "estimate {estimate}ns carries more than handler time on top of the latency"

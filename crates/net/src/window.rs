@@ -137,9 +137,9 @@ impl SharedNetwork {
     /// thread: entry `(offset, request)` logs under `base + offset`, at most
     /// `width` requests are in flight at once, in-flight requests complete in
     /// the order their responses come due, and outcomes come back in entry
-    /// order. No pool thread is involved, so this is the path for plans
-    /// whose cost is latency rather than handler work; see
-    /// [`dispatch_batch_offsets_with_policy`](SharedNetwork::dispatch_batch_offsets_with_policy)
+    /// order. No pool thread is involved: this is the browser's path for
+    /// every subresource plan; see
+    /// [`dispatch_batch_with_policy`](SharedNetwork::dispatch_batch_with_policy)
     /// for the pooled path. `policy` gives each slot the bounded-retry loop of
     /// [`crate::fault`]: a failed attempt is re-sent verbatim under its
     /// slot's reserved sequence with a fresh due time, and keeps its place in

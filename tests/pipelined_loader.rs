@@ -6,12 +6,14 @@
 //! * attached cookie names are **byte-identical** to the sequential oracle path
 //!   (workers = 1), because mediation is fixed in phase 1 before any fetch,
 //! * 8 sessions sharing one fabric + jar + engine leak nothing across sessions,
-//! * a bulk storm whose cost is origin latency never reaches the fetch pool
-//!   (its plans are deadline windows on its own navigating thread),
-//! * a navigation's handler-bound critical batch **preempts** a draining
-//!   handler-bound bulk batch at a request boundary, and a continuous
-//!   navigation storm never **starves** the bulk lane (the anti-starvation
-//!   credit), and
+//! * page loads never reach the fetch pool: a bulk storm next to a navigating
+//!   session, with its cost in origin latency or inside the handlers, adds
+//!   zero pool jobs (every plan is a deadline window on its navigating
+//!   thread),
+//! * on the pool's lanes, which explicit-width batches ride, a navigation
+//!   batch **preempts** a draining handler-bound bulk batch at a request
+//!   boundary, and a continuous navigation-lane storm never **starves** the
+//!   bulk lane (the anti-starvation credit), and
 //! * speculative prefetch is **oracle-equivalent**: prefetch on vs off produces
 //!   byte-identical mediation decisions, attachments and request logs.
 //!
@@ -27,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use escudo::browser::Browser;
 use escudo::core::{engine_for_mode, EscudoEngine, PolicyEngine, PolicyMode};
-use escudo::net::{Request, Response, SharedCookieJar, SharedNetwork};
+use escudo::net::{Priority, Request, Response, SharedCookieJar, SharedNetwork, Url};
 use escudo_bench::loader::{register_loader_world, reverse_skewed_latency};
 use escudo_bench::scheduler::{register_nav_world, run_prefetch_oracle, NAV_PAGE_URL};
 
@@ -174,43 +176,55 @@ fn eight_sessions_sharing_one_fabric_stay_isolated() {
     }
 }
 
-/// Registers a page at `http://{host}` whose subresources are served by
-/// handlers that spend `service` inside the handler call itself — handler
-/// work, which the loader hands to the fetch pool — rather than in simulated
-/// latency. `critical` pulls a stylesheet and two scripts from three asset
-/// origins; otherwise the page carries `IMAGES` images over `ORIGINS` origins.
+/// The asset URLs of a handler-bound page at `host`: a stylesheet and two
+/// scripts from three origins when `critical`, otherwise `IMAGES` images over
+/// `ORIGINS` origins.
+fn asset_urls(host: &str, critical: bool) -> Vec<String> {
+    if critical {
+        vec![
+            format!("http://css.{host}/site.css"),
+            format!("http://js0.{host}/a.js"),
+            format!("http://js1.{host}/b.js"),
+        ]
+    } else {
+        (0..IMAGES)
+            .map(|i| format!("http://img{}.{host}/img{i}.png", i % ORIGINS))
+            .collect()
+    }
+}
+
+/// Registers a page at `http://{host}` referencing `asset_urls(host, critical)`,
+/// whose assets are served by handlers that spend `service` inside the handler
+/// call itself — handler work — rather than in simulated latency.
 fn register_handler_bound_world(
     fabric: &SharedNetwork,
     host: &str,
     critical: bool,
     service: Duration,
 ) {
-    let (markup, origins): (String, Vec<String>) = if critical {
-        (
-            format!(
-                "<link rel=\"stylesheet\" href=\"http://css.{host}/site.css\">\
-                 <script src=\"http://js0.{host}/a.js\"></script>\
-                 <script src=\"http://js1.{host}/b.js\"></script>"
-            ),
-            ["css", "js0", "js1"]
-                .iter()
-                .map(|sub| format!("http://{sub}.{host}"))
-                .collect(),
-        )
-    } else {
-        (
-            (0..IMAGES)
-                .map(|i| format!("<img src=\"http://img{}.{host}/img{i}.png\">", i % ORIGINS))
-                .collect(),
-            (0..ORIGINS)
-                .map(|k| format!("http://img{k}.{host}"))
-                .collect(),
-        )
-    };
+    let urls = asset_urls(host, critical);
+    let markup: String = urls
+        .iter()
+        .map(|url| {
+            if critical && url.ends_with(".css") {
+                format!("<link rel=\"stylesheet\" href=\"{url}\">")
+            } else if critical {
+                format!("<script src=\"{url}\"></script>")
+            } else {
+                format!("<img src=\"{url}\">")
+            }
+        })
+        .collect();
     let html = format!("<html><body>{markup}</body></html>");
     fabric.register(&format!("http://{host}"), move |_req: &Request| {
         Response::ok_html(html.clone())
     });
+    let mut origins: Vec<String> = urls
+        .iter()
+        .map(|url| format!("http://{}", Url::parse(url).unwrap().host()))
+        .collect();
+    origins.sort();
+    origins.dedup();
     for origin in origins {
         fabric.register(&origin, move |req: &Request| {
             thread::sleep(service);
@@ -219,11 +233,26 @@ fn register_handler_bound_world(
     }
 }
 
-/// Runs a bulk session looping `bulk_url` at 2 workers (so one pool worker,
-/// when the plan goes to the pool, drains most of each batch and has request
-/// boundaries to yield at) while a navigating session loads `nav_url` at 8
-/// workers for as long as `keep_navigating` says. Every load of both sessions
-/// must succeed.
+/// Dispatches `urls` as one explicit-width pool batch on `lane` and checks
+/// that every slot came back 2xx with its own asset, in plan order.
+fn pool_batch(fabric: &Arc<SharedNetwork>, urls: &[String], width: usize, lane: Priority) {
+    let base = fabric.reserve_sequences(urls.len() as u64);
+    let requests = urls.iter().map(|url| Request::get(url).unwrap()).collect();
+    let results = fabric.dispatch_batch(base, requests, width, lane);
+    assert_eq!(results.len(), urls.len());
+    for (url, result) in urls.iter().zip(results) {
+        let response = result.unwrap_or_else(|error| panic!("{url}: {error}"));
+        assert!(response.status.is_success(), "{url}: {}", response.status.0);
+        assert_eq!(
+            response.body,
+            format!("asset {}", Url::parse(url).unwrap().path())
+        );
+    }
+}
+
+/// Runs a bulk session looping `bulk_url` at 2 in-flight requests while a
+/// navigating session loads `nav_url` at 8 for as long as `keep_navigating`
+/// says. Every load of both sessions must succeed.
 fn navigate_during_bulk_storm(
     fabric: &Arc<SharedNetwork>,
     bulk_url: &str,
@@ -272,56 +301,100 @@ fn navigate_during_bulk_storm(
     });
 }
 
+/// Runs a thread looping `bulk` as 2-wide bulk-lane batches (so one pool
+/// worker drains most of each batch and has request boundaries to yield at)
+/// while the caller dispatches `nav` as 8-wide navigation-lane batches for as
+/// long as `keep_navigating` says. Every slot of both must succeed.
+fn lane_batches_during_bulk_storm(
+    fabric: &Arc<SharedNetwork>,
+    bulk: &[String],
+    nav: &[String],
+    mut keep_navigating: impl FnMut() -> bool,
+) {
+    let stop = AtomicBool::new(false);
+    thread::scope(|scope| {
+        let stop = &stop;
+        let storm = scope.spawn(move || {
+            let mut batches = 0usize;
+            while !stop.load(Ordering::Acquire) {
+                pool_batch(fabric, bulk, 2, Priority::Bulk);
+                batches += 1;
+            }
+            batches
+        });
+        while keep_navigating() {
+            pool_batch(fabric, nav, 8, Priority::Navigation);
+        }
+        stop.store(true, Ordering::Release);
+        assert!(storm.join().unwrap() > 0, "the storm never ran a batch");
+    });
+}
+
 #[test]
 fn a_navigation_preempts_a_draining_bulk_batch() {
-    // A latency-bound storm: image-heavy bulk loads whose cost is origin
-    // latency, next to a navigation whose three critical subresources carry
-    // latency too. Cheap handlers make both plans deadline windows on their
-    // own navigating threads, so the storm never reaches the fetch pool —
-    // nothing holds a pool lane, and nothing is left to preempt.
-    let fabric = Arc::new(SharedNetwork::new());
-    register_nav_world(&fabric, "nav.example");
-    register_loader_world(&fabric, "bulk.example", "sid", IMAGES, ORIGINS, |_| {
-        Duration::from_micros(500)
-    });
-    // Settle every origin's handler-time estimate first: an origin's first
-    // sample is taken as is, and a cold or preempted first call could
-    // otherwise hold the estimate above the cutover for a few loads.
-    let mut warm = browser_over(&fabric, 8);
-    for _ in 0..30 {
-        warm.navigate("http://bulk.example/index.php").unwrap();
-        warm.navigate(NAV_PAGE_URL).unwrap();
+    // Page loads never reach the pool: every subresource plan is a deadline
+    // window on its own navigating thread. An image-heavy bulk storm next to
+    // a navigation whose three critical subresources cost time too — first
+    // with the cost in origin latency, then inside the handlers — adds zero
+    // pool jobs, and every load of both sessions succeeds.
+    let latency_bound = Arc::new(SharedNetwork::new());
+    register_nav_world(&latency_bound, "nav.example");
+    register_loader_world(
+        &latency_bound,
+        "bulk.example",
+        "sid",
+        IMAGES,
+        ORIGINS,
+        |_| Duration::from_micros(500),
+    );
+    let handler_bound = Arc::new(SharedNetwork::new());
+    register_handler_bound_world(
+        &handler_bound,
+        "nav.example",
+        true,
+        Duration::from_micros(100),
+    );
+    register_handler_bound_world(
+        &handler_bound,
+        "bulk.example",
+        false,
+        Duration::from_micros(500),
+    );
+    for fabric in [&latency_bound, &handler_bound] {
+        let mut navigations = 0;
+        navigate_during_bulk_storm(
+            fabric,
+            "http://bulk.example/index.php",
+            NAV_PAGE_URL,
+            || {
+                navigations += 1;
+                navigations <= 40
+            },
+        );
+        assert_eq!(
+            fabric.fetch_pool_jobs_executed(),
+            0,
+            "the storm reached the pool"
+        );
+        assert_eq!(
+            fabric.fetch_pool_workers(),
+            0,
+            "a page load started a pool thread"
+        );
     }
-    let jobs_before = fabric.fetch_pool_jobs_executed();
-    let mut navigations = 0;
-    navigate_during_bulk_storm(
-        &fabric,
-        "http://bulk.example/index.php",
-        NAV_PAGE_URL,
-        || {
-            navigations += 1;
-            navigations <= 40
-        },
-    );
-    assert_eq!(
-        fabric.fetch_pool_jobs_executed(),
-        jobs_before,
-        "the storm reached the pool"
-    );
 
-    // A handler-bound storm: the same shapes with the service time inside
-    // the handlers, so both plans go to the pool. A bulk worker must park its
-    // ticket for the queued navigation work — witnessed by the fabric's
-    // preemption counter. Navigate until a bulk drain demonstrably yielded;
-    // the counter is monotonic, so one observation settles it.
-    let fabric = Arc::new(SharedNetwork::new());
-    register_handler_bound_world(&fabric, "nav.example", true, Duration::from_micros(100));
-    register_handler_bound_world(&fabric, "bulk.example", false, Duration::from_micros(500));
+    // The pool's lanes serve explicit-width batches. A handler-bound bulk
+    // storm keeps a pool worker draining while navigation batches over the
+    // same handler-bound origins arrive: a bulk worker must park its ticket
+    // for the queued navigation work — witnessed by the fabric's preemption
+    // counter. Navigate until a bulk drain demonstrably yielded; the counter
+    // is monotonic, so one observation settles it.
+    let fabric = handler_bound;
     let deadline = Instant::now() + Duration::from_secs(10);
-    navigate_during_bulk_storm(
+    lane_batches_during_bulk_storm(
         &fabric,
-        "http://bulk.example/index.php",
-        NAV_PAGE_URL,
+        &asset_urls("bulk.example", false),
+        &asset_urls("nav.example", true),
         || fabric.fetch_pool_preemptions() == 0 && Instant::now() < deadline,
     );
     assert!(
@@ -332,49 +405,35 @@ fn a_navigation_preempts_a_draining_bulk_batch() {
 
 #[test]
 fn a_navigation_storm_never_starves_the_bulk_lane() {
-    // The inverse pressure: a session hammers the navigation lane continuously
-    // while the bulk session loads its image page. The anti-starvation credit
-    // (one lower-lane ticket per NAVIGATION_CREDIT consecutive navigation
-    // pops) plus the submitter-drains-its-own-batch rule mean the bulk loads
-    // complete, correctly, in bounded time.
+    // The inverse pressure: a thread hammers the navigation lane with
+    // handler-bound batches while 8-wide handler-bound bulk batches run on
+    // the same pool. The anti-starvation credit (one lower-lane ticket per
+    // NAVIGATION_CREDIT consecutive navigation pops) plus the
+    // submitter-drains-its-own-batch rule mean the bulk batches complete,
+    // correctly, in bounded time. Page loads never use the pool, so the
+    // storm and the bulk work are explicit-width batches, the lanes' callers.
     let fabric = Arc::new(SharedNetwork::new());
-    register_nav_world(&fabric, "nav.example");
-    register_loader_world(&fabric, "bulk.example", "sid", IMAGES, ORIGINS, |_| {
-        Duration::from_micros(300)
-    });
-    let engine = Arc::new(EscudoEngine::new());
-    let jar = Arc::new(SharedCookieJar::new());
+    register_handler_bound_world(&fabric, "nav.example", true, Duration::from_micros(100));
+    register_handler_bound_world(&fabric, "bulk.example", false, Duration::from_micros(300));
+    let nav = asset_urls("nav.example", true);
+    let bulk = asset_urls("bulk.example", false);
     let stop = AtomicBool::new(false);
-
     thread::scope(|scope| {
-        let storm_fabric = Arc::clone(&fabric);
-        let storm_engine: Arc<dyn PolicyEngine> = Arc::clone(&engine) as _;
-        let storm_jar = Arc::clone(&jar);
-        let stop = &stop;
+        let (fabric, nav, stop) = (&fabric, &nav, &stop);
         scope.spawn(move || {
-            let mut browser = Browser::with_network(storm_engine, storm_jar, storm_fabric);
-            browser.set_subresource_workers(8);
             while !stop.load(Ordering::Acquire) {
-                browser.navigate(NAV_PAGE_URL).unwrap();
+                pool_batch(fabric, nav, 8, Priority::Navigation);
             }
         });
-
-        let mut browser = Browser::with_network(
-            Arc::clone(&engine) as _,
-            Arc::clone(&jar),
-            Arc::clone(&fabric),
-        );
-        browser.set_subresource_workers(8);
         for _ in 0..3 {
-            let page = browser.navigate("http://bulk.example/index.php").unwrap();
-            let page = browser.page(page);
-            assert_eq!(page.subresources.len(), IMAGES);
-            for (i, outcome) in page.subresources.iter().enumerate() {
-                assert!(outcome.succeeded(), "bulk outcome {i} starved: {outcome:?}");
-            }
+            pool_batch(fabric, &bulk, 8, Priority::Bulk);
         }
         stop.store(true, Ordering::Release);
     });
+    assert!(
+        fabric.fetch_pool_jobs_executed() > 0,
+        "no batch ever reached the pool"
+    );
 }
 
 #[test]
