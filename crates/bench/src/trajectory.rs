@@ -369,13 +369,15 @@ pub enum Strictness {
 /// Classifies a metric key by name. The key vocabulary is shared bench
 /// convention (see `cli::JsonReport` call sites), so substring heuristics are
 /// reliable here: `*mismatches*`/`*violations*`/`*leaks*` are correctness
-/// counters, `*_ns`/`*per_sec*`/`*speedup*`/`*retained*`/`*ratio*`/`*rate*`
-/// are performance, and anything unrecognized is informational. `ratio` must
-/// match as a whole `_`-delimited segment: `generation`/`generations` keys
-/// (counters, not measurements) contain it as an accidental substring.
+/// counters, `*_ns*`/`*per_sec*`/`*speedup*`/`*retained*`/`*ratio*`/`*rate*`
+/// are performance, and anything unrecognized is informational. `ns` and
+/// `ratio` must match as whole `_`-delimited segments: `decisions_per_sec`
+/// and `interns_per_sec` throughputs contain `ns_per_` as an accidental
+/// substring, and `generation`/`generations` keys (counters, not
+/// measurements) contain `ratio`.
 /// `*fault*`/`*breaker*`/`*retry*`/`*retries*` keys are chaos accounting —
-/// always informational, since they measure the injected schedule. `*cache*`
-/// keys are response-cache accounting — informational unless rate- or
+/// always informational, since they measure the injected schedule. Keys
+/// with a `cache` segment are response-cache accounting — informational unless rate- or
 /// speedup-shaped (still judged) or correctness-tagged (still failing).
 #[must_use]
 pub fn classify(key: &str) -> (Direction, Strictness) {
@@ -408,16 +410,16 @@ pub fn classify(key: &str) -> (Direction, Strictness) {
     // speedup and exact-count *gates* live in `cache_concurrent` itself. Must
     // run after the correctness vocabulary (a cache mismatch is still a bug)
     // and must not capture rate- or speedup-shaped keys, which stay judged
-    // performance metrics.
-    let cache_counter = key.contains("cache") && !key.contains("rate") && !key.contains("speedup");
+    // performance metrics. `cache` must be a whole segment: the policy
+    // bench's `cached_ns_per_decision` is a decision timing, not cache
+    // accounting.
+    let cache_counter =
+        has_segment(key, "cache") && !key.contains("rate") && !key.contains("speedup");
     if cache_counter {
         return (Direction::Informational, Strictness::Informational);
     }
-    let lower_perf = key.ends_with("_ns")
-        || key.contains("ns_per_")
-        || key.contains("_ns_per")
-        || key.split('_').any(|segment| segment == "ratio")
-        || key.contains("latency_p");
+    let lower_perf =
+        has_segment(key, "ns") || has_segment(key, "ratio") || key.contains("latency_p");
     if lower_perf {
         return (Direction::LowerIsBetter, Strictness::Performance);
     }
@@ -429,6 +431,11 @@ pub fn classify(key: &str) -> (Direction, Strictness) {
         return (Direction::HigherIsBetter, Strictness::Performance);
     }
     (Direction::Informational, Strictness::Informational)
+}
+
+/// `true` when `segment` is one whole `_`-delimited segment of `key`.
+fn has_segment(key: &str, segment: &str) -> bool {
+    key.split('_').any(|part| part == segment)
 }
 
 /// The verdict on one `(bench, key)` metric pair.
@@ -513,8 +520,7 @@ fn within_noise_floor(key: &str, previous: f64, current: f64, derived_floor: Opt
     if let Some(floor) = derived_floor {
         return (current - previous).abs() < floor.max(f64::EPSILON);
     }
-    (key.ends_with("_ns") || key.contains("ns_per_"))
-        && (current - previous).abs() < TIMING_NOISE_FLOOR_NS
+    has_segment(key, "ns") && (current - previous).abs() < TIMING_NOISE_FLOOR_NS
 }
 
 fn compare_metric(
@@ -933,6 +939,26 @@ mod tests {
             classify("nav_p99_ratio"),
             (Direction::LowerIsBetter, Strictness::Performance)
         );
+        // `ns` likewise: throughputs whose words end in "ns" must not read
+        // as nanosecond timings.
+        for key in [
+            "decisions_per_sec_t1",
+            "storm_lockfree_interns_per_sec_t1",
+            "storm_rwlock_interns_per_sec_t8",
+        ] {
+            assert_eq!(
+                classify(key),
+                (Direction::HigherIsBetter, Strictness::Performance),
+                "{key}"
+            );
+        }
+        for key in ["with_escudo_ns_per_dispatch", "cached_ns_per_decision"] {
+            assert_eq!(
+                classify(key),
+                (Direction::LowerIsBetter, Strictness::Performance),
+                "{key}"
+            );
+        }
         assert_eq!(
             classify("reload_generations_seen"),
             (Direction::Informational, Strictness::Informational)

@@ -52,8 +52,9 @@ impl ErmCounters {
     }
 }
 
-/// Counters of one [`SharedNetwork`] fabric: request log, prefetch cache and
-/// the persistent fetch pool's lane/preemption tallies.
+/// Counters of one [`SharedNetwork`] fabric: request log, prefetch cache,
+/// the persistent fetch pool's lane/preemption tallies and the precision of
+/// its latency waits.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FabricCounters {
     /// Requests currently resident in the bounded log.
@@ -104,6 +105,10 @@ pub struct FabricCounters {
     pub cache_coalesced: u64,
     /// Entries currently resident in the response cache (both layers).
     pub cache_entries: u64,
+    /// Latency waits that actually slept.
+    pub latency_waits: u64,
+    /// Total nanoseconds those waits woke past their due times.
+    pub wait_overshoot_ns: u64,
 }
 
 impl FabricCounters {
@@ -135,6 +140,8 @@ impl FabricCounters {
             cache_stored: fabric.cache_stored(),
             cache_coalesced: fabric.cache_coalesced(),
             cache_entries: fabric.cache_entries() as u64,
+            latency_waits: fabric.latency_waits(),
+            wait_overshoot_ns: fabric.wait_overshoot_ns(),
         }
     }
 }
@@ -446,6 +453,14 @@ impl ControlPlaneSnapshot {
         push("cache_stored".into(), self.fabric.cache_stored as f64);
         push("cache_coalesced".into(), self.fabric.cache_coalesced as f64);
         push("cache_entries".into(), self.fabric.cache_entries as f64);
+        push(
+            "fabric_latency_waits".into(),
+            self.fabric.latency_waits as f64,
+        );
+        push(
+            "fabric_wait_overshoot_ns".into(),
+            self.fabric.wait_overshoot_ns as f64,
+        );
 
         for tenant in &self.tenants {
             let prefix = format!("tenant_{}", tenant.id);
@@ -534,6 +549,12 @@ mod tests {
         assert!(first_of("jar_") < first_of("fabric_"));
         assert!(first_of("fabric_") < first_of("tenant_alpha_"));
         assert!(first_of("tenant_alpha_") < first_of("tenant_beta_"));
+        // The wait-precision counters close the fabric block.
+        let tenants = first_of("tenant_alpha_");
+        assert_eq!(
+            keys[tenants - 2..tenants],
+            ["fabric_latency_waits", "fabric_wait_overshoot_ns"]
+        );
 
         let get = |key: &str| {
             fields

@@ -35,6 +35,16 @@
 //!   the calling thread and completes them in due order, so the pipelining
 //!   win of overlapping slow fetches is measurable in-process, without
 //!   sockets.
+//! * **Deadline-exact waits.** Every latency wait goes through one helper
+//!   that never wakes before the due time and, where the thread's kernel
+//!   timer slack could be lowered, wakes within microseconds of it: on its
+//!   first wait a thread lowers its own slack from the Linux default of
+//!   50µs to 1ns, once. An origin therefore costs its configured latency,
+//!   not latency plus the kernel's timer coalescing. Where the slack cannot
+//!   be changed (no procfs, a read-only `/proc`, another OS) the OS default
+//!   stays. [`SharedNetwork::latency_waits`] and
+//!   [`SharedNetwork::wait_overshoot_ns`] count the waits and how late they
+//!   woke.
 //! * **Fetch worker pool for explicit widths and prefetch.**
 //!   [`SharedNetwork::dispatch_batch`] fans a pre-planned batch out over
 //!   parked worker threads the fabric owns and reuses ([`crate::fetch_pool`]).
@@ -55,6 +65,7 @@
 //!   cache's *one-shot* layer: entries parked by background speculation are
 //!   consumed at most once, exactly as the old bespoke prefetch cache did.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,6 +87,45 @@ pub const DEFAULT_LOG_STRIPE_COUNT: usize = 8;
 
 /// Default bound on retained log entries (divided across the stripes).
 pub const DEFAULT_LOG_CAPACITY: usize = 64 * 1024;
+
+thread_local! {
+    /// Whether this thread has already tried to lower its timer slack.
+    static SLACK_LOWERED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Lowers the calling thread's kernel timer slack to 1ns, once per thread:
+/// reads the thread id from the `/proc/thread-self` link
+/// (`<pid>/task/<tid>`) and writes `1` to `/proc/<tid>/timerslack_ns`, the
+/// per-task file a thread may always write for itself. Any failure keeps the
+/// OS default.
+fn lower_timer_slack_once() {
+    if SLACK_LOWERED.with(|lowered| lowered.replace(true)) {
+        return;
+    }
+    if let Ok(link) = std::fs::read_link("/proc/thread-self") {
+        if let Some(tid) = link.file_name() {
+            let path = std::path::Path::new("/proc")
+                .join(tid)
+                .join("timerslack_ns");
+            let _ = std::fs::write(path, "1");
+        }
+    }
+}
+
+/// Sleeps until `due` and returns the instant it woke, never earlier than
+/// `due`. The fabric's one latency wait: the first wait on a thread lowers
+/// that thread's timer slack ([`lower_timer_slack_once`]), so the sleep ends
+/// within microseconds of `due` instead of up to 50µs after it.
+fn wait_until(due: Instant) -> Instant {
+    lower_timer_slack_once();
+    loop {
+        let now = Instant::now();
+        if now >= due {
+            return now;
+        }
+        std::thread::sleep(due - now);
+    }
+}
 
 /// One registered origin: the handler behind its own short-held mutex, the
 /// synthetic service latency dispatches to this origin pay, and an EWMA of the
@@ -154,6 +204,10 @@ pub struct SharedNetwork {
     pub(crate) clock: RwLock<Arc<dyn Clock>>,
     /// Monotonic chaos observability counters (faults, retries, breakers).
     chaos: crate::fault::ChaosCounters,
+    /// Latency waits that actually slept (the due time was still ahead).
+    latency_waits: AtomicU64,
+    /// Sum over those waits of how late each woke past its due time.
+    wait_overshoot_ns: AtomicU64,
 }
 
 impl Default for SharedNetwork {
@@ -200,6 +254,8 @@ impl SharedNetwork {
             breakers: RwLock::new(HashMap::new()),
             clock: RwLock::new(Arc::new(MonotonicClock::new())),
             chaos: crate::fault::ChaosCounters::default(),
+            latency_waits: AtomicU64::new(0),
+            wait_overshoot_ns: AtomicU64::new(0),
         }
     }
 
@@ -234,6 +290,23 @@ impl SharedNetwork {
     #[must_use]
     pub fn fetch_pool_preemptions(&self) -> u64 {
         self.pool.preemptions()
+    }
+
+    /// Latency waits that actually slept: completions whose due time was still
+    /// ahead. Zero-latency dispatches, and in-flight requests that came due
+    /// while the window was busy, never count.
+    #[must_use]
+    pub fn latency_waits(&self) -> u64 {
+        self.latency_waits.load(Ordering::Relaxed)
+    }
+
+    /// Total time, in nanoseconds, the counted latency waits woke past their
+    /// due times (never negative: a wait does not end before its due time).
+    /// Divided by [`latency_waits`](SharedNetwork::latency_waits) it is the
+    /// mean overshoot per wait.
+    #[must_use]
+    pub fn wait_overshoot_ns(&self) -> u64 {
+        self.wait_overshoot_ns.load(Ordering::Relaxed)
     }
 
     /// Registers a server for an origin given as a URL string (the path is
@@ -432,6 +505,13 @@ impl SharedNetwork {
     /// injected chaos cannot poison the service-time estimate — and records
     /// the log entry under `sequence` (speculative dispatches pass `None`).
     ///
+    /// The sleep ([`wait_until`]) never ends before the due time. The first
+    /// wait on each thread lowers that thread's timer slack to 1ns, once,
+    /// where the OS allows it; from then on a wait ends within microseconds
+    /// of the due time. Each wait that slept counts in
+    /// [`latency_waits`](SharedNetwork::latency_waits), and how late it woke
+    /// in [`wait_overshoot_ns`](SharedNetwork::wait_overshoot_ns).
+    ///
     /// # Panics
     ///
     /// Panics when the fault plan injects a panic, and whenever the handler
@@ -445,9 +525,13 @@ impl SharedNetwork {
         flight: &InFlight,
         sequence: Option<u64>,
     ) -> Result<Response, NetError> {
-        let ahead = flight.due.saturating_duration_since(Instant::now());
-        if !ahead.is_zero() {
-            std::thread::sleep(ahead);
+        if flight.due > Instant::now() {
+            let overshoot = wait_until(flight.due) - flight.due;
+            self.latency_waits.fetch_add(1, Ordering::Relaxed);
+            self.wait_overshoot_ns.fetch_add(
+                u64::try_from(overshoot.as_nanos()).unwrap_or(u64::MAX),
+                Ordering::Relaxed,
+            );
         }
         let fault = flight.fault;
         if fault.slow_ns > 0 {
@@ -958,6 +1042,77 @@ mod tests {
             estimate < 3_000_000,
             "estimate {estimate}ns carries more than handler time on top of the latency"
         );
+    }
+
+    #[test]
+    fn latency_waits_count_only_dispatches_that_slept() {
+        let net = SharedNetwork::new();
+        net.register("http://fast.example", echo_server);
+        net.register("http://slow.example", echo_server);
+        net.set_latency("http://slow.example", Duration::from_micros(200));
+        for i in 0..5 {
+            net.dispatch(Request::get(&format!("http://fast.example/{i}")).unwrap())
+                .unwrap();
+        }
+        assert_eq!(net.latency_waits(), 0, "zero latency never sleeps");
+        assert_eq!(net.wait_overshoot_ns(), 0);
+        for i in 0..7 {
+            net.dispatch(Request::get(&format!("http://slow.example/{i}")).unwrap())
+                .unwrap();
+        }
+        assert_eq!(net.latency_waits(), 7);
+        net.dispatch(Request::get("http://fast.example/after").unwrap())
+            .unwrap();
+        assert_eq!(net.latency_waits(), 7);
+    }
+
+    /// Reads the calling thread's timer slack, or `None` where procfs does
+    /// not expose it.
+    fn own_timer_slack() -> Option<String> {
+        let link = std::fs::read_link("/proc/thread-self").ok()?;
+        let path = std::path::Path::new("/proc")
+            .join(link.file_name()?)
+            .join("timerslack_ns");
+        Some(std::fs::read_to_string(path).ok()?.trim().to_string())
+    }
+
+    #[test]
+    fn the_first_latency_wait_lowers_the_threads_timer_slack() {
+        if own_timer_slack().is_none() {
+            println!("skipped: /proc/thread-self/timerslack_ns is not available");
+            return;
+        }
+        let net = Arc::new(SharedNetwork::new());
+        net.register("http://fast.example", echo_server);
+        net.register("http://slow.example", echo_server);
+        net.set_latency("http://slow.example", Duration::from_micros(100));
+        // A thread that never waits on latency keeps the slack it inherited.
+        let untouched = {
+            let net = Arc::clone(&net);
+            std::thread::spawn(move || {
+                let inherited = own_timer_slack();
+                for i in 0..3 {
+                    net.dispatch(Request::get(&format!("http://fast.example/{i}")).unwrap())
+                        .unwrap();
+                }
+                (inherited, own_timer_slack())
+            })
+            .join()
+            .unwrap()
+        };
+        assert_eq!(untouched.0, untouched.1);
+        // One latency wait on a fresh thread lowers that thread's slack.
+        let lowered = {
+            let net = Arc::clone(&net);
+            std::thread::spawn(move || {
+                net.dispatch(Request::get("http://slow.example/").unwrap())
+                    .unwrap();
+                own_timer_slack()
+            })
+            .join()
+            .unwrap()
+        };
+        assert_eq!(lowered.as_deref(), Some("1"));
     }
 
     #[test]

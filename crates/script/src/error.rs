@@ -30,6 +30,20 @@ pub enum ScriptError {
     HostFailure(String),
     /// The script exceeded the interpreter's step budget.
     StepLimitExceeded,
+    /// The source nests statements or expressions deeper than the parser's
+    /// bound ([`MAX_NESTING_DEPTH`](crate::parser::MAX_NESTING_DEPTH)).
+    NestingTooDeep {
+        /// The bound that was hit.
+        limit: usize,
+        /// Approximate token index.
+        position: usize,
+    },
+    /// A call chain went deeper than the interpreter's bound
+    /// ([`MAX_CALL_DEPTH`](crate::interp::MAX_CALL_DEPTH)).
+    CallDepthExceeded {
+        /// The bound that was hit.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ScriptError {
@@ -45,6 +59,15 @@ impl fmt::Display for ScriptError {
             ScriptError::AccessDenied(message) => write!(f, "access denied: {message}"),
             ScriptError::HostFailure(message) => write!(f, "host error: {message}"),
             ScriptError::StepLimitExceeded => write!(f, "script exceeded its step budget"),
+            ScriptError::NestingTooDeep { limit, position } => {
+                write!(
+                    f,
+                    "nesting deeper than {limit} levels near token {position}"
+                )
+            }
+            ScriptError::CallDepthExceeded { limit } => {
+                write!(f, "call depth exceeded its bound of {limit}")
+            }
         }
     }
 }

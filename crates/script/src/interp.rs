@@ -11,6 +11,16 @@ use crate::value::{Callable, NativeFn, NativeTag, Obj, ObjId, Value};
 /// Default number of evaluation steps a script may take before it is aborted.
 pub const DEFAULT_STEP_LIMIT: u64 = 2_000_000;
 
+/// The deepest chain of nested user-function calls a script may build. The
+/// interpreter recurses on the native stack for every call, so the bound
+/// keeps runaway recursion (`function f(){return f();} f();`) from
+/// overflowing the stack of the session that runs it. With the parser's
+/// [`MAX_NESTING_DEPTH`](crate::parser::MAX_NESTING_DEPTH) it keeps the
+/// deepest evaluation a script can reach (64 calls, each 64 levels deep)
+/// inside a 2 MiB thread stack even in a debug build; the repository's page
+/// scripts call at most 1 deep.
+pub const MAX_CALL_DEPTH: usize = 64;
+
 #[derive(Debug)]
 struct Scope {
     vars: HashMap<String, Value>,
@@ -32,6 +42,8 @@ pub struct Interpreter<'h> {
     heap: Vec<Obj>,
     scopes: Vec<Scope>,
     steps_remaining: u64,
+    /// User-function calls currently on the stack (see [`MAX_CALL_DEPTH`]).
+    call_depth: usize,
     /// Value of the most recent expression statement; `run` returns it so callers and
     /// tests can observe a script's "result" without a return statement.
     last_expression_value: Option<Value>,
@@ -58,6 +70,7 @@ impl<'h> Interpreter<'h> {
                 parent: None,
             }],
             steps_remaining: DEFAULT_STEP_LIMIT,
+            call_depth: 0,
             last_expression_value: None,
         };
         interp.install_globals();
@@ -607,6 +620,11 @@ impl<'h> Interpreter<'h> {
                 body,
                 scope,
             } => {
+                if self.call_depth == MAX_CALL_DEPTH {
+                    return Err(ScriptError::CallDepthExceeded {
+                        limit: MAX_CALL_DEPTH,
+                    });
+                }
                 let call_scope = self.scopes.len();
                 self.scopes.push(Scope {
                     vars: HashMap::new(),
@@ -617,11 +635,13 @@ impl<'h> Interpreter<'h> {
                     self.declare(call_scope, param, value);
                 }
                 self.declare(call_scope, "this", this);
-                let result = match self.exec_block(&body, call_scope)? {
+                self.call_depth += 1;
+                let flow = self.exec_block(&body, call_scope);
+                self.call_depth -= 1;
+                Ok(match flow? {
                     Flow::Return(value) => value,
                     _ => Value::Undefined,
-                };
-                Ok(result)
+                })
             }
             Callable::Native(native) => self.call_native(native, id, this, args),
         }
@@ -1231,6 +1251,32 @@ mod tests {
             .run("while (true) { var x = 1; }")
             .unwrap_err();
         assert_eq!(err, ScriptError::StepLimitExceeded);
+    }
+
+    #[test]
+    fn runaway_recursion_and_nesting_are_errors_not_stack_overflows() {
+        let mut host = MockHost::new();
+        let mut interp = Interpreter::new(&mut host);
+        assert_eq!(
+            interp.run("function f() { return f(); } f();"),
+            Err(ScriptError::CallDepthExceeded {
+                limit: MAX_CALL_DEPTH
+            })
+        );
+        // The failed chain unwound its depth: a recursion inside the bound
+        // runs on the same interpreter.
+        let depth = MAX_CALL_DEPTH - 1;
+        assert_eq!(
+            interp.run(&format!(
+                "function g(n) {{ if (n <= 0) {{ return 0; }} return 1 + g(n - 1); }} g({depth});"
+            )),
+            Ok(Value::Number(depth as f64))
+        );
+        let parens = format!("{}1{};", "(".repeat(100_000), ")".repeat(100_000));
+        assert!(matches!(
+            interp.run(&parens),
+            Err(ScriptError::NestingTooDeep { .. })
+        ));
     }
 
     #[test]

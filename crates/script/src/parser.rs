@@ -6,14 +6,29 @@ use crate::ast::{AssignOp, BinOp, Expr, LogicalOp, MemberKey, Stmt, UnOp, Update
 use crate::error::ScriptError;
 use crate::lexer::{tokenize, Tok};
 
+/// The deepest nesting of statements and expressions the parser accepts.
+/// Every nested statement, assignment-level expression and prefix operator
+/// takes one level. The parser recurses through about a dozen frames per
+/// level, so the bound keeps
+/// a hostile script (say, 100K nested `(`) from overflowing the stack of the
+/// session that loads it. A debug build spends about 13 KiB of stack per
+/// level, so 64 levels fit a 2 MiB thread stack; the repository's page
+/// scripts nest at most 6.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Parses a complete program into a list of statements.
 ///
 /// # Errors
 ///
-/// Returns [`ScriptError::Lex`] or [`ScriptError::Parse`] for malformed input.
+/// Returns [`ScriptError::Lex`] or [`ScriptError::Parse`] for malformed input,
+/// and [`ScriptError::NestingTooDeep`] past [`MAX_NESTING_DEPTH`].
 pub fn parse_program(source: &str) -> Result<Vec<Stmt>, ScriptError> {
     let tokens = tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut statements = Vec::new();
     while !parser.check(&Tok::Eof) {
         statements.push(parser.statement()?);
@@ -24,6 +39,8 @@ pub fn parse_program(source: &str) -> Result<Vec<Stmt>, ScriptError> {
 struct Parser {
     tokens: Vec<Tok>,
     pos: usize,
+    /// Nesting levels currently open (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -74,6 +91,24 @@ impl Parser {
         }
     }
 
+    /// Runs `parse` one nesting level deeper, refusing past
+    /// [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ScriptError>,
+    ) -> Result<T, ScriptError> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(ScriptError::NestingTooDeep {
+                limit: MAX_NESTING_DEPTH,
+                position: self.pos,
+            });
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     fn ident(&mut self, context: &str) -> Result<String, ScriptError> {
         match self.advance() {
             Tok::Ident(name) => Ok(name),
@@ -84,6 +119,10 @@ impl Parser {
     // -------------------------------------------------------------- statements
 
     fn statement(&mut self) -> Result<Stmt, ScriptError> {
+        self.nested(Self::statement_body)
+    }
+
+    fn statement_body(&mut self) -> Result<Stmt, ScriptError> {
         match self.peek().clone() {
             Tok::Semi => {
                 self.advance();
@@ -240,6 +279,10 @@ impl Parser {
     }
 
     fn assignment(&mut self) -> Result<Expr, ScriptError> {
+        self.nested(Self::assignment_body)
+    }
+
+    fn assignment_body(&mut self) -> Result<Expr, ScriptError> {
         let target = self.conditional()?;
         let op = match self.peek() {
             Tok::Assign => Some(AssignOp::Assign),
@@ -392,7 +435,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.advance();
-            let expr = self.unary()?;
+            let expr = self.nested(Self::unary)?;
             return Ok(Expr::Unary {
                 op,
                 expr: Box::new(expr),
@@ -404,7 +447,7 @@ impl Parser {
             } else {
                 UpdateOp::Decrement
             };
-            let target = self.unary()?;
+            let target = self.nested(Self::unary)?;
             return Ok(Expr::Update {
                 op,
                 prefix: true,
@@ -708,6 +751,29 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let n = 100_000;
+        let too_deep = |source: &str| {
+            matches!(
+                parse_program(source),
+                Err(ScriptError::NestingTooDeep {
+                    limit: MAX_NESTING_DEPTH,
+                    ..
+                })
+            )
+        };
+        assert!(too_deep(&format!("{}1{};", "(".repeat(n), ")".repeat(n))));
+        assert!(too_deep(&"(".repeat(n)));
+        assert!(too_deep(&format!("{}x;", "!".repeat(n))));
+        assert!(too_deep(&format!("{}{}", "{".repeat(n), "}".repeat(n))));
+        assert!(too_deep(&format!("{}x;", "x = ".repeat(n))));
+        // Nesting well inside the bound still parses.
+        let shallow = MAX_NESTING_DEPTH - 8;
+        let source = format!("{}1{};", "(".repeat(shallow), ")".repeat(shallow));
+        assert!(parse_program(&source).is_ok());
     }
 
     #[test]
