@@ -282,6 +282,21 @@ mod tests {
     use super::*;
 
     #[test]
+    fn the_browser_layout_test_data_is_the_figure4_pages() {
+        // `escudo-browser` checks its layout against a recursive oracle on
+        // copies of these pages; a generator change must refresh them.
+        for scenario in figure4_scenarios() {
+            let path = format!(
+                "{}/../browser/testdata/figure4_page_{}.html",
+                env!("CARGO_MANIFEST_DIR"),
+                scenario.id
+            );
+            let copy = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert!(copy == generate_page(&scenario), "{path} is stale");
+        }
+    }
+
+    #[test]
     fn decision_workload_has_requested_shape() {
         let checks = decision_workload(6, 7);
         assert_eq!(checks.len(), 42);

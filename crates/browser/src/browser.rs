@@ -30,12 +30,15 @@ use crate::render::Renderer;
 pub struct PageId(usize);
 
 /// Default bound on the subresource requests one page load keeps **in
-/// flight** at once — the width of its deadline window
+/// flight** at once overall — the width of its deadline window
 /// ([`SharedNetwork::dispatch_window`]). It is not a thread count: a window
-/// waits on all of its requests from the navigating thread. A bound of 1 sends
-/// each request only after the previous one completed — the sequential oracle
-/// the `loader_concurrent` bench compares against.
-pub const DEFAULT_SUBRESOURCE_WORKERS: usize = 4;
+/// waits on all of its requests from the navigating thread. The default,
+/// `usize::MAX`, sets no page-wide cap: only the window's per-origin bound of
+/// [`MAX_IN_FLIGHT_PER_ORIGIN`](escudo_net::window::MAX_IN_FLIGHT_PER_ORIGIN)
+/// (6) applies, as in browsers. A bound of 1 sends each request only after the
+/// previous one completed — the sequential oracle the `loader_concurrent`
+/// bench compares against.
+pub const DEFAULT_SUBRESOURCE_WORKERS: usize = usize::MAX;
 
 /// Per-slot result of a subresource plan dispatch: `(status, error, retries)`.
 type SlotOutcome = (Option<u16>, Option<String>, u32);
@@ -61,8 +64,8 @@ pub struct Browser {
     visited: HashSet<String>,
     pages: Vec<Option<Page>>,
     viewport_width: u32,
-    /// Bound on a page's in-flight subresource requests (≥ 1; 1 = fully
-    /// sequential).
+    /// Bound on a page's in-flight subresource requests overall (≥ 1; 1 =
+    /// fully sequential; `usize::MAX` = only the per-origin bound).
     subresource_workers: usize,
     /// Cookie policies remembered per (host, cookie name), so a policy declared when a
     /// cookie was set keeps protecting it on later pages of the same application.
@@ -245,9 +248,10 @@ impl Browser {
     }
 
     /// Bounds how many subresource requests a page load keeps in flight at
-    /// once (see [`DEFAULT_SUBRESOURCE_WORKERS`]). `1` makes the fetch fan-out
-    /// fully sequential (the oracle path the bench gates compare against);
-    /// values are clamped to at least 1.
+    /// once overall (see [`DEFAULT_SUBRESOURCE_WORKERS`]); the per-origin
+    /// bound of 6 applies under any value. `1` makes the fetch fan-out fully
+    /// sequential (the oracle path the bench gates compare against); values
+    /// are clamped to at least 1.
     pub fn set_subresource_workers(&mut self, workers: usize) {
         self.subresource_workers = workers.max(1);
     }
@@ -1022,8 +1026,9 @@ impl Browser {
     ///    requests, each under a sequence number pre-reserved in plan order.
     ///    Each runs as a **deadline window** on the navigating thread
     ///    ([`SharedNetwork::dispatch_window`]): up to `subresource_workers`
-    ///    requests in flight, completed in due order, with no pool thread
-    ///    woken. Outcomes come back in plan index order, so
+    ///    requests in flight overall (no page-wide cap by default) and at
+    ///    most 6 to any one origin, completed in due order, with no pool
+    ///    thread woken. Outcomes come back in plan index order, so
     ///    [`Page::subresources`] and the sequence-sorted request log both read
     ///    in plan order regardless of which fetch finished first.
     fn load_subresources(&mut self, page: &mut Page) {
@@ -1517,6 +1522,80 @@ mod tests {
             .map(|e| e.url.path().to_string())
             .collect();
         assert_eq!(paths, vec!["/index.php", "/a.png", "/b.png", "/c.png"]);
+    }
+
+    #[test]
+    fn a_default_session_has_no_page_wide_cap_on_in_flight_images() {
+        use std::sync::Mutex;
+        use std::time::Duration;
+
+        // Reverse-skewed latencies: the last origin in plan order answers
+        // first, but only if its request went out with the others.
+        let images: String = (0..5)
+            .map(|k| format!("<img src=\"http://h{k}.example/i.png\">"))
+            .collect();
+        let html = format!("<html><body ring=1>{images}</body></html>");
+        let first_call = |workers: Option<usize>| {
+            let mut browser = browser_with(PolicyMode::Escudo, &html);
+            let calls: Arc<Mutex<Vec<String>>> = Arc::default();
+            for k in 0..5u64 {
+                let origin = format!("http://h{k}.example");
+                let calls = Arc::clone(&calls);
+                browser
+                    .network_mut()
+                    .register(&origin, move |req: &Request| {
+                        calls.lock().unwrap().push(req.url.host().to_string());
+                        Response::ok_text("img")
+                    });
+                browser
+                    .fabric()
+                    .set_latency(&origin, Duration::from_millis(4 * (5 - k)));
+            }
+            if let Some(workers) = workers {
+                browser.set_subresource_workers(workers);
+            }
+            let page = browser.navigate("http://app.example/index.php").unwrap();
+            assert!(browser
+                .page(page)
+                .subresources
+                .iter()
+                .all(SubresourceOutcome::succeeded));
+            let calls = calls.lock().unwrap();
+            assert_eq!(calls.len(), 5);
+            calls[0].clone()
+        };
+        assert_eq!(first_call(None), "h4.example");
+        assert_eq!(first_call(Some(4)), "h3.example");
+    }
+
+    #[test]
+    fn a_page_of_100k_nested_divs_loads_on_a_default_stack() {
+        const DEPTH: usize = 100_000;
+        // The script at the innermost level reads the outermost div's
+        // `innerHTML`: a serialization 100K levels deep.
+        let html = format!(
+            "<html><body><div id=top>{}deep<img src=\"http://img.example/deep.png\">\
+             <script>document.getElementById('top').innerHTML.length;</script>",
+            "<div>".repeat(DEPTH - 1)
+        );
+        for mode in [PolicyMode::Escudo, PolicyMode::SameOriginOnly] {
+            let mut browser = browser_with(mode, &html);
+            browser
+                .network_mut()
+                .register("http://img.example", |_req: &Request| {
+                    Response::ok_text("img")
+                });
+            let page = browser.navigate("http://app.example/index.php").unwrap();
+            let page = browser.page(page);
+            // html, body, the divs, the text run and the image.
+            assert_eq!(page.render_stats.boxes, DEPTH + 4, "{mode:?}");
+            assert_eq!(page.subresources.len(), 1);
+            assert!(page.subresources[0].succeeded());
+            assert_eq!(page.script_outcomes.len(), 1);
+            let top = page.document.get_element_by_id("top").unwrap();
+            let length = page.document.inner_html(top).chars().count();
+            assert_eq!(page.script_outcomes[0].result, Ok(length.to_string()));
+        }
     }
 
     #[test]

@@ -72,25 +72,83 @@ impl Renderer {
     }
 
     /// Lays out the document and returns the display list plus statistics.
+    ///
+    /// The walk keeps an explicit stack of open containers, so nesting depth
+    /// costs heap, not call stack. Children are laid out in document order,
+    /// each below its previous sibling, and a container's box follows its
+    /// children's (post-order).
     #[must_use]
     pub fn layout(&self, document: &Document) -> (Vec<LayoutBox>, RenderStats) {
         let mut boxes = Vec::new();
         let mut stats = RenderStats::default();
-        let height = self.layout_node(
-            document,
-            document.root(),
-            0,
-            0,
-            self.viewport_width,
-            &mut boxes,
-            &mut stats,
-        );
+        let root = document.root();
+        // The container being filled; `open` holds its enclosing containers.
+        let mut current = Open {
+            node: root,
+            element: false,
+            x: 0,
+            y: 0,
+            width: self.viewport_width,
+            child_x: 0,
+            child_width: self.viewport_width,
+            cursor: 0,
+            next_child: document.first_child(root),
+        };
+        let mut open: Vec<Open> = Vec::new();
+        let height = loop {
+            let Some(child) = current.next_child else {
+                let height = current.close(&mut boxes);
+                match open.pop() {
+                    Some(parent) => {
+                        current = parent;
+                        current.cursor += height;
+                        continue;
+                    }
+                    None => break height,
+                }
+            };
+            current.next_child = document.next_sibling(child);
+            match document.data(child) {
+                NodeData::Text(text) => {
+                    current.cursor += text_run(
+                        child,
+                        text,
+                        current.child_x,
+                        current.cursor,
+                        current.child_width,
+                        &mut boxes,
+                        &mut stats,
+                    );
+                }
+                NodeData::Element(element) if !INVISIBLE.iter().any(|t| *t == element.tag) => {
+                    let (x, y, width) = (current.child_x, current.cursor, current.child_width);
+                    let frame = Open {
+                        node: child,
+                        element: true,
+                        x,
+                        y,
+                        width,
+                        child_x: x + BLOCK_PADDING,
+                        child_width: width.saturating_sub(2 * BLOCK_PADDING).max(CHAR_WIDTH),
+                        cursor: y + BLOCK_PADDING,
+                        next_child: document.first_child(child),
+                    };
+                    open.push(std::mem::replace(&mut current, frame));
+                }
+                // Invisible elements, doctypes and comments take no space;
+                // only the root is a document node.
+                _ => {}
+            }
+        };
         stats.boxes = boxes.len();
         stats.height = height;
         (boxes, stats)
     }
 
-    /// Lays out a node at (x, y) within `width`; returns the height consumed.
+    /// The recursive layout the explicit-stack walk replaced, kept as the
+    /// oracle it must match box for box. Lays out a node at (x, y) within
+    /// `width`; returns the height consumed.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     fn layout_node(
         &self,
@@ -111,27 +169,7 @@ impl Renderer {
                 cursor - y
             }
             NodeData::Doctype(_) | NodeData::Comment(_) => 0,
-            NodeData::Text(text) => {
-                let trimmed = text.trim();
-                if trimmed.is_empty() {
-                    return 0;
-                }
-                let chars = trimmed.chars().count();
-                let per_line = (width / CHAR_WIDTH).max(1) as usize;
-                let lines = chars.div_ceil(per_line) as u32;
-                stats.lines += lines as usize;
-                stats.characters += chars;
-                let height = lines * LINE_HEIGHT;
-                boxes.push(LayoutBox {
-                    node: node.index(),
-                    x,
-                    y,
-                    width,
-                    height,
-                    lines,
-                });
-                height
-            }
+            NodeData::Text(text) => text_run(node, text, x, y, width, boxes, stats),
             NodeData::Element(element) => {
                 if INVISIBLE.iter().any(|t| *t == element.tag) {
                     return 0;
@@ -164,6 +202,75 @@ impl Renderer {
     }
 }
 
+/// A container being laid out: its own box position, where its children go
+/// (`child_x`, `child_width`, and `cursor` for the next child's y), and the
+/// next child to lay out.
+struct Open {
+    node: NodeId,
+    /// `true` for an element, which gets a padded box; the document root
+    /// gets neither padding nor a box.
+    element: bool,
+    x: u32,
+    y: u32,
+    width: u32,
+    child_x: u32,
+    child_width: u32,
+    cursor: u32,
+    next_child: Option<NodeId>,
+}
+
+impl Open {
+    /// Closes the container once its children are laid out: pushes an
+    /// element's box and returns the height the container consumed.
+    fn close(self, boxes: &mut Vec<LayoutBox>) -> u32 {
+        if !self.element {
+            return self.cursor - self.y;
+        }
+        let height = (self.cursor + BLOCK_PADDING) - self.y;
+        boxes.push(LayoutBox {
+            node: self.node.index(),
+            x: self.x,
+            y: self.y,
+            width: self.width,
+            height,
+            lines: 0,
+        });
+        height
+    }
+}
+
+/// Lays out one text node as a run of fixed-width lines at (x, y) within
+/// `width`, pushing its box unless it is blank; returns the height consumed.
+fn text_run(
+    node: NodeId,
+    text: &str,
+    x: u32,
+    y: u32,
+    width: u32,
+    boxes: &mut Vec<LayoutBox>,
+    stats: &mut RenderStats,
+) -> u32 {
+    let trimmed = text.trim();
+    if trimmed.is_empty() {
+        return 0;
+    }
+    let chars = trimmed.chars().count();
+    let per_line = (width / CHAR_WIDTH).max(1) as usize;
+    let lines = chars.div_ceil(per_line) as u32;
+    stats.lines += lines as usize;
+    stats.characters += chars;
+    let height = lines * LINE_HEIGHT;
+    boxes.push(LayoutBox {
+        node: node.index(),
+        x,
+        y,
+        width,
+        height,
+        lines,
+    });
+    height
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +279,69 @@ mod tests {
     fn layout(html: &str) -> (Vec<LayoutBox>, RenderStats) {
         let doc = parse_document(html, &ParseOptions::default()).document;
         Renderer::default().layout(&doc)
+    }
+
+    /// The pages the tests below lay out.
+    const FIXTURES: [&str; 6] = [
+        "<body><p>tiny</p></body>",
+        "<head><script>var x = 'not rendered';</script></head><body><p>hi</p></body>",
+        "<body><div><div><p>deep</p></div></div></body>",
+        "",
+        "<!DOCTYPE html><!-- c --><html><body><p>a</p>  <img src=x.png><p>b c</p></body></html>",
+        "text before <p>a paragraph</p> text after",
+    ];
+
+    #[test]
+    fn the_explicit_stack_layout_matches_the_recursive_oracle() {
+        // The eight Figure-4 pages `escudo_bench::generate_page` writes, kept
+        // as test data.
+        let figure4 = (1..=8).map(|id| {
+            let path = format!(
+                "{}/testdata/figure4_page_{id}.html",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+        });
+        let long_text = format!("<body><p>{}</p></body>", "word ".repeat(400));
+        let pages = FIXTURES
+            .iter()
+            .map(|page| page.to_string())
+            .chain([long_text])
+            .chain(figure4);
+        for page in pages {
+            let doc = parse_document(&page, &ParseOptions::default()).document;
+            for width in [200, 1024, 1200] {
+                let renderer = Renderer::new(width);
+                let mut boxes = Vec::new();
+                let mut stats = RenderStats::default();
+                let height = renderer.layout_node(
+                    &doc,
+                    doc.root(),
+                    0,
+                    0,
+                    renderer.viewport_width,
+                    &mut boxes,
+                    &mut stats,
+                );
+                stats.boxes = boxes.len();
+                stats.height = height;
+                assert_eq!(renderer.layout(&doc), (boxes, stats), "width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn deep_nesting_lays_out_without_recursion() {
+        const DEPTH: usize = 100_000;
+        let html = format!("<html><body>{}deep", "<div>".repeat(DEPTH));
+        let (boxes, stats) = layout(&html);
+        // html, body, the divs and the text run.
+        assert_eq!(stats.boxes, DEPTH + 3);
+        // Post-order: the innermost text run first, the html box last. That
+        // deep, the width is at its one-character floor: a line per letter.
+        assert_eq!(boxes[0].lines, 4);
+        assert_eq!(boxes.last().unwrap().y, 0);
+        assert_eq!(stats.height, boxes.last().unwrap().height);
     }
 
     #[test]

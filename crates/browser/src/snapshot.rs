@@ -53,8 +53,8 @@ impl ErmCounters {
 }
 
 /// Counters of one [`SharedNetwork`] fabric: request log, prefetch cache,
-/// the persistent fetch pool's lane/preemption tallies and the precision of
-/// its latency waits.
+/// the persistent fetch pool's lane/preemption tallies, the precision of
+/// its latency waits and the deadline window's per-origin deferrals.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FabricCounters {
     /// Requests currently resident in the bounded log.
@@ -109,6 +109,9 @@ pub struct FabricCounters {
     pub latency_waits: u64,
     /// Total nanoseconds those waits woke past their due times.
     pub wait_overshoot_ns: u64,
+    /// Deadline-window requests whose send waited on an origin's in-flight
+    /// bound, their own or the one holding the plan's head.
+    pub window_origin_deferrals: u64,
 }
 
 impl FabricCounters {
@@ -142,6 +145,7 @@ impl FabricCounters {
             cache_entries: fabric.cache_entries() as u64,
             latency_waits: fabric.latency_waits(),
             wait_overshoot_ns: fabric.wait_overshoot_ns(),
+            window_origin_deferrals: fabric.window_origin_deferrals(),
         }
     }
 }
@@ -461,6 +465,10 @@ impl ControlPlaneSnapshot {
             "fabric_wait_overshoot_ns".into(),
             self.fabric.wait_overshoot_ns as f64,
         );
+        push(
+            "fabric_window_origin_deferrals".into(),
+            self.fabric.window_origin_deferrals as f64,
+        );
 
         for tenant in &self.tenants {
             let prefix = format!("tenant_{}", tenant.id);
@@ -549,11 +557,16 @@ mod tests {
         assert!(first_of("jar_") < first_of("fabric_"));
         assert!(first_of("fabric_") < first_of("tenant_alpha_"));
         assert!(first_of("tenant_alpha_") < first_of("tenant_beta_"));
-        // The wait-precision counters close the fabric block.
+        // The wait-precision counters, then the window's per-origin
+        // deferrals, close the fabric block.
         let tenants = first_of("tenant_alpha_");
         assert_eq!(
-            keys[tenants - 2..tenants],
-            ["fabric_latency_waits", "fabric_wait_overshoot_ns"]
+            keys[tenants - 3..tenants],
+            [
+                "fabric_latency_waits",
+                "fabric_wait_overshoot_ns",
+                "fabric_window_origin_deferrals"
+            ]
         );
 
         let get = |key: &str| {

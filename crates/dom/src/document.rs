@@ -330,7 +330,16 @@ impl Document {
             NodeData::Document | NodeData::Element(_) => {}
             _ => return Err(DomError::NotAContainer),
         }
-        if self.is_inclusive_ancestor(child, parent) {
+        // A node without children is an ancestor of nothing but itself, so
+        // the ancestor walk (linear in the parent's depth) is needed only for
+        // a child that brings a subtree. The parser appends only fresh,
+        // childless nodes, which keeps parsing deep nesting linear.
+        let cycle = if self.nodes[child.0].first_child.is_none() {
+            child == parent
+        } else {
+            self.is_inclusive_ancestor(child, parent)
+        };
+        if cycle {
             return Err(DomError::WouldCreateCycle);
         }
         Ok(())

@@ -61,70 +61,89 @@ impl Document {
     /// Serializes a node and its subtree to HTML.
     #[must_use]
     pub fn outer_html(&self, id: NodeId) -> String {
-        let mut out = String::new();
-        self.write_node(id, &mut out, false);
-        out
+        self.write(vec![Step::Open(id, false)])
     }
 
     /// Serializes the children of a node to HTML (the DOM `innerHTML` getter).
     #[must_use]
     pub fn inner_html(&self, id: NodeId) -> String {
         let raw = matches!(self.tag_name(id), Some(tag) if is_raw_text_element(tag));
+        let mut steps = Vec::new();
+        self.push_children(id, raw, &mut steps);
+        self.write(steps)
+    }
+
+    /// Runs `steps` (popped last first) to HTML. The walk keeps an explicit
+    /// stack of pending steps, so nesting depth costs heap, not call stack.
+    fn write<'a>(&'a self, mut steps: Vec<Step<'a>>) -> String {
         let mut out = String::new();
-        for child in self.children(id) {
-            self.write_node(child, &mut out, raw);
+        while let Some(step) = steps.pop() {
+            let (id, raw_text) = match step {
+                Step::Open(id, raw_text) => (id, raw_text),
+                Step::Close(tag) => {
+                    out.push_str("</");
+                    out.push_str(tag);
+                    out.push('>');
+                    continue;
+                }
+            };
+            match self.data(id) {
+                NodeData::Document => self.push_children(id, false, &mut steps),
+                NodeData::Doctype(name) => {
+                    out.push_str("<!DOCTYPE ");
+                    out.push_str(name);
+                    out.push('>');
+                }
+                NodeData::Comment(text) => {
+                    out.push_str("<!--");
+                    out.push_str(text);
+                    out.push_str("-->");
+                }
+                NodeData::Text(text) => {
+                    if raw_text {
+                        out.push_str(text);
+                    } else {
+                        out.push_str(&escape_text(text));
+                    }
+                }
+                NodeData::Element(element) => {
+                    out.push('<');
+                    out.push_str(&element.tag);
+                    for (name, value) in &element.attrs {
+                        out.push(' ');
+                        out.push_str(name);
+                        out.push_str("=\"");
+                        out.push_str(&escape_attribute(value));
+                        out.push('"');
+                    }
+                    out.push('>');
+                    if is_void_element(&element.tag) {
+                        continue;
+                    }
+                    steps.push(Step::Close(&element.tag));
+                    self.push_children(id, is_raw_text_element(&element.tag), &mut steps);
+                }
+            }
         }
         out
     }
 
-    fn write_node(&self, id: NodeId, out: &mut String, raw_text: bool) {
-        match self.data(id) {
-            NodeData::Document => {
-                for child in self.children(id) {
-                    self.write_node(child, out, false);
-                }
-            }
-            NodeData::Doctype(name) => {
-                out.push_str("<!DOCTYPE ");
-                out.push_str(name);
-                out.push('>');
-            }
-            NodeData::Comment(text) => {
-                out.push_str("<!--");
-                out.push_str(text);
-                out.push_str("-->");
-            }
-            NodeData::Text(text) => {
-                if raw_text {
-                    out.push_str(text);
-                } else {
-                    out.push_str(&escape_text(text));
-                }
-            }
-            NodeData::Element(element) => {
-                out.push('<');
-                out.push_str(&element.tag);
-                for (name, value) in &element.attrs {
-                    out.push(' ');
-                    out.push_str(name);
-                    out.push_str("=\"");
-                    out.push_str(&escape_attribute(value));
-                    out.push('"');
-                }
-                out.push('>');
-                if is_void_element(&element.tag) {
-                    return;
-                }
-                let raw = is_raw_text_element(&element.tag);
-                for child in self.children(id) {
-                    self.write_node(child, out, raw);
-                }
-                out.push_str("</");
-                out.push_str(&element.tag);
-                out.push('>');
-            }
+    /// Schedules the children of `id` so that they pop in document order.
+    fn push_children(&self, id: NodeId, raw_text: bool, steps: &mut Vec<Step<'_>>) {
+        let mut child = self.last_child(id);
+        while let Some(node) = child {
+            steps.push(Step::Open(node, raw_text));
+            child = self.prev_sibling(node);
         }
     }
+}
+
+/// One pending step of a serialization walk.
+enum Step<'a> {
+    /// Write a node (raw text when the flag is set) and schedule its subtree.
+    Open(NodeId, bool),
+    /// Write the end tag of an element whose children are written.
+    Close(&'a str),
 }
 
 #[cfg(test)]
@@ -186,6 +205,24 @@ mod tests {
         let c = doc.create_comment(" note ");
         doc.append_child(doc.root(), c).unwrap();
         assert_eq!(doc.outer_html(doc.root()), "<!DOCTYPE html><!-- note -->");
+    }
+
+    #[test]
+    fn deep_nesting_serializes_without_recursion() {
+        const DEPTH: usize = 100_000;
+        let mut doc = Document::new();
+        let mut parent = doc.root();
+        for _ in 0..DEPTH {
+            let div = doc.create_element("div");
+            doc.append_child(parent, div).unwrap();
+            parent = div;
+        }
+        let text = doc.create_text("a<b");
+        doc.append_child(parent, text).unwrap();
+        let expected = format!("{}a&lt;b{}", "<div>".repeat(DEPTH), "</div>".repeat(DEPTH));
+        assert_eq!(doc.outer_html(doc.root()), expected);
+        let outer = doc.first_child(doc.root()).unwrap();
+        assert_eq!(doc.inner_html(outer), expected[5..expected.len() - 6]);
     }
 
     #[test]

@@ -314,6 +314,19 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_parses_in_linear_time() {
+        // Each tag appends a fresh, childless node, so no append walks the
+        // ancestors: 100K levels parse in one pass, even in a debug build.
+        const DEPTH: usize = 100_000;
+        let html = format!("<html><body>{}deep", "<div>".repeat(DEPTH));
+        let doc = parse(&html).document;
+        // html, body, the divs and the text node, all attached.
+        assert_eq!(doc.descendants(doc.root()).count(), DEPTH + 3);
+        let text = doc.node_id_at(DEPTH + 3).unwrap();
+        assert_eq!(doc.ancestors(text).count(), DEPTH + 3);
+    }
+
+    #[test]
     fn nesting_is_preserved() {
         let result = parse("<body><div id=a><div id=b><span id=c>x</span></div></div></body>");
         let doc = &result.document;

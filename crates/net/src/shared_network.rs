@@ -208,6 +208,9 @@ pub struct SharedNetwork {
     latency_waits: AtomicU64,
     /// Sum over those waits of how late each woke past its due time.
     wait_overshoot_ns: AtomicU64,
+    /// Window entries whose send waited, directly or behind the plan's head,
+    /// on an origin at [`crate::window::MAX_IN_FLIGHT_PER_ORIGIN`].
+    pub(crate) window_origin_deferrals: AtomicU64,
 }
 
 impl Default for SharedNetwork {
@@ -256,6 +259,7 @@ impl SharedNetwork {
             chaos: crate::fault::ChaosCounters::default(),
             latency_waits: AtomicU64::new(0),
             wait_overshoot_ns: AtomicU64::new(0),
+            window_origin_deferrals: AtomicU64::new(0),
         }
     }
 
@@ -307,6 +311,16 @@ impl SharedNetwork {
     #[must_use]
     pub fn wait_overshoot_ns(&self) -> u64 {
         self.wait_overshoot_ns.load(Ordering::Relaxed)
+    }
+
+    /// Deadline-window requests whose send had to wait because an origin
+    /// already had [`MAX_IN_FLIGHT_PER_ORIGIN`](crate::window::MAX_IN_FLIGHT_PER_ORIGIN)
+    /// requests in flight: sends go out in plan order, so a request held at
+    /// its origin's bound holds back every request behind it too. Each
+    /// request counts once, however long it waited.
+    #[must_use]
+    pub fn window_origin_deferrals(&self) -> u64 {
+        self.window_origin_deferrals.load(Ordering::Relaxed)
     }
 
     /// Registers a server for an origin given as a URL string (the path is

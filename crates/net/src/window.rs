@@ -5,18 +5,20 @@
 //! Each request is split into *send* (`SharedNetwork::send`: breaker
 //! admission, fault verdict, due time = now + latency + injected slowdown)
 //! and *complete* (`SharedNetwork::complete`: sleep only while the due time
-//! is still ahead, then one handler call and the log entry). The window sends
-//! up to `width` requests and completes them in due order; each completion,
-//! or each retry re-sent under its slot's reserved sequence with a fresh due
-//! time, makes room for the next send. The simulated network is the one the
-//! pool sees: a response still arrives no earlier than its send plus the
-//! origin's latency, and at most `width` requests are ever in flight. What the
-//! window removes is the thread hand-off per fetch: waiting on `width`
-//! fetches costs one sleep on one thread, not `width` parked pool workers.
-//! That sleep never ends before the earliest due time and, once the waiting
-//! thread's timer slack is lowered (once, on its first wait, where the OS
-//! allows it), ends within microseconds of it rather than up to the default
-//! 50µs late.
+//! is still ahead, then one handler call and the log entry). The window keeps
+//! at most `width` requests in flight overall and at most
+//! [`MAX_IN_FLIGHT_PER_ORIGIN`] (6) to any one origin, and completes them in
+//! due order; each completion, or each retry re-sent under its slot's
+//! reserved sequence with a fresh due time, makes room for the next send.
+//! Sends go out in plan order: when the next entry's origin is at its bound,
+//! that entry and everything behind it wait for a completion (head-of-line).
+//! The simulated network is the one the pool sees: a response still arrives
+//! no earlier than its send plus the origin's latency. What the window removes
+//! is the thread hand-off per fetch: waiting on many fetches costs one sleep
+//! on one thread, not one parked pool worker each. That sleep never ends
+//! before the earliest due time and, once the waiting thread's timer slack
+//! is lowered (once, on its first wait, where the OS allows it), ends within
+//! microseconds of it rather than up to the default 50µs late.
 //!
 //! The window sends only while nothing in flight is due yet. A request that
 //! is already due (an origin without latency) completes before the next
@@ -27,12 +29,18 @@
 //! path: bounded retries, breaker admission and panic containment live here
 //! once, for the window, the pool's lanes and the single-request callers.
 
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use crate::error::NetError;
 use crate::fault::{BatchBudget, FetchPolicy};
 use crate::message::{Request, Response};
 use crate::shared_network::{InFlight, SharedNetwork};
+
+/// Bound on the requests a window keeps in flight to any one origin: the
+/// HTTP/1.1 per-host connection limit of Chrome and Firefox. The window's
+/// overall `width` bounds the plan as a whole; this bounds each origin.
+pub const MAX_IN_FLIGHT_PER_ORIGIN: usize = 6;
 
 /// One slot's final outcome plus the retries that slot consumed.
 pub(crate) type SlotResult = (Result<Response, NetError>, u32);
@@ -48,9 +56,15 @@ struct Slot {
 
 /// Runs `entries` — `(sequence offset, request)` pairs, logged under
 /// `base + offset` (unlogged when `base` is `None`) — as a deadline window of
-/// at most `width` in-flight requests, returning the outcomes in entry order.
-/// `budget` is the batch's retry budget; `None` is the disabled policy (one
-/// attempt, no breaker).
+/// at most `width` in-flight requests overall and at most
+/// [`MAX_IN_FLIGHT_PER_ORIGIN`] to any one origin, returning the outcomes in
+/// entry order. `budget` is the batch's retry budget; `None` is the disabled
+/// policy (one attempt, no breaker).
+///
+/// Sends go out in plan order. A head whose origin is at its bound waits,
+/// with the entries behind it, for the next completion (head-of-line); the
+/// first such hold counts every entry still pending in
+/// [`SharedNetwork::window_origin_deferrals`].
 ///
 /// A panic inside a handler, injected or real, fails its own slot with
 /// [`NetError::FetchPanicked`] (a transient error, so a retry budget may
@@ -66,8 +80,10 @@ pub(crate) fn run_window(
     let policy = budget.map_or(&disabled, |budget| &budget.policy);
     let width = width.clamp(1, entries.len().max(1));
     let mut results: Vec<Option<SlotResult>> = (0..entries.len()).map(|_| None).collect();
-    let mut pending = entries.into_iter().enumerate();
+    let mut pending = entries.into_iter().enumerate().peekable();
     let mut in_flight: Vec<Slot> = Vec::with_capacity(width);
+    // Whether the window has been held at an origin bound yet.
+    let mut held = false;
     loop {
         let earliest = in_flight
             .iter()
@@ -75,17 +91,33 @@ pub(crate) fn run_window(
             .min_by_key(|(_, slot)| slot.flight.due)
             .map(|(position, slot)| (position, slot.flight.due));
         if in_flight.len() < width && earliest.is_none_or(|(_, due)| due > Instant::now()) {
-            if let Some((index, (offset, request))) = pending.next() {
-                match fabric.send(request, policy) {
-                    Ok(flight) => in_flight.push(Slot {
-                        index,
-                        offset,
-                        retries: 0,
-                        flight,
-                    }),
-                    Err(error) => results[index] = Some((Err(error), 0)),
+            if let Some((_, (_, request))) = pending.peek() {
+                let origin = request.url.origin();
+                let to_origin = in_flight
+                    .iter()
+                    .filter(|slot| slot.flight.origin == origin)
+                    .count();
+                if to_origin < MAX_IN_FLIGHT_PER_ORIGIN {
+                    let (index, (offset, request)) = pending.next().expect("peeked");
+                    match fabric.send(request, policy) {
+                        Ok(flight) => in_flight.push(Slot {
+                            index,
+                            offset,
+                            retries: 0,
+                            flight,
+                        }),
+                        Err(error) => results[index] = Some((Err(error), 0)),
+                    }
+                    continue;
                 }
-                continue;
+                // Everything still pending waits, head-of-line, at least
+                // for this completion; later holds defer nothing new.
+                if !held {
+                    held = true;
+                    fabric
+                        .window_origin_deferrals
+                        .fetch_add(pending.len() as u64, Ordering::Relaxed);
+                }
             }
         }
         let Some((position, _)) = earliest else {
@@ -119,7 +151,8 @@ pub(crate) fn run_window(
             continue;
         }
         // The retry re-sends the already-mediated request verbatim, under the
-        // slot's own sequence, with a fresh due time.
+        // slot's own sequence, with a fresh due time. It keeps the slot, and
+        // so its place under the width and its origin's bound.
         let retries = slot.retries + 1;
         match fabric.send(slot.flight.request, policy) {
             Ok(flight) => in_flight.push(Slot {
@@ -139,10 +172,13 @@ pub(crate) fn run_window(
 impl SharedNetwork {
     /// Dispatches a pre-planned batch as a **deadline window** on the calling
     /// thread: entry `(offset, request)` logs under `base + offset`, at most
-    /// `width` requests are in flight at once, in-flight requests complete in
-    /// the order their responses come due, and outcomes come back in entry
-    /// order. No pool thread is involved: this is the browser's path for
-    /// every subresource plan; see
+    /// `width` requests are in flight at once and at most
+    /// [`MAX_IN_FLIGHT_PER_ORIGIN`] to any one origin, in-flight requests
+    /// complete in the order their responses come due, and outcomes come back
+    /// in entry order. Requests go out in plan order; one whose origin is at
+    /// its bound waits, with the rest of the plan, for a completion.
+    /// `usize::MAX` leaves only the per-origin bound. No pool thread is
+    /// involved: this is the browser's path for every subresource plan; see
     /// [`dispatch_batch_with_policy`](SharedNetwork::dispatch_batch_with_policy)
     /// for the pooled path. `policy` gives each slot the bounded-retry loop of
     /// [`crate::fault`]: a failed attempt is re-sent verbatim under its
@@ -267,7 +303,8 @@ mod tests {
         // sends without faulting any, so each handler call sees how many
         // requests were sent and how many calls came before it; the
         // difference is the in-flight count, the call itself included.
-        for width in [1, 3, 4] {
+        // An unbounded width over one origin leaves the per-origin bound.
+        for width in [1, 3, 4, usize::MAX] {
             let fabric = Arc::new(SharedNetwork::new());
             let origin = Origin::parse_url("http://h0.example").unwrap();
             let calls = Arc::new(AtomicUsize::new(0));
@@ -295,8 +332,72 @@ mod tests {
             assert_eq!(calls.load(Ordering::SeqCst), REQUESTS);
             assert_eq!(
                 high_water.load(Ordering::SeqCst),
-                width,
+                width.min(MAX_IN_FLIGHT_PER_ORIGIN),
                 "width {width}: the window must fill, and never overfill"
+            );
+        }
+    }
+
+    #[test]
+    fn a_head_at_its_origin_bound_holds_back_the_plan() {
+        // Plan [A x 7, B] at unbounded width: A's seventh request waits for
+        // one of A's six to complete, and B, behind it in plan order, waits
+        // with it (head-of-line), so every call still reads in plan order.
+        let fabric = SharedNetwork::new();
+        let calls: Arc<Mutex<Vec<(String, Instant)>>> = Arc::default();
+        for host in ["a", "b"] {
+            let origin = format!("http://{host}.example");
+            let calls = Arc::clone(&calls);
+            fabric.register(&origin, move |req: &Request| {
+                calls
+                    .lock()
+                    .unwrap()
+                    .push((req.url.to_string(), Instant::now()));
+                Response::ok_text(req.url.path().to_string())
+            });
+            // Long enough that all first sends happen before any is due.
+            fabric.set_latency(&origin, Duration::from_millis(10));
+        }
+        let mut entries: Vec<(usize, Request)> = (0..7)
+            .map(|i| (i, Request::get(&format!("http://a.example/r{i}")).unwrap()))
+            .collect();
+        entries.push((7, Request::get("http://b.example/r7").unwrap()));
+        let base = fabric.reserve_sequences(8);
+        let start = Instant::now();
+        let results = fabric.dispatch_window(base, entries, usize::MAX, &FetchPolicy::disabled());
+        assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
+        let calls = calls.lock().unwrap();
+        let urls: Vec<&str> = calls.iter().map(|(url, _)| url.as_str()).collect();
+        let mut expected: Vec<String> = (0..7).map(|i| format!("http://a.example/r{i}")).collect();
+        expected.push("http://b.example/r7".into());
+        assert_eq!(urls, expected);
+        // B went out only after A's first round completed.
+        let b = calls[7].1 - start;
+        assert!(b >= Duration::from_millis(20), "B answered after {b:?}");
+        // A's seventh request and B, both held at A's bound.
+        assert_eq!(fabric.window_origin_deferrals(), 2);
+    }
+
+    #[test]
+    fn only_requests_held_at_the_origin_bound_count_as_deferred() {
+        for (origins, deferred) in [(1, 2), (4, 0)] {
+            let fabric = SharedNetwork::new();
+            for k in 0..origins {
+                let origin = format!("http://h{k}.example");
+                fabric.register(&origin, |req: &Request| {
+                    Response::ok_text(req.url.path().to_string())
+                });
+                // Long enough that all first sends happen before any is due.
+                fabric.set_latency(&origin, Duration::from_millis(10));
+            }
+            let (base, entries) = plan(&fabric, origins);
+            let results =
+                fabric.dispatch_window(base, entries, usize::MAX, &FetchPolicy::disabled());
+            assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
+            assert_eq!(
+                fabric.window_origin_deferrals(),
+                deferred,
+                "{REQUESTS} requests over {origins} origin(s)"
             );
         }
     }
