@@ -3,11 +3,11 @@
 //! This is the paper's introduction scenario at scale: one ring-1 publisher
 //! page embeds `N` ring-2 slots, each pulling a banner image from its own
 //! third-party origin (`http://ad<i>.example`) and running that network's
-//! inline script. The multi-origin subresource fan-out exercises the fetch
-//! pool's priority lanes; the per-slot rings exercise the confinement claim —
-//! a well-behaved ad may restyle its own slot, a rogue one must not reach the
-//! publisher's headline or session cookie even though its script runs in the
-//! publisher's page.
+//! inline script. The multi-origin subresource fan-out puts one request per ad
+//! origin in flight in one deadline window; the per-slot rings exercise the
+//! confinement claim — a well-behaved ad may restyle its own slot, a rogue one
+//! must not reach the publisher's headline or session cookie even though its
+//! script runs in the publisher's page.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};

@@ -1,20 +1,18 @@
-//! The unified fetch scheduler under pressure: navigation-lane latency beneath
-//! a bulk storm, speculative-prefetch speedup, and the prefetch mediation
-//! oracle.
+//! Fetch scheduling under pressure: navigation latency next to busy sibling
+//! sessions, speculative-prefetch speedup, and the prefetch mediation oracle.
 //!
 //! Run with `cargo bench --bench scheduler_concurrent` (optionally
 //! `-- --threads N --navigations V --passes P --json path`). This is a plain
 //! `harness = false` binary; it exits non-zero if a behavioural gate fails:
 //!
-//! * **lane gate** — p99 navigation latency while N sibling sessions flood the
-//!   same fabric with bulk image batches must stay within **2×** the unloaded
-//!   p99. Page loads run every subresource plan as a deadline window, so each
-//!   session waits on its own thread and the sessions share only the CPU
-//!   (`storm_preemptions` stays 0: no page load queues in the pool's lanes);
-//!   on a host without
-//!   two hardware threads the storm and the navigator timeshare one core and
-//!   the ratio measures the OS scheduler, so the gate degrades to
-//!   observability with the reason printed,
+//! * **sibling-load gate** — p99 navigation latency while N sibling sessions
+//!   flood the same fabric with bulk image page loads must stay within **2×**
+//!   the unloaded p99. Page loads run every subresource plan as a deadline
+//!   window, so each session waits on its own thread and the sessions share
+//!   only the fabric's locks and the CPU; on a host without two hardware
+//!   threads the siblings and the navigator timeshare one core and the ratio
+//!   measures the OS scheduler, so the gate degrades to observability with
+//!   the reason printed,
 //! * **prefetch gate** — with a `rel=prefetch` hint and 200µs origin latency,
 //!   the hinted repeat navigation must be at least **1.3×** faster with
 //!   speculation enabled, and every pass must consume its prefetch-cache hit,
@@ -60,19 +58,18 @@ fn main() {
         .int("navigations", navigations as u64)
         .int("prefetch_passes", passes as u64);
 
-    // ------------------------------------------------- navigation-lane gate
+    // ------------------------------------------------- sibling-load gate
     let storm = run_navigation_storm_best_of(bulk_sessions, navigations, 3);
     println!(
-        "navigation p99 (best of {}): {} ns unloaded (±{}), {} ns under a {}-session bulk \
-         storm (±{}) — {:.2}x, {} lane preemptions",
+        "navigation p99 (best of {}): {} ns unloaded (±{}), {} ns next to {} busy sibling \
+         sessions (±{}) — {:.2}x",
         storm.repeats,
         storm.unloaded_p99_ns,
         storm.unloaded_p99_spread_ns,
         storm.loaded_p99_ns,
         storm.bulk_sessions,
         storm.loaded_p99_spread_ns,
-        storm.p99_ratio(),
-        storm.preemptions
+        storm.p99_ratio()
     );
     let hardware_threads =
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -82,21 +79,20 @@ fn main() {
         .int("nav_loaded_p99_ns_spread", storm.loaded_p99_spread_ns)
         .num("nav_p99_ratio", storm.p99_ratio())
         .num("nav_p99_ratio_spread", storm.ratio_spread)
-        .int("storm_preemptions", storm.preemptions)
         .int("hardware_threads", hardware_threads as u64);
     if hardware_threads < 2 {
         println!(
             "note: single hardware thread — the storm and the navigator timeshare one core, \
-             so the p99 ratio measures the OS scheduler, not the fabric; lane gate skipped"
+             so the p99 ratio measures the OS scheduler, not the fabric; sibling-load gate skipped"
         );
     } else if storm.p99_ratio() <= MAX_LOADED_P99_RATIO {
         println!(
-            "ok: loaded navigation p99 within {:.1}x of unloaded under the bulk storm",
+            "ok: navigation p99 next to busy siblings within {:.1}x of unloaded",
             MAX_LOADED_P99_RATIO
         );
     } else {
         eprintln!(
-            "FAIL: navigation p99 degraded {:.2}x under the bulk storm (gate: ≤ \
+            "FAIL: navigation p99 degraded {:.2}x next to busy siblings (gate: ≤ \
              {MAX_LOADED_P99_RATIO:.1}x) — the sessions contend for more than the CPU",
             storm.p99_ratio()
         );

@@ -17,8 +17,8 @@
 //!   fabric with simulated per-origin latency: pipelined-vs-sequential page-load
 //!   timing, the byte-identical log oracle and the shared-fabric isolation run
 //!   behind `loader_concurrent`,
-//! * [`scheduler`] — the unified-fetch-scheduler workload behind
-//!   `scheduler_concurrent`: navigation-lane p99 latency under a bulk storm,
+//! * [`scheduler`] — the fetch-scheduling workload behind
+//!   `scheduler_concurrent`: navigation p99 latency next to busy siblings,
 //!   the speculative-prefetch speedup, the prefetch-on-vs-off mediation oracle
 //!   and the prefetching-session isolation run,
 //! * [`cache`] — the mediation-keyed response-cache workloads behind

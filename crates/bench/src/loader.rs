@@ -4,8 +4,9 @@
 //! This module backs the `loader_concurrent` bench and its CI gate:
 //!
 //! * [`measure_page_loads`] / [`best_page_loads`] — timed page loads at a given
-//!   worker-pool bound. Workers = 1 is the *sequential oracle*: the exact same
-//!   plan-then-fetch code path, dispatched inline in document order.
+//!   in-flight bound. A bound of 1 is the *sequential oracle*: the exact same
+//!   plan-then-fetch code path, each request sent after the previous one
+//!   completed, in document order.
 //! * [`run_loader_oracle`] — runs the same workload pipelined and sequential on
 //!   two identically-built fabrics (with *skewed* per-origin latencies, so the
 //!   pipelined completion order differs maximally from document order) and
@@ -94,10 +95,10 @@ pub fn build_loader_fabric(
     fabric
 }
 
-/// One timed sample of repeated page loads at a worker-pool bound.
+/// One timed sample of repeated page loads at an in-flight bound.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoaderSample {
-    /// Worker-pool bound the browser was configured with (1 = sequential oracle).
+    /// In-flight bound the browser was configured with (1 = sequential oracle).
     pub workers: usize,
     /// Planned subresources per page.
     pub images: usize,

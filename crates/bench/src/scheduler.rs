@@ -1,16 +1,14 @@
-//! The unified-fetch-scheduler workload: navigation latency under a bulk
-//! storm, speculative-prefetch speedup, and the prefetch mediation oracle.
+//! The fetch-scheduling workload: navigation latency next to busy sibling
+//! sessions, speculative-prefetch speedup, and the prefetch mediation oracle.
 //!
 //! This module backs the `scheduler_concurrent` bench and its CI gates:
 //!
 //! * [`run_navigation_storm`] — one navigation-heavy session measures p99 page
 //!   latency while N sibling sessions flood the **same** fabric with bulk
-//!   image batches. Page loads run every subresource plan as a deadline
-//!   window on the session's own thread and never queue in the worker pool;
-//!   what keeps the loaded p99 within a small factor of the unloaded baseline
-//!   is that nothing but the CPU is shared. (The pool's two-lane queue, which
-//!   explicit-width batches ride, is exercised by the `fetch_pool` unit tests
-//!   and the `pipelined_loader` integration tests.)
+//!   image page loads. Page loads run every subresource plan as a deadline
+//!   window on the session's own thread, so what keeps the loaded p99 within
+//!   a small factor of the unloaded baseline is that the sessions share
+//!   nothing but the fabric's locks and the CPU.
 //! * [`run_prefetch_speedup`] — a hub page carries `rel=prefetch` markup for
 //!   the next page; with speculation enabled the repeat navigation is served
 //!   from the prefetch cache and skips the origin's simulated latency
@@ -74,7 +72,7 @@ pub fn register_nav_world(fabric: &SharedNetwork, host: &str) {
 /// The outcome of the navigation-under-bulk-storm measurement.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NavStormReport {
-    /// Bulk sessions flooding the shared pool during the loaded run.
+    /// Bulk sessions flooding the shared fabric during the loaded run.
     pub bulk_sessions: usize,
     /// Timed navigations per run.
     pub navigations: usize,
@@ -94,14 +92,11 @@ pub struct NavStormReport {
     pub loaded_p99_spread_ns: u64,
     /// Max-minus-min spread of the per-repeat loaded/unloaded ratios.
     pub ratio_spread: f64,
-    /// Bulk tickets parked mid-drain to serve queued navigation work during
-    /// the loaded runs — the witness that the priority lanes actually engaged.
-    pub preemptions: u64,
 }
 
 impl NavStormReport {
-    /// Loaded-over-unloaded p99 ratio: the price one navigation pays for the
-    /// storm. The lane gate bounds this.
+    /// Loaded-over-unloaded p99 ratio: the price one navigation pays for its
+    /// busy siblings. The `scheduler_concurrent` sibling-load gate bounds this.
     #[must_use]
     pub fn p99_ratio(&self) -> f64 {
         if self.unloaded_p99_ns == 0 {
@@ -120,7 +115,7 @@ fn p99_ns(samples: &mut [u64]) -> u64 {
 
 /// Measures p99 navigation latency twice over identically-built fabrics: once
 /// unloaded, once while `bulk_sessions` sibling sessions loop image-heavy page
-/// loads through the **same** worker pool. Every session shares one engine and
+/// loads over the **same** fabric. Every session shares one engine and
 /// one jar — the shared-everything deployment — but owns its page host.
 ///
 /// # Panics
@@ -128,7 +123,7 @@ fn p99_ns(samples: &mut [u64]) -> u64 {
 /// Panics if any page load fails; the workload is deterministic.
 #[must_use]
 pub fn run_navigation_storm(bulk_sessions: usize, navigations: usize) -> NavStormReport {
-    let measure = |storm_sessions: usize| -> (u64, u64) {
+    let measure = |storm_sessions: usize| -> u64 {
         let fabric = Arc::new(SharedNetwork::new());
         register_nav_world(&fabric, "nav.example");
         for t in 0..storm_sessions {
@@ -174,11 +169,11 @@ pub fn run_navigation_storm(bulk_sessions: usize, navigations: usize) -> NavStor
             }
             stop.store(true, Ordering::Release);
         });
-        (p99_ns(&mut latencies), fabric.fetch_pool_preemptions())
+        p99_ns(&mut latencies)
     };
 
-    let (unloaded_p99_ns, _) = measure(0);
-    let (loaded_p99_ns, preemptions) = measure(bulk_sessions);
+    let unloaded_p99_ns = measure(0);
+    let loaded_p99_ns = measure(bulk_sessions);
     NavStormReport {
         bulk_sessions,
         navigations,
@@ -188,7 +183,6 @@ pub fn run_navigation_storm(bulk_sessions: usize, navigations: usize) -> NavStor
         loaded_p99_ns,
         loaded_p99_spread_ns: 0,
         ratio_spread: 0.0,
-        preemptions,
     }
 }
 
@@ -220,7 +214,6 @@ pub fn run_navigation_storm_best_of(
         max_loaded = max_loaded.max(next.loaded_p99_ns);
         report.unloaded_p99_ns = report.unloaded_p99_ns.min(next.unloaded_p99_ns);
         report.loaded_p99_ns = report.loaded_p99_ns.min(next.loaded_p99_ns);
-        report.preemptions = report.preemptions.max(next.preemptions);
     }
     report.unloaded_p99_spread_ns = max_unloaded - report.unloaded_p99_ns;
     report.loaded_p99_spread_ns = max_loaded - report.loaded_p99_ns;

@@ -12,8 +12,8 @@ use escudo_core::{
 };
 use escudo_dom::EventType;
 use escudo_net::{
-    BackgroundBatch, CacheLayers, FetchPolicy, Method, Network, Request, Response, ResponseCache,
-    SharedCookieJar, SharedNetwork, Url,
+    BackgroundBatch, CacheLayers, FetchPolicy, Method, Network, Prefetcher, Request, Response,
+    ResponseCache, SharedCookieJar, SharedNetwork, Url,
 };
 use escudo_script::Interpreter;
 
@@ -43,8 +43,9 @@ pub const DEFAULT_SUBRESOURCE_WORKERS: usize = usize::MAX;
 /// Per-slot result of a subresource plan dispatch: `(status, error, retries)`.
 type SlotOutcome = (Option<u16>, Option<String>, u32);
 
-/// Bound on the speculative fetches one page load may submit to the background
-/// lane (markup `rel=prefetch` hints first, then visited-link predictions).
+/// Bound on the speculative fetches one page load may submit to the session's
+/// prefetch thread (markup `rel=prefetch` hints first, then visited-link
+/// predictions).
 /// Speculation must never be able to crowd out real traffic, so the predictor
 /// is truncated rather than throttled.
 pub const PREFETCH_MAX_CANDIDATES: usize = 8;
@@ -71,9 +72,11 @@ pub struct Browser {
     /// cookie was set keeps protecting it on later pages of the same application.
     cookie_policies: Vec<(String, CookiePolicy)>,
     /// `true` when this session speculatively prefetches likely next navigations
-    /// (markup hints + visited links) on the fabric's background lane. Off by
+    /// (markup hints + visited links) on its prefetch thread. Off by
     /// default: speculation is a per-session opt-in.
     prefetch_enabled: bool,
+    /// This session's prefetch thread, started by its first speculation.
+    prefetcher: Prefetcher,
     /// Navigation fetches this session served from the prefetch cache.
     prefetch_hits: u64,
     /// `true` when this session serves repeat fetches from the fabric's shared
@@ -201,6 +204,7 @@ impl Browser {
             subresource_workers: DEFAULT_SUBRESOURCE_WORKERS,
             cookie_policies: Vec::new(),
             prefetch_enabled: false,
+            prefetcher: Prefetcher::default(),
             prefetch_hits: 0,
             response_cache_enabled: false,
             cache_hits: 0,
@@ -264,7 +268,7 @@ impl Browser {
 
     /// Enables or disables speculative prefetch for this session. When enabled,
     /// every page load submits its `rel=prefetch` hints and visited-link
-    /// predictions to the fabric's background lane, and later navigations may
+    /// predictions to the session's prefetch thread, and later navigations may
     /// consume the cached responses — but only when the navigation's own
     /// mediated cookie attachment matches the one the speculation was fetched
     /// with, so prefetch can never change a mediation decision.
@@ -536,8 +540,8 @@ impl Browser {
         self.execute_scripts(&mut page);
 
         // Start speculating on the *next* navigation before fanning out this
-        // page's subresources: the speculative batch drains on the pool's
-        // background lane while the subresource windows below are in flight,
+        // page's subresources: the speculative window runs on the session's
+        // prefetch thread while the subresource windows below are in flight,
         // so prediction overlaps the current page's own fetch work.
         let speculation = self.begin_prefetch(&page);
 
@@ -870,7 +874,7 @@ impl Browser {
 
     // ------------------------------------------------------------- prefetch
 
-    /// Speculatively fetches `url` on the fabric's background lane and caches
+    /// Speculatively fetches `url` on the session's prefetch thread and caches
     /// the response for a later navigation of this session (or any session
     /// whose mediated cookie attachment for `url` is identical). Blocks until
     /// the speculative fetch completes; the in-page predictor
@@ -932,7 +936,7 @@ impl Browser {
     }
 
     /// Plans and submits this page's speculative fetches (when enabled),
-    /// returning the in-flight background batch and its cache keys.
+    /// returning the in-flight speculative batch and its cache keys.
     fn begin_prefetch(&mut self, page: &Page) -> Option<(BackgroundBatch, Vec<(Url, String)>)> {
         if !self.prefetch_enabled {
             return None;
@@ -942,7 +946,7 @@ impl Browser {
     }
 
     /// Mediates and submits one speculative request per candidate to the
-    /// fabric's background lane. Each request is built exactly as the future
+    /// session's prefetch thread. Each request is built exactly as the future
     /// navigation would build it — browser principal, cookie attachment through
     /// the same reference-monitor path — so speculation is itself fully
     /// mediated, and the attached `Cookie` header becomes the cache key the
@@ -964,14 +968,13 @@ impl Browser {
             keys.push((url, cookie_header));
             requests.push(request);
         }
-        let parallelism = keys.len().min(2);
-        let fabric = Arc::clone(self.network.fabric());
         // Speculation spends the session's own retry budget: a transiently
-        // faulted prefetch may still land in the cache. The batch stays on the
-        // background lane and stays unlogged either way, so retrying here can
-        // never perturb the request-log oracle.
-        let batch =
-            fabric.submit_background_batch_with_policy(requests, parallelism, &self.fetch_policy);
+        // faulted prefetch may still land in the cache. The batch stays
+        // unlogged either way, so retrying here can never perturb the
+        // request-log oracle.
+        let batch = self
+            .prefetcher
+            .submit(self.network.fabric(), requests, &self.fetch_policy);
         Some((batch, keys))
     }
 
@@ -1027,8 +1030,8 @@ impl Browser {
     ///    Each runs as a **deadline window** on the navigating thread
     ///    ([`SharedNetwork::dispatch_window`]): up to `subresource_workers`
     ///    requests in flight overall (no page-wide cap by default) and at
-    ///    most 6 to any one origin, completed in due order, with no pool
-    ///    thread woken. Outcomes come back in plan index order, so
+    ///    most 6 to any one origin, completed in due order, with no other
+    ///    thread involved. Outcomes come back in plan index order, so
     ///    [`Page::subresources`] and the sequence-sorted request log both read
     ///    in plan order regardless of which fetch finished first.
     fn load_subresources(&mut self, page: &mut Page) {
@@ -1283,7 +1286,7 @@ impl Browser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use escudo_net::{Response, Server};
+    use escudo_net::{FaultPlan, Response, Server};
 
     struct Static(String);
     impl Server for Static {
@@ -1684,6 +1687,52 @@ mod tests {
         assert_eq!(browser.fabric().prefetched_entries(), 1);
         assert!(!browser.prefetch("http://unregistered.example/x"));
         assert!(!browser.prefetch("not a url"));
+    }
+
+    #[test]
+    fn prefetch_spends_the_session_retry_budget() {
+        // The hub hints an item on its own origin whose first dispatch times
+        // out. With one retry the speculation heals into the prefetch cache;
+        // with the disabled policy it fails, and the item is fetched live.
+        let hub = concat!(
+            "<html><head>",
+            r#"<link rel="prefetch" href="http://item.example/item.php">"#,
+            "</head><body ring=1>hub</body></html>"
+        );
+        for (policy, healed) in [
+            (FetchPolicy::disabled().with_max_retries(1), true),
+            (FetchPolicy::disabled(), false),
+        ] {
+            let mut browser = browser_with(PolicyMode::Escudo, hub);
+            browser.network_mut().register(
+                "http://item.example",
+                Static("<html><body ring=1>item</body></html>".into()),
+            );
+            browser
+                .fabric()
+                .inject_fault("http://item.example", FaultPlan::new().fail_first(1));
+            browser.set_fetch_policy(policy);
+            browser.set_prefetch_enabled(true);
+
+            let page = browser.navigate("http://app.example/hub.php").unwrap();
+            assert_eq!(browser.page(page).stats.prefetch_issued, 1);
+            let fabric = Arc::clone(browser.fabric());
+            assert_eq!(fabric.prefetched_entries(), usize::from(healed));
+            assert_eq!(fabric.retry_attempts(), u64::from(healed));
+            assert_eq!(fabric.retry_successes(), u64::from(healed));
+            // Speculation logs nothing: the log holds the hub alone.
+            let log = browser.network().log();
+            assert_eq!(log.len(), 1);
+            assert_eq!(log[0].url.path(), "/hub.php");
+
+            let item = browser.navigate("http://item.example/item.php").unwrap();
+            assert_eq!(browser.page(item).stats.prefetch_hit, healed);
+            assert_eq!(fabric.prefetch_hits(), u64::from(healed));
+            // One timed-out speculative dispatch in both runs; a live fetch
+            // is the item origin's second dispatch and goes through.
+            assert_eq!(fabric.faults_injected(), 1);
+            assert_eq!(browser.network().log().len(), 2);
+        }
     }
 
     #[test]

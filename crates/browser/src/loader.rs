@@ -100,8 +100,8 @@ impl PageLoader {
 
         // 4. Collect scripts (inline `script` elements) in document order, each bound
         //    to the ring of the scope it appears in — and the page's `rel=prefetch`
-        //    speculation hints, which the browser's predictor feeds to the fetch
-        //    scheduler's background lane.
+        //    speculation hints, which the browser's predictor feeds to the
+        //    session's prefetch thread.
         let scripts = collect_scripts(&document, &contexts);
         let prefetch_hints = escudo_html::prefetch_links(&document)
             .into_iter()

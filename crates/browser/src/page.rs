@@ -98,27 +98,27 @@ impl PageLoadStats {
     }
 }
 
-/// Which scheduler lane a planned subresource rides: render-critical resources
-/// (stylesheets, external scripts) preempt bulk image traffic in the fetch
-/// pool's priority queue.
+/// Which deadline window a planned subresource goes out in: render-critical
+/// resources (stylesheets, external scripts) are dispatched in a window of
+/// their own that completes before the image window starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubresourceKind {
-    /// Render-blocking (`link rel=stylesheet`, `script src`) — navigation lane.
+    /// Render-blocking (`link rel=stylesheet`, `script src`): the first window.
     Critical,
-    /// Image (`img src`) — bulk lane.
+    /// Image (`img src`): the second window.
     Image,
 }
 
 /// The recorded outcome of one subresource fetch. Outcomes are recorded in
 /// **plan order** (critical resources in document order, then images in
-/// document order) regardless of which pipelined worker finished first — the
+/// document order) regardless of which pipelined fetch finished first — the
 /// mediation plan is fixed before any fetch is dispatched, and results are
 /// placed back by plan index.
 #[derive(Debug, Clone)]
 pub struct SubresourceOutcome {
     /// The element that issued the request.
     pub node: NodeId,
-    /// The scheduler lane the fetch rode (critical vs. bulk image).
+    /// The window the fetch went out in (critical vs. image).
     pub kind: SubresourceKind,
     /// The resolved request URL.
     pub url: Url,

@@ -291,17 +291,39 @@ mod tests {
         "text before <p>a paragraph</p> text after",
     ];
 
-    #[test]
-    fn the_explicit_stack_layout_matches_the_recursive_oracle() {
-        // The eight Figure-4 pages `escudo_bench::generate_page` writes, kept
-        // as test data.
-        let figure4 = (1..=8).map(|id| {
+    /// The eight Figure-4 pages `escudo_bench::generate_page` writes, kept as
+    /// test data.
+    fn figure4_pages() -> impl Iterator<Item = String> {
+        (1..=8).map(|id| {
             let path = format!(
                 "{}/testdata/figure4_page_{id}.html",
                 env!("CARGO_MANIFEST_DIR")
             );
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-        });
+        })
+    }
+
+    #[test]
+    fn descendants_match_a_recursive_pre_order_on_the_figure4_pages() {
+        fn pre_order(doc: &Document, node: NodeId, out: &mut Vec<NodeId>) {
+            for child in doc.children(node) {
+                out.push(child);
+                pre_order(doc, child, out);
+            }
+        }
+        for page in figure4_pages() {
+            let doc = parse_document(&page, &ParseOptions::default()).document;
+            let body = doc.elements_by_tag_name("body")[0];
+            let mut expected = Vec::new();
+            pre_order(&doc, body, &mut expected);
+            assert!(expected.len() >= 10, "a Figure-4 body is not trivial");
+            assert_eq!(doc.descendants(body).collect::<Vec<_>>(), expected);
+        }
+    }
+
+    #[test]
+    fn the_explicit_stack_layout_matches_the_recursive_oracle() {
+        let figure4 = figure4_pages();
         let long_text = format!("<body><p>{}</p></body>", "word ".repeat(400));
         let pages = FIXTURES
             .iter()

@@ -2,9 +2,9 @@
 //!
 //! Every layer of the stack keeps its own counters — the engine's cache
 //! shards, the reference monitor's check/denial/audit-drop tallies, the cookie
-//! jar's shard statistics, the network fabric's request log, prefetch cache and
-//! fetch-pool lanes, and each tenant's admission bucket. Before this module,
-//! some of those counters ([`Erm::audit_dropped`], the
+//! jar's shard statistics, the network fabric's request log, prefetch cache
+//! and speculative-request count, and each tenant's admission bucket. Before
+//! this module, some of those counters ([`Erm::audit_dropped`], the
 //! [`SameOriginEngine`](escudo_core::SameOriginEngine) baseline's stats) had no
 //! exported surface at all: they could be asserted in unit tests but never
 //! observed from a running deployment.
@@ -53,8 +53,8 @@ impl ErmCounters {
 }
 
 /// Counters of one [`SharedNetwork`] fabric: request log, prefetch cache,
-/// the persistent fetch pool's lane/preemption tallies, the precision of
-/// its latency waits and the deadline window's per-origin deferrals.
+/// speculative requests, the precision of its latency waits and the deadline
+/// window's per-origin deferrals.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FabricCounters {
     /// Requests currently resident in the bounded log.
@@ -69,11 +69,11 @@ pub struct FabricCounters {
     pub prefetch_stale_discards: u64,
     /// Entries resident in the prefetch cache.
     pub prefetched_entries: u64,
-    /// Workers in the persistent fetch pool.
-    pub pool_workers: u64,
-    /// Jobs the pool's parked workers have executed.
+    /// Speculative requests completed on prefetch threads
+    /// ([`SharedNetwork::background_requests`]).
     pub pool_jobs_executed: u64,
-    /// Bulk-lane jobs preempted by navigation-lane arrivals.
+    /// Always 0: nothing preempts a fetch. Kept only because perfbench reads
+    /// it for `net.fetch_pool.preemptions_per_op`.
     pub pool_preemptions: u64,
     /// Failing faults injected by installed fault plans (timeouts + panics).
     pub fault_injected: u64,
@@ -125,9 +125,8 @@ impl FabricCounters {
             prefetch_hits: fabric.prefetch_hits(),
             prefetch_stale_discards: fabric.prefetch_stale_discards(),
             prefetched_entries: fabric.prefetched_entries() as u64,
-            pool_workers: fabric.fetch_pool_workers() as u64,
-            pool_jobs_executed: fabric.fetch_pool_jobs_executed(),
-            pool_preemptions: fabric.fetch_pool_preemptions(),
+            pool_jobs_executed: fabric.background_requests(),
+            pool_preemptions: 0,
             fault_injected: fabric.faults_injected(),
             fault_slowdowns: fabric.fault_slowdowns(),
             retry_attempts: fabric.retry_attempts(),
@@ -414,16 +413,8 @@ impl ControlPlaneSnapshot {
             self.fabric.prefetched_entries as f64,
         );
         push(
-            "fabric_pool_workers".into(),
-            self.fabric.pool_workers as f64,
-        );
-        push(
             "fabric_pool_jobs_executed".into(),
             self.fabric.pool_jobs_executed as f64,
-        );
-        push(
-            "fabric_pool_preemptions".into(),
-            self.fabric.pool_preemptions as f64,
         );
 
         // Chaos counters, exported by the benches as `cp_fault_*` /

@@ -555,11 +555,19 @@ mod tests {
         doc.append_child(div, p).unwrap();
         let t = doc.create_text("x");
         doc.append_child(p, t).unwrap();
+        let form = doc.create_element("form");
+        doc.append_child(body, form).unwrap();
+        let input = doc.create_element("input");
+        doc.append_child(form, input).unwrap();
         let span = doc.create_element("span");
         doc.append_child(body, span).unwrap();
 
         let order: Vec<NodeId> = doc.descendants(body).collect();
-        assert_eq!(order, vec![div, p, t, span]);
+        assert_eq!(order, vec![div, p, t, form, input, span]);
+        // A subtree walk stops at its root: the siblings after the form and
+        // after the div are not their descendants.
+        assert_eq!(doc.descendants(form).collect::<Vec<_>>(), vec![input]);
+        assert_eq!(doc.descendants(div).collect::<Vec<_>>(), vec![p, t]);
     }
 
     #[test]

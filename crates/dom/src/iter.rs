@@ -30,17 +30,24 @@ impl Iterator for Children<'_> {
 }
 
 /// Pre-order iterator over all descendants of a node, excluding the node itself.
+///
+/// Each step follows the tree links — first child, else the next sibling of
+/// the nearest node that has one, below the root — so the walk allocates
+/// nothing and never leaves the root's subtree.
 #[derive(Debug, Clone)]
 pub struct Descendants<'a> {
     doc: &'a Document,
-    stack: Vec<NodeId>,
+    root: NodeId,
+    next: Option<NodeId>,
 }
 
 impl<'a> Descendants<'a> {
     pub(crate) fn new(doc: &'a Document, root: NodeId) -> Self {
-        let mut stack: Vec<NodeId> = doc.children(root).collect();
-        stack.reverse();
-        Descendants { doc, stack }
+        Descendants {
+            doc,
+            root,
+            next: doc.first_child(root),
+        }
     }
 }
 
@@ -48,11 +55,17 @@ impl Iterator for Descendants<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let current = self.stack.pop()?;
-        let children: Vec<NodeId> = self.doc.children(current).collect();
-        for child in children.into_iter().rev() {
-            self.stack.push(child);
-        }
+        let current = self.next?;
+        let mut node = current;
+        self.next = self.doc.first_child(current).or_else(|| loop {
+            if let Some(sibling) = self.doc.next_sibling(node) {
+                break Some(sibling);
+            }
+            match self.doc.parent(node) {
+                Some(parent) if parent != self.root => node = parent,
+                _ => break None,
+            }
+        });
         Some(current)
     }
 }

@@ -1,15 +1,15 @@
 //! Resource-hint and critical-resource extraction from parsed markup.
 //!
-//! The unified fetch scheduler needs two document-order views of a page that
-//! plain tag queries cannot give it (they are per-tag, and scheduling cares
+//! The browser's fetch planning needs two document-order views of a page that
+//! plain tag queries cannot give it (they are per-tag, and planning cares
 //! about the *interleaved* order):
 //!
 //! * [`critical_resources`] — the render-blocking external subresources
-//!   (`<link rel="stylesheet" href>` and `<script src>`) that ride the
-//!   navigation lane of the fetch pool, ahead of bulk image traffic;
+//!   (`<link rel="stylesheet" href>` and `<script src>`), fetched in a
+//!   deadline window of their own ahead of the page's images;
 //! * [`prefetch_links`] — `<link rel="prefetch" href>` speculation hints, the
-//!   markup half of the browser's visited-link predictor, which ride the
-//!   background lane.
+//!   markup half of the browser's visited-link predictor, fetched on the
+//!   session's prefetch thread.
 //!
 //! `rel` is a space-separated, ASCII case-insensitive token list per the HTML
 //! spec, so `<link rel="Prefetch dns-prefetch">` counts.

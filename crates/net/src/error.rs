@@ -14,8 +14,9 @@ pub enum NetError {
     InvalidCookie(String),
     /// No server is registered for the requested host.
     HostUnreachable(String),
-    /// A pooled fetch worker panicked while dispatching this request (the
-    /// origin's handler raised); the rest of the batch is unaffected.
+    /// The origin's handler panicked while serving this request; the panic is
+    /// contained to this request's slot and the rest of the batch is
+    /// unaffected.
     FetchPanicked(String),
     /// An HTTP method string was not recognized.
     InvalidMethod(String),

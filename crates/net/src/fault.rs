@@ -220,7 +220,7 @@ impl FaultState {
 }
 
 /// The resilience knobs a caller threads through `dispatch_with_policy` /
-/// `dispatch_batch_with_policy`. The default policy is **disabled** — zero
+/// `dispatch_window`. The default policy is **disabled** — zero
 /// retries, no breaker — and byte-identical to the bare dispatch path, so
 /// existing callers pay nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -637,7 +637,7 @@ impl SharedNetwork {
     /// Dispatches one request under a fresh sequence number through the
     /// resilient loop: breaker admission, bounded retries with virtual
     /// backoff, deadline accounting — the navigation and XHR counterpart of
-    /// `dispatch_batch_with_policy`. A disabled policy falls through to the
+    /// [`dispatch_window`](SharedNetwork::dispatch_window). A disabled policy falls through to the
     /// bare [`dispatch`](SharedNetwork::dispatch) (identical semantics, zero
     /// overhead).
     ///

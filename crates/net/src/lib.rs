@@ -45,11 +45,11 @@
 pub mod cookie;
 pub mod error;
 pub mod fault;
-pub mod fetch_pool;
 pub mod headers;
 pub mod jar;
 pub mod message;
 pub mod network;
+pub mod prefetch;
 pub mod response_cache;
 pub mod shared_jar;
 pub mod shared_network;
@@ -59,11 +59,11 @@ pub mod window;
 pub use cookie::{Cookie, SetCookie};
 pub use error::NetError;
 pub use fault::{BreakerPhase, FaultOutcome, FaultPlan, FaultSchedule, FetchPolicy};
-pub use fetch_pool::{BackgroundBatch, Priority};
 pub use headers::Headers;
 pub use jar::CookieJar;
 pub use message::{Method, Request, Response, StatusCode};
 pub use network::{LoggedRequest, Network, Server};
+pub use prefetch::{BackgroundBatch, Prefetcher};
 pub use response_cache::{CacheHit, CacheLayers, ResponseCache};
 pub use shared_jar::{JarShardStats, JarStats, SharedCookieJar};
 pub use shared_network::SharedNetwork;

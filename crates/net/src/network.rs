@@ -26,7 +26,7 @@ use crate::url::Url;
 /// The in-memory applications (`escudo-apps`) implement this to stand in for the
 /// PHP applications the paper modified. Handlers must be `Send`: they live behind
 /// a per-origin mutex on the shared fabric and may be driven from any session
-/// thread (the pipelined subresource loader fans fetches out across workers).
+/// thread (and from a session's background prefetch thread).
 pub trait Server {
     /// Handles one request and produces a response.
     fn handle(&mut self, request: &Request) -> Response;

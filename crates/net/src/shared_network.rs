@@ -45,14 +45,11 @@
 //!   stays. [`SharedNetwork::latency_waits`] and
 //!   [`SharedNetwork::wait_overshoot_ns`] count the waits and how late they
 //!   woke.
-//! * **Fetch worker pool for explicit widths and prefetch.**
-//!   [`SharedNetwork::dispatch_batch`] fans a pre-planned batch out over
-//!   parked worker threads the fabric owns and reuses ([`crate::fetch_pool`]).
-//!   Latency needs no thread, so page loads never use the pool; it exists for
-//!   callers that ask for an explicit batch width (their handler calls run on
-//!   several threads) and for background prefetch. Its
-//!   queue has two effective priority tiers (navigation preempts
-//!   bulk/background, see [`crate::fetch_pool::Priority`]).
+//! * **No threads of its own.** Every page plan is a deadline window on its
+//!   navigating thread. Background prefetch, the one fetch that must overlap
+//!   the navigating thread, runs on its session's own thread
+//!   ([`crate::prefetch`]); the fabric only counts its requests
+//!   ([`SharedNetwork::background_requests`]).
 //! * **Mediation-keyed response cache.** The fabric owns one shared
 //!   [`ResponseCache`](crate::response_cache::ResponseCache): sharded,
 //!   capacity-bounded, holding `Arc<Response>` entries keyed by
@@ -186,10 +183,6 @@ pub struct SharedNetwork {
     stripe_capacity: usize,
     dropped: AtomicU64,
     sequence: AtomicU64,
-    /// The persistent fetch worker pool behind
-    /// [`dispatch_batch`](SharedNetwork::dispatch_batch): lazily-spawned parked
-    /// threads reused across every page load on this fabric.
-    pool: crate::fetch_pool::FetchPool,
     /// The shared mediation-keyed response cache (persistent `max-age` layer
     /// plus the one-shot speculative-prefetch layer).
     cache: ResponseCache,
@@ -211,6 +204,8 @@ pub struct SharedNetwork {
     /// Window entries whose send waited, directly or behind the plan's head,
     /// on an origin at [`crate::window::MAX_IN_FLIGHT_PER_ORIGIN`].
     pub(crate) window_origin_deferrals: AtomicU64,
+    /// Speculative requests completed on prefetch threads.
+    pub(crate) background_requests: AtomicU64,
 }
 
 impl Default for SharedNetwork {
@@ -251,7 +246,6 @@ impl SharedNetwork {
             stripe_capacity,
             dropped: AtomicU64::new(0),
             sequence: AtomicU64::new(0),
-            pool: crate::fetch_pool::FetchPool::new(),
             cache: ResponseCache::new(RESPONSE_CACHE_CAPACITY, RESPONSE_CACHE_SHARDS),
             faults: RwLock::new(HashMap::new()),
             breakers: RwLock::new(HashMap::new()),
@@ -260,6 +254,7 @@ impl SharedNetwork {
             latency_waits: AtomicU64::new(0),
             wait_overshoot_ns: AtomicU64::new(0),
             window_origin_deferrals: AtomicU64::new(0),
+            background_requests: AtomicU64::new(0),
         }
     }
 
@@ -267,33 +262,6 @@ impl SharedNetwork {
     /// per-counter getters in [`crate::fault`]).
     pub(crate) fn chaos(&self) -> &crate::fault::ChaosCounters {
         &self.chaos
-    }
-
-    /// The persistent fetch worker pool (crate-internal; batches go through
-    /// [`SharedNetwork::dispatch_batch`]).
-    pub(crate) fn pool(&self) -> &crate::fetch_pool::FetchPool {
-        &self.pool
-    }
-
-    /// Parked fetch-pool worker threads currently alive (0 until the first
-    /// batch actually fans out — the pool spawns lazily).
-    #[must_use]
-    pub fn fetch_pool_workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Fetch jobs executed by pool workers so far (helping submitters' jobs are
-    /// not counted — they never crossed a thread).
-    #[must_use]
-    pub fn fetch_pool_jobs_executed(&self) -> u64 {
-        self.pool.jobs_executed()
-    }
-
-    /// Times a pool worker parked a bulk/background batch mid-drain to serve
-    /// queued navigation work — the priority queue's preemption witness.
-    #[must_use]
-    pub fn fetch_pool_preemptions(&self) -> u64 {
-        self.pool.preemptions()
     }
 
     /// Latency waits that actually slept: completions whose due time was still
@@ -421,7 +389,7 @@ impl SharedNetwork {
     /// first. A planner that fixes its request order up front (the pipelined
     /// subresource loader fixes *document* order) dispatches request *i* of its
     /// plan via [`SharedNetwork::dispatch_sequenced`] with `start + i`: the
-    /// sequence-sorted log then reads in plan order no matter which worker
+    /// sequence-sorted log then reads in plan order no matter which request
     /// finished first.
     pub fn reserve_sequences(&self, count: u64) -> u64 {
         self.sequence.fetch_add(count, Ordering::Relaxed)
@@ -884,7 +852,7 @@ impl fmt::Debug for SharedNetwork {
             )
             .field("logged_requests", &self.log_len())
             .field("dropped_log_entries", &self.dropped_log_entries())
-            .field("fetch_pool_workers", &self.fetch_pool_workers())
+            .field("background_requests", &self.background_requests())
             .field("prefetched_entries", &self.prefetched_entries())
             .field("prefetch_hits", &self.prefetch_hits())
             .finish()

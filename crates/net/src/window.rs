@@ -12,13 +12,12 @@
 //! reserved sequence with a fresh due time, makes room for the next send.
 //! Sends go out in plan order: when the next entry's origin is at its bound,
 //! that entry and everything behind it wait for a completion (head-of-line).
-//! The simulated network is the one the pool sees: a response still arrives
-//! no earlier than its send plus the origin's latency. What the window removes
-//! is the thread hand-off per fetch: waiting on many fetches costs one sleep
-//! on one thread, not one parked pool worker each. That sleep never ends
-//! before the earliest due time and, once the waiting thread's timer slack
-//! is lowered (once, on its first wait, where the OS allows it), ends within
-//! microseconds of it rather than up to the default 50µs late.
+//! A response still arrives no earlier than its send plus the origin's
+//! latency, but waiting on many fetches costs one sleep on one thread, not
+//! one thread per fetch. That sleep never ends before the earliest due time
+//! and, once the waiting thread's timer slack is lowered (once, on its first
+//! wait, where the OS allows it), ends within microseconds of it rather than
+//! up to the default 50µs late.
 //!
 //! The window sends only while nothing in flight is due yet. A request that
 //! is already due (an origin without latency) completes before the next
@@ -27,7 +26,8 @@
 //!
 //! A width-1 window over one request is the whole resilient single-request
 //! path: bounded retries, breaker admission and panic containment live here
-//! once, for the window, the pool's lanes and the single-request callers.
+//! once, for page plans, background prefetch ([`crate::prefetch`]) and the
+//! single-request callers.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -177,18 +177,20 @@ impl SharedNetwork {
     /// complete in the order their responses come due, and outcomes come back
     /// in entry order. Requests go out in plan order; one whose origin is at
     /// its bound waits, with the rest of the plan, for a completion.
-    /// `usize::MAX` leaves only the per-origin bound. No pool thread is
-    /// involved: this is the browser's path for every subresource plan; see
-    /// [`dispatch_batch_with_policy`](SharedNetwork::dispatch_batch_with_policy)
-    /// for the pooled path. `policy` gives each slot the bounded-retry loop of
+    /// `usize::MAX` leaves only the per-origin bound. No other thread is
+    /// involved: this is the browser's path for every subresource plan.
+    /// `policy` gives each slot the bounded-retry loop of
     /// [`crate::fault`]: a failed attempt is re-sent verbatim under its
     /// slot's reserved sequence with a fresh due time, and keeps its place in
     /// the window while it does.
     ///
     /// # Errors
     ///
-    /// Per slot, exactly as
-    /// [`dispatch_batch_with_policy`](SharedNetwork::dispatch_batch_with_policy).
+    /// Each slot carries its own final [`NetError`]: one unreachable origin
+    /// fails that fetch, a panicking handler fails its own slot with
+    /// [`NetError::FetchPanicked`], exhausted injected faults end in
+    /// [`NetError::Timeout`], and an origin whose breaker refused admission in
+    /// [`NetError::CircuitOpen`]. None of them fails the window.
     pub fn dispatch_window(
         &self,
         base: u64,
@@ -299,37 +301,70 @@ mod tests {
 
     #[test]
     fn at_most_width_requests_are_ever_in_flight() {
-        // In flight = sent and not yet completed. An empty fault plan counts
-        // sends without faulting any, so each handler call sees how many
-        // requests were sent and how many calls came before it; the
-        // difference is the in-flight count, the call itself included.
-        // An unbounded width over one origin leaves the per-origin bound.
-        for width in [1, 3, 4, usize::MAX] {
+        // In flight = sent and not yet completed. Fault plans count sends, so
+        // each handler call sees how many requests were sent, and how many
+        // completed before it: earlier calls plus injected panics. The
+        // difference is the in-flight count, the call itself included. An
+        // unbounded width over one origin leaves the per-origin bound. The
+        // last input adds a slot whose origin panics on every attempt and is
+        // retried once: containing the panic and re-sending it must not
+        // widen the window.
+        for (width, panicking) in [
+            (1, false),
+            (3, false),
+            (4, false),
+            (usize::MAX, false),
+            (2, true),
+        ] {
             let fabric = Arc::new(SharedNetwork::new());
-            let origin = Origin::parse_url("http://h0.example").unwrap();
+            let h0 = Origin::parse_url("http://h0.example").unwrap();
+            let boom = Origin::parse_url("http://boom.example").unwrap();
             let calls = Arc::new(AtomicUsize::new(0));
             let high_water = Arc::new(AtomicUsize::new(0));
             let handler = {
                 let fabric = Arc::downgrade(&fabric);
-                let (origin, calls) = (origin.clone(), Arc::clone(&calls));
+                let calls = Arc::clone(&calls);
                 let high_water = Arc::clone(&high_water);
+                let (h0, boom) = (h0.clone(), boom.clone());
                 move |req: &Request| {
-                    let sent = fabric.upgrade().unwrap().fault_plan_sends(&origin);
+                    let fabric = fabric.upgrade().unwrap();
+                    let sent = fabric.fault_plan_sends(&h0) + fabric.fault_plan_sends(&boom);
                     let before = calls.fetch_add(1, Ordering::SeqCst) as u64;
-                    let in_flight = usize::try_from(sent - before).unwrap();
-                    high_water.fetch_max(in_flight, Ordering::SeqCst);
+                    let done = before + fabric.faults_injected();
+                    high_water.fetch_max(usize::try_from(sent - done).unwrap(), Ordering::SeqCst);
                     Response::ok_text(req.url.path().to_string())
                 }
             };
             fabric.register("http://h0.example", handler);
+            fabric.register("http://boom.example", |_req: &Request| -> Response {
+                unreachable!("faulted before the handler")
+            });
             // Long enough that no preemption between two sends lets the
             // first request come due before the window has filled.
-            fabric.set_latency("http://h0.example", Duration::from_millis(10));
+            for origin in ["http://h0.example", "http://boom.example"] {
+                fabric.set_latency(origin, Duration::from_millis(10));
+            }
             fabric.inject_fault("http://h0.example", FaultPlan::new());
-            let (base, entries) = plan(&fabric, 1);
-            let results = fabric.dispatch_window(base, entries, width, &FetchPolicy::disabled());
-            assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
+            fabric.inject_fault("http://boom.example", FaultPlan::new().panicking());
+            let (base, mut entries) = plan(&fabric, 1);
+            let mut policy = FetchPolicy::disabled();
+            if panicking {
+                let offset = fabric.reserve_sequences(1) - base;
+                let offset = usize::try_from(offset).unwrap();
+                entries.insert(1, (offset, Request::get("http://boom.example/b").unwrap()));
+                policy = policy.with_max_retries(1).with_backoff_base_ns(1_000);
+            }
+            let results = fabric.dispatch_window(base, entries, width, &policy);
+            for (i, (outcome, retries)) in results.iter().enumerate() {
+                if panicking && i == 1 {
+                    assert!(matches!(outcome, Err(NetError::FetchPanicked(_))));
+                    assert_eq!(*retries, 1, "the contained panic is retried once");
+                } else {
+                    assert!(outcome.is_ok(), "width {width}: slot {i}: {outcome:?}");
+                }
+            }
             assert_eq!(calls.load(Ordering::SeqCst), REQUESTS);
+            assert_eq!(fabric.faults_injected(), if panicking { 2 } else { 0 });
             assert_eq!(
                 high_water.load(Ordering::SeqCst),
                 width.min(MAX_IN_FLIGHT_PER_ORIGIN),
@@ -423,18 +458,6 @@ mod tests {
         let paths: Vec<String> = fabric.log().iter().map(|e| e.url.path().into()).collect();
         let expected: Vec<String> = (0..REQUESTS).map(|i| format!("/r{i}")).collect();
         assert_eq!(paths, expected);
-    }
-
-    #[test]
-    fn a_window_never_wakes_the_pool() {
-        let (fabric, _) = timed_fabric(4);
-        let (base, entries) = plan(&fabric, 4);
-        // Any width is accepted; past the plan's length it puts the whole
-        // plan in flight.
-        let results = fabric.dispatch_window(base, entries, usize::MAX, &FetchPolicy::resilient());
-        assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
-        assert_eq!(fabric.fetch_pool_jobs_executed(), 0);
-        assert_eq!(fabric.fetch_pool_workers(), 0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! * the per-origin circuit breaker walks Closed → Open → HalfOpen → Closed
 //!   on a [`ManualClock`], with exactly countable trips, fast-fails, probes
 //!   and recoveries,
-//! * an injected **panic** in the middle of a pooled batch is contained to
-//!   its own slot, releases its claim ticket (the pool survives for the next
-//!   batch) and never widens the batch beyond its parallelism bound, and
+//! * an injected **panic** in the middle of a deadline window is contained
+//!   to its own slot and retried within the session's budget, and the fabric
+//!   serves the next window as before, and
 //! * a subresource whose origin never heals **degrades** into its outcome's
 //!   `error` field with the full retry budget spent — the page still loads.
 //!
@@ -17,14 +17,13 @@
 //! the `fault_concurrent` CI gate drives — so the bench and these tests
 //! cannot silently diverge in what they validate.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use escudo::browser::{Browser, PolicyMode};
 use escudo::core::ManualClock;
 use escudo::net::{
-    BreakerPhase, FaultPlan, FetchPolicy, NetError, Priority, Request, Response, SharedNetwork,
+    BreakerPhase, FaultPlan, FetchPolicy, NetError, Request, Response, SharedNetwork,
 };
 use escudo_bench::fault::{run_breaker_drill, run_retry_oracle};
 use escudo_bench::loader::register_loader_world;
@@ -99,15 +98,11 @@ fn the_breaker_walks_its_phases_on_a_manual_clock() {
 
 #[test]
 fn a_panic_mid_batch_is_contained_released_and_width_bounded() {
+    // The in-flight bound under a panicking, retried slot is checked by
+    // `window::tests::at_most_width_requests_are_ever_in_flight`; here the
+    // panic must stay in its slot and leave the fabric serving.
     let fabric = Arc::new(SharedNetwork::new());
-    let in_flight = Arc::new(AtomicUsize::new(0));
-    let high_water = Arc::new(AtomicUsize::new(0));
-    let (flight, water) = (Arc::clone(&in_flight), Arc::clone(&high_water));
-    fabric.register("http://ok.example", move |req: &Request| {
-        let now = flight.fetch_add(1, Ordering::SeqCst) + 1;
-        water.fetch_max(now, Ordering::SeqCst);
-        std::thread::sleep(Duration::from_micros(200));
-        flight.fetch_sub(1, Ordering::SeqCst);
+    fabric.register("http://ok.example", |req: &Request| {
         Response::ok_text(format!("ok {}", req.url.path()))
     });
     fabric.register("http://boom.example", |_req: &Request| {
@@ -118,14 +113,17 @@ fn a_panic_mid_batch_is_contained_released_and_width_bounded() {
     let policy = FetchPolicy::disabled()
         .with_max_retries(1)
         .with_backoff_base_ns(1_000);
-    let requests: Vec<Request> = (0..6)
+    let entries: Vec<(usize, Request)> = (0..6)
         .map(|i| {
             let host = if i % 3 == 1 { "boom" } else { "ok" };
-            Request::get(&format!("http://{host}.example/r{i}")).unwrap()
+            (
+                i,
+                Request::get(&format!("http://{host}.example/r{i}")).unwrap(),
+            )
         })
         .collect();
-    let base = fabric.reserve_sequences(requests.len() as u64);
-    let results = fabric.dispatch_batch_with_policy(base, requests, 2, Priority::Bulk, &policy);
+    let base = fabric.reserve_sequences(entries.len() as u64);
+    let results = fabric.dispatch_window(base, entries, 2, &policy);
 
     for (i, (outcome, retries)) in results.iter().enumerate() {
         if i % 3 == 1 {
@@ -145,19 +143,19 @@ fn a_panic_mid_batch_is_contained_released_and_width_bounded() {
             assert_eq!(*retries, 0);
         }
     }
-    assert!(
-        high_water.load(Ordering::SeqCst) <= 2,
-        "panic containment must not widen the batch past its parallelism bound"
-    );
 
-    // Claim tickets were released: a follow-up batch on the same pool drains.
-    let follow_up: Vec<Request> = (0..4)
-        .map(|i| Request::get(&format!("http://ok.example/again{i}")).unwrap())
+    // The fabric survived: a follow-up window over the same origin drains.
+    let follow_up: Vec<(usize, Request)> = (0..4)
+        .map(|i| {
+            (
+                i,
+                Request::get(&format!("http://ok.example/again{i}")).unwrap(),
+            )
+        })
         .collect();
     let base = fabric.reserve_sequences(follow_up.len() as u64);
-    let results = fabric.dispatch_batch(base, follow_up, 2, Priority::Bulk);
-    assert!(results.iter().all(Result::is_ok));
-    assert!(high_water.load(Ordering::SeqCst) <= 2);
+    let results = fabric.dispatch_window(base, follow_up, 2, &FetchPolicy::disabled());
+    assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
 }
 
 #[test]

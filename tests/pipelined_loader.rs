@@ -6,14 +6,9 @@
 //! * attached cookie names are **byte-identical** to the sequential oracle path
 //!   (workers = 1), because mediation is fixed in phase 1 before any fetch,
 //! * 8 sessions sharing one fabric + jar + engine leak nothing across sessions,
-//! * page loads never reach the fetch pool: a bulk storm next to a navigating
-//!   session, with its cost in origin latency or inside the handlers, adds
-//!   zero pool jobs (every plan is a deadline window on its navigating
-//!   thread),
-//! * on the pool's lanes, which explicit-width batches ride, a navigation
-//!   batch **preempts** a draining handler-bound bulk batch at a request
-//!   boundary, and a continuous navigation-lane storm never **starves** the
-//!   bulk lane (the anti-starvation credit), and
+//! * page loads next to a bulk storm all succeed, with the storm's cost in
+//!   origin latency or inside the handlers, and start no background work
+//!   (every plan is a deadline window on its navigating thread), and
 //! * speculative prefetch is **oracle-equivalent**: prefetch on vs off produces
 //!   byte-identical mediation decisions, attachments and request logs.
 //!
@@ -25,11 +20,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use escudo::browser::Browser;
 use escudo::core::{engine_for_mode, EscudoEngine, PolicyEngine, PolicyMode};
-use escudo::net::{Priority, Request, Response, SharedCookieJar, SharedNetwork, Url};
+use escudo::net::{Request, Response, SharedCookieJar, SharedNetwork, Url};
 use escudo_bench::loader::{register_loader_world, reverse_skewed_latency};
 use escudo_bench::scheduler::{register_nav_world, run_prefetch_oracle, NAV_PAGE_URL};
 
@@ -233,31 +228,14 @@ fn register_handler_bound_world(
     }
 }
 
-/// Dispatches `urls` as one explicit-width pool batch on `lane` and checks
-/// that every slot came back 2xx with its own asset, in plan order.
-fn pool_batch(fabric: &Arc<SharedNetwork>, urls: &[String], width: usize, lane: Priority) {
-    let base = fabric.reserve_sequences(urls.len() as u64);
-    let requests = urls.iter().map(|url| Request::get(url).unwrap()).collect();
-    let results = fabric.dispatch_batch(base, requests, width, lane);
-    assert_eq!(results.len(), urls.len());
-    for (url, result) in urls.iter().zip(results) {
-        let response = result.unwrap_or_else(|error| panic!("{url}: {error}"));
-        assert!(response.status.is_success(), "{url}: {}", response.status.0);
-        assert_eq!(
-            response.body,
-            format!("asset {}", Url::parse(url).unwrap().path())
-        );
-    }
-}
-
 /// Runs a bulk session looping `bulk_url` at 2 in-flight requests while a
-/// navigating session loads `nav_url` at 8 for as long as `keep_navigating`
-/// says. Every load of both sessions must succeed.
+/// navigating session loads `nav_url` at 8, `navigations` times. Every load
+/// of both sessions must succeed.
 fn navigate_during_bulk_storm(
     fabric: &Arc<SharedNetwork>,
     bulk_url: &str,
     nav_url: &str,
-    mut keep_navigating: impl FnMut() -> bool,
+    navigations: usize,
 ) {
     let engine = Arc::new(EscudoEngine::new());
     let jar = Arc::new(SharedCookieJar::new());
@@ -288,7 +266,7 @@ fn navigate_during_bulk_storm(
             Arc::clone(fabric),
         );
         browser.set_subresource_workers(8);
-        while keep_navigating() {
+        for _ in 0..navigations {
             let page = browser.navigate(nav_url).unwrap();
             assert!(browser
                 .page(page)
@@ -301,42 +279,13 @@ fn navigate_during_bulk_storm(
     });
 }
 
-/// Runs a thread looping `bulk` as 2-wide bulk-lane batches (so one pool
-/// worker drains most of each batch and has request boundaries to yield at)
-/// while the caller dispatches `nav` as 8-wide navigation-lane batches for as
-/// long as `keep_navigating` says. Every slot of both must succeed.
-fn lane_batches_during_bulk_storm(
-    fabric: &Arc<SharedNetwork>,
-    bulk: &[String],
-    nav: &[String],
-    mut keep_navigating: impl FnMut() -> bool,
-) {
-    let stop = AtomicBool::new(false);
-    thread::scope(|scope| {
-        let stop = &stop;
-        let storm = scope.spawn(move || {
-            let mut batches = 0usize;
-            while !stop.load(Ordering::Acquire) {
-                pool_batch(fabric, bulk, 2, Priority::Bulk);
-                batches += 1;
-            }
-            batches
-        });
-        while keep_navigating() {
-            pool_batch(fabric, nav, 8, Priority::Navigation);
-        }
-        stop.store(true, Ordering::Release);
-        assert!(storm.join().unwrap() > 0, "the storm never ran a batch");
-    });
-}
-
 #[test]
-fn a_navigation_preempts_a_draining_bulk_batch() {
-    // Page loads never reach the pool: every subresource plan is a deadline
-    // window on its own navigating thread. An image-heavy bulk storm next to
-    // a navigation whose three critical subresources cost time too — first
-    // with the cost in origin latency, then inside the handlers — adds zero
-    // pool jobs, and every load of both sessions succeeds.
+fn page_loads_next_to_a_bulk_storm_all_succeed() {
+    // Every subresource plan is a deadline window on its own navigating
+    // thread. An image-heavy bulk storm next to a navigation whose three
+    // critical subresources cost time too — first with the cost in origin
+    // latency, then inside the handlers — starts no background work, and
+    // every load of both sessions succeeds.
     let latency_bound = Arc::new(SharedNetwork::new());
     register_nav_world(&latency_bound, "nav.example");
     register_loader_world(
@@ -361,79 +310,13 @@ fn a_navigation_preempts_a_draining_bulk_batch() {
         Duration::from_micros(500),
     );
     for fabric in [&latency_bound, &handler_bound] {
-        let mut navigations = 0;
-        navigate_during_bulk_storm(
-            fabric,
-            "http://bulk.example/index.php",
-            NAV_PAGE_URL,
-            || {
-                navigations += 1;
-                navigations <= 40
-            },
-        );
+        navigate_during_bulk_storm(fabric, "http://bulk.example/index.php", NAV_PAGE_URL, 40);
         assert_eq!(
-            fabric.fetch_pool_jobs_executed(),
+            fabric.background_requests(),
             0,
-            "the storm reached the pool"
-        );
-        assert_eq!(
-            fabric.fetch_pool_workers(),
-            0,
-            "a page load started a pool thread"
+            "a page load without prefetch sent speculative requests"
         );
     }
-
-    // The pool's lanes serve explicit-width batches. A handler-bound bulk
-    // storm keeps a pool worker draining while navigation batches over the
-    // same handler-bound origins arrive: a bulk worker must park its ticket
-    // for the queued navigation work — witnessed by the fabric's preemption
-    // counter. Navigate until a bulk drain demonstrably yielded; the counter
-    // is monotonic, so one observation settles it.
-    let fabric = handler_bound;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    lane_batches_during_bulk_storm(
-        &fabric,
-        &asset_urls("bulk.example", false),
-        &asset_urls("nav.example", true),
-        || fabric.fetch_pool_preemptions() == 0 && Instant::now() < deadline,
-    );
-    assert!(
-        fabric.fetch_pool_preemptions() >= 1,
-        "no bulk worker ever yielded to queued navigation work"
-    );
-}
-
-#[test]
-fn a_navigation_storm_never_starves_the_bulk_lane() {
-    // The inverse pressure: a thread hammers the navigation lane with
-    // handler-bound batches while 8-wide handler-bound bulk batches run on
-    // the same pool. The anti-starvation credit (one lower-lane ticket per
-    // NAVIGATION_CREDIT consecutive navigation pops) plus the
-    // submitter-drains-its-own-batch rule mean the bulk batches complete,
-    // correctly, in bounded time. Page loads never use the pool, so the
-    // storm and the bulk work are explicit-width batches, the lanes' callers.
-    let fabric = Arc::new(SharedNetwork::new());
-    register_handler_bound_world(&fabric, "nav.example", true, Duration::from_micros(100));
-    register_handler_bound_world(&fabric, "bulk.example", false, Duration::from_micros(300));
-    let nav = asset_urls("nav.example", true);
-    let bulk = asset_urls("bulk.example", false);
-    let stop = AtomicBool::new(false);
-    thread::scope(|scope| {
-        let (fabric, nav, stop) = (&fabric, &nav, &stop);
-        scope.spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                pool_batch(fabric, nav, 8, Priority::Navigation);
-            }
-        });
-        for _ in 0..3 {
-            pool_batch(fabric, &bulk, 8, Priority::Bulk);
-        }
-        stop.store(true, Ordering::Release);
-    });
-    assert!(
-        fabric.fetch_pool_jobs_executed() > 0,
-        "no batch ever reached the pool"
-    );
 }
 
 #[test]
