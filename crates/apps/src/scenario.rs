@@ -488,9 +488,7 @@ fn install_xss_target(browser: &mut Browser, attack: &XssAttack) -> XssTarget {
                     body: attack.payload.clone(),
                 });
             }
-            browser
-                .network_mut()
-                .register("http://forum.example", forum);
+            browser.fabric().register("http://forum.example", forum);
             XssTarget {
                 origin: "http://forum.example",
                 content_path: "/viewtopic.php?t=1",
@@ -527,7 +525,7 @@ fn install_xss_target(browser: &mut Browser, attack: &XssAttack) -> XssTarget {
                 });
             }
             browser
-                .network_mut()
+                .fabric()
                 .register("http://calendar.example", calendar);
             XssTarget {
                 origin: "http://calendar.example",
@@ -556,9 +554,7 @@ pub fn stage_xss(mode: PolicyMode, attack: &XssAttack) -> CellRun {
 
     let mut browser = session_browser(mode);
     let target = install_xss_target(&mut browser, attack);
-    browser
-        .network_mut()
-        .register("http://evil.example", attacker);
+    browser.fabric().register("http://evil.example", attacker);
 
     browser
         .navigate(&format!("{}/login.php?user=victim", target.origin))
@@ -607,9 +603,7 @@ fn install_csrf_target(browser: &mut Browser, attack: &CsrfAttack) -> CsrfTarget
                 author: "victim".to_string(),
                 body: "original message".to_string(),
             });
-            browser
-                .network_mut()
-                .register("http://forum.example", forum);
+            browser.fabric().register("http://forum.example", forum);
             CsrfTarget {
                 origin: "http://forum.example",
                 forged: Box::new(move |marker| {
@@ -640,7 +634,7 @@ fn install_csrf_target(browser: &mut Browser, attack: &CsrfAttack) -> CsrfTarget
                 author: "victim".to_string(),
             });
             browser
-                .network_mut()
+                .fabric()
                 .register("http://calendar.example", calendar);
             CsrfTarget {
                 origin: "http://calendar.example",
@@ -668,9 +662,7 @@ pub fn stage_csrf(mode: PolicyMode, attack: &CsrfAttack) -> CellRun {
 
     let mut browser = session_browser(mode);
     let target = install_csrf_target(&mut browser, attack);
-    browser
-        .network_mut()
-        .register("http://evil.example", attacker);
+    browser.fabric().register("http://evil.example", attacker);
 
     browser
         .navigate(&format!("{}/login.php?user=victim", target.origin))
@@ -732,7 +724,7 @@ fn blog_scenario() -> Scenario {
         |mode| {
             let mut browser = session_browser(mode);
             browser
-                .network_mut()
+                .fabric()
                 .register("http://blog.example", BlogApp::new());
             let page = browser
                 .navigate("http://blog.example/")
@@ -755,7 +747,7 @@ fn blog_scenario() -> Scenario {
                  post.innerHTML = 'ad takeover';",
             );
             let mut browser = session_browser(mode);
-            browser.network_mut().register("http://blog.example", app);
+            browser.fabric().register("http://blog.example", app);
             let page = browser
                 .navigate("http://blog.example/")
                 .expect("reader opens the blog");
@@ -786,7 +778,7 @@ fn blog_scenario() -> Scenario {
                         .to_string(),
                 });
             let mut browser = session_browser(mode);
-            browser.network_mut().register("http://blog.example", app);
+            browser.fabric().register("http://blog.example", app);
             let page = browser
                 .navigate("http://blog.example/")
                 .expect("reader opens the blog");
@@ -807,9 +799,9 @@ fn blog_scenario() -> Scenario {
 
 fn spa_session(mode: PolicyMode, app: SpaApp) -> (Browser, PageId) {
     let mut browser = session_browser(mode);
-    browser.network_mut().register("http://spa.example", app);
+    browser.fabric().register("http://spa.example", app);
     browser
-        .network_mut()
+        .fabric()
         .register("http://evil.example", AttackerSite::new());
     browser
         .navigate("http://spa.example/login?user=victim")
@@ -872,10 +864,8 @@ fn spa_scenario() -> Scenario {
             let attacker = AttackerSite::new();
             let stolen = attacker.stolen();
             let mut browser = session_browser(mode);
-            browser.network_mut().register("http://spa.example", app);
-            browser
-                .network_mut()
-                .register("http://evil.example", attacker);
+            browser.fabric().register("http://spa.example", app);
+            browser.fabric().register("http://evil.example", attacker);
             browser
                 .navigate("http://spa.example/login?user=victim")
                 .expect("victim login");
@@ -934,11 +924,9 @@ fn adnet_session(mode: PolicyMode, site: NewsSite) -> (Browser, PageId, Vec<AdSe
             banners_served: server.banners_served(),
             stolen: server.stolen(),
         });
-        browser
-            .network_mut()
-            .register(&NewsSite::ad_origin(i), server);
+        browser.fabric().register(&NewsSite::ad_origin(i), server);
     }
-    browser.network_mut().register("http://news.example", site);
+    browser.fabric().register("http://news.example", site);
     browser
         .navigate("http://news.example/login?user=victim")
         .expect("victim login");
@@ -1036,10 +1024,8 @@ fn vault_session(
     let attacker = AttackerSite::new();
     let stolen = attacker.stolen();
     let mut browser = session_browser(mode);
-    browser.network_mut().register("http://vault.example", app);
-    browser
-        .network_mut()
-        .register("http://evil.example", attacker);
+    browser.fabric().register("http://vault.example", app);
+    browser.fabric().register("http://evil.example", attacker);
     browser
         .navigate("http://vault.example/login?user=pat")
         .expect("owner login");

@@ -17,7 +17,7 @@ fn browser_with_page(mode: PolicyMode, html: &str) -> (Browser, escudo_browser::
     let mut browser = Browser::new(mode);
     let page_html = html.to_string();
     browser
-        .network_mut()
+        .fabric()
         .register("http://workload.example", move |_req: &Request| {
             Response::ok_html(page_html.clone())
         });

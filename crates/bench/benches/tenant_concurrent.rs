@@ -69,9 +69,7 @@ fn export_snapshot(json: &mut JsonReport) {
     registry.register("beta", TenantConfig::default().with_admission(100, 0));
 
     let mut browser = Browser::with_tenant(alpha);
-    browser
-        .network_mut()
-        .register("http://app.example", StaticPage);
+    browser.fabric().register("http://app.example", StaticPage);
     for page in ["/login.php", "/a.php", "/b.php", "/a.php"] {
         browser
             .navigate(&format!("http://app.example{page}"))

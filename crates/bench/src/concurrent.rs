@@ -92,9 +92,7 @@ fn drive_forum(engine: Arc<EscudoEngine>, user: &str, rounds: usize) -> SessionT
     let forum = ForumApp::new(ForumConfig::default());
     let state = forum.state();
     let mut browser = Browser::with_engine(engine);
-    browser
-        .network_mut()
-        .register("http://forum.example", forum);
+    browser.fabric().register("http://forum.example", forum);
     let mut tally = SessionTally::default();
     browser
         .navigate(&format!("http://forum.example/login.php?user={user}"))
@@ -128,7 +126,7 @@ fn drive_forum(engine: Arc<EscudoEngine>, user: &str, rounds: usize) -> SessionT
 fn drive_blog(engine: Arc<EscudoEngine>, rounds: usize) -> SessionTally {
     let mut browser = Browser::with_engine(engine);
     browser
-        .network_mut()
+        .fabric()
         .register("http://blog.example", BlogApp::new());
     let mut tally = SessionTally::default();
     for _ in 0..=rounds {
@@ -148,7 +146,7 @@ fn drive_calendar(engine: Arc<EscudoEngine>, user: &str, rounds: usize) -> Sessi
     let state = calendar.state();
     let mut browser = Browser::with_engine(engine);
     browser
-        .network_mut()
+        .fabric()
         .register("http://calendar.example", calendar);
     let mut tally = SessionTally::default();
     browser
@@ -401,9 +399,7 @@ pub fn run_shared_jar_sessions(
                     let forum = ForumApp::new(ForumConfig::default());
                     let state = forum.state();
                     let mut browser = Browser::with_jar(engine, jar);
-                    browser
-                        .network_mut()
-                        .register(&format!("http://{host}"), forum);
+                    browser.fabric().register(&format!("http://{host}"), forum);
                     let mut tally = SessionTally::default();
                     browser
                         .navigate(&format!("http://{host}/login.php?user=user{t}"))

@@ -185,7 +185,7 @@ impl CompatReport {
         let mut denials = 0;
 
         let mut legacy_browser = Browser::new(PolicyMode::SameOriginOnly);
-        legacy_browser.network_mut().register(
+        legacy_browser.fabric().register(
             "http://forum.example",
             ForumApp::new(ForumConfig::default()),
         );
@@ -201,7 +201,7 @@ impl CompatReport {
 
         let mut escudo_browser = Browser::new(PolicyMode::Escudo);
         escudo_browser
-            .network_mut()
+            .fabric()
             .register("http://forum.example", ForumApp::new(ForumConfig::legacy()));
         escudo_browser
             .navigate("http://forum.example/login.php?user=alice")

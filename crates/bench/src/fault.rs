@@ -29,7 +29,8 @@ use escudo_apps::{AdServer, NewsSite};
 use escudo_browser::{Browser, PolicyMode};
 use escudo_core::ManualClock;
 use escudo_net::{
-    BreakerPhase, FaultPlan, FetchPolicy, LoggedRequest, Request, Response, SharedNetwork,
+    BreakerPhase, FaultPlan, FetchPlan, FetchPolicy, LoggedRequest, Request, Response,
+    SharedNetwork,
 };
 
 /// Every origin a registry scenario registers a server on. Fault plans are
@@ -221,11 +222,11 @@ fn oracle_run(mode: PolicyMode, chaos: bool) -> OracleRun {
     }
     for i in 0..AD_SLOTS {
         browser
-            .network_mut()
+            .fabric()
             .register(&NewsSite::ad_origin(i), AdServer::new());
     }
     browser
-        .network_mut()
+        .fabric()
         .register("http://news.example", NewsSite::new(AD_SLOTS));
     browser
         .navigate("http://news.example/login?user=victim")
@@ -332,25 +333,29 @@ pub fn run_breaker_drill() -> BreakerDrillReport {
     }
     let ping = || Request::get("http://flaky.example/ping").expect("drill request URL");
     let flaky_origin = ping().url.origin();
+    // One request as its own width-1 plan: the navigation and XHR shape.
+    let fetch = |request: Request, policy: &FetchPolicy| {
+        fabric.execute(FetchPlan::new(vec![request], 1, *policy));
+    };
 
     // --- Closed → Open: three consecutive timeouts trip the breaker.
     fabric.inject_fault("http://flaky.example", FaultPlan::new().timeout());
     let breaker = FetchPolicy::disabled().with_breaker(3, 1_000_000_000);
     for _ in 0..3 {
-        let _ = fabric.dispatch_with_policy(ping(), &breaker);
+        fetch(ping(), &breaker);
     }
     let opened = fabric.breaker_phase(&flaky_origin) == Some(BreakerPhase::Open);
 
     // --- Open: dispatches fail fast without touching the (sick) origin.
     for _ in 0..2 {
-        let _ = fabric.dispatch_with_policy(ping(), &breaker);
+        fetch(ping(), &breaker);
     }
 
     // --- HalfOpen → Closed: cooldown elapses on the manual clock, the origin
     // heals, and the single admitted probe re-closes the breaker.
     clock.advance(Duration::from_secs(1));
     fabric.clear_fault("http://flaky.example");
-    let _ = fabric.dispatch_with_policy(ping(), &breaker);
+    fetch(ping(), &breaker);
     let reclosed = fabric.breaker_phase(&flaky_origin) == Some(BreakerPhase::Closed);
 
     // --- Retry budget exactness: two leading timeouts, two retries, success.
@@ -358,7 +363,7 @@ pub fn run_breaker_drill() -> BreakerDrillReport {
     let retrying = FetchPolicy::disabled()
         .with_max_retries(2)
         .with_backoff_base_ns(1_000);
-    let _ = fabric.dispatch_with_policy(
+    fetch(
         Request::get("http://retry.example/r").expect("drill request URL"),
         &retrying,
     );
@@ -367,7 +372,7 @@ pub fn run_breaker_drill() -> BreakerDrillReport {
     // (one retry granted), backoff 1000+2000 reaches it (refused).
     fabric.inject_fault("http://deadline.example", FaultPlan::new().timeout());
     let bounded = retrying.with_max_retries(5).with_deadline_ns(3_000);
-    let _ = fabric.dispatch_with_policy(
+    fetch(
         Request::get("http://deadline.example/d").expect("drill request URL"),
         &bounded,
     );

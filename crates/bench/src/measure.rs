@@ -42,7 +42,7 @@ pub fn load_once(mode: PolicyMode, html: &str) -> LoadSample {
     let mut browser = Browser::new(mode);
     let page_html = html.to_string();
     browser
-        .network_mut()
+        .fabric()
         .register("http://workload.example", move |_req: &Request| {
             Response::ok_html(page_html.clone())
         });
@@ -129,7 +129,7 @@ pub fn measure_event_dispatch(
     let mut browser = Browser::new(mode);
     let page_html = html.to_string();
     browser
-        .network_mut()
+        .fabric()
         .register("http://workload.example", move |_req: &Request| {
             Response::ok_html(page_html.clone())
         });

@@ -24,8 +24,8 @@
 //!   between the ESCUDO and same-origin generations. Every observed plan must
 //!   be byte-identical to exactly **one** generation's [`policy::decide`]
 //!   oracle (a torn plan matches neither), no decision may be dropped or
-//!   throttled, and every retired generation must actually drop (a [`Weak`]
-//!   witness per swap).
+//!   throttled, and every retired generation must actually drop (a
+//!   [`Weak`](std::sync::Weak) witness per swap).
 //!
 //! [`policy::decide`]: escudo_core::policy::decide
 

@@ -359,7 +359,7 @@ mod tests {
             let mut browser = Browser::new(mode);
             let page_html = html.clone();
             browser
-                .network_mut()
+                .fabric()
                 .register("http://workload.example", move |_req: &Request| {
                     Response::ok_html(page_html.clone())
                 });

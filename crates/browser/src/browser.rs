@@ -1,7 +1,7 @@
 //! The browser: navigation, script execution, request issuance, event dispatch,
 //! history and visited links.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -12,8 +12,8 @@ use escudo_core::{
 };
 use escudo_dom::EventType;
 use escudo_net::{
-    BackgroundBatch, CacheLayers, FetchPolicy, Method, Network, Prefetcher, Request, Response,
-    ResponseCache, SharedCookieJar, SharedNetwork, Url,
+    BackgroundBatch, CacheLayers, FetchPlan, FetchPolicy, Fetched, Method, Prefetcher, Request,
+    Response, SharedCookieJar, SharedNetwork, Source, Url,
 };
 use escudo_script::Interpreter;
 
@@ -30,8 +30,8 @@ use crate::render::Renderer;
 pub struct PageId(usize);
 
 /// Default bound on the subresource requests one page load keeps **in
-/// flight** at once overall — the width of its deadline window
-/// ([`SharedNetwork::dispatch_window`]). It is not a thread count: a window
+/// flight** at once overall — the width of its subresource plan's deadline
+/// windows ([`SharedNetwork::execute`]). It is not a thread count: a window
 /// waits on all of its requests from the navigating thread. The default,
 /// `usize::MAX`, sets no page-wide cap: only the window's per-origin bound of
 /// [`MAX_IN_FLIGHT_PER_ORIGIN`](escudo_net::window::MAX_IN_FLIGHT_PER_ORIGIN)
@@ -39,9 +39,6 @@ pub struct PageId(usize);
 /// previous one completed — the sequential oracle the `loader_concurrent`
 /// bench compares against.
 pub const DEFAULT_SUBRESOURCE_WORKERS: usize = usize::MAX;
-
-/// Per-slot result of a subresource plan dispatch: `(status, error, retries)`.
-type SlotOutcome = (Option<u16>, Option<String>, u32);
 
 /// Bound on the speculative fetches one page load may submit to the session's
 /// prefetch thread (markup `rel=prefetch` hints first, then visited-link
@@ -58,7 +55,7 @@ pub const PREFETCH_MAX_CANDIDATES: usize = 8;
 /// sessions share one host-sharded store (the server-side multi-session deployment),
 /// exactly as [`Browser::with_engine`] shares one decision cache.
 pub struct Browser {
-    network: Network,
+    fabric: Arc<SharedNetwork>,
     jar: Arc<SharedCookieJar>,
     erm: Erm,
     history: Vec<Url>,
@@ -87,9 +84,9 @@ pub struct Browser {
     /// Fetches this session served from persistent response-cache entries
     /// (navigations and subresources; one-shot prefetch hits count separately).
     cache_hits: u64,
-    /// The resilience policy every fetch of this session dispatches under
-    /// (navigation, subresources and script-initiated XHR alike). Disabled by
-    /// default — the bare dispatch path, byte-identical to pre-policy sessions.
+    /// The resilience policy every fetch plan of this session runs under
+    /// (navigation, subresources, prefetch and script-initiated XHR alike).
+    /// Disabled by default: one attempt per request.
     fetch_policy: FetchPolicy,
 }
 
@@ -195,7 +192,7 @@ impl Browser {
     fn from_erm(erm: Erm, jar: Arc<SharedCookieJar>, fabric: Arc<SharedNetwork>) -> Self {
         Browser {
             erm,
-            network: Network::with_fabric(fabric),
+            fabric,
             jar,
             history: Vec::new(),
             visited: HashSet::new(),
@@ -233,22 +230,12 @@ impl Browser {
         self.erm.tenant()
     }
 
-    /// Mutable access to the in-memory network (for registering servers).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
-    }
-
-    /// The in-memory network (for inspecting the request log).
-    #[must_use]
-    pub fn network(&self) -> &Network {
-        &self.network
-    }
-
-    /// The shared network fabric (clone the `Arc` to share servers, the request
-    /// log and simulated latencies with another session).
+    /// The network fabric this session's requests travel: register servers
+    /// on it, read its request log, or clone the `Arc` to share servers, the
+    /// log and simulated latencies with another session.
     #[must_use]
     pub fn fabric(&self) -> &Arc<SharedNetwork> {
-        self.network.fabric()
+        &self.fabric
     }
 
     /// Bounds how many subresource requests a page load keeps in flight at
@@ -319,7 +306,7 @@ impl Browser {
     /// re-dispatch the already-mediated request **verbatim** (one mediation
     /// plan, one engine generation, no re-mediation), so the policy can mask
     /// transient fabric faults but never widen a security decision. The
-    /// default is [`FetchPolicy::disabled`] — the exact bare dispatch path.
+    /// default is [`FetchPolicy::disabled`]: one attempt per request.
     pub fn set_fetch_policy(&mut self, policy: FetchPolicy) {
         self.fetch_policy = policy;
     }
@@ -543,15 +530,14 @@ impl Browser {
         // page's subresources: the speculative window runs on the session's
         // prefetch thread while the subresource windows below are in flight,
         // so prediction overlaps the current page's own fetch work.
-        let speculation = self.begin_prefetch(&page);
+        let speculation = self.submit_speculative(self.prefetch_candidates(&page));
 
         // Issue subresource requests (critical resources and images). These are
         // HTTP-request-issuing principals.
         self.load_subresources(&mut page);
 
         // Harvest the speculative responses into the fabric's prefetch cache.
-        let (issued, _) = self.finish_prefetch(speculation);
-        page.stats.prefetch_issued = issued;
+        page.stats.prefetch_issued = speculation.map_or(0, |batch| batch.join().len() as u64);
         page.stats.prefetch_hit = self.prefetch_hits > prefetch_hits_before;
 
         // Re-render to account for script-driven DOM changes.
@@ -573,8 +559,9 @@ impl Browser {
         Ok(PageId(self.pages.len() - 1))
     }
 
-    /// Issues one HTTP request with policy-mediated cookie attachment and stores any
-    /// cookies (and cookie policies) the response carries.
+    /// Issues one HTTP request with policy-mediated cookie attachment, as a
+    /// width-1 plan that may use the cache layers this session opted into, and
+    /// stores any cookies (and cookie policies) the response carries.
     fn fetch(
         &mut self,
         url: Url,
@@ -590,35 +577,20 @@ impl Browser {
                 .set("Content-Type", "application/x-www-form-urlencoded");
         }
         self.attach_cookies(&mut request, principal, None);
-        let cacheable = method == Method::Get && request.body.is_empty();
-        let cookie_header = request.headers.get("Cookie").unwrap_or("").to_string();
-        let (response, from_cache) = match self.take_cached_response(&request) {
-            Some(response) => (response, true),
-            None => {
-                let fetched = self
-                    .network
-                    .fabric()
-                    .dispatch_with_policy(request, &self.fetch_policy)?;
-                let response = Arc::new(fetched);
-                if self.response_cache_enabled
-                    && cacheable
-                    && ResponseCache::admits(&response, false)
-                {
-                    self.network.fabric().cache_store(
-                        Method::Get,
-                        &url,
-                        &cookie_header,
-                        (*response).clone(),
-                        false,
-                    );
-                }
-                (response, false)
-            }
+        let plan = FetchPlan {
+            layers: CacheLayers {
+                one_shot: self.prefetch_enabled,
+                persistent: self.response_cache_enabled,
+            },
+            ..FetchPlan::new(vec![request], 1, self.fetch_policy)
         };
+        let fetched = self.fabric.execute(plan).remove(0);
+        self.count_hit(&fetched);
+        let response = fetched.outcome?;
         // `Set-Cookie` is applied only when the response came off the wire: the
         // cache refuses Set-Cookie-bearing responses outright, and a hit must
         // never be able to write another session's credential into this jar.
-        if !from_cache {
+        if fetched.source == Source::Wire {
             for directive in response.set_cookies() {
                 self.jar.store(&url, &directive);
             }
@@ -629,41 +601,13 @@ impl Browser {
         Ok(response)
     }
 
-    /// Serves `request` from the fabric's response cache if this session opted
-    /// into speculation or caching, the request is a cacheable fetch (`GET`, no
-    /// body), and the cached entry's mediation plan — the exact `Cookie` header
-    /// the reference monitor admitted — matches this request's. Each opt-in
-    /// unlocks exactly its own layer: speculation serves one-shot prefetch
-    /// entries, the response cache serves persistent `max-age` entries, and an
-    /// entry in a layer this session did not opt into is an ordinary miss. On a
-    /// hit the fetch is *not* re-dispatched; instead the hit is recorded in the
-    /// request log under a freshly reserved sequence number, byte-identical to
-    /// what a live dispatch would have logged, so cache-on and cache-off runs
-    /// stay log-equivalent — and the returned `Arc` is a refcount bump, not a
-    /// body clone. A stale plan or expired TTL discards the entry and falls
-    /// back to a live fetch (`None`).
-    fn take_cached_response(&mut self, request: &Request) -> Option<Arc<Response>> {
-        let layers = CacheLayers {
-            one_shot: self.prefetch_enabled,
-            persistent: self.response_cache_enabled,
-        };
-        if (!layers.one_shot && !layers.persistent)
-            || request.method != Method::Get
-            || !request.body.is_empty()
-        {
-            return None;
+    /// Counts a cache hit by the layer that served it.
+    fn count_hit(&mut self, fetched: &Fetched) {
+        match fetched.source {
+            Source::OneShot => self.prefetch_hits += 1,
+            Source::Persistent => self.cache_hits += 1,
+            Source::Wire | Source::Coalesced => {}
         }
-        let fabric = Arc::clone(self.network.fabric());
-        let cookie_header = request.headers.get("Cookie").unwrap_or("").to_string();
-        let hit = fabric.cache_lookup(Method::Get, &request.url, &cookie_header, layers)?;
-        let sequence = fabric.reserve_sequences(1);
-        fabric.record_cache_hit(sequence, request, hit.response.status.0);
-        if hit.one_shot {
-            self.prefetch_hits += 1;
-        } else {
-            self.cache_hits += 1;
-        }
-        Some(hit.response)
     }
 
     fn remember_cookie_policy(&mut self, host: &str, policy: CookiePolicy) {
@@ -751,7 +695,7 @@ impl Browser {
                     &mut page.document,
                     &mut page.contexts,
                     &self.jar,
-                    &self.network,
+                    &self.fabric,
                     self.history.len(),
                     page.url.clone(),
                     principal,
@@ -844,7 +788,7 @@ impl Browser {
                 &mut page.document,
                 &mut page.contexts,
                 &self.jar,
-                &self.network,
+                &self.fabric,
                 self.history.len(),
                 page.url.clone(),
                 principal,
@@ -877,34 +821,30 @@ impl Browser {
     /// Speculatively fetches `url` on the session's prefetch thread and caches
     /// the response for a later navigation of this session (or any session
     /// whose mediated cookie attachment for `url` is identical). Blocks until
-    /// the speculative fetch completes; the in-page predictor
-    /// ([`Browser::load_page`]) overlaps the same work with the subresource
-    /// fan-out instead.
+    /// the speculative fetch completes; the in-page predictor of every page
+    /// load overlaps the same work with the subresource fan-out instead.
     ///
     /// Returns `true` when a response was fetched and cached. Returns `false`
     /// when speculation is disabled ([`Browser::set_prefetch_enabled`]), the
     /// URL is invalid or unregistered, or the fetch failed.
     pub fn prefetch(&mut self, url: &str) -> bool {
-        if !self.prefetch_enabled {
-            return false;
-        }
-        let Ok(url) = Url::parse(url) else {
+        let url = Url::parse(url).ok();
+        let Some(url) = url.filter(|url| self.prefetch_enabled && self.fabric.knows(url)) else {
             return false;
         };
-        if !self.network.knows(&url) {
-            return false;
-        }
-        let speculation = self.submit_speculative(vec![url]);
-        let (_, stored) = self.finish_prefetch(speculation);
-        stored > 0
+        self.submit_speculative(vec![url])
+            .is_some_and(|batch| batch.join().iter().any(|fetched| fetched.cached))
     }
 
     /// The likely next navigations of this page, most confident first: markup
     /// `rel=prefetch` hints, then anchors whose target this session has already
     /// visited (the visited-link predictor). Deduplicated, restricted to
     /// registered origins, excluding the page itself, truncated to
-    /// [`PREFETCH_MAX_CANDIDATES`].
+    /// [`PREFETCH_MAX_CANDIDATES`]; none when speculation is off.
     fn prefetch_candidates(&self, page: &Page) -> Vec<Url> {
+        if !self.prefetch_enabled {
+            return Vec::new();
+        }
         let current = page.url.to_string();
         let mut seen: Vec<String> = Vec::new();
         let mut candidates: Vec<Url> = Vec::new();
@@ -923,7 +863,7 @@ impl Browser {
             if !hinted && !self.visited.contains(&key) {
                 continue;
             }
-            if key == current || seen.contains(&key) || !self.network.knows(&target) {
+            if key == current || seen.contains(&key) || !self.fabric.knows(&target) {
                 continue;
             }
             seen.push(key);
@@ -935,76 +875,38 @@ impl Browser {
         candidates
     }
 
-    /// Plans and submits this page's speculative fetches (when enabled),
-    /// returning the in-flight speculative batch and its cache keys.
-    fn begin_prefetch(&mut self, page: &Page) -> Option<(BackgroundBatch, Vec<(Url, String)>)> {
-        if !self.prefetch_enabled {
-            return None;
-        }
-        let candidates = self.prefetch_candidates(page);
-        self.submit_speculative(candidates)
-    }
-
-    /// Mediates and submits one speculative request per candidate to the
-    /// session's prefetch thread. Each request is built exactly as the future
-    /// navigation would build it — browser principal, cookie attachment through
-    /// the same reference-monitor path — so speculation is itself fully
-    /// mediated, and the attached `Cookie` header becomes the cache key the
-    /// real navigation's plan is later validated against.
-    fn submit_speculative(
-        &mut self,
-        candidates: Vec<Url>,
-    ) -> Option<(BackgroundBatch, Vec<(Url, String)>)> {
+    /// Mediates one speculative request per candidate and submits them to the
+    /// session's prefetch thread as one speculative plan. Each request is
+    /// built exactly as the future navigation would build it — browser
+    /// principal, cookie attachment through the same reference-monitor path —
+    /// so speculation is itself fully mediated, and the attached `Cookie`
+    /// header becomes the cache key the real navigation's plan is later
+    /// validated against. Speculation spends the session's own retry budget:
+    /// a transiently faulted prefetch may still land in the cache, and the
+    /// plan stays unlogged either way, so retrying here can never perturb the
+    /// request-log oracle. Joining the batch parks its responses in the
+    /// prefetch cache. Their `Set-Cookie` directives are *never* applied:
+    /// speculation must not mutate session state, and the cache refuses
+    /// Set-Cookie-bearing responses outright, so such a speculation is simply
+    /// dropped and the real navigation pays the wire cost.
+    fn submit_speculative(&mut self, candidates: Vec<Url>) -> Option<BackgroundBatch> {
         if candidates.is_empty() {
             return None;
         }
-        let mut requests = Vec::with_capacity(candidates.len());
-        let mut keys = Vec::with_capacity(candidates.len());
-        for url in candidates {
-            let principal = PrincipalContext::browser(url.origin());
-            let mut request = Request::new(Method::Get, url.clone());
-            self.attach_cookies(&mut request, &principal, None);
-            let cookie_header = request.headers.get("Cookie").unwrap_or("").to_string();
-            keys.push((url, cookie_header));
-            requests.push(request);
-        }
-        // Speculation spends the session's own retry budget: a transiently
-        // faulted prefetch may still land in the cache. The batch stays
-        // unlogged either way, so retrying here can never perturb the
-        // request-log oracle.
-        let batch = self
-            .prefetcher
-            .submit(self.network.fabric(), requests, &self.fetch_policy);
-        Some((batch, keys))
-    }
-
-    /// Joins an in-flight speculative batch and stores the successful responses
-    /// in the fabric's prefetch cache. Returns `(issued, stored)` counts.
-    ///
-    /// `Set-Cookie` directives on a speculative response are *never* applied —
-    /// speculation must not mutate session state, and the shared cache refuses
-    /// Set-Cookie-bearing responses outright (per-recipient state must not be
-    /// shared across sessions), so such a speculation is simply dropped and the
-    /// real navigation pays the wire cost.
-    fn finish_prefetch(
-        &mut self,
-        speculation: Option<(BackgroundBatch, Vec<(Url, String)>)>,
-    ) -> (u64, u64) {
-        let Some((batch, keys)) = speculation else {
-            return (0, 0);
+        let requests = candidates
+            .into_iter()
+            .map(|url| {
+                let principal = PrincipalContext::browser(url.origin());
+                let mut request = Request::new(Method::Get, url);
+                self.attach_cookies(&mut request, &principal, None);
+                request
+            })
+            .collect();
+        let plan = FetchPlan {
+            speculative: true,
+            ..FetchPlan::new(requests, usize::MAX, self.fetch_policy)
         };
-        let issued = keys.len() as u64;
-        let results = batch.join();
-        let fabric = Arc::clone(self.network.fabric());
-        let mut stored = 0;
-        for ((url, cookie_header), result) in keys.into_iter().zip(results) {
-            if let Ok(response) = result {
-                if fabric.store_prefetched(&url, &cookie_header, response) {
-                    stored += 1;
-                }
-            }
-        }
-        (issued, stored)
+        Some(self.prefetcher.submit(&self.fabric, plan))
     }
 
     // ------------------------------------------------------------- subresources
@@ -1025,15 +927,15 @@ impl Browser {
     ///    request's cookie attachment (one jar walk per distinct URL, one engine
     ///    batch per page). No fetch has been dispatched yet, so no completion
     ///    order — and no scheduling decision — can influence a decision.
-    /// 2. **Fan out** — the already-mediated critical requests, then the image
-    ///    requests, each under a sequence number pre-reserved in plan order.
-    ///    Each runs as a **deadline window** on the navigating thread
-    ///    ([`SharedNetwork::dispatch_window`]): up to `subresource_workers`
-    ///    requests in flight overall (no page-wide cap by default) and at
-    ///    most 6 to any one origin, completed in due order, with no other
-    ///    thread involved. Outcomes come back in plan index order, so
-    ///    [`Page::subresources`] and the sequence-sorted request log both read
-    ///    in plan order regardless of which fetch finished first.
+    /// 2. **Fan out** — one [`FetchPlan`] of two stages, the already-mediated
+    ///    critical requests, then the image requests, run by
+    ///    [`SharedNetwork::execute`]. Each stage is a **deadline window** on
+    ///    the navigating thread: up to `subresource_workers` requests in
+    ///    flight overall (no page-wide cap by default) and at most 6 to any
+    ///    one origin, completed in due order, with no other thread involved.
+    ///    Outcomes come back in plan order, so [`Page::subresources`] and the
+    ///    sequence-sorted request log both read in plan order regardless of
+    ///    which fetch finished first.
     fn load_subresources(&mut self, page: &mut Page) {
         use crate::page::SubresourceKind;
 
@@ -1063,7 +965,7 @@ impl Browser {
             let Ok(target) = page.url.join(&src) else {
                 continue;
             };
-            if !self.network.knows(&target) {
+            if !self.fabric.knows(&target) {
                 continue;
             }
             let tag = match kind {
@@ -1105,164 +1007,38 @@ impl Browser {
             .collect();
 
         // ------------------------------------------------------------- phase 2
-        let fabric = Arc::clone(self.network.fabric());
         let count = requests.len();
         let critical_count = planned
             .iter()
             .filter(|(_, _, _, kind)| *kind == SubresourceKind::Critical)
             .count();
-        let base = fabric.reserve_sequences(count as u64);
+        // A cache-enabled session may also consume its own speculation here; a
+        // default session consults nothing.
+        let layers = CacheLayers {
+            one_shot: self.prefetch_enabled && self.response_cache_enabled,
+            persistent: self.response_cache_enabled,
+        };
+        let plan = FetchPlan {
+            stages: vec![critical_count],
+            layers,
+            ..FetchPlan::new(requests, self.subresource_workers, self.fetch_policy)
+        };
         let start = Instant::now();
-        let policy = self.fetch_policy;
-
-        // Per-slot outcomes in plan order.
-        let mut outcomes: Vec<Option<SlotOutcome>> = vec![None; count];
-
-        // Cache consult + single-flight planning (cache-enabled sessions only;
-        // a default session takes the exact pre-cache dispatch path). A fresh
-        // mediation-matching cache entry serves its slot outright, logged under
-        // the slot's own pre-reserved sequence; among the remaining misses,
-        // later slots repeating an earlier slot's (URL, mediated `Cookie`
-        // header) ride that slot's single dispatch instead of their own.
-        let mut primary_of: Vec<Option<usize>> = vec![None; count];
-        if self.response_cache_enabled {
-            let layers = CacheLayers {
-                one_shot: self.prefetch_enabled,
-                persistent: true,
-            };
-            let mut first_slot: HashMap<(String, String), usize> = HashMap::new();
-            for (i, request) in requests.iter().enumerate() {
-                let cookie_header = request.headers.get("Cookie").unwrap_or("").to_string();
-                if let Some(hit) =
-                    fabric.cache_lookup(Method::Get, &request.url, &cookie_header, layers)
-                {
-                    fabric.record_cache_hit(base + i as u64, request, hit.response.status.0);
-                    if hit.one_shot {
-                        self.prefetch_hits += 1;
-                    } else {
-                        self.cache_hits += 1;
-                    }
-                    outcomes[i] = Some((Some(hit.response.status.0), None, 0));
-                    continue;
-                }
-                match first_slot.entry((request.url.to_string(), cookie_header)) {
-                    std::collections::hash_map::Entry::Occupied(entry) => {
-                        primary_of[i] = Some(*entry.get());
-                    }
-                    std::collections::hash_map::Entry::Vacant(entry) => {
-                        entry.insert(i);
-                    }
-                }
-            }
-        }
-
-        // Dispatch the unserved primary slots, critical window first. Entries
-        // carry their *global* plan offset, so each fetch logs under
-        // `base + slot` no matter how the windows were thinned.
-        let mut slot_requests: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
-        for range in [0..critical_count, critical_count..count] {
-            let mut entries: Vec<(usize, Request)> = Vec::new();
-            for i in range {
-                if outcomes[i].is_none() && primary_of[i].is_none() {
-                    entries.push((
-                        i,
-                        slot_requests[i].take().expect("primary slot has request"),
-                    ));
-                }
-            }
-            if entries.is_empty() {
-                continue;
-            }
-            let store_keys: Vec<(Url, String)> = if self.response_cache_enabled {
-                entries
-                    .iter()
-                    .map(|(_, request)| {
-                        let cookie = request.headers.get("Cookie").unwrap_or("").to_string();
-                        (request.url.clone(), cookie)
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let slots: Vec<usize> = entries.iter().map(|(slot, _)| *slot).collect();
-            let results = fabric.dispatch_window(base, entries, self.subresource_workers, &policy);
-            for (j, (result, retries)) in results.into_iter().enumerate() {
-                if let Ok(response) = &result {
-                    if self.response_cache_enabled && ResponseCache::admits(response, false) {
-                        let (url, cookie_header) = &store_keys[j];
-                        fabric.cache_store(
-                            Method::Get,
-                            url,
-                            cookie_header,
-                            response.clone(),
-                            false,
-                        );
-                    }
-                }
-                outcomes[slots[j]] = Some(match result {
-                    Ok(response) => (Some(response.status.0), None, retries),
-                    Err(error) => (None, Some(error.to_string()), retries),
-                });
-            }
-        }
-
-        // Fan each coalesced duplicate out from its primary's single dispatch:
-        // the hit is logged under the duplicate's own pre-reserved sequence, so
-        // the sequence-sorted log is byte-identical to one live dispatch per
-        // slot. A failed primary can't stand in for its duplicates — those
-        // fall back to a live dispatch under the session's own `FetchPolicy`
-        // (full retry budget and breaker admission, exactly as a non-coalesced
-        // slot), so a faulted cache-on run degrades no differently than the
-        // cache-off oracle; the log sorts by sequence, so a late dispatch
-        // still reads in plan order.
-        for i in 0..count {
-            let Some(primary) = primary_of[i] else {
-                continue;
-            };
-            let request = slot_requests[i].take().expect("duplicate slot has request");
-            match outcomes[primary] {
-                Some((Some(status), None, _)) => {
-                    fabric.record_cache_hit(base + i as u64, &request, status);
-                    fabric.note_cache_coalesced(1);
-                    outcomes[i] = Some((Some(status), None, 0));
-                }
-                _ => {
-                    let store_key = (
-                        request.url.clone(),
-                        request.headers.get("Cookie").unwrap_or("").to_string(),
-                    );
-                    let (result, retries) =
-                        fabric.dispatch_sequenced_with_policy(base + i as u64, request, &policy);
-                    if let Ok(response) = &result {
-                        if self.response_cache_enabled && ResponseCache::admits(response, false) {
-                            let (url, cookie_header) = &store_key;
-                            fabric.cache_store(
-                                Method::Get,
-                                url,
-                                cookie_header,
-                                response.clone(),
-                                false,
-                            );
-                        }
-                    }
-                    outcomes[i] = Some(match result {
-                        Ok(response) => (Some(response.status.0), None, retries),
-                        Err(error) => (None, Some(error.to_string()), retries),
-                    });
-                }
-            }
-        }
-
+        let outcomes = self.fabric.execute(plan);
         page.stats.subresource_fetch_ns = start.elapsed().as_nanos();
         page.stats.subresource_requests = count as u64;
 
         // Record outcomes in plan order, not completion order. A slot whose
         // retries ran dry degrades into `error` — the page load itself never
         // fails on a subresource.
-        for (((node, url, _, kind), attached), outcome) in
+        for (((node, url, _, kind), attached), fetched) in
             planned.into_iter().zip(attachments).zip(outcomes)
         {
-            let (status, error, retries) = outcome.expect("every plan slot resolved");
+            self.count_hit(&fetched);
+            let (status, error) = match fetched.outcome {
+                Ok(response) => (Some(response.status.0), None),
+                Err(error) => (None, Some(error.to_string())),
+            };
             page.subresources.push(SubresourceOutcome {
                 node,
                 kind,
@@ -1277,7 +1053,7 @@ impl Browser {
                     .collect(),
                 status,
                 error,
-                retries,
+                retries: fetched.retries,
             });
         }
     }
@@ -1296,9 +1072,9 @@ mod tests {
     }
 
     fn browser_with(mode: PolicyMode, html: &str) -> Browser {
-        let mut browser = Browser::new(mode);
+        let browser = Browser::new(mode);
         browser
-            .network_mut()
+            .fabric()
             .register("http://app.example", Static(html.to_string()));
         browser
     }
@@ -1452,24 +1228,23 @@ mod tests {
 
         // Session A logs in; the cookie lands in the shared jar.
         let mut a = Browser::with_jar(Arc::clone(&engine), Arc::clone(&jar));
-        a.network_mut().register("http://app.example", SetThenEcho);
+        a.fabric().register("http://app.example", SetThenEcho);
         a.navigate("http://app.example/login.php").unwrap();
         assert_eq!(jar.get("app.example", "sid").unwrap().value, "shared");
 
         // Session B (own browser, own network) shares the jar: its request to the
         // same host attaches the session cookie session A established.
         let mut b = Browser::with_jar(engine, jar);
-        b.network_mut().register("http://app.example", SetThenEcho);
+        b.fabric().register("http://app.example", SetThenEcho);
         b.navigate("http://app.example/index.php").unwrap();
-        let log = b.network().log();
+        let log = b.fabric().log();
         assert_eq!(log.last().unwrap().cookie_names, vec!["sid"]);
 
         // A browser built through `with_engine` keeps a private jar.
         let mut lone = Browser::new(PolicyMode::Escudo);
-        lone.network_mut()
-            .register("http://app.example", SetThenEcho);
+        lone.fabric().register("http://app.example", SetThenEcho);
         lone.navigate("http://app.example/index.php").unwrap();
-        assert!(lone.network().log().last().unwrap().cookie_names.is_empty());
+        assert!(lone.fabric().log().last().unwrap().cookie_names.is_empty());
     }
 
     #[test]
@@ -1484,7 +1259,7 @@ mod tests {
         </body></html>"#;
         let mut browser = browser_with(PolicyMode::Escudo, html);
         for host in ["http://img0.example", "http://img1.example"] {
-            browser.network_mut().register(host, |req: &Request| {
+            browser.fabric().register(host, |req: &Request| {
                 Response::ok_text(format!("img {}", req.url.path()))
             });
         }
@@ -1519,7 +1294,7 @@ mod tests {
         // Sequence-sorted shared log: the main page, then the images in document
         // order — completion order is irrelevant.
         let paths: Vec<String> = browser
-            .network()
+            .fabric()
             .log()
             .iter()
             .map(|e| e.url.path().to_string())
@@ -1544,12 +1319,10 @@ mod tests {
             for k in 0..5u64 {
                 let origin = format!("http://h{k}.example");
                 let calls = Arc::clone(&calls);
-                browser
-                    .network_mut()
-                    .register(&origin, move |req: &Request| {
-                        calls.lock().unwrap().push(req.url.host().to_string());
-                        Response::ok_text("img")
-                    });
+                browser.fabric().register(&origin, move |req: &Request| {
+                    calls.lock().unwrap().push(req.url.host().to_string());
+                    Response::ok_text("img")
+                });
                 browser
                     .fabric()
                     .set_latency(&origin, Duration::from_millis(4 * (5 - k)));
@@ -1584,7 +1357,7 @@ mod tests {
         for mode in [PolicyMode::Escudo, PolicyMode::SameOriginOnly] {
             let mut browser = browser_with(mode, &html);
             browser
-                .network_mut()
+                .fabric()
                 .register("http://img.example", |_req: &Request| {
                     Response::ok_text("img")
                 });
@@ -1615,7 +1388,7 @@ mod tests {
         </body></html>"#;
         let mut browser = browser_with(PolicyMode::Escudo, html);
         browser
-            .network_mut()
+            .fabric()
             .register("http://assets.example", |req: &Request| {
                 Response::ok_text(format!("asset {}", req.url.path()))
             });
@@ -1638,7 +1411,7 @@ mod tests {
         assert!(page.subresources.iter().all(SubresourceOutcome::succeeded));
         // The sequence-sorted log reads in plan order: critical window first.
         let paths: Vec<String> = browser
-            .network()
+            .fabric()
             .log()
             .iter()
             .map(|e| e.url.path().to_string())
@@ -1672,13 +1445,13 @@ mod tests {
 
         // The speculative fetch is unlogged; the log grows only when the hit
         // is consumed — under the navigation's own sequence number.
-        let logged_before = browser.network().log().len();
+        let logged_before = browser.fabric().log().len();
         let next = browser.navigate("http://app.example/next.php").unwrap();
         assert!(browser.page(next).stats.prefetch_hit);
         assert_eq!(browser.prefetch_hits(), 1);
         assert_eq!(browser.fabric().prefetch_hits(), 1);
         assert_eq!(browser.fabric().prefetched_entries(), 0);
-        let log = browser.network().log();
+        let log = browser.fabric().log();
         assert_eq!(log.len(), logged_before + 1);
         assert_eq!(log.last().unwrap().url.path(), "/next.php");
 
@@ -1704,7 +1477,7 @@ mod tests {
             (FetchPolicy::disabled(), false),
         ] {
             let mut browser = browser_with(PolicyMode::Escudo, hub);
-            browser.network_mut().register(
+            browser.fabric().register(
                 "http://item.example",
                 Static("<html><body ring=1>item</body></html>".into()),
             );
@@ -1721,7 +1494,7 @@ mod tests {
             assert_eq!(fabric.retry_attempts(), u64::from(healed));
             assert_eq!(fabric.retry_successes(), u64::from(healed));
             // Speculation logs nothing: the log holds the hub alone.
-            let log = browser.network().log();
+            let log = browser.fabric().log();
             assert_eq!(log.len(), 1);
             assert_eq!(log[0].url.path(), "/hub.php");
 
@@ -1731,7 +1504,7 @@ mod tests {
             // One timed-out speculative dispatch in both runs; a live fetch
             // is the item origin's second dispatch and goes through.
             assert_eq!(fabric.faults_injected(), 1);
-            assert_eq!(browser.network().log().len(), 2);
+            assert_eq!(browser.fabric().log().len(), 2);
         }
     }
 
@@ -1763,9 +1536,8 @@ mod tests {
         let fabric = Arc::new(SharedNetwork::new());
         let engine = engine_for_mode(PolicyMode::Escudo);
         let jar = Arc::new(SharedCookieJar::new());
-        let mut a =
-            Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
-        a.network_mut().register(
+        let a = Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
+        a.fabric().register(
             "http://app.example",
             Static("<html><body ring=1>shared</body></html>".to_string()),
         );
@@ -1773,9 +1545,9 @@ mod tests {
         // shared fabric — and both sessions read one request log.
         let mut b = Browser::with_network(engine, jar, fabric);
         b.navigate("http://app.example/from-b.php").unwrap();
-        assert_eq!(a.network().log().len(), 1);
-        assert_eq!(a.network().count_requests_to("app.example"), 1);
-        assert_eq!(a.network().log()[0].url.path(), "/from-b.php");
+        assert_eq!(a.fabric().log().len(), 1);
+        assert_eq!(a.fabric().count_requests_to("app.example"), 1);
+        assert_eq!(a.fabric().log()[0].url.path(), "/from-b.php");
     }
 
     #[test]
@@ -1791,7 +1563,7 @@ mod tests {
         let tenant = Arc::new(Tenant::new("acme", TenantConfig::default()));
         let mut browser = Browser::with_tenant(Arc::clone(&tenant));
         browser
-            .network_mut()
+            .fabric()
             .register("http://app.example", Static(html.to_string()));
         assert_eq!(browser.tenant().unwrap().id(), "acme");
         assert_eq!(browser.mode(), PolicyMode::Escudo);
@@ -1847,16 +1619,14 @@ mod tests {
             TenantConfig::default().with_admission(1, 0),
         ));
         let mut browser = Browser::with_tenant(Arc::clone(&tenant));
-        browser
-            .network_mut()
-            .register("http://app.example", SetThenEcho);
+        browser.fabric().register("http://app.example", SetThenEcho);
         browser.navigate("http://app.example/login.php").unwrap();
         browser.navigate("http://app.example/a.php").unwrap();
-        let log = browser.network().log();
+        let log = browser.fabric().log();
         assert_eq!(log.last().unwrap().cookie_names, vec!["sid"]);
 
         browser.navigate("http://app.example/b.php").unwrap();
-        let log = browser.network().log();
+        let log = browser.fabric().log();
         assert!(log.last().unwrap().cookie_names.is_empty());
         let stats = tenant.admission().stats();
         assert_eq!((stats.admitted, stats.rejected), (1, 1));

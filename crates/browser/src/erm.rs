@@ -4,7 +4,7 @@
 //! "is spread over several places because the places to embed the checks is specific
 //! to the object type". In this reproduction every enforcement point funnels into
 //! [`Erm::check`], but the *decision* itself is made by a shared
-//! [`PolicyEngine`](escudo_core::PolicyEngine) — the ERM only enforces, audits and
+//! [`PolicyEngine`] — the ERM only enforces, audits and
 //! counts. One engine (with its context-interning table and decision cache) can back
 //! every page of a session, so hot paths hit warm caches instead of recomputing the
 //! origin/ring/ACL rules.

@@ -13,7 +13,8 @@ use escudo_core::{Operation, PolicyMode, PrincipalContext};
 use escudo_dom::{Document, NodeId};
 use escudo_html::{Token, Tokenizer};
 use escudo_net::{
-    FetchPolicy, Method, Network, Request, ResponseCache, SetCookie, SharedCookieJar, Url,
+    CacheLayers, FetchPlan, FetchPolicy, Method, Request, SetCookie, SharedCookieJar,
+    SharedNetwork, Url,
 };
 use escudo_script::{Host, HostError, HostNodeId, HostXhrId, XhrOutcome};
 
@@ -28,16 +29,16 @@ pub struct BrowserHost<'a> {
     pub(crate) document: &'a mut Document,
     pub(crate) contexts: &'a mut SecurityContextTable,
     pub(crate) jar: &'a SharedCookieJar,
-    pub(crate) network: &'a Network,
+    pub(crate) fabric: &'a SharedNetwork,
     pub(crate) history_len: usize,
     pub(crate) page_url: Url,
     pub(crate) principal: PrincipalContext,
     pub(crate) console: Vec<String>,
     /// The session's resilience policy, applied to script-initiated XHR
-    /// dispatches exactly as the browser applies it to navigations.
+    /// exactly as the browser applies it to navigations.
     pub(crate) fetch_policy: FetchPolicy,
     /// Whether the session opted into the fabric's shared response cache;
-    /// script-initiated `GET` XHRs then consult it exactly like navigations.
+    /// script-initiated XHRs then consult its persistent layer.
     pub(crate) response_cache_enabled: bool,
     xhrs: HashMap<HostXhrId, (String, String)>,
     next_xhr: HostXhrId,
@@ -62,7 +63,7 @@ impl<'a> BrowserHost<'a> {
         document: &'a mut Document,
         contexts: &'a mut SecurityContextTable,
         jar: &'a SharedCookieJar,
-        network: &'a Network,
+        fabric: &'a SharedNetwork,
         history_len: usize,
         page_url: Url,
         principal: PrincipalContext,
@@ -75,7 +76,7 @@ impl<'a> BrowserHost<'a> {
             document,
             contexts,
             jar,
-            network,
+            fabric,
             history_len,
             page_url,
             principal,
@@ -457,49 +458,22 @@ impl Host for BrowserHost<'_> {
         }
         let principal = self.principal.clone();
         self.attach_cookies(&mut request, &principal);
-        let fabric = self.network.fabric();
-        let cacheable =
-            self.response_cache_enabled && request.method == Method::Get && request.body.is_empty();
-        let cookie_header = if cacheable {
-            request.headers.get("Cookie").unwrap_or("").to_string()
-        } else {
-            String::new()
+        // A width-1 plan: a retry re-sends this one mediated request verbatim.
+        // XHR may use only the persistent layer: one-shot prefetch entries are
+        // reserved for the navigation speculation predicted.
+        let plan = FetchPlan {
+            layers: CacheLayers {
+                one_shot: false,
+                persistent: self.response_cache_enabled,
+            },
+            ..FetchPlan::new(vec![request], 1, self.fetch_policy)
         };
-        // A fresh cache entry whose mediated `Cookie` header matches this
-        // XHR's plan serves the call without a dispatch — logged under a
-        // freshly reserved sequence, byte-identical to a live fetch. XHR
-        // consults only the persistent layer: one-shot prefetch entries are
-        // reserved for the navigation that speculation predicted.
-        if cacheable {
-            if let Some(hit) = fabric.cache_lookup(
-                Method::Get,
-                &request.url,
-                &cookie_header,
-                escudo_net::CacheLayers::PERSISTENT,
-            ) {
-                let sequence = fabric.reserve_sequences(1);
-                fabric.record_cache_hit(sequence, &request, hit.response.status.0);
-                return Ok(XhrOutcome {
-                    status: hit.response.status.0,
-                    body: hit.response.body.clone(),
-                });
-            }
-        }
-        // The resilient dispatch re-sends the mediated request verbatim on a
-        // retry — the attachment above is the one plan this XHR ever gets.
-        let store_url = cacheable.then(|| request.url.clone());
-        match fabric.dispatch_with_policy(request, &self.fetch_policy) {
-            Ok(response) => {
-                if let Some(url) = store_url.filter(|_| ResponseCache::admits(&response, false)) {
-                    fabric.cache_store(Method::Get, &url, &cookie_header, response.clone(), false);
-                }
-                Ok(XhrOutcome {
-                    status: response.status.0,
-                    body: response.body,
-                })
-            }
-            Err(e) => Err(HostError::Network(e.to_string())),
-        }
+        let outcome = self.fabric.execute(plan).remove(0).outcome;
+        let response = outcome.map_err(|e| HostError::Network(e.to_string()))?;
+        Ok(XhrOutcome {
+            status: response.status.0,
+            body: response.body.clone(),
+        })
     }
 
     fn history_length(&mut self) -> Result<usize, HostError> {

@@ -42,7 +42,7 @@
 //! }
 //!
 //! let mut browser = Browser::new(PolicyMode::Escudo);
-//! browser.network_mut().register("http://blog.example", Blog);
+//! browser.fabric().register("http://blog.example", Blog);
 //! let page = browser.navigate("http://blog.example/").unwrap();
 //!
 //! // The ring-3 comment script was denied when it tried to write the ring-1 post.

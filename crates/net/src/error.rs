@@ -60,7 +60,7 @@ impl fmt::Display for NetError {
             NetError::InvalidUrl(s) => write!(f, "invalid url `{s}`"),
             NetError::InvalidCookie(s) => write!(f, "invalid cookie `{s}`"),
             NetError::HostUnreachable(host) => write!(f, "no server registered for `{host}`"),
-            NetError::FetchPanicked(what) => write!(f, "fetch worker panicked: {what}"),
+            NetError::FetchPanicked(what) => write!(f, "origin handler panicked: {what}"),
             NetError::InvalidMethod(m) => write!(f, "invalid http method `{m}`"),
             NetError::Config(e) => write!(f, "configuration error: {e}"),
             NetError::Timeout { origin, elapsed_ns } => {
@@ -128,7 +128,7 @@ mod tests {
             ),
             (
                 NetError::FetchPanicked("slot 3".into()),
-                &["fetch worker panicked", "slot 3"],
+                &["origin handler panicked", "slot 3"],
             ),
             (
                 NetError::InvalidMethod("YEET".into()),

@@ -12,10 +12,10 @@
 //!   atomic dispatch counter; schedule evaluation is a pure function of that
 //!   counter's value, so two runs with the same plan fault the same
 //!   dispatches in the same order. Faulted dispatches return
-//!   [`NetError::Timeout`] (or panic, contained per-slot on the batch paths)
+//!   [`NetError::Timeout`] (or panic, contained per slot by the window)
 //!   and are **excluded from the handler-time EWMA** so injected slowness
 //!   cannot poison the fabric's service-time estimate.
-//! * **Fetch policy.** A [`FetchPolicy`] turns bare dispatches into a
+//! * **Fetch policy.** A [`FetchPolicy`] turns each window slot into a
 //!   resilient loop: bounded retries with deterministic exponential backoff
 //!   metered against the fabric's injectable [`Clock`] (the backoff is
 //!   *virtual* — accounted, never slept — so retry and deadline counts are
@@ -40,9 +40,7 @@ use std::sync::{Arc, Mutex};
 use escudo_core::{Clock, Origin};
 
 use crate::error::NetError;
-use crate::message::{Request, Response};
 use crate::shared_network::SharedNetwork;
-use crate::window::run_window;
 
 /// One deterministic fault rule, evaluated against the origin's 0-based
 /// dispatch index. Rules compose inside a [`FaultPlan`]; when several rules
@@ -60,7 +58,7 @@ pub enum FaultSchedule {
     SlowBy(u64),
     /// Panic inside every dispatch, before the origin's handler runs (so the
     /// handler mutex is never poisoned and the origin can heal when the plan
-    /// is cleared). Contained per-slot on the batch paths.
+    /// is cleared). Contained per slot by the window.
     Panic,
     /// Time out every dispatch.
     Timeout,
@@ -75,7 +73,7 @@ pub enum FaultOutcome {
     Proceed,
     /// Fail this dispatch with [`NetError::Timeout`].
     Timeout,
-    /// Panic inside this dispatch (contained per-slot on batch paths).
+    /// Panic inside this dispatch (contained per slot by the window).
     Panic,
 }
 
@@ -219,10 +217,10 @@ impl FaultState {
     }
 }
 
-/// The resilience knobs a caller threads through `dispatch_with_policy` /
-/// `dispatch_window`. The default policy is **disabled** — zero
-/// retries, no breaker — and byte-identical to the bare dispatch path, so
-/// existing callers pay nothing.
+/// The resilience knobs of a [`FetchPlan`](crate::fetch::FetchPlan): every
+/// window the plan runs spends them. The default policy is **disabled** —
+/// one attempt per request, no breaker — so a window under it only contains
+/// handler panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FetchPolicy {
     /// Retries allowed per request on top of the first attempt (transient
@@ -245,7 +243,7 @@ pub struct FetchPolicy {
 }
 
 impl FetchPolicy {
-    /// The disabled policy: no retries, no breaker — bare dispatch semantics.
+    /// The disabled policy: one attempt per request, no breaker.
     #[must_use]
     pub fn disabled() -> Self {
         FetchPolicy::default()
@@ -293,8 +291,8 @@ impl FetchPolicy {
         self
     }
 
-    /// `true` when the policy changes nothing about a bare dispatch — the
-    /// fast path skips the resilient loop (and its request clone) entirely.
+    /// `true` when the policy retries nothing and has no breaker: a window
+    /// under it needs no retry budget.
     #[must_use]
     pub fn is_disabled(&self) -> bool {
         self.max_retries == 0 && self.breaker_threshold == 0
@@ -371,7 +369,7 @@ pub(crate) struct ChaosCounters {
 /// the batch's slots.
 #[derive(Debug)]
 pub(crate) struct BatchBudget {
-    pub(crate) policy: FetchPolicy,
+    policy: FetchPolicy,
     started_ns: u64,
     virtual_backoff_ns: AtomicU64,
 }
@@ -634,59 +632,6 @@ impl SharedNetwork {
         }
     }
 
-    /// Dispatches one request under a fresh sequence number through the
-    /// resilient loop: breaker admission, bounded retries with virtual
-    /// backoff, deadline accounting — the navigation and XHR counterpart of
-    /// [`dispatch_window`](SharedNetwork::dispatch_window). A disabled policy falls through to the
-    /// bare [`dispatch`](SharedNetwork::dispatch) (identical semantics, zero
-    /// overhead).
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error: [`NetError::Timeout`] /
-    /// [`NetError::FetchPanicked`] once retries are exhausted,
-    /// [`NetError::CircuitOpen`] when the origin's breaker refused admission,
-    /// or [`NetError::HostUnreachable`] (never retried).
-    pub fn dispatch_with_policy(
-        &self,
-        request: Request,
-        policy: &FetchPolicy,
-    ) -> Result<Response, NetError> {
-        if policy.is_disabled() {
-            return self.dispatch(request);
-        }
-        let sequence = self.reserve_sequences(1);
-        self.dispatch_sequenced_with_policy(sequence, request, policy)
-            .0
-    }
-
-    /// Dispatches one request under a **caller-reserved** sequence number
-    /// through the resilient loop, returning the outcome plus the retries the
-    /// slot consumed. This is the coalesced-duplicate fallback of the
-    /// subresource loader: when a single-flight primary failed, each duplicate
-    /// slot re-dispatches itself under its own pre-reserved sequence with the
-    /// session's full retry budget, exactly as a non-coalesced plan slot would
-    /// have. A disabled policy falls through to the bare
-    /// [`dispatch_sequenced`](SharedNetwork::dispatch_sequenced).
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error, exactly as
-    /// [`dispatch_with_policy`](SharedNetwork::dispatch_with_policy).
-    pub fn dispatch_sequenced_with_policy(
-        &self,
-        sequence: u64,
-        request: Request,
-        policy: &FetchPolicy,
-    ) -> (Result<Response, NetError>, u32) {
-        if policy.is_disabled() {
-            return (self.dispatch_sequenced(sequence, request), 0);
-        }
-        let budget = BatchBudget::new(self, *policy);
-        let mut outcome = run_window(self, Some(sequence), vec![(0, request)], 1, Some(&budget));
-        outcome.pop().expect("one request, one outcome")
-    }
-
     /// Dispatches sent to `origin` under its installed fault plan so far.
     #[cfg(test)]
     pub(crate) fn fault_plan_sends(&self, origin: &Origin) -> u64 {
@@ -757,6 +702,7 @@ impl SharedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{Request, Response};
     use escudo_core::ManualClock;
 
     fn echo(req: &Request) -> Response {
@@ -795,29 +741,21 @@ mod tests {
         net.register("http://a.example", echo);
         net.inject_fault("http://a.example", FaultPlan::new().fail_first(2));
         for i in 0..2 {
-            let err = net
-                .dispatch(Request::get(&format!("http://a.example/{i}")).unwrap())
-                .unwrap_err();
+            let err = net.fetch(&format!("http://a.example/{i}")).unwrap_err();
             assert!(
                 matches!(err, NetError::Timeout { ref origin, .. } if origin.contains("a.example")),
                 "dispatch {i} should time out, got {err}"
             );
         }
         // The schedule heals at index 2.
-        assert!(net
-            .dispatch(Request::get("http://a.example/ok").unwrap())
-            .is_ok());
+        assert!(net.fetch("http://a.example/ok").is_ok());
         assert_eq!(net.faults_injected(), 2);
         assert_eq!(net.log_len(), 1, "faulted dispatches are never logged");
         // Re-installing a plan replays from index 0.
         net.inject_fault("http://a.example", FaultPlan::new().fail_first(1));
-        assert!(net
-            .dispatch(Request::get("http://a.example/again").unwrap())
-            .is_err());
+        assert!(net.fetch("http://a.example/again").is_err());
         net.clear_fault("http://a.example");
-        assert!(net
-            .dispatch(Request::get("http://a.example/healed").unwrap())
-            .is_ok());
+        assert!(net.fetch("http://a.example/healed").is_ok());
     }
 
     #[test]
@@ -825,9 +763,7 @@ mod tests {
         let net = SharedNetwork::new();
         net.inject_fault("http://later.example", FaultPlan::new().timeout());
         net.register("http://later.example", echo);
-        assert!(net
-            .dispatch(Request::get("http://later.example/").unwrap())
-            .is_err());
+        assert!(net.fetch("http://later.example/").is_err());
         assert!(net
             .fault_plan(&Origin::parse_url("http://later.example").unwrap())
             .is_some());
@@ -839,9 +775,7 @@ mod tests {
         net.register("http://flaky.example", echo);
         net.inject_fault("http://flaky.example", FaultPlan::new().fail_first(2));
         let policy = FetchPolicy::default().with_max_retries(2);
-        let response = net
-            .dispatch_with_policy(Request::get("http://flaky.example/x").unwrap(), &policy)
-            .unwrap();
+        let response = net.fetch_with("http://flaky.example/x", &policy).unwrap();
         assert_eq!(response.body, "/x");
         assert_eq!(net.retry_attempts(), 2);
         assert_eq!(net.retry_successes(), 1);
@@ -856,7 +790,7 @@ mod tests {
         net.inject_fault("http://down.example", FaultPlan::new().timeout());
         let policy = FetchPolicy::default().with_max_retries(3);
         let err = net
-            .dispatch_with_policy(Request::get("http://down.example/x").unwrap(), &policy)
+            .fetch_with("http://down.example/x", &policy)
             .unwrap_err();
         assert!(matches!(err, NetError::Timeout { .. }));
         assert_eq!(net.retry_attempts(), 3, "exactly max_retries retries");
@@ -864,7 +798,7 @@ mod tests {
         // A missing server is permanent: no retry is burned on it.
         let before = net.retry_attempts();
         let err = net
-            .dispatch_with_policy(Request::get("http://nowhere.example/").unwrap(), &policy)
+            .fetch_with("http://nowhere.example/", &policy)
             .unwrap_err();
         assert!(matches!(err, NetError::HostUnreachable(_)));
         assert_eq!(net.retry_attempts(), before);
@@ -883,7 +817,7 @@ mod tests {
             .with_backoff_base_ns(1_000_000)
             .with_deadline_ns(3_000_000);
         let err = net
-            .dispatch_with_policy(Request::get("http://down.example/x").unwrap(), &policy)
+            .fetch_with("http://down.example/x", &policy)
             .unwrap_err();
         assert!(matches!(err, NetError::Timeout { .. }));
         assert_eq!(net.retry_attempts(), 1);
@@ -903,18 +837,14 @@ mod tests {
 
         // Three consecutive transient failures trip the breaker open.
         for _ in 0..3 {
-            let err = net
-                .dispatch_with_policy(Request::get("http://sick.example/").unwrap(), &policy)
-                .unwrap_err();
+            let err = net.fetch_with("http://sick.example/", &policy).unwrap_err();
             assert!(matches!(err, NetError::Timeout { .. }));
         }
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Open));
         assert_eq!(net.breaker_trips(), 1);
 
         // Open within the cooldown: fail fast, carrying the remaining wait.
-        let err = net
-            .dispatch_with_policy(Request::get("http://sick.example/").unwrap(), &policy)
-            .unwrap_err();
+        let err = net.fetch_with("http://sick.example/", &policy).unwrap_err();
         assert!(
             matches!(err, NetError::CircuitOpen { cooldown_ns, .. } if cooldown_ns == 1_000_000_000)
         );
@@ -923,9 +853,7 @@ mod tests {
         // Cooldown elapses; the origin heals; the single probe closes it.
         clock.advance_ns(1_000_000_000);
         net.clear_fault("http://sick.example");
-        let ok = net
-            .dispatch_with_policy(Request::get("http://sick.example/ok").unwrap(), &policy)
-            .unwrap();
+        let ok = net.fetch_with("http://sick.example/ok", &policy).unwrap();
         assert_eq!(ok.body, "/ok");
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Closed));
         assert_eq!(net.breaker_probes(), 1);
@@ -942,13 +870,12 @@ mod tests {
         let origin = Origin::parse_url("http://sick.example").unwrap();
         let policy = FetchPolicy::default().with_breaker(2, 500);
         for _ in 0..2 {
-            let _ =
-                net.dispatch_with_policy(Request::get("http://sick.example/").unwrap(), &policy);
+            let _ = net.fetch_with("http://sick.example/", &policy);
         }
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Open));
         clock.advance_ns(500);
         // Still faulted: the probe fails and the breaker re-trips.
-        let _ = net.dispatch_with_policy(Request::get("http://sick.example/").unwrap(), &policy);
+        let _ = net.fetch_with("http://sick.example/", &policy);
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Open));
         assert_eq!(net.breaker_trips(), 2);
         assert_eq!(net.breaker_probes(), 1);
@@ -962,10 +889,7 @@ mod tests {
         assert!(FetchPolicy::default().is_disabled());
         assert!(!FetchPolicy::resilient().is_disabled());
         let response = net
-            .dispatch_with_policy(
-                Request::get("http://a.example/x").unwrap(),
-                &FetchPolicy::disabled(),
-            )
+            .fetch_with("http://a.example/x", &FetchPolicy::disabled())
             .unwrap();
         assert_eq!(response.body, "/x");
         assert_eq!(net.retry_attempts(), 0);
@@ -981,9 +905,7 @@ mod tests {
         net.register("http://slowed.example", echo);
         net.inject_fault("http://slowed.example", FaultPlan::new().slow_by(1_000_000));
         let start = std::time::Instant::now();
-        assert!(net
-            .dispatch(Request::get("http://slowed.example/").unwrap())
-            .is_ok());
+        assert!(net.fetch("http://slowed.example/").is_ok());
         assert!(start.elapsed() >= std::time::Duration::from_millis(1));
         assert_eq!(net.fault_slowdowns(), 1);
         assert_eq!(net.faults_injected(), 0, "a slowdown is not a failure");

@@ -11,17 +11,19 @@
 //!   stores (single-threaded and host-sharded concurrent) whose *attachment* decision
 //!   is delegated to the caller (the browser's reference monitor decides the `use`
 //!   operation),
-//! * [`Network`] / [`SharedNetwork`] / [`Server`] — a host registry mapping origins
-//!   to request handlers, with a request log the CSRF experiments read to see
-//!   whether a session cookie was attached to a forged request. [`SharedNetwork`]
-//!   is the `Arc`-shareable fabric (per-origin handler mutexes, lock-striped
-//!   sequence-ordered log, simulated latency); [`Network`] is the single-owner
-//!   convenience handle over one.
+//! * [`SharedNetwork`] / [`Server`] — the `Arc`-shareable fabric: a host
+//!   registry mapping origins to request handlers (per-origin handler mutexes,
+//!   simulated latency), with a lock-striped, sequence-ordered request log the
+//!   CSRF experiments read to see whether a session cookie was attached to a
+//!   forged request,
+//! * [`FetchPlan`] / [`SharedNetwork::execute`] — the one fetch pipeline:
+//!   cache consult, single-flight, deadline windows with retries, and cache
+//!   admission, run over requests the caller has already mediated.
 //!
 //! # Example
 //!
 //! ```
-//! use escudo_net::{Method, Network, Request, Response, Server, Url};
+//! use escudo_net::{FetchPlan, FetchPolicy, Method, Request, Response, Server, SharedNetwork, Url};
 //!
 //! struct Hello;
 //! impl Server for Hello {
@@ -30,11 +32,13 @@
 //!     }
 //! }
 //!
-//! let mut net = Network::new();
+//! let net = SharedNetwork::new();
 //! net.register("http://hello.example", Hello);
 //! let req = Request::new(Method::Get, Url::parse("http://hello.example/world")?);
-//! let resp = net.dispatch(req)?;
+//! let mut fetched = net.execute(FetchPlan::new(vec![req], 1, FetchPolicy::disabled()));
+//! let resp = fetched.remove(0).outcome?;
 //! assert!(resp.body.contains("hello /world"));
+//! assert_eq!(net.log().len(), 1);
 //! # Ok::<(), escudo_net::NetError>(())
 //! ```
 
@@ -45,6 +49,7 @@
 pub mod cookie;
 pub mod error;
 pub mod fault;
+pub mod fetch;
 pub mod headers;
 pub mod jar;
 pub mod message;
@@ -59,10 +64,11 @@ pub mod window;
 pub use cookie::{Cookie, SetCookie};
 pub use error::NetError;
 pub use fault::{BreakerPhase, FaultOutcome, FaultPlan, FaultSchedule, FetchPolicy};
+pub use fetch::{FetchPlan, Fetched, Source};
 pub use headers::Headers;
 pub use jar::CookieJar;
 pub use message::{Method, Request, Response, StatusCode};
-pub use network::{LoggedRequest, Network, Server};
+pub use network::{LoggedRequest, Server};
 pub use prefetch::{BackgroundBatch, Prefetcher};
 pub use response_cache::{CacheHit, CacheLayers, ResponseCache};
 pub use shared_jar::{JarShardStats, JarStats, SharedCookieJar};

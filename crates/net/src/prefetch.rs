@@ -2,13 +2,15 @@
 //! its own, so they overlap whatever the navigating thread does next.
 //!
 //! A [`Prefetcher`] starts its thread on the first speculation, feeds it jobs
-//! over a channel and joins it on drop. Each speculative batch runs there as
-//! one **unlogged** deadline window ([`crate::window`]) with no overall
-//! width, so only the window's per-origin bound limits it. The batch spends
-//! the session's [`FetchPolicy`], and a panicking handler fails its own slot
-//! as in every window. Speculation never reaches the sequence-ordered log (a
-//! consumed prefetch hit is logged when it is consumed), so it cannot perturb
-//! what the oracle-equivalence harness compares.
+//! over a channel and joins it on drop. Each job is a speculative
+//! [`FetchPlan`] that the thread runs with [`SharedNetwork::execute`]: one
+//! **unlogged** deadline window ([`crate::window`]) that spends the
+//! session's retry policy, and in which a panicking handler fails its own
+//! slot as in every window. Speculation never reaches the sequence-ordered
+//! log (a consumed prefetch hit is logged when it is consumed), so it cannot
+//! perturb what the oracle-equivalence harness compares. Its responses enter
+//! the cache's one-shot layer when the batch is joined
+//! ([`BackgroundBatch::join`]).
 //!
 //! The thread belongs to the session, not to the batch or the fabric: a
 //! thread per batch would pay a spawn, and the first wait's timer-slack
@@ -21,21 +23,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::error::NetError;
-use crate::fault::{BatchBudget, FetchPolicy};
-use crate::message::{Request, Response};
+use crate::fetch::{cookie_header, FetchPlan, Fetched, Source};
 use crate::shared_network::SharedNetwork;
-use crate::window::run_window;
 
-/// The outcomes of one speculative batch, in plan order.
-type Outcomes = Vec<Result<Response, NetError>>;
-
-/// One speculative batch on its way to the prefetch thread.
-struct Job {
-    fabric: Arc<SharedNetwork>,
-    requests: Vec<Request>,
-    policy: FetchPolicy,
-    reply: Sender<Outcomes>,
-}
+/// One speculative plan on its way to the prefetch thread.
+type Job = Box<dyn FnOnce() + Send>;
 
 /// A session's background prefetch thread, started by the first
 /// [`submit`](Prefetcher::submit) and joined on drop.
@@ -45,26 +37,30 @@ pub struct Prefetcher {
 }
 
 impl Prefetcher {
-    /// Hands `requests` to the prefetch thread as one unlogged deadline
-    /// window under `policy` and returns at once. Collect the outcomes with
-    /// [`BackgroundBatch::join`].
-    pub fn submit(
-        &mut self,
-        fabric: &Arc<SharedNetwork>,
-        requests: Vec<Request>,
-        policy: &FetchPolicy,
-    ) -> BackgroundBatch {
+    /// Hands a speculative `plan` to the prefetch thread, which runs it with
+    /// [`SharedNetwork::execute`], and returns at once. Collect the outcomes
+    /// with [`BackgroundBatch::join`].
+    pub fn submit(&mut self, fabric: &Arc<SharedNetwork>, plan: FetchPlan) -> BackgroundBatch {
+        debug_assert!(plan.speculative, "the prefetch thread runs speculation");
         let (reply, outcomes) = mpsc::channel();
         let batch = BackgroundBatch {
-            requests: requests.len(),
+            fabric: Arc::clone(fabric),
+            keys: plan
+                .requests
+                .iter()
+                .map(|request| (request.url.to_string(), cookie_header(request).to_string()))
+                .collect(),
             outcomes,
         };
-        let job = Job {
-            fabric: Arc::clone(fabric),
-            requests,
-            policy: *policy,
-            reply,
-        };
+        let fabric = Arc::clone(fabric);
+        let job: Job = Box::new(move || {
+            let fetched = fabric.execute(plan);
+            fabric
+                .background_requests
+                .fetch_add(fetched.len() as u64, Ordering::Relaxed);
+            // The submitter may have stopped waiting; nothing to report.
+            let _ = reply.send(fetched);
+        });
         let (jobs, _) = self.worker.get_or_insert_with(spawn_worker);
         // A send fails only when the thread is gone; the job's reply channel
         // goes with it, and `join` reports every slot as failed.
@@ -86,48 +82,47 @@ fn spawn_worker() -> (Sender<Job>, JoinHandle<()>) {
     let (jobs, queue) = mpsc::channel::<Job>();
     let thread = std::thread::Builder::new()
         .name("escudo-prefetch".into())
-        .spawn(move || {
-            for job in queue {
-                let budget =
-                    (!job.policy.is_disabled()).then(|| BatchBudget::new(&job.fabric, job.policy));
-                let entries = job.requests.into_iter().enumerate().collect();
-                let outcomes: Outcomes =
-                    run_window(&job.fabric, None, entries, usize::MAX, budget.as_ref())
-                        .into_iter()
-                        .map(|(outcome, _retries)| outcome)
-                        .collect();
-                job.fabric
-                    .background_requests
-                    .fetch_add(outcomes.len() as u64, Ordering::Relaxed);
-                // The submitter may have stopped waiting; nothing to report.
-                let _ = job.reply.send(outcomes);
-            }
-        })
+        .spawn(move || queue.into_iter().for_each(|job| job()))
         .expect("spawn prefetch thread");
     (jobs, thread)
 }
 
-/// A speculative batch in flight on a [`Prefetcher`]'s thread.
+/// A speculative plan in flight on a [`Prefetcher`]'s thread.
 #[derive(Debug)]
 pub struct BackgroundBatch {
-    requests: usize,
-    outcomes: Receiver<Outcomes>,
+    fabric: Arc<SharedNetwork>,
+    /// `(url, Cookie header)` of each request: its one-shot cache key.
+    keys: Vec<(String, String)>,
+    outcomes: Receiver<Vec<Fetched>>,
 }
 
 impl BackgroundBatch {
-    /// Blocks until the batch's window has finished and returns the outcomes
-    /// in plan order.
+    /// Blocks until the batch's window has finished, offers each response to
+    /// the cache's one-shot layer under its request's mediated `Cookie`
+    /// header ([`Fetched::cached`] says whether it entered), and returns the
+    /// outcomes in plan order. Storing here, on the navigating thread, keeps
+    /// a page's own subresource consult from racing a one-shot entry.
     #[must_use]
-    pub fn join(self) -> Outcomes {
-        self.outcomes.recv().unwrap_or_else(|_| {
-            (0..self.requests)
-                .map(|_| {
-                    Err(NetError::FetchPanicked(
-                        "the prefetch thread stopped before the batch finished".into(),
-                    ))
-                })
-                .collect()
-        })
+    pub fn join(self) -> Vec<Fetched> {
+        let mut fetched = self.outcomes.recv().unwrap_or_else(|_| {
+            let stopped = Fetched {
+                outcome: Err(NetError::FetchPanicked(
+                    "the prefetch thread stopped before the batch finished".into(),
+                )),
+                retries: 0,
+                source: Source::Wire,
+                cached: false,
+            };
+            vec![stopped; self.keys.len()]
+        });
+        for (slot, (url, cookie)) in fetched.iter_mut().zip(&self.keys) {
+            if let Ok(response) = &slot.outcome {
+                slot.cached = self
+                    .fabric
+                    .cache_store(url, cookie, Arc::clone(response), true);
+            }
+        }
+        fetched
     }
 }
 
@@ -143,13 +138,26 @@ impl SharedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FetchPolicy;
+    use crate::message::{Request, Response};
     use std::time::Duration;
 
-    fn submit(prefetcher: &mut Prefetcher, fabric: &Arc<SharedNetwork>, urls: &[&str]) -> Outcomes {
+    fn submit(
+        prefetcher: &mut Prefetcher,
+        fabric: &Arc<SharedNetwork>,
+        urls: &[&str],
+    ) -> Vec<Result<Arc<Response>, NetError>> {
         let requests = urls.iter().map(|url| Request::get(url).unwrap()).collect();
+        let plan = FetchPlan {
+            speculative: true,
+            ..FetchPlan::new(requests, usize::MAX, FetchPolicy::disabled())
+        };
         prefetcher
-            .submit(fabric, requests, &FetchPolicy::disabled())
+            .submit(fabric, plan)
             .join()
+            .into_iter()
+            .map(|fetched| fetched.outcome)
+            .collect()
     }
 
     #[test]

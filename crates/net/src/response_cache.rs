@@ -72,7 +72,12 @@ pub struct CacheLayers {
 }
 
 impl CacheLayers {
-    /// Both layers — the historical `take_prefetched` contract.
+    /// No layer: the plan consults nothing.
+    pub const NONE: CacheLayers = CacheLayers {
+        one_shot: false,
+        persistent: false,
+    };
+    /// Both layers (a session that opted into speculation and caching).
     pub const BOTH: CacheLayers = CacheLayers {
         one_shot: true,
         persistent: true,
@@ -207,10 +212,11 @@ impl ResponseCache {
         method: Method,
         url: &str,
         cookie_header: &str,
-        response: Response,
+        response: impl Into<Arc<Response>>,
         now_ns: u64,
         one_shot: bool,
     ) -> bool {
+        let response = response.into();
         if !ResponseCache::admits(&response, one_shot) {
             return false;
         }
@@ -233,7 +239,7 @@ impl ResponseCache {
         let touched = shard.tick;
         let entry = CacheEntry {
             cookie_header: cookie_header.to_string(),
-            response: Arc::new(response),
+            response,
             stored_at_ns: now_ns,
             ttl_ns,
             one_shot,

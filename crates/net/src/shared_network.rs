@@ -1,10 +1,13 @@
 //! The thread-safe, `Arc`-shareable network fabric for concurrent sessions and
 //! pipelined loaders.
 //!
-//! [`Network`](crate::Network) used to own its servers and its request log behind
-//! `&mut self`, which serialized every fetch of every session — the contention-free
-//! decision engine and the host-sharded cookie jar were throttled by a sequential
-//! transport. [`SharedNetwork`] is the fabric those components deserve:
+//! A registry of servers keyed by origin plus a request log: the log records
+//! every request together with the names of the cookies the browser attached,
+//! and the defense-effectiveness experiments (§6.4) read it to determine
+//! whether a forged cross-site request carried the victim's session cookie.
+//! Every fetch reaches the fabric as a [`FetchPlan`](crate::fetch::FetchPlan)
+//! run by [`SharedNetwork::execute`]. The fabric is built so that concurrent
+//! sessions do not contend on it:
 //!
 //! * **Per-origin handlers.** Each registered [`Server`] sits behind its own
 //!   `Mutex`, held only for the duration of one `handle` call — requests to
@@ -16,10 +19,10 @@
 //!   selected by the sequence's low bits (round-robin, so concurrent fetches hit
 //!   different stripes). Reading the log gathers the stripes and sorts by sequence,
 //!   reconstructing one global order. Callers that need *deterministic* order —
-//!   the pipelined subresource loader — reserve a contiguous block of sequence
-//!   numbers up front ([`SharedNetwork::reserve_sequences`]) and dispatch each
-//!   pre-planned request under its pre-assigned number: the sorted log then shows
-//!   document order regardless of completion order.
+//!   every fetch plan — reserve a contiguous block of sequence numbers up
+//!   front ([`SharedNetwork::reserve_sequences`]) and log each pre-planned
+//!   request under its pre-assigned number: the sorted log then shows plan
+//!   order regardless of completion order.
 //! * **Bounded log.** Like the reference monitor's audit ring, the log keeps at
 //!   most [`SharedNetwork::log_capacity`] entries; overflow drops the
 //!   oldest (lowest-sequence) entries in amortized batches and counts them, so
@@ -30,9 +33,9 @@
 //!   fault verdict and breaker admission and stamps it with a due time (now +
 //!   latency + any injected slowdown), and completing it sleeps only while
 //!   that due time is still ahead, then calls the handler. Waiting on a fetch
-//!   therefore costs no thread: the deadline window ([`crate::window`], behind
-//!   [`SharedNetwork::dispatch_window`]) keeps several requests in flight on
-//!   the calling thread and completes them in due order, so the pipelining
+//!   therefore costs no thread: the deadline window ([`crate::window`], run
+//!   by [`SharedNetwork::execute`]) keeps several requests in flight on the
+//!   calling thread and completes them in due order, so the pipelining
 //!   win of overlapping slow fetches is measurable in-process, without
 //!   sockets.
 //! * **Deadline-exact waits.** Every latency wait goes through one helper
@@ -51,7 +54,7 @@
 //!   ([`crate::prefetch`]); the fabric only counts its requests
 //!   ([`SharedNetwork::background_requests`]).
 //! * **Mediation-keyed response cache.** The fabric owns one shared
-//!   [`ResponseCache`](crate::response_cache::ResponseCache): sharded,
+//!   [`ResponseCache`]: sharded,
 //!   capacity-bounded, holding `Arc<Response>` entries keyed by
 //!   `(method, url)` and validated against the **mediated cookie header** the
 //!   consuming request just computed for itself. The mediation plan is the
@@ -175,7 +178,6 @@ struct SequencedEntry {
 ///
 /// Taken by `&self` everywhere; hand sessions an `Arc<SharedNetwork>` (that is what
 /// `Browser::with_network` threads through browser- and script-initiated requests).
-/// The single-owner [`Network`](crate::Network) is a thin wrapper over one of these.
 pub struct SharedNetwork {
     servers: RwLock<HashMap<Origin, Arc<OriginHandler>>>,
     stripes: Vec<Mutex<Vec<SequencedEntry>>>,
@@ -185,7 +187,7 @@ pub struct SharedNetwork {
     sequence: AtomicU64,
     /// The shared mediation-keyed response cache (persistent `max-age` layer
     /// plus the one-shot speculative-prefetch layer).
-    cache: ResponseCache,
+    pub(crate) cache: ResponseCache,
     /// Installed per-origin fault plans (independent of server registration —
     /// a plan may precede the origin it targets). See [`crate::fault`].
     pub(crate) faults: RwLock<HashMap<Origin, Arc<crate::fault::FaultState>>>,
@@ -386,60 +388,14 @@ impl SharedNetwork {
     }
 
     /// Reserves a contiguous block of `count` sequence numbers and returns the
-    /// first. A planner that fixes its request order up front (the pipelined
-    /// subresource loader fixes *document* order) dispatches request *i* of its
-    /// plan via [`SharedNetwork::dispatch_sequenced`] with `start + i`: the
-    /// sequence-sorted log then reads in plan order no matter which request
-    /// finished first.
+    /// first. [`execute`](SharedNetwork::execute) reserves one block per
+    /// logged plan and logs request *i* under `start + i`, so the
+    /// sequence-sorted log reads in plan order no matter which request
+    /// finished first. Public for harnesses that fill the log directly with
+    /// [`record_cache_hit`](SharedNetwork::record_cache_hit) (perfbench's
+    /// steady-state fabric does).
     pub fn reserve_sequences(&self, count: u64) -> u64 {
         self.sequence.fetch_add(count, Ordering::Relaxed)
-    }
-
-    /// Dispatches a request under a fresh sequence number.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::HostUnreachable`] when no server is registered for the
-    /// request's origin.
-    pub fn dispatch(&self, request: Request) -> Result<Response, NetError> {
-        let sequence = self.reserve_sequences(1);
-        self.dispatch_sequenced(sequence, request)
-    }
-
-    /// Dispatches a request under a caller-reserved sequence number: sends it,
-    /// waits out the origin's simulated latency (outside all locks), takes the
-    /// origin's handler mutex for exactly one `handle` call, and records the
-    /// log entry under `sequence`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::HostUnreachable`] when no server is registered for the
-    /// request's origin. Unreachable dispatches are not logged (there is no
-    /// response to record), matching the single-owner `Network`.
-    pub fn dispatch_sequenced(
-        &self,
-        sequence: u64,
-        request: Request,
-    ) -> Result<Response, NetError> {
-        let flight = self.send(request, &FetchPolicy::disabled())?;
-        self.complete(&flight, Some(sequence))
-    }
-
-    /// Dispatches a request **without** recording a log entry: the speculative
-    /// (prefetch) path. Latency, the origin's handler mutex and the EWMA all
-    /// behave exactly as in [`dispatch_sequenced`](SharedNetwork::dispatch_sequenced);
-    /// only the sequence-ordered log is untouched, so speculation cannot
-    /// perturb what the oracle-equivalence harness compares. A consumed
-    /// cache hit is logged at consumption time via
-    /// [`record_cache_hit`](SharedNetwork::record_cache_hit).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::HostUnreachable`] when no server is registered for
-    /// the request's origin.
-    pub fn dispatch_unlogged(&self, request: Request) -> Result<Response, NetError> {
-        let flight = self.send(request, &FetchPolicy::disabled())?;
-        self.complete(&flight, None)
     }
 
     /// The *send* half of a dispatch: admits the request through the origin's
@@ -497,7 +453,7 @@ impl SharedNetwork {
     /// # Panics
     ///
     /// Panics when the fault plan injects a panic, and whenever the handler
-    /// itself panics; the batch paths contain both per slot.
+    /// itself panics; the window contains both per slot.
     ///
     /// # Errors
     ///
@@ -577,23 +533,22 @@ impl SharedNetwork {
         Ok(response)
     }
 
-    /// Stores a response in the shared mediation-keyed cache, fetched under the
-    /// plan summarized by `cookie_header` (the exact `Cookie` header value the
-    /// monitor attached, empty string for none). `one_shot` entries (speculative
-    /// prefetch) are consumed on first hit. What may enter at all is
-    /// [`ResponseCache::admits`]'s one rule. Returns `true` when the response
-    /// entered the cache.
-    pub fn cache_store(
+    /// Stores the response to a `GET` of `url` in the shared mediation-keyed
+    /// cache, fetched under the plan summarized by `cookie_header` (the exact
+    /// `Cookie` header the monitor attached, empty string for none).
+    /// `one_shot` entries (speculative prefetch) are consumed on first hit.
+    /// What may enter at all is [`ResponseCache::admits`]'s one rule. Returns
+    /// `true` when the response entered the cache.
+    pub(crate) fn cache_store(
         &self,
-        method: Method,
-        url: &crate::url::Url,
+        url: &str,
         cookie_header: &str,
-        response: Response,
+        response: Arc<Response>,
         one_shot: bool,
     ) -> bool {
         self.cache.store(
-            method,
-            &url.to_string(),
+            Method::Get,
+            url,
             cookie_header,
             response,
             self.clock_now_ns(),
@@ -601,7 +556,7 @@ impl SharedNetwork {
         )
     }
 
-    /// Looks up the shared cache for `(method, url)`, serving only the
+    /// Looks up the shared cache for a `GET` of `url`, serving only the
     /// [`CacheLayers`] the caller opted into (an entry in a foreign layer is an
     /// ordinary miss, left in place), and **only** when `cookie_header` — the
     /// header the consuming request just mediated for itself — matches the plan
@@ -610,53 +565,24 @@ impl SharedNetwork {
     /// never substitute for a request the monitor would build differently
     /// today. Expired entries (`max-age` lifetime passed on the fabric's
     /// injectable clock) are discarded and counted the same way.
-    #[must_use]
-    pub fn cache_lookup(
+    pub(crate) fn cache_lookup(
         &self,
-        method: Method,
-        url: &crate::url::Url,
+        url: &str,
         cookie_header: &str,
         layers: CacheLayers,
     ) -> Option<CacheHit> {
-        self.cache.lookup(
-            method,
-            &url.to_string(),
-            cookie_header,
-            self.clock_now_ns(),
-            layers,
-        )
-    }
-
-    /// Parks a speculative response for `url` as a one-shot cache entry (see
-    /// [`cache_store`](SharedNetwork::cache_store)). Fresher speculation for
-    /// the same URL overwrites a previous one-shot entry — but never a fresh
-    /// persistent one. Returns `true` when the response entered the cache
-    /// (see [`ResponseCache::admits`]).
-    pub fn store_prefetched(
-        &self,
-        url: &crate::url::Url,
-        cookie_header: &str,
-        response: Response,
-    ) -> bool {
-        self.cache_store(Method::Get, url, cookie_header, response, true)
-    }
-
-    /// Consumes the cached response for a GET of `url` under the mediation plan
-    /// `cookie_header` (see [`cache_lookup`](SharedNetwork::cache_lookup)),
-    /// returning an owned clone of the entry. One-shot entries are consumed;
-    /// persistent entries survive for the next hit.
-    #[must_use]
-    pub fn take_prefetched(&self, url: &crate::url::Url, cookie_header: &str) -> Option<Response> {
-        self.cache_lookup(Method::Get, url, cookie_header, CacheLayers::BOTH)
-            .map(|hit| Arc::try_unwrap(hit.response).unwrap_or_else(|arc| (*arc).clone()))
+        self.cache
+            .lookup(Method::Get, url, cookie_header, self.clock_now_ns(), layers)
     }
 
     /// Logs a cache hit under the consuming request's reserved `sequence`,
-    /// exactly as the live dispatch it replaced would have been logged. The
-    /// hit is only legal when the mediation plan matched
-    /// ([`cache_lookup`](SharedNetwork::cache_lookup)), so method, URL and
+    /// exactly as the live fetch it replaced would have been logged. The
+    /// hit is only legal when the mediation plan matched, so method, URL and
     /// cookie names here are byte-identical to the request a cache-free run
     /// would have put on the wire — which is what keeps the log equivalent.
+    /// [`execute`](SharedNetwork::execute) logs every hit it serves; this
+    /// stays public for harnesses that fill the log directly (perfbench's
+    /// steady-state fabric does).
     pub fn record_cache_hit(&self, sequence: u64, request: &Request, status: u16) {
         self.record(
             sequence,
@@ -720,11 +646,6 @@ impl SharedNetwork {
     #[must_use]
     pub fn cache_coalesced(&self) -> u64 {
         self.cache.coalesced()
-    }
-
-    /// Records `n` duplicate plan slots coalesced onto one dispatch.
-    pub fn note_cache_coalesced(&self, n: u64) {
-        self.cache.note_coalesced(n);
     }
 
     /// Total live cache entries, both layers.
@@ -862,12 +783,28 @@ impl fmt::Debug for SharedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fetch::FetchPlan;
     use crate::message::StatusCode;
     use crate::url::Url;
     use std::sync::Arc;
 
     fn echo_server(req: &Request) -> Response {
         Response::ok_text(format!("{} {}", req.method, req.url.path()))
+    }
+
+    /// Fetches `url` as an unlogged speculative plan.
+    fn speculate(net: &SharedNetwork, url: &str) -> Arc<Response> {
+        let plan = FetchPlan {
+            speculative: true,
+            ..FetchPlan::new(vec![Request::get(url).unwrap()], 1, FetchPolicy::disabled())
+        };
+        net.execute(plan).pop().unwrap().outcome.unwrap()
+    }
+
+    /// Consumes the entry for a `GET` of `url` from either layer.
+    fn take(net: &SharedNetwork, url: &str, cookie_header: &str) -> Option<Arc<Response>> {
+        net.cache_lookup(url, cookie_header, CacheLayers::BOTH)
+            .map(|hit| hit.response)
     }
 
     #[test]
@@ -877,22 +814,16 @@ mod tests {
         net.register("http://b.example", |_req: &Request| {
             Response::error(StatusCode::FORBIDDEN, "nope")
         });
-        let ra = net
-            .dispatch(Request::get("http://a.example/x").unwrap())
-            .unwrap();
+        let ra = net.fetch("http://a.example/x").unwrap();
         assert_eq!(ra.body, "GET /x");
-        let rb = net
-            .dispatch(Request::get("http://b.example/y").unwrap())
-            .unwrap();
+        let rb = net.fetch("http://b.example/y").unwrap();
         assert_eq!(rb.status, StatusCode::FORBIDDEN);
         let log = net.log();
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].url.host(), "a.example");
         assert_eq!(log[1].url.host(), "b.example");
         assert_eq!(net.count_requests_to("a.example"), 1);
-        assert!(net
-            .dispatch(Request::get("http://nowhere.example/").unwrap())
-            .is_err());
+        assert!(net.fetch("http://nowhere.example/").is_err());
         assert_eq!(net.log_len(), 2, "unreachable dispatches are not logged");
     }
 
@@ -900,21 +831,17 @@ mod tests {
     fn reserved_sequences_fix_log_order_regardless_of_dispatch_order() {
         let net = SharedNetwork::new();
         net.register("http://a.example", echo_server);
-        // Reserve a block, then dispatch in *reverse* plan order — the log still
+        // Reserve a block, then log in *reverse* plan order — the log still
         // reads in plan order.
         let base = net.reserve_sequences(4);
         for i in (0..4u64).rev() {
-            net.dispatch_sequenced(
-                base + i,
-                Request::get(&format!("http://a.example/plan{i}")).unwrap(),
-            )
-            .unwrap();
+            let request = Request::get(&format!("http://a.example/plan{i}")).unwrap();
+            net.record_cache_hit(base + i, &request, 200);
         }
         let paths: Vec<String> = net.log().iter().map(|e| e.url.path().to_string()).collect();
         assert_eq!(paths, vec!["/plan0", "/plan1", "/plan2", "/plan3"]);
         // A later un-reserved dispatch sorts after the block.
-        net.dispatch(Request::get("http://a.example/after").unwrap())
-            .unwrap();
+        net.fetch("http://a.example/after").unwrap();
         assert_eq!(net.log().last().unwrap().url.path(), "/after");
     }
 
@@ -929,8 +856,7 @@ mod tests {
                 let net = Arc::clone(&net);
                 scope.spawn(move || {
                     for i in 0..25 {
-                        net.dispatch(Request::get(&format!("http://h{t}.example/{i}")).unwrap())
-                            .unwrap();
+                        net.fetch(&format!("http://h{t}.example/{i}")).unwrap();
                     }
                 });
             }
@@ -959,8 +885,7 @@ mod tests {
         assert_eq!(net.log_capacity(), 8);
         net.register("http://a.example", echo_server);
         for i in 0..12 {
-            net.dispatch(Request::get(&format!("http://a.example/{i}")).unwrap())
-                .unwrap();
+            net.fetch(&format!("http://a.example/{i}")).unwrap();
         }
         assert_eq!(net.log_len(), 8);
         assert_eq!(net.dropped_log_entries(), 4);
@@ -981,8 +906,7 @@ mod tests {
             Duration::from_millis(5)
         );
         let start = std::time::Instant::now();
-        net.dispatch(Request::get("http://slow.example/").unwrap())
-            .unwrap();
+        net.fetch("http://slow.example/").unwrap();
         assert!(start.elapsed() >= Duration::from_millis(5));
         // Replacing the handler keeps the configured latency.
         net.register("http://slow.example", echo_server);
@@ -1012,8 +936,7 @@ mod tests {
             "no samples yet"
         );
         for i in 0..5 {
-            net.dispatch(Request::get(&format!("http://slow.example/{i}")).unwrap())
-                .unwrap();
+            net.fetch(&format!("http://slow.example/{i}")).unwrap();
         }
         let estimate = net.estimated_service_ns(&origin);
         assert!(
@@ -1033,18 +956,15 @@ mod tests {
         net.register("http://slow.example", echo_server);
         net.set_latency("http://slow.example", Duration::from_micros(200));
         for i in 0..5 {
-            net.dispatch(Request::get(&format!("http://fast.example/{i}")).unwrap())
-                .unwrap();
+            net.fetch(&format!("http://fast.example/{i}")).unwrap();
         }
         assert_eq!(net.latency_waits(), 0, "zero latency never sleeps");
         assert_eq!(net.wait_overshoot_ns(), 0);
         for i in 0..7 {
-            net.dispatch(Request::get(&format!("http://slow.example/{i}")).unwrap())
-                .unwrap();
+            net.fetch(&format!("http://slow.example/{i}")).unwrap();
         }
         assert_eq!(net.latency_waits(), 7);
-        net.dispatch(Request::get("http://fast.example/after").unwrap())
-            .unwrap();
+        net.fetch("http://fast.example/after").unwrap();
         assert_eq!(net.latency_waits(), 7);
     }
 
@@ -1074,8 +994,7 @@ mod tests {
             std::thread::spawn(move || {
                 let inherited = own_timer_slack();
                 for i in 0..3 {
-                    net.dispatch(Request::get(&format!("http://fast.example/{i}")).unwrap())
-                        .unwrap();
+                    net.fetch(&format!("http://fast.example/{i}")).unwrap();
                 }
                 (inherited, own_timer_slack())
             })
@@ -1087,8 +1006,7 @@ mod tests {
         let lowered = {
             let net = Arc::clone(&net);
             std::thread::spawn(move || {
-                net.dispatch(Request::get("http://slow.example/").unwrap())
-                    .unwrap();
+                net.fetch("http://slow.example/").unwrap();
                 own_timer_slack()
             })
             .join()
@@ -1109,29 +1027,25 @@ mod tests {
     fn prefetch_cache_hits_only_on_a_matching_mediation_plan() {
         let net = SharedNetwork::new();
         net.register("http://a.example", echo_server);
-        let url = Url::parse("http://a.example/page").unwrap();
-        let response = net
-            .dispatch_unlogged(Request::get("http://a.example/page").unwrap())
-            .unwrap();
+        let url = "http://a.example/page";
+        let response = speculate(&net, url);
         assert_eq!(net.log_len(), 0, "speculative dispatches are unlogged");
-        net.store_prefetched(&url, "sid=abc", response);
+        net.cache_store(url, "sid=abc", response, true);
         assert_eq!(net.prefetched_entries(), 1);
 
         // A different plan (the jar changed since the speculation) discards
         // the entry instead of serving it.
-        assert!(net.take_prefetched(&url, "sid=zzz").is_none());
+        assert!(take(&net, url, "sid=zzz").is_none());
         assert_eq!(net.prefetch_stale_discards(), 1);
         assert_eq!(net.prefetched_entries(), 0, "stale entries are discarded");
 
         // A matching plan consumes the entry exactly once.
-        let response = net
-            .dispatch_unlogged(Request::get("http://a.example/page").unwrap())
-            .unwrap();
-        net.store_prefetched(&url, "sid=abc", response);
-        let hit = net.take_prefetched(&url, "sid=abc").unwrap();
+        let response = speculate(&net, url);
+        net.cache_store(url, "sid=abc", response, true);
+        let hit = take(&net, url, "sid=abc").unwrap();
         assert_eq!(hit.body, "GET /page");
         assert_eq!(net.prefetch_hits(), 1);
-        assert!(net.take_prefetched(&url, "sid=abc").is_none());
+        assert!(take(&net, url, "sid=abc").is_none());
         assert_eq!(
             net.prefetch_stale_discards(),
             1,
@@ -1144,11 +1058,10 @@ mod tests {
         use crate::response_cache::RESPONSE_CACHE_CAPACITY;
         let net = SharedNetwork::new();
         net.register("http://a.example", echo_server);
-        let ok = Response::ok_text("x");
+        let ok = Arc::new(Response::ok_text("x"));
         let stored = 4 * RESPONSE_CACHE_CAPACITY;
         for i in 0..stored {
-            let url = Url::parse(&format!("http://a.example/{i}")).unwrap();
-            net.store_prefetched(&url, "", ok.clone());
+            net.cache_store(&format!("http://a.example/{i}"), "", ok.clone(), true);
         }
         assert!(
             net.prefetched_entries() <= RESPONSE_CACHE_CAPACITY,
@@ -1160,13 +1073,13 @@ mod tests {
             "every overflow store evicted exactly one entry"
         );
         // Re-storing a URL overwrites in place rather than duplicating or evicting.
-        let url = Url::parse(&format!("http://a.example/{}", stored - 1)).unwrap();
+        let url = &format!("http://a.example/{}", stored - 1);
         let evictions_before = net.cache_evictions();
-        net.store_prefetched(&url, "a=1", ok.clone());
-        net.store_prefetched(&url, "a=2", ok);
+        net.cache_store(url, "a=1", ok.clone(), true);
+        net.cache_store(url, "a=2", ok, true);
         assert_eq!(net.cache_evictions(), evictions_before);
-        assert!(net.take_prefetched(&url, "a=2").is_some());
-        assert!(net.take_prefetched(&url, "a=2").is_none());
+        assert!(take(&net, url, "a=2").is_some());
+        assert!(take(&net, url, "a=2").is_none());
     }
 
     #[test]
@@ -1198,17 +1111,14 @@ mod tests {
                 let net = Arc::clone(&net);
                 scope.spawn(move || {
                     for _ in 0..10 {
-                        net.dispatch(Request::get("http://count.example/").unwrap())
-                            .unwrap();
+                        net.fetch("http://count.example/").unwrap();
                     }
                 });
             }
         });
         // 40 concurrent hits, each seeing a consistent counter: the final dispatch
         // observes 41.
-        let last = net
-            .dispatch(Request::get("http://count.example/").unwrap())
-            .unwrap();
+        let last = net.fetch("http://count.example/").unwrap();
         assert_eq!(last.body, "41");
     }
 
@@ -1220,8 +1130,7 @@ mod tests {
         let origin = Origin::parse_url("http://a.example").unwrap();
         // Establish a clean baseline estimate.
         for i in 0..5 {
-            net.dispatch(Request::get(&format!("http://a.example/warm{i}")).unwrap())
-                .unwrap();
+            net.fetch(&format!("http://a.example/warm{i}")).unwrap();
         }
         let baseline = net.estimated_service_ns(&origin);
         assert!(baseline > 0, "warm dispatches seeded the EWMA");
@@ -1234,7 +1143,7 @@ mod tests {
             FaultPlan::new().slow_by(5_000_000).every_nth(2),
         );
         for i in 0..10 {
-            let _ = net.dispatch(Request::get(&format!("http://a.example/storm{i}")).unwrap());
+            let _ = net.fetch(&format!("http://a.example/storm{i}"));
         }
         assert_eq!(
             net.estimated_service_ns(&origin),
@@ -1245,8 +1154,7 @@ mod tests {
         assert_eq!(net.faults_injected(), 5);
         // Healing the origin resumes EWMA updates.
         net.clear_fault("http://a.example");
-        net.dispatch(Request::get("http://a.example/healed").unwrap())
-            .unwrap();
+        net.fetch("http://a.example/healed").unwrap();
         assert!(net.estimated_service_ns(&origin) > 0);
     }
 }

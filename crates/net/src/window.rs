@@ -24,10 +24,11 @@
 //! send, so a zero-latency plan dispatches in exact plan order — the order
 //! the sequential oracle uses, down to each origin's fault-plan indices.
 //!
-//! A width-1 window over one request is the whole resilient single-request
-//! path: bounded retries, breaker admission and panic containment live here
-//! once, for page plans, background prefetch ([`crate::prefetch`]) and the
-//! single-request callers.
+//! Every fetch runs in a window: [`SharedNetwork::execute`] runs each stage
+//! of a [`FetchPlan`](crate::fetch::FetchPlan) as one, and a navigation or
+//! XHR is a width-1 window over one request. Bounded retries, breaker
+//! admission and panic containment therefore live here once, for page plans,
+//! background prefetch ([`crate::prefetch`]) and single requests alike.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -58,8 +59,7 @@ struct Slot {
 /// `base + offset` (unlogged when `base` is `None`) — as a deadline window of
 /// at most `width` in-flight requests overall and at most
 /// [`MAX_IN_FLIGHT_PER_ORIGIN`] to any one origin, returning the outcomes in
-/// entry order. `budget` is the batch's retry budget; `None` is the disabled
-/// policy (one attempt, no breaker).
+/// entry order. All slots share one retry budget under `policy`.
 ///
 /// Sends go out in plan order. A head whose origin is at its bound waits,
 /// with the entries behind it, for the next completion (head-of-line); the
@@ -74,10 +74,9 @@ pub(crate) fn run_window(
     base: Option<u64>,
     entries: Vec<(usize, Request)>,
     width: usize,
-    budget: Option<&BatchBudget>,
+    policy: FetchPolicy,
 ) -> Vec<SlotResult> {
-    let disabled = FetchPolicy::disabled();
-    let policy = budget.map_or(&disabled, |budget| &budget.policy);
+    let budget = (!policy.is_disabled()).then(|| BatchBudget::new(fabric, policy));
     let width = width.clamp(1, entries.len().max(1));
     let mut results: Vec<Option<SlotResult>> = (0..entries.len()).map(|_| None).collect();
     let mut pending = entries.into_iter().enumerate().peekable();
@@ -99,7 +98,7 @@ pub(crate) fn run_window(
                     .count();
                 if to_origin < MAX_IN_FLIGHT_PER_ORIGIN {
                     let (index, (offset, request)) = pending.next().expect("peeked");
-                    match fabric.send(request, policy) {
+                    match fabric.send(request, &policy) {
                         Ok(flight) => in_flight.push(Slot {
                             index,
                             offset,
@@ -129,12 +128,13 @@ pub(crate) fn run_window(
             fabric.complete(&slot.flight, sequence)
         }))
         .unwrap_or_else(|_| {
+            let request = &slot.flight.request;
             Err(NetError::FetchPanicked(format!(
-                "origin handler panicked on batch request {}",
-                slot.offset
+                "{} {} (origin `{}`)",
+                request.method, request.url, slot.flight.origin
             )))
         });
-        let Some(budget) = budget else {
+        let Some(budget) = &budget else {
             results[slot.index] = Some((outcome, 0));
             continue;
         };
@@ -154,7 +154,7 @@ pub(crate) fn run_window(
         // slot's own sequence, with a fresh due time. It keeps the slot, and
         // so its place under the width and its origin's bound.
         let retries = slot.retries + 1;
-        match fabric.send(slot.flight.request, policy) {
+        match fabric.send(slot.flight.request, &policy) {
             Ok(flight) => in_flight.push(Slot {
                 retries,
                 flight,
@@ -169,40 +169,6 @@ pub(crate) fn run_window(
         .collect()
 }
 
-impl SharedNetwork {
-    /// Dispatches a pre-planned batch as a **deadline window** on the calling
-    /// thread: entry `(offset, request)` logs under `base + offset`, at most
-    /// `width` requests are in flight at once and at most
-    /// [`MAX_IN_FLIGHT_PER_ORIGIN`] to any one origin, in-flight requests
-    /// complete in the order their responses come due, and outcomes come back
-    /// in entry order. Requests go out in plan order; one whose origin is at
-    /// its bound waits, with the rest of the plan, for a completion.
-    /// `usize::MAX` leaves only the per-origin bound. No other thread is
-    /// involved: this is the browser's path for every subresource plan.
-    /// `policy` gives each slot the bounded-retry loop of
-    /// [`crate::fault`]: a failed attempt is re-sent verbatim under its
-    /// slot's reserved sequence with a fresh due time, and keeps its place in
-    /// the window while it does.
-    ///
-    /// # Errors
-    ///
-    /// Each slot carries its own final [`NetError`]: one unreachable origin
-    /// fails that fetch, a panicking handler fails its own slot with
-    /// [`NetError::FetchPanicked`], exhausted injected faults end in
-    /// [`NetError::Timeout`], and an origin whose breaker refused admission in
-    /// [`NetError::CircuitOpen`]. None of them fails the window.
-    pub fn dispatch_window(
-        &self,
-        base: u64,
-        entries: Vec<(usize, Request)>,
-        width: usize,
-        policy: &FetchPolicy,
-    ) -> Vec<(Result<Response, NetError>, u32)> {
-        let budget = (!policy.is_disabled()).then(|| BatchBudget::new(self, *policy));
-        run_window(self, Some(base), entries, width, budget.as_ref())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,14 +181,10 @@ mod tests {
     const REQUESTS: usize = 8;
     const LATENCY: Duration = Duration::from_millis(2);
 
-    fn plan(fabric: &SharedNetwork, origins: usize) -> (u64, Vec<(usize, Request)>) {
-        let entries = (0..REQUESTS)
-            .map(|i| {
-                let url = format!("http://h{}.example/r{i}", i % origins);
-                (i, Request::get(&url).unwrap())
-            })
-            .collect();
-        (fabric.reserve_sequences(REQUESTS as u64), entries)
+    fn plan(origins: usize) -> Vec<Request> {
+        (0..REQUESTS)
+            .map(|i| Request::get(&format!("http://h{}.example/r{i}", i % origins)).unwrap())
+            .collect()
     }
 
     /// A fabric of `origins` origins at `LATENCY` whose handlers record the
@@ -246,9 +208,9 @@ mod tests {
     fn each_handler_call_waits_its_rounds_of_latency() {
         for width in [1, 3, 4, 8] {
             let (fabric, calls) = timed_fabric(4);
-            let (base, entries) = plan(&fabric, 4);
+            let entries = plan(4);
             let start = Instant::now();
-            let results = fabric.dispatch_window(base, entries, width, &FetchPolicy::disabled());
+            let results = fabric.run_plan(entries, width, &FetchPolicy::disabled());
             assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
             let calls = calls.lock().unwrap();
             assert_eq!(calls.len(), REQUESTS);
@@ -279,14 +241,13 @@ mod tests {
             });
             fabric.set_latency(&origin, Duration::from_millis(latency));
         }
-        let base = fabric.reserve_sequences(3);
         let entries = vec![
-            (0, Request::get("http://slow.example/slow").unwrap()),
-            (1, Request::get("http://fast.example/fast1").unwrap()),
-            (2, Request::get("http://fast.example/fast2").unwrap()),
+            Request::get("http://slow.example/slow").unwrap(),
+            Request::get("http://fast.example/fast1").unwrap(),
+            Request::get("http://fast.example/fast2").unwrap(),
         ];
         let start = Instant::now();
-        let results = fabric.dispatch_window(base, entries, 2, &FetchPolicy::disabled());
+        let results = fabric.run_plan(entries, 2, &FetchPolicy::disabled());
         assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
         let calls = calls.lock().unwrap();
         let order: Vec<&str> = calls.iter().map(|(path, _)| path.as_str()).collect();
@@ -346,15 +307,13 @@ mod tests {
             }
             fabric.inject_fault("http://h0.example", FaultPlan::new());
             fabric.inject_fault("http://boom.example", FaultPlan::new().panicking());
-            let (base, mut entries) = plan(&fabric, 1);
+            let mut entries = plan(1);
             let mut policy = FetchPolicy::disabled();
             if panicking {
-                let offset = fabric.reserve_sequences(1) - base;
-                let offset = usize::try_from(offset).unwrap();
-                entries.insert(1, (offset, Request::get("http://boom.example/b").unwrap()));
+                entries.insert(1, Request::get("http://boom.example/b").unwrap());
                 policy = policy.with_max_retries(1).with_backoff_base_ns(1_000);
             }
-            let results = fabric.dispatch_window(base, entries, width, &policy);
+            let results = fabric.run_plan(entries, width, &policy);
             for (i, (outcome, retries)) in results.iter().enumerate() {
                 if panicking && i == 1 {
                     assert!(matches!(outcome, Err(NetError::FetchPanicked(_))));
@@ -393,13 +352,12 @@ mod tests {
             // Long enough that all first sends happen before any is due.
             fabric.set_latency(&origin, Duration::from_millis(10));
         }
-        let mut entries: Vec<(usize, Request)> = (0..7)
-            .map(|i| (i, Request::get(&format!("http://a.example/r{i}")).unwrap()))
+        let mut entries: Vec<Request> = (0..7)
+            .map(|i| Request::get(&format!("http://a.example/r{i}")).unwrap())
             .collect();
-        entries.push((7, Request::get("http://b.example/r7").unwrap()));
-        let base = fabric.reserve_sequences(8);
+        entries.push(Request::get("http://b.example/r7").unwrap());
         let start = Instant::now();
-        let results = fabric.dispatch_window(base, entries, usize::MAX, &FetchPolicy::disabled());
+        let results = fabric.run_plan(entries, usize::MAX, &FetchPolicy::disabled());
         assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
         let calls = calls.lock().unwrap();
         let urls: Vec<&str> = calls.iter().map(|(url, _)| url.as_str()).collect();
@@ -425,9 +383,8 @@ mod tests {
                 // Long enough that all first sends happen before any is due.
                 fabric.set_latency(&origin, Duration::from_millis(10));
             }
-            let (base, entries) = plan(&fabric, origins);
-            let results =
-                fabric.dispatch_window(base, entries, usize::MAX, &FetchPolicy::disabled());
+            let entries = plan(origins);
+            let results = fabric.run_plan(entries, usize::MAX, &FetchPolicy::disabled());
             assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
             assert_eq!(
                 fabric.window_origin_deferrals(),
@@ -449,8 +406,8 @@ mod tests {
             });
             fabric.set_latency(&origin, Duration::from_micros(400 * (4 - k)));
         }
-        let (base, entries) = plan(&fabric, 4);
-        let results = fabric.dispatch_window(base, entries, 4, &FetchPolicy::disabled());
+        let entries = plan(4);
+        let results = fabric.run_plan(entries, 4, &FetchPolicy::disabled());
         for (i, (outcome, retries)) in results.iter().enumerate() {
             assert_eq!(outcome.as_ref().unwrap().body, format!("/r{i}"));
             assert_eq!(*retries, 0);
@@ -465,10 +422,10 @@ mod tests {
         let (fabric, calls) = timed_fabric(4);
         // The first send to h1 (plan slot 1) times out; one retry heals it.
         fabric.inject_fault("http://h1.example", FaultPlan::new().fail_first(1));
-        let (base, entries) = plan(&fabric, 4);
+        let entries = plan(4);
         let policy = FetchPolicy::default().with_max_retries(2);
         let start = Instant::now();
-        let results = fabric.dispatch_window(base, entries, 4, &policy);
+        let results = fabric.run_plan(entries, 4, &policy);
         let retries: Vec<u32> = results.iter().map(|(_, retries)| *retries).collect();
         assert_eq!(retries, vec![0, 1, 0, 0, 0, 0, 0, 0]);
         assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
@@ -495,13 +452,12 @@ mod tests {
         fabric.register("http://boom.example", |_req: &Request| -> Response {
             panic!("window handler exploded")
         });
-        let base = fabric.reserve_sequences(3);
         let entries = vec![
-            (0, Request::get("http://h0.example/a").unwrap()),
-            (1, Request::get("http://boom.example/b").unwrap()),
-            (2, Request::get("http://nowhere.example/c").unwrap()),
+            Request::get("http://h0.example/a").unwrap(),
+            Request::get("http://boom.example/b").unwrap(),
+            Request::get("http://nowhere.example/c").unwrap(),
         ];
-        let results = fabric.dispatch_window(base, entries, 2, &FetchPolicy::disabled());
+        let results = fabric.run_plan(entries, 2, &FetchPolicy::disabled());
         assert!(results[0].0.is_ok());
         assert!(matches!(results[1].0, Err(NetError::FetchPanicked(_))));
         assert!(matches!(results[2].0, Err(NetError::HostUnreachable(_))));

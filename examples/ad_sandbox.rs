@@ -25,7 +25,7 @@ fn main() {
     for mode in [PolicyMode::SameOriginOnly, PolicyMode::Escudo] {
         println!("== {mode} ==");
         let mut browser = Browser::new(mode);
-        browser.network_mut().register(
+        browser.fabric().register(
             "http://blog.example",
             BlogApp::new().with_ad_script(MALICIOUS_AD),
         );

@@ -16,7 +16,7 @@ fn main() {
 
     let mut browser = Browser::new(PolicyMode::Escudo);
     browser
-        .network_mut()
+        .fabric()
         .register("http://calendar.example", calendar);
 
     // Log in and add two events through the real form-submission path.

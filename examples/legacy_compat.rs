@@ -16,7 +16,7 @@ fn main() {
     // Direction 1: ESCUDO-configured application, legacy (SOP-only) browser.
     {
         let mut browser = Browser::new(PolicyMode::SameOriginOnly);
-        browser.network_mut().register(
+        browser.fabric().register(
             "http://forum.example",
             ForumApp::new(ForumConfig::default()),
         );
@@ -46,7 +46,7 @@ fn main() {
     {
         let mut browser = Browser::new(PolicyMode::Escudo);
         browser
-            .network_mut()
+            .fabric()
             .register("http://forum.example", ForumApp::new(ForumConfig::legacy()));
         browser
             .navigate("http://forum.example/login.php?user=alice")

@@ -43,9 +43,9 @@ fn main() {
             .unwrap()
             .comments
             .clone_from(&state.lock().unwrap().comments);
-        browser.network_mut().register("http://blog.example", blog);
+        browser.fabric().register("http://blog.example", blog);
         browser
-            .network_mut()
+            .fabric()
             .register("http://evil.example", |_req: &Request| {
                 escudo::net::Response::ok_text("logged")
             });
@@ -75,7 +75,7 @@ fn main() {
             );
         }
         let exfiltrated = browser
-            .network()
+            .fabric()
             .requests_to("evil.example")
             .iter()
             .any(|r| r.url.query().contains("blog_session"));

@@ -26,7 +26,7 @@
 //! use escudo::apps::BlogApp;
 //!
 //! let mut browser = Browser::new(PolicyMode::Escudo);
-//! browser.network_mut().register("http://blog.example", BlogApp::new());
+//! browser.fabric().register("http://blog.example", BlogApp::new());
 //! let page = browser.navigate("http://blog.example/").unwrap();
 //! assert!(browser.page(page).text_of("post-body").is_some());
 //! ```

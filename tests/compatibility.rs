@@ -10,7 +10,7 @@ use escudo::browser::{Browser, PolicyMode};
 #[test]
 fn escudo_application_works_on_a_legacy_browser() {
     let mut browser = Browser::new(PolicyMode::SameOriginOnly);
-    browser.network_mut().register(
+    browser.fabric().register(
         "http://forum.example",
         ForumApp::new(ForumConfig::default()),
     );
@@ -33,7 +33,7 @@ fn escudo_application_works_on_a_legacy_browser() {
 fn legacy_application_works_on_the_escudo_browser() {
     let mut browser = Browser::new(PolicyMode::Escudo);
     browser
-        .network_mut()
+        .fabric()
         .register("http://forum.example", ForumApp::new(ForumConfig::legacy()));
     browser
         .navigate("http://forum.example/login.php?user=alice")
@@ -57,9 +57,7 @@ fn escudo_enforcement_does_not_break_the_forum() {
     let forum = ForumApp::new(ForumConfig::vulnerable());
     let state = forum.state();
     let mut browser = Browser::new(PolicyMode::Escudo);
-    browser
-        .network_mut()
-        .register("http://forum.example", forum);
+    browser.fabric().register("http://forum.example", forum);
 
     browser
         .navigate("http://forum.example/login.php?user=alice")
@@ -100,7 +98,7 @@ fn escudo_enforcement_does_not_break_the_calendar() {
     let state = calendar.state();
     let mut browser = Browser::new(PolicyMode::Escudo);
     browser
-        .network_mut()
+        .fabric()
         .register("http://calendar.example", calendar);
 
     browser

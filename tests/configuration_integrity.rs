@@ -17,7 +17,7 @@ impl Server for Static {
 fn load(mode: PolicyMode, html: &'static str) -> (Browser, escudo::browser::PageId) {
     let mut browser = Browser::new(mode);
     browser
-        .network_mut()
+        .fabric()
         .register("http://app.example", Static(html));
     let page = browser.navigate("http://app.example/").unwrap();
     (browser, page)

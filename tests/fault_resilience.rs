@@ -11,7 +11,10 @@
 //!   to its own slot and retried within the session's budget, and the fabric
 //!   serves the next window as before, and
 //! * a subresource whose origin never heals **degrades** into its outcome's
-//!   `error` field with the full retry budget spent — the page still loads.
+//!   `error` field with the full retry budget spent — the page still loads,
+//!   and
+//! * a navigation or XHR to a panicking origin fails with an error under the
+//!   default policy instead of unwinding the session.
 //!
 //! The oracle and breaker drills are `escudo_bench::fault`'s — the same code
 //! the `fault_concurrent` CI gate drives — so the bench and these tests
@@ -20,13 +23,37 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use escudo::browser::{Browser, PolicyMode};
+use escudo::browser::{Browser, BrowserError, PolicyMode};
 use escudo::core::ManualClock;
 use escudo::net::{
-    BreakerPhase, FaultPlan, FetchPolicy, NetError, Request, Response, SharedNetwork,
+    BreakerPhase, FaultPlan, FetchPlan, FetchPolicy, NetError, Request, Response, SharedNetwork,
 };
 use escudo_bench::fault::{run_breaker_drill, run_retry_oracle};
 use escudo_bench::loader::register_loader_world;
+
+/// Runs `requests` as one logged, uncached plan of `width`, returning each
+/// slot's outcome and retries.
+fn run_plan(
+    fabric: &SharedNetwork,
+    requests: Vec<Request>,
+    width: usize,
+    policy: &FetchPolicy,
+) -> Vec<(Result<Arc<Response>, NetError>, u32)> {
+    fabric
+        .execute(FetchPlan::new(requests, width, *policy))
+        .into_iter()
+        .map(|fetched| (fetched.outcome, fetched.retries))
+        .collect()
+}
+
+/// Runs one request as a width-1 plan: the navigation and XHR shape.
+fn fetch(
+    fabric: &SharedNetwork,
+    request: Request,
+    policy: &FetchPolicy,
+) -> Result<Arc<Response>, NetError> {
+    run_plan(fabric, vec![request], 1, policy).remove(0).0
+}
 
 #[test]
 fn a_retry_reuses_the_mediation_plan_verbatim() {
@@ -66,15 +93,15 @@ fn the_breaker_walks_its_phases_on_a_manual_clock() {
     assert_eq!(fabric.breaker_phase(&origin), None);
 
     fabric.inject_fault("http://api.example", FaultPlan::new().timeout());
-    assert!(fabric.dispatch_with_policy(request(), &policy).is_err());
+    assert!(fetch(&fabric, request(), &policy).is_err());
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Closed));
-    assert!(fabric.dispatch_with_policy(request(), &policy).is_err());
+    assert!(fetch(&fabric, request(), &policy).is_err());
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Open));
     assert_eq!(fabric.breaker_trips(), 1);
 
     // Open: fail fast with the remaining cooldown, without dispatching.
     let faults_before = fabric.faults_injected();
-    match fabric.dispatch_with_policy(request(), &policy) {
+    match fetch(&fabric, request(), &policy) {
         Err(NetError::CircuitOpen { cooldown_ns, .. }) => {
             assert_eq!(cooldown_ns, 500_000_000);
         }
@@ -86,7 +113,7 @@ fn the_breaker_walks_its_phases_on_a_manual_clock() {
     // Cooldown elapses on the manual clock; the healed probe re-closes it.
     clock.advance(Duration::from_millis(500));
     fabric.clear_fault("http://api.example");
-    assert!(fabric.dispatch_with_policy(request(), &policy).is_ok());
+    assert!(fetch(&fabric, request(), &policy).is_ok());
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Closed));
     assert_eq!(fabric.breaker_probes(), 1);
     assert_eq!(fabric.breaker_recoveries(), 1);
@@ -113,17 +140,13 @@ fn a_panic_mid_batch_is_contained_released_and_width_bounded() {
     let policy = FetchPolicy::disabled()
         .with_max_retries(1)
         .with_backoff_base_ns(1_000);
-    let entries: Vec<(usize, Request)> = (0..6)
+    let entries: Vec<Request> = (0..6)
         .map(|i| {
             let host = if i % 3 == 1 { "boom" } else { "ok" };
-            (
-                i,
-                Request::get(&format!("http://{host}.example/r{i}")).unwrap(),
-            )
+            Request::get(&format!("http://{host}.example/r{i}")).unwrap()
         })
         .collect();
-    let base = fabric.reserve_sequences(entries.len() as u64);
-    let results = fabric.dispatch_window(base, entries, 2, &policy);
+    let results = run_plan(&fabric, entries, 2, &policy);
 
     for (i, (outcome, retries)) in results.iter().enumerate() {
         if i % 3 == 1 {
@@ -145,16 +168,10 @@ fn a_panic_mid_batch_is_contained_released_and_width_bounded() {
     }
 
     // The fabric survived: a follow-up window over the same origin drains.
-    let follow_up: Vec<(usize, Request)> = (0..4)
-        .map(|i| {
-            (
-                i,
-                Request::get(&format!("http://ok.example/again{i}")).unwrap(),
-            )
-        })
+    let follow_up: Vec<Request> = (0..4)
+        .map(|i| Request::get(&format!("http://ok.example/again{i}")).unwrap())
         .collect();
-    let base = fabric.reserve_sequences(follow_up.len() as u64);
-    let results = fabric.dispatch_window(base, follow_up, 2, &FetchPolicy::disabled());
+    let results = run_plan(&fabric, follow_up, 2, &FetchPolicy::disabled());
     assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
 }
 
@@ -192,4 +209,52 @@ fn an_unhealed_subresource_degrades_into_its_outcome_with_the_budget_spent() {
     // Faulted dispatches are never logged: the log holds only the page fetch
     // and the two healthy images.
     assert_eq!(fabric.log().len(), 3);
+}
+
+#[test]
+fn a_panicking_origin_fails_its_navigation_and_xhr_without_unwinding() {
+    let fabric = Arc::new(SharedNetwork::new());
+    fabric.register("http://ok.example", |_req: &Request| {
+        Response::ok_html("<html><body>fine</body></html>")
+    });
+    fabric.register("http://planned.example", |_req: &Request| -> Response {
+        unreachable!("faulted before the handler")
+    });
+    fabric.inject_fault("http://planned.example", FaultPlan::new().panicking());
+    fabric.register("http://boom.example", |_req: &Request| -> Response {
+        panic!("navigation handler exploded")
+    });
+    fabric.register("http://xhr.example", |req: &Request| match req.url.path() {
+        "/page.php" => Response::ok_html(
+            "<html><body><script>var x = new XMLHttpRequest(); \
+             x.open('GET', '/boom'); x.send(); x.status;</script></body></html>",
+        ),
+        _ => panic!("xhr handler exploded"),
+    });
+    let mut browser = Browser::with_network(
+        escudo::core::engine_for_mode(PolicyMode::Escudo),
+        Arc::new(escudo::net::SharedCookieJar::new()),
+        Arc::clone(&fabric),
+    );
+    assert_eq!(browser.fetch_policy(), FetchPolicy::disabled());
+
+    // An injected panic and a real one: each fails its navigation, and the
+    // session goes on to load a healthy origin.
+    for url in ["http://planned.example/", "http://boom.example/"] {
+        match browser.navigate(url) {
+            Err(BrowserError::Net(NetError::FetchPanicked(_))) => {}
+            other => panic!("{url}: expected a contained panic, got {other:?}"),
+        }
+        browser.navigate("http://ok.example/").unwrap();
+    }
+
+    // An XHR to a panicking handler fails the script, not the session.
+    let page = browser.navigate("http://xhr.example/page.php").unwrap();
+    let outcome = &browser.page(page).script_outcomes[0];
+    let error = outcome.result.as_ref().unwrap_err();
+    assert!(
+        error.contains("origin handler panicked"),
+        "unexpected XHR error: {error}"
+    );
+    browser.navigate("http://ok.example/").unwrap();
 }

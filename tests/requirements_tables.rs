@@ -12,9 +12,7 @@ fn forum_with_user_script(script: &str) -> (Browser, escudo::browser::PageId) {
     let forum = ForumApp::new(ForumConfig::vulnerable());
     let state = forum.state();
     let mut browser = Browser::new(PolicyMode::Escudo);
-    browser
-        .network_mut()
-        .register("http://forum.example", forum);
+    browser.fabric().register("http://forum.example", forum);
     browser
         .navigate("http://forum.example/login.php?user=victim")
         .unwrap();
@@ -47,9 +45,7 @@ fn table2_application_content_has_all_three_privileges() {
     let forum = ForumApp::new(ForumConfig::vulnerable());
     let state = forum.state();
     let mut browser = Browser::new(PolicyMode::Escudo);
-    browser
-        .network_mut()
-        .register("http://forum.example", forum);
+    browser.fabric().register("http://forum.example", forum);
     browser
         .navigate("http://forum.example/login.php?user=victim")
         .unwrap();
@@ -73,7 +69,7 @@ fn table2_application_content_has_all_three_privileges() {
     let mut b2 = Browser::new(PolicyMode::Escudo);
     let forum2 = ForumApp::new(ForumConfig::vulnerable());
     let state2 = forum2.state();
-    b2.network_mut().register("http://forum.example", forum2);
+    b2.fabric().register("http://forum.example", forum2);
     b2.navigate("http://forum.example/login.php?user=victim")
         .unwrap();
     state2.lock().expect("app state lock").topics.push(Topic {
@@ -133,9 +129,7 @@ fn table3_user_content_is_isolated_between_users() {
     let forum = ForumApp::new(ForumConfig::vulnerable());
     let state = forum.state();
     let mut browser = Browser::new(PolicyMode::Escudo);
-    browser
-        .network_mut()
-        .register("http://forum.example", forum);
+    browser.fabric().register("http://forum.example", forum);
     browser
         .navigate("http://forum.example/login.php?user=victim")
         .unwrap();
@@ -185,7 +179,7 @@ fn table4_events_cannot_touch_dom_cookies_or_xhr() {
         let state = calendar.state();
         let mut browser = Browser::new(PolicyMode::Escudo);
         browser
-            .network_mut()
+            .fabric()
             .register("http://calendar.example", calendar);
         browser
             .navigate("http://calendar.example/login.php?user=victim")
@@ -227,7 +221,7 @@ fn table4_application_content_keeps_working() {
     let calendar = CalendarApp::new(CalendarConfig::vulnerable());
     let mut browser = Browser::new(PolicyMode::Escudo);
     browser
-        .network_mut()
+        .fabric()
         .register("http://calendar.example", calendar);
     browser
         .navigate("http://calendar.example/login.php?user=alice")

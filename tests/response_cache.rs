@@ -21,7 +21,11 @@
 //!   drains a one-shot speculative entry, and
 //! * a coalesced duplicate whose primary dispatch failed falls back under the
 //!   session's own `FetchPolicy`, spending the same retry budget a
-//!   non-coalesced slot would.
+//!   non-coalesced slot would, and
+//! * script-initiated XHR consults and fills only the persistent layer, and
+//!   only for a `GET` without a body: repeat XHRs hit and log like the
+//!   cache-off run, a one-shot prefetch entry is left for the navigation it
+//!   predicted, and a `POST` always goes to the origin.
 //!
 //! The worlds are built by `escudo_bench::cache` — the same builders the
 //! `cache_concurrent` CI gates drive — so the benches and these tests cannot
@@ -382,4 +386,126 @@ fn a_coalesced_duplicate_falls_back_with_the_sessions_retry_budget() {
         duplicate.retries, 1,
         "the fallback dispatch honors the session's retry budget"
     );
+}
+
+/// Registers `http://xhr.example`: `/login.php` sets the `sid` cookie,
+/// `/page.php` runs `script`, and every other path answers with its method,
+/// path and a call counter. `/data.json` is cacheable for an hour; other
+/// paths declare no `max-age`. Returns the counter of those other calls.
+fn register_xhr_world(fabric: &SharedNetwork, script: &'static str) -> Arc<AtomicU64> {
+    let calls = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&calls);
+    fabric.register("http://xhr.example", move |req: &Request| {
+        match req.url.path() {
+            "/login.php" => Response::ok_html("<html><body>in</body></html>")
+                .with_cookie(SetCookie::new("sid", "u1")),
+            "/page.php" => Response::ok_html(format!(
+                "<html><body><script>{script}</script></body></html>"
+            )),
+            path => {
+                let n = counter.fetch_add(1, Ordering::Relaxed);
+                let response = Response::ok_text(format!("{} {path} #{n}", req.method));
+                if path == "/data.json" {
+                    response.with_max_age(3600)
+                } else {
+                    response
+                }
+            }
+        }
+    });
+    calls
+}
+
+/// The value the page's (only) script evaluated to.
+fn script_result(browser: &Browser, page: escudo::browser::PageId) -> String {
+    browser.page(page).script_outcomes[0]
+        .result
+        .clone()
+        .expect("the page script ran")
+}
+
+#[test]
+fn repeat_xhr_gets_hit_the_cache_and_log_like_the_cache_off_run() {
+    const SCRIPT: &str = "var a = new XMLHttpRequest(); a.open('GET', '/data.json'); a.send(); \
+                          var b = new XMLHttpRequest(); b.open('GET', '/data.json'); b.send(); \
+                          a.responseText + '|' + b.responseText;";
+    let run = |enabled: bool| {
+        let fabric = Arc::new(SharedNetwork::new());
+        let calls = register_xhr_world(&fabric, SCRIPT);
+        let mut browser = cache_browser(&fabric, enabled);
+        browser.navigate("http://xhr.example/login.php").unwrap();
+        let page = browser.navigate("http://xhr.example/page.php").unwrap();
+        (
+            fabric.log(),
+            script_result(&browser, page),
+            calls.load(Ordering::Relaxed),
+        )
+    };
+    let (on_log, on_result, on_calls) = run(true);
+    let (off_log, off_result, off_calls) = run(false);
+
+    assert_eq!(on_calls, 1, "the second XHR is served from the cache");
+    assert_eq!(on_result, "GET /data.json #0|GET /data.json #0");
+    assert_eq!(off_calls, 2);
+    assert_eq!(off_result, "GET /data.json #0|GET /data.json #1");
+
+    // Both XHRs are logged, each under its own sequence, with the mediated
+    // cookie attached, and the logs are byte-identical.
+    let xhrs: Vec<_> = on_log
+        .iter()
+        .filter(|entry| entry.url.path() == "/data.json")
+        .collect();
+    assert_eq!(xhrs.len(), 2);
+    assert!(xhrs.iter().all(|entry| entry.cookie_names == ["sid"]));
+    assert_eq!(on_log, off_log, "cache-on XHR log diverged from cache-off");
+}
+
+#[test]
+fn an_xhr_never_consumes_a_one_shot_prefetch_entry() {
+    const SCRIPT: &str =
+        "var a = new XMLHttpRequest(); a.open('GET', '/feed.json'); a.send(); a.responseText;";
+    let fabric = Arc::new(SharedNetwork::new());
+    let calls = register_xhr_world(&fabric, SCRIPT);
+    let mut browser = cache_browser(&fabric, true);
+    browser.set_prefetch_enabled(true);
+    assert!(browser.prefetch("http://xhr.example/feed.json"));
+    assert_eq!(fabric.prefetched_entries(), 1);
+
+    // The XHR consults the persistent layer only: it fetches live and leaves
+    // the speculative entry in place.
+    let page = browser.navigate("http://xhr.example/page.php").unwrap();
+    assert_eq!(script_result(&browser, page), "GET /feed.json #1");
+    assert_eq!(calls.load(Ordering::Relaxed), 2);
+    assert_eq!(fabric.prefetch_hits(), 0);
+    assert_eq!(browser.prefetch_hits(), 0);
+    assert_eq!(fabric.prefetched_entries(), 1);
+
+    // The navigation the speculation predicted still consumes it.
+    browser.navigate("http://xhr.example/feed.json").unwrap();
+    assert_eq!(browser.prefetch_hits(), 1);
+    assert_eq!(fabric.prefetched_entries(), 0);
+    assert_eq!(calls.load(Ordering::Relaxed), 2);
+}
+
+#[test]
+fn a_post_xhr_neither_consults_nor_stores() {
+    const SCRIPT: &str = "var a = new XMLHttpRequest(); a.open('GET', '/data.json'); a.send(); \
+                          var p = new XMLHttpRequest(); p.open('POST', '/data.json'); p.send('x=1'); \
+                          var b = new XMLHttpRequest(); b.open('GET', '/data.json'); b.send(); \
+                          a.responseText + '|' + p.responseText + '|' + b.responseText;";
+    let fabric = Arc::new(SharedNetwork::new());
+    let calls = register_xhr_world(&fabric, SCRIPT);
+    let mut browser = cache_browser(&fabric, true);
+    let page = browser.navigate("http://xhr.example/page.php").unwrap();
+
+    // The POST went to the origin although a fresh entry for the URL was
+    // cached, and its cacheable-looking response was not stored: the GET
+    // after it still reads the first GET's entry.
+    assert_eq!(
+        script_result(&browser, page),
+        "GET /data.json #0|POST /data.json #1|GET /data.json #0"
+    );
+    assert_eq!(calls.load(Ordering::Relaxed), 2);
+    assert_eq!(fabric.cache_stored(), 1);
+    assert_eq!(fabric.cache_hits(), 1);
 }
