@@ -179,31 +179,39 @@ impl Request {
     /// along with a forged request.
     #[must_use]
     pub fn cookie_names(&self) -> Vec<String> {
-        self.cookies().into_iter().map(|(n, _)| n).collect()
+        self.cookie_pairs()
+            .map(|(name, _)| name.to_string())
+            .collect()
     }
 
     /// The cookies attached to this request as `(name, value)` pairs.
     #[must_use]
     pub fn cookies(&self) -> Vec<(String, String)> {
-        let Some(header) = self.headers.get("Cookie") else {
-            return Vec::new();
-        };
-        header
-            .split(';')
-            .filter_map(|pair| {
-                let (name, value) = pair.trim().split_once('=')?;
-                Some((name.trim().to_string(), value.trim().to_string()))
-            })
+        self.cookie_pairs()
+            .map(|(name, value)| (name.to_string(), value.to_string()))
             .collect()
     }
 
     /// Looks up an attached cookie by name.
     #[must_use]
     pub fn cookie(&self, name: &str) -> Option<String> {
-        self.cookies()
+        self.cookie_pairs()
+            .find(|(n, _)| *n == name)
+            .map(|(_, value)| value.to_string())
+    }
+
+    /// The `(name, value)` pairs of the `Cookie` header, borrowed from it:
+    /// the one parse behind the owning accessors, which the request log also
+    /// reads without allocating.
+    pub(crate) fn cookie_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.headers
+            .get("Cookie")
             .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
+            .flat_map(|header| header.split(';'))
+            .filter_map(|pair| {
+                let (name, value) = pair.trim().split_once('=')?;
+                Some((name.trim(), value.trim()))
+            })
     }
 }
 

@@ -23,10 +23,12 @@
 //!   front ([`SharedNetwork::reserve_sequences`]) and log each pre-planned
 //!   request under its pre-assigned number: the sorted log then shows plan
 //!   order regardless of completion order.
-//! * **Bounded log.** Like the reference monitor's audit ring, the log keeps at
-//!   most [`SharedNetwork::log_capacity`] entries; overflow drops the
-//!   oldest (lowest-sequence) entries in amortized batches and counts them, so
-//!   long multi-session runs stop growing memory without bound.
+//! * **Bounded log, one ring per stripe.** Like the reference monitor's audit
+//!   ring, the log keeps at most [`SharedNetwork::log_capacity`] entries. A
+//!   full stripe overwrites its oldest entry (the one recorded first in that
+//!   stripe) in place and counts the drop, so recording stays O(1) and
+//!   allocation-free at any bound and long multi-session runs stop growing
+//!   memory.
 //! * **Simulated per-origin latency, waited on a deadline.** A dispatch is
 //!   split into *send* and *complete*. [`SharedNetwork::set_latency`] attaches
 //!   a synthetic service time to an origin; sending a request decides its
@@ -66,10 +68,10 @@
 //!   consumed at most once, exactly as the old bespoke prefetch cache did.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use escudo_core::{Clock, MonotonicClock, Origin};
@@ -165,12 +167,51 @@ pub(crate) struct InFlight {
 }
 
 /// A log entry tagged with its global sequence number. Entries within a stripe are
-/// *not* kept sorted (a pre-reserved sequence may be dispatched late); readers sort
-/// globally when they gather the stripes.
+/// kept in the order they were recorded, *not* sorted (a pre-reserved sequence may
+/// be recorded late); readers sort globally when they gather the stripes.
 #[derive(Debug, Clone)]
 struct SequencedEntry {
     sequence: u64,
     entry: LoggedRequest,
+}
+
+impl SequencedEntry {
+    fn new(sequence: u64, request: &Request, status: u16) -> Self {
+        SequencedEntry {
+            sequence,
+            entry: LoggedRequest {
+                method: request.method,
+                url: request.url.clone(),
+                cookie_names: request
+                    .cookie_pairs()
+                    .map(|(name, _)| name.to_string())
+                    .collect(),
+                status,
+            },
+        }
+    }
+
+    /// Rewrites this entry to log `request`, reusing its URL and cookie-name
+    /// buffers: no allocation unless a string outgrows the one it replaces.
+    fn overwrite(&mut self, sequence: u64, request: &Request, status: u16) {
+        self.sequence = sequence;
+        let entry = &mut self.entry;
+        entry.method = request.method;
+        entry.url.clone_from(&request.url);
+        entry.status = status;
+        let mut count = 0;
+        for (name, _) in request.cookie_pairs() {
+            match entry.cookie_names.get_mut(count) {
+                Some(slot) => {
+                    slot.clear();
+                    slot.push_str(name);
+                }
+                None => entry.cookie_names.push(name.to_string()),
+            }
+            count += 1;
+        }
+        entry.cookie_names.truncate(count);
+    }
 }
 
 /// The `Arc`-shareable network fabric: per-origin mutexed handlers, a lock-striped
@@ -180,7 +221,7 @@ struct SequencedEntry {
 /// `Browser::with_network` threads through browser- and script-initiated requests).
 pub struct SharedNetwork {
     servers: RwLock<HashMap<Origin, Arc<OriginHandler>>>,
-    stripes: Vec<Mutex<Vec<SequencedEntry>>>,
+    stripes: Vec<Mutex<VecDeque<SequencedEntry>>>,
     /// Bound on retained entries per stripe; 0 means unbounded.
     stripe_capacity: usize,
     dropped: AtomicU64,
@@ -244,7 +285,7 @@ impl SharedNetwork {
         };
         SharedNetwork {
             servers: RwLock::new(HashMap::new()),
-            stripes: (0..stripes).map(|_| Mutex::new(Vec::new())).collect(),
+            stripes: (0..stripes).map(|_| Mutex::new(VecDeque::new())).collect(),
             stripe_capacity,
             dropped: AtomicU64::new(0),
             sequence: AtomicU64::new(0),
@@ -453,7 +494,8 @@ impl SharedNetwork {
     /// # Panics
     ///
     /// Panics when the fault plan injects a panic, and whenever the handler
-    /// itself panics; the window contains both per slot.
+    /// itself panics; the window contains both per slot. A handler that
+    /// panicked still answers the origin's later requests.
     ///
     /// # Errors
     ///
@@ -498,7 +540,15 @@ impl SharedNetwork {
             FaultOutcome::Proceed => {}
         }
         let (response, handler_ns) = {
-            let mut server = flight.handler.server.lock().expect("origin handler lock");
+            // A handler that panicked poisoned this mutex; the window
+            // contained that panic and failed only its own request. The
+            // fabric keeps no state of its own under this lock, so the next
+            // request takes the guard back and asks the handler again.
+            let mut server = flight
+                .handler
+                .server
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let start = Instant::now();
             let response = server.handle(&flight.request);
             (response, start.elapsed())
@@ -520,15 +570,7 @@ impl SharedNetwork {
             ewma.store(next, Ordering::Relaxed);
         }
         if let Some(sequence) = sequence {
-            self.record(
-                sequence,
-                LoggedRequest {
-                    method: flight.request.method,
-                    url: flight.request.url.clone(),
-                    cookie_names: flight.request.cookie_names(),
-                    status: response.status.0,
-                },
-            );
+            self.record(sequence, &flight.request, response.status.0);
         }
         Ok(response)
     }
@@ -584,15 +626,7 @@ impl SharedNetwork {
     /// stays public for harnesses that fill the log directly (perfbench's
     /// steady-state fabric does).
     pub fn record_cache_hit(&self, sequence: u64, request: &Request, status: u16) {
-        self.record(
-            sequence,
-            LoggedRequest {
-                method: request.method,
-                url: request.url.clone(),
-                cookie_names: request.cookie_names(),
-                status,
-            },
-        );
+        self.record(sequence, request, status);
     }
 
     /// One-shot (speculative) cache entries consumed by a request whose
@@ -654,24 +688,23 @@ impl SharedNetwork {
         self.cache.len()
     }
 
-    /// Appends a log entry to the stripe its sequence selects, evicting the
-    /// oldest (lowest-sequence) entries in an amortized batch when the stripe is
-    /// full — one `select_nth` scan pays for ~capacity/8 subsequent appends, the
-    /// same scheme as the shared jar's eviction.
-    fn record(&self, sequence: u64, entry: LoggedRequest) {
+    /// Logs `request` and its response `status` in the stripe `sequence`
+    /// selects. A full stripe is a ring: its oldest entry (the one recorded
+    /// first in this stripe) is taken off the front, overwritten in place
+    /// and pushed back as the newest, and the drop is counted — O(1), with
+    /// no allocation once the stripe's entries have their buffers. An
+    /// unbounded log (capacity 0) only pushes.
+    fn record(&self, sequence: u64, request: &Request, status: u16) {
         let stripe = &self.stripes[(sequence as usize) & (self.stripes.len() - 1)];
         let mut entries = stripe.lock().expect("network log stripe lock");
         if self.stripe_capacity > 0 && entries.len() >= self.stripe_capacity {
-            let batch = (self.stripe_capacity / 8).max(1).min(entries.len());
-            let mut sequences: Vec<u64> = entries.iter().map(|e| e.sequence).collect();
-            let (_, threshold, _) = sequences.select_nth_unstable(batch - 1);
-            let threshold = *threshold;
-            // Sequences are unique, so exactly `batch` entries are at or below the
-            // threshold.
-            entries.retain(|e| e.sequence > threshold);
-            self.dropped.fetch_add(batch as u64, Ordering::Relaxed);
+            let mut oldest = entries.pop_front().expect("a full stripe has an entry");
+            oldest.overwrite(sequence, request, status);
+            entries.push_back(oldest);
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            entries.push_back(SequencedEntry::new(sequence, request, status));
         }
-        entries.push(SequencedEntry { sequence, entry });
     }
 
     /// The request log in global sequence order (the order dispatches were
@@ -894,6 +927,56 @@ mod tests {
         net.clear_log();
         assert_eq!(net.log_len(), 0);
         assert_eq!(net.dropped_log_entries(), 4, "drop counter is cumulative");
+    }
+
+    #[test]
+    fn a_full_striped_log_keeps_exactly_the_newest_entries() {
+        let net = SharedNetwork::with_log_config(4, 32);
+        net.register("http://a.example", echo_server);
+        for i in 0..1000 {
+            net.fetch(&format!("http://a.example/{i}")).unwrap();
+        }
+        assert_eq!(net.log_len(), 32);
+        assert_eq!(net.dropped_log_entries(), 968);
+        let paths: Vec<String> = net.log().iter().map(|e| e.url.path().to_string()).collect();
+        let newest: Vec<String> = (968..1000).map(|i| format!("/{i}")).collect();
+        assert_eq!(paths, newest);
+    }
+
+    #[test]
+    fn concurrent_records_into_a_full_log_account_for_every_entry() {
+        let net = Arc::new(SharedNetwork::with_log_capacity(64));
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let net = Arc::clone(&net);
+                scope.spawn(move || {
+                    let request = Request::get(&format!("http://h{t}.example/r"))
+                        .unwrap()
+                        .with_header("Cookie", "sid=abc");
+                    for _ in 0..5_000 {
+                        net.record_cache_hit(net.reserve_sequences(1), &request, 200);
+                    }
+                });
+            }
+        });
+        assert_eq!(net.log_len(), 64);
+        assert_eq!(net.log_len() as u64 + net.dropped_log_entries(), 20_000);
+        assert!(net.log().iter().all(|e| e.cookie_names == ["sid"]));
+    }
+
+    #[test]
+    fn a_handler_that_panicked_once_answers_the_next_request() {
+        let net = SharedNetwork::new();
+        let mut calls = 0usize;
+        net.register("http://flaky.example", move |_req: &Request| {
+            calls += 1;
+            assert!(calls > 1, "first call panics");
+            Response::ok_text("fine")
+        });
+        let first = net.fetch("http://flaky.example/");
+        assert!(matches!(first, Err(NetError::FetchPanicked(_))));
+        let second = net.fetch("http://flaky.example/").unwrap();
+        assert_eq!(second.body, "fine");
     }
 
     #[test]

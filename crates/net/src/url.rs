@@ -25,13 +25,36 @@ use crate::error::NetError;
 /// assert_eq!(url.origin().port(), 80);
 /// # Ok::<(), escudo_net::NetError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Url {
     scheme: String,
     host: String,
     port: u16,
     path: String,
     query: String,
+}
+
+/// Written by hand because `#[derive(Clone)]` does not forward `clone_from`
+/// to the fields: this one reuses the target's `String` buffers, which is
+/// what lets a full request log overwrite an entry without allocating.
+impl Clone for Url {
+    fn clone(&self) -> Self {
+        Url {
+            scheme: self.scheme.clone(),
+            host: self.host.clone(),
+            port: self.port,
+            path: self.path.clone(),
+            query: self.query.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.scheme.clone_from(&source.scheme);
+        self.host.clone_from(&source.host);
+        self.port = source.port;
+        self.path.clone_from(&source.path);
+        self.query.clone_from(&source.query);
+    }
 }
 
 impl Url {
@@ -441,6 +464,26 @@ mod tests {
         ];
         for s in adversarial {
             let _ = Url::parse(s);
+        }
+    }
+
+    #[test]
+    fn clone_from_equals_clone_in_both_directions() {
+        let urls = [
+            "http://a.example/",
+            "http://a.much-longer-host.example:8080/deep/path/to/page.php?x=1&y=22",
+            "https://a.example:8443/p?q=1",
+            "http://a.example/p",
+            "http://a.example/p?q=a-much-longer-query&and=more",
+        ];
+        for a in urls {
+            for b in urls {
+                let source = Url::parse(a).unwrap();
+                let mut target = Url::parse(b).unwrap();
+                target.clone_from(&source);
+                assert_eq!(target, source.clone(), "{b} <- {a}");
+                assert_eq!(target.to_string(), source.to_string());
+            }
         }
     }
 
