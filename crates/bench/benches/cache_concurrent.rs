@@ -34,7 +34,7 @@ use escudo_bench::cache::{
     run_cache_isolation, run_cache_matrix_oracle, run_cache_single_flight, run_cache_speedup,
     run_cache_ttl_walk, CacheMatrixOracleReport, CACHE_GATE_LATENCY,
 };
-use escudo_bench::cli::{parse_flag, JsonReport};
+use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 
 /// Minimum cold-over-warm speedup of the cache-warm repeat navigation.
 const MIN_CACHE_SPEEDUP: f64 = 1.5;
@@ -42,17 +42,15 @@ const MIN_CACHE_SPEEDUP: f64 = 1.5;
 /// Identical image slots the single-flight page carries.
 const SINGLE_FLIGHT_DUPLICATES: usize = 4;
 
-#[allow(clippy::too_many_lines)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let threads = parse_flag(&args, "--threads", 8).max(2);
     let passes = parse_flag(&args, "--passes", 30).max(3);
     println!("cache_concurrent: {threads} isolation sessions, {passes} repeat-navigation passes");
 
-    let mut failed = false;
     let mut json = JsonReport::new("cache_concurrent");
-    json.int("isolation_sessions", threads as u64)
-        .int("cache_passes", passes as u64);
+    json.record(Kind::Info, "isolation_sessions", threads)
+        .record(Kind::Info, "cache_passes", passes);
 
     // --------------------------------------------------------- speedup gate
     let speedup = run_cache_speedup(CACHE_GATE_LATENCY, passes);
@@ -67,35 +65,32 @@ fn main() {
         speedup.expected_hits(),
         speedup.stored
     );
-    json.num("cache_cold_ns", speedup.cold_ns)
-        .num("cache_warm_ns", speedup.warm_ns)
-        .num("cache_speedup", speedup.speedup())
-        .int("cache_warm_hits", speedup.hits)
-        .int("cache_warm_stored", speedup.stored);
-    if speedup.hits != speedup.expected_hits() {
-        eprintln!(
-            "FAIL: only {} of {} warm fetches hit the response cache",
+    // The raw timings are informational: their judged form is the speedup.
+    json.record(Kind::Info, "cache_cold_ns", speedup.cold_ns)
+        .record(Kind::Info, "cache_warm_ns", speedup.warm_ns)
+        .record(Kind::Higher, "cache_speedup", speedup.speedup())
+        .record(Kind::Info, "cache_warm_hits", speedup.hits)
+        .record(Kind::Info, "cache_warm_stored", speedup.stored);
+    json.check(
+        speedup.hits == speedup.expected_hits(),
+        format_args!(
+            "{} of {} warm fetches hit the response cache",
             speedup.hits,
             speedup.expected_hits()
-        );
-        failed = true;
-    }
-    if speedup.speedup() >= MIN_CACHE_SPEEDUP {
-        println!(
-            "ok: the response cache speeds the repeat navigation up {:.2}x (gate: ≥ \
+        ),
+    );
+    json.check(
+        speedup.speedup() >= MIN_CACHE_SPEEDUP,
+        format_args!(
+            "the response cache speeds the repeat navigation up {:.2}x (gate: ≥ \
              {MIN_CACHE_SPEEDUP:.1}x)",
             speedup.speedup()
-        );
-    } else {
-        eprintln!(
-            "FAIL: cache-warm repeat navigation only {:.2}x faster (gate: ≥ \
-             {MIN_CACHE_SPEEDUP:.1}x)",
-            speedup.speedup()
-        );
-        failed = true;
-    }
+        ),
+    );
 
     // ---------------------------------------------------------- matrix gate
+    // Caching must be mediation-invariant: only transport may be skipped,
+    // never a check, so no outcome, verdict or count may move.
     let matrix = run_cache_matrix_oracle();
     let checks_cached = CacheMatrixOracleReport::total_checks(&matrix.cached);
     let checks_plain = CacheMatrixOracleReport::total_checks(&matrix.plain);
@@ -113,46 +108,30 @@ fn main() {
         matrix.cache_stored,
         matrix.cache_coalesced
     );
-    json.int("matrix_cells", matrix.cached.cells() as u64)
-        .int(
-            "matrix_outcome_mismatches",
-            matrix.outcome_mismatches() as u64,
-        )
-        .int(
-            "matrix_unexpected_cached",
-            matrix.cached.unexpected().len() as u64,
-        )
-        .int(
-            "matrix_unexpected_plain",
-            matrix.plain.unexpected().len() as u64,
-        )
-        .int("matrix_checks", checks_plain)
-        .int("matrix_denials", denials_plain)
-        .int("matrix_cache_hits", matrix.cache_hits)
-        .int("matrix_cache_stored", matrix.cache_stored)
-        .int("matrix_cache_coalesced", matrix.cache_coalesced);
-    if matrix.cached.cells() != matrix.plain.cells()
-        || matrix.outcome_mismatches() != 0
-        || !matrix.cached.unexpected().is_empty()
-        || !matrix.plain.unexpected().is_empty()
-    {
-        eprintln!(
-            "FAIL: enabling the response cache moved {} matrix outcomes \
-             ({} + {} unexpected verdicts) — caching must be mediation-invariant",
-            matrix.outcome_mismatches(),
-            matrix.cached.unexpected().len(),
-            matrix.plain.unexpected().len()
-        );
-        failed = true;
-    }
-    if checks_cached != checks_plain || denials_cached != denials_plain {
-        eprintln!(
-            "FAIL: mediation counts moved under the cache (checks {checks_cached} vs \
-             {checks_plain}, denials {denials_cached} vs {denials_plain}) — only transport \
-             may be skipped, never a check"
-        );
-        failed = true;
-    }
+    json.record(Kind::Info, "matrix_cells", matrix.cached.cells())
+        .zero("matrix_outcome_mismatches", matrix.outcome_mismatches())
+        .zero("matrix_unexpected_cached", matrix.cached.unexpected().len())
+        .zero("matrix_unexpected_plain", matrix.plain.unexpected().len())
+        .record(Kind::Info, "matrix_checks", checks_plain)
+        .record(Kind::Info, "matrix_denials", denials_plain)
+        .record(Kind::Info, "matrix_cache_hits", matrix.cache_hits)
+        .record(Kind::Info, "matrix_cache_stored", matrix.cache_stored)
+        .record(Kind::Info, "matrix_cache_coalesced", matrix.cache_coalesced);
+    json.check(
+        matrix.cached.cells() == matrix.plain.cells(),
+        format_args!(
+            "the cache-on matrix has {} cells, the cache-off one {}",
+            matrix.cached.cells(),
+            matrix.plain.cells()
+        ),
+    );
+    json.check(
+        checks_cached == checks_plain && denials_cached == denials_plain,
+        format_args!(
+            "mediation counts under the cache: checks {checks_cached} vs {checks_plain}, \
+             denials {denials_cached} vs {denials_plain}"
+        ),
+    );
 
     // ------------------------------------------------------- isolation gate
     let isolation = run_cache_isolation(threads.min(8), 4);
@@ -165,17 +144,14 @@ fn main() {
         isolation.cache_hits,
         isolation.stale_discards
     );
-    json.int("isolation_violations", isolation.violations as u64)
-        .int("isolation_cache_hits", isolation.cache_hits)
-        .int("isolation_stale_discards", isolation.stale_discards);
-    if isolation.violations != 0 {
-        eprintln!(
-            "FAIL: {} page loads observed another session's cookie echo — a cache entry \
-             crossed cookie headers",
-            isolation.violations
+    // A foreign cookie echo means a cache entry crossed cookie headers.
+    json.zero("isolation_violations", isolation.violations)
+        .record(Kind::Info, "isolation_cache_hits", isolation.cache_hits)
+        .record(
+            Kind::Info,
+            "isolation_stale_discards",
+            isolation.stale_discards,
         );
-        failed = true;
-    }
 
     // ------------------------------------------------------------- TTL gate
     let ttl = run_cache_ttl_walk(5);
@@ -183,22 +159,22 @@ fn main() {
         "manual-clock TTL walk: {} cycles, {} hits, {} expiries, {} stores",
         ttl.cycles, ttl.hits, ttl.expired, ttl.stored
     );
-    json.int("ttl_cycles", ttl.cycles as u64)
-        .int("ttl_cache_hits", ttl.hits)
-        .int("ttl_cache_expired", ttl.expired)
-        .int("ttl_cache_stored", ttl.stored);
+    json.record(Kind::Info, "ttl_cycles", ttl.cycles)
+        .record(Kind::Info, "ttl_cache_hits", ttl.hits)
+        .record(Kind::Info, "ttl_cache_expired", ttl.expired)
+        .record(Kind::Info, "ttl_cache_stored", ttl.stored);
     let cycles = ttl.cycles as u64;
-    if ttl.hits != cycles || ttl.expired != cycles - 1 || ttl.stored != cycles {
-        eprintln!(
-            "FAIL: TTL walk not exactly countable (expected {cycles} hits / {} expiries / \
-             {cycles} stores, got {} / {} / {})",
+    json.check(
+        ttl.hits == cycles && ttl.expired == cycles - 1 && ttl.stored == cycles,
+        format_args!(
+            "TTL walk exactly countable: expected {cycles} hits / {} expiries / {cycles} \
+             stores, got {} / {} / {}",
             cycles - 1,
             ttl.hits,
             ttl.expired,
             ttl.stored
-        );
-        failed = true;
-    }
+        ),
+    );
 
     // --------------------------------------------------- single-flight gate
     let flight = run_cache_single_flight(SINGLE_FLIGHT_DUPLICATES, 3);
@@ -207,29 +183,23 @@ fn main() {
          coalesced, {} log entries",
         flight.duplicates, flight.loads, flight.dispatches, flight.coalesced, flight.logged
     );
-    json.int("singleflight_duplicates", flight.duplicates as u64)
-        .int("singleflight_loads", flight.loads as u64)
-        .int("singleflight_dispatches", flight.dispatches)
-        .int("singleflight_cache_coalesced", flight.coalesced)
-        .int("singleflight_logged", flight.logged as u64);
+    json.record(Kind::Info, "singleflight_duplicates", flight.duplicates)
+        .record(Kind::Info, "singleflight_loads", flight.loads)
+        .record(Kind::Info, "singleflight_dispatches", flight.dispatches)
+        .record(Kind::Info, "singleflight_cache_coalesced", flight.coalesced)
+        .record(Kind::Info, "singleflight_logged", flight.logged);
     let loads = flight.loads as u64;
     let expected_coalesced = loads * (flight.duplicates as u64 - 1);
     let expected_logged = flight.loads * (1 + flight.duplicates);
-    if flight.dispatches != loads
-        || flight.coalesced != expected_coalesced
-        || flight.logged != expected_logged
-    {
-        eprintln!(
-            "FAIL: single-flight did not coalesce exactly (expected {loads} dispatches / \
-             {expected_coalesced} coalesced / {expected_logged} logged, got {} / {} / {})",
+    json.check(
+        flight.dispatches == loads
+            && flight.coalesced == expected_coalesced
+            && flight.logged == expected_logged,
+        format_args!(
+            "single-flight coalesced exactly: expected {loads} dispatches / \
+             {expected_coalesced} coalesced / {expected_logged} logged, got {} / {} / {}",
             flight.dispatches, flight.coalesced, flight.logged
-        );
-        failed = true;
-    }
-
-    json.flag("gates_passed", !failed);
-    json.write_if_requested(&args);
-    if failed {
-        std::process::exit(1);
-    }
+        ),
+    );
+    json.finish(&args);
 }

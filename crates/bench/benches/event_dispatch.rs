@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use escudo_bench::cli::JsonReport;
+use escudo_bench::cli::{JsonReport, Kind};
 use escudo_bench::workload::{figure4_scenarios, generate_page};
 use escudo_browser::{Browser, PolicyMode};
 use escudo_dom::EventType;
@@ -78,10 +78,10 @@ fn main() {
     );
 
     let mut json = JsonReport::new("event_dispatch");
-    json.num("without_escudo_ns_per_dispatch", without)
-        .num("with_escudo_ns_per_dispatch", with)
-        .num("overhead_fraction", (with - without) / without)
-        .int("engine_decisions", stats.decisions)
-        .num("hit_rate", stats.hit_rate());
-    json.write_if_requested(&args);
+    json.record(Kind::LowerNs, "without_escudo_ns_per_dispatch", without)
+        .record(Kind::LowerNs, "with_escudo_ns_per_dispatch", with)
+        .record(Kind::Info, "overhead_fraction", (with - without) / without)
+        .record(Kind::Info, "engine_decisions", stats.decisions)
+        .record(Kind::Higher, "hit_rate", stats.hit_rate());
+    json.finish(&args);
 }

@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use escudo_apps::scenario::{registry, MatrixReport};
-use escudo_bench::cli::{parse_flag, JsonReport};
+use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::fault::{run_breaker_drill, run_matrix_under_chaos, run_retry_oracle, schedules};
 use escudo_browser::PolicyMode;
 
@@ -31,7 +31,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let repeats = parse_flag(&args, "--repeats", 1).max(1);
 
-    let mut failed = false;
     let mut json = JsonReport::new("fault_concurrent");
 
     // ------------------------------------------------- fault-free baseline
@@ -42,10 +41,7 @@ fn main() {
         baseline.cells(),
         schedules().len()
     );
-    if !baseline.unexpected().is_empty() {
-        eprintln!("FAIL: the fault-free baseline matrix itself has unexpected cells");
-        failed = true;
-    }
+    json.zero("baseline_unexpected", baseline.unexpected().len());
 
     // ------------------------------------------------- chaos verdict gate
     for schedule in &schedules() {
@@ -57,56 +53,57 @@ fn main() {
         let per_pass_ms = started.elapsed().as_secs_f64() * 1e3 / f64::from(repeats as u32);
 
         let unexpected = chaos.report.unexpected().len();
-        let mut verdicts_stable = unexpected == 0;
-        for mode in [PolicyMode::SameOriginOnly, PolicyMode::Escudo] {
-            verdicts_stable &= chaos.report.successes(mode) == baseline.successes(mode)
-                && chaos.report.neutralized(mode) == baseline.neutralized(mode)
-                && chaos.report.total_checks(mode) == baseline.total_checks(mode)
-                && chaos.report.total_denials(mode) == baseline.total_denials(mode);
-        }
+        let counts_stable = [PolicyMode::SameOriginOnly, PolicyMode::Escudo]
+            .into_iter()
+            .all(|mode| {
+                chaos.report.successes(mode) == baseline.successes(mode)
+                    && chaos.report.neutralized(mode) == baseline.neutralized(mode)
+                    && chaos.report.total_checks(mode) == baseline.total_checks(mode)
+                    && chaos.report.total_denials(mode) == baseline.total_denials(mode)
+            });
         println!(
             "  {:<12} {:>2} unexpected, {:>4} faults, {:>4} retries, {:>3} sessions, {per_pass_ms:.1}ms",
             chaos.schedule, unexpected, chaos.faults_injected, chaos.retry_attempts, chaos.sessions
         );
         let key = |suffix: &str| format!("chaos_{}_{suffix}", chaos.schedule);
-        json.int(&key("unexpected"), unexpected as u64)
-            .int(&key("sessions"), chaos.sessions as u64)
-            .int(&key("faults_injected"), chaos.faults_injected)
-            .int(&key("fault_slowdowns"), chaos.fault_slowdowns)
-            .int(&key("retry_attempts"), chaos.retry_attempts)
-            .int(&key("retry_successes"), chaos.retry_successes)
-            .num(&key("pass_ms"), per_pass_ms);
+        json.zero(&key("unexpected"), unexpected)
+            .record(Kind::Info, &key("sessions"), chaos.sessions)
+            .record(Kind::Info, &key("faults_injected"), chaos.faults_injected)
+            .record(Kind::Info, &key("fault_slowdowns"), chaos.fault_slowdowns)
+            .record(Kind::Info, &key("retry_attempts"), chaos.retry_attempts)
+            .record(Kind::Info, &key("retry_successes"), chaos.retry_successes)
+            .record(Kind::Info, &key("pass_ms"), per_pass_ms);
 
-        if !verdicts_stable {
-            eprintln!(
-                "FAIL: schedule `{}` moved a security verdict or a mediation count",
+        json.check(
+            counts_stable,
+            format_args!(
+                "schedule `{}` keeps every verdict count and mediation count of the \
+                 fault-free matrix",
                 chaos.schedule
-            );
-            failed = true;
-        }
-        if chaos.faults_injected == 0 || chaos.retry_attempts == 0 {
-            eprintln!(
-                "FAIL: schedule `{}` injected {} faults and granted {} retries — the chaos \
-                 hook is not reaching the fetch path",
+            ),
+        );
+        json.check(
+            chaos.faults_injected != 0 && chaos.retry_attempts != 0,
+            format_args!(
+                "schedule `{}` injected {} faults and granted {} retries (gate: both non-zero, \
+                 or the chaos hook is not reaching the fetch path)",
                 chaos.schedule, chaos.faults_injected, chaos.retry_attempts
-            );
-            failed = true;
-        }
-        if chaos.retry_attempts > chaos.faults_injected
-            || chaos.retry_deadline_exhausted != 0
-            || chaos.breaker_fast_fails != 0
-        {
-            eprintln!(
-                "FAIL: schedule `{}` amplified: {} retries for {} faults, {} deadline \
-                 refusals, {} breaker fast-fails",
+            ),
+        );
+        json.check(
+            chaos.retry_attempts <= chaos.faults_injected
+                && chaos.retry_deadline_exhausted == 0
+                && chaos.breaker_fast_fails == 0,
+            format_args!(
+                "schedule `{}` amplification: {} retries for {} faults, {} deadline refusals, \
+                 {} breaker fast-fails (gate: retries ≤ faults, no refusals, no fast-fails)",
                 chaos.schedule,
                 chaos.retry_attempts,
                 chaos.faults_injected,
                 chaos.retry_deadline_exhausted,
                 chaos.breaker_fast_fails
-            );
-            failed = true;
-        }
+            ),
+        );
     }
 
     // --------------------------------------------------- retry oracle gate
@@ -131,19 +128,19 @@ fn main() {
             &format!("oracle_{key}_cookies_identical"),
             oracle.attachments_identical,
         )
-        .int(
+        .record(
+            Kind::Info,
             &format!("oracle_{key}_retry_attempts"),
             oracle.faulted_retries,
+        )
+        .check(
+            oracle.logs_identical
+                && oracle.attachments_identical
+                && oracle.mediation_identical
+                && oracle.clean_retries == 0
+                && oracle.faulted_retries > 0,
+            format_args!("the retry oracle holds under {mode}"),
         );
-        let holds = oracle.logs_identical
-            && oracle.attachments_identical
-            && oracle.mediation_identical
-            && oracle.clean_retries == 0
-            && oracle.faulted_retries > 0;
-        if !holds {
-            eprintln!("FAIL: the retry oracle does not hold under {mode}");
-            failed = true;
-        }
     }
 
     // -------------------------------------------------------- breaker gate
@@ -157,20 +154,21 @@ fn main() {
         drill.retry_attempts,
         drill.deadline_exhausted
     );
-    json.int("breaker_trips", drill.trips)
-        .int("breaker_fast_fails", drill.fast_fails)
-        .int("breaker_probes", drill.probes)
-        .int("breaker_recoveries", drill.recoveries)
-        .int("drill_retry_attempts", drill.retry_attempts)
-        .int("drill_retry_deadline_exhausted", drill.deadline_exhausted);
-    if !drill.exact() {
-        eprintln!("FAIL: the breaker drill's counters drifted off their manual-clock constants: {drill:?}");
-        failed = true;
-    }
-
-    json.flag("gates_passed", !failed);
-    json.write_if_requested(&args);
-    if failed {
-        std::process::exit(1);
-    }
+    json.record(Kind::Info, "breaker_trips", drill.trips)
+        .record(Kind::Info, "breaker_fast_fails", drill.fast_fails)
+        .record(Kind::Info, "breaker_probes", drill.probes)
+        .record(Kind::Info, "breaker_recoveries", drill.recoveries)
+        .record(Kind::Info, "drill_retry_attempts", drill.retry_attempts)
+        .record(
+            Kind::Info,
+            "drill_retry_deadline_exhausted",
+            drill.deadline_exhausted,
+        )
+        .check(
+            drill.exact(),
+            format_args!(
+                "the breaker drill's counters land on their manual-clock constants: {drill:?}"
+            ),
+        );
+    json.finish(&args);
 }

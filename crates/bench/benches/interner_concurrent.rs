@@ -25,7 +25,7 @@
 //! storms stay observable, and `--json` writes the machine-readable report CI
 //! archives as the perf trajectory.
 
-use escudo_bench::cli::{parse_flag, JsonReport};
+use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::interner::{
     best_storm, measure_warm_lookup, storm_contexts, RwLockContextTable, StormSample,
 };
@@ -75,11 +75,10 @@ fn main() {
          {passes} storm passes per sample, threads {thread_counts:?}"
     );
 
-    let mut failed = false;
     let mut json = JsonReport::new("interner_concurrent");
-    json.int("shared_contexts", shared as u64)
-        .int("disjoint_contexts_per_thread", disjoint as u64)
-        .int("storm_passes", passes as u64);
+    json.record(Kind::Info, "shared_contexts", shared)
+        .record(Kind::Info, "disjoint_contexts_per_thread", disjoint)
+        .record(Kind::Info, "storm_passes", passes);
 
     // ------------------------------------------------- storm throughput sweep
     let mut speedup_at_max = 0.0f64;
@@ -112,15 +111,17 @@ fn main() {
         report_line("rwlock reference", &reference);
         let speedup = lockfree.interns_per_sec() / reference.interns_per_sec();
         println!("  speedup {speedup:.2}x");
-        json.num(
+        json.record(
+            Kind::Higher,
             &format!("storm_lockfree_interns_per_sec_t{threads}"),
             lockfree.interns_per_sec(),
         )
-        .num(
+        .record(
+            Kind::Higher,
             &format!("storm_rwlock_interns_per_sec_t{threads}"),
             reference.interns_per_sec(),
         )
-        .num(&format!("storm_speedup_t{threads}"), speedup);
+        .record(Kind::Higher, &format!("storm_speedup_t{threads}"), speedup);
         if threads == *thread_counts.last().expect("at least one thread count") {
             speedup_at_max = speedup;
         }
@@ -144,19 +145,14 @@ fn main() {
         );
         SINGLE_CORE_SPEEDUP_FLOOR
     };
-    if speedup_at_max >= required {
-        println!(
-            "ok: lock-free interner {speedup_at_max:.2}x the rwlock reference under a \
-             {max_thread_count}-thread first-touch storm (gate: ≥ {required:.2}x)"
-        );
-    } else {
-        eprintln!(
-            "FAIL: lock-free interner only {speedup_at_max:.2}x the rwlock reference at \
-             {max_thread_count} threads (gate: ≥ {required:.2}x) — the write-lock \
-             convoy is back"
-        );
-        failed = true;
-    }
+    json.check(
+        speedup_at_max >= required,
+        format_args!(
+            "lock-free interner {speedup_at_max:.2}x the rwlock reference under a \
+             {max_thread_count}-thread first-touch storm (gate: ≥ {required:.2}x, or the \
+             write-lock convoy is back)"
+        ),
+    );
 
     // ------------------------------------------------- warm single-thread gate
     let (warm_contexts, _) = storm_contexts(shared, 0, 1);
@@ -174,20 +170,18 @@ fn main() {
          {reference_warm:.1} ns ({:.1}% of reference)",
         warm_ratio * 100.0
     );
-    json.num("warm_lookup_lockfree_ns", lockfree_warm)
-        .num("warm_lookup_rwlock_ns", reference_warm)
-        .num("warm_lookup_ratio", warm_ratio);
-    if warm_ratio <= MAX_WARM_LOOKUP_REGRESSION {
-        println!("ok: warm lookups within the 5% regression budget");
-    } else {
-        eprintln!(
-            "FAIL: lock-free warm lookups cost {:.1}% of the rwlock reference (gate: ≤ {:.0}%) \
-             — the steady state is paying for the storm fix",
-            warm_ratio * 100.0,
-            MAX_WARM_LOOKUP_REGRESSION * 100.0
+    json.record(Kind::LowerNs, "warm_lookup_lockfree_ns", lockfree_warm)
+        .record(Kind::LowerNs, "warm_lookup_rwlock_ns", reference_warm)
+        .record(Kind::Lower, "warm_lookup_ratio", warm_ratio)
+        .check(
+            warm_ratio <= MAX_WARM_LOOKUP_REGRESSION,
+            format_args!(
+                "lock-free warm lookups cost {:.1}% of the rwlock reference (gate: ≤ {:.0}%, \
+                 or the steady state is paying for the storm fix)",
+                warm_ratio * 100.0,
+                MAX_WARM_LOOKUP_REGRESSION * 100.0
+            ),
         );
-        failed = true;
-    }
 
     // ------------------------------------------------- occupancy observability
     let (shared_pairs, disjoint_pairs) = storm_contexts(shared, disjoint, max_thread_count);
@@ -214,34 +208,29 @@ fn main() {
     );
     // The spill policy bounds every primary chain's walk to the spill window;
     // a deeper chain after a storm means the bound regressed.
-    if interner.max_bucket_depth() <= SPILL_WINDOW_SLOTS {
-        println!(
-            "ok: max bucket depth {} within the {SPILL_WINDOW_SLOTS}-slot spill window",
+    json.check(
+        interner.max_bucket_depth() <= SPILL_WINDOW_SLOTS,
+        format_args!(
+            "max bucket depth {} within the {SPILL_WINDOW_SLOTS}-slot spill window (deeper \
+             means saturated buckets are chaining instead of spilling)",
             interner.max_bucket_depth()
-        );
-    } else {
-        eprintln!(
-            "FAIL: max bucket depth {} exceeds the {SPILL_WINDOW_SLOTS}-slot spill window — \
-             saturated buckets are chaining instead of spilling",
-            interner.max_bucket_depth()
-        );
-        failed = true;
-    }
-    json.int("occupancy_principals", interner.principal_count() as u64)
-        .int("occupancy_objects", interner.object_count() as u64)
-        .int("occupancy_cas_retries", interner.cas_retries())
-        .int(
-            "interner_max_bucket_depth",
-            interner.max_bucket_depth() as u64,
-        )
-        .int("spill_window_slots", SPILL_WINDOW_SLOTS as u64)
-        .num("storm_speedup_at_max_threads", speedup_at_max)
-        .num("storm_speedup_gate", required)
-        .int("hardware_threads", hardware_threads as u64)
-        .flag("gates_passed", !failed);
-
-    json.write_if_requested(&args);
-    if failed {
-        std::process::exit(1);
-    }
+        ),
+    );
+    json.record(
+        Kind::Info,
+        "occupancy_principals",
+        interner.principal_count(),
+    )
+    .record(Kind::Info, "occupancy_objects", interner.object_count())
+    .record(Kind::Info, "occupancy_cas_retries", interner.cas_retries())
+    .record(
+        Kind::Info,
+        "interner_max_bucket_depth",
+        interner.max_bucket_depth(),
+    )
+    .record(Kind::Info, "spill_window_slots", SPILL_WINDOW_SLOTS)
+    .record(Kind::Higher, "storm_speedup_at_max_threads", speedup_at_max)
+    .record(Kind::Higher, "storm_speedup_gate", required)
+    .record(Kind::Info, "hardware_threads", hardware_threads);
+    json.finish(&args);
 }

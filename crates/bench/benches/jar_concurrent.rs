@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use escudo_bench::cli::{no_collapse_gate, parse_flag, JsonReport};
+use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::concurrent::{
     best_jar_throughput, run_jar_oracle_sessions, run_shared_jar_sessions, JarThroughputSample,
 };
@@ -82,11 +82,19 @@ fn main() {
     }
 
     // ------------------------------------------------------------- behavioural gate
+    let mut json = JsonReport::new("jar_concurrent");
+    for sample in &samples {
+        json.record(
+            Kind::Higher,
+            &format!("headers_per_sec_t{}", sample.threads),
+            sample.headers_per_sec(),
+        );
+    }
     let gate_samples: Vec<(usize, f64)> = samples
         .iter()
         .map(|s| (s.threads, s.headers_per_sec()))
         .collect();
-    let mut failed = no_collapse_gate("header", &gate_samples, NO_COLLAPSE_FRACTION);
+    json.no_collapse_gate("header", &gate_samples, NO_COLLAPSE_FRACTION);
 
     // --------------------------------------------------- single-threaded oracle gate
     let oracle = run_jar_oracle_sessions(ORACLE_THREADS, 25);
@@ -95,14 +103,8 @@ fn main() {
          CookieJar replay",
         oracle.threads, oracle.headers, oracle.mismatches
     );
-    if oracle.mismatches != 0 {
-        eprintln!(
-            "FAIL: {} of {} concurrent shared-jar headers differ from the single-threaded \
-             oracle",
-            oracle.mismatches, oracle.headers
-        );
-        failed = true;
-    }
+    json.record(Kind::Info, "oracle_headers", oracle.headers)
+        .zero("oracle_mismatches", oracle.mismatches);
 
     // --------------------------------------------- end-to-end shared-jar sessions
     let session_threads = max_threads.clamp(2, 4);
@@ -123,41 +125,16 @@ fn main() {
         stats.evicted,
         stats.shards.len(),
     );
-    if report.sessions_with_cookies != report.threads {
-        eprintln!(
-            "FAIL: only {} of {} shared-jar sessions established their session cookie",
+    json.check(
+        report.sessions_with_cookies == report.threads,
+        format_args!(
+            "{} of {} shared-jar sessions established their session cookie",
             report.sessions_with_cookies, report.threads
-        );
-        failed = true;
-    }
-    if report.isolation_violations != 0 {
-        eprintln!(
-            "FAIL: {} cookies leaked across session hosts in the shared jar",
-            report.isolation_violations
-        );
-        failed = true;
-    }
-
-    let mut json = JsonReport::new("jar_concurrent");
-    for sample in &samples {
-        json.num(
-            &format!("headers_per_sec_t{}", sample.threads),
-            sample.headers_per_sec(),
-        );
-    }
-    json.int("oracle_headers", oracle.headers)
-        .int("oracle_mismatches", oracle.mismatches)
-        .int(
-            "session_isolation_violations",
-            report.isolation_violations as u64,
-        )
-        .int("jar_stored", stats.stored)
-        .int("jar_replaced", stats.replaced)
-        .int("jar_evicted", stats.evicted)
-        .flag("gates_passed", !failed);
-    json.write_if_requested(&args);
-
-    if failed {
-        std::process::exit(1);
-    }
+        ),
+    );
+    json.zero("session_isolation_violations", report.isolation_violations)
+        .record(Kind::Info, "jar_stored", stats.stored)
+        .record(Kind::Info, "jar_replaced", stats.replaced)
+        .record(Kind::Info, "jar_evicted", stats.evicted);
+    json.finish(&args);
 }

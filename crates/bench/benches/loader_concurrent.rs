@@ -25,7 +25,7 @@
 
 use std::time::Duration;
 
-use escudo_bench::cli::{parse_flag, JsonReport};
+use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::loader::{
     best_page_loads, run_loader_oracle, run_shared_fabric_sessions, LoaderSample,
 };
@@ -68,7 +68,19 @@ fn main() {
          {sessions} shared-fabric sessions"
     );
 
-    let mut failed = false;
+    let mut json = JsonReport::new("loader_concurrent");
+    json.record(Kind::Info, "images", images)
+        .record(Kind::Info, "origins", origins)
+        .record(
+            Kind::Info,
+            "gate_latency_us",
+            GATE_LATENCY.as_micros() as u64,
+        )
+        .record(
+            Kind::Info,
+            "edge_latency_us",
+            EDGE_LATENCY.as_micros() as u64,
+        );
 
     // ------------------------------------------------- latency speedup gate
     println!(
@@ -80,16 +92,25 @@ fn main() {
     let pipelined = best_page_loads(images, origins, GATE_LATENCY, 8, passes, 3);
     report_line("pipelined (8 workers)", &pipelined);
     let speedup = sequential.ns_per_page() / pipelined.ns_per_page();
-    if speedup >= MIN_LATENCY_SPEEDUP {
-        println!("ok: pipelined page load {speedup:.2}x sequential under latency");
-    } else {
-        eprintln!(
-            "FAIL: pipelined page load only {speedup:.2}x sequential under \
-             {}µs latency (gate: ≥ {MIN_LATENCY_SPEEDUP:.1}x)",
+    json.record(
+        Kind::LowerNs,
+        "sequential_ns_per_page",
+        sequential.ns_per_page(),
+    )
+    .record(
+        Kind::LowerNs,
+        "pipelined_ns_per_page",
+        pipelined.ns_per_page(),
+    )
+    .record(Kind::Higher, "latency_speedup", speedup)
+    .check(
+        speedup >= MIN_LATENCY_SPEEDUP,
+        format_args!(
+            "pipelined page load {speedup:.2}x sequential under {}µs latency (gate: ≥ \
+             {MIN_LATENCY_SPEEDUP:.1}x)",
             GATE_LATENCY.as_micros()
-        );
-        failed = true;
-    }
+        ),
+    );
 
     // ------------------------------------------------- zero-latency overhead gate
     println!("page loads at zero latency:");
@@ -98,20 +119,16 @@ fn main() {
     let pipelined0 = best_page_loads(images, origins, Duration::ZERO, 8, passes, 3);
     report_line("pipelined (8 workers)", &pipelined0);
     let retained = pipelined0.pages_per_sec() / sequential0.pages_per_sec();
-    if retained >= NO_REGRESSION_FRACTION {
-        println!(
-            "ok: pipelined retains {:.0}% of sequential throughput at zero latency",
-            retained * 100.0
+    json.record(Kind::Higher, "zero_latency_retained", retained)
+        .check(
+            retained >= NO_REGRESSION_FRACTION,
+            format_args!(
+                "pipelined retains {:.0}% of sequential throughput at zero latency (gate: ≥ \
+                 {:.0}%, or fan-out overhead regressed)",
+                retained * 100.0,
+                NO_REGRESSION_FRACTION * 100.0
+            ),
         );
-    } else {
-        eprintln!(
-            "FAIL: pipelined loader at zero latency fell to {:.0}% of sequential \
-             throughput (gate: ≥ {:.0}%) — fan-out overhead regression",
-            retained * 100.0,
-            NO_REGRESSION_FRACTION * 100.0
-        );
-        failed = true;
-    }
 
     // ------------------------------------------------- fan-out-engaged edge gate
     println!(
@@ -123,20 +140,16 @@ fn main() {
     let pipelined_edge = best_page_loads(images, origins, EDGE_LATENCY, 8, passes, 3);
     report_line("pipelined (8 workers)", &pipelined_edge);
     let retained_edge = pipelined_edge.pages_per_sec() / sequential_edge.pages_per_sec();
-    if retained_edge >= NO_REGRESSION_FRACTION {
-        println!(
-            "ok: engaged fan-out sustains {retained_edge:.2}x sequential throughput \
-             at short waits"
+    json.record(Kind::Higher, "edge_retained", retained_edge)
+        .check(
+            retained_edge >= NO_REGRESSION_FRACTION,
+            format_args!(
+                "engaged fan-out sustains {:.0}% of sequential throughput at short waits \
+                 (gate: ≥ {:.0}%, or deadline-window overhead regressed)",
+                retained_edge * 100.0,
+                NO_REGRESSION_FRACTION * 100.0
+            ),
         );
-    } else {
-        eprintln!(
-            "FAIL: engaged fan-out at short waits fell to {:.0}% of sequential \
-             throughput (gate: ≥ {:.0}%) — deadline-window overhead regression",
-            retained_edge * 100.0,
-            NO_REGRESSION_FRACTION * 100.0
-        );
-        failed = true;
-    }
 
     // ------------------------------------------------- determinism oracle gate
     let oracle = run_loader_oracle(images, origins, 3);
@@ -148,17 +161,9 @@ fn main() {
         oracle.attachment_mismatches,
         oracle.order_violations
     );
-    if oracle.log_mismatches != 0
-        || oracle.attachment_mismatches != 0
-        || oracle.order_violations != 0
-    {
-        eprintln!(
-            "FAIL: pipelined run diverged from the sequential oracle (log {} / \
-             attachments {} / order {})",
-            oracle.log_mismatches, oracle.attachment_mismatches, oracle.order_violations
-        );
-        failed = true;
-    }
+    json.zero("oracle_log_mismatches", oracle.log_mismatches)
+        .zero("oracle_attachment_mismatches", oracle.attachment_mismatches)
+        .zero("oracle_order_violations", oracle.order_violations);
 
     // ------------------------------------------------- shared-fabric isolation gate
     let isolation = run_shared_fabric_sessions(sessions, 4, 3);
@@ -170,47 +175,15 @@ fn main() {
         isolation.sessions_with_cookies,
         isolation.isolation_violations
     );
-    if isolation.isolation_violations != 0 {
-        eprintln!(
-            "FAIL: {} cookies leaked across sessions sharing one fabric",
-            isolation.isolation_violations
+    json.record(Kind::Info, "isolation_sessions", isolation.sessions)
+        .zero("isolation_violations", isolation.isolation_violations)
+        .check(
+            isolation.sessions_with_cookies == isolation.sessions,
+            format_args!(
+                "{} of {} shared-fabric sessions attached their session cookie to their \
+                 subresource fetches",
+                isolation.sessions_with_cookies, isolation.sessions
+            ),
         );
-        failed = true;
-    }
-    if isolation.sessions_with_cookies != isolation.sessions {
-        eprintln!(
-            "FAIL: only {} of {} shared-fabric sessions attached their session cookie \
-             to their subresource fetches",
-            isolation.sessions_with_cookies, isolation.sessions
-        );
-        failed = true;
-    }
-
-    let mut json = JsonReport::new("loader_concurrent");
-    json.int("images", images as u64)
-        .int("origins", origins as u64)
-        .int("gate_latency_us", GATE_LATENCY.as_micros() as u64)
-        .int("edge_latency_us", EDGE_LATENCY.as_micros() as u64)
-        .num("sequential_ns_per_page", sequential.ns_per_page())
-        .num("pipelined_ns_per_page", pipelined.ns_per_page())
-        .num("latency_speedup", speedup)
-        .num("zero_latency_retained", retained)
-        .num("edge_retained", retained_edge)
-        .int("oracle_log_mismatches", oracle.log_mismatches as u64)
-        .int(
-            "oracle_attachment_mismatches",
-            oracle.attachment_mismatches as u64,
-        )
-        .int("oracle_order_violations", oracle.order_violations as u64)
-        .int("isolation_sessions", isolation.sessions as u64)
-        .int(
-            "isolation_violations",
-            isolation.isolation_violations as u64,
-        )
-        .flag("gates_passed", !failed);
-    json.write_if_requested(&args);
-
-    if failed {
-        std::process::exit(1);
-    }
+    json.finish(&args);
 }

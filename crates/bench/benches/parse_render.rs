@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo bench --bench parse_render` (plain `harness = false` binary).
 
-use escudo_bench::cli::JsonReport;
+use escudo_bench::cli::{JsonReport, Kind};
 use escudo_bench::measure::load_once;
 use escudo_bench::workload::{figure4_scenarios, generate_page};
 use escudo_browser::PolicyMode;
@@ -39,9 +39,10 @@ fn main() {
             "  {:<28} {without:>14} {with:>14} {overhead:>8.1}%",
             scenario.name
         );
-        json.int(&format!("{}_without_ns", scenario.name), without as u64)
-            .int(&format!("{}_with_ns", scenario.name), with as u64)
-            .num(&format!("{}_overhead_pct", scenario.name), overhead);
+        let key = |suffix: &str| format!("{}_{suffix}", scenario.name);
+        json.record(Kind::LowerNs, &key("without_ns"), without as u64)
+            .record(Kind::LowerNs, &key("with_ns"), with as u64)
+            .record(Kind::Info, &key("overhead_pct"), overhead);
     }
-    json.write_if_requested(&args);
+    json.finish(&args);
 }

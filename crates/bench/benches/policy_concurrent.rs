@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use escudo_bench::cli::{no_collapse_gate, parse_flag, JsonReport};
+use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::concurrent::{best_throughput, run_concurrent_sessions, ThroughputSample};
 use escudo_bench::workload::decision_workload;
 use escudo_core::EscudoEngine;
@@ -71,25 +71,35 @@ fn main() {
     }
 
     // ------------------------------------------------------------- behavioural gate
-    let mut failed = false;
+    let mut json = JsonReport::new("policy_concurrent");
     for sample in &samples {
-        if sample.hit_rate < MIN_STEADY_STATE_HIT_RATE {
-            eprintln!(
-                "FAIL: steady-state hit rate {:.1}% < {:.0}% at {} thread(s) — the shared \
-                 warm cache is not being hit",
+        let threads = sample.threads;
+        json.record(
+            Kind::Higher,
+            &format!("decisions_per_sec_t{threads}"),
+            sample.decisions_per_sec(),
+        )
+        .record(
+            Kind::Higher,
+            &format!("hit_rate_t{threads}"),
+            sample.hit_rate,
+        )
+        .check(
+            sample.hit_rate >= MIN_STEADY_STATE_HIT_RATE,
+            format_args!(
+                "steady-state hit rate {:.1}% at {threads} thread(s) (gate: ≥ {:.0}%, or the \
+                 shared warm cache is not being hit)",
                 sample.hit_rate * 100.0,
                 MIN_STEADY_STATE_HIT_RATE * 100.0,
-                sample.threads
-            );
-            failed = true;
-        }
+            ),
+        );
     }
 
     let gate_samples: Vec<(usize, f64)> = samples
         .iter()
         .map(|s| (s.threads, s.decisions_per_sec()))
         .collect();
-    failed |= no_collapse_gate("decision", &gate_samples, NO_COLLAPSE_FRACTION);
+    json.no_collapse_gate("decision", &gate_samples, NO_COLLAPSE_FRACTION);
 
     // --------------------------------------------- end-to-end multi-session workload
     let session_threads = max_threads.clamp(2, 4);
@@ -115,38 +125,35 @@ fn main() {
         stats.interner_cas_retries,
         stats.interner_max_bucket_depth,
     );
-    if stats.decisions != stats.cache_hits + stats.cache_misses {
-        eprintln!(
-            "FAIL: inconsistent engine stats after concurrent sessions: {} decisions vs \
-             {} hits + {} misses",
+    json.check(
+        stats.decisions == stats.cache_hits + stats.cache_misses,
+        format_args!(
+            "engine stats after concurrent sessions: {} decisions = {} hits + {} misses",
             stats.decisions, stats.cache_hits, stats.cache_misses
-        );
-        failed = true;
-    }
-    if report.checks() == 0 {
-        eprintln!("FAIL: the multi-session workload performed no mediation at all");
-        failed = true;
-    }
+        ),
+    );
+    json.check(
+        report.checks() != 0,
+        format_args!(
+            "the multi-session workload mediated {} checks (gate: non-zero)",
+            report.checks()
+        ),
+    );
 
-    let mut json = JsonReport::new("policy_concurrent");
-    for sample in &samples {
-        json.num(
-            &format!("decisions_per_sec_t{}", sample.threads),
-            sample.decisions_per_sec(),
+    json.record(Kind::Info, "session_page_loads", report.page_loads())
+        .record(Kind::Info, "session_checks", report.checks())
+        .record(Kind::Higher, "session_hit_rate", stats.hit_rate())
+        .record(Kind::Info, "interned_principals", stats.interned_principals)
+        .record(Kind::Info, "interned_objects", stats.interned_objects)
+        .record(
+            Kind::Info,
+            "interner_cas_retries",
+            stats.interner_cas_retries,
         )
-        .num(&format!("hit_rate_t{}", sample.threads), sample.hit_rate);
-    }
-    json.int("session_page_loads", report.page_loads())
-        .int("session_checks", report.checks())
-        .num("session_hit_rate", stats.hit_rate())
-        .int("interned_principals", stats.interned_principals)
-        .int("interned_objects", stats.interned_objects)
-        .int("interner_cas_retries", stats.interner_cas_retries)
-        .int("interner_max_bucket_depth", stats.interner_max_bucket_depth)
-        .flag("gates_passed", !failed);
-    json.write_if_requested(&args);
-
-    if failed {
-        std::process::exit(1);
-    }
+        .record(
+            Kind::Info,
+            "interner_max_bucket_depth",
+            stats.interner_max_bucket_depth,
+        );
+    json.finish(&args);
 }

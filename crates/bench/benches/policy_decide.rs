@@ -7,7 +7,7 @@
 //! decision and decisions per second for each path, and exits non-zero if the cached
 //! path fails to beat the cold path on repeated identical checks.
 
-use escudo_bench::cli::JsonReport;
+use escudo_bench::cli::{JsonReport, Kind};
 use escudo_bench::measure::{measure_decision_paths, DecisionReport};
 use escudo_bench::workload::decision_workload;
 
@@ -46,27 +46,28 @@ fn main() {
     );
 
     let mut json = JsonReport::new("policy_decide");
-    json.num("cold_ns_per_decision", report.cold_ns)
-        .num("cached_ns_per_decision", report.cached_ns)
-        .num("batch_cached_ns_per_decision", report.batch_cached_ns)
-        .num("free_fn_ns_per_decision", report.free_fn_ns)
-        .num("sop_ns_per_decision", report.sop_ns)
-        .num("cached_speedup", report.speedup())
-        .num("hit_rate", report.hit_rate)
-        .flag("gates_passed", report.hit_rate >= 0.9);
-    json.write_if_requested(&args);
+    json.record(Kind::LowerNs, "cold_ns_per_decision", report.cold_ns)
+        .record(Kind::LowerNs, "cached_ns_per_decision", report.cached_ns)
+        .record(
+            Kind::LowerNs,
+            "batch_cached_ns_per_decision",
+            report.batch_cached_ns,
+        )
+        .record(Kind::LowerNs, "free_fn_ns_per_decision", report.free_fn_ns)
+        .record(Kind::LowerNs, "sop_ns_per_decision", report.sop_ns)
+        .record(Kind::Higher, "cached_speedup", report.speedup())
+        .record(Kind::Higher, "hit_rate", report.hit_rate);
 
     // The hard gate is behavioural (cache hits actually happen on repeated identical
     // checks) — wall-clock comparisons stay informational so a noisy CI runner cannot
     // fail the build without a real defect.
-    if report.hit_rate < 0.9 {
-        eprintln!(
-            "FAIL: warm-engine cache hit rate {:.1}% < 90% — repeated identical checks \
-             are not being served from the cache",
+    json.check(
+        report.hit_rate >= 0.9,
+        format_args!(
+            "warm-engine cache hit rate {:.1}% on repeated identical checks (gate: ≥ 90%)",
             report.hit_rate * 100.0
-        );
-        std::process::exit(1);
-    }
+        ),
+    );
     if report.cached_ns >= report.cold_ns {
         eprintln!(
             "WARN: cached path ({:.1} ns) did not beat cold path ({:.1} ns) on this run \
@@ -76,4 +77,5 @@ fn main() {
     } else {
         println!("ok: cached path is measurably faster than cold");
     }
+    json.finish(&args);
 }

@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use escudo_apps::scenario::{registry, CaseKind, MatrixReport};
-use escudo_bench::cli::{parse_flag, JsonReport};
+use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_browser::PolicyMode;
 
 fn main() {
@@ -45,15 +45,18 @@ fn main() {
     let elapsed = started.elapsed();
     let per_pass_ms = elapsed.as_secs_f64() * 1e3 / repeats as f64;
 
-    let mut failed = false;
     let mut json = JsonReport::new("scenario_matrix");
-    json.int("matrix_scenarios", scenarios.len() as u64)
-        .int("matrix_cases", case_count as u64)
-        .int("matrix_cells", report.cells() as u64)
-        .int("matrix_unexpected", report.unexpected().len() as u64)
-        .int("matrix_repeats", repeats as u64)
-        .num("matrix_pass_ms", per_pass_ms);
+    json.record(Kind::Info, "matrix_scenarios", scenarios.len())
+        .record(Kind::Info, "matrix_cases", case_count)
+        .record(Kind::Info, "matrix_cells", report.cells())
+        .record(Kind::Info, "matrix_repeats", repeats)
+        .record(Kind::Info, "matrix_pass_ms", per_pass_ms);
 
+    // ----------------------------------------------------------- verdict gate
+    for outcome in report.unexpected() {
+        eprintln!("unexpected cell: {outcome}");
+    }
+    json.zero("matrix_unexpected", report.unexpected().len());
     for scenario in &scenarios {
         let cells = report.for_scenario(scenario.id);
         let unexpected = cells.iter().filter(|o| !o.as_expected()).count();
@@ -63,14 +66,12 @@ fn main() {
             cells.len(),
             unexpected
         );
-        json.int(&format!("matrix_{}_cells", scenario.id), cells.len() as u64);
-        json.int(
-            &format!("matrix_{}_unexpected", scenario.id),
-            unexpected as u64,
-        );
+        let key = |suffix: &str| format!("matrix_{}_{suffix}", scenario.id);
+        json.record(Kind::Info, &key("cells"), cells.len())
+            .zero(&key("unexpected"), unexpected);
     }
 
-    for (mode, key) in [
+    for (mode, prefix) in [
         (PolicyMode::SameOriginOnly, "sop"),
         (PolicyMode::Escudo, "escudo"),
     ] {
@@ -82,52 +83,33 @@ fn main() {
             report.total_checks(mode),
             report.total_denials(mode)
         );
-        json.int(&format!("{key}_successes"), report.successes(mode) as u64)
-            .int(
-                &format!("{key}_neutralized"),
-                report.neutralized(mode) as u64,
-            )
-            .int(&format!("{key}_checks"), report.total_checks(mode))
-            .int(&format!("{key}_denials"), report.total_denials(mode));
-    }
-
-    // ----------------------------------------------------------- verdict gate
-    if report.unexpected().is_empty() {
-        println!("ok: every cell landed on its declared verdict");
-    } else {
-        for outcome in report.unexpected() {
-            eprintln!("FAIL: unexpected cell: {outcome}");
-        }
-        failed = true;
+        let key = |suffix: &str| format!("{prefix}_{suffix}");
+        json.record(Kind::Info, &key("successes"), report.successes(mode))
+            .record(Kind::Info, &key("neutralized"), report.neutralized(mode))
+            .record(Kind::Info, &key("checks"), report.total_checks(mode))
+            .record(Kind::Info, &key("denials"), report.total_denials(mode));
     }
 
     // --------------------------------------------------------- mediation gate
-    if report.total_checks(PolicyMode::Escudo) == 0 || report.total_denials(PolicyMode::Escudo) == 0
-    {
-        eprintln!(
-            "FAIL: the ESCUDO half of the matrix recorded {} checks and {} denials — the \
-             reference monitor is not mediating the fleet",
-            report.total_checks(PolicyMode::Escudo),
-            report.total_denials(PolicyMode::Escudo)
-        );
-        failed = true;
-    }
-    let sop_attack_neutralized = report
+    let (checks, denials) = (
+        report.total_checks(PolicyMode::Escudo),
+        report.total_denials(PolicyMode::Escudo),
+    );
+    json.check(
+        checks != 0 && denials != 0,
+        format_args!(
+            "the ESCUDO half of the matrix recorded {checks} checks and {denials} denials \
+             (gate: both non-zero, or the reference monitor is not mediating the fleet)"
+        ),
+    );
+    // Baseline attack cells that deviated: the SOP baseline blocking what it
+    // should admit.
+    let sop_attack_deviations = report
         .for_mode(PolicyMode::SameOriginOnly)
         .iter()
         .filter(|o| o.kind != CaseKind::Probe && o.observed != o.expected)
         .count();
-    if sop_attack_neutralized != 0 {
-        eprintln!(
-            "FAIL: {sop_attack_neutralized} baseline attack cells deviated — the SOP baseline \
-             is blocking what it should admit"
-        );
-        failed = true;
-    }
+    json.zero("sop_attack_deviations", sop_attack_deviations);
 
-    json.flag("gates_passed", !failed);
-    json.write_if_requested(&args);
-    if failed {
-        std::process::exit(1);
-    }
+    json.finish(&args);
 }

@@ -27,7 +27,7 @@
 
 use std::time::Duration;
 
-use escudo_bench::cli::{parse_flag, JsonReport};
+use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::scheduler::{
     run_navigation_storm_best_of, run_prefetch_oracle, run_prefetch_sessions, run_prefetch_speedup,
 };
@@ -52,11 +52,10 @@ fn main() {
          navigations, {passes} prefetch passes"
     );
 
-    let mut failed = false;
     let mut json = JsonReport::new("scheduler_concurrent");
-    json.int("bulk_sessions", bulk_sessions as u64)
-        .int("navigations", navigations as u64)
-        .int("prefetch_passes", passes as u64);
+    json.record(Kind::Info, "bulk_sessions", bulk_sessions)
+        .record(Kind::Info, "navigations", navigations)
+        .record(Kind::Info, "prefetch_passes", passes);
 
     // ------------------------------------------------- sibling-load gate
     let storm = run_navigation_storm_best_of(bulk_sessions, navigations, 3);
@@ -73,30 +72,27 @@ fn main() {
     );
     let hardware_threads =
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    json.int("nav_unloaded_p99_ns", storm.unloaded_p99_ns)
-        .int("nav_unloaded_p99_ns_spread", storm.unloaded_p99_spread_ns)
-        .int("nav_loaded_p99_ns", storm.loaded_p99_ns)
-        .int("nav_loaded_p99_ns_spread", storm.loaded_p99_spread_ns)
-        .num("nav_p99_ratio", storm.p99_ratio())
-        .num("nav_p99_ratio_spread", storm.ratio_spread)
-        .int("hardware_threads", hardware_threads as u64);
+    json.record(Kind::LowerNs, "nav_unloaded_p99_ns", storm.unloaded_p99_ns)
+        .spread("nav_unloaded_p99_ns", storm.unloaded_p99_spread_ns)
+        .record(Kind::LowerNs, "nav_loaded_p99_ns", storm.loaded_p99_ns)
+        .spread("nav_loaded_p99_ns", storm.loaded_p99_spread_ns)
+        .record(Kind::Lower, "nav_p99_ratio", storm.p99_ratio())
+        .spread("nav_p99_ratio", storm.ratio_spread)
+        .record(Kind::Info, "hardware_threads", hardware_threads);
     if hardware_threads < 2 {
         println!(
             "note: single hardware thread — the storm and the navigator timeshare one core, \
              so the p99 ratio measures the OS scheduler, not the fabric; sibling-load gate skipped"
         );
-    } else if storm.p99_ratio() <= MAX_LOADED_P99_RATIO {
-        println!(
-            "ok: navigation p99 next to busy siblings within {:.1}x of unloaded",
-            MAX_LOADED_P99_RATIO
-        );
     } else {
-        eprintln!(
-            "FAIL: navigation p99 degraded {:.2}x next to busy siblings (gate: ≤ \
-             {MAX_LOADED_P99_RATIO:.1}x) — the sessions contend for more than the CPU",
-            storm.p99_ratio()
+        json.check(
+            storm.p99_ratio() <= MAX_LOADED_P99_RATIO,
+            format_args!(
+                "navigation p99 next to busy siblings {:.2}x unloaded (gate: ≤ \
+                 {MAX_LOADED_P99_RATIO:.1}x, or the sessions contend for more than the CPU)",
+                storm.p99_ratio()
+            ),
         );
-        failed = true;
     }
 
     // ------------------------------------------------- prefetch-speedup gate
@@ -111,54 +107,38 @@ fn main() {
         speedup.hits,
         speedup.passes
     );
-    json.num("prefetch_cold_ns", speedup.cold_ns)
-        .num("prefetch_warm_ns", speedup.warm_ns)
-        .num("prefetch_speedup", speedup.speedup())
-        .int("prefetch_hits", speedup.hits);
-    if speedup.hits as usize != speedup.passes {
-        eprintln!(
-            "FAIL: only {} of {} hinted repeat navigations hit the prefetch cache",
+    json.record(Kind::LowerNs, "prefetch_cold_ns", speedup.cold_ns)
+        .record(Kind::LowerNs, "prefetch_warm_ns", speedup.warm_ns)
+        .record(Kind::Higher, "prefetch_speedup", speedup.speedup())
+        .record(Kind::Info, "prefetch_hits", speedup.hits);
+    json.check(
+        speedup.hits as usize == speedup.passes,
+        format_args!(
+            "{} of {} hinted repeat navigations hit the prefetch cache",
             speedup.hits, speedup.passes
-        );
-        failed = true;
-    }
-    if speedup.speedup() >= MIN_PREFETCH_SPEEDUP {
-        println!(
-            "ok: speculative prefetch speeds the hinted navigation up {:.2}x (gate: ≥ \
+        ),
+    );
+    json.check(
+        speedup.speedup() >= MIN_PREFETCH_SPEEDUP,
+        format_args!(
+            "speculative prefetch speeds the hinted navigation up {:.2}x (gate: ≥ \
              {MIN_PREFETCH_SPEEDUP:.1}x)",
             speedup.speedup()
-        );
-    } else {
-        eprintln!(
-            "FAIL: prefetch only {:.2}x on the hinted repeat navigation (gate: ≥ \
-             {MIN_PREFETCH_SPEEDUP:.1}x)",
-            speedup.speedup()
-        );
-        failed = true;
-    }
+        ),
+    );
 
     // ------------------------------------------------- mediation-oracle gate
+    // Speculation may change when bytes move, never a mediation outcome.
     let oracle = run_prefetch_oracle(3);
     println!(
         "prefetch oracle: {} log entries, {} log mismatches, {} attachment mismatches, \
          {} hits consumed on the speculative side",
         oracle.requests, oracle.log_mismatches, oracle.attachment_mismatches, oracle.prefetch_hits
     );
-    json.int("oracle_requests", oracle.requests as u64)
-        .int("oracle_log_mismatches", oracle.log_mismatches as u64)
-        .int(
-            "oracle_attachment_mismatches",
-            oracle.attachment_mismatches as u64,
-        )
-        .int("oracle_prefetch_hits", oracle.prefetch_hits);
-    if oracle.log_mismatches != 0 || oracle.attachment_mismatches != 0 {
-        eprintln!(
-            "FAIL: prefetch changed what the fabric saw (log {} / attachments {}) — \
-             speculation must never alter a mediation outcome",
-            oracle.log_mismatches, oracle.attachment_mismatches
-        );
-        failed = true;
-    }
+    json.record(Kind::Info, "oracle_requests", oracle.requests)
+        .zero("oracle_log_mismatches", oracle.log_mismatches)
+        .zero("oracle_attachment_mismatches", oracle.attachment_mismatches)
+        .record(Kind::Info, "oracle_prefetch_hits", oracle.prefetch_hits);
 
     // ------------------------------------------------- shared-fabric isolation gate
     let isolation = run_prefetch_sessions(bulk_sessions.min(8), 3);
@@ -172,31 +152,24 @@ fn main() {
         isolation.prefetch_hits,
         isolation.stale_discards
     );
-    json.int("isolation_sessions", isolation.sessions as u64)
-        .int(
-            "isolation_violations",
-            isolation.isolation_violations as u64,
+    json.record(Kind::Info, "isolation_sessions", isolation.sessions)
+        .zero("isolation_violations", isolation.isolation_violations)
+        .record(
+            Kind::Info,
+            "isolation_prefetch_hits",
+            isolation.prefetch_hits,
         )
-        .int("isolation_prefetch_hits", isolation.prefetch_hits)
-        .int("isolation_stale_discards", isolation.stale_discards);
-    if isolation.isolation_violations != 0 {
-        eprintln!(
-            "FAIL: {} cookies leaked across prefetching sessions sharing one fabric",
-            isolation.isolation_violations
+        .record(
+            Kind::Info,
+            "isolation_stale_discards",
+            isolation.stale_discards,
+        )
+        .check(
+            isolation.sessions_with_cookies == isolation.sessions,
+            format_args!(
+                "{} of {} prefetching sessions attached their session cookie",
+                isolation.sessions_with_cookies, isolation.sessions
+            ),
         );
-        failed = true;
-    }
-    if isolation.sessions_with_cookies != isolation.sessions {
-        eprintln!(
-            "FAIL: only {} of {} prefetching sessions attached their session cookie",
-            isolation.sessions_with_cookies, isolation.sessions
-        );
-        failed = true;
-    }
-
-    json.flag("gates_passed", !failed);
-    json.write_if_requested(&args);
-    if failed {
-        std::process::exit(1);
-    }
+    json.finish(&args);
 }

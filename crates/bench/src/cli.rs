@@ -1,6 +1,7 @@
-//! Shared scaffolding for the `harness = false` bench binaries: flag parsing,
-//! the multi-thread no-collapse gate and the machine-readable `--json` report
-//! writer, kept in one place so the bench binaries cannot drift apart.
+//! Shared scaffolding for the `harness = false` bench binaries: flag parsing
+//! and [`JsonReport`], which records each metric with its declared [`Kind`],
+//! runs the bench's gates and writes the machine-readable `--json` report —
+//! kept in one place so the bench binaries cannot drift apart.
 
 use std::fmt::Write as _;
 
@@ -27,43 +28,6 @@ pub fn parse_flag(args: &[String], flag: &str, default: usize) -> usize {
     default
 }
 
-/// Applies the multi-thread no-collapse gate to `(threads, aggregate-per-second)`
-/// samples, the first of which is the single-thread baseline. Prints `ok` when a
-/// thread count beats single-thread, `WARN` when it lands inside the tolerance
-/// (on a starved single-core runner a multi-thread aggregate can only tie), and
-/// `FAIL` when the aggregate collapsed below `fraction` of single-thread — the
-/// global-lock convoy signature. Returns `true` when any sample failed.
-///
-/// `unit` names what is being counted (e.g. `"decision"`, `"header"`).
-#[must_use]
-pub fn no_collapse_gate(unit: &str, samples: &[(usize, f64)], fraction: f64) -> bool {
-    let single = samples[0].1;
-    let mut failed = false;
-    for &(threads, aggregate) in &samples[1..] {
-        if aggregate < single * fraction {
-            eprintln!(
-                "FAIL: aggregate {unit} throughput at {threads} threads ({aggregate:.0}/s) \
-                 collapsed below {:.0}% of single-thread ({single:.0}/s) — global-lock convoy",
-                fraction * 100.0
-            );
-            failed = true;
-        } else if aggregate >= single {
-            println!(
-                "ok: {threads} threads sustain {:.2}x single-thread aggregate {unit} throughput",
-                aggregate / single
-            );
-        } else {
-            println!(
-                "WARN: {threads} threads at {:.2}x single-thread aggregate (within the {:.0}% \
-                 no-collapse tolerance; timing noise on a starved runner?)",
-                aggregate / single,
-                fraction * 100.0
-            );
-        }
-    }
-    failed
-}
-
 /// Parses the `--json <path>` / `--json=<path>` flag: when present, the bench
 /// writes its machine-readable report there ([`JsonReport::write`]). Exits with
 /// a diagnostic on a missing value.
@@ -88,14 +52,102 @@ pub fn parse_json_flag(args: &[String]) -> Option<String> {
     None
 }
 
-/// A flat machine-readable bench report: one named object of numeric/string
-/// results, rendered as JSON without any external dependency. This is what
-/// seeds the perf trajectory (`BENCH_5.json` in CI): throughputs, hit rates and
-/// speedups in a form later PRs can diff and gate against.
+/// What a recorded metric measures, declared where the bench records it. The
+/// bench's own gates and the trajectory comparator both read this declaration;
+/// nothing infers a metric's kind from its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A count of bad events (mismatches, leaks, violations): any rise is a
+    /// failure, whatever its size.
+    Correctness,
+    /// A nanosecond timing: lower is better, and a move under the comparator's
+    /// 1 µs timing floor is jitter.
+    LowerNs,
+    /// Lower is better (ratios and other costs that are not nanoseconds).
+    Lower,
+    /// Higher is better (throughputs, speedups, hit rates).
+    Higher,
+    /// Workload shape, spreads and observability exports: reported, never judged.
+    Info,
+}
+
+impl Kind {
+    const ALL: [Kind; 5] = [
+        Kind::Correctness,
+        Kind::LowerNs,
+        Kind::Lower,
+        Kind::Higher,
+        Kind::Info,
+    ];
+
+    /// The name the rendered report's `"kinds"` object uses.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Correctness => "correctness",
+            Kind::LowerNs => "lower_ns",
+            Kind::Lower => "lower",
+            Kind::Higher => "higher",
+            Kind::Info => "info",
+        }
+    }
+
+    /// Reads a name written by [`Kind::name`].
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Kind> {
+        Kind::ALL.into_iter().find(|kind| kind.name() == name)
+    }
+}
+
+/// A recorded number: integers render exactly, floats with three decimals
+/// (non-finite floats as `null`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A count or an integer nanosecond figure.
+    Int(u64),
+    /// A rate, ratio or averaged figure.
+    Float(f64),
+}
+
+impl From<u64> for Value {
+    fn from(value: u64) -> Self {
+        Value::Int(value)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(value: usize) -> Self {
+        Value::Int(value as u64)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(value: f64) -> Self {
+        Value::Float(value)
+    }
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Int(value) => write!(f, "{value}"),
+            Value::Float(value) if value.is_finite() => write!(f, "{value:.3}"),
+            Value::Float(_) => f.write_str("null"),
+        }
+    }
+}
+
+/// A flat machine-readable bench report that also owns the bench's pass/fail
+/// state. Every recorded metric carries its [`Kind`]; the rendered JSON is
+/// `{"bench": ..., "results": {key: value}, "kinds": {key: kind}}`, with
+/// `info` keys left out of `"kinds"`. CI merges the reports into the
+/// `BENCH_<PR>.json` perf trajectory that later PRs diff and gate against.
 #[derive(Debug, Clone)]
 pub struct JsonReport {
     bench: String,
     fields: Vec<(String, String)>,
+    kinds: Vec<(String, Kind)>,
+    failed: bool,
 }
 
 impl JsonReport {
@@ -105,51 +157,129 @@ impl JsonReport {
         JsonReport {
             bench: bench.to_string(),
             fields: Vec::new(),
+            kinds: Vec::new(),
+            failed: false,
         }
     }
 
-    /// Records a float result (non-finite values render as `null`).
-    pub fn num(&mut self, key: &str, value: f64) -> &mut Self {
-        let rendered = if value.is_finite() {
-            format!("{value:.3}")
-        } else {
-            "null".to_string()
-        };
+    fn push(&mut self, kind: Kind, key: &str, rendered: String) -> &mut Self {
+        if kind != Kind::Info {
+            self.kinds.push((key.to_string(), kind));
+        }
         self.fields.push((key.to_string(), rendered));
         self
     }
 
-    /// Records an integer result.
-    pub fn int(&mut self, key: &str, value: u64) -> &mut Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
+    /// Records a numeric result of the given kind.
+    pub fn record(&mut self, kind: Kind, key: &str, value: impl Into<Value>) -> &mut Self {
+        self.push(kind, key, value.into().to_string())
     }
 
-    /// Records a boolean result (e.g. a gate verdict).
+    /// Records a gate verdict; any `true -> false` move fails the trajectory.
     pub fn flag(&mut self, key: &str, value: bool) -> &mut Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
+        self.push(Kind::Correctness, key, value.to_string())
     }
 
-    /// Records a string result.
-    pub fn text(&mut self, key: &str, value: &str) -> &mut Self {
-        self.fields
-            .push((key.to_string(), format!("\"{}\"", escape_json(value))));
-        self
+    /// Records `{key}_spread`, the max−min of `key` across a bench's repeats,
+    /// as [`Kind::Info`]; the trajectory comparator derives `key`'s noise floor
+    /// from it.
+    pub fn spread(&mut self, key: &str, value: impl Into<Value>) -> &mut Self {
+        self.record(Kind::Info, &format!("{key}_spread"), value)
+    }
+
+    /// Records a correctness counter that must be zero, and fails the report
+    /// when it is not.
+    pub fn zero(&mut self, key: &str, count: impl Into<Value>) -> &mut Self {
+        let count = count.into();
+        if count != Value::Int(0) {
+            eprintln!("FAIL: {key} = {count} (gate: 0)");
+            self.failed = true;
+        }
+        self.record(Kind::Correctness, key, count)
+    }
+
+    /// A threshold gate: prints `ok: {what}` when `ok` holds, otherwise
+    /// `FAIL: {what}` and fails the report. `what` states the measurement and
+    /// its bound.
+    pub fn check(&mut self, ok: bool, what: impl std::fmt::Display) {
+        if ok {
+            println!("ok: {what}");
+        } else {
+            eprintln!("FAIL: {what}");
+            self.failed = true;
+        }
+    }
+
+    /// Applies the multi-thread no-collapse gate to `(threads,
+    /// aggregate-per-second)` samples, the first of which is the single-thread
+    /// baseline. A thread count that beats single-thread passes, one inside
+    /// the tolerance only warns (on a starved single-core runner a
+    /// multi-thread aggregate can only tie), and one that collapsed below
+    /// `fraction` of single-thread — the global-lock convoy signature — fails
+    /// the report. `unit` names what is being counted (e.g. `"decision"`).
+    pub fn no_collapse_gate(&mut self, unit: &str, samples: &[(usize, f64)], fraction: f64) {
+        let single = samples[0].1;
+        for &(threads, aggregate) in &samples[1..] {
+            let ratio = aggregate / single;
+            if aggregate >= single || aggregate < single * fraction {
+                self.check(
+                    aggregate >= single,
+                    format_args!(
+                        "{threads} threads sustain {ratio:.2}x single-thread aggregate {unit} \
+                         throughput ({aggregate:.0}/s; below {:.0}% is a global-lock convoy)",
+                        fraction * 100.0
+                    ),
+                );
+            } else {
+                println!(
+                    "WARN: {threads} threads at {ratio:.2}x single-thread aggregate (within the \
+                     {:.0}% no-collapse tolerance; timing noise on a starved runner?)",
+                    fraction * 100.0
+                );
+            }
+        }
+    }
+
+    /// Records `gates_passed` from the gates run so far and returns it.
+    fn seal(&mut self) -> bool {
+        let passed = !self.failed;
+        self.flag("gates_passed", passed);
+        passed
+    }
+
+    /// Ends the bench: records `gates_passed`, writes the report if `--json`
+    /// was given, and exits 1 when a gate failed. An unwritable `--json` path
+    /// exits 2 — a CI misconfiguration must fail loudly, not silently skip the
+    /// artifact.
+    pub fn finish(mut self, args: &[String]) {
+        let passed = self.seal();
+        if let Some(path) = parse_json_flag(args) {
+            if let Err(error) = self.write(&path) {
+                eprintln!("error: cannot write --json report to {path}: {error}");
+                std::process::exit(2);
+            }
+        }
+        if !passed {
+            std::process::exit(1);
+        }
     }
 
     /// Renders the report as one JSON object:
-    /// `{"bench": "...", "results": {...}}`.
+    /// `{"bench": "...", "results": {...}, "kinds": {...}}`.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"bench\": \"{}\"", escape_json(&self.bench));
-        out.push_str(", \"results\": {");
+        let mut out = format!(
+            "{{\"bench\": \"{}\", \"results\": {{",
+            escape_json(&self.bench)
+        );
         for (i, (key, value)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {value}", escape_json(key));
+            push_key(&mut out, i, key);
+            out.push_str(value);
+        }
+        out.push_str("}, \"kinds\": {");
+        for (i, (key, kind)) in self.kinds.iter().enumerate() {
+            push_key(&mut out, i, key);
+            let _ = write!(out, "\"{}\"", kind.name());
         }
         out.push_str("}}");
         out
@@ -166,18 +296,14 @@ impl JsonReport {
         println!("json report written to {path}");
         Ok(())
     }
+}
 
-    /// Writes the report if `--json` was given, exiting with a diagnostic when
-    /// the path is unwritable — a CI misconfiguration must fail loudly, not
-    /// silently skip the artifact.
-    pub fn write_if_requested(&self, args: &[String]) {
-        if let Some(path) = parse_json_flag(args) {
-            if let Err(error) = self.write(&path) {
-                eprintln!("error: cannot write --json report to {path}: {error}");
-                std::process::exit(2);
-            }
-        }
+/// Appends the `index`-th object entry's separator and `"key": `.
+fn push_key(out: &mut String, index: usize, key: &str) {
+    if index > 0 {
+        out.push_str(", ");
     }
+    let _ = write!(out, "\"{}\": ", escape_json(key));
 }
 
 fn escape_json(s: &str) -> String {
@@ -230,28 +356,30 @@ mod tests {
 
     #[test]
     fn json_report_renders_flat_results() {
-        let mut report = JsonReport::new("demo");
+        let mut report = JsonReport::new("demo \"q\"");
         report
-            .num("speedup", 2.5)
-            .int("threads", 8)
+            .record(Kind::Higher, "speedup", 2.5)
+            .record(Kind::Info, "threads", 8_usize)
             .flag("passed", true)
-            .text("note", "a \"quoted\" path\\");
+            .spread("p99_ns", 40.0)
+            .zero("leaks", 0_u64);
         let rendered = report.render();
         assert_eq!(
             rendered,
-            "{\"bench\": \"demo\", \"results\": {\"speedup\": 2.500, \"threads\": 8, \
-             \"passed\": true, \"note\": \"a \\\"quoted\\\" path\\\\\"}}"
+            "{\"bench\": \"demo \\\"q\\\"\", \"results\": {\"speedup\": 2.500, \"threads\": 8, \
+             \"passed\": true, \"p99_ns_spread\": 40.000, \"leaks\": 0}, \"kinds\": \
+             {\"speedup\": \"higher\", \"passed\": \"correctness\", \"leaks\": \"correctness\"}}"
         );
         // Non-finite numbers degrade to null instead of invalid JSON.
         let mut bad = JsonReport::new("nan");
-        bad.num("x", f64::NAN);
+        bad.record(Kind::LowerNs, "x", f64::NAN);
         assert!(bad.render().contains("\"x\": null"));
     }
 
     #[test]
     fn json_report_round_trips_through_a_file() {
         let mut report = JsonReport::new("file");
-        report.int("value", 7);
+        report.record(Kind::Lower, "value", 7_u64);
         let path = std::env::temp_dir().join("escudo_bench_json_test.json");
         let path = path.to_str().expect("utf-8 temp path");
         report.write(path).expect("write json report");
@@ -261,12 +389,44 @@ mod tests {
     }
 
     #[test]
+    fn zero_and_check_gates_set_gates_passed() {
+        let verdict = |gates: &dyn Fn(&mut JsonReport)| {
+            let mut report = JsonReport::new("gates");
+            gates(&mut report);
+            let passed = report.seal();
+            assert!(report
+                .render()
+                .contains(&format!("\"gates_passed\": {passed}")));
+            passed
+        };
+        assert!(verdict(&|_| {}));
+        assert!(verdict(&|r| {
+            r.zero("leaks", 0_u64)
+                .check(true, "speedup 2.0x (gate: ≥ 1.5x)");
+        }));
+        assert!(!verdict(&|r| {
+            r.zero("leaks", 1_u64);
+        }));
+        assert!(!verdict(&|r| r.check(false, "speedup 1.0x (gate: ≥ 1.5x)")));
+        // A later passing gate does not clear an earlier failure.
+        assert!(!verdict(&|r| {
+            r.check(false, "first");
+            r.zero("leaks", 0_u64).check(true, "second");
+        }));
+    }
+
+    #[test]
     fn no_collapse_gate_flags_only_real_collapses() {
+        let fails = |samples: &[(usize, f64)]| {
+            let mut report = JsonReport::new("widgets");
+            report.no_collapse_gate("widget", samples, 0.85);
+            !report.seal()
+        };
         // Beats single-thread, ties within tolerance, collapses below it.
-        assert!(!no_collapse_gate("widget", &[(1, 100.0), (2, 150.0)], 0.85));
-        assert!(!no_collapse_gate("widget", &[(1, 100.0), (2, 90.0)], 0.85));
-        assert!(no_collapse_gate("widget", &[(1, 100.0), (2, 50.0)], 0.85));
+        assert!(!fails(&[(1, 100.0), (2, 150.0)]));
+        assert!(!fails(&[(1, 100.0), (2, 90.0)]));
+        assert!(fails(&[(1, 100.0), (2, 50.0)]));
         // The baseline itself is never gated.
-        assert!(!no_collapse_gate("widget", &[(1, 100.0)], 0.85));
+        assert!(!fails(&[(1, 100.0)]));
     }
 }

@@ -4,8 +4,9 @@
 //!
 //! * [`workload`] — the Figure 4 page generator: eight scenarios with varying numbers
 //!   of AC-tagged regions and dynamic content,
-//! * [`cli`] — flag parsing, the no-collapse gate and the `--json` report writer
-//!   shared by the `harness = false` bench binaries,
+//! * [`cli`] — flag parsing and the `--json` report shared by the bench
+//!   binaries: every metric is recorded with its declared kind, and the report
+//!   owns the bench's zero, threshold and no-collapse gates,
 //! * [`interner`] — the first-touch-storm workload racing the lock-free
 //!   [`escudo_core::ContextInterner`] against the retained `RwLock<ContextTable>`
 //!   reference, behind `interner_concurrent`,
@@ -38,8 +39,9 @@
 //! * [`experiments`] — the report types printed by the `experiments` binary and
 //!   recorded in `EXPERIMENTS.md` (Figure 4, UI events, §6.3, §6.4, Tables 1–5).
 //!
-//! The Criterion benches in `benches/` use the same workload and measurement code, so
-//! `cargo bench` and `cargo run --bin experiments` agree on what is being measured.
+//! The `harness = false` bench binaries in `benches/` use the same workload and
+//! measurement code, so `cargo bench` and `cargo run --bin experiments` agree on
+//! what is being measured.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

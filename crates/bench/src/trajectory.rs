@@ -1,28 +1,28 @@
 //! The perf-trajectory comparator: diffs two merged bench reports
-//! (`BENCH_<PR>.json`) metric by metric and classifies every change.
+//! (`BENCH_<PR>.json`) metric by metric and judges every change.
 //!
 //! CI merges each `harness = false` bench's `--json` report into one array,
-//! `[{"bench": "...", "results": {...}}, ...]`, committed in-repo as the PR's
-//! trajectory snapshot. This module reads two such snapshots — the committed
-//! previous one and the freshly measured current one — with a dependency-free
-//! JSON parser, pairs metrics by `(bench, key)` and judges each pair:
+//! `[{"bench": "...", "results": {...}, "kinds": {...}}, ...]`, committed
+//! in-repo as the PR's trajectory snapshot. This module reads two such
+//! snapshots — the committed previous one and the freshly measured current
+//! one — with a dependency-free JSON parser, pairs metrics by `(bench, key)`
+//! and judges each pair by the [`Kind`] the **current** report declares for
+//! the key (its `"kinds"` object, written where the bench records the
+//! metric; a key without a declaration is [`Kind::Info`]):
 //!
-//! * **correctness metrics** (mismatch/violation/leak counters, `*_passed`
-//!   gate flags) fail on *any* regression — a single leaked cookie is not
-//!   noise,
-//! * **performance metrics** (`*_ns`, `*_per_sec`, `*speedup*`, `*retained*`,
-//!   `*ratio*`, hit rates) warn past [`WARN_FRACTION`] and fail past
-//!   [`FAIL_FRACTION`], with a **per-metric noise floor**: when a bench
-//!   records a best-of-N spread beside a metric (`<key>_spread`, the max−min
-//!   across its repeats), the metric's floor is
+//! * **correctness** counters fail on *any* rise — a single leaked cookie is
+//!   not noise — and a boolean gate flag fails on any `true -> false` move,
+//!   whatever its kind,
+//! * **performance** metrics (`lower_ns`, `lower`, `higher`) warn past
+//!   [`WARN_FRACTION`] and fail past [`FAIL_FRACTION`], with a **per-metric
+//!   noise floor**: when a bench records a best-of-N spread beside a metric
+//!   (`{key}_spread`, the max−min across its repeats), the metric's floor is
 //!   [`SPREAD_FLOOR_MULTIPLIER`] × the larger of the two snapshots' spreads —
 //!   a delta the bench itself cannot reproduce across repeats is noise, not a
-//!   regression. Metrics without a recorded spread fall back to the global
-//!   [`TIMING_NOISE_FLOOR_NS`] if they are nanosecond-valued. `*_spread` keys
-//!   themselves are informational — they calibrate floors, they are not
-//!   latencies,
-//! * everything else (thread counts, workload sizes, occupancy counters) is
-//!   informational and never gates.
+//!   regression. A `lower_ns` metric without a recorded spread falls back to
+//!   the global [`TIMING_NOISE_FLOOR_NS`],
+//! * **info** metrics (workload shape, spreads, observability exports) are
+//!   never judged.
 //!
 //! A metric present before but missing now warns (a silently dropped gate is
 //! itself a regression signal); new metrics and new benches pass freely — the
@@ -31,12 +31,15 @@
 //! prints one line per non-Ok verdict and exits non-zero on failure, which is
 //! how CI gates each PR's bench run against the committed snapshot.
 //!
-//! The binary's second mode, `trajectory --history <dir>`, scans every
-//! committed `BENCH_<n>.json` in the directory and prints a per-metric trend
-//! table — one sparkline row per gated (non-informational) metric across all
-//! snapshots in PR order — so the whole perf story is visible in every PR.
+//! The binary's second mode, `trajectory --history <dir> --current <fresh>`,
+//! scans every committed `BENCH_<n>.json` in the directory and prints a
+//! per-metric trend table — one sparkline row per metric the fresh report
+//! declares as judged, across all snapshots in PR order with the fresh run as
+//! the last column — so the whole perf story is visible in every PR.
 
 use std::fmt::Write as _;
+
+use crate::cli::Kind;
 
 /// Relative regression past which a performance metric warns.
 pub const WARN_FRACTION: f64 = 0.10;
@@ -62,8 +65,6 @@ pub enum Metric {
     Num(f64),
     /// A boolean result, e.g. a gate verdict.
     Flag(bool),
-    /// A string result.
-    Text(String),
     /// An explicit JSON `null` (a non-finite number degraded on write).
     Null,
 }
@@ -73,7 +74,6 @@ impl Metric {
         match self {
             Metric::Num(v) => format!("{v:.3}"),
             Metric::Flag(v) => v.to_string(),
-            Metric::Text(v) => format!("\"{v}\""),
             Metric::Null => "null".to_string(),
         }
     }
@@ -86,11 +86,22 @@ pub struct BenchReport {
     pub bench: String,
     /// The flat result metrics, in file order.
     pub results: Vec<(String, Metric)>,
+    /// The declared kind of each judged key (`{"kinds": ...}`); a key not
+    /// listed here is [`Kind::Info`].
+    pub kinds: Vec<(String, Kind)>,
 }
 
 impl BenchReport {
     fn get(&self, key: &str) -> Option<&Metric> {
         self.results.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The kind this report declares for `key` ([`Kind::Info`] when none).
+    fn kind(&self, key: &str) -> Kind {
+        self.kinds
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(Kind::Info, |(_, kind)| *kind)
     }
 }
 
@@ -197,7 +208,6 @@ impl<'a> Parser<'a> {
 
     fn parse_metric(&mut self) -> Result<Metric, String> {
         match self.peek() {
-            Some(b'"') => Ok(Metric::Text(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Metric::Flag(true)),
             Some(b'f') => self.parse_keyword("false", Metric::Flag(false)),
             Some(b'n') => self.parse_keyword("null", Metric::Null),
@@ -231,26 +241,31 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_results(&mut self) -> Result<Vec<(String, Metric)>, String> {
+    /// Parses a flat `{"key": value, ...}` object, reading each value with
+    /// `value`.
+    fn parse_object<T>(
+        &mut self,
+        mut value: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<(String, T)>, String> {
         self.expect(b'{')?;
-        let mut results = Vec::new();
+        let mut entries = Vec::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(results);
+            return Ok(entries);
         }
         loop {
             let key = self.parse_string()?;
             self.expect(b':')?;
-            results.push((key, self.parse_metric()?));
+            entries.push((key, value(self)?));
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(results);
+                    return Ok(entries);
                 }
                 other => {
                     return Err(format!(
-                        "expected ',' or '}}' in results, found {:?}",
+                        "expected ',' or '}}' in object, found {:?}",
                         other.map(char::from)
                     ));
                 }
@@ -258,16 +273,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn parse_kind(&mut self) -> Result<Kind, String> {
+        let name = self.parse_string()?;
+        Kind::from_name(&name).ok_or_else(|| format!("unknown metric kind {name:?}"))
+    }
+
     fn parse_report(&mut self) -> Result<BenchReport, String> {
         self.expect(b'{')?;
         let mut bench = None;
         let mut results = None;
+        let mut kinds = Vec::new();
         loop {
             let key = self.parse_string()?;
             self.expect(b':')?;
             match key.as_str() {
                 "bench" => bench = Some(self.parse_string()?),
-                "results" => results = Some(self.parse_results()?),
+                "results" => results = Some(self.parse_object(Self::parse_metric)?),
+                "kinds" => kinds = self.parse_object(Self::parse_kind)?,
                 other => return Err(format!("unexpected report key {other:?}")),
             }
             match self.peek() {
@@ -284,21 +306,35 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        Ok(BenchReport {
+        let report = BenchReport {
             bench: bench.ok_or("report missing \"bench\"")?,
             results: results.ok_or("report missing \"results\"")?,
-        })
+            kinds,
+        };
+        match report
+            .kinds
+            .iter()
+            .find(|(key, _)| report.get(key).is_none())
+        {
+            Some((key, _)) => Err(format!(
+                "{}: kind declared for {key:?}, which has no value",
+                report.bench
+            )),
+            None => Ok(report),
+        }
     }
 }
 
 /// Parses a merged trajectory snapshot: a JSON array of
-/// `{"bench": ..., "results": {...}}` objects (a single bare object is also
-/// accepted, so one bench's `--json` output can be compared directly).
+/// `{"bench": ..., "results": {...}, "kinds": {...}}` objects, `"kinds"`
+/// optional (a single bare object is also accepted, so one bench's `--json`
+/// output can be compared directly).
 ///
 /// # Errors
 ///
 /// Returns a positioned diagnostic on any malformed construct — a truncated
-/// artifact must fail the comparison loudly, not diff against half a file.
+/// artifact must fail the comparison loudly, not diff against half a file —
+/// and on a kind declared for a key that has no value.
 pub fn parse_trajectory(input: &str) -> Result<Vec<BenchReport>, String> {
     let mut parser = Parser::new(input);
     let mut reports = Vec::new();
@@ -341,102 +377,7 @@ pub fn parse_trajectory(input: &str) -> Result<Vec<BenchReport>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Metric classification and comparison.
-
-/// Which way a metric should move to count as an improvement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Latencies, counters of bad events: smaller is better.
-    LowerIsBetter,
-    /// Throughputs, speedups, hit rates: larger is better.
-    HigherIsBetter,
-    /// Workload shape and observability counters: never judged.
-    Informational,
-}
-
-/// How strictly a metric's regressions gate the comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strictness {
-    /// Any regression at all fails (correctness counters, gate flags).
-    Correctness,
-    /// Regression warns past [`WARN_FRACTION`], fails past [`FAIL_FRACTION`],
-    /// noise floor permitting.
-    Performance,
-    /// Reported, never judged.
-    Informational,
-}
-
-/// Classifies a metric key by name. The key vocabulary is shared bench
-/// convention (see `cli::JsonReport` call sites), so substring heuristics are
-/// reliable here: `*mismatches*`/`*violations*`/`*leaks*` are correctness
-/// counters, `*_ns*`/`*per_sec*`/`*speedup*`/`*retained*`/`*ratio*`/`*rate*`
-/// are performance, and anything unrecognized is informational. `ns` and
-/// `ratio` must match as whole `_`-delimited segments: `decisions_per_sec`
-/// and `interns_per_sec` throughputs contain `ns_per_` as an accidental
-/// substring, and `generation`/`generations` keys (counters, not
-/// measurements) contain `ratio`.
-/// `*fault*`/`*breaker*`/`*retry*`/`*retries*` keys are chaos accounting —
-/// always informational, since they measure the injected schedule. Keys
-/// with a `cache` segment are response-cache accounting — informational unless rate- or
-/// speedup-shaped (still judged) or correctness-tagged (still failing).
-#[must_use]
-pub fn classify(key: &str) -> (Direction, Strictness) {
-    // Spread recordings calibrate noise floors; they are measurement-scatter
-    // metadata, never judged — and this rule must run first, because a spread
-    // key inherits its parent metric's vocabulary (`..._p99_ns_spread`).
-    if key.ends_with("_spread") {
-        return (Direction::Informational, Strictness::Informational);
-    }
-    // Chaos accounting from `fault_concurrent` (faults injected, retries
-    // granted, breaker transitions) describes the *injected* schedule, not a
-    // quality of the build — how much chaos a run absorbs is a workload
-    // parameter. Must run before the correctness/perf vocabularies:
-    // `retry_deadline_exhausted` would otherwise read as a rate-like key.
-    let chaos_counter = ["fault", "breaker", "retry", "retries"]
-        .iter()
-        .any(|tag| key.contains(tag));
-    if chaos_counter {
-        return (Direction::Informational, Strictness::Informational);
-    }
-    let correctness_counter = ["mismatch", "violation", "leak", "dropped"]
-        .iter()
-        .any(|tag| key.contains(tag));
-    if correctness_counter {
-        return (Direction::LowerIsBetter, Strictness::Correctness);
-    }
-    // Response-cache accounting (`cache_*` and `*_cache_*` keys, including
-    // the control plane's `cp_cache_*` exports) counts hits, stores, expiries
-    // and coalesced slots — workload-shaped counters, not build quality; the
-    // speedup and exact-count *gates* live in `cache_concurrent` itself. Must
-    // run after the correctness vocabulary (a cache mismatch is still a bug)
-    // and must not capture rate- or speedup-shaped keys, which stay judged
-    // performance metrics. `cache` must be a whole segment: the policy
-    // bench's `cached_ns_per_decision` is a decision timing, not cache
-    // accounting.
-    let cache_counter =
-        has_segment(key, "cache") && !key.contains("rate") && !key.contains("speedup");
-    if cache_counter {
-        return (Direction::Informational, Strictness::Informational);
-    }
-    let lower_perf =
-        has_segment(key, "ns") || has_segment(key, "ratio") || key.contains("latency_p");
-    if lower_perf {
-        return (Direction::LowerIsBetter, Strictness::Performance);
-    }
-    let higher_perf = key.contains("per_sec")
-        || key.contains("speedup")
-        || key.contains("retained")
-        || key.contains("rate");
-    if higher_perf {
-        return (Direction::HigherIsBetter, Strictness::Performance);
-    }
-    (Direction::Informational, Strictness::Informational)
-}
-
-/// `true` when `segment` is one whole `_`-delimited segment of `key`.
-fn has_segment(key: &str, segment: &str) -> bool {
-    key.split('_').any(|part| part == segment)
-}
+// Comparison.
 
 /// The verdict on one `(bench, key)` metric pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -492,12 +433,13 @@ impl TrajectoryDiff {
     }
 }
 
-fn regression_fraction(direction: Direction, previous: f64, current: f64) -> f64 {
+/// How far `current` moved in `kind`'s bad direction, relative to `previous`.
+fn regression_fraction(kind: Kind, previous: f64, current: f64) -> f64 {
     let baseline = previous.abs().max(f64::EPSILON);
-    match direction {
-        Direction::LowerIsBetter => (current - previous) / baseline,
-        Direction::HigherIsBetter => (previous - current) / baseline,
-        Direction::Informational => 0.0,
+    if kind == Kind::Higher {
+        (previous - current) / baseline
+    } else {
+        (current - previous) / baseline
     }
 }
 
@@ -516,22 +458,23 @@ fn spread_floor(key: &str, previous: &BenchReport, current: &BenchReport) -> Opt
     }
 }
 
-fn within_noise_floor(key: &str, previous: f64, current: f64, derived_floor: Option<f64>) -> bool {
-    if let Some(floor) = derived_floor {
-        return (current - previous).abs() < floor.max(f64::EPSILON);
+fn within_noise_floor(kind: Kind, previous: f64, current: f64, derived_floor: Option<f64>) -> bool {
+    let delta = (current - previous).abs();
+    match derived_floor {
+        Some(floor) => delta < floor.max(f64::EPSILON),
+        None => kind == Kind::LowerNs && delta < TIMING_NOISE_FLOOR_NS,
     }
-    has_segment(key, "ns") && (current - previous).abs() < TIMING_NOISE_FLOOR_NS
 }
 
 fn compare_metric(
     diff: &mut TrajectoryDiff,
     bench: &str,
     key: &str,
+    kind: Kind,
     prev: &Metric,
     cur: &Metric,
     derived_floor: Option<f64>,
 ) {
-    let (direction, strictness) = classify(key);
     match (prev, cur) {
         (Metric::Flag(was), Metric::Flag(now)) => {
             // A gate flag is correctness by definition: true -> false means a
@@ -549,41 +492,42 @@ fn compare_metric(
         }
         (Metric::Num(previous), Metric::Num(current)) => {
             diff.compared += 1;
-            if strictness == Strictness::Informational {
-                return;
-            }
-            let fraction = regression_fraction(direction, *previous, *current);
-            if strictness == Strictness::Correctness {
-                if fraction > 0.0 {
-                    diff.push(
-                        bench,
-                        key,
-                        Verdict::Fail,
-                        format!("correctness counter rose {previous:.0} -> {current:.0}"),
-                    );
+            match kind {
+                Kind::Info => {}
+                Kind::Correctness => {
+                    if current > previous {
+                        diff.push(
+                            bench,
+                            key,
+                            Verdict::Fail,
+                            format!("correctness counter rose {previous:.0} -> {current:.0}"),
+                        );
+                    }
                 }
-                return;
-            }
-            if within_noise_floor(key, *previous, *current, derived_floor) {
-                return;
-            }
-            let note = format!(
-                "{previous:.3} -> {current:.3} ({:+.1}% against the trajectory)",
-                fraction * 100.0
-            );
-            if fraction > FAIL_FRACTION {
-                diff.push(bench, key, Verdict::Fail, note);
-            } else if fraction > WARN_FRACTION {
-                diff.push(bench, key, Verdict::Warn, note);
-            } else if fraction < -WARN_FRACTION {
-                diff.push(bench, key, Verdict::Ok, format!("improved: {note}"));
+                Kind::LowerNs | Kind::Lower | Kind::Higher => {
+                    if within_noise_floor(kind, *previous, *current, derived_floor) {
+                        return;
+                    }
+                    let fraction = regression_fraction(kind, *previous, *current);
+                    let note = format!(
+                        "{previous:.3} -> {current:.3} ({:+.1}% against the trajectory)",
+                        fraction * 100.0
+                    );
+                    if fraction > FAIL_FRACTION {
+                        diff.push(bench, key, Verdict::Fail, note);
+                    } else if fraction > WARN_FRACTION {
+                        diff.push(bench, key, Verdict::Warn, note);
+                    } else if fraction < -WARN_FRACTION {
+                        diff.push(bench, key, Verdict::Ok, format!("improved: {note}"));
+                    }
+                }
             }
         }
         _ => {
             diff.compared += 1;
-            // Type changes and Null/Text drift are shape changes, not perf
+            // Type changes and Null drift are shape changes, not perf
             // regressions; surface them as warnings so they get looked at.
-            if prev != cur && !matches!(prev, Metric::Text(_)) {
+            if prev != cur {
                 diff.push(
                     bench,
                     key,
@@ -599,8 +543,9 @@ fn compare_metric(
     }
 }
 
-/// Diffs `current` against `previous`, metric by metric. Benches and metrics
-/// present only in `current` pass freely; ones that *disappeared* warn.
+/// Diffs `current` against `previous`, metric by metric, judging each key by
+/// the kind `current` declares for it. Benches and metrics present only in
+/// `current` pass freely; ones that *disappeared* warn.
 #[must_use]
 pub fn compare_trajectories(previous: &[BenchReport], current: &[BenchReport]) -> TrajectoryDiff {
     let mut diff = TrajectoryDiff::default();
@@ -622,6 +567,7 @@ pub fn compare_trajectories(previous: &[BenchReport], current: &[BenchReport]) -
                         &mut diff,
                         &prev_bench.bench,
                         key,
+                        cur_bench.kind(key),
                         prev_value,
                         cur_value,
                         floor,
@@ -693,56 +639,49 @@ pub fn sparkline(values: &[Option<f64>]) -> String {
         .collect()
 }
 
-/// Renders the per-metric trend table across `snapshots` (in PR order, each
-/// tagged with its `BENCH_<n>` number): one sparkline row per **gated**
-/// metric — correctness counters and performance metrics; informational keys
-/// (workload shape, spreads, observability counters) are omitted to keep the
-/// table the perf story, not a firehose.
+/// Renders the per-metric trend table across `columns` (labelled snapshots,
+/// oldest first): one sparkline row per numeric metric the **last** column
+/// declares as judged, so the newest declarations decide the rows. Info keys
+/// (workload shape, spreads, observability exports) stay out to keep the table
+/// the perf story, not a firehose.
 #[must_use]
-pub fn render_history(snapshots: &[(u64, Vec<BenchReport>)]) -> String {
+pub fn render_history(columns: &[(String, Vec<BenchReport>)]) -> String {
     let mut out = String::new();
-    let numbers: Vec<String> = snapshots
-        .iter()
-        .map(|(n, _)| format!("BENCH_{n}"))
-        .collect();
+    let labels: Vec<&str> = columns.iter().map(|(label, _)| label.as_str()).collect();
     let _ = writeln!(
         out,
         "trajectory history: {} snapshots ({})",
-        snapshots.len(),
-        numbers.join(" -> ")
+        columns.len(),
+        labels.join(" -> ")
     );
 
-    // Rows keyed (bench, key) in first-appearance order across the history.
-    let mut rows: Vec<(String, String)> = Vec::new();
-    for (_, reports) in snapshots {
-        for report in reports {
-            for (key, value) in &report.results {
-                if !matches!(value, Metric::Num(_)) {
-                    continue;
-                }
-                if classify(key).1 == Strictness::Informational {
-                    continue;
-                }
-                let row = (report.bench.clone(), key.clone());
-                if !rows.contains(&row) {
-                    rows.push(row);
-                }
-            }
-        }
-    }
+    let rows: Vec<(&str, &str)> = columns
+        .last()
+        .into_iter()
+        .flat_map(|(_, reports)| reports)
+        .flat_map(|report| {
+            report
+                .kinds
+                .iter()
+                .filter(|(key, kind)| {
+                    *kind != Kind::Info && matches!(report.get(key), Some(Metric::Num(_)))
+                })
+                .map(|(key, _)| (report.bench.as_str(), key.as_str()))
+        })
+        .collect();
 
     let label_width = rows
         .iter()
         .map(|(bench, key)| bench.len() + key.len() + 1)
         .max()
         .unwrap_or(0);
-    for (bench, key) in &rows {
-        let values: Vec<Option<f64>> = snapshots
+    for (bench, key) in rows {
+        let values: Vec<Option<f64>> = columns
             .iter()
             .map(|(_, reports)| {
                 reports
                     .iter()
-                    .find(|report| &report.bench == bench)
+                    .find(|report| report.bench == bench)
                     .and_then(|report| match report.get(key) {
                         Some(Metric::Num(value)) => Some(*value),
                         _ => None,
@@ -761,16 +700,17 @@ pub fn render_history(snapshots: &[(u64, Vec<BenchReport>)]) -> String {
     out
 }
 
+fn load(path: &str) -> Result<Vec<BenchReport>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_trajectory(&text).map_err(|e| format!("{path}: {e}"))
+}
+
 /// Scans `dir` for committed `BENCH_<n>.json` snapshots, parses them in PR
-/// order and prints the trend table. Returns the process exit code.
-fn run_history(dir: &str) -> i32 {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(error) => {
-            eprintln!("error: cannot read directory {dir}: {error}");
-            return 2;
-        }
-    };
+/// order, appends the fresh report at `current` as the last column and prints
+/// the trend table.
+fn run_history(dir: &str, current: &str) -> Result<i32, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read directory {dir}: {e}"))?;
     let mut snapshots: Vec<(u64, Vec<BenchReport>)> = Vec::new();
     for entry in entries.flatten() {
         let name = entry.file_name().to_string_lossy().into_owned();
@@ -781,39 +721,36 @@ fn run_history(dir: &str) -> i32 {
         else {
             continue;
         };
-        let path = entry.path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(error) => {
-                eprintln!("error: cannot read {}: {error}", path.display());
-                return 2;
-            }
-        };
-        match parse_trajectory(&text) {
-            Ok(reports) => snapshots.push((number, reports)),
-            Err(error) => {
-                eprintln!("error: {}: {error}", path.display());
-                return 2;
-            }
-        }
+        snapshots.push((number, load(&entry.path().to_string_lossy())?));
     }
     if snapshots.is_empty() {
-        eprintln!("error: no BENCH_<n>.json snapshots found in {dir}");
-        return 2;
+        return Err(format!("no BENCH_<n>.json snapshots found in {dir}"));
     }
     snapshots.sort_by_key(|(number, _)| *number);
-    print!("{}", render_history(&snapshots));
-    0
+    let mut columns: Vec<(String, Vec<BenchReport>)> = snapshots
+        .into_iter()
+        .map(|(number, reports)| (format!("BENCH_{number}"), reports))
+        .collect();
+    columns.push((current.to_string(), load(current)?));
+    print!("{}", render_history(&columns));
+    Ok(0)
+}
+
+fn run_diff(previous: &str, current: &str) -> Result<i32, String> {
+    let diff = compare_trajectories(&load(previous)?, &load(current)?);
+    print!("{}", render_diff(&diff));
+    Ok(i32::from(diff.failures > 0))
 }
 
 /// The `trajectory` binary's entry point. Two modes:
 ///
-/// * `--previous <BENCH_N.json> --current <BENCH_M.json>` — diff the two
+/// * `--previous <BENCH_N.json> --current <fresh.json>` — diff the two
 ///   snapshots; exit 0 clean or warnings only, 1 on failures, 2 on usage/IO
 ///   errors,
-/// * `--history <dir>` — print the sparkline trend table across every
-///   committed `BENCH_<n>.json` in the directory; exit 0, or 2 when the
-///   directory holds no parseable snapshots.
+/// * `--history <dir> --current <fresh.json>` — print the sparkline trend
+///   table across every committed `BENCH_<n>.json` in the directory plus the
+///   fresh report; exit 0, or 2 when a file is unreadable or the directory
+///   holds no snapshots.
 #[must_use]
 pub fn run_comparator(args: &[String]) -> i32 {
     let path_flag = |flag: &str| -> Option<String> {
@@ -825,188 +762,103 @@ pub fn run_comparator(args: &[String]) -> i32 {
             }
         })
     };
-    if let Some(dir) = path_flag("--history") {
-        return run_history(&dir);
-    }
-    let (Some(previous_path), Some(current_path)) =
-        (path_flag("--previous"), path_flag("--current"))
-    else {
-        eprintln!(
-            "usage: trajectory --previous <BENCH_N.json> --current <BENCH_M.json>\n\
-             \u{20}      trajectory --history <dir>"
-        );
-        return 2;
-    };
-    let load = |path: &str| -> Result<Vec<BenchReport>, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        parse_trajectory(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let previous = match load(&previous_path) {
-        Ok(reports) => reports,
-        Err(error) => {
-            eprintln!("error: {error}");
+    let run = match (
+        path_flag("--history"),
+        path_flag("--previous"),
+        path_flag("--current"),
+    ) {
+        (Some(dir), None, Some(current)) => run_history(&dir, &current),
+        (None, Some(previous), Some(current)) => run_diff(&previous, &current),
+        _ => {
+            eprintln!(
+                "usage: trajectory --previous <BENCH_N.json> --current <fresh.json>\n\
+                 \u{20}      trajectory --history <dir> --current <fresh.json>"
+            );
             return 2;
         }
     };
-    let current = match load(&current_path) {
-        Ok(reports) => reports,
-        Err(error) => {
-            eprintln!("error: {error}");
-            return 2;
-        }
-    };
-    let diff = compare_trajectories(&previous, &current);
-    print!("{}", render_diff(&diff));
-    i32::from(diff.failures > 0)
+    run.unwrap_or_else(|error| {
+        eprintln!("error: {error}");
+        2
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::JsonReport;
 
-    fn snapshot(pairs: &[(&str, Metric)]) -> Vec<BenchReport> {
-        vec![BenchReport {
-            bench: "demo".to_string(),
-            results: pairs
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), v.clone()))
-                .collect(),
-        }]
+    /// One `demo` bench report, recorded and parsed the way a bench run and
+    /// the comparator see it.
+    fn snapshot(record: impl FnOnce(&mut JsonReport)) -> Vec<BenchReport> {
+        let mut report = JsonReport::new("demo");
+        record(&mut report);
+        parse_trajectory(&report.render()).expect("parse rendered report")
+    }
+
+    fn verdicts(previous: &[BenchReport], current: &[BenchReport]) -> (usize, usize) {
+        let diff = compare_trajectories(previous, current);
+        (diff.warnings, diff.failures)
     }
 
     #[test]
     fn the_parser_round_trips_a_rendered_report() {
-        let mut report = crate::cli::JsonReport::new("demo");
+        let mut report = JsonReport::new("demo \"q\"");
         report
-            .num("latency_speedup", 2.5)
-            .int("oracle_log_mismatches", 0)
-            .flag("gates_passed", true)
-            .text("note", "a \"quoted\" path\\");
+            .record(Kind::Higher, "latency_speedup", 2.5)
+            .record(Kind::LowerNs, "p99_ns", 900.0)
+            .record(Kind::Lower, "nav_p99_ratio", 1.2)
+            .record(Kind::Info, "threads", 8_u64)
+            .zero("oracle_log_mismatches", 0_u64)
+            .flag("gates_passed", true);
         let merged = format!("[{}]", report.render());
         let parsed = parse_trajectory(&merged).expect("parse merged report");
         assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].bench, "demo");
-        assert_eq!(
-            parsed[0].get("latency_speedup"),
-            Some(&Metric::Num(2.5)),
-            "numbers parse"
-        );
-        assert_eq!(parsed[0].get("gates_passed"), Some(&Metric::Flag(true)));
-        assert_eq!(
-            parsed[0].get("note"),
-            Some(&Metric::Text("a \"quoted\" path\\".to_string()))
-        );
-        // A single bare object parses too, and malformed input is an error.
+        let parsed = &parsed[0];
+        assert_eq!(parsed.bench, "demo \"q\"");
+        assert_eq!(parsed.get("latency_speedup"), Some(&Metric::Num(2.5)));
+        assert_eq!(parsed.get("gates_passed"), Some(&Metric::Flag(true)));
+        // Every declared kind survives render and parse; undeclared is info.
+        for (key, kind) in [
+            ("latency_speedup", Kind::Higher),
+            ("p99_ns", Kind::LowerNs),
+            ("nav_p99_ratio", Kind::Lower),
+            ("threads", Kind::Info),
+            ("oracle_log_mismatches", Kind::Correctness),
+            ("gates_passed", Kind::Correctness),
+        ] {
+            assert_eq!(parsed.kind(key), kind, "{key}");
+        }
+        // A single bare object and a report without kinds parse too, and
+        // malformed input is an error.
         assert_eq!(parse_trajectory(&report.render()).unwrap().len(), 1);
+        let bare = parse_trajectory("{\"bench\": \"old\", \"results\": {\"x_ns\": 1}}").unwrap();
+        assert_eq!(bare[0].kind("x_ns"), Kind::Info);
         assert!(parse_trajectory("[{\"bench\": ").is_err());
         assert!(parse_trajectory("[] trailing").is_err());
     }
 
     #[test]
-    fn metric_keys_classify_by_shared_vocabulary() {
-        assert_eq!(
-            classify("oracle_log_mismatches"),
-            (Direction::LowerIsBetter, Strictness::Correctness)
-        );
-        assert_eq!(
-            classify("isolation_violations"),
-            (Direction::LowerIsBetter, Strictness::Correctness)
-        );
-        assert_eq!(
-            classify("sequential_ns_per_page"),
-            (Direction::LowerIsBetter, Strictness::Performance)
-        );
-        assert_eq!(
-            classify("warm_lookup_lockfree_ns"),
-            (Direction::LowerIsBetter, Strictness::Performance)
-        );
-        assert_eq!(
-            classify("storm_speedup_t8"),
-            (Direction::HigherIsBetter, Strictness::Performance)
-        );
-        assert_eq!(
-            classify("pages_per_sec"),
-            (Direction::HigherIsBetter, Strictness::Performance)
-        );
-        assert_eq!(
-            classify("hardware_threads"),
-            (Direction::Informational, Strictness::Informational)
-        );
-        // `ratio` only counts as a whole `_`-delimited segment: generation
-        // counters contain it as an accidental substring ("gene-ratio-ns")
-        // and must stay informational, not become lower-is-better timing.
-        assert_eq!(
-            classify("nav_p99_ratio"),
-            (Direction::LowerIsBetter, Strictness::Performance)
-        );
-        // `ns` likewise: throughputs whose words end in "ns" must not read
-        // as nanosecond timings.
-        for key in [
-            "decisions_per_sec_t1",
-            "storm_lockfree_interns_per_sec_t1",
-            "storm_rwlock_interns_per_sec_t8",
-        ] {
-            assert_eq!(
-                classify(key),
-                (Direction::HigherIsBetter, Strictness::Performance),
-                "{key}"
-            );
-        }
-        for key in ["with_escudo_ns_per_dispatch", "cached_ns_per_decision"] {
-            assert_eq!(
-                classify(key),
-                (Direction::LowerIsBetter, Strictness::Performance),
-                "{key}"
-            );
-        }
-        assert_eq!(
-            classify("reload_generations_seen"),
-            (Direction::Informational, Strictness::Informational)
-        );
-        assert_eq!(
-            classify("cp_tenant_alpha_generation"),
-            (Direction::Informational, Strictness::Informational)
-        );
-        // Cache accounting is informational — even `_ns`-suffixed raw
-        // timings, whose judged form is the speedup ratio — but rate- and
-        // speedup-shaped cache keys stay performance, and a cache mismatch
-        // stays correctness.
-        assert_eq!(
-            classify("ttl_cache_expired"),
-            (Direction::Informational, Strictness::Informational)
-        );
-        assert_eq!(
-            classify("cache_warm_ns"),
-            (Direction::Informational, Strictness::Informational)
-        );
-        assert_eq!(
-            classify("cp_cache_hits"),
-            (Direction::Informational, Strictness::Informational)
-        );
-        assert_eq!(
-            classify("cache_speedup"),
-            (Direction::HigherIsBetter, Strictness::Performance)
-        );
-        assert_eq!(
-            classify("cache_hit_rate"),
-            (Direction::HigherIsBetter, Strictness::Performance)
-        );
-        assert_eq!(
-            classify("cache_log_mismatches"),
-            (Direction::LowerIsBetter, Strictness::Correctness)
-        );
+    fn a_kind_without_a_value_is_a_parse_error() {
+        let orphan = "{\"bench\": \"demo\", \"results\": {\"a\": 1}, \
+                      \"kinds\": {\"a\": \"higher\", \"b\": \"correctness\"}}";
+        let error = parse_trajectory(orphan).unwrap_err();
+        assert!(error.contains("\"b\""), "{error}");
+        let unknown =
+            "{\"bench\": \"demo\", \"results\": {\"a\": 1}, \"kinds\": {\"a\": \"fast\"}}";
+        assert!(parse_trajectory(unknown).is_err());
     }
 
     #[test]
     fn correctness_regressions_fail_regardless_of_size() {
-        let previous = snapshot(&[
-            ("isolation_violations", Metric::Num(0.0)),
-            ("gates_passed", Metric::Flag(true)),
-        ]);
-        let current = snapshot(&[
-            ("isolation_violations", Metric::Num(1.0)),
-            ("gates_passed", Metric::Flag(false)),
-        ]);
+        let previous = snapshot(|r| {
+            r.zero("isolation_violations", 0_u64)
+                .flag("gates_passed", true);
+        });
+        let current = snapshot(|r| {
+            r.zero("isolation_violations", 1_u64)
+                .flag("gates_passed", false);
+        });
         let diff = compare_trajectories(&previous, &current);
         assert_eq!(diff.failures, 2);
         let rendered = render_diff(&diff);
@@ -1015,99 +867,119 @@ mod tests {
     }
 
     #[test]
+    fn unexpected_cells_declared_correctness_fail() {
+        // A committed snapshot carries no kinds; the fresh report's
+        // declaration judges the key.
+        let previous = parse_trajectory(
+            "[{\"bench\": \"scenario_matrix\", \"results\": {\"matrix_unexpected\": 0}}]",
+        )
+        .unwrap();
+        let mut report = JsonReport::new("scenario_matrix");
+        report.zero("matrix_unexpected", 1_u64);
+        let current = parse_trajectory(&report.render()).unwrap();
+        let diff = compare_trajectories(&previous, &current);
+        assert_eq!(diff.failures, 1, "{}", render_diff(&diff));
+        assert!(render_diff(&diff).contains("scenario_matrix/matrix_unexpected"));
+    }
+
+    #[test]
+    fn the_declared_kind_decides_not_the_key() {
+        // A mismatch-shaped key declared info does not gate...
+        let previous = snapshot(|r| {
+            r.record(Kind::Info, "oracle_log_mismatches", 0_u64);
+        });
+        let current = snapshot(|r| {
+            r.record(Kind::Info, "oracle_log_mismatches", 5_u64);
+        });
+        assert_eq!(verdicts(&previous, &current), (0, 0));
+        // ...and a neutral key declared higher is judged in that direction.
+        let previous = snapshot(|r| {
+            r.record(Kind::Higher, "retained", 4.0);
+        });
+        let current = snapshot(|r| {
+            r.record(Kind::Higher, "retained", 2.0);
+        });
+        assert_eq!(verdicts(&previous, &current), (0, 1));
+    }
+
+    #[test]
     fn performance_regressions_grade_warn_then_fail() {
-        let previous = snapshot(&[("pipelined_ns_per_page", Metric::Num(1_000_000.0))]);
-        // +8%: inside the warn threshold.
-        let diff = compare_trajectories(
-            &previous,
-            &snapshot(&[("pipelined_ns_per_page", Metric::Num(1_080_000.0))]),
-        );
-        assert_eq!((diff.warnings, diff.failures), (0, 0));
-        // +20%: warns.
-        let diff = compare_trajectories(
-            &previous,
-            &snapshot(&[("pipelined_ns_per_page", Metric::Num(1_200_000.0))]),
-        );
-        assert_eq!((diff.warnings, diff.failures), (1, 0));
-        // +60%: fails.
-        let diff = compare_trajectories(
-            &previous,
-            &snapshot(&[("pipelined_ns_per_page", Metric::Num(1_600_000.0))]),
-        );
-        assert_eq!((diff.warnings, diff.failures), (0, 1));
+        let page = |ns: f64| {
+            snapshot(|r| {
+                r.record(Kind::LowerNs, "pipelined_ns_per_page", ns);
+            })
+        };
+        let previous = page(1_000_000.0);
+        // +8%: inside the warn threshold; +20%: warns; +60%: fails.
+        assert_eq!(verdicts(&previous, &page(1_080_000.0)), (0, 0));
+        assert_eq!(verdicts(&previous, &page(1_200_000.0)), (1, 0));
+        assert_eq!(verdicts(&previous, &page(1_600_000.0)), (0, 1));
         // Higher-is-better metrics judge the opposite direction.
-        let previous = snapshot(&[("latency_speedup", Metric::Num(4.0))]);
-        let diff = compare_trajectories(
-            &previous,
-            &snapshot(&[("latency_speedup", Metric::Num(2.0))]),
-        );
-        assert_eq!((diff.warnings, diff.failures), (0, 1));
+        let speedup = |x: f64| {
+            snapshot(|r| {
+                r.record(Kind::Higher, "latency_speedup", x);
+            })
+        };
+        assert_eq!(verdicts(&speedup(4.0), &speedup(2.0)), (0, 1));
+        assert_eq!(verdicts(&speedup(2.0), &speedup(4.0)), (0, 0));
     }
 
     #[test]
     fn nanosecond_jitter_stays_under_the_noise_floor() {
+        let lookup = |kind: Kind, value: f64| {
+            snapshot(|r| {
+                r.record(kind, "warm_lookup", value);
+            })
+        };
         // 50% relative regression, but only 150ns absolute — timer jitter.
-        let previous = snapshot(&[("warm_lookup_lockfree_ns", Metric::Num(300.0))]);
-        let current = snapshot(&[("warm_lookup_lockfree_ns", Metric::Num(450.0))]);
-        let diff = compare_trajectories(&previous, &current);
-        assert_eq!((diff.warnings, diff.failures), (0, 0));
+        assert_eq!(
+            verdicts(&lookup(Kind::LowerNs, 300.0), &lookup(Kind::LowerNs, 450.0)),
+            (0, 0)
+        );
+        // The same move on a `lower` metric is not nanoseconds: judged.
+        assert_eq!(
+            verdicts(&lookup(Kind::Lower, 300.0), &lookup(Kind::Lower, 450.0)),
+            (0, 1)
+        );
         // The same relative move above the floor is judged normally.
-        let previous = snapshot(&[("warm_lookup_lockfree_ns", Metric::Num(30_000.0))]);
-        let current = snapshot(&[("warm_lookup_lockfree_ns", Metric::Num(45_000.0))]);
-        let diff = compare_trajectories(&previous, &current);
-        assert_eq!(diff.failures, 1);
+        assert_eq!(
+            verdicts(
+                &lookup(Kind::LowerNs, 30_000.0),
+                &lookup(Kind::LowerNs, 45_000.0)
+            ),
+            (0, 1)
+        );
     }
 
     #[test]
     fn recorded_spreads_derive_per_metric_noise_floors() {
-        // The spread key itself is calibration metadata, never judged.
-        assert_eq!(
-            classify("neighbor_contended_p99_ns_spread"),
-            (Direction::Informational, Strictness::Informational)
-        );
-        assert_eq!(
-            classify("victim_rate_spread"),
-            (Direction::Informational, Strictness::Informational)
-        );
-
+        let p99 = |value: f64, spread: f64| {
+            snapshot(|r| {
+                r.record(Kind::LowerNs, "neighbor_contended_p99_ns", value)
+                    .spread("neighbor_contended_p99_ns", spread);
+            })
+        };
         // +50% and 15µs absolute — far past the global 1µs floor — but the
         // bench recorded a 20µs best-of-N spread, so the move is repeat
-        // scatter, not a regression.
-        let previous = snapshot(&[
-            ("neighbor_contended_p99_ns", Metric::Num(30_000.0)),
-            ("neighbor_contended_p99_ns_spread", Metric::Num(20_000.0)),
-        ]);
-        let current = snapshot(&[
-            ("neighbor_contended_p99_ns", Metric::Num(45_000.0)),
-            ("neighbor_contended_p99_ns_spread", Metric::Num(18_000.0)),
-        ]);
-        let diff = compare_trajectories(&previous, &current);
-        assert_eq!((diff.warnings, diff.failures), (0, 0));
-
+        // scatter, not a regression. The spread key itself is never judged.
+        assert_eq!(
+            verdicts(&p99(30_000.0, 20_000.0), &p99(45_000.0, 18_000.0)),
+            (0, 0)
+        );
         // The same move with a tight spread is judged normally (and fails).
-        let previous = snapshot(&[
-            ("neighbor_contended_p99_ns", Metric::Num(30_000.0)),
-            ("neighbor_contended_p99_ns_spread", Metric::Num(500.0)),
-        ]);
-        let current = snapshot(&[
-            ("neighbor_contended_p99_ns", Metric::Num(45_000.0)),
-            ("neighbor_contended_p99_ns_spread", Metric::Num(400.0)),
-        ]);
-        let diff = compare_trajectories(&previous, &current);
-        assert_eq!((diff.warnings, diff.failures), (0, 1));
-
+        assert_eq!(
+            verdicts(&p99(30_000.0, 500.0), &p99(45_000.0, 400.0)),
+            (0, 1)
+        );
         // A derived floor covers non-nanosecond metrics too: the global floor
         // never applied to rates, but a recorded spread does.
-        let previous = snapshot(&[
-            ("victim_rate", Metric::Num(1.0)),
-            ("victim_rate_spread", Metric::Num(0.2)),
-        ]);
-        let current = snapshot(&[
-            ("victim_rate", Metric::Num(0.7)),
-            ("victim_rate_spread", Metric::Num(0.2)),
-        ]);
-        let diff = compare_trajectories(&previous, &current);
-        assert_eq!((diff.warnings, diff.failures), (0, 0));
+        let rate = |value: f64| {
+            snapshot(|r| {
+                r.record(Kind::Higher, "victim_rate", value)
+                    .spread("victim_rate", 0.2);
+            })
+        };
+        assert_eq!(verdicts(&rate(1.0), &rate(0.7)), (0, 0));
     }
 
     #[test]
@@ -1122,56 +994,61 @@ mod tests {
 
     #[test]
     fn history_table_tracks_gated_metrics_across_snapshots() {
-        let older = snapshot(&[
-            ("pages_per_sec", Metric::Num(100.0)),
-            ("threads", Metric::Num(8.0)),
-            ("p99_ns_spread", Metric::Num(50.0)),
+        // Committed snapshots carry no kinds; the fresh report's declarations
+        // pick the rows.
+        let older = parse_trajectory(
+            "{\"bench\": \"demo\", \"results\": {\"pages_per_sec\": 100, \"threads\": 8}}",
+        )
+        .unwrap();
+        let newer = parse_trajectory(
+            "{\"bench\": \"demo\", \"results\": {\"pages_per_sec\": 150, \"threads\": 8}}",
+        )
+        .unwrap();
+        let fresh = snapshot(|r| {
+            r.record(Kind::Higher, "pages_per_sec", 200.0)
+                .zero("violations", 0_u64)
+                .record(Kind::Info, "threads", 8_u64)
+                .spread("pages_per_sec", 5.0);
+        });
+        let table = render_history(&[
+            ("BENCH_6".to_string(), older),
+            ("BENCH_7".to_string(), newer),
+            ("fresh.json".to_string(), fresh),
         ]);
-        let newer = snapshot(&[
-            ("pages_per_sec", Metric::Num(200.0)),
-            ("violations", Metric::Num(0.0)),
-            ("threads", Metric::Num(8.0)),
-        ]);
-        let table = render_history(&[(6, older), (7, newer)]);
-        assert!(table.contains("BENCH_6 -> BENCH_7"), "got:\n{table}");
-        // The throughput metric trends across both snapshots...
+        assert!(
+            table.contains("BENCH_6 -> BENCH_7 -> fresh.json"),
+            "got:\n{table}"
+        );
+        // The throughput metric trends across every column...
         assert!(
             table.contains("demo/pages_per_sec") && table.contains("100.000 -> 200.000"),
             "got:\n{table}"
         );
         // ...a late-added correctness counter shows a leading gap...
         assert!(table.contains("demo/violations"), "got:\n{table}");
-        assert!(table.contains('·'), "got:\n{table}");
-        // ...and informational keys (workload shape, spreads) stay out.
+        assert!(table.contains("··▄"), "got:\n{table}");
+        // ...and info keys (workload shape, spreads) and the gate flag stay out.
         assert!(!table.contains("demo/threads"), "got:\n{table}");
         assert!(!table.contains("spread"), "got:\n{table}");
+        assert!(!table.contains("gates_passed"), "got:\n{table}");
     }
 
     #[test]
     fn dropped_benches_and_metrics_warn_but_new_coverage_passes() {
-        let previous = vec![
-            BenchReport {
-                bench: "kept".to_string(),
-                results: vec![("pages_per_sec".to_string(), Metric::Num(10.0))],
-            },
-            BenchReport {
-                bench: "gone".to_string(),
-                results: vec![],
-            },
-        ];
-        let current = vec![
-            BenchReport {
-                bench: "kept".to_string(),
-                results: vec![("threads".to_string(), Metric::Num(8.0))],
-            },
-            BenchReport {
-                bench: "brand_new".to_string(),
-                results: vec![("violations".to_string(), Metric::Num(0.0))],
-            },
-        ];
-        let diff = compare_trajectories(&previous, &current);
+        let merged = |reports: &[JsonReport]| {
+            let rendered: Vec<String> = reports.iter().map(JsonReport::render).collect();
+            parse_trajectory(&format!("[{}]", rendered.join(","))).unwrap()
+        };
+        let mut kept = JsonReport::new("kept");
+        kept.record(Kind::Higher, "pages_per_sec", 10.0);
+        let previous = merged(&[kept, JsonReport::new("gone")]);
+        let mut kept = JsonReport::new("kept");
+        kept.record(Kind::Info, "threads", 8_u64);
+        let mut brand_new = JsonReport::new("brand_new");
+        brand_new.zero("violations", 0_u64);
+        let current = merged(&[kept, brand_new]);
         // One warn for the vanished bench, one for the vanished metric; the
         // new bench and metric gate nothing.
-        assert_eq!((diff.warnings, diff.failures), (2, 0));
+        assert_eq!(verdicts(&previous, &current), (2, 0));
     }
 }
