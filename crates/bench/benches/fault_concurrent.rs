@@ -113,20 +113,21 @@ fn main() {
     ] {
         let oracle = run_retry_oracle(mode);
         println!(
-            "  oracle {key:<7} logs={} cookies={} mediation={} ({} retries over {} subresources)",
-            oracle.logs_identical,
-            oracle.attachments_identical,
-            oracle.mediation_identical,
+            "  oracle {key:<7} logs={} cookies={} mediation_mismatches={} ({} retries over {} \
+             log entries)",
+            oracle.logs_identical(),
+            oracle.attachments_identical(),
+            oracle.diff.mediation_mismatches,
             oracle.faulted_retries,
-            oracle.subresources
+            oracle.diff.requests
         );
         json.flag(
             &format!("oracle_{key}_logs_identical"),
-            oracle.logs_identical,
+            oracle.logs_identical(),
         )
         .flag(
             &format!("oracle_{key}_cookies_identical"),
-            oracle.attachments_identical,
+            oracle.attachments_identical(),
         )
         .record(
             Kind::Info,
@@ -134,11 +135,7 @@ fn main() {
             oracle.faulted_retries,
         )
         .check(
-            oracle.logs_identical
-                && oracle.attachments_identical
-                && oracle.mediation_identical
-                && oracle.clean_retries == 0
-                && oracle.faulted_retries > 0,
+            oracle.holds(),
             format_args!("the retry oracle holds under {mode}"),
         );
     }

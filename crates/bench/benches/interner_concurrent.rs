@@ -27,8 +27,9 @@
 
 use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::interner::{
-    best_storm, measure_warm_lookup, storm_contexts, RwLockContextTable, StormSample,
+    measure_storm, measure_warm_lookup, storm_contexts, RwLockContextTable,
 };
+use escudo_bench::measure::{best_of, Rate};
 use escudo_core::{ContextInterner, SPILL_WINDOW_SLOTS};
 
 /// Minimum lock-free-over-reference storm speedup at the highest thread count,
@@ -51,12 +52,12 @@ const MAX_WARM_LOOKUP_REGRESSION: f64 = 1.05;
 /// population keeps chains shallow, as a storm-facing deployment would size it.
 const STORM_BUCKETS: usize = 1024;
 
-fn report_line(side: &str, sample: &StormSample) {
+fn report_line(side: &str, rate: &Rate) {
     println!(
         "  {side:<20} {: >2} thread(s)  {: >8.1} ns/intern  {: >11.0} interns/s",
-        sample.threads,
-        sample.ns_per_intern(),
-        sample.interns_per_sec(),
+        rate.width,
+        rate.ns_per_op(),
+        rate.per_sec(),
     );
 }
 
@@ -84,42 +85,49 @@ fn main() {
     let mut speedup_at_max = 0.0f64;
     for &threads in &thread_counts {
         let (shared_pairs, disjoint_pairs) = storm_contexts(shared, disjoint, threads);
-        // Warm-up storm for allocator and branch predictors, then best-of-3.
-        let _ = best_storm(
+        // Warm-up storm for allocator and branch predictors, then best of 3.
+        let _ = measure_storm(
             || ContextInterner::with_buckets(STORM_BUCKETS),
             &shared_pairs,
             &disjoint_pairs,
             1,
-            1,
         );
-        let lockfree = best_storm(
-            || ContextInterner::with_buckets(STORM_BUCKETS),
-            &shared_pairs,
-            &disjoint_pairs,
-            passes,
-            3,
+        let (lockfree, _) = best_of(
+            (0..3).map(|_| {
+                measure_storm(
+                    || ContextInterner::with_buckets(STORM_BUCKETS),
+                    &shared_pairs,
+                    &disjoint_pairs,
+                    passes,
+                )
+            }),
+            Rate::ns_per_op,
         );
-        let reference = best_storm(
-            RwLockContextTable::new,
-            &shared_pairs,
-            &disjoint_pairs,
-            passes,
-            3,
+        let (reference, _) = best_of(
+            (0..3).map(|_| {
+                measure_storm(
+                    RwLockContextTable::new,
+                    &shared_pairs,
+                    &disjoint_pairs,
+                    passes,
+                )
+            }),
+            Rate::ns_per_op,
         );
         println!("first-touch storm at {threads} thread(s):");
         report_line("lock-free interner", &lockfree);
         report_line("rwlock reference", &reference);
-        let speedup = lockfree.interns_per_sec() / reference.interns_per_sec();
+        let speedup = lockfree.per_sec() / reference.per_sec();
         println!("  speedup {speedup:.2}x");
         json.record(
             Kind::Higher,
             &format!("storm_lockfree_interns_per_sec_t{threads}"),
-            lockfree.interns_per_sec(),
+            lockfree.per_sec(),
         )
         .record(
             Kind::Higher,
             &format!("storm_rwlock_interns_per_sec_t{threads}"),
-            reference.interns_per_sec(),
+            reference.per_sec(),
         )
         .record(Kind::Higher, &format!("storm_speedup_t{threads}"), speedup);
         if threads == *thread_counts.last().expect("at least one thread count") {

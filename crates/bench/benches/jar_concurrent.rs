@@ -20,8 +20,9 @@ use std::sync::Arc;
 
 use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::concurrent::{
-    best_jar_throughput, run_jar_oracle_sessions, run_shared_jar_sessions, JarThroughputSample,
+    measure_jar_throughput, run_jar_oracle_sessions, run_shared_jar_sessions,
 };
+use escudo_bench::measure::{best_of, Rate};
 use escudo_core::EscudoEngine;
 use escudo_net::SharedCookieJar;
 
@@ -34,12 +35,12 @@ const NO_COLLAPSE_FRACTION: f64 = 0.85;
 /// 8 threads regardless of how many threads the throughput sweep covers).
 const ORACLE_THREADS: usize = 8;
 
-fn report_line(sample: &JarThroughputSample) {
+fn report_line(rate: &Rate) {
     println!(
         "  {: >2} thread(s)  {: >9.1} ns/header  {: >12.0} headers/s",
-        sample.threads,
-        sample.ns_per_header(),
-        sample.headers_per_sec(),
+        rate.width,
+        rate.ns_per_op(),
+        rate.per_sec(),
     );
 }
 
@@ -65,34 +66,32 @@ fn main() {
     );
 
     // Warm-up pass for allocator and branch predictors before any timed window.
-    let _ = best_jar_throughput(HOSTS, COOKIES_PER_HOST, 1, total_passes / 4, 1);
+    let _ = measure_jar_throughput(HOSTS, COOKIES_PER_HOST, 1, total_passes / 4);
 
     println!("aggregate Cookie-header build throughput (shared host-sharded jar):");
     let mut samples = Vec::new();
     for &threads in &thread_counts {
-        let sample = best_jar_throughput(
-            HOSTS,
-            COOKIES_PER_HOST,
-            threads,
-            (total_passes / threads).max(1),
-            5,
+        let passes = (total_passes / threads).max(1);
+        let (rate, _) = best_of(
+            (0..5).map(|_| measure_jar_throughput(HOSTS, COOKIES_PER_HOST, threads, passes)),
+            Rate::ns_per_op,
         );
-        report_line(&sample);
-        samples.push(sample);
+        report_line(&rate);
+        samples.push(rate);
     }
 
     // ------------------------------------------------------------- behavioural gate
     let mut json = JsonReport::new("jar_concurrent");
-    for sample in &samples {
+    for rate in &samples {
         json.record(
             Kind::Higher,
-            &format!("headers_per_sec_t{}", sample.threads),
-            sample.headers_per_sec(),
+            &format!("headers_per_sec_t{}", rate.width),
+            rate.per_sec(),
         );
     }
     let gate_samples: Vec<(usize, f64)> = samples
         .iter()
-        .map(|s| (s.threads, s.headers_per_sec()))
+        .map(|rate| (rate.width, rate.per_sec()))
         .collect();
     json.no_collapse_gate("header", &gate_samples, NO_COLLAPSE_FRACTION);
 
@@ -115,21 +114,21 @@ fn main() {
     println!(
         "shared-jar sessions: {} sessions x {} rounds, {} page loads, {} checks \
          ({} denials), jar {} stored / {} replaced / {} evicted over {} shards",
-        report.threads,
-        report.rounds,
-        report.tallies.iter().map(|t| t.page_loads).sum::<u64>(),
-        report.tallies.iter().map(|t| t.checks).sum::<u64>(),
-        report.tallies.iter().map(|t| t.denials).sum::<u64>(),
+        report.sessions.threads,
+        report.sessions.rounds,
+        report.sessions.page_loads(),
+        report.sessions.checks(),
+        report.sessions.denials(),
         stats.stored,
         stats.replaced,
         stats.evicted,
         stats.shards.len(),
     );
     json.check(
-        report.sessions_with_cookies == report.threads,
+        report.sessions_with_cookies == report.sessions.threads,
         format_args!(
             "{} of {} shared-jar sessions established their session cookie",
-            report.sessions_with_cookies, report.threads
+            report.sessions_with_cookies, report.sessions.threads
         ),
     );
     json.zero("session_isolation_violations", report.isolation_violations)

@@ -26,9 +26,8 @@
 use std::time::Duration;
 
 use escudo_bench::cli::{parse_flag, JsonReport, Kind};
-use escudo_bench::loader::{
-    best_page_loads, run_loader_oracle, run_shared_fabric_sessions, LoaderSample,
-};
+use escudo_bench::loader::{measure_page_loads, run_loader_oracle, run_shared_fabric_sessions};
+use escudo_bench::measure::{best_of, Rate};
 
 /// Minimum pipelined-over-sequential speedup required under simulated latency.
 const MIN_LATENCY_SPEEDUP: f64 = 2.0;
@@ -48,12 +47,12 @@ const GATE_LATENCY: Duration = Duration::from_micros(200);
 /// completion, slot recording) on a page whose waits are short.
 const EDGE_LATENCY: Duration = Duration::from_micros(25);
 
-fn report_line(label: &str, sample: &LoaderSample) {
+fn report_line(label: &str, rate: &Rate) {
     println!(
         "  {label:<28} {: >2} worker(s)  {: >11.0} ns/page  {: >9.0} pages/s",
-        sample.workers,
-        sample.ns_per_page(),
-        sample.pages_per_sec(),
+        rate.width,
+        rate.ns_per_op(),
+        rate.per_sec(),
     );
 }
 
@@ -67,6 +66,12 @@ fn main() {
         "loader_concurrent: {images} images over {origins} origins, {passes} passes per sample, \
          {sessions} shared-fabric sessions"
     );
+
+    // Best of three page-load samples at a latency and in-flight bound.
+    let best_loads = |latency: Duration, workers: usize| {
+        let samples = (0..3).map(|_| measure_page_loads(images, origins, latency, workers, passes));
+        best_of(samples, Rate::ns_per_op).0
+    };
 
     let mut json = JsonReport::new("loader_concurrent");
     json.record(Kind::Info, "images", images)
@@ -87,20 +92,20 @@ fn main() {
         "page loads at {}µs per-origin latency:",
         GATE_LATENCY.as_micros()
     );
-    let sequential = best_page_loads(images, origins, GATE_LATENCY, 1, passes, 3);
+    let sequential = best_loads(GATE_LATENCY, 1);
     report_line("sequential oracle", &sequential);
-    let pipelined = best_page_loads(images, origins, GATE_LATENCY, 8, passes, 3);
+    let pipelined = best_loads(GATE_LATENCY, 8);
     report_line("pipelined (8 workers)", &pipelined);
-    let speedup = sequential.ns_per_page() / pipelined.ns_per_page();
+    let speedup = sequential.ns_per_op() / pipelined.ns_per_op();
     json.record(
         Kind::LowerNs,
         "sequential_ns_per_page",
-        sequential.ns_per_page(),
+        sequential.ns_per_op(),
     )
     .record(
         Kind::LowerNs,
         "pipelined_ns_per_page",
-        pipelined.ns_per_page(),
+        pipelined.ns_per_op(),
     )
     .record(Kind::Higher, "latency_speedup", speedup)
     .check(
@@ -114,11 +119,11 @@ fn main() {
 
     // ------------------------------------------------- zero-latency overhead gate
     println!("page loads at zero latency:");
-    let sequential0 = best_page_loads(images, origins, Duration::ZERO, 1, passes, 3);
+    let sequential0 = best_loads(Duration::ZERO, 1);
     report_line("sequential oracle", &sequential0);
-    let pipelined0 = best_page_loads(images, origins, Duration::ZERO, 8, passes, 3);
+    let pipelined0 = best_loads(Duration::ZERO, 8);
     report_line("pipelined (8 workers)", &pipelined0);
-    let retained = pipelined0.pages_per_sec() / sequential0.pages_per_sec();
+    let retained = pipelined0.per_sec() / sequential0.per_sec();
     json.record(Kind::Higher, "zero_latency_retained", retained)
         .check(
             retained >= NO_REGRESSION_FRACTION,
@@ -135,11 +140,11 @@ fn main() {
         "page loads at {}µs per-origin latency (short waits):",
         EDGE_LATENCY.as_micros()
     );
-    let sequential_edge = best_page_loads(images, origins, EDGE_LATENCY, 1, passes, 3);
+    let sequential_edge = best_loads(EDGE_LATENCY, 1);
     report_line("sequential oracle", &sequential_edge);
-    let pipelined_edge = best_page_loads(images, origins, EDGE_LATENCY, 8, passes, 3);
+    let pipelined_edge = best_loads(EDGE_LATENCY, 8);
     report_line("pipelined (8 workers)", &pipelined_edge);
-    let retained_edge = pipelined_edge.pages_per_sec() / sequential_edge.pages_per_sec();
+    let retained_edge = pipelined_edge.per_sec() / sequential_edge.per_sec();
     json.record(Kind::Higher, "edge_retained", retained_edge)
         .check(
             retained_edge >= NO_REGRESSION_FRACTION,
@@ -163,26 +168,34 @@ fn main() {
     );
     json.zero("oracle_log_mismatches", oracle.log_mismatches)
         .zero("oracle_attachment_mismatches", oracle.attachment_mismatches)
-        .zero("oracle_order_violations", oracle.order_violations);
+        .zero("oracle_order_violations", oracle.order_violations)
+        .check(
+            oracle.requests > 0,
+            format_args!(
+                "the determinism oracle compared {} log entries (gate: non-zero, or two \
+                 empty logs pass as identical)",
+                oracle.requests
+            ),
+        );
 
     // ------------------------------------------------- shared-fabric isolation gate
     let isolation = run_shared_fabric_sessions(sessions, 4, 3);
+    let isolated_sessions = isolation.own_attachments.len();
     println!(
-        "shared fabric: {} sessions, {} logged requests, {} sessions attached their \
-         own cookie, {} cross-session leaks",
-        isolation.sessions,
+        "shared fabric: {isolated_sessions} sessions, {} logged requests, {} sessions attached \
+         their own cookie, {} cross-session leaks",
         isolation.requests,
-        isolation.sessions_with_cookies,
-        isolation.isolation_violations
+        isolation.sessions_with_cookies(),
+        isolation.violations
     );
-    json.record(Kind::Info, "isolation_sessions", isolation.sessions)
-        .zero("isolation_violations", isolation.isolation_violations)
+    json.record(Kind::Info, "isolation_sessions", isolated_sessions)
+        .zero("isolation_violations", isolation.violations)
         .check(
-            isolation.sessions_with_cookies == isolation.sessions,
+            isolation.sessions_with_cookies() == isolated_sessions,
             format_args!(
-                "{} of {} shared-fabric sessions attached their session cookie to their \
-                 subresource fetches",
-                isolation.sessions_with_cookies, isolation.sessions
+                "{} of {isolated_sessions} shared-fabric sessions attached their session \
+                 cookie to their requests",
+                isolation.sessions_with_cookies()
             ),
         );
     json.finish(&args);

@@ -17,7 +17,8 @@
 use std::sync::Arc;
 
 use escudo_bench::cli::{parse_flag, JsonReport, Kind};
-use escudo_bench::concurrent::{best_throughput, run_concurrent_sessions, ThroughputSample};
+use escudo_bench::concurrent::{measure_concurrent_throughput, run_concurrent_sessions};
+use escudo_bench::measure::{best_of, Rate};
 use escudo_bench::workload::decision_workload;
 use escudo_core::EscudoEngine;
 
@@ -27,13 +28,13 @@ use escudo_core::EscudoEngine;
 const NO_COLLAPSE_FRACTION: f64 = 0.85;
 const MIN_STEADY_STATE_HIT_RATE: f64 = 0.95;
 
-fn report_line(sample: &ThroughputSample) {
+fn report_line(rate: &Rate, hit_rate: f64) {
     println!(
         "  {: >2} thread(s)  {: >9.1} ns/decision  {: >12.0} decisions/s  hit rate {:5.1}%",
-        sample.threads,
-        sample.ns_per_decision(),
-        sample.decisions_per_sec(),
-        sample.hit_rate * 100.0
+        rate.width,
+        rate.ns_per_op(),
+        rate.per_sec(),
+        hit_rate * 100.0
     );
 }
 
@@ -60,36 +61,36 @@ fn main() {
     );
 
     // Warm-up pass for allocator and branch predictors before any timed window.
-    let _ = best_throughput(&workload, 1, total_passes / 4, 1);
+    let _ = measure_concurrent_throughput(&workload, 1, total_passes / 4);
 
     println!("aggregate cached-decision throughput (shared sharded engine):");
     let mut samples = Vec::new();
     for &threads in &thread_counts {
-        let sample = best_throughput(&workload, threads, (total_passes / threads).max(1), 5);
-        report_line(&sample);
-        samples.push(sample);
+        let passes = (total_passes / threads).max(1);
+        let ((rate, hit_rate), _) = best_of(
+            (0..5).map(|_| measure_concurrent_throughput(&workload, threads, passes)),
+            |(rate, _)| rate.ns_per_op(),
+        );
+        report_line(&rate, hit_rate);
+        samples.push((rate, hit_rate));
     }
 
     // ------------------------------------------------------------- behavioural gate
     let mut json = JsonReport::new("policy_concurrent");
-    for sample in &samples {
-        let threads = sample.threads;
+    for (rate, hit_rate) in &samples {
+        let threads = rate.width;
         json.record(
             Kind::Higher,
             &format!("decisions_per_sec_t{threads}"),
-            sample.decisions_per_sec(),
+            rate.per_sec(),
         )
-        .record(
-            Kind::Higher,
-            &format!("hit_rate_t{threads}"),
-            sample.hit_rate,
-        )
+        .record(Kind::Higher, &format!("hit_rate_t{threads}"), *hit_rate)
         .check(
-            sample.hit_rate >= MIN_STEADY_STATE_HIT_RATE,
+            *hit_rate >= MIN_STEADY_STATE_HIT_RATE,
             format_args!(
                 "steady-state hit rate {:.1}% at {threads} thread(s) (gate: ≥ {:.0}%, or the \
                  shared warm cache is not being hit)",
-                sample.hit_rate * 100.0,
+                hit_rate * 100.0,
                 MIN_STEADY_STATE_HIT_RATE * 100.0,
             ),
         );
@@ -97,7 +98,7 @@ fn main() {
 
     let gate_samples: Vec<(usize, f64)> = samples
         .iter()
-        .map(|s| (s.threads, s.decisions_per_sec()))
+        .map(|(rate, _)| (rate.width, rate.per_sec()))
         .collect();
     json.no_collapse_gate("decision", &gate_samples, NO_COLLAPSE_FRACTION);
 

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::scheduler::{
-    run_navigation_storm_best_of, run_prefetch_oracle, run_prefetch_sessions, run_prefetch_speedup,
+    run_navigation_storm, run_prefetch_oracle, run_prefetch_sessions, run_prefetch_speedup,
 };
 
 /// Maximum loaded-over-unloaded p99 navigation-latency ratio under the storm.
@@ -58,7 +58,7 @@ fn main() {
         .record(Kind::Info, "prefetch_passes", passes);
 
     // ------------------------------------------------- sibling-load gate
-    let storm = run_navigation_storm_best_of(bulk_sessions, navigations, 3);
+    let storm = run_navigation_storm(bulk_sessions, navigations, 3);
     println!(
         "navigation p99 (best of {}): {} ns unloaded (±{}), {} ns next to {} busy sibling \
          sessions (±{}) — {:.2}x",
@@ -129,31 +129,41 @@ fn main() {
 
     // ------------------------------------------------- mediation-oracle gate
     // Speculation may change when bytes move, never a mediation outcome.
-    let oracle = run_prefetch_oracle(3);
+    let (oracle, oracle_prefetch_hits) = run_prefetch_oracle(3);
     println!(
         "prefetch oracle: {} log entries, {} log mismatches, {} attachment mismatches, \
-         {} hits consumed on the speculative side",
-        oracle.requests, oracle.log_mismatches, oracle.attachment_mismatches, oracle.prefetch_hits
+         {oracle_prefetch_hits} hits consumed on the speculative side",
+        oracle.requests, oracle.log_mismatches, oracle.attachment_mismatches
     );
     json.record(Kind::Info, "oracle_requests", oracle.requests)
         .zero("oracle_log_mismatches", oracle.log_mismatches)
         .zero("oracle_attachment_mismatches", oracle.attachment_mismatches)
-        .record(Kind::Info, "oracle_prefetch_hits", oracle.prefetch_hits);
+        .record(Kind::Info, "oracle_prefetch_hits", oracle_prefetch_hits)
+        .check(
+            oracle.requests > 0,
+            format_args!(
+                "the prefetch oracle compared {} log entries (gate: non-zero, or two empty \
+                 logs pass as identical)",
+                oracle.requests
+            ),
+        );
 
     // ------------------------------------------------- shared-fabric isolation gate
     let isolation = run_prefetch_sessions(bulk_sessions.min(8), 3);
+    let leaks = &isolation.leaks;
+    let isolated_sessions = leaks.own_attachments.len();
     println!(
-        "prefetching sessions on one fabric: {} sessions, {} logged requests, {} sessions \
-         attached their own cookie, {} cross-session leaks, {} hits, {} stale plans discarded",
-        isolation.sessions,
-        isolation.requests,
-        isolation.sessions_with_cookies,
-        isolation.isolation_violations,
+        "prefetching sessions on one fabric: {isolated_sessions} sessions, {} logged requests, \
+         {} sessions attached their own cookie, {} cross-session leaks, {} hits, {} stale \
+         plans discarded",
+        leaks.requests,
+        leaks.sessions_with_cookies(),
+        leaks.violations,
         isolation.prefetch_hits,
         isolation.stale_discards
     );
-    json.record(Kind::Info, "isolation_sessions", isolation.sessions)
-        .zero("isolation_violations", isolation.isolation_violations)
+    json.record(Kind::Info, "isolation_sessions", isolated_sessions)
+        .zero("isolation_violations", leaks.violations)
         .record(
             Kind::Info,
             "isolation_prefetch_hits",
@@ -165,10 +175,10 @@ fn main() {
             isolation.stale_discards,
         )
         .check(
-            isolation.sessions_with_cookies == isolation.sessions,
+            leaks.sessions_with_cookies() == isolated_sessions,
             format_args!(
-                "{} of {} prefetching sessions attached their session cookie",
-                isolation.sessions_with_cookies, isolation.sessions
+                "{} of {isolated_sessions} prefetching sessions attached their session cookie",
+                leaks.sessions_with_cookies()
             ),
         );
     json.finish(&args);

@@ -9,10 +9,11 @@
 //!   warm fetch (document and subresources alike) is an `Arc` refcount bump
 //!   that skips the origin's simulated latency entirely.
 //! * [`run_cache_matrix_oracle`] — the full scenario registry replayed twice,
-//!   response cache on vs off. The cache key is the mediation plan (method,
-//!   URL, exact attached `Cookie` header) and mediation always executes —
-//!   only transport is skipped — so every cell's verdict **and** its
-//!   reference-monitor check/denial counts must be identical.
+//!   response cache on (through [`crate::oracle::run_matrix_with_hook`]) vs
+//!   off. The cache key is the mediation plan (method, URL, exact attached
+//!   `Cookie` header) and mediation always executes — only transport is
+//!   skipped — so every cell's verdict **and** its reference-monitor
+//!   check/denial counts must be identical.
 //! * [`run_cache_isolation`] — N sessions with distinct session cookies share
 //!   one fabric and one cacheable URL; each page body echoes the `Cookie`
 //!   header the origin actually received. A lookup only serves an entry whose
@@ -27,15 +28,17 @@
 //!   sequence number.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use escudo_apps::scenario::{install_chaos_hook, registry, MatrixReport};
+use escudo_apps::scenario::{registry, MatrixReport};
 use escudo_browser::Browser;
 use escudo_core::config::CookiePolicy;
 use escudo_core::{engine_for_mode, Acl, ManualClock, PolicyMode, Ring};
 use escudo_net::{Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
+
+use crate::measure::spawn_join;
+use crate::oracle::{mismatches, run_matrix_with_hook};
 
 /// Origin latency the speedup gate runs at: high enough that a cache hit's
 /// saving dwarfs scheduling noise.
@@ -190,7 +193,7 @@ pub struct CacheMatrixOracleReport {
     pub cached: MatrixReport,
     /// The same registry replayed with the cache left off.
     pub plain: MatrixReport,
-    /// Session fabrics the chaos hook observed on the cached side.
+    /// Session fabrics the hook observed on the cached side.
     pub sessions: usize,
     /// Persistent cache hits consumed across all cached-side sessions.
     pub cache_hits: u64,
@@ -208,17 +211,7 @@ impl CacheMatrixOracleReport {
     /// a counter.
     #[must_use]
     pub fn outcome_mismatches(&self) -> usize {
-        self.cached
-            .outcomes
-            .iter()
-            .zip(&self.plain.outcomes)
-            .filter(|(a, b)| a != b)
-            .count()
-            + self
-                .cached
-                .outcomes
-                .len()
-                .abs_diff(self.plain.outcomes.len())
+        mismatches(&self.cached.outcomes, &self.plain.outcomes)
     }
 
     /// Total reference-monitor checks across both modes on one side.
@@ -234,28 +227,17 @@ impl CacheMatrixOracleReport {
     }
 }
 
-/// Replays the full scenario registry twice — once with a chaos hook enabling
-/// every staged session's response cache, once untouched — and pairs the two
+/// Replays the full scenario registry twice — once with a hook enabling every
+/// staged session's response cache, once untouched — and pairs the two
 /// matrices for cell-by-cell comparison. The cached side's fabrics are
 /// collected so the run can also report how much the cache actually did.
 #[must_use]
 pub fn run_cache_matrix_oracle() -> CacheMatrixOracleReport {
-    let fabrics: Arc<Mutex<Vec<Arc<SharedNetwork>>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&fabrics);
-    let cached = {
-        let _guard = install_chaos_hook(Arc::new(move |browser: &mut Browser| {
-            browser.set_response_cache_enabled(true);
-            sink.lock()
-                .expect("cache fabric sink lock")
-                .push(Arc::clone(browser.fabric()));
-        }));
-        MatrixReport::run(&registry())
-    };
-    let plain = MatrixReport::run(&registry());
-    let fabrics = fabrics.lock().expect("cache fabric sink lock");
+    let (cached, fabrics) =
+        run_matrix_with_hook(|browser: &mut Browser| browser.set_response_cache_enabled(true));
     CacheMatrixOracleReport {
         cached,
-        plain,
+        plain: MatrixReport::run(&registry()),
         sessions: fabrics.len(),
         cache_hits: fabrics.iter().map(|f| f.cache_hits()).sum(),
         cache_stored: fabrics.iter().map(|f| f.cache_stored()).sum(),
@@ -320,45 +302,32 @@ pub fn run_cache_isolation(threads: usize, rounds: usize) -> CacheIsolationRepor
         });
     }
 
-    let (violations, cache_hits) = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let fabric = Arc::clone(&fabric);
-                let engine = Arc::clone(&engine);
-                scope.spawn(move || {
-                    // Each session owns its jar: same fabric, different user.
-                    let jar = Arc::new(SharedCookieJar::new());
-                    let mut browser = Browser::with_network(engine, jar, fabric);
-                    browser.set_response_cache_enabled(true);
-                    browser
-                        .navigate(&format!("http://{host}/login.php?user=u{t}"))
-                        .expect("isolation login load");
-                    let own = format!("sid=u{t}");
-                    let mut violations = 0usize;
-                    for _ in 0..rounds {
-                        let page = browser
-                            .navigate(&format!("http://{host}/page.php"))
-                            .expect("isolation page load");
-                        let echo = browser.page(page).text_of("who").unwrap_or_default();
-                        if echo != own {
-                            violations += 1;
-                        }
-                    }
-                    (violations, browser.cache_hits())
-                })
-            })
-            .collect();
-        handles.into_iter().fold((0usize, 0u64), |acc, handle| {
-            let (violations, hits) = handle.join().expect("isolation session thread");
-            (acc.0 + violations, acc.1 + hits)
-        })
+    let sessions = spawn_join(threads, |t| {
+        // Each session owns its jar: same fabric, different user.
+        let jar = Arc::new(SharedCookieJar::new());
+        let mut browser = Browser::with_network(Arc::clone(&engine), jar, Arc::clone(&fabric));
+        browser.set_response_cache_enabled(true);
+        browser
+            .navigate(&format!("http://{host}/login.php?user=u{t}"))
+            .expect("isolation login load");
+        let own = format!("sid=u{t}");
+        let mut violations = 0usize;
+        for _ in 0..rounds {
+            let page = browser
+                .navigate(&format!("http://{host}/page.php"))
+                .expect("isolation page load");
+            if browser.page(page).text_of("who").unwrap_or_default() != own {
+                violations += 1;
+            }
+        }
+        (violations, browser.cache_hits())
     });
 
     CacheIsolationReport {
         sessions: threads,
         rounds,
-        violations,
-        cache_hits,
+        violations: sessions.iter().map(|s| s.0).sum(),
+        cache_hits: sessions.iter().map(|s| s.1).sum(),
         stale_discards: fabric.prefetch_stale_discards(),
     }
 }
@@ -517,7 +486,7 @@ mod tests {
             CacheMatrixOracleReport::total_denials(&report.cached),
             CacheMatrixOracleReport::total_denials(&report.plain),
         );
-        assert!(report.sessions > 0, "the chaos hook must observe sessions");
+        assert!(report.sessions > 0, "the hook must observe sessions");
     }
 
     #[test]

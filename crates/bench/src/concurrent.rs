@@ -11,8 +11,8 @@
 //!   attachment, script execution — while *sharing* the policy engine with every
 //!   other thread,
 //! * [`measure_concurrent_throughput`] — the decision-path microbenchmark: T threads
-//!   hammer the shared warm engine with the standard decision workload and the
-//!   aggregate decisions/second over the timed window is reported.
+//!   hammer the shared warm engine with the standard decision workload inside one
+//!   [`timed_threads`] window.
 //!
 //! Both return engine statistics taken through the same concurrent `stats()` path the
 //! production monitor would use, so the reported hit rates are the self-consistent
@@ -26,19 +26,20 @@
 //!   jar, with cross-session isolation counted afterwards,
 //! * [`run_jar_oracle_sessions`] — a deterministic store/header script per session,
 //!   every concurrent result compared byte-for-byte against a single-threaded
-//!   [`CookieJar`] replay,
+//!   [`CookieJar`] replay ([`replay_on_shared_jar`] and [`replay_on_oracle_jar`],
+//!   which `tests/jar_concurrency.rs` drives too),
 //! * [`measure_jar_throughput`] — T threads building `Cookie` headers against one
-//!   pre-populated shared jar; aggregate headers/second over the timed window.
+//!   pre-populated shared jar inside one [`timed_threads`] window.
 
 use std::sync::Arc;
-use std::thread;
-use std::time::Instant;
 
 use escudo_apps::{BlogApp, CalendarApp, CalendarConfig, ForumApp, ForumConfig};
 use escudo_browser::Browser;
 use escudo_core::{EngineStats, EscudoEngine, PolicyEngine};
 use escudo_net::{CookieJar, JarStats, SetCookie, SharedCookieJar, Url};
 
+use crate::measure::{spawn_join, timed_threads, Rate};
+use crate::oracle::mismatches;
 use crate::workload::DecisionCheck;
 
 /// What one session thread did to the shared engine.
@@ -63,8 +64,6 @@ pub struct SessionWorkloadReport {
     pub tallies: Vec<SessionTally>,
     /// Engine statistics after all sessions finished.
     pub stats: EngineStats,
-    /// Wall-clock nanoseconds for the whole run (spawn to join).
-    pub elapsed_ns: u128,
 }
 
 impl SessionWorkloadReport {
@@ -87,91 +86,87 @@ impl SessionWorkloadReport {
     }
 }
 
-/// Drives one forum session: login, then `rounds` × (topic view + index).
-fn drive_forum(engine: Arc<EscudoEngine>, user: &str, rounds: usize) -> SessionTally {
+impl SessionTally {
+    fn of(browser: &Browser, page_loads: u64) -> Self {
+        SessionTally {
+            page_loads,
+            checks: browser.erm().checks(),
+            denials: browser.erm().denials(),
+        }
+    }
+}
+
+/// Drives one forum session at `host`: login as `user`, then `rounds` × (topic
+/// view + index).
+fn drive_forum(mut browser: Browser, host: &str, user: &str, rounds: usize) -> SessionTally {
     let forum = ForumApp::new(ForumConfig::default());
     let state = forum.state();
-    let mut browser = Browser::with_engine(engine);
-    browser.fabric().register("http://forum.example", forum);
-    let mut tally = SessionTally::default();
+    browser.fabric().register(&format!("http://{host}"), forum);
     browser
-        .navigate(&format!("http://forum.example/login.php?user={user}"))
+        .navigate(&format!("http://{host}/login.php?user={user}"))
         .expect("forum login");
-    tally.page_loads += 1;
-    {
-        let mut forum_state = state.lock().expect("app state lock");
-        forum_state.topics.push(escudo_apps::forum::Topic {
+    state
+        .lock()
+        .expect("app state lock")
+        .topics
+        .push(escudo_apps::forum::Topic {
             id: 1,
             title: format!("{user}'s topic"),
             author: user.to_string(),
-            body: "concurrent workload seed post".to_string(),
+            body: "workload seed post".to_string(),
         });
-    }
     for _ in 0..rounds {
         browser
-            .navigate("http://forum.example/viewtopic.php?t=1")
+            .navigate(&format!("http://{host}/viewtopic.php?t=1"))
             .expect("topic view");
         browser
-            .navigate("http://forum.example/index.php")
+            .navigate(&format!("http://{host}/index.php"))
             .expect("forum index");
-        tally.page_loads += 2;
     }
-    tally.checks = browser.erm().checks();
-    tally.denials = browser.erm().denials();
-    tally
+    SessionTally::of(&browser, 1 + 2 * rounds as u64)
 }
 
 /// Drives one blog session: `rounds + 1` front-page loads (comments, ad slot,
 /// inline scripts — the Figure 3 page).
-fn drive_blog(engine: Arc<EscudoEngine>, rounds: usize) -> SessionTally {
-    let mut browser = Browser::with_engine(engine);
+fn drive_blog(mut browser: Browser, rounds: usize) -> SessionTally {
     browser
         .fabric()
         .register("http://blog.example", BlogApp::new());
-    let mut tally = SessionTally::default();
     for _ in 0..=rounds {
         browser
             .navigate("http://blog.example/")
             .expect("blog front page");
-        tally.page_loads += 1;
     }
-    tally.checks = browser.erm().checks();
-    tally.denials = browser.erm().denials();
-    tally
+    SessionTally::of(&browser, rounds as u64 + 1)
 }
 
 /// Drives one calendar session: login, then `rounds` month views.
-fn drive_calendar(engine: Arc<EscudoEngine>, user: &str, rounds: usize) -> SessionTally {
+fn drive_calendar(mut browser: Browser, user: &str, rounds: usize) -> SessionTally {
     let calendar = CalendarApp::new(CalendarConfig::default());
     let state = calendar.state();
-    let mut browser = Browser::with_engine(engine);
     browser
         .fabric()
         .register("http://calendar.example", calendar);
-    let mut tally = SessionTally::default();
     browser
         .navigate(&format!("http://calendar.example/login.php?user={user}"))
         .expect("calendar login");
-    tally.page_loads += 1;
-    {
-        let mut calendar_state = state.lock().expect("app state lock");
-        calendar_state.events.push(escudo_apps::calendar::Event {
+    state
+        .lock()
+        .expect("app state lock")
+        .events
+        .push(escudo_apps::calendar::Event {
             id: 1,
             day: 12,
             title: format!("{user}'s standup"),
             description: "concurrent workload seed event".to_string(),
             author: user.to_string(),
         });
-    }
     for _ in 0..rounds {
         browser
             .navigate("http://calendar.example/index.php")
             .expect("calendar month view");
-        tally.page_loads += 1;
     }
-    tally.checks = browser.erm().checks();
-    tally.denials = browser.erm().denials();
-    tally
+    SessionTally::of(&browser, 1 + rounds as u64)
 }
 
 /// Runs `threads` independent application sessions concurrently against one shared
@@ -192,154 +187,63 @@ pub fn run_concurrent_sessions(
     threads: usize,
     rounds: usize,
 ) -> SessionWorkloadReport {
-    let start = Instant::now();
-    let tallies: Vec<SessionTally> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let engine = Arc::clone(engine);
-                scope.spawn(move || {
-                    let user = format!("user{t}");
-                    match t % 3 {
-                        0 => drive_forum(engine, &user, rounds),
-                        1 => drive_blog(engine, rounds),
-                        _ => drive_calendar(engine, &user, rounds),
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("session thread panicked"))
-            .collect()
+    let tallies = spawn_join(threads, |t| {
+        let browser = Browser::with_engine(Arc::clone(engine) as _);
+        let user = format!("user{t}");
+        match t % 3 {
+            0 => drive_forum(browser, "forum.example", &user, rounds),
+            1 => drive_blog(browser, rounds),
+            _ => drive_calendar(browser, &user, rounds),
+        }
     });
     SessionWorkloadReport {
         threads,
         rounds,
         tallies,
         stats: engine.stats(),
-        elapsed_ns: start.elapsed().as_nanos(),
-    }
-}
-
-/// One measurement of aggregate decision throughput at a given thread count.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThroughputSample {
-    /// Number of threads hammering the shared engine.
-    pub threads: usize,
-    /// Decisions completed inside the timed window (across all threads).
-    pub decisions: u64,
-    /// Wall-clock nanoseconds for the timed window.
-    pub elapsed_ns: u128,
-    /// Cache hit rate over the timed window only (steady state: the engine is warmed
-    /// before the window opens).
-    pub hit_rate: f64,
-}
-
-impl ThroughputSample {
-    /// Aggregate decisions per second across all threads.
-    #[must_use]
-    pub fn decisions_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.decisions as f64 * 1.0e9 / self.elapsed_ns as f64
-        }
-    }
-
-    /// Mean nanoseconds per decision (aggregate wall time / decisions).
-    #[must_use]
-    pub fn ns_per_decision(&self) -> f64 {
-        if self.decisions == 0 {
-            0.0
-        } else {
-            self.elapsed_ns as f64 / self.decisions as f64
-        }
     }
 }
 
 /// Measures steady-state aggregate decision throughput: a fresh engine is warmed with
 /// one full pass over `workload`, then `threads` OS threads each re-run the workload
-/// `passes_per_thread` times concurrently. The hit rate covers only the timed window,
-/// so it reports the steady state the gate cares about, not the warm-up misses.
-///
-/// The timed window runs from the *earliest* per-thread start timestamp (taken by
-/// each thread right after it clears the start barrier) to the *latest* per-thread
-/// finish timestamp — thread spawn and join overhead are excluded, every decision
-/// counted falls inside the window, and no thread's head start can inflate the
-/// reported throughput.
+/// `passes_per_thread` times concurrently inside one [`timed_threads`] window.
+/// Returns the window's [`Rate`] (one operation = one decision) and the cache hit
+/// rate over the window only, so it reports the steady state the gate cares about,
+/// not the warm-up misses.
 #[must_use]
 pub fn measure_concurrent_throughput(
     workload: &[DecisionCheck],
     threads: usize,
     passes_per_thread: usize,
-) -> ThroughputSample {
+) -> (Rate, f64) {
     let engine = EscudoEngine::new();
     for (principal, object, op) in workload {
         std::hint::black_box(engine.decide(principal, object, *op));
     }
     let warm = engine.stats();
 
-    let barrier = std::sync::Barrier::new(threads);
-    let elapsed_ns = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    barrier.wait();
-                    let start = Instant::now();
-                    for _ in 0..passes_per_thread {
-                        for (principal, object, op) in workload {
-                            std::hint::black_box(engine.decide(principal, object, *op));
-                        }
-                    }
-                    (start, Instant::now())
-                })
-            })
-            .collect();
-        let mut first_start: Option<Instant> = None;
-        let mut last_finish: Option<Instant> = None;
-        for handle in handles {
-            let (start, finish) = handle.join().expect("throughput thread panicked");
-            if first_start.is_none_or(|earliest| start < earliest) {
-                first_start = Some(start);
-            }
-            if last_finish.is_none_or(|latest| finish > latest) {
-                last_finish = Some(finish);
+    let (_, window) = timed_threads(threads, |_| {
+        for _ in 0..passes_per_thread {
+            for (principal, object, op) in workload {
+                std::hint::black_box(engine.decide(principal, object, *op));
             }
         }
-        last_finish
-            .expect("at least one thread")
-            .duration_since(first_start.expect("at least one thread"))
-    })
-    .as_nanos();
+    });
 
     let stats = engine.stats();
     let decisions = stats.decisions - warm.decisions;
     let hits = stats.cache_hits - warm.cache_hits;
-    ThroughputSample {
-        threads,
-        decisions,
-        elapsed_ns,
-        hit_rate: if decisions == 0 {
-            0.0
-        } else {
-            hits as f64 / decisions as f64
-        },
-    }
-}
-
-/// Best-of-`samples` throughput measurement (scheduler noise only ever slows a run
-/// down, so the best sample is the least-noisy estimate of the engine's capacity).
-#[must_use]
-pub fn best_throughput(
-    workload: &[DecisionCheck],
-    threads: usize,
-    passes_per_thread: usize,
-    samples: usize,
-) -> ThroughputSample {
-    (0..samples.max(1))
-        .map(|_| measure_concurrent_throughput(workload, threads, passes_per_thread))
-        .max_by(|a, b| a.decisions_per_sec().total_cmp(&b.decisions_per_sec()))
-        .expect("at least one sample")
+    let rate = Rate {
+        width: threads,
+        ops: decisions,
+        elapsed_ns: window.as_nanos(),
+    };
+    let hit_rate = if decisions == 0 {
+        0.0
+    } else {
+        hits as f64 / decisions as f64
+    };
+    (rate, hit_rate)
 }
 
 // --------------------------------------------------------------- shared cookie jar
@@ -347,12 +251,8 @@ pub fn best_throughput(
 /// The outcome of the shared-jar multi-session workload.
 #[derive(Debug, Clone)]
 pub struct JarWorkloadReport {
-    /// Number of OS threads (= concurrent sessions, each against its own host).
-    pub threads: usize,
-    /// Rounds of page loads each session performed after login.
-    pub rounds: usize,
-    /// Per-thread tallies, in thread order.
-    pub tallies: Vec<SessionTally>,
+    /// The sessions (one OS thread each, each against its own host).
+    pub sessions: SessionWorkloadReport,
     /// Shared-jar statistics after all sessions finished.
     pub jar_stats: JarStats,
     /// Sessions whose own session cookie was present in the shared jar at the end.
@@ -360,8 +260,6 @@ pub struct JarWorkloadReport {
     /// Cookies that leaked across session hosts: candidates for session `t`'s host
     /// whose stored host is a *different* session's host. Must be 0.
     pub isolation_violations: usize,
-    /// Wall-clock nanoseconds for the whole run (spawn to join).
-    pub elapsed_ns: u128,
 }
 
 /// The host session `t` of the shared-jar workload drives.
@@ -388,53 +286,10 @@ pub fn run_shared_jar_sessions(
     threads: usize,
     rounds: usize,
 ) -> JarWorkloadReport {
-    let start = Instant::now();
-    let tallies: Vec<SessionTally> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let engine = Arc::clone(engine);
-                let jar = Arc::clone(jar);
-                scope.spawn(move || {
-                    let host = jar_session_host(t);
-                    let forum = ForumApp::new(ForumConfig::default());
-                    let state = forum.state();
-                    let mut browser = Browser::with_jar(engine, jar);
-                    browser.fabric().register(&format!("http://{host}"), forum);
-                    let mut tally = SessionTally::default();
-                    browser
-                        .navigate(&format!("http://{host}/login.php?user=user{t}"))
-                        .expect("forum login");
-                    tally.page_loads += 1;
-                    {
-                        let mut forum_state = state.lock().expect("app state lock");
-                        forum_state.topics.push(escudo_apps::forum::Topic {
-                            id: 1,
-                            title: format!("user{t}'s topic"),
-                            author: format!("user{t}"),
-                            body: "shared-jar workload seed post".to_string(),
-                        });
-                    }
-                    for _ in 0..rounds {
-                        browser
-                            .navigate(&format!("http://{host}/viewtopic.php?t=1"))
-                            .expect("topic view");
-                        browser
-                            .navigate(&format!("http://{host}/index.php"))
-                            .expect("forum index");
-                        tally.page_loads += 2;
-                    }
-                    tally.checks = browser.erm().checks();
-                    tally.denials = browser.erm().denials();
-                    tally
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("jar session thread panicked"))
-            .collect()
+    let tallies = spawn_join(threads, |t| {
+        let browser = Browser::with_jar(Arc::clone(engine) as _, Arc::clone(jar));
+        drive_forum(browser, &jar_session_host(t), &format!("user{t}"), rounds)
     });
-    let elapsed_ns = start.elapsed().as_nanos();
 
     // Cross-session isolation: every candidate for session t's host must have been
     // stored under exactly that host (forum cookies are host-only).
@@ -457,53 +312,88 @@ pub fn run_shared_jar_sessions(
     }
 
     JarWorkloadReport {
-        threads,
-        rounds,
-        tallies,
+        sessions: SessionWorkloadReport {
+            threads,
+            rounds,
+            tallies,
+            stats: engine.stats(),
+        },
         jar_stats: jar.stats(),
         sessions_with_cookies,
         isolation_violations,
-        elapsed_ns,
     }
 }
 
-/// One deterministic jar operation of the oracle script.
-#[derive(Debug, Clone)]
-enum JarOp {
-    /// Store `directive` as if delivered by a response from `url`.
-    Store(Url, SetCookie),
-    /// Build the permissive-filter `Cookie` header for a request to `url`.
-    Header(Url),
-}
-
-/// The deterministic per-session operation script the oracle replay is checked
-/// against: stores under several path scopes (default-path, explicit, replacement)
-/// interleaved with header builds that exercise §5.4 ordering and path scoping.
-fn jar_oracle_script(host: &str, rounds: usize) -> Vec<JarOp> {
+/// Replays the deterministic per-session oracle script for `host` through
+/// `store` and `header`, returning every header built, in script order. Each
+/// round stores under several path scopes (default-path, explicit,
+/// replacement) and then builds four headers that exercise §5.4 ordering and
+/// path scoping: `/forum/viewtopic.php`, `/forum/admin/index.php`,
+/// `/blog/index.php` and `/`.
+fn replay_jar_script(
+    host: &str,
+    rounds: usize,
+    mut store: impl FnMut(&Url, &SetCookie),
+    mut header: impl FnMut(&Url) -> Option<String>,
+) -> Vec<Option<String>> {
     let url = |suffix: &str| Url::parse(&format!("http://{host}{suffix}")).expect("script url");
-    let mut ops = Vec::new();
+    let mut headers = Vec::new();
     for round in 0..rounds {
         // Default-path store: set from /forum/login.php → scope /forum.
-        ops.push(JarOp::Store(
-            url("/forum/login.php"),
-            SetCookie::new("sid", format!("s{round}")),
-        ));
+        store(
+            &url("/forum/login.php"),
+            &SetCookie::new("sid", format!("s{round}")),
+        );
         // Host-wide store plus a deeper explicit scope.
-        ops.push(JarOp::Store(
-            url("/forum/login.php"),
-            SetCookie::new("data", format!("d{round}")).with_path("/"),
-        ));
-        ops.push(JarOp::Store(
-            url("/forum/admin/tool.php"),
-            SetCookie::new("admin", format!("a{round}")),
-        ));
-        ops.push(JarOp::Header(url("/forum/viewtopic.php?t=1")));
-        ops.push(JarOp::Header(url("/forum/admin/index.php")));
-        // Out of the default-path scope: only the host-wide cookie may attach.
-        ops.push(JarOp::Header(url("/blog/index.php")));
-        ops.push(JarOp::Header(url("/")));
+        store(
+            &url("/forum/login.php"),
+            &SetCookie::new("data", format!("d{round}")).with_path("/"),
+        );
+        store(
+            &url("/forum/admin/tool.php"),
+            &SetCookie::new("admin", format!("a{round}")),
+        );
+        // The last two are out of the default-path scope: only the host-wide
+        // cookie may attach.
+        for path in [
+            "/forum/viewtopic.php?t=1",
+            "/forum/admin/index.php",
+            "/blog/index.php",
+            "/",
+        ] {
+            headers.push(header(&url(path)));
+        }
     }
-    ops
+    headers
+}
+
+/// Runs `rounds` rounds of the oracle script for `host` against the shared
+/// `jar` and returns the headers it built.
+#[must_use]
+pub fn replay_on_shared_jar(
+    jar: &SharedCookieJar,
+    host: &str,
+    rounds: usize,
+) -> Vec<Option<String>> {
+    replay_jar_script(
+        host,
+        rounds,
+        |url, directive| jar.store(url, directive),
+        |url| jar.cookie_header_for(url, |_| true),
+    )
+}
+
+/// Runs `rounds` rounds of the oracle script for `host` against a fresh
+/// single-threaded [`CookieJar`]: the headers a shared jar must reproduce.
+#[must_use]
+pub fn replay_on_oracle_jar(host: &str, rounds: usize) -> Vec<Option<String>> {
+    let oracle = std::cell::RefCell::new(CookieJar::new());
+    replay_jar_script(
+        host,
+        rounds,
+        |url, directive| oracle.borrow_mut().store(url, directive),
+        |url| oracle.borrow().cookie_header_for(url, |_| true),
+    )
 }
 
 /// The outcome of the shared-jar oracle run.
@@ -528,101 +418,32 @@ pub struct JarOracleReport {
 #[must_use]
 pub fn run_jar_oracle_sessions(threads: usize, rounds: usize) -> JarOracleReport {
     let jar = SharedCookieJar::new();
-    let observed: Vec<Vec<Option<String>>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let jar = &jar;
-                scope.spawn(move || {
-                    let script = jar_oracle_script(&format!("oracle{t}.example"), rounds);
-                    let mut headers = Vec::new();
-                    for op in &script {
-                        match op {
-                            JarOp::Store(url, directive) => jar.store(url, directive),
-                            JarOp::Header(url) => {
-                                headers.push(jar.cookie_header_for(url, |_| true));
-                            }
-                        }
-                    }
-                    headers
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("oracle session thread panicked"))
-            .collect()
-    });
-
+    let host = |t: usize| format!("oracle{t}.example");
+    let observed = spawn_join(threads, |t| replay_on_shared_jar(&jar, &host(t), rounds));
     let mut report = JarOracleReport {
         threads,
         ..JarOracleReport::default()
     };
     for (t, observed_headers) in observed.iter().enumerate() {
-        let mut oracle = CookieJar::new();
-        let mut expected = Vec::new();
-        for op in jar_oracle_script(&format!("oracle{t}.example"), rounds) {
-            match op {
-                JarOp::Store(url, directive) => oracle.store(&url, &directive),
-                JarOp::Header(url) => expected.push(oracle.cookie_header_for(&url, |_| true)),
-            }
-        }
+        let expected = replay_on_oracle_jar(&host(t), rounds);
         report.headers += observed_headers.len() as u64;
-        report.mismatches += observed_headers
-            .iter()
-            .zip(&expected)
-            .filter(|(observed, expected)| observed != expected)
-            .count() as u64;
+        report.mismatches += mismatches(observed_headers, &expected) as u64;
     }
     report
-}
-
-/// One measurement of aggregate `Cookie`-header build throughput at a given thread
-/// count.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JarThroughputSample {
-    /// Number of threads hammering the shared jar.
-    pub threads: usize,
-    /// Headers built inside the timed window (across all threads).
-    pub headers: u64,
-    /// Wall-clock nanoseconds for the timed window.
-    pub elapsed_ns: u128,
-}
-
-impl JarThroughputSample {
-    /// Aggregate headers per second across all threads.
-    #[must_use]
-    pub fn headers_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.headers as f64 * 1.0e9 / self.elapsed_ns as f64
-        }
-    }
-
-    /// Mean nanoseconds per header build.
-    #[must_use]
-    pub fn ns_per_header(&self) -> f64 {
-        if self.headers == 0 {
-            0.0
-        } else {
-            self.elapsed_ns as f64 / self.headers as f64
-        }
-    }
 }
 
 /// Measures steady-state header-build throughput: a jar is pre-populated with
 /// `hosts` × `cookies_per_host` cookies under mixed path scopes, then `threads` OS
 /// threads each build the `Cookie` header for every host's request URLs
-/// `passes_per_thread` times. The timed window runs from the earliest per-thread
-/// start to the latest per-thread finish, exactly like
-/// [`measure_concurrent_throughput`].
+/// `passes_per_thread` times inside one [`timed_threads`] window (one operation =
+/// one header).
 #[must_use]
 pub fn measure_jar_throughput(
     hosts: usize,
     cookies_per_host: usize,
     threads: usize,
     passes_per_thread: usize,
-) -> JarThroughputSample {
+) -> Rate {
     let jar = SharedCookieJar::new();
     let mut request_urls = Vec::with_capacity(hosts * 2);
     for h in 0..hosts {
@@ -640,63 +461,18 @@ pub fn measure_jar_throughput(
         request_urls.push(Url::parse(&format!("http://{host}/")).expect("request url"));
     }
 
-    let barrier = std::sync::Barrier::new(threads);
-    let elapsed_ns = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let jar = &jar;
-                let request_urls = &request_urls;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    let start = Instant::now();
-                    for _ in 0..passes_per_thread {
-                        for url in request_urls {
-                            std::hint::black_box(jar.cookie_header_for(url, |_| true));
-                        }
-                    }
-                    (start, Instant::now())
-                })
-            })
-            .collect();
-        let mut first_start: Option<Instant> = None;
-        let mut last_finish: Option<Instant> = None;
-        for handle in handles {
-            let (start, finish) = handle.join().expect("jar throughput thread panicked");
-            if first_start.is_none_or(|earliest| start < earliest) {
-                first_start = Some(start);
-            }
-            if last_finish.is_none_or(|latest| finish > latest) {
-                last_finish = Some(finish);
+    let (_, window) = timed_threads(threads, |_| {
+        for _ in 0..passes_per_thread {
+            for url in &request_urls {
+                std::hint::black_box(jar.cookie_header_for(url, |_| true));
             }
         }
-        last_finish
-            .expect("at least one thread")
-            .duration_since(first_start.expect("at least one thread"))
-    })
-    .as_nanos();
-
-    JarThroughputSample {
-        threads,
-        headers: (request_urls.len() * passes_per_thread * threads) as u64,
-        elapsed_ns,
+    });
+    Rate {
+        width: threads,
+        ops: (request_urls.len() * passes_per_thread * threads) as u64,
+        elapsed_ns: window.as_nanos(),
     }
-}
-
-/// Best-of-`samples` jar throughput (scheduler noise only ever slows a run down, so
-/// the best sample is the least-noisy estimate of the jar's capacity).
-#[must_use]
-pub fn best_jar_throughput(
-    hosts: usize,
-    cookies_per_host: usize,
-    threads: usize,
-    passes_per_thread: usize,
-    samples: usize,
-) -> JarThroughputSample {
-    (0..samples.max(1))
-        .map(|_| measure_jar_throughput(hosts, cookies_per_host, threads, passes_per_thread))
-        .max_by(|a, b| a.headers_per_sec().total_cmp(&b.headers_per_sec()))
-        .expect("at least one sample")
 }
 
 #[cfg(test)]
@@ -728,25 +504,14 @@ mod tests {
     #[test]
     fn throughput_window_is_steady_state() {
         let workload = decision_workload(8, 8);
-        let sample = measure_concurrent_throughput(&workload, 2, 3);
-        assert_eq!(sample.threads, 2);
-        assert_eq!(sample.decisions, (workload.len() * 2 * 3) as u64);
-        assert!(sample.elapsed_ns > 0);
+        let (rate, hit_rate) = measure_concurrent_throughput(&workload, 2, 3);
+        assert_eq!(rate.width, 2);
+        assert_eq!(rate.ops, (workload.len() * 2 * 3) as u64);
+        assert!(rate.elapsed_ns > 0);
         // The engine was warmed before the window: the window is all cache hits.
-        assert!(
-            sample.hit_rate > 0.99,
-            "steady-state hit rate: {}",
-            sample.hit_rate
-        );
-        assert!(sample.decisions_per_sec() > 0.0);
-        assert!(sample.ns_per_decision() > 0.0);
-    }
-
-    #[test]
-    fn best_throughput_takes_the_fastest_sample() {
-        let workload = decision_workload(4, 4);
-        let best = best_throughput(&workload, 1, 2, 3);
-        assert_eq!(best.decisions, (workload.len() * 2) as u64);
+        assert!(hit_rate > 0.99, "steady-state hit rate: {hit_rate}");
+        assert!(rate.per_sec() > 0.0);
+        assert!(rate.ns_per_op() > 0.0);
     }
 
     #[test]
@@ -754,9 +519,9 @@ mod tests {
         let engine = Arc::new(EscudoEngine::new());
         let jar = Arc::new(SharedCookieJar::new());
         let report = run_shared_jar_sessions(&engine, &jar, 3, 2);
-        assert_eq!(report.threads, 3);
-        assert_eq!(report.tallies.len(), 3);
-        for tally in &report.tallies {
+        assert_eq!(report.sessions.threads, 3);
+        assert_eq!(report.sessions.tallies.len(), 3);
+        for tally in &report.sessions.tallies {
             assert!(tally.page_loads >= 5, "tally: {tally:?}");
             assert!(tally.checks > 0, "tally: {tally:?}");
         }
@@ -787,13 +552,10 @@ mod tests {
 
     #[test]
     fn jar_throughput_counts_every_header_in_the_window() {
-        let sample = measure_jar_throughput(4, 3, 2, 5);
-        assert_eq!(sample.threads, 2);
-        assert_eq!(sample.headers, (4 * 2) as u64 * 5 * 2);
-        assert!(sample.elapsed_ns > 0);
-        assert!(sample.headers_per_sec() > 0.0);
-        assert!(sample.ns_per_header() > 0.0);
-        let best = best_jar_throughput(2, 2, 1, 2, 3);
-        assert_eq!(best.headers, (2 * 2) as u64 * 2);
+        let rate = measure_jar_throughput(4, 3, 2, 5);
+        assert_eq!(rate.width, 2);
+        assert_eq!(rate.ops, (4 * 2) as u64 * 5 * 2);
+        assert!(rate.elapsed_ns > 0);
+        assert!(rate.per_sec() > 0.0);
     }
 }

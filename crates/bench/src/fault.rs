@@ -6,14 +6,15 @@
 //! * [`run_matrix_under_chaos`] — the entire (app × attack × policy-mode)
 //!   registry matrix replayed under an injected [`ChaosSchedule`]: every
 //!   session's fabric gets per-origin fault plans and a retrying
-//!   [`FetchPolicy`] through the scenario executor's chaos hook. The gate is
-//!   the paper's fail-closed claim under fire: **zero** cells may change
-//!   verdict, and the reference-monitor check/denial counts must be identical
-//!   to the fault-free matrix — retries re-send mediated requests verbatim,
-//!   so chaos may change *when* bytes move, never what ESCUDO decides.
+//!   [`FetchPolicy`] through [`crate::oracle::run_matrix_with_hook`]. The
+//!   gate is the paper's fail-closed claim under fire: **zero** cells may
+//!   change verdict, and the reference-monitor check/denial counts must be
+//!   identical to the fault-free matrix — retries re-send mediated requests
+//!   verbatim, so chaos may change *when* bytes move, never what ESCUDO
+//!   decides.
 //! * [`run_retry_oracle`] — one ad-network session staged twice, fault-free
-//!   vs. first-dispatch-faulted-everywhere with retries: the sequence-sorted
-//!   request logs and the per-subresource attached cookie names must come out
+//!   vs. first-dispatch-faulted-everywhere with retries, the two session
+//!   transcripts diffed by [`crate::oracle`]: they must come out
 //!   **byte-identical**, because a retry reuses the original mediation plan
 //!   and a faulted attempt is never logged.
 //! * [`run_breaker_drill`] — the circuit breaker walked
@@ -21,17 +22,18 @@
 //!   budget and virtual-backoff deadline exercised to exact counter values:
 //!   with no wall clock in the loop, every chaos counter is a constant.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use escudo_apps::scenario::{install_chaos_hook, registry, MatrixReport, AD_SLOTS};
+use escudo_apps::scenario::{MatrixReport, AD_SLOTS};
 use escudo_apps::{AdServer, NewsSite};
 use escudo_browser::{Browser, PolicyMode};
 use escudo_core::ManualClock;
 use escudo_net::{
-    BreakerPhase, FaultPlan, FetchPlan, FetchPolicy, LoggedRequest, Request, Response,
-    SharedNetwork,
+    BreakerPhase, FaultPlan, FetchPlan, FetchPolicy, Request, Response, SharedNetwork,
 };
+
+use crate::oracle::{run_matrix_with_hook, Transcript, TranscriptDiff};
 
 /// Every origin a registry scenario registers a server on. Fault plans are
 /// installed for all of them on every session's fabric — installation is
@@ -143,21 +145,15 @@ pub struct ChaosMatrixReport {
 /// installed, then sums the chaos counters across all session fabrics.
 #[must_use]
 pub fn run_matrix_under_chaos(schedule: &ChaosSchedule) -> ChaosMatrixReport {
-    let fabrics: Arc<Mutex<Vec<Arc<SharedNetwork>>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&fabrics);
     let origins = matrix_origins();
     let policy = schedule.policy;
     let plan = schedule.plan;
-    let _guard = install_chaos_hook(Arc::new(move |browser: &mut Browser| {
+    let (report, fabrics) = run_matrix_with_hook(move |browser: &mut Browser| {
         browser.set_fetch_policy(policy);
-        let fabric = Arc::clone(browser.fabric());
         for origin in &origins {
-            fabric.inject_fault(origin, plan());
+            browser.fabric().inject_fault(origin, plan());
         }
-        sink.lock().expect("chaos fabric sink lock").push(fabric);
-    }));
-    let report = MatrixReport::run(&registry());
-    let fabrics = fabrics.lock().expect("chaos fabric sink lock");
+    });
     ChaosMatrixReport {
         schedule: schedule.name,
         report,
@@ -172,39 +168,53 @@ pub fn run_matrix_under_chaos(schedule: &ChaosSchedule) -> ChaosMatrixReport {
 }
 
 /// The retry mediation oracle: the same ad-network session staged fault-free
-/// and under first-dispatch faults with retries, compared byte for byte.
+/// and under first-dispatch faults with retries, its two transcripts diffed.
 #[derive(Debug, Clone)]
 pub struct RetryOracleReport {
     /// The policy mode both runs were staged under.
     pub mode: PolicyMode,
-    /// The two sequence-sorted request logs are element-wise identical
-    /// (method, URL, attached cookie names, status).
-    pub logs_identical: bool,
-    /// Per-subresource attached-cookie names are identical in plan order.
-    pub attachments_identical: bool,
-    /// Reference-monitor check/denial counts are identical — the witness
-    /// that a retry never re-mediates.
-    pub mediation_identical: bool,
+    /// The faulted run's transcript against the fault-free one's: logs,
+    /// per-subresource attachments in plan order, and the mediation counters
+    /// — the witness that a retry never re-mediates.
+    pub diff: TranscriptDiff,
     /// Retries the faulted run spent (one per faulted origin).
     pub faulted_retries: u64,
     /// Failing faults the faulted run absorbed.
     pub faulted_faults: u64,
     /// Retries the clean run spent (must be 0).
     pub clean_retries: u64,
-    /// Subresource outcomes compared.
-    pub subresources: usize,
 }
 
-struct OracleRun {
-    log: Vec<LoggedRequest>,
-    attachments: Vec<(String, Vec<String>)>,
-    checks: u64,
-    denials: u64,
-    retries: u64,
-    faults: u64,
+impl RetryOracleReport {
+    /// The two sequence-sorted request logs are element-wise identical
+    /// (method, URL, attached cookie names, status).
+    #[must_use]
+    pub fn logs_identical(&self) -> bool {
+        self.diff.log_mismatches == 0
+    }
+
+    /// Per-subresource URLs and attached cookie names are identical in plan
+    /// order.
+    #[must_use]
+    pub fn attachments_identical(&self) -> bool {
+        self.diff.attachment_mismatches == 0 && self.diff.order_violations == 0
+    }
+
+    /// `true` when the whole oracle holds: identical transcripts, no retry
+    /// on the clean side, and at least one on the faulted side.
+    #[must_use]
+    pub fn holds(&self) -> bool {
+        self.logs_identical()
+            && self.attachments_identical()
+            && self.diff.mediation_mismatches == 0
+            && self.clean_retries == 0
+            && self.faulted_retries > 0
+    }
 }
 
-fn oracle_run(mode: PolicyMode, chaos: bool) -> OracleRun {
+/// Stages the ad-network session — victim login, then the front page — and
+/// returns its transcript with the fabric's retry and fault counts.
+fn oracle_run(mode: PolicyMode, chaos: bool) -> (Transcript, u64, u64) {
     let mut browser = Browser::new(mode);
     if chaos {
         // Deadline off: the oracle's determinism must not depend on how fast
@@ -228,44 +238,34 @@ fn oracle_run(mode: PolicyMode, chaos: bool) -> OracleRun {
     browser
         .fabric()
         .register("http://news.example", NewsSite::new(AD_SLOTS));
-    browser
-        .navigate("http://news.example/login?user=victim")
-        .expect("victim login survives the chaos schedule");
-    let page = browser
-        .navigate("http://news.example/")
-        .expect("front page survives the chaos schedule");
+    let transcript = Transcript::record(
+        &mut browser,
+        [
+            "http://news.example/login?user=victim",
+            "http://news.example/",
+        ],
+    );
     let fabric = browser.fabric();
-    OracleRun {
-        log: fabric.log(),
-        attachments: browser
-            .page(page)
-            .subresources
-            .iter()
-            .map(|s| (s.url.to_string(), s.attached_cookies.clone()))
-            .collect(),
-        checks: browser.erm().checks(),
-        denials: browser.erm().denials(),
-        retries: fabric.retry_attempts(),
-        faults: fabric.faults_injected(),
-    }
+    (
+        transcript,
+        fabric.retry_attempts(),
+        fabric.faults_injected(),
+    )
 }
 
 /// Stages the ad-network session twice — fault-free, then with every origin's
-/// first dispatch timing out under a two-retry policy — and compares the
-/// request logs, cookie attachments and mediation counters.
+/// first dispatch timing out under a two-retry policy — and diffs the two
+/// transcripts.
 #[must_use]
 pub fn run_retry_oracle(mode: PolicyMode) -> RetryOracleReport {
-    let clean = oracle_run(mode, false);
-    let chaotic = oracle_run(mode, true);
+    let (clean, clean_retries, _) = oracle_run(mode, false);
+    let (chaotic, faulted_retries, faulted_faults) = oracle_run(mode, true);
     RetryOracleReport {
         mode,
-        logs_identical: clean.log == chaotic.log,
-        attachments_identical: clean.attachments == chaotic.attachments,
-        mediation_identical: clean.checks == chaotic.checks && clean.denials == chaotic.denials,
-        faulted_retries: chaotic.retries,
-        faulted_faults: chaotic.faults,
-        clean_retries: clean.retries,
-        subresources: clean.attachments.len(),
+        diff: chaotic.diff(&clean),
+        faulted_retries,
+        faulted_faults,
+        clean_retries,
     }
 }
 
@@ -404,11 +404,7 @@ mod tests {
     #[test]
     fn the_retry_oracle_holds_under_escudo() {
         let report = run_retry_oracle(PolicyMode::Escudo);
-        assert!(report.logs_identical);
-        assert!(report.attachments_identical);
-        assert!(report.mediation_identical);
-        assert_eq!(report.clean_retries, 0);
-        assert!(report.faulted_retries > 0);
+        assert!(report.holds(), "{report:?}");
     }
 
     #[test]

@@ -18,14 +18,15 @@
 //! before the lock-free interner, preserved here so the bench's ≥2× gate always
 //! compares against the real predecessor rather than a strawman.
 
-use std::sync::{Barrier, RwLock};
-use std::thread;
+use std::sync::RwLock;
 use std::time::Instant;
 
 use escudo_core::{
     Acl, ContextInterner, ContextTable, ObjectContext, ObjectKind, Origin, PrincipalContext,
     PrincipalKind, Ring,
 };
+
+use crate::measure::{timed_threads, Rate};
 
 /// One storm participant: anything that can resolve contexts to dense ids
 /// through `&self`. Implemented by the lock-free interner and the retained
@@ -182,47 +183,13 @@ pub fn storm_contexts(
     (shared_pairs, disjoint)
 }
 
-/// One timed first-touch-storm sample.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StormSample {
-    /// Threads in the storm.
-    pub threads: usize,
-    /// Context interns completed inside the timed windows (principals and
-    /// objects each count one).
-    pub interns: u64,
-    /// Summed wall-clock nanoseconds of the timed windows (earliest per-thread
-    /// start to latest per-thread finish, per pass).
-    pub elapsed_ns: u128,
-}
-
-impl StormSample {
-    /// Aggregate interns per second across all storm threads.
-    #[must_use]
-    pub fn interns_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.interns as f64 * 1.0e9 / self.elapsed_ns as f64
-        }
-    }
-
-    /// Mean nanoseconds per intern (aggregate wall time / interns).
-    #[must_use]
-    pub fn ns_per_intern(&self) -> f64 {
-        if self.interns == 0 {
-            0.0
-        } else {
-            self.elapsed_ns as f64 / self.interns as f64
-        }
-    }
-}
-
 /// Runs `passes` first-touch storms of `threads` threads against fresh
-/// interners built by `factory`, and returns the aggregate throughput over the
-/// timed windows. Every pass starts from an **empty** table — that is what
-/// makes it a first-touch storm rather than a warm-lookup measurement — and
-/// every pass verifies density (interned counts equal the distinct population)
-/// and convergence (every shared pair resolves to one id below the count).
+/// interners built by `factory`, and returns the aggregate throughput (one
+/// operation = one intern) over the summed [`timed_threads`] windows. Every
+/// pass starts from an **empty** table — that is what makes it a first-touch
+/// storm rather than a warm-lookup measurement — and every pass verifies
+/// density (interned counts equal the distinct population) and convergence
+/// (every shared pair resolves to one id below the count).
 ///
 /// # Panics
 ///
@@ -233,7 +200,7 @@ pub fn measure_storm<I: StormInterner>(
     shared: &[StormPair],
     disjoint: &[Vec<StormPair>],
     passes: usize,
-) -> StormSample {
+) -> Rate {
     let threads = disjoint.len();
     let disjoint_total: usize = disjoint.iter().map(Vec::len).sum();
     // Distinct context pairs across the whole population (ids must be dense
@@ -242,56 +209,29 @@ pub fn measure_storm<I: StormInterner>(
     // Intern *operations* per pass: every thread resolves the shared set plus
     // its own disjoint set, one principal + one object intern per pair.
     let ops_per_pass = ((threads * shared.len() + disjoint_total) * 2) as u64;
-    let mut sample = StormSample {
-        threads,
-        ..StormSample::default()
+    let mut rate = Rate {
+        width: threads,
+        ..Rate::default()
     };
     for _ in 0..passes {
         let interner = factory();
-        let barrier = Barrier::new(threads);
-        let window = thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let interner = &interner;
-                    let barrier = &barrier;
-                    let own = &disjoint[t];
-                    scope.spawn(move || {
-                        barrier.wait();
-                        let start = Instant::now();
-                        // Offset walks: threads hit the same shared keys at
-                        // different moments, maximizing distinct interleavings
-                        // while the sets fully overlap.
-                        let offset = t * 37 % shared.len().max(1);
-                        for i in 0..shared.len() {
-                            let (principal, object) = &shared[(offset + i) % shared.len()];
-                            std::hint::black_box(interner.intern_principal(principal));
-                            std::hint::black_box(interner.intern_object(object));
-                        }
-                        for (principal, object) in own {
-                            std::hint::black_box(interner.intern_principal(principal));
-                            std::hint::black_box(interner.intern_object(object));
-                        }
-                        (start, Instant::now())
-                    })
-                })
-                .collect();
-            let mut first_start: Option<Instant> = None;
-            let mut last_finish: Option<Instant> = None;
-            for handle in handles {
-                let (start, finish) = handle.join().expect("storm thread panicked");
-                if first_start.is_none_or(|earliest| start < earliest) {
-                    first_start = Some(start);
-                }
-                if last_finish.is_none_or(|latest| finish > latest) {
-                    last_finish = Some(finish);
-                }
+        let (_, window) = timed_threads(threads, |t| {
+            // Offset walks: threads hit the same shared keys at different
+            // moments, maximizing distinct interleavings while the sets fully
+            // overlap.
+            let offset = t * 37 % shared.len().max(1);
+            for i in 0..shared.len() {
+                let (principal, object) = &shared[(offset + i) % shared.len()];
+                std::hint::black_box(interner.intern_principal(principal));
+                std::hint::black_box(interner.intern_object(object));
             }
-            last_finish
-                .expect("at least one storm thread")
-                .duration_since(first_start.expect("at least one storm thread"))
+            for (principal, object) in &disjoint[t] {
+                std::hint::black_box(interner.intern_principal(principal));
+                std::hint::black_box(interner.intern_object(object));
+            }
         });
-        sample.elapsed_ns += window.as_nanos();
-        sample.interns += ops_per_pass;
+        rate.elapsed_ns += window.as_nanos();
+        rate.ops += ops_per_pass;
 
         // Density: exactly the distinct population was interned, no id burned.
         let (principals, objects) = interner.counts();
@@ -319,22 +259,7 @@ pub fn measure_storm<I: StormInterner>(
             assert!((pid as usize) < expected && (oid as usize) < expected);
         }
     }
-    sample
-}
-
-/// Best-of-`samples` storm measurement (scheduler noise only ever slows a storm
-/// down, so the best sample is the least-noisy estimate).
-pub fn best_storm<I: StormInterner>(
-    factory: impl Fn() -> I,
-    shared: &[StormPair],
-    disjoint: &[Vec<StormPair>],
-    passes: usize,
-    samples: usize,
-) -> StormSample {
-    (0..samples.max(1))
-        .map(|_| measure_storm(&factory, shared, disjoint, passes))
-        .max_by(|a, b| a.interns_per_sec().total_cmp(&b.interns_per_sec()))
-        .expect("at least one storm sample")
+    rate
 }
 
 /// Measures the single-threaded **warm lookup** path: every context is interned
@@ -390,12 +315,13 @@ mod tests {
         let (shared, disjoint) = storm_contexts(16, 8, 4);
         let lockfree = measure_storm(|| ContextInterner::with_buckets(64), &shared, &disjoint, 2);
         let reference = measure_storm(RwLockContextTable::new, &shared, &disjoint, 2);
-        // (16 shared + 4×8 disjoint) × 2 kinds × 4 threads... interns counts the
-        // *operations*: every thread interns shared + its own set, twice (p+o).
-        assert_eq!(lockfree.interns, reference.interns);
-        assert_eq!(lockfree.threads, 4);
-        assert!(lockfree.interns_per_sec() > 0.0);
-        assert!(reference.ns_per_intern() > 0.0);
+        // Operations, not distinct keys: every thread interns the 16 shared
+        // pairs plus its own 8, one principal and one object each, per pass.
+        assert_eq!(lockfree.ops, 2 * (4 * 16 + 4 * 8) * 2);
+        assert_eq!(lockfree.ops, reference.ops);
+        assert_eq!(lockfree.width, 4);
+        assert!(lockfree.per_sec() > 0.0);
+        assert!(reference.ns_per_op() > 0.0);
     }
 
     #[test]

@@ -11,13 +11,22 @@
 //!   [`escudo_core::ContextInterner`] against the retained `RwLock<ContextTable>`
 //!   reference, behind `interner_concurrent`,
 //! * [`measure`] — timed page loads and event dispatches under either policy mode,
+//!   plus the timing kit every bench shares: [`spawn_join`](measure::spawn_join)
+//!   (ordered scoped spawn-and-join), [`timed_threads`](measure::timed_threads)
+//!   (one barrier-released window from the earliest start to the latest
+//!   finish), the [`Rate`] sample, [`best_of`]
+//!   and the nearest-rank [`p99_ns`](measure::p99_ns),
+//! * [`oracle`] — the mediation oracles every bench and integration test
+//!   shares: one session [`Transcript`](oracle::Transcript) whose diff counts
+//!   log, attachment, order and mediation mismatches, one leak scan over a
+//!   shared log, and one scenario-matrix run under a session hook,
 //! * [`concurrent`] — the multi-session workload: N OS threads driving independent
 //!   forum/blog/calendar sessions against one shared sharded engine, plus the
 //!   concurrent decision-throughput measurement behind `policy_concurrent`,
 //! * [`loader`] — the pipelined-subresource-loader workload over a shared network
 //!   fabric with simulated per-origin latency: pipelined-vs-sequential page-load
-//!   timing, the byte-identical log oracle and the shared-fabric isolation run
-//!   behind `loader_concurrent`,
+//!   timing, the pipelined-vs-sequential transcript oracle and the shared-fabric
+//!   isolation run behind `loader_concurrent`,
 //! * [`scheduler`] — the fetch-scheduling workload behind
 //!   `scheduler_concurrent`: navigation p99 latency next to busy siblings,
 //!   the speculative-prefetch speedup, the prefetch-on-vs-off mediation oracle
@@ -54,15 +63,15 @@ pub mod fault;
 pub mod interner;
 pub mod loader;
 pub mod measure;
+pub mod oracle;
 pub mod scheduler;
 pub mod tenant;
 pub mod trajectory;
 pub mod workload;
 
 pub use concurrent::{
-    best_throughput, measure_concurrent_throughput, run_concurrent_sessions, SessionWorkloadReport,
-    ThroughputSample,
+    measure_concurrent_throughput, run_concurrent_sessions, SessionWorkloadReport,
 };
 pub use experiments::{CompatReport, EventReport, Figure4Report, Figure4Row};
-pub use measure::{load_once, measure_decision_paths, DecisionReport, LoadSample};
+pub use measure::{best_of, load_once, measure_decision_paths, DecisionReport, LoadSample, Rate};
 pub use workload::{decision_workload, figure4_scenarios, generate_page, DecisionCheck, Scenario};

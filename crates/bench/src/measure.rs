@@ -1,4 +1,11 @@
-//! Timed page loads, event dispatches and policy-decision throughput.
+//! Timed page loads, event dispatches and policy-decision throughput, plus
+//! the timing kit every bench shares: [`spawn_join`], [`timed_threads`],
+//! [`Rate`], [`best_of`] and [`p99_ns`].
+
+use std::ops::Sub;
+use std::sync::Barrier;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use escudo_browser::{Browser, PolicyMode};
 use escudo_core::context::{ObjectContext, PrincipalContext};
@@ -59,6 +66,133 @@ pub fn load_once(mode: PolicyMode, html: &str) -> LoadSample {
         subresource_denials: stats.subresource_denials,
         subresource_fetch_ns: stats.subresource_fetch_ns,
     }
+}
+
+/// Runs `work(t)` for `t` in `0..threads` on scoped threads and returns the
+/// results in thread order.
+///
+/// # Panics
+///
+/// Panics if a worker thread panics.
+pub fn spawn_join<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || work(t))).collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker thread panicked"))
+            .collect()
+    })
+}
+
+/// Runs `work(t)` on `threads` scoped threads released together by a barrier
+/// and returns the results in thread order with the timed window: from the
+/// *earliest* per-thread start (taken right after the barrier) to the
+/// *latest* per-thread finish. Spawn and join overhead stay outside the
+/// window, every thread's work falls inside it, and no thread's head start
+/// can shorten it.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` or a worker thread panics.
+pub fn timed_threads<T: Send>(
+    threads: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> (Vec<T>, Duration) {
+    let barrier = Barrier::new(threads);
+    let runs = spawn_join(threads, |t| {
+        barrier.wait();
+        let start = Instant::now();
+        let result = work(t);
+        (start, Instant::now(), result)
+    });
+    let first_start = runs
+        .iter()
+        .map(|run| run.0)
+        .min()
+        .expect("at least one thread");
+    let last_finish = runs
+        .iter()
+        .map(|run| run.1)
+        .max()
+        .expect("at least one thread");
+    (
+        runs.into_iter().map(|run| run.2).collect(),
+        last_finish - first_start,
+    )
+}
+
+/// Operations completed inside one timed window.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Rate {
+    /// Threads the window ran on (for page loads: the in-flight bound).
+    pub width: usize,
+    /// Operations completed inside the window, across all threads.
+    pub ops: u64,
+    /// Wall-clock nanoseconds of the window.
+    pub elapsed_ns: u128,
+}
+
+impl Rate {
+    /// Aggregate operations per second.
+    #[must_use]
+    pub fn per_sec(&self) -> f64 {
+        if self.elapsed_ns == 0 {
+            0.0
+        } else {
+            self.ops as f64 * 1.0e9 / self.elapsed_ns as f64
+        }
+    }
+
+    /// Mean nanoseconds per operation (aggregate wall time / operations).
+    #[must_use]
+    pub fn ns_per_op(&self) -> f64 {
+        if self.ops == 0 {
+            0.0
+        } else {
+            self.elapsed_ns as f64 / self.ops as f64
+        }
+    }
+}
+
+/// The best of repeated samples: the one with the lowest `key`, and the
+/// max−min spread of `key` across all of them. Scheduler noise only ever
+/// slows a run down, so the fastest sample is the least noisy estimate and
+/// the spread is the bench's own run-to-run noise.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+pub fn best_of<T, K>(samples: impl IntoIterator<Item = T>, key: impl Fn(&T) -> K) -> (T, K)
+where
+    K: Copy + PartialOrd + Sub<Output = K>,
+{
+    let mut samples = samples.into_iter();
+    let mut best = samples.next().expect("best of zero samples");
+    let (mut low, mut high) = (key(&best), key(&best));
+    for sample in samples {
+        let value = key(&sample);
+        if value > high {
+            high = value;
+        }
+        if value < low {
+            low = value;
+            best = sample;
+        }
+    }
+    (best, high - low)
+}
+
+/// Nearest-rank p99: the smallest sample at least 99% of the samples do not
+/// exceed (the ⌈0.99·n⌉-th smallest). Sorts `samples` in place.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+pub fn p99_ns(samples: &mut [u64]) -> u64 {
+    assert!(!samples.is_empty(), "p99 of an empty sample set");
+    samples.sort_unstable();
+    samples[(samples.len() * 99).div_ceil(100) - 1]
 }
 
 /// Statistics over repeated samples of one quantity (nanoseconds).
@@ -138,7 +272,7 @@ pub fn measure_event_dispatch(
         .expect("workload page loads");
     let samples: Vec<u128> = (0..runs)
         .map(|_| {
-            let start = std::time::Instant::now();
+            let start = Instant::now();
             let _ = browser.fire_event(page, element_id, EventType::Click);
             start.elapsed().as_nanos()
         })
@@ -195,9 +329,14 @@ impl DecisionReport {
 }
 
 fn ns_per_check(checks: usize, f: impl FnOnce()) -> f64 {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     f();
     start.elapsed().as_nanos() as f64 / checks.max(1) as f64
+}
+
+/// The [best](best_of) of `passes` timed runs of `f`, in nanoseconds per check.
+fn best_ns_per_check(passes: usize, checks: usize, mut f: impl FnMut()) -> f64 {
+    best_of((0..passes).map(|_| ns_per_check(checks, &mut f)), |&ns| ns).0
 }
 
 /// Measures cold vs cached decision throughput over `workload`, taking the best of
@@ -227,49 +366,33 @@ pub fn measure_decision_paths(workload: &[DecisionCheck], passes: usize) -> Deci
     for (p, o, op) in workload {
         std::hint::black_box(engine.decide(p, o, *op));
     }
-    let cached_ns = (0..passes)
-        .map(|_| {
-            ns_per_check(n, || {
-                for (p, o, op) in workload {
-                    std::hint::black_box(engine.decide(p, o, *op));
-                }
-            })
-        })
-        .fold(f64::INFINITY, f64::min);
+    let cached_ns = best_ns_per_check(passes, n, || {
+        for (p, o, op) in workload {
+            std::hint::black_box(engine.decide(p, o, *op));
+        }
+    });
 
     // Batch mediation on the same warm engine.
     let batch: Vec<(&PrincipalContext, &ObjectContext, Operation)> =
         workload.iter().map(|(p, o, op)| (p, o, *op)).collect();
-    let batch_cached_ns = (0..passes)
-        .map(|_| {
-            ns_per_check(n, || {
-                std::hint::black_box(engine.decide_many(&batch)).clear()
-            })
-        })
-        .fold(f64::INFINITY, f64::min);
+    let batch_cached_ns = best_ns_per_check(passes, n, || {
+        std::hint::black_box(engine.decide_many(&batch)).clear()
+    });
 
     // Raw free function.
-    let free_fn_ns = (0..passes)
-        .map(|_| {
-            ns_per_check(n, || {
-                for (p, o, op) in workload {
-                    std::hint::black_box(escudo_core::decide(PolicyMode::Escudo, p, o, *op));
-                }
-            })
-        })
-        .fold(f64::INFINITY, f64::min);
+    let free_fn_ns = best_ns_per_check(passes, n, || {
+        for (p, o, op) in workload {
+            std::hint::black_box(escudo_core::decide(PolicyMode::Escudo, p, o, *op));
+        }
+    });
 
     // Same-origin baseline engine.
     let sop = SameOriginEngine::new();
-    let sop_ns = (0..passes)
-        .map(|_| {
-            ns_per_check(n, || {
-                for (p, o, op) in workload {
-                    std::hint::black_box(sop.decide(p, o, *op));
-                }
-            })
-        })
-        .fold(f64::INFINITY, f64::min);
+    let sop_ns = best_ns_per_check(passes, n, || {
+        for (p, o, op) in workload {
+            std::hint::black_box(sop.decide(p, o, *op));
+        }
+    });
 
     DecisionReport {
         checks: n,
@@ -315,6 +438,54 @@ mod tests {
         let stats = measure_event_dispatch(PolicyMode::Escudo, &html, "action-0", 5);
         assert_eq!(stats.runs, 5);
         assert!(stats.mean_ns > 0.0);
+    }
+
+    #[test]
+    fn timed_threads_covers_every_threads_work() {
+        let pause = |t: usize| Duration::from_millis(2 * (t as u64 + 1));
+        let (spans, window) = timed_threads(3, |t| {
+            let start = Instant::now();
+            thread::sleep(pause(t));
+            (t, start.elapsed())
+        });
+        // Results come back in thread order, and the window holds each one.
+        assert_eq!(spans.iter().map(|s| s.0).collect::<Vec<_>>(), [0, 1, 2]);
+        for (t, span) in spans {
+            assert!(span >= pause(t));
+            assert!(
+                window >= span,
+                "window {window:?} misses thread {t}'s {span:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn best_of_keeps_the_lowest_key_and_its_spread() {
+        let rate = |ops: u64, elapsed_ns: u128| Rate {
+            width: 1,
+            ops,
+            elapsed_ns,
+        };
+        let (best, spread) = best_of(
+            [rate(10, 300), rate(10, 100), rate(10, 200)],
+            Rate::ns_per_op,
+        );
+        assert_eq!(best.elapsed_ns, 100, "the fastest sample wins");
+        assert!((spread - 20.0).abs() < 1e-9);
+        assert!((best.per_sec() - 1.0e8).abs() < 1e-3);
+        assert_eq!(best_of([7u64, 3, 9], |&p99| p99), (3, 6));
+        // A single sample is its own best, with no spread.
+        assert_eq!(best_of([5u64], |&p99| p99), (5, 0));
+    }
+
+    #[test]
+    fn p99_is_the_nearest_rank() {
+        let mut hundred: Vec<u64> = (1..=100).rev().collect();
+        assert_eq!(p99_ns(&mut hundred), 99);
+        // Below 100 samples the nearest rank is the maximum.
+        let mut thirty: Vec<u64> = (1..=30).collect();
+        assert_eq!(p99_ns(&mut thirty), 30);
+        assert_eq!(p99_ns(&mut [30, 10, 20]), 30);
     }
 
     #[test]

@@ -4,27 +4,26 @@
 //! This module backs the `scheduler_concurrent` bench and its CI gates:
 //!
 //! * [`run_navigation_storm`] — one navigation-heavy session measures p99 page
-//!   latency while N sibling sessions flood the **same** fabric with bulk
-//!   image page loads. Page loads run every subresource plan as a deadline
-//!   window on the session's own thread, so what keeps the loaded p99 within
-//!   a small factor of the unloaded baseline is that the sessions share
-//!   nothing but the fabric's locks and the CPU.
+//!   latency (best of N repeats) while N sibling sessions flood the **same**
+//!   fabric with bulk image page loads. Page loads run every subresource plan
+//!   as a deadline window on the session's own thread, so what keeps the
+//!   loaded p99 within a small factor of the unloaded baseline is that the
+//!   sessions share nothing but the fabric's locks and the CPU.
 //! * [`run_prefetch_speedup`] — a hub page carries `rel=prefetch` markup for
 //!   the next page; with speculation enabled the repeat navigation is served
 //!   from the prefetch cache and skips the origin's simulated latency
 //!   entirely.
 //! * [`run_prefetch_oracle`] — the same navigation sequence on two
-//!   identically-built fabrics, prefetch on vs off: the sequence-sorted
-//!   request logs and per-subresource attached cookie names must be
-//!   **byte-identical**, because speculation dispatches unlogged and a
-//!   consumed hit is logged exactly as the live dispatch would have been —
-//!   prefetch may only ever change *when* bytes move, never what ESCUDO
-//!   decides.
+//!   identically-built fabrics, prefetch on vs off, the two session
+//!   transcripts diffed by [`crate::oracle`]: speculation dispatches unlogged
+//!   and a consumed hit is logged exactly as the live dispatch would have
+//!   been, so prefetch may only ever change *when* bytes move, never what
+//!   ESCUDO decides.
 //! * [`run_prefetch_sessions`] — N prefetching sessions over one shared
-//!   fabric + jar + engine, scanned for cross-session cookie leakage: a
-//!   prefetch cache entry is keyed by its mediation plan (the exact cookie
-//!   header), so one session's speculation can never serve another session's
-//!   state.
+//!   fabric + jar + engine, the shared log scanned for cross-session leakage
+//!   by [`crate::oracle`]: a prefetch cache entry is keyed by its mediation
+//!   plan (the exact cookie header), so one session's speculation can never
+//!   serve another session's state.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,10 +32,12 @@ use std::time::{Duration, Instant};
 
 use escudo_browser::Browser;
 use escudo_core::config::CookiePolicy;
-use escudo_core::{engine_for_mode, Acl, PolicyMode, Ring};
+use escudo_core::{engine_for_mode, Acl, EscudoEngine, PolicyEngine, PolicyMode, Ring};
 use escudo_net::{Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
 
 use crate::loader::register_loader_world;
+use crate::measure::{best_of, p99_ns, spawn_join};
+use crate::oracle::{scan_leaks, LeakScan, Transcript, TranscriptDiff};
 
 /// Per-origin simulated latency of the navigation site's render-blocking
 /// subresources: three critical origins at 100µs, overlapped by the loader's
@@ -107,118 +108,98 @@ impl NavStormReport {
     }
 }
 
-fn p99_ns(samples: &mut [u64]) -> u64 {
-    assert!(!samples.is_empty(), "p99 of an empty sample set");
-    samples.sort_unstable();
-    samples[(samples.len() - 1) * 99 / 100]
+/// p99 navigation latency over `navigations` timed loads of [`NAV_PAGE_URL`]
+/// while `storm_sessions` sibling sessions loop image-heavy page loads over the
+/// **same** fabric. Every session shares one engine and one jar — the
+/// shared-everything deployment — but owns its page host.
+fn nav_p99_ns(storm_sessions: usize, navigations: usize) -> u64 {
+    let fabric = Arc::new(SharedNetwork::new());
+    register_nav_world(&fabric, "nav.example");
+    for t in 0..storm_sessions {
+        register_loader_world(
+            &fabric,
+            &format!("bulk{t}.example"),
+            &format!("sid{t}"),
+            8,
+            4,
+            |k| Duration::from_micros(150 + k as u64 * 50),
+        );
+    }
+    let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
+    let jar = Arc::new(SharedCookieJar::new());
+    let stop = AtomicBool::new(false);
+    let mut latencies = Vec::with_capacity(navigations);
+    thread::scope(|scope| {
+        for t in 0..storm_sessions {
+            let fabric = Arc::clone(&fabric);
+            let engine = Arc::clone(&engine);
+            let jar = Arc::clone(&jar);
+            let stop = &stop;
+            scope.spawn(move || {
+                let mut browser = Browser::with_network(engine, jar, fabric);
+                browser.set_subresource_workers(8);
+                while !stop.load(Ordering::Acquire) {
+                    browser
+                        .navigate(&format!("http://bulk{t}.example/index.php"))
+                        .expect("bulk storm page load");
+                }
+            });
+        }
+        let mut browser =
+            Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
+        browser.set_subresource_workers(8);
+        for _ in 0..3 {
+            browser.navigate(NAV_PAGE_URL).expect("nav warm-up load");
+        }
+        for _ in 0..navigations {
+            let start = Instant::now();
+            browser.navigate(NAV_PAGE_URL).expect("nav workload load");
+            latencies.push(start.elapsed().as_nanos() as u64);
+        }
+        stop.store(true, Ordering::Release);
+    });
+    p99_ns(&mut latencies)
 }
 
-/// Measures p99 navigation latency twice over identically-built fabrics: once
-/// unloaded, once while `bulk_sessions` sibling sessions loop image-heavy page
-/// loads over the **same** fabric. Every session shares one engine and
-/// one jar — the shared-everything deployment — but owns its page host.
+/// Measures p99 navigation latency `repeats` times (at least once) over pairs
+/// of identically-built fabrics — once unloaded, once while `bulk_sessions`
+/// sibling sessions flood the same fabric — and reports the [best](best_of)
+/// (minimum) p99 of each phase with the spread of each figure: the bench's
+/// own observed run-to-run noise, which the trajectory comparator turns into
+/// a per-metric noise floor.
 ///
 /// # Panics
 ///
 /// Panics if any page load fails; the workload is deterministic.
 #[must_use]
-pub fn run_navigation_storm(bulk_sessions: usize, navigations: usize) -> NavStormReport {
-    let measure = |storm_sessions: usize| -> u64 {
-        let fabric = Arc::new(SharedNetwork::new());
-        register_nav_world(&fabric, "nav.example");
-        for t in 0..storm_sessions {
-            register_loader_world(
-                &fabric,
-                &format!("bulk{t}.example"),
-                &format!("sid{t}"),
-                8,
-                4,
-                |k| Duration::from_micros(150 + k as u64 * 50),
-            );
-        }
-        let engine: Arc<dyn escudo_core::PolicyEngine> = Arc::new(escudo_core::EscudoEngine::new());
-        let jar = Arc::new(SharedCookieJar::new());
-        let stop = AtomicBool::new(false);
-        let mut latencies = Vec::with_capacity(navigations);
-        thread::scope(|scope| {
-            for t in 0..storm_sessions {
-                let fabric = Arc::clone(&fabric);
-                let engine = Arc::clone(&engine);
-                let jar = Arc::clone(&jar);
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut browser = Browser::with_network(engine, jar, fabric);
-                    browser.set_subresource_workers(8);
-                    while !stop.load(Ordering::Acquire) {
-                        browser
-                            .navigate(&format!("http://bulk{t}.example/index.php"))
-                            .expect("bulk storm page load");
-                    }
-                });
-            }
-            let mut browser =
-                Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
-            browser.set_subresource_workers(8);
-            for _ in 0..3 {
-                browser.navigate(NAV_PAGE_URL).expect("nav warm-up load");
-            }
-            for _ in 0..navigations {
-                let start = Instant::now();
-                browser.navigate(NAV_PAGE_URL).expect("nav workload load");
-                latencies.push(start.elapsed().as_nanos() as u64);
-            }
-            stop.store(true, Ordering::Release);
-        });
-        p99_ns(&mut latencies)
-    };
-
-    let unloaded_p99_ns = measure(0);
-    let loaded_p99_ns = measure(bulk_sessions);
-    NavStormReport {
-        bulk_sessions,
-        navigations,
-        repeats: 1,
-        unloaded_p99_ns,
-        unloaded_p99_spread_ns: 0,
-        loaded_p99_ns,
-        loaded_p99_spread_ns: 0,
-        ratio_spread: 0.0,
-    }
-}
-
-/// [`run_navigation_storm`] repeated `repeats` times: reports the best
-/// (minimum) p99 of each phase plus the max-minus-min spread of each figure —
-/// the bench's own observed run-to-run noise. The trajectory comparator turns
-/// a recorded `{key}_spread` into a per-metric noise floor, which is what
-/// keeps the single-core p99 lottery from flaking CI.
-///
-/// # Panics
-///
-/// Panics if `repeats == 0` or any page load fails.
-#[must_use]
-pub fn run_navigation_storm_best_of(
+pub fn run_navigation_storm(
     bulk_sessions: usize,
     navigations: usize,
     repeats: usize,
 ) -> NavStormReport {
-    assert!(repeats > 0, "best-of-zero navigation storms");
-    let mut report = run_navigation_storm(bulk_sessions, navigations);
-    report.repeats = repeats;
-    let (mut min_ratio, mut max_ratio) = (report.p99_ratio(), report.p99_ratio());
-    let (mut max_unloaded, mut max_loaded) = (report.unloaded_p99_ns, report.loaded_p99_ns);
-    for _ in 1..repeats {
-        let next = run_navigation_storm(bulk_sessions, navigations);
-        min_ratio = min_ratio.min(next.p99_ratio());
-        max_ratio = max_ratio.max(next.p99_ratio());
-        max_unloaded = max_unloaded.max(next.unloaded_p99_ns);
-        max_loaded = max_loaded.max(next.loaded_p99_ns);
-        report.unloaded_p99_ns = report.unloaded_p99_ns.min(next.unloaded_p99_ns);
-        report.loaded_p99_ns = report.loaded_p99_ns.min(next.loaded_p99_ns);
+    let runs: Vec<(u64, u64)> = (0..repeats.max(1))
+        .map(|_| {
+            (
+                nav_p99_ns(0, navigations),
+                nav_p99_ns(bulk_sessions, navigations),
+            )
+        })
+        .collect();
+    let (unloaded_p99_ns, unloaded_p99_spread_ns) = best_of(runs.iter().map(|r| r.0), |&p| p);
+    let (loaded_p99_ns, loaded_p99_spread_ns) = best_of(runs.iter().map(|r| r.1), |&p| p);
+    let ratios = runs
+        .iter()
+        .map(|&(unloaded, loaded)| loaded as f64 / unloaded.max(1) as f64);
+    NavStormReport {
+        bulk_sessions,
+        navigations,
+        repeats: runs.len(),
+        unloaded_p99_ns,
+        unloaded_p99_spread_ns,
+        loaded_p99_ns,
+        loaded_p99_spread_ns,
+        ratio_spread: best_of(ratios, |&r| r).1,
     }
-    report.unloaded_p99_spread_ns = max_unloaded - report.unloaded_p99_ns;
-    report.loaded_p99_spread_ns = max_loaded - report.loaded_p99_ns;
-    report.ratio_spread = max_ratio - min_ratio;
-    report
 }
 
 // ---------------------------------------------------------------------------
@@ -344,91 +325,44 @@ pub fn run_prefetch_speedup(latency: Duration, passes: usize) -> PrefetchSpeedup
     }
 }
 
-/// The outcome of the prefetch-on-vs-off mediation oracle run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PrefetchOracleReport {
-    /// Log entries compared.
-    pub requests: usize,
-    /// Sequence-sorted log entries that differed between the prefetching run
-    /// and the plain run (byte-level comparison, cookie names and status
-    /// included). Must be 0.
-    pub log_mismatches: usize,
-    /// Per-subresource attached-cookie-name lists that differed. Must be 0.
-    pub attachment_mismatches: usize,
-    /// Prefetch hits the enabled side consumed while staying byte-identical.
-    pub prefetch_hits: u64,
-}
-
 /// Runs the same hub → item navigation sequence `passes` times on two
-/// identically-built fabrics — prefetch enabled vs disabled — and compares the
-/// sequence-sorted request logs byte-for-byte plus every page's
-/// per-subresource attached cookie names. Speculation dispatches unlogged and
-/// a consumed hit is logged under the navigation's own sequence number, so the
-/// logs must not differ by a single byte.
+/// identically-built fabrics — prefetch enabled vs disabled — and diffs the
+/// enabled run's [`Transcript`] against the disabled one's. Speculation
+/// dispatches unlogged and a consumed hit is logged under the navigation's own
+/// sequence number, so the logs must not differ by a single byte. (The ERM
+/// counters may: speculation mediates each hinted request ahead of its
+/// navigation.) Returns the diff and the prefetch hits the enabled side
+/// consumed.
 ///
 /// # Panics
 ///
 /// Panics if a page load fails.
 #[must_use]
-pub fn run_prefetch_oracle(passes: usize) -> PrefetchOracleReport {
+pub fn run_prefetch_oracle(passes: usize) -> (TranscriptDiff, u64) {
     let run = |enabled: bool| {
         let fabric = Arc::new(SharedNetwork::new());
         register_prefetch_world(&fabric, "shop.example", "sid", Duration::from_micros(120));
         let engine = engine_for_mode(PolicyMode::Escudo);
         let jar = Arc::new(SharedCookieJar::new());
-        let mut browser = Browser::with_network(engine, jar, Arc::clone(&fabric));
+        let mut browser = Browser::with_network(engine, jar, fabric);
         browser.set_prefetch_enabled(enabled);
-        let mut attachments: Vec<Vec<Vec<String>>> = Vec::new();
-        for _ in 0..passes {
-            for url in [
-                "http://shop.example/hub.php",
-                "http://shop.example/item.php",
-            ] {
-                let page = browser.navigate(url).expect("oracle page load");
-                attachments.push(
-                    browser
-                        .page(page)
-                        .subresources
-                        .iter()
-                        .map(|s| s.attached_cookies.clone())
-                        .collect(),
-                );
-            }
-        }
-        (fabric.log(), attachments, browser.prefetch_hits())
+        let urls = [
+            "http://shop.example/hub.php",
+            "http://shop.example/item.php",
+        ];
+        let transcript = Transcript::record(&mut browser, urls.repeat(passes));
+        (transcript, browser.prefetch_hits())
     };
-
-    let (on_log, on_attached, prefetch_hits) = run(true);
-    let (off_log, off_attached, _) = run(false);
-
-    let mut report = PrefetchOracleReport {
-        requests: on_log.len().max(off_log.len()),
-        prefetch_hits,
-        ..PrefetchOracleReport::default()
-    };
-    report.log_mismatches = on_log.iter().zip(&off_log).filter(|(a, b)| a != b).count()
-        + on_log.len().abs_diff(off_log.len());
-    report.attachment_mismatches = on_attached
-        .iter()
-        .zip(&off_attached)
-        .filter(|(a, b)| a != b)
-        .count()
-        + on_attached.len().abs_diff(off_attached.len());
-    report
+    let (on, prefetch_hits) = run(true);
+    let (off, _) = run(false);
+    (on.diff(&off), prefetch_hits)
 }
 
 /// The outcome of the shared-fabric prefetching-session workload.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PrefetchIsolationReport {
-    /// Concurrent prefetching sessions (= OS threads).
-    pub sessions: usize,
-    /// Requests the shared fabric logged across all sessions.
-    pub requests: usize,
-    /// Sessions whose requests carried their own session cookie.
-    pub sessions_with_cookies: usize,
-    /// Log entries for one session's hosts carrying a *different* session's
-    /// cookie. Must be 0.
-    pub isolation_violations: usize,
+    /// The shared log scanned for cross-session cookie leakage.
+    pub leaks: LeakScan,
     /// Prefetch hits consumed across all sessions.
     pub prefetch_hits: u64,
     /// Prefetch entries discarded because the live mediation plan no longer
@@ -439,7 +373,8 @@ pub struct PrefetchIsolationReport {
 /// Runs `threads` prefetching browser sessions concurrently over **one**
 /// shared fabric, jar and engine. Session `t` owns `shop{t}.example` (cookie
 /// `sid{t}`) and loads hub-then-item `rounds` times with speculation enabled;
-/// the shared log is then scanned for cross-session cookie leakage.
+/// the shared log is then [scanned](scan_leaks) for cross-session cookie
+/// leakage.
 ///
 /// # Panics
 ///
@@ -447,7 +382,7 @@ pub struct PrefetchIsolationReport {
 #[must_use]
 pub fn run_prefetch_sessions(threads: usize, rounds: usize) -> PrefetchIsolationReport {
     let fabric = Arc::new(SharedNetwork::new());
-    let engine: Arc<dyn escudo_core::PolicyEngine> = Arc::new(escudo_core::EscudoEngine::new());
+    let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
     let jar = Arc::new(SharedCookieJar::new());
     for t in 0..threads {
         register_prefetch_world(
@@ -458,62 +393,29 @@ pub fn run_prefetch_sessions(threads: usize, rounds: usize) -> PrefetchIsolation
         );
     }
 
-    let prefetch_hits: u64 = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let fabric = Arc::clone(&fabric);
-                let engine = Arc::clone(&engine);
-                let jar = Arc::clone(&jar);
-                scope.spawn(move || {
-                    let mut browser = Browser::with_network(engine, jar, fabric);
-                    browser.set_prefetch_enabled(true);
-                    for _ in 0..rounds {
-                        browser
-                            .navigate(&format!("http://shop{t}.example/hub.php"))
-                            .expect("shared-fabric hub load");
-                        browser
-                            .navigate(&format!("http://shop{t}.example/item.php"))
-                            .expect("shared-fabric item load");
-                    }
-                    browser.prefetch_hits()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("prefetch session thread"))
-            .sum()
+    let hits = spawn_join(threads, |t| {
+        let mut browser =
+            Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
+        browser.set_prefetch_enabled(true);
+        for _ in 0..rounds {
+            browser
+                .navigate(&format!("http://shop{t}.example/hub.php"))
+                .expect("shared-fabric hub load");
+            browser
+                .navigate(&format!("http://shop{t}.example/item.php"))
+                .expect("shared-fabric item load");
+        }
+        browser.prefetch_hits()
     });
 
-    let log = fabric.log();
-    let mut report = PrefetchIsolationReport {
-        sessions: threads,
-        requests: log.len(),
-        prefetch_hits,
+    PrefetchIsolationReport {
+        leaks: scan_leaks(
+            &fabric.log(),
+            (0..threads).map(|t| (format!("shop{t}.example"), format!("sid{t}"))),
+        ),
+        prefetch_hits: hits.iter().sum(),
         stale_discards: fabric.prefetch_stale_discards(),
-        ..PrefetchIsolationReport::default()
-    };
-    for t in 0..threads {
-        let own_cookie = format!("sid{t}");
-        let suffix = format!("shop{t}.example");
-        let mut own_cookie_seen = false;
-        for entry in log.iter().filter(|e| {
-            let host = e.url.host().to_ascii_lowercase();
-            host == suffix || host.ends_with(&format!(".{suffix}"))
-        }) {
-            for name in &entry.cookie_names {
-                if name == &own_cookie {
-                    own_cookie_seen = true;
-                } else {
-                    report.isolation_violations += 1;
-                }
-            }
-        }
-        if own_cookie_seen {
-            report.sessions_with_cookies += 1;
-        }
     }
-    report
 }
 
 #[cfg(test)]
@@ -522,27 +424,14 @@ mod tests {
 
     #[test]
     fn the_navigation_storm_measures_both_sides() {
-        let report = run_navigation_storm(2, 10);
-        assert_eq!(report.bulk_sessions, 2);
+        let report = run_navigation_storm(1, 10, 2);
+        assert_eq!(report.bulk_sessions, 1);
         assert_eq!(report.navigations, 10);
-        assert!(report.unloaded_p99_ns > 0);
-        assert!(report.loaded_p99_ns > 0);
-        assert!(report.p99_ratio() > 0.0);
-        assert_eq!(report.repeats, 1, "a single run records no repeats");
-        assert_eq!(report.unloaded_p99_spread_ns, 0);
-        assert_eq!(report.ratio_spread, 0.0);
-    }
-
-    #[test]
-    fn best_of_repeats_keeps_the_minimum_and_records_the_spread() {
-        let report = run_navigation_storm_best_of(1, 10, 2);
         assert_eq!(report.repeats, 2);
         assert!(report.unloaded_p99_ns > 0);
         assert!(report.loaded_p99_ns > 0);
-        // The best-of p99 can never exceed best + spread (spread is max - min).
+        assert!(report.p99_ratio() > 0.0);
         assert!(report.ratio_spread >= 0.0);
-        let worst_unloaded = report.unloaded_p99_ns + report.unloaded_p99_spread_ns;
-        assert!(worst_unloaded >= report.unloaded_p99_ns);
     }
 
     #[test]
@@ -562,28 +451,21 @@ mod tests {
 
     #[test]
     fn the_prefetch_oracle_run_is_byte_identical() {
-        let report = run_prefetch_oracle(2);
+        let (diff, prefetch_hits) = run_prefetch_oracle(2);
         // 2 passes × (hub + 2 imgs + item + 2 imgs) per side.
-        assert_eq!(report.requests, 12);
-        assert_eq!(report.prefetch_hits, 2);
-        assert_eq!(report.log_mismatches, 0);
-        assert_eq!(report.attachment_mismatches, 0);
+        assert_eq!(diff.requests, 12);
+        assert_eq!(prefetch_hits, 2);
+        assert_eq!(diff.log_mismatches, 0);
+        assert_eq!(diff.attachment_mismatches, 0);
+        assert_eq!(diff.order_violations, 0);
     }
 
     #[test]
     fn prefetching_sessions_stay_isolated_on_one_fabric() {
         let report = run_prefetch_sessions(3, 2);
-        assert_eq!(report.sessions, 3);
-        assert_eq!(report.sessions_with_cookies, 3);
-        assert_eq!(report.isolation_violations, 0);
+        assert_eq!(report.leaks.own_attachments.len(), 3);
+        assert_eq!(report.leaks.sessions_with_cookies(), 3);
+        assert_eq!(report.leaks.violations, 0);
         assert_eq!(report.prefetch_hits, 6, "each round consumes its hint");
-    }
-
-    #[test]
-    fn p99_picks_the_tail_sample() {
-        let mut samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(p99_ns(&mut samples), 99);
-        let mut few = vec![30, 10, 20];
-        assert_eq!(p99_ns(&mut few), 20);
     }
 }

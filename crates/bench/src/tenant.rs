@@ -40,6 +40,7 @@ use escudo_core::{Decision, DenyReason, EngineStats, PolicyMode};
 
 use escudo_browser::Erm;
 
+use crate::measure::{best_of, p99_ns};
 use crate::workload::{decision_workload, DecisionCheck};
 
 /// Outcome of the noisy-neighbor isolation run.
@@ -67,14 +68,6 @@ pub struct NoisyNeighborReport {
     pub storm_decisions: u64,
     /// Capacity evictions the storm forced on A's own (deliberately small) cache.
     pub storm_evictions: u64,
-}
-
-/// Sorted-sample p99 (the smallest value ≥ 99% of samples).
-fn p99_ns(samples: &mut [u64]) -> u64 {
-    assert!(!samples.is_empty(), "p99 of an empty sample set");
-    samples.sort_unstable();
-    let index = (samples.len() * 99).div_ceil(100).saturating_sub(1);
-    samples[index]
 }
 
 /// One measured repeat: `batches` × `decide_many` over the warm grid, p99 of
@@ -128,12 +121,9 @@ pub fn run_noisy_neighbor(
     // Warm B's cache, then measure it alone.
     let warm: Vec<_> = victim_grid.iter().map(|(p, o, op)| (p, o, *op)).collect();
     victim_erm.check_many(&warm);
-    let mut baseline: Vec<u64> = (0..repeats)
+    let baseline: Vec<u64> = (0..repeats)
         .map(|_| measure_victim_p99(&mut victim_erm, &victim_grid, batches))
         .collect();
-    baseline.sort_unstable();
-    let (baseline_p99_ns, baseline_spread) =
-        (baseline[0], baseline[baseline.len() - 1] - baseline[0]);
 
     // Contended phase: A's storm threads run flat out — each pass is 10 warm
     // grids' worth of distinct decisions, the 10× load of the gate — while B
@@ -164,9 +154,8 @@ pub fn run_noisy_neighbor(
         }
         stop.store(true, Ordering::Relaxed);
     });
-    contended.sort_unstable();
-    let (contended_p99_ns, contended_spread) =
-        (contended[0], contended[contended.len() - 1] - contended[0]);
+    let (baseline_p99_ns, baseline_spread) = best_of(baseline, |&p| p);
+    let (contended_p99_ns, contended_spread) = best_of(contended, |&p| p);
 
     let victim_stats: EngineStats = victim.engine_stats();
     let storm_stats: EngineStats = noisy.engine_stats();

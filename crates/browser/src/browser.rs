@@ -160,33 +160,13 @@ impl Browser {
     /// Tenant-bound counterpart of [`Browser::with_network`]: the session binds
     /// to `tenant` for policy and admission while sharing the given cookie jar
     /// and network fabric with other sessions (of this tenant or others).
-    ///
-    /// When the tenant's [`TenantConfig`](escudo_core::tenant::TenantConfig)
-    /// declares a fetch fault budget, the session's [`FetchPolicy`] is
-    /// assembled from it here — resilience posture is tenant policy, not
-    /// per-session code. [`Browser::set_fetch_policy`] still overrides.
     #[must_use]
     pub fn with_tenant_network(
         tenant: Arc<Tenant>,
         jar: Arc<SharedCookieJar>,
         fabric: Arc<SharedNetwork>,
     ) -> Self {
-        let config = *tenant.config();
-        let mut browser = Browser::from_erm(Erm::with_tenant(tenant), jar, fabric);
-        if config.has_fetch_budget() {
-            let mut policy = FetchPolicy::disabled()
-                .with_max_retries(config.fetch_max_retries)
-                .with_backoff_base_ns(config.fetch_backoff_base_ns)
-                .with_deadline_ns(config.fetch_deadline_ns);
-            if config.fetch_breaker_threshold > 0 {
-                policy = policy.with_breaker(
-                    config.fetch_breaker_threshold,
-                    config.fetch_breaker_cooldown_ns,
-                );
-            }
-            browser.fetch_policy = policy;
-        }
-        browser
+        Browser::from_erm(Erm::with_tenant(tenant), jar, fabric)
     }
 
     fn from_erm(erm: Erm, jar: Arc<SharedCookieJar>, fabric: Arc<SharedNetwork>) -> Self {

@@ -163,7 +163,7 @@ pub struct TenantSnapshot {
     pub engine: EngineStats,
     /// The tenant's admission-control counters.
     pub admission: AdmissionStats,
-    /// The tenant's configuration (admission posture + fetch fault budget).
+    /// The tenant's configuration (policy mode, cache bound, admission posture).
     pub config: TenantConfig,
 }
 
@@ -476,14 +476,6 @@ impl ControlPlaneSnapshot {
             push(
                 format!("{prefix}_rejected"),
                 tenant.admission.rejected as f64,
-            );
-            push(
-                format!("{prefix}_fetch_max_retries"),
-                tenant.config.fetch_max_retries as f64,
-            );
-            push(
-                format!("{prefix}_fetch_breaker_threshold"),
-                tenant.config.fetch_breaker_threshold as f64,
             );
         }
         fields

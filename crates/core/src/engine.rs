@@ -851,23 +851,6 @@ impl PolicyEngine for EscudoEngine {
         self.decide_interned(pid, oid, principal, object, op)
     }
 
-    fn decide_many(
-        &self,
-        checks: &[(&PrincipalContext, &ObjectContext, Operation)],
-    ) -> Vec<Decision> {
-        // The old engine resolved a whole batch's ids under one read-lock
-        // acquisition to amortize the lock; the lock-free interner has nothing
-        // to amortize — every resolve is a wait-free walk — so the batch path
-        // is simply the per-check path without any setup.
-        checks
-            .iter()
-            .map(|(principal, object, op)| {
-                let (pid, oid) = self.intern_pair(principal, object);
-                self.decide_interned(pid, oid, principal, object, *op)
-            })
-            .collect()
-    }
-
     fn stats(&self) -> EngineStats {
         let principals = self.interner.principal_count() as u64;
         let objects = self.interner.object_count() as u64;

@@ -393,22 +393,6 @@ pub struct TenantConfig {
     pub admission_burst: u64,
     /// Admission refill rate, tokens per second.
     pub admission_refill_per_sec: u64,
-    /// Fetch fault budget: bounded retries per faulted fetch slot (0 with the
-    /// other fetch fields zero = resilience disabled). The core crate cannot
-    /// name the network layer's `FetchPolicy`, so tenants carry its raw
-    /// numbers; sessions binding to the tenant assemble the policy from them.
-    pub fetch_max_retries: u32,
-    /// Fetch fault budget: base backoff per retry, nanoseconds (doubled each
-    /// attempt).
-    pub fetch_backoff_base_ns: u64,
-    /// Fetch fault budget: per-batch retry deadline, nanoseconds (0 = none).
-    pub fetch_deadline_ns: u64,
-    /// Fetch fault budget: consecutive failures per origin before the circuit
-    /// breaker opens (0 = no breaker).
-    pub fetch_breaker_threshold: u32,
-    /// Fetch fault budget: breaker cooldown before a half-open probe,
-    /// nanoseconds.
-    pub fetch_breaker_cooldown_ns: u64,
 }
 
 impl Default for TenantConfig {
@@ -419,11 +403,6 @@ impl Default for TenantConfig {
             shard_count: 0,
             admission_burst: 0,
             admission_refill_per_sec: 0,
-            fetch_max_retries: 0,
-            fetch_backoff_base_ns: 0,
-            fetch_deadline_ns: 0,
-            fetch_breaker_threshold: 0,
-            fetch_breaker_cooldown_ns: 0,
         }
     }
 }
@@ -456,44 +435,6 @@ impl TenantConfig {
         self.admission_burst = burst;
         self.admission_refill_per_sec = refill_per_sec;
         self
-    }
-
-    /// Sets the tenant's fetch retry budget (builder style): `max_retries`
-    /// bounded retries per faulted slot, exponential backoff starting at
-    /// `backoff_base_ns`, the whole batch capped by `deadline_ns` (0 = no
-    /// deadline).
-    #[must_use]
-    pub fn with_fetch_retries(
-        mut self,
-        max_retries: u32,
-        backoff_base_ns: u64,
-        deadline_ns: u64,
-    ) -> Self {
-        self.fetch_max_retries = max_retries;
-        self.fetch_backoff_base_ns = backoff_base_ns;
-        self.fetch_deadline_ns = deadline_ns;
-        self
-    }
-
-    /// Sets the tenant's per-origin circuit breaker (builder style): the
-    /// breaker opens after `threshold` consecutive failures and probes again
-    /// after `cooldown_ns`.
-    #[must_use]
-    pub fn with_fetch_breaker(mut self, threshold: u32, cooldown_ns: u64) -> Self {
-        self.fetch_breaker_threshold = threshold;
-        self.fetch_breaker_cooldown_ns = cooldown_ns;
-        self
-    }
-
-    /// `true` when any fetch fault-budget field is set — sessions binding to
-    /// this tenant then assemble a live fetch policy from the raw numbers.
-    #[must_use]
-    pub fn has_fetch_budget(&self) -> bool {
-        self.fetch_max_retries > 0
-            || self.fetch_backoff_base_ns > 0
-            || self.fetch_deadline_ns > 0
-            || self.fetch_breaker_threshold > 0
-            || self.fetch_breaker_cooldown_ns > 0
     }
 
     /// Builds a fresh engine for this configuration — an independently bounded

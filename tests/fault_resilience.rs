@@ -60,15 +60,15 @@ fn a_retry_reuses_the_mediation_plan_verbatim() {
     for mode in [PolicyMode::SameOriginOnly, PolicyMode::Escudo] {
         let oracle = run_retry_oracle(mode);
         assert!(
-            oracle.logs_identical,
+            oracle.logs_identical(),
             "{mode}: faulted run's request log diverged from the fault-free oracle"
         );
         assert!(
-            oracle.attachments_identical,
+            oracle.attachments_identical(),
             "{mode}: faulted run attached different cookies"
         );
-        assert!(
-            oracle.mediation_identical,
+        assert_eq!(
+            oracle.diff.mediation_mismatches, 0,
             "{mode}: retries re-mediated — check/denial counts moved"
         );
         assert_eq!(oracle.clean_retries, 0);

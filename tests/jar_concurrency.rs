@@ -1,73 +1,19 @@
 //! Concurrency equivalence for the shared cookie jar: N threads storing into and
 //! reading from one [`SharedCookieJar`] — over disjoint *and* overlapping hosts —
 //! must produce `Cookie` headers byte-identical to a single-threaded [`CookieJar`]
-//! oracle replaying the same operations.
+//! oracle replaying the same operations. The disjoint-host script is
+//! `escudo_bench::concurrent`'s, the one the `jar_concurrent` CI gate replays.
 
 use std::thread;
 
 use escudo::net::{CookieJar, SetCookie, SharedCookieJar, Url};
+use escudo_bench::concurrent::{replay_on_oracle_jar, replay_on_shared_jar};
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 10;
 
 fn url(s: &str) -> Url {
     Url::parse(s).unwrap()
-}
-
-/// The deterministic per-session script: stores under several path scopes
-/// (default-path, host-wide, explicit deep path, replacement every round)
-/// interleaved with header builds that exercise §5.4 ordering.
-fn session_ops(host: &str, rounds: usize) -> Vec<(bool, Url, Option<SetCookie>)> {
-    // (is_store, url, directive) triples; directive is `None` for header builds.
-    let u = |suffix: &str| url(&format!("http://{host}{suffix}"));
-    let mut ops = Vec::new();
-    for round in 0..rounds {
-        ops.push((
-            true,
-            u("/forum/login.php"),
-            Some(SetCookie::new("sid", format!("s{round}"))),
-        ));
-        ops.push((
-            true,
-            u("/forum/login.php"),
-            Some(SetCookie::new("data", format!("d{round}")).with_path("/")),
-        ));
-        ops.push((
-            true,
-            u("/forum/admin/tool.php"),
-            Some(SetCookie::new("admin", format!("a{round}"))),
-        ));
-        ops.push((false, u("/forum/viewtopic.php?t=1"), None));
-        ops.push((false, u("/forum/admin/index.php"), None));
-        ops.push((false, u("/blog/index.php"), None));
-        ops.push((false, u("/"), None));
-    }
-    ops
-}
-
-fn run_ops_shared(jar: &SharedCookieJar, host: &str, rounds: usize) -> Vec<Option<String>> {
-    let mut headers = Vec::new();
-    for (is_store, url, directive) in session_ops(host, rounds) {
-        if is_store {
-            jar.store(&url, &directive.unwrap());
-        } else {
-            headers.push(jar.cookie_header_for(&url, |_| true));
-        }
-    }
-    headers
-}
-
-fn run_ops_oracle(host: &str, rounds: usize) -> Vec<Option<String>> {
-    let mut jar = CookieJar::new();
-    let mut headers = Vec::new();
-    for (is_store, url, directive) in session_ops(host, rounds) {
-        if is_store {
-            jar.store(&url, &directive.unwrap());
-        } else {
-            headers.push(jar.cookie_header_for(&url, |_| true));
-        }
-    }
-    headers
 }
 
 #[test]
@@ -79,7 +25,7 @@ fn disjoint_host_sessions_match_the_single_threaded_oracle() {
                 let jar = &jar;
                 scope.spawn(move || {
                     let host = format!("session{t}.example");
-                    let headers = run_ops_shared(jar, &host, ROUNDS);
+                    let headers = replay_on_shared_jar(jar, &host, ROUNDS);
                     (host, headers)
                 })
             })
@@ -91,7 +37,7 @@ fn disjoint_host_sessions_match_the_single_threaded_oracle() {
     });
 
     for (host, headers) in &observed {
-        let expected = run_ops_oracle(host, ROUNDS);
+        let expected = replay_on_oracle_jar(host, ROUNDS);
         assert_eq!(
             headers, &expected,
             "shared-jar headers for {host} diverged from the single-threaded oracle"

@@ -13,9 +13,9 @@
 //!   byte-identical mediation decisions, attachments and request logs.
 //!
 //! The worlds are built by `escudo_bench::loader` and `escudo_bench::scheduler`
-//! — the same builders the `loader_concurrent` and `scheduler_concurrent` CI
-//! gates drive — so the benches and these tests cannot silently diverge in
-//! what they validate.
+//! and checked by `escudo_bench::oracle` — the same builders and oracles the
+//! `loader_concurrent` and `scheduler_concurrent` CI gates drive — so the
+//! benches and these tests cannot silently diverge in what they validate.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,6 +26,8 @@ use escudo::browser::Browser;
 use escudo::core::{engine_for_mode, EscudoEngine, PolicyEngine, PolicyMode};
 use escudo::net::{Request, Response, SharedCookieJar, SharedNetwork, Url};
 use escudo_bench::loader::{register_loader_world, reverse_skewed_latency};
+use escudo_bench::measure::spawn_join;
+use escudo_bench::oracle::{scan_leaks, Transcript, TranscriptDiff};
 use escudo_bench::scheduler::{register_nav_world, run_prefetch_oracle, NAV_PAGE_URL};
 
 const IMAGES: usize = 8;
@@ -88,35 +90,26 @@ fn outcomes_and_log_are_in_document_order_under_skewed_latency() {
 #[test]
 fn pipelined_run_matches_the_sequential_oracle_byte_for_byte() {
     let run = |workers: usize| {
-        let fabric = skewed_fabric();
-        let mut browser = browser_over(&fabric, workers);
-        let mut attached: Vec<Vec<Vec<String>>> = Vec::new();
-        for _ in 0..3 {
-            let page = browser.navigate("http://site.example/index.php").unwrap();
-            attached.push(
-                browser
-                    .page(page)
-                    .subresources
-                    .iter()
-                    .map(|s| s.attached_cookies.clone())
-                    .collect(),
-            );
-        }
-        (fabric.log(), attached)
+        let mut browser = browser_over(&skewed_fabric(), workers);
+        Transcript::record(&mut browser, ["http://site.example/index.php"; 3])
     };
-    let (pipelined_log, pipelined_attached) = run(8);
-    let (sequential_log, sequential_attached) = run(1);
-    // Byte-identical logs (method, URL, cookie names, status — in order) and
-    // identical per-subresource attachments: the transport cannot influence
-    // mediation, and sequence reservation fixes the order.
-    assert_eq!(pipelined_log, sequential_log);
-    assert_eq!(pipelined_attached, sequential_attached);
+    // Byte-identical logs (method, URL, cookie names, status — in order),
+    // identical per-subresource attachments in document order, and the same
+    // mediation counts: the transport cannot influence mediation, and
+    // sequence reservation fixes the order.
+    assert_eq!(
+        run(8).diff(&run(1)),
+        TranscriptDiff {
+            requests: 3 * (IMAGES + 1),
+            ..TranscriptDiff::default()
+        }
+    );
 }
 
 #[test]
 fn eight_sessions_sharing_one_fabric_stay_isolated() {
     let fabric = Arc::new(SharedNetwork::new());
-    let engine = Arc::new(EscudoEngine::new());
+    let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
     let jar = Arc::new(SharedCookieJar::new());
     const SESSIONS: usize = 8;
     for t in 0..SESSIONS {
@@ -130,44 +123,34 @@ fn eight_sessions_sharing_one_fabric_stay_isolated() {
         );
     }
 
-    thread::scope(|scope| {
-        for t in 0..SESSIONS {
-            let fabric = Arc::clone(&fabric);
-            let engine: Arc<dyn PolicyEngine> = Arc::clone(&engine) as _;
-            let jar = Arc::clone(&jar);
-            scope.spawn(move || {
-                let mut browser = Browser::with_network(engine, jar, fabric);
-                browser.set_subresource_workers(4);
-                for _ in 0..2 {
-                    browser
-                        .navigate(&format!("http://site{t}.example/index.php"))
-                        .unwrap();
-                }
-            });
+    spawn_join(SESSIONS, |t| {
+        let mut browser =
+            Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
+        browser.set_subresource_workers(4);
+        for _ in 0..2 {
+            browser
+                .navigate(&format!("http://site{t}.example/index.php"))
+                .unwrap();
         }
     });
 
     // 8 sessions × 2 rounds × (1 page + IMAGES images), one shared log.
-    let log = fabric.log();
-    assert_eq!(log.len(), SESSIONS * 2 * (IMAGES + 1));
-    for t in 0..SESSIONS {
-        let own = format!("sid{t}");
-        let site = format!("site{t}.example");
-        let mut own_attached = 0usize;
-        for entry in log.iter().filter(|e| e.url.host().ends_with(&site)) {
-            for name in &entry.cookie_names {
-                assert_eq!(
-                    name,
-                    &own,
-                    "cookie {name} leaked onto session {t}'s host {}",
-                    entry.url.host()
-                );
-            }
-            own_attached += entry.cookie_names.len();
-        }
-        // Round 2's page and image requests all carry the session cookie stored
-        // in round 1 (round 1's images attach it too — same-page store).
-        assert!(own_attached >= IMAGES, "session {t} never attached {own}");
+    let scan = scan_leaks(
+        &fabric.log(),
+        (0..SESSIONS).map(|t| (format!("site{t}.example"), format!("sid{t}"))),
+    );
+    assert_eq!(scan.requests, SESSIONS * 2 * (IMAGES + 1));
+    assert_eq!(
+        scan.violations, 0,
+        "a cookie leaked onto another session's host"
+    );
+    // Round 2's page and image requests all carry the session cookie stored
+    // in round 1 (round 1's images attach it too — same-page store).
+    for (t, own) in scan.own_attachments.iter().enumerate() {
+        assert!(
+            *own >= IMAGES,
+            "session {t} attached sid{t} only {own} times"
+        );
     }
 }
 
@@ -326,14 +309,11 @@ fn prefetch_on_and_off_are_oracle_equivalent() {
     // sequence-sorted request logs (method, URL, cookie names, status) and
     // identical per-subresource attachments — prefetch may change *when* bytes
     // move, never what ESCUDO decides.
-    let report = run_prefetch_oracle(3);
-    assert_eq!(report.prefetch_hits, 3, "speculation never engaged");
+    let (diff, prefetch_hits) = run_prefetch_oracle(3);
+    assert_eq!(prefetch_hits, 3, "speculation never engaged");
+    assert_eq!(diff.log_mismatches, 0, "prefetch perturbed the request log");
     assert_eq!(
-        report.log_mismatches, 0,
-        "prefetch perturbed the request log"
-    );
-    assert_eq!(
-        report.attachment_mismatches, 0,
+        diff.attachment_mismatches, 0,
         "prefetch changed a mediation outcome"
     );
 }

@@ -46,6 +46,7 @@ use escudo::net::{
 use escudo_bench::cache::{
     register_cache_world, run_cache_single_flight, run_cache_ttl_walk, CACHE_WORLD_SUBRESOURCES,
 };
+use escudo_bench::oracle::{Transcript, TranscriptDiff};
 
 fn cache_browser(fabric: &Arc<SharedNetwork>, enabled: bool) -> Browser {
     let mut browser = Browser::with_network(
@@ -63,38 +64,31 @@ fn cache_on_and_off_runs_are_oracle_equivalent() {
         let fabric = Arc::new(SharedNetwork::new());
         register_cache_world(&fabric, "shop.example", "sid", Duration::from_micros(50));
         let mut browser = cache_browser(&fabric, enabled);
-        let mut attachments: Vec<Vec<Vec<String>>> = Vec::new();
-        browser.navigate("http://shop.example/login.php").unwrap();
-        for _ in 0..3 {
-            let page = browser.navigate("http://shop.example/index.php").unwrap();
-            attachments.push(
-                browser
-                    .page(page)
-                    .subresources
-                    .iter()
-                    .map(|s| s.attached_cookies.clone())
-                    .collect(),
-            );
-        }
-        (fabric.log(), attachments, browser.cache_hits())
+        let mut urls = vec!["http://shop.example/login.php"];
+        urls.extend(["http://shop.example/index.php"; 3]);
+        let transcript = Transcript::record(&mut browser, urls);
+        (transcript, browser.cache_hits())
     };
 
-    let (on_log, on_attached, hits) = run(true);
-    let (off_log, off_attached, off_hits) = run(false);
+    let (on, hits) = run(true);
+    let (off, off_hits) = run(false);
 
     // Repeat navigations 2 and 3 served document + every subresource from the
     // cache; the disabled side touched the origin each time.
     assert_eq!(hits, 2 * (1 + CACHE_WORLD_SUBRESOURCES));
     assert_eq!(off_hits, 0);
 
-    // The sequence-sorted logs are byte-identical: a hit is logged under the
-    // consuming navigation's own sequence exactly as the live dispatch would
-    // have been (method, URL, cookie names, status).
-    assert_eq!(on_log.len(), off_log.len());
-    for (a, b) in on_log.iter().zip(&off_log) {
-        assert_eq!(a, b, "cache-on log diverged from the cache-off oracle");
-    }
-    assert_eq!(on_attached, off_attached, "mediation plans diverged");
+    // The transcripts are identical: a hit is logged under the consuming
+    // navigation's own sequence exactly as the live dispatch would have been
+    // (method, URL, cookie names, status), and mediation ran just the same.
+    assert_eq!(
+        on.diff(&off),
+        TranscriptDiff {
+            requests: 1 + 3 * (1 + CACHE_WORLD_SUBRESOURCES as usize),
+            ..TranscriptDiff::default()
+        },
+        "cache-on run diverged from the cache-off oracle"
+    );
 }
 
 #[test]
