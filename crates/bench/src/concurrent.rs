@@ -478,6 +478,7 @@ pub fn measure_jar_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::best_of;
     use crate::workload::decision_workload;
 
     #[test]
@@ -512,6 +513,23 @@ mod tests {
         assert!(hit_rate > 0.99, "steady-state hit rate: {hit_rate}");
         assert!(rate.per_sec() > 0.0);
         assert!(rate.ns_per_op() > 0.0);
+    }
+
+    #[test]
+    fn best_throughput_takes_the_fastest_sample() {
+        let workload = decision_workload(4, 4);
+        let samples: Vec<Rate> = (0..3)
+            .map(|_| measure_concurrent_throughput(&workload, 1, 2).0)
+            .collect();
+        let (best, spread) = best_of(samples.iter().copied(), Rate::ns_per_op);
+        assert_eq!(best.ops, (workload.len() * 2) as u64);
+        for sample in &samples {
+            assert!(
+                best.ns_per_op() <= sample.ns_per_op(),
+                "{best:?} vs {sample:?}"
+            );
+            assert!(sample.ns_per_op() - best.ns_per_op() <= spread);
+        }
     }
 
     #[test]

@@ -240,15 +240,33 @@ impl SampleStats {
     pub fn median_ms(&self) -> f64 {
         self.median_ns as f64 / 1_000_000.0
     }
+
+    /// Minimum in milliseconds.
+    #[must_use]
+    pub fn min_ms(&self) -> f64 {
+        self.min_ns as f64 / 1_000_000.0
+    }
 }
 
-/// Measures the parse+render time of `html` over `runs` loads under `mode`.
+/// Measures the parse+render time of `html` over `runs` loads under each of
+/// `modes`, interleaved: every run loads the page once per mode, and the mode
+/// that goes first alternates from run to run. A burst of host noise then
+/// slows both modes alike instead of skewing whichever block it lands in.
+/// Returns one [`SampleStats`] per mode, in the order of `modes`.
 #[must_use]
-pub fn measure_parse_render(mode: PolicyMode, html: &str, runs: usize) -> SampleStats {
-    let samples: Vec<u128> = (0..runs)
-        .map(|_| load_once(mode, html).parse_and_render_ns())
-        .collect();
-    SampleStats::from_samples(&samples)
+pub fn measure_parse_render<const N: usize>(
+    modes: [PolicyMode; N],
+    html: &str,
+    runs: usize,
+) -> [SampleStats; N] {
+    let mut samples: [Vec<u128>; N] = std::array::from_fn(|_| Vec::with_capacity(runs));
+    for run in 0..runs {
+        for k in 0..N {
+            let m = if run % 2 == 0 { k } else { N - 1 - k };
+            samples[m].push(load_once(modes[m], html).parse_and_render_ns());
+        }
+    }
+    samples.map(|s| SampleStats::from_samples(&s))
 }
 
 /// Measures UI-event dispatch time: fires `click` on a handler-carrying element `runs`

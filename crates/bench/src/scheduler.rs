@@ -424,14 +424,27 @@ mod tests {
 
     #[test]
     fn the_navigation_storm_measures_both_sides() {
-        let report = run_navigation_storm(1, 10, 2);
-        assert_eq!(report.bulk_sessions, 1);
+        let report = run_navigation_storm(2, 10, 1);
+        assert_eq!(report.bulk_sessions, 2);
         assert_eq!(report.navigations, 10);
-        assert_eq!(report.repeats, 2);
         assert!(report.unloaded_p99_ns > 0);
         assert!(report.loaded_p99_ns > 0);
         assert!(report.p99_ratio() > 0.0);
+        assert_eq!(report.repeats, 1, "a single run records no repeats");
+        assert_eq!(report.unloaded_p99_spread_ns, 0);
+        assert_eq!(report.ratio_spread, 0.0);
+    }
+
+    #[test]
+    fn best_of_repeats_keeps_the_minimum_and_records_the_spread() {
+        let report = run_navigation_storm(1, 10, 2);
+        assert_eq!(report.repeats, 2);
+        assert!(report.unloaded_p99_ns > 0);
+        assert!(report.loaded_p99_ns > 0);
+        // The best-of p99 can never exceed best + spread (spread is max - min).
         assert!(report.ratio_spread >= 0.0);
+        let worst_unloaded = report.unloaded_p99_ns + report.unloaded_p99_spread_ns;
+        assert!(worst_unloaded >= report.unloaded_p99_ns);
     }
 
     #[test]
