@@ -29,7 +29,7 @@ use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::interner::{
     measure_storm, measure_warm_lookup, storm_contexts, RwLockContextTable,
 };
-use escudo_bench::measure::{best_of, Rate};
+use escudo_bench::measure::{best_of, spawn_join, Rate};
 use escudo_core::{ContextInterner, SPILL_WINDOW_SLOTS};
 
 /// Minimum lock-free-over-reference storm speedup at the highest thread count,
@@ -194,16 +194,10 @@ fn main() {
     // ------------------------------------------------- occupancy observability
     let (shared_pairs, disjoint_pairs) = storm_contexts(shared, disjoint, max_thread_count);
     let interner = ContextInterner::with_buckets(STORM_BUCKETS);
-    std::thread::scope(|scope| {
-        for own in &disjoint_pairs {
-            let interner = &interner;
-            let shared_pairs = &shared_pairs;
-            scope.spawn(move || {
-                for (principal, object) in shared_pairs.iter().chain(own) {
-                    interner.intern_principal(principal);
-                    interner.intern_object(object);
-                }
-            });
+    spawn_join(disjoint_pairs.len(), |t| {
+        for (principal, object) in shared_pairs.iter().chain(&disjoint_pairs[t]) {
+            interner.intern_principal(principal);
+            interner.intern_object(object);
         }
     });
     println!(

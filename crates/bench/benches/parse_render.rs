@@ -4,23 +4,14 @@
 //! Run with `cargo bench --bench parse_render` (plain `harness = false` binary).
 
 use escudo_bench::cli::{JsonReport, Kind};
-use escudo_bench::measure::load_once;
+use escudo_bench::measure::measure_parse_render;
 use escudo_bench::workload::{figure4_scenarios, generate_page};
 use escudo_browser::PolicyMode;
-
-/// Best-of-`reps` parse+render nanoseconds for one page under one mode.
-fn time_load(mode: PolicyMode, html: &str, reps: usize) -> u128 {
-    let _ = load_once(mode, html); // warm-up
-    (0..reps)
-        .map(|_| load_once(mode, html).parse_and_render_ns())
-        .min()
-        .unwrap_or(0)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     const REPS: usize = 15;
-    println!("figure4_parse_render (best of {REPS} loads, parse+label+render ns):");
+    println!("figure4_parse_render (best of {REPS} interleaved loads, parse+label+render ns):");
     println!(
         "  {:<28} {:>14} {:>14} {:>9}",
         "scenario", "without", "with", "overhead"
@@ -28,8 +19,12 @@ fn main() {
     let mut json = JsonReport::new("parse_render");
     for scenario in figure4_scenarios() {
         let html = generate_page(&scenario);
-        let without = time_load(PolicyMode::SameOriginOnly, &html, REPS);
-        let with = time_load(PolicyMode::Escudo, &html, REPS);
+        let [without, with] = measure_parse_render(
+            [PolicyMode::SameOriginOnly, PolicyMode::Escudo],
+            &html,
+            REPS,
+        )
+        .map(|stats| stats.min_ns);
         let overhead = if without > 0 {
             (with as f64 - without as f64) / without as f64 * 100.0
         } else {

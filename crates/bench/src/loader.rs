@@ -26,9 +26,6 @@ use escudo_net::{Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
 use crate::measure::{spawn_join, Rate};
 use crate::oracle::{scan_leaks, LeakScan, Transcript, TranscriptDiff};
 
-/// The page origin of the single-session loader workload.
-pub const PAGE_ORIGIN: &str = "http://page.example";
-
 /// The page URL the loader workload navigates to.
 pub const PAGE_URL: &str = "http://page.example/index.php";
 
@@ -238,7 +235,9 @@ mod tests {
         let scan = run_shared_fabric_sessions(3, 4, 2);
         // 3 sessions × 2 rounds × (1 page + 4 images).
         assert_eq!(scan.requests, 30);
-        assert_eq!(scan.sessions_with_cookies(), 3);
+        // Every image fetch carries the session cookie the page set, and so
+        // does round 2's page: 2 × 4 + 1.
+        assert_eq!(scan.own_attachments, [9, 9, 9]);
         assert_eq!(scan.violations, 0);
     }
 

@@ -229,18 +229,6 @@ impl SampleStats {
         }
     }
 
-    /// Mean in milliseconds.
-    #[must_use]
-    pub fn mean_ms(&self) -> f64 {
-        self.mean_ns / 1_000_000.0
-    }
-
-    /// Median in milliseconds.
-    #[must_use]
-    pub fn median_ms(&self) -> f64 {
-        self.median_ns as f64 / 1_000_000.0
-    }
-
     /// Minimum in milliseconds.
     #[must_use]
     pub fn min_ms(&self) -> f64 {
@@ -249,20 +237,16 @@ impl SampleStats {
 }
 
 /// Measures the parse+render time of `html` over `runs` loads under each of
-/// `modes`, interleaved: every run loads the page once per mode, and the mode
-/// that goes first alternates from run to run. A burst of host noise then
-/// slows both modes alike instead of skewing whichever block it lands in.
-/// Returns one [`SampleStats`] per mode, in the order of `modes`.
+/// the two `modes`, interleaved: every run loads the page once per mode, and
+/// the mode that goes first alternates from run to run. A burst of host noise
+/// then slows both modes alike instead of skewing whichever block it lands
+/// in. Returns one [`SampleStats`] per mode, in the order of `modes`.
 #[must_use]
-pub fn measure_parse_render<const N: usize>(
-    modes: [PolicyMode; N],
-    html: &str,
-    runs: usize,
-) -> [SampleStats; N] {
-    let mut samples: [Vec<u128>; N] = std::array::from_fn(|_| Vec::with_capacity(runs));
+pub fn measure_parse_render(modes: [PolicyMode; 2], html: &str, runs: usize) -> [SampleStats; 2] {
+    let mut samples = [Vec::with_capacity(runs), Vec::with_capacity(runs)];
     for run in 0..runs {
-        for k in 0..N {
-            let m = if run % 2 == 0 { k } else { N - 1 - k };
+        for k in 0..2 {
+            let m = k ^ (run % 2);
             samples[m].push(load_once(modes[m], html).parse_and_render_ns());
         }
     }

@@ -161,7 +161,7 @@ fn nav_p99_ns(storm_sessions: usize, navigations: usize) -> u64 {
     p99_ns(&mut latencies)
 }
 
-/// Measures p99 navigation latency `repeats` times (at least once) over pairs
+/// Measures p99 navigation latency `repeats` times over pairs
 /// of identically-built fabrics — once unloaded, once while `bulk_sessions`
 /// sibling sessions flood the same fabric — and reports the [best](best_of)
 /// (minimum) p99 of each phase with the spread of each figure: the bench's
@@ -170,14 +170,16 @@ fn nav_p99_ns(storm_sessions: usize, navigations: usize) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if any page load fails; the workload is deterministic.
+/// Panics if `repeats == 0` or any page load fails; the workload is
+/// deterministic.
 #[must_use]
 pub fn run_navigation_storm(
     bulk_sessions: usize,
     navigations: usize,
     repeats: usize,
 ) -> NavStormReport {
-    let runs: Vec<(u64, u64)> = (0..repeats.max(1))
+    assert!(repeats > 0, "best-of-zero navigation storms");
+    let runs: Vec<(u64, u64)> = (0..repeats)
         .map(|_| {
             (
                 nav_p99_ns(0, navigations),

@@ -62,8 +62,6 @@ pub struct NoisyNeighborReport {
     pub victim_hit_rate: f64,
     /// Capacity evictions on B's engine — must be 0, A cannot reach B's cache.
     pub victim_evictions: u64,
-    /// Decisions B's engine served.
-    pub victim_decisions: u64,
     /// Decisions A's storm pushed through its own engine.
     pub storm_decisions: u64,
     /// Capacity evictions the storm forced on A's own (deliberately small) cache.
@@ -168,7 +166,6 @@ pub fn run_noisy_neighbor(
         contended_p99_spread_ns: contended_spread,
         victim_hit_rate: victim_stats.hit_rate(),
         victim_evictions: victim_stats.evictions,
-        victim_decisions: victim_stats.decisions,
         storm_decisions: storm_stats.decisions,
         storm_evictions: storm_stats.evictions,
     }
