@@ -1,8 +1,8 @@
 //! The scenario registry: one declarative (app × attack × policy-mode) matrix.
 //!
 //! Every consumer of the app fleet — the defense-effectiveness tests, the
-//! experiment formatter, the examples, the `scenario_matrix` bench — used to
-//! hand-wire its own app/attack setups. This module replaces those with one
+//! experiment formatter, the examples — used to hand-wire its own app/attack
+//! setups. This module replaces those with one
 //! registry of [`Scenario`] descriptors: each scenario bundles an application,
 //! a set of [`ScenarioCase`]s (attack or probe stagings), and the **expected
 //! verdict per policy mode**. The generic executor drives a full [`Browser`]

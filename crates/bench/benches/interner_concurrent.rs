@@ -21,16 +21,17 @@
 //!   burned by a lost race) and convergence (lookup after intern always hits)
 //!   inside the workload itself — a violation panics the bench.
 //!
-//! The interner's occupancy counters (CAS retries, bucket depth) are printed so
-//! storms stay observable, and `--json` writes the machine-readable report CI
-//! archives as the perf trajectory.
+//! The spill-window bound on bucket depth after an 8-thread storm is the
+//! tier-1 test `interner::tests::an_eight_thread_storm_stays_within_the_spill_window`.
+//! `--json` writes the machine-readable report CI archives as the perf
+//! trajectory.
 
 use escudo_bench::cli::{parse_flag, JsonReport, Kind};
 use escudo_bench::interner::{
-    measure_storm, measure_warm_lookup, storm_contexts, RwLockContextTable,
+    measure_storm, measure_warm_lookup, storm_contexts, RwLockContextTable, STORM_BUCKETS,
 };
-use escudo_bench::measure::{best_of, spawn_join, Rate};
-use escudo_core::{ContextInterner, SPILL_WINDOW_SLOTS};
+use escudo_bench::measure::{best_of, Rate};
+use escudo_core::ContextInterner;
 
 /// Minimum lock-free-over-reference storm speedup at the highest thread count,
 /// on any host where two threads can actually run in parallel (the convoy the
@@ -47,10 +48,6 @@ const SINGLE_CORE_SPEEDUP_FLOOR: f64 = 1.3;
 /// Maximum tolerated single-thread warm-lookup regression (lock-free may cost
 /// at most 5% more than the reference's read-locked probe).
 const MAX_WARM_LOOKUP_REGRESSION: f64 = 1.05;
-
-/// Buckets for storm-scale interners: sized so the bench's few-thousand-context
-/// population keeps chains shallow, as a storm-facing deployment would size it.
-const STORM_BUCKETS: usize = 1024;
 
 fn report_line(side: &str, rate: &Rate) {
     println!(
@@ -191,48 +188,8 @@ fn main() {
             ),
         );
 
-    // ------------------------------------------------- occupancy observability
-    let (shared_pairs, disjoint_pairs) = storm_contexts(shared, disjoint, max_thread_count);
-    let interner = ContextInterner::with_buckets(STORM_BUCKETS);
-    spawn_join(disjoint_pairs.len(), |t| {
-        for (principal, object) in shared_pairs.iter().chain(&disjoint_pairs[t]) {
-            interner.intern_principal(principal);
-            interner.intern_object(object);
-        }
-    });
-    println!(
-        "interner occupancy after one {max_thread_count}-thread storm: {} principals + {} \
-         objects interned, {} CAS retries, max bucket depth {}",
-        interner.principal_count(),
-        interner.object_count(),
-        interner.cas_retries(),
-        interner.max_bucket_depth()
-    );
-    // The spill policy bounds every primary chain's walk to the spill window;
-    // a deeper chain after a storm means the bound regressed.
-    json.check(
-        interner.max_bucket_depth() <= SPILL_WINDOW_SLOTS,
-        format_args!(
-            "max bucket depth {} within the {SPILL_WINDOW_SLOTS}-slot spill window (deeper \
-             means saturated buckets are chaining instead of spilling)",
-            interner.max_bucket_depth()
-        ),
-    );
-    json.record(
-        Kind::Info,
-        "occupancy_principals",
-        interner.principal_count(),
-    )
-    .record(Kind::Info, "occupancy_objects", interner.object_count())
-    .record(Kind::Info, "occupancy_cas_retries", interner.cas_retries())
-    .record(
-        Kind::Info,
-        "interner_max_bucket_depth",
-        interner.max_bucket_depth(),
-    )
-    .record(Kind::Info, "spill_window_slots", SPILL_WINDOW_SLOTS)
-    .record(Kind::Higher, "storm_speedup_at_max_threads", speedup_at_max)
-    .record(Kind::Higher, "storm_speedup_gate", required)
-    .record(Kind::Info, "hardware_threads", hardware_threads);
+    json.record(Kind::Higher, "storm_speedup_at_max_threads", speedup_at_max)
+        .record(Kind::Higher, "storm_speedup_gate", required)
+        .record(Kind::Info, "hardware_threads", hardware_threads);
     json.finish(&args);
 }

@@ -1,39 +1,31 @@
-//! Concurrent throughput and correctness of the shared, host-sharded cookie jar:
-//! N OS threads building `Cookie` headers against one [`SharedCookieJar`], plus the
-//! end-to-end shared-jar multi-session browser workload and the single-threaded
-//! oracle equivalence check.
+//! Concurrent throughput of the shared, host-sharded cookie jar: N OS threads
+//! building `Cookie` headers against one [`SharedCookieJar`].
 //!
 //! Run with `cargo bench --bench jar_concurrent` (optionally
-//! `-- --threads N --passes K`). This is a plain `harness = false` binary; it
-//! reports aggregate header builds/second at 1/2/4/8 threads and exits non-zero if
-//! the behavioural gate fails:
+//! `-- --threads N --passes K --json path`). This is a plain `harness = false`
+//! binary; it reports aggregate header builds/second at 1/2/4/8 threads and
+//! exits non-zero if the gate fails:
 //!
 //! * multi-thread aggregate header-build throughput must not collapse below 85% of
 //!   single-thread (no global-lock convoy: the host-sharded jar keeps sessions off
-//!   each other's locks),
-//! * the 8-thread shared-jar session run must be **byte-identical** to a
-//!   single-threaded `CookieJar` oracle replaying each session's operations, and
-//! * the full-browser shared-jar workload must attach every session's cookies with
-//!   zero cross-session (cross-host) leakage.
-
-use std::sync::Arc;
+//!   each other's locks).
+//!
+//! The jar's deterministic gates are tier-1 tests in
+//! `escudo_bench::concurrent`: `jar_oracle_run_is_byte_identical_single_threaded_and_concurrent`
+//! (8 sessions × 25 rounds byte-identical to the single-threaded `CookieJar`
+//! replay) and `shared_jar_sessions_stay_isolated_per_host` (full-browser
+//! sessions on one jar, zero cross-session leakage).
+//!
+//! [`SharedCookieJar`]: escudo_net::SharedCookieJar
 
 use escudo_bench::cli::{parse_flag, JsonReport, Kind};
-use escudo_bench::concurrent::{
-    measure_jar_throughput, run_jar_oracle_sessions, run_shared_jar_sessions,
-};
+use escudo_bench::concurrent::measure_jar_throughput;
 use escudo_bench::measure::{best_of, Rate};
-use escudo_core::EscudoEngine;
-use escudo_net::SharedCookieJar;
 
 /// Fraction of single-thread throughput the multi-thread aggregate must retain.
 /// A single-mutex jar loses far more than this to lock convoying once threads
 /// contend; scheduler noise on a shared runner loses far less.
 const NO_COLLAPSE_FRACTION: f64 = 0.85;
-
-/// Thread count of the oracle equivalence run (the acceptance gate is specified at
-/// 8 threads regardless of how many threads the throughput sweep covers).
-const ORACLE_THREADS: usize = 8;
 
 fn report_line(rate: &Rate) {
     println!(
@@ -95,45 +87,5 @@ fn main() {
         .collect();
     json.no_collapse_gate("header", &gate_samples, NO_COLLAPSE_FRACTION);
 
-    // --------------------------------------------------- single-threaded oracle gate
-    let oracle = run_jar_oracle_sessions(ORACLE_THREADS, 25);
-    println!(
-        "oracle equivalence: {} sessions, {} headers, {} mismatches vs the single-threaded \
-         CookieJar replay",
-        oracle.threads, oracle.headers, oracle.mismatches
-    );
-    json.record(Kind::Info, "oracle_headers", oracle.headers)
-        .zero("oracle_mismatches", oracle.mismatches);
-
-    // --------------------------------------------- end-to-end shared-jar sessions
-    let session_threads = max_threads.clamp(2, 4);
-    let engine = Arc::new(EscudoEngine::new());
-    let jar = Arc::new(SharedCookieJar::new());
-    let report = run_shared_jar_sessions(&engine, &jar, session_threads, 3);
-    let stats = &report.jar_stats;
-    println!(
-        "shared-jar sessions: {} sessions x {} rounds, {} page loads, {} checks \
-         ({} denials), jar {} stored / {} replaced / {} evicted over {} shards",
-        report.sessions.threads,
-        report.sessions.rounds,
-        report.sessions.page_loads(),
-        report.sessions.checks(),
-        report.sessions.denials(),
-        stats.stored,
-        stats.replaced,
-        stats.evicted,
-        stats.shards.len(),
-    );
-    json.check(
-        report.sessions_with_cookies == report.sessions.threads,
-        format_args!(
-            "{} of {} shared-jar sessions established their session cookie",
-            report.sessions_with_cookies, report.sessions.threads
-        ),
-    );
-    json.zero("session_isolation_violations", report.isolation_violations)
-        .record(Kind::Info, "jar_stored", stats.stored)
-        .record(Kind::Info, "jar_replaced", stats.replaced)
-        .record(Kind::Info, "jar_evicted", stats.evicted);
     json.finish(&args);
 }

@@ -1,11 +1,10 @@
 //! Concurrent decision throughput of the sharded engine: N OS threads hammering one
-//! shared [`EscudoEngine`] with the standard decision workload, plus the end-to-end
-//! multi-session (forum/blog/calendar) workload.
+//! shared [`EscudoEngine`] with the standard decision workload.
 //!
 //! Run with `cargo bench --bench policy_concurrent` (optionally
-//! `-- --threads N --passes K`). This is a plain `harness = false` binary; it reports
-//! aggregate decisions/second at 1/2/4/8 threads and exits non-zero if the
-//! behavioural gate fails:
+//! `-- --threads N --passes K --json path`). This is a plain `harness = false`
+//! binary; it reports aggregate decisions/second at 1/2/4/8 threads and exits
+//! non-zero if a gate fails:
 //!
 //! * steady-state cache hit rate must be ≥ 95% at every thread count (the shared
 //!   warm cache really is shared), and
@@ -13,14 +12,17 @@
 //!   throughput (no global-lock convoy: the sharded engine keeps threads off each
 //!   other's locks). A small tolerance absorbs scheduler noise on starved CI
 //!   runners; the strict comparison is printed either way.
-
-use std::sync::Arc;
+//!
+//! The end-to-end multi-session workload (forum, blog and calendar sessions on
+//! one engine, with consistent engine stats) is the tier-1 test
+//! `concurrent::tests::concurrent_sessions_share_one_engine_and_all_load`.
+//!
+//! [`EscudoEngine`]: escudo_core::EscudoEngine
 
 use escudo_bench::cli::{parse_flag, JsonReport, Kind};
-use escudo_bench::concurrent::{measure_concurrent_throughput, run_concurrent_sessions};
+use escudo_bench::concurrent::measure_concurrent_throughput;
 use escudo_bench::measure::{best_of, Rate};
 use escudo_bench::workload::decision_workload;
-use escudo_core::EscudoEngine;
 
 /// Fraction of single-thread throughput the multi-thread aggregate must retain.
 /// A global-mutex engine loses far more than this to lock convoying once threads
@@ -102,59 +104,5 @@ fn main() {
         .collect();
     json.no_collapse_gate("decision", &gate_samples, NO_COLLAPSE_FRACTION);
 
-    // --------------------------------------------- end-to-end multi-session workload
-    let session_threads = max_threads.clamp(2, 4);
-    let engine = Arc::new(EscudoEngine::new());
-    let report = run_concurrent_sessions(&engine, session_threads, 3);
-    let stats = &report.stats;
-    println!(
-        "multi-session workload: {} sessions × {} rounds, {} page loads, {} checks \
-         ({} denials), engine hit rate {:.1}% over {} shards ({} evictions)",
-        report.threads,
-        report.rounds,
-        report.page_loads(),
-        report.checks(),
-        report.denials(),
-        stats.hit_rate() * 100.0,
-        stats.shards.len(),
-        stats.evictions,
-    );
-    println!(
-        "interner occupancy: {} principals + {} objects, {} CAS retries, max bucket depth {}",
-        stats.interned_principals,
-        stats.interned_objects,
-        stats.interner_cas_retries,
-        stats.interner_max_bucket_depth,
-    );
-    json.check(
-        stats.decisions == stats.cache_hits + stats.cache_misses,
-        format_args!(
-            "engine stats after concurrent sessions: {} decisions = {} hits + {} misses",
-            stats.decisions, stats.cache_hits, stats.cache_misses
-        ),
-    );
-    json.check(
-        report.checks() != 0,
-        format_args!(
-            "the multi-session workload mediated {} checks (gate: non-zero)",
-            report.checks()
-        ),
-    );
-
-    json.record(Kind::Info, "session_page_loads", report.page_loads())
-        .record(Kind::Info, "session_checks", report.checks())
-        .record(Kind::Higher, "session_hit_rate", stats.hit_rate())
-        .record(Kind::Info, "interned_principals", stats.interned_principals)
-        .record(Kind::Info, "interned_objects", stats.interned_objects)
-        .record(
-            Kind::Info,
-            "interner_cas_retries",
-            stats.interner_cas_retries,
-        )
-        .record(
-            Kind::Info,
-            "interner_max_bucket_depth",
-            stats.interner_max_bucket_depth,
-        );
     json.finish(&args);
 }

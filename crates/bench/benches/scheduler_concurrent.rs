@@ -1,9 +1,9 @@
 //! Fetch scheduling under pressure: navigation latency next to busy sibling
-//! sessions, speculative-prefetch speedup, and the prefetch mediation oracle.
+//! sessions and the speculative-prefetch speedup.
 //!
 //! Run with `cargo bench --bench scheduler_concurrent` (optionally
 //! `-- --threads N --navigations V --passes P --json path`). This is a plain
-//! `harness = false` binary; it exits non-zero if a behavioural gate fails:
+//! `harness = false` binary; it exits non-zero if a timing gate fails:
 //!
 //! * **sibling-load gate** — p99 navigation latency while N sibling sessions
 //!   flood the same fabric with bulk image page loads must stay within **2×**
@@ -15,22 +15,17 @@
 //!   the reason printed,
 //! * **prefetch gate** — with a `rel=prefetch` hint and 200µs origin latency,
 //!   the hinted repeat navigation must be at least **1.3×** faster with
-//!   speculation enabled, and every pass must consume its prefetch-cache hit,
-//! * **oracle gate** — the same navigation sequence with prefetch on vs off
-//!   must produce **byte-identical** sequence-sorted request logs and
-//!   per-subresource attached cookie names: speculation may change when bytes
-//!   move, never what ESCUDO decides,
-//! * **isolation gate** — N prefetching sessions sharing one fabric + jar +
-//!   engine must show **zero** cross-session cookie leakage; the prefetch
-//!   cache's mediation-plan key (the exact cookie header) is what makes this
-//!   hold.
+//!   speculation enabled, and every pass must consume its prefetch-cache hit.
+//!
+//! The prefetch mediation oracle and prefetching-session isolation are
+//! tier-1 tests: `prefetch_on_and_off_are_oracle_equivalent` in
+//! `tests/pipelined_loader.rs` and
+//! `scheduler::tests::prefetching_sessions_stay_isolated_on_one_fabric`.
 
 use std::time::Duration;
 
 use escudo_bench::cli::{parse_flag, JsonReport, Kind};
-use escudo_bench::scheduler::{
-    run_navigation_storm, run_prefetch_oracle, run_prefetch_sessions, run_prefetch_speedup,
-};
+use escudo_bench::scheduler::{run_navigation_storm, run_prefetch_speedup};
 
 /// Maximum loaded-over-unloaded p99 navigation-latency ratio under the storm.
 const MAX_LOADED_P99_RATIO: f64 = 2.0;
@@ -127,59 +122,5 @@ fn main() {
         ),
     );
 
-    // ------------------------------------------------- mediation-oracle gate
-    // Speculation may change when bytes move, never a mediation outcome.
-    let (oracle, oracle_prefetch_hits) = run_prefetch_oracle(3);
-    println!(
-        "prefetch oracle: {} log entries, {} log mismatches, {} attachment mismatches, \
-         {oracle_prefetch_hits} hits consumed on the speculative side",
-        oracle.requests, oracle.log_mismatches, oracle.attachment_mismatches
-    );
-    json.record(Kind::Info, "oracle_requests", oracle.requests)
-        .zero("oracle_log_mismatches", oracle.log_mismatches)
-        .zero("oracle_attachment_mismatches", oracle.attachment_mismatches)
-        .record(Kind::Info, "oracle_prefetch_hits", oracle_prefetch_hits)
-        .check(
-            oracle.requests > 0,
-            format_args!(
-                "the prefetch oracle compared {} log entries (gate: non-zero, or two empty \
-                 logs pass as identical)",
-                oracle.requests
-            ),
-        );
-
-    // ------------------------------------------------- shared-fabric isolation gate
-    let isolation = run_prefetch_sessions(bulk_sessions.min(8), 3);
-    let leaks = &isolation.leaks;
-    let isolated_sessions = leaks.own_attachments.len();
-    println!(
-        "prefetching sessions on one fabric: {isolated_sessions} sessions, {} logged requests, \
-         {} sessions attached their own cookie, {} cross-session leaks, {} hits, {} stale \
-         plans discarded",
-        leaks.requests,
-        leaks.sessions_with_cookies(),
-        leaks.violations,
-        isolation.prefetch_hits,
-        isolation.stale_discards
-    );
-    json.record(Kind::Info, "isolation_sessions", isolated_sessions)
-        .zero("isolation_violations", leaks.violations)
-        .record(
-            Kind::Info,
-            "isolation_prefetch_hits",
-            isolation.prefetch_hits,
-        )
-        .record(
-            Kind::Info,
-            "isolation_stale_discards",
-            isolation.stale_discards,
-        )
-        .check(
-            leaks.sessions_with_cookies() == isolated_sessions,
-            format_args!(
-                "{} of {isolated_sessions} prefetching sessions attached their session cookie",
-                leaks.sessions_with_cookies()
-            ),
-        );
     json.finish(&args);
 }

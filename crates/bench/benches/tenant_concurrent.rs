@@ -1,8 +1,7 @@
-//! The multi-tenant control plane under pressure: noisy-neighbor isolation,
-//! deterministic admission control, and hot reload under storm.
+//! The multi-tenant control plane under pressure: noisy-neighbor isolation.
 //!
 //! Run with `cargo bench --bench tenant_concurrent` (optionally
-//! `-- --threads N --batches B --passes P --json path`). This is a plain
+//! `-- --threads N --batches B --json path`). This is a plain
 //! `harness = false` binary; it exits non-zero if a behavioural gate fails:
 //!
 //! * **isolation gate** — tenant B's p99 warm-grid mediation latency under
@@ -13,32 +12,22 @@
 //!   and the victim timeshare one core, so the p99 ratio measures the OS
 //!   scheduler, not tenant isolation — that one ratio gate degrades to
 //!   observability with the reason printed; the eviction and hit-rate gates
-//!   hold regardless,
-//! * **admission gate** — a token bucket with `burst` tokens and no refill
-//!   must admit exactly `burst` of the fired checks and shed every other one
-//!   fail-closed with the distinct `Throttled` attribution,
-//! * **refill gate** — under an injected [`ManualClock`] the bucket's refill
-//!   is exactly countable: each hand-advanced step mints
-//!   `floor(step × rate)` tokens, every one of which admits exactly one
-//!   check and the probe beyond it is shed,
-//! * **reload gate** — reader threads streaming `check_many` plans through one
-//!   tenant while the control plane swaps ESCUDO ↔ same-origin generations
-//!   must observe **zero** torn plans (every plan byte-identical to exactly
-//!   one generation's `policy::decide` oracle), **zero** dropped or throttled
-//!   decisions, and **zero** leaked retired generations (`Weak` witnesses).
+//!   hold regardless.
+//!
+//! Admission, refill and hot reload are exactly countable, so their gates
+//! are tier-1 tests in `escudo_bench::tenant`:
+//! `admission_burst_is_exactly_countable`,
+//! `admission_refill_is_exact_under_the_manual_clock` and
+//! `hot_reload_storm_observes_no_torn_plans_and_no_leaks`.
 //!
 //! The report also exports one [`ControlPlaneSnapshot`] of a deterministic
 //! two-tenant browsing scenario (`cp_*` keys, including the rolled-up
 //! `cp_health` verdict: 0 ok / 1 degraded / 2 failing) — the unified
 //! observability surface the control plane promises, flattened through its
 //! stable field layout.
-//!
-//! [`ManualClock`]: escudo_core::tenant::ManualClock
 
 use escudo_bench::cli::{parse_flag, JsonReport, Kind};
-use escudo_bench::tenant::{
-    run_admission_burst, run_admission_refill, run_hot_reload_storm, run_noisy_neighbor,
-};
+use escudo_bench::tenant::run_noisy_neighbor;
 use escudo_browser::{Browser, ControlPlaneSnapshot};
 use escudo_core::tenant::{TenantConfig, TenantRegistry};
 use escudo_net::{Request, Response, Server};
@@ -106,10 +95,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let storm_threads = parse_flag(&args, "--threads", 8).max(1);
     let batches = parse_flag(&args, "--batches", 60).max(10);
-    let passes = parse_flag(&args, "--passes", 200).max(20);
     println!(
-        "tenant_concurrent: {storm_threads} storm threads, {batches} victim batches per repeat, \
-         {passes} reload passes per reader"
+        "tenant_concurrent: {storm_threads} storm threads, {batches} victim batches per repeat"
     );
 
     let mut json = JsonReport::new("tenant_concurrent");
@@ -117,7 +104,6 @@ fn main() {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     json.record(Kind::Info, "storm_threads", storm_threads)
         .record(Kind::Info, "victim_batches", batches)
-        .record(Kind::Info, "reload_passes", passes)
         .record(Kind::Info, "hardware_threads", hardware_threads);
 
     // --------------------------------------------------------- isolation gate
@@ -176,98 +162,6 @@ fn main() {
             ),
         );
     }
-
-    // --------------------------------------------------------- admission gate
-    let admission = run_admission_burst(64, 160);
-    println!(
-        "admission: burst {} / fired {} -> {} admitted, {} rejected, {} throttled denials",
-        admission.burst,
-        admission.fired,
-        admission.admitted,
-        admission.rejected,
-        admission.throttled_denials
-    );
-    json.record(Kind::Info, "admission_burst", admission.burst)
-        .record(Kind::Info, "admission_fired", admission.fired)
-        .record(Kind::Info, "admission_admitted", admission.admitted)
-        .record(Kind::Info, "admission_rejected", admission.rejected)
-        .record(
-            Kind::Info,
-            "admission_throttled",
-            admission.throttled_denials,
-        );
-    let expected_shed = admission.fired - admission.burst;
-    json.check(
-        admission.admitted == admission.burst
-            && admission.rejected == expected_shed
-            && admission.throttled_denials == expected_shed,
-        format_args!(
-            "token bucket exactly countable: want {} admitted / {expected_shed} shed, got {} / \
-             {} with {} throttled denials",
-            admission.burst, admission.admitted, admission.rejected, admission.throttled_denials
-        ),
-    );
-
-    // ----------------------------------------------------------- refill gate
-    // 125 ms steps at 8 tokens/sec mint exactly one token per step (0.125 is
-    // binary-exact), so the refilled bucket is as countable as the burst one.
-    let refill = run_admission_refill(4, 8, 6, 125_000_000);
-    let minted_per_step =
-        (refill.step_ns as f64 / 1e9 * refill.refill_per_sec as f64).floor() as u64;
-    let expected_admitted = refill.burst + refill.steps * minted_per_step;
-    let expected_rejected = 1 + refill.steps;
-    println!(
-        "refill: burst {} + {} steps x {} minted -> {} admitted, {} rejected, {} throttled denials",
-        refill.burst,
-        refill.steps,
-        minted_per_step,
-        refill.admitted,
-        refill.rejected,
-        refill.throttled_denials
-    );
-    json.record(Kind::Info, "refill_burst", refill.burst)
-        .record(Kind::Info, "refill_steps", refill.steps)
-        .record(Kind::Info, "refill_minted_per_step", minted_per_step)
-        .record(Kind::Info, "refill_admitted", refill.admitted)
-        .record(Kind::Info, "refill_rejected", refill.rejected)
-        .record(Kind::Info, "refill_throttled", refill.throttled_denials);
-    json.check(
-        refill.admitted == expected_admitted
-            && refill.rejected == expected_rejected
-            && refill.throttled_denials == expected_rejected,
-        format_args!(
-            "refill exactly countable under the manual clock: want {expected_admitted} \
-             admitted / {expected_rejected} shed, got {} / {} with {} throttled denials",
-            refill.admitted, refill.rejected, refill.throttled_denials
-        ),
-    );
-
-    // ------------------------------------------------------------ reload gate
-    let reload = run_hot_reload_storm(storm_threads, passes, 9);
-    println!(
-        "hot reload: {} readers x {} passes across {} swaps -> {} decisions, {} torn plans, \
-         {} dropped, {} generations observed, {} retired generations alive",
-        reload.threads,
-        reload.passes,
-        reload.swaps,
-        reload.decisions,
-        reload.torn_plans,
-        reload.dropped_decisions,
-        reload.generations_seen,
-        reload.retired_generations_alive
-    );
-    // A torn plan matched neither generation's oracle; a dropped one lost or
-    // throttled decisions across the swap; a retired generation still alive
-    // after every reader dropped is a leak in the engine handle.
-    json.record(Kind::Info, "reload_decisions", reload.decisions)
-        .zero("reload_torn_plan_violations", reload.torn_plans)
-        .zero("reload_dropped_decisions", reload.dropped_decisions)
-        .record(
-            Kind::Info,
-            "reload_generations_seen",
-            reload.generations_seen,
-        )
-        .zero("reload_retired_leaks", reload.retired_generations_alive);
 
     // ------------------------------------------------------- snapshot export
     export_snapshot(&mut json);

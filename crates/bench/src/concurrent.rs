@@ -1,208 +1,25 @@
-//! The concurrent multi-session workload: N OS threads against one shared engine.
+//! The concurrent decision and cookie-jar workloads behind the
+//! `policy_concurrent` and `jar_concurrent` timing gates:
 //!
-//! The ROADMAP's north star is a deployment serving many users at once, which means
-//! one [`EscudoEngine`] (one interning table, one warm decision cache) backing many
-//! *independent* browsing sessions concurrently. This module provides the two drivers
-//! the `policy_concurrent` bench and the CI gate are built on:
+//! * [`measure_concurrent_throughput`] — T threads hammer one shared, warm
+//!   [`EscudoEngine`] with the standard decision workload inside one
+//!   [`timed_threads`] window, and report the window's cache hit rate taken
+//!   through the same concurrent `stats()` path the production monitor uses,
+//! * [`measure_jar_throughput`] — T threads build `Cookie` headers against one
+//!   pre-populated [`SharedCookieJar`] inside one [`timed_threads`] window.
 //!
-//! * [`run_concurrent_sessions`] — the end-to-end workload: every thread owns a full
-//!   browser stack (network, DOM, script interpreter) and drives a real
-//!   forum/blog/calendar session — login, page loads, policy-mediated cookie
-//!   attachment, script execution — while *sharing* the policy engine with every
-//!   other thread,
-//! * [`measure_concurrent_throughput`] — the decision-path microbenchmark: T threads
-//!   hammer the shared warm engine with the standard decision workload inside one
-//!   [`timed_threads`] window.
-//!
-//! Both return engine statistics taken through the same concurrent `stats()` path the
-//! production monitor would use, so the reported hit rates are the self-consistent
-//! snapshots the sharded engine guarantees.
-//!
-//! The **shared cookie jar** ([`SharedCookieJar`]) gets the same treatment for the
-//! `jar_concurrent` bench and its CI gate:
-//!
-//! * [`run_shared_jar_sessions`] — N full browser sessions (disjoint hosts, one
-//!   forum instance each) concurrently storing into and attaching from one shared
-//!   jar, with cross-session isolation counted afterwards,
-//! * [`run_jar_oracle_sessions`] — a deterministic store/header script per session,
-//!   every concurrent result compared byte-for-byte against a single-threaded
-//!   [`CookieJar`] replay ([`replay_on_shared_jar`] and [`replay_on_oracle_jar`],
-//!   which `tests/jar_concurrency.rs` drives too),
-//! * [`measure_jar_throughput`] — T threads building `Cookie` headers against one
-//!   pre-populated shared jar inside one [`timed_threads`] window.
+//! [`replay_on_shared_jar`] and [`replay_on_oracle_jar`] replay one
+//! deterministic store/header script against the shared jar and against a
+//! single-threaded [`CookieJar`]; `tests/jar_concurrency.rs` and the tier-1
+//! tests below compare the two byte for byte. The tests below also run the
+//! end-to-end workloads: forum, blog and calendar sessions sharing one engine,
+//! and forum sessions sharing one jar.
 
-use std::sync::Arc;
+use escudo_core::{EscudoEngine, PolicyEngine};
+use escudo_net::{CookieJar, SetCookie, SharedCookieJar, Url};
 
-use escudo_apps::{BlogApp, CalendarApp, CalendarConfig, ForumApp, ForumConfig};
-use escudo_browser::Browser;
-use escudo_core::{EngineStats, EscudoEngine, PolicyEngine};
-use escudo_net::{CookieJar, JarStats, SetCookie, SharedCookieJar, Url};
-
-use crate::measure::{spawn_join, timed_threads, Rate};
-use crate::oracle::mismatches;
+use crate::measure::{timed_threads, Rate};
 use crate::workload::DecisionCheck;
-
-/// What one session thread did to the shared engine.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SessionTally {
-    /// Pages successfully loaded (parse + label extraction + scripts + render).
-    pub page_loads: u64,
-    /// Reference-monitor checks the thread's browser performed.
-    pub checks: u64,
-    /// Denials among those checks.
-    pub denials: u64,
-}
-
-/// The aggregate outcome of a concurrent multi-session run.
-#[derive(Debug, Clone)]
-pub struct SessionWorkloadReport {
-    /// Number of OS threads (= concurrent sessions).
-    pub threads: usize,
-    /// Rounds of page loads each session performed after login.
-    pub rounds: usize,
-    /// Per-thread tallies, in thread order.
-    pub tallies: Vec<SessionTally>,
-    /// Engine statistics after all sessions finished.
-    pub stats: EngineStats,
-}
-
-impl SessionWorkloadReport {
-    /// Total pages loaded across all sessions.
-    #[must_use]
-    pub fn page_loads(&self) -> u64 {
-        self.tallies.iter().map(|t| t.page_loads).sum()
-    }
-
-    /// Total reference-monitor checks across all sessions.
-    #[must_use]
-    pub fn checks(&self) -> u64 {
-        self.tallies.iter().map(|t| t.checks).sum()
-    }
-
-    /// Total denials across all sessions.
-    #[must_use]
-    pub fn denials(&self) -> u64 {
-        self.tallies.iter().map(|t| t.denials).sum()
-    }
-}
-
-impl SessionTally {
-    fn of(browser: &Browser, page_loads: u64) -> Self {
-        SessionTally {
-            page_loads,
-            checks: browser.erm().checks(),
-            denials: browser.erm().denials(),
-        }
-    }
-}
-
-/// Drives one forum session at `host`: login as `user`, then `rounds` × (topic
-/// view + index).
-fn drive_forum(mut browser: Browser, host: &str, user: &str, rounds: usize) -> SessionTally {
-    let forum = ForumApp::new(ForumConfig::default());
-    let state = forum.state();
-    browser.fabric().register(&format!("http://{host}"), forum);
-    browser
-        .navigate(&format!("http://{host}/login.php?user={user}"))
-        .expect("forum login");
-    state
-        .lock()
-        .expect("app state lock")
-        .topics
-        .push(escudo_apps::forum::Topic {
-            id: 1,
-            title: format!("{user}'s topic"),
-            author: user.to_string(),
-            body: "workload seed post".to_string(),
-        });
-    for _ in 0..rounds {
-        browser
-            .navigate(&format!("http://{host}/viewtopic.php?t=1"))
-            .expect("topic view");
-        browser
-            .navigate(&format!("http://{host}/index.php"))
-            .expect("forum index");
-    }
-    SessionTally::of(&browser, 1 + 2 * rounds as u64)
-}
-
-/// Drives one blog session: `rounds + 1` front-page loads (comments, ad slot,
-/// inline scripts — the Figure 3 page).
-fn drive_blog(mut browser: Browser, rounds: usize) -> SessionTally {
-    browser
-        .fabric()
-        .register("http://blog.example", BlogApp::new());
-    for _ in 0..=rounds {
-        browser
-            .navigate("http://blog.example/")
-            .expect("blog front page");
-    }
-    SessionTally::of(&browser, rounds as u64 + 1)
-}
-
-/// Drives one calendar session: login, then `rounds` month views.
-fn drive_calendar(mut browser: Browser, user: &str, rounds: usize) -> SessionTally {
-    let calendar = CalendarApp::new(CalendarConfig::default());
-    let state = calendar.state();
-    browser
-        .fabric()
-        .register("http://calendar.example", calendar);
-    browser
-        .navigate(&format!("http://calendar.example/login.php?user={user}"))
-        .expect("calendar login");
-    state
-        .lock()
-        .expect("app state lock")
-        .events
-        .push(escudo_apps::calendar::Event {
-            id: 1,
-            day: 12,
-            title: format!("{user}'s standup"),
-            description: "concurrent workload seed event".to_string(),
-            author: user.to_string(),
-        });
-    for _ in 0..rounds {
-        browser
-            .navigate("http://calendar.example/index.php")
-            .expect("calendar month view");
-    }
-    SessionTally::of(&browser, 1 + rounds as u64)
-}
-
-/// Runs `threads` independent application sessions concurrently against one shared
-/// engine, `rounds` page-load rounds each.
-///
-/// Thread `t` drives the forum, the blog or the calendar (rotating by `t % 3`) with
-/// its own user name, its own in-memory server and its own browser — only the policy
-/// engine (and therefore the interning table and decision cache) is shared, exactly
-/// as in a multi-tenant enforcement deployment.
-///
-/// # Panics
-///
-/// Panics if any session thread fails a page load — the workload is deterministic, so
-/// a failure is a real regression, not noise.
-#[must_use]
-pub fn run_concurrent_sessions(
-    engine: &Arc<EscudoEngine>,
-    threads: usize,
-    rounds: usize,
-) -> SessionWorkloadReport {
-    let tallies = spawn_join(threads, |t| {
-        let browser = Browser::with_engine(Arc::clone(engine) as _);
-        let user = format!("user{t}");
-        match t % 3 {
-            0 => drive_forum(browser, "forum.example", &user, rounds),
-            1 => drive_blog(browser, rounds),
-            _ => drive_calendar(browser, &user, rounds),
-        }
-    });
-    SessionWorkloadReport {
-        threads,
-        rounds,
-        tallies,
-        stats: engine.stats(),
-    }
-}
 
 /// Measures steady-state aggregate decision throughput: a fresh engine is warmed with
 /// one full pass over `workload`, then `threads` OS threads each re-run the workload
@@ -247,82 +64,6 @@ pub fn measure_concurrent_throughput(
 }
 
 // --------------------------------------------------------------- shared cookie jar
-
-/// The outcome of the shared-jar multi-session workload.
-#[derive(Debug, Clone)]
-pub struct JarWorkloadReport {
-    /// The sessions (one OS thread each, each against its own host).
-    pub sessions: SessionWorkloadReport,
-    /// Shared-jar statistics after all sessions finished.
-    pub jar_stats: JarStats,
-    /// Sessions whose own session cookie was present in the shared jar at the end.
-    pub sessions_with_cookies: usize,
-    /// Cookies that leaked across session hosts: candidates for session `t`'s host
-    /// whose stored host is a *different* session's host. Must be 0.
-    pub isolation_violations: usize,
-}
-
-/// The host session `t` of the shared-jar workload drives.
-#[must_use]
-pub fn jar_session_host(t: usize) -> String {
-    format!("forum{t}.example")
-}
-
-/// Runs `threads` full browser sessions concurrently, all storing into **one**
-/// shared cookie jar (and deciding through one shared engine). Session `t` drives
-/// its own forum instance at [`jar_session_host`]`(t)` — login plus `rounds` ×
-/// (topic view + index) — so the jar sees concurrent stores and policy-mediated
-/// attachments from every thread while each session's cookies stay scoped to its
-/// own host.
-///
-/// # Panics
-///
-/// Panics if any session thread fails a page load — the workload is deterministic,
-/// so a failure is a real regression, not noise.
-#[must_use]
-pub fn run_shared_jar_sessions(
-    engine: &Arc<EscudoEngine>,
-    jar: &Arc<SharedCookieJar>,
-    threads: usize,
-    rounds: usize,
-) -> JarWorkloadReport {
-    let tallies = spawn_join(threads, |t| {
-        let browser = Browser::with_jar(Arc::clone(engine) as _, Arc::clone(jar));
-        drive_forum(browser, &jar_session_host(t), &format!("user{t}"), rounds)
-    });
-
-    // Cross-session isolation: every candidate for session t's host must have been
-    // stored under exactly that host (forum cookies are host-only).
-    let mut sessions_with_cookies = 0;
-    let mut isolation_violations = 0;
-    for t in 0..threads {
-        let host = jar_session_host(t);
-        let url = Url::parse(&format!("http://{host}/index.php")).expect("session url");
-        let candidates = jar.candidates_for(&url);
-        if candidates
-            .iter()
-            .any(|c| c.name == escudo_apps::forum::SID_COOKIE)
-        {
-            sessions_with_cookies += 1;
-        }
-        isolation_violations += candidates
-            .iter()
-            .filter(|c| !c.host.eq_ignore_ascii_case(&host))
-            .count();
-    }
-
-    JarWorkloadReport {
-        sessions: SessionWorkloadReport {
-            threads,
-            rounds,
-            tallies,
-            stats: engine.stats(),
-        },
-        jar_stats: jar.stats(),
-        sessions_with_cookies,
-        isolation_violations,
-    }
-}
 
 /// Replays the deterministic per-session oracle script for `host` through
 /// `store` and `header`, returning every header built, in script order. Each
@@ -396,42 +137,6 @@ pub fn replay_on_oracle_jar(host: &str, rounds: usize) -> Vec<Option<String>> {
     )
 }
 
-/// The outcome of the shared-jar oracle run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JarOracleReport {
-    /// Number of OS threads (= concurrent sessions, disjoint hosts).
-    pub threads: usize,
-    /// `Cookie` headers built across all threads.
-    pub headers: u64,
-    /// Headers that differed from the single-threaded [`CookieJar`] oracle replay.
-    pub mismatches: u64,
-}
-
-/// Runs the deterministic jar script on `threads` concurrent sessions over **one**
-/// shared jar (disjoint hosts, so each session's answers are deterministic), then
-/// replays every session's script on a fresh single-threaded [`CookieJar`] and
-/// counts headers that are not byte-identical.
-///
-/// # Panics
-///
-/// Panics if a session thread panics.
-#[must_use]
-pub fn run_jar_oracle_sessions(threads: usize, rounds: usize) -> JarOracleReport {
-    let jar = SharedCookieJar::new();
-    let host = |t: usize| format!("oracle{t}.example");
-    let observed = spawn_join(threads, |t| replay_on_shared_jar(&jar, &host(t), rounds));
-    let mut report = JarOracleReport {
-        threads,
-        ..JarOracleReport::default()
-    };
-    for (t, observed_headers) in observed.iter().enumerate() {
-        let expected = replay_on_oracle_jar(&host(t), rounds);
-        report.headers += observed_headers.len() as u64;
-        report.mismatches += mismatches(observed_headers, &expected) as u64;
-    }
-    report
-}
-
 /// Measures steady-state header-build throughput: a jar is pre-populated with
 /// `hosts` × `cookies_per_host` cookies under mixed path scopes, then `threads` OS
 /// threads each build the `Cookie` header for every host's request URLs
@@ -477,29 +182,127 @@ pub fn measure_jar_throughput(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use escudo_apps::{BlogApp, CalendarApp, CalendarConfig, ForumApp, ForumConfig};
+    use escudo_browser::Browser;
+
     use super::*;
-    use crate::measure::best_of;
+    use crate::measure::{best_of, spawn_join};
+    use crate::oracle::mismatches;
     use crate::workload::decision_workload;
+
+    /// Page loads and reference-monitor checks of one session.
+    #[derive(Debug)]
+    struct Tally {
+        page_loads: u64,
+        checks: u64,
+    }
+
+    fn tally(browser: &Browser, page_loads: u64) -> Tally {
+        Tally {
+            page_loads,
+            checks: browser.erm().checks(),
+        }
+    }
+
+    /// Drives one forum session at `host`: login as `user`, then `rounds` ×
+    /// (topic view + index).
+    fn drive_forum(mut browser: Browser, host: &str, user: &str, rounds: usize) -> Tally {
+        let forum = ForumApp::new(ForumConfig::default());
+        let state = forum.state();
+        browser.fabric().register(&format!("http://{host}"), forum);
+        browser
+            .navigate(&format!("http://{host}/login.php?user={user}"))
+            .expect("forum login");
+        state
+            .lock()
+            .expect("app state lock")
+            .topics
+            .push(escudo_apps::forum::Topic {
+                id: 1,
+                title: format!("{user}'s topic"),
+                author: user.to_string(),
+                body: "workload seed post".to_string(),
+            });
+        for _ in 0..rounds {
+            browser
+                .navigate(&format!("http://{host}/viewtopic.php?t=1"))
+                .expect("topic view");
+            browser
+                .navigate(&format!("http://{host}/index.php"))
+                .expect("forum index");
+        }
+        tally(&browser, 1 + 2 * rounds as u64)
+    }
+
+    /// Drives one blog session: `rounds + 1` front-page loads (comments, ad
+    /// slot, inline scripts — the Figure 3 page).
+    fn drive_blog(mut browser: Browser, rounds: usize) -> Tally {
+        browser
+            .fabric()
+            .register("http://blog.example", BlogApp::new());
+        for _ in 0..=rounds {
+            browser
+                .navigate("http://blog.example/")
+                .expect("blog front page");
+        }
+        tally(&browser, rounds as u64 + 1)
+    }
+
+    /// Drives one calendar session: login, then `rounds` month views.
+    fn drive_calendar(mut browser: Browser, user: &str, rounds: usize) -> Tally {
+        let calendar = CalendarApp::new(CalendarConfig::default());
+        let state = calendar.state();
+        browser
+            .fabric()
+            .register("http://calendar.example", calendar);
+        browser
+            .navigate(&format!("http://calendar.example/login.php?user={user}"))
+            .expect("calendar login");
+        state
+            .lock()
+            .expect("app state lock")
+            .events
+            .push(escudo_apps::calendar::Event {
+                id: 1,
+                day: 12,
+                title: format!("{user}'s standup"),
+                description: "concurrent workload seed event".to_string(),
+                author: user.to_string(),
+            });
+        for _ in 0..rounds {
+            browser
+                .navigate("http://calendar.example/index.php")
+                .expect("calendar month view");
+        }
+        tally(&browser, 1 + rounds as u64)
+    }
 
     #[test]
     fn concurrent_sessions_share_one_engine_and_all_load() {
+        // Forum, blog and calendar sessions, each with its own user, server
+        // and browser, sharing only the policy engine.
         let engine = Arc::new(EscudoEngine::new());
-        let report = run_concurrent_sessions(&engine, 3, 2);
-        assert_eq!(report.threads, 3);
-        assert_eq!(report.tallies.len(), 3);
-        // Every session (forum, blog, calendar) loaded its pages.
-        for tally in &report.tallies {
-            assert!(tally.page_loads >= 3, "tally: {tally:?}");
+        let tallies = spawn_join(3, |t| {
+            let browser = Browser::with_engine(Arc::clone(&engine) as _);
+            let user = format!("user{t}");
+            match t {
+                0 => drive_forum(browser, "forum.example", &user, 3),
+                1 => drive_blog(browser, 3),
+                _ => drive_calendar(browser, &user, 3),
+            }
+        });
+        for tally in &tallies {
+            assert!(tally.page_loads >= 4, "tally: {tally:?}");
             assert!(tally.checks > 0, "tally: {tally:?}");
         }
         // The shared engine saw every session's checks and its stats are consistent.
-        assert!(report.stats.decisions > 0);
-        assert_eq!(
-            report.stats.decisions,
-            report.stats.cache_hits + report.stats.cache_misses
-        );
+        let stats = engine.stats();
+        assert!(stats.decisions > 0);
+        assert_eq!(stats.decisions, stats.cache_hits + stats.cache_misses);
         // Repeated page loads within and across sessions hit the shared cache.
-        assert!(report.stats.cache_hits > 0, "stats: {:?}", report.stats);
+        assert!(stats.cache_hits > 0, "stats: {stats:?}");
     }
 
     #[test]
@@ -534,38 +337,60 @@ mod tests {
 
     #[test]
     fn shared_jar_sessions_stay_isolated_per_host() {
+        // Forum sessions on disjoint hosts storing into and attaching from
+        // one shared jar: every session's host-only login cookie must reach
+        // the jar under its own host and no other.
         let engine = Arc::new(EscudoEngine::new());
         let jar = Arc::new(SharedCookieJar::new());
-        let report = run_shared_jar_sessions(&engine, &jar, 3, 2);
-        assert_eq!(report.sessions.threads, 3);
-        assert_eq!(report.sessions.tallies.len(), 3);
-        for tally in &report.sessions.tallies {
-            assert!(tally.page_loads >= 5, "tally: {tally:?}");
+        let host = |t: usize| format!("forum{t}.example");
+        let tallies = spawn_join(3, |t| {
+            let browser = Browser::with_jar(Arc::clone(&engine) as _, Arc::clone(&jar));
+            drive_forum(browser, &host(t), &format!("user{t}"), 3)
+        });
+        for tally in &tallies {
+            assert_eq!(tally.page_loads, 7, "tally: {tally:?}");
             assert!(tally.checks > 0, "tally: {tally:?}");
         }
-        // Every session's login cookie reached the shared jar; none leaked across
-        // session hosts.
-        assert_eq!(report.sessions_with_cookies, 3);
-        assert_eq!(report.isolation_violations, 0);
-        assert!(
-            report.jar_stats.stored >= 3,
-            "stats: {:?}",
-            report.jar_stats
-        );
-        assert_eq!(report.jar_stats.evicted, 0);
+        for t in 0..3 {
+            let url = Url::parse(&format!("http://{}/index.php", host(t))).unwrap();
+            let candidates = jar.candidates_for(&url);
+            assert!(
+                candidates
+                    .iter()
+                    .any(|c| c.name == escudo_apps::forum::SID_COOKIE),
+                "session {t} lost its session cookie"
+            );
+            assert!(
+                candidates
+                    .iter()
+                    .all(|c| c.host.eq_ignore_ascii_case(&host(t))),
+                "a cookie leaked onto {}",
+                host(t)
+            );
+        }
+        let stats = jar.stats();
+        assert!(stats.stored >= 3, "stats: {stats:?}");
+        assert_eq!(stats.evicted, 0);
     }
 
     #[test]
     fn jar_oracle_run_is_byte_identical_single_threaded_and_concurrent() {
-        // Single session: trivially deterministic, must match the oracle.
-        let report = run_jar_oracle_sessions(1, 2);
-        assert_eq!(report.headers, 8);
-        assert_eq!(report.mismatches, 0);
-        // Concurrent sessions over disjoint hosts share the jar's shards but not
-        // any host entry — still byte-identical to the per-session replay.
-        let report = run_jar_oracle_sessions(4, 2);
-        assert_eq!(report.headers, 32);
-        assert_eq!(report.mismatches, 0);
+        // 8 concurrent sessions over disjoint hosts share the jar's shards
+        // but no host entry, so each must build exactly the headers of its
+        // single-threaded `CookieJar` replay.
+        const SESSIONS: usize = 8;
+        const ROUNDS: usize = 25;
+        let jar = SharedCookieJar::new();
+        let host = |t: usize| format!("oracle{t}.example");
+        let observed = spawn_join(SESSIONS, |t| replay_on_shared_jar(&jar, &host(t), ROUNDS));
+        for (t, headers) in observed.iter().enumerate() {
+            assert_eq!(headers.len(), 4 * ROUNDS);
+            assert_eq!(
+                mismatches(headers, &replay_on_oracle_jar(&host(t), ROUNDS)),
+                0,
+                "session {t} diverged from the single-threaded oracle"
+            );
+        }
     }
 
     #[test]

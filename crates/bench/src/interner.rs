@@ -28,6 +28,10 @@ use escudo_core::{
 
 use crate::measure::{timed_threads, Rate};
 
+/// Buckets for storm-scale interners: sized so the bench's few-thousand-context
+/// population keeps chains shallow, as a storm-facing deployment would size it.
+pub const STORM_BUCKETS: usize = 1024;
+
 /// One storm participant: anything that can resolve contexts to dense ids
 /// through `&self`. Implemented by the lock-free interner and the retained
 /// `RwLock` reference so the measurement loop is identical for both sides.
@@ -331,5 +335,27 @@ mod tests {
         assert!(ns > 0.0);
         let ns_ref = measure_warm_lookup(RwLockContextTable::new, &shared, 3, 2);
         assert!(ns_ref > 0.0);
+    }
+
+    #[test]
+    fn an_eight_thread_storm_stays_within_the_spill_window() {
+        // The bench's default storm: 8 threads, 192 shared and 96 disjoint
+        // pairs each, on a storm-sized interner. The spill policy bounds every
+        // primary chain's walk to the spill window; a deeper chain means
+        // saturated buckets are chaining instead of spilling.
+        let (shared, disjoint) = storm_contexts(192, 96, 8);
+        let interner = ContextInterner::with_buckets(STORM_BUCKETS);
+        crate::measure::spawn_join(disjoint.len(), |t| {
+            for (principal, object) in shared.iter().chain(&disjoint[t]) {
+                interner.intern_principal(principal);
+                interner.intern_object(object);
+            }
+        });
+        assert_eq!(interner.principal_count(), 192 + 8 * 96);
+        assert!(
+            interner.max_bucket_depth() <= escudo_core::SPILL_WINDOW_SLOTS,
+            "max bucket depth {}",
+            interner.max_bucket_depth()
+        );
     }
 }

@@ -16,32 +16,23 @@
 //!   (one barrier-released window from the earliest start to the latest
 //!   finish), the [`Rate`] sample, [`best_of`]
 //!   and the nearest-rank [`p99_ns`](measure::p99_ns),
-//! * [`oracle`] — the mediation oracles every bench and integration test
-//!   shares: one session [`Transcript`](oracle::Transcript) whose diff counts
-//!   log, attachment, order and mediation mismatches, one leak scan over a
-//!   shared log, and one scenario-matrix run under a session hook,
-//! * [`concurrent`] — the multi-session workload: N OS threads driving independent
-//!   forum/blog/calendar sessions against one shared sharded engine, plus the
-//!   concurrent decision-throughput measurement behind `policy_concurrent`,
-//! * [`loader`] — the pipelined-subresource-loader workload over a shared network
-//!   fabric with simulated per-origin latency: pipelined-vs-sequential page-load
-//!   timing, the pipelined-vs-sequential transcript oracle and the shared-fabric
-//!   isolation run behind `loader_concurrent`,
+//! * [`oracle`] — the mediation oracles the tier-1 tests share: one session
+//!   [`Transcript`](oracle::Transcript) whose diff counts log, attachment,
+//!   order and mediation mismatches, one leak scan over a shared log, and one
+//!   scenario-matrix run under a session hook,
+//! * [`concurrent`] — the concurrent decision-throughput and cookie-jar
+//!   header-build measurements behind `policy_concurrent` and
+//!   `jar_concurrent`, plus the jar oracle script,
+//! * [`loader`] — the pipelined-subresource-loader world over a shared network
+//!   fabric with simulated per-origin latency, and the pipelined-vs-sequential
+//!   page-load timing behind `loader_concurrent`,
 //! * [`scheduler`] — the fetch-scheduling workload behind
-//!   `scheduler_concurrent`: navigation p99 latency next to busy siblings,
-//!   the speculative-prefetch speedup, the prefetch-on-vs-off mediation oracle
-//!   and the prefetching-session isolation run,
-//! * [`cache`] — the mediation-keyed response-cache workloads behind
-//!   `cache_concurrent`: repeat-navigation speedup, the cache-on-vs-off
-//!   scenario-matrix oracle, cookie-header key isolation, the exactly-countable
-//!   manual-clock TTL walk and batch-level single-flight coalescing,
-//! * [`fault`] — the chaos workloads behind `fault_concurrent`: the scenario
-//!   matrix replayed under injected fault schedules (verdicts and mediation
-//!   counts must not move), the retry mediation oracle, and the
-//!   exactly-countable breaker drill on a manual clock,
-//! * [`tenant`] — the control-plane workloads behind `tenant_concurrent`:
-//!   noisy-neighbor isolation across per-tenant engines, deterministic
-//!   token-bucket admission, and the hot-reload-under-storm oracle run,
+//!   `scheduler_concurrent`: navigation p99 latency next to busy siblings and
+//!   the speculative-prefetch speedup, plus the prefetch-on-vs-off oracle run,
+//! * [`cache`] — the cacheable site and the repeat-navigation speedup behind
+//!   `cache_concurrent`,
+//! * [`tenant`] — noisy-neighbor isolation across per-tenant engines, behind
+//!   `tenant_concurrent`,
 //! * [`trajectory`] — the perf-trajectory comparator that diffs a fresh merged
 //!   bench report against the committed `BENCH_<PR>.json` snapshot (the
 //!   `trajectory` binary CI gates each PR with),
@@ -50,7 +41,10 @@
 //!
 //! The `harness = false` bench binaries in `benches/` use the same workload and
 //! measurement code, so `cargo bench` and `cargo run --bin experiments` agree on
-//! what is being measured.
+//! what is being measured. The benches run only timed measurements and the
+//! checks computed from them; every deterministic gate (oracles, matrices,
+//! manual-clock drills, isolation runs) is a tier-1 test that `cargo test`
+//! runs, in this crate's module tests or in the workspace's `tests/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +53,6 @@ pub mod cache;
 pub mod cli;
 pub mod concurrent;
 pub mod experiments;
-pub mod fault;
 pub mod interner;
 pub mod loader;
 pub mod measure;
@@ -69,9 +62,7 @@ pub mod tenant;
 pub mod trajectory;
 pub mod workload;
 
-pub use concurrent::{
-    measure_concurrent_throughput, run_concurrent_sessions, SessionWorkloadReport,
-};
+pub use concurrent::measure_concurrent_throughput;
 pub use experiments::{CompatReport, EventReport, Figure4Report, Figure4Row};
 pub use measure::{best_of, load_once, measure_decision_paths, DecisionReport, LoadSample, Rate};
 pub use workload::{decision_workload, figure4_scenarios, generate_page, DecisionCheck, Scenario};

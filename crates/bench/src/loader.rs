@@ -1,30 +1,26 @@
 //! The pipelined-subresource-loader workload: page loads whose `img` fetches fan
 //! out over a shared [`SharedNetwork`] fabric with per-origin simulated latency.
 //!
-//! This module backs the `loader_concurrent` bench and its CI gate:
+//! [`measure_page_loads`] backs the `loader_concurrent` timing gates: timed
+//! page loads at a given in-flight bound. A bound of 1 is the *sequential
+//! oracle*: the exact same plan-then-fetch code path, each request sent after
+//! the previous one completed, in document order.
 //!
-//! * [`measure_page_loads`] — timed page loads at a given in-flight bound. A
-//!   bound of 1 is the *sequential oracle*: the exact same plan-then-fetch code
-//!   path, each request sent after the previous one completed, in document order.
-//! * [`run_loader_oracle`] — the same workload pipelined and sequential on two
-//!   identically-built fabrics (with *skewed* per-origin latencies, so the
-//!   pipelined completion order differs maximally from document order), the two
-//!   session transcripts diffed by [`crate::oracle`].
-//! * [`run_shared_fabric_sessions`] — N full browser sessions over **one** fabric,
-//!   one jar and one engine (the shared-everything deployment `Browser::with_network`
-//!   enables), the shared log scanned for cross-session leakage by
-//!   [`crate::oracle`].
+//! The loader's deterministic gates are tier-1 tests in
+//! `tests/pipelined_loader.rs`: `pipelined_run_matches_the_sequential_oracle_byte_for_byte`
+//! diffs pipelined and sequential transcripts under [`reverse_skewed_latency`],
+//! and `eight_sessions_sharing_one_fabric_stay_isolated` scans one shared
+//! fabric's log for cross-session leakage.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use escudo_browser::Browser;
 use escudo_core::config::CookiePolicy;
-use escudo_core::{engine_for_mode, Acl, EscudoEngine, PolicyEngine, PolicyMode, Ring};
+use escudo_core::{engine_for_mode, Acl, PolicyMode, Ring};
 use escudo_net::{Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
 
-use crate::measure::{spawn_join, Rate};
-use crate::oracle::{scan_leaks, LeakScan, Transcript, TranscriptDiff};
+use crate::measure::Rate;
 
 /// The page URL the loader workload navigates to.
 pub const PAGE_URL: &str = "http://page.example/index.php";
@@ -138,75 +134,13 @@ pub fn reverse_skewed_latency(origins: usize, k: usize) -> Duration {
     Duration::from_micros((origins.max(1) - k) as u64 * 180 + (k as u64 * 37) % 90)
 }
 
-/// Loads the workload page `passes` times pipelined (8 workers) and `passes`
-/// times sequential (1 worker) on two identically-built fabrics whose image
-/// origins have *reverse-skewed* latencies — the first image in document order is
-/// the slowest, so pipelined completion order inverts document order — and diffs
-/// the pipelined run's [`Transcript`] against the sequential one's.
-///
-/// # Panics
-///
-/// Panics if a page load fails.
-#[must_use]
-pub fn run_loader_oracle(images: usize, origins: usize, passes: usize) -> TranscriptDiff {
-    let run = |workers: usize| {
-        let fabric = build_loader_fabric(images, origins, |k| reverse_skewed_latency(origins, k));
-        let engine = engine_for_mode(PolicyMode::Escudo);
-        let jar = Arc::new(SharedCookieJar::new());
-        let mut browser = Browser::with_network(engine, jar, fabric);
-        browser.set_subresource_workers(workers);
-        Transcript::record(&mut browser, vec![PAGE_URL; passes])
-    };
-    run(8).diff(&run(1))
-}
-
-/// Runs `threads` full browser sessions concurrently over **one** shared fabric,
-/// one shared jar and one shared engine. Session `t` owns the page host
-/// `site{t}.example` (with per-session cookie `sid{t}` and its own image
-/// origins) and loads its page `rounds` times with the pipelined loader; the
-/// shared sequence-ordered log is then [scanned](scan_leaks) for cross-session
-/// cookie leakage.
-///
-/// # Panics
-///
-/// Panics if any session thread fails a page load.
-#[must_use]
-pub fn run_shared_fabric_sessions(threads: usize, images: usize, rounds: usize) -> LeakScan {
-    let fabric = Arc::new(SharedNetwork::new());
-    let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
-    let jar = Arc::new(SharedCookieJar::new());
-    let origins = images.clamp(1, 4);
-    for t in 0..threads {
-        register_loader_world(
-            &fabric,
-            &format!("site{t}.example"),
-            &format!("sid{t}"),
-            images,
-            origins,
-            |k| Duration::from_micros(k as u64 * 100 + 50),
-        );
-    }
-
-    spawn_join(threads, |t| {
-        let mut browser =
-            Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
-        browser.set_subresource_workers(4);
-        for _ in 0..rounds {
-            browser
-                .navigate(&format!("http://site{t}.example/index.php"))
-                .expect("shared-fabric page load");
-        }
-    });
-
-    scan_leaks(
-        &fabric.log(),
-        (0..threads).map(|t| (format!("site{t}.example"), format!("sid{t}"))),
-    )
-}
-
 #[cfg(test)]
 mod tests {
+    use escudo_core::{EscudoEngine, PolicyEngine};
+
     use super::*;
+    use crate::measure::spawn_join;
+    use crate::oracle::{scan_leaks, Transcript, TranscriptDiff};
 
     #[test]
     fn timed_page_loads_count_pages() {
@@ -219,10 +153,17 @@ mod tests {
 
     #[test]
     fn oracle_run_is_clean_under_skewed_latency() {
-        let diff = run_loader_oracle(6, 3, 2);
+        let run = |workers: usize| {
+            let fabric = build_loader_fabric(6, 3, |k| reverse_skewed_latency(3, k));
+            let jar = Arc::new(SharedCookieJar::new());
+            let mut browser =
+                Browser::with_network(engine_for_mode(PolicyMode::Escudo), jar, fabric);
+            browser.set_subresource_workers(workers);
+            Transcript::record(&mut browser, [PAGE_URL; 2])
+        };
         // 2 passes × (1 page + 6 images) per side.
         assert_eq!(
-            diff,
+            run(8).diff(&run(1)),
             TranscriptDiff {
                 requests: 14,
                 ..TranscriptDiff::default()
@@ -232,7 +173,35 @@ mod tests {
 
     #[test]
     fn shared_fabric_sessions_stay_isolated() {
-        let scan = run_shared_fabric_sessions(3, 4, 2);
+        // 3 sessions, one shared fabric, jar and engine; session `t` owns
+        // `site{t}.example` and its cookie `sid{t}`.
+        let fabric = Arc::new(SharedNetwork::new());
+        let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
+        let jar = Arc::new(SharedCookieJar::new());
+        for t in 0..3 {
+            register_loader_world(
+                &fabric,
+                &format!("site{t}.example"),
+                &format!("sid{t}"),
+                4,
+                4,
+                |k| Duration::from_micros(k as u64 * 100 + 50),
+            );
+        }
+        spawn_join(3, |t| {
+            let mut browser =
+                Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
+            browser.set_subresource_workers(4);
+            for _ in 0..2 {
+                browser
+                    .navigate(&format!("http://site{t}.example/index.php"))
+                    .expect("shared-fabric page load");
+            }
+        });
+        let scan = scan_leaks(
+            &fabric.log(),
+            (0..3).map(|t| (format!("site{t}.example"), format!("sid{t}"))),
+        );
         // 3 sessions × 2 rounds × (1 page + 4 images).
         assert_eq!(scan.requests, 30);
         // Every image fetch carries the session cookie the page set, and so

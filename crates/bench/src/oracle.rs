@@ -1,9 +1,9 @@
-//! The mediation oracles every bench and integration test shares.
+//! The mediation oracles the tier-1 tests share.
 //!
 //! ESCUDO's reference monitor decides from the principal's and the object's
 //! security contexts alone, so nothing below it — pipelining, caching,
 //! speculation, retries, thread scheduling — may change what it decides. The
-//! benches check that one invariant three ways, each with one helper here:
+//! tests check that one invariant three ways, each with one helper here:
 //!
 //! * [`Transcript`] — what a session's mediation left behind: the fabric's
 //!   sequence-sorted request log, each page's subresource URLs with the

@@ -1,7 +1,8 @@
 //! The fetch-scheduling workload: navigation latency next to busy sibling
 //! sessions, speculative-prefetch speedup, and the prefetch mediation oracle.
 //!
-//! This module backs the `scheduler_concurrent` bench and its CI gates:
+//! [`run_navigation_storm`] and [`run_prefetch_speedup`] back the
+//! `scheduler_concurrent` timing gates:
 //!
 //! * [`run_navigation_storm`] — one navigation-heavy session measures p99 page
 //!   latency (best of N repeats) while N sibling sessions flood the **same**
@@ -13,17 +14,15 @@
 //!   the next page; with speculation enabled the repeat navigation is served
 //!   from the prefetch cache and skips the origin's simulated latency
 //!   entirely.
-//! * [`run_prefetch_oracle`] — the same navigation sequence on two
-//!   identically-built fabrics, prefetch on vs off, the two session
-//!   transcripts diffed by [`crate::oracle`]: speculation dispatches unlogged
-//!   and a consumed hit is logged exactly as the live dispatch would have
-//!   been, so prefetch may only ever change *when* bytes move, never what
-//!   ESCUDO decides.
-//! * [`run_prefetch_sessions`] — N prefetching sessions over one shared
-//!   fabric + jar + engine, the shared log scanned for cross-session leakage
-//!   by [`crate::oracle`]: a prefetch cache entry is keyed by its mediation
-//!   plan (the exact cookie header), so one session's speculation can never
-//!   serve another session's state.
+//!
+//! [`run_prefetch_oracle`] runs the same navigation sequence on two
+//! identically-built fabrics, prefetch on vs off, and diffs the two session
+//! transcripts with [`crate::oracle`]: speculation dispatches unlogged and a
+//! consumed hit is logged exactly as the live dispatch would have been, so
+//! prefetch may only ever change *when* bytes move, never what ESCUDO
+//! decides. Its tier-1 gate is `prefetch_on_and_off_are_oracle_equivalent` in
+//! `tests/pipelined_loader.rs`; prefetching-session isolation on one fabric is
+//! `scheduler::tests::prefetching_sessions_stay_isolated_on_one_fabric`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,8 +35,8 @@ use escudo_core::{engine_for_mode, Acl, EscudoEngine, PolicyEngine, PolicyMode, 
 use escudo_net::{Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
 
 use crate::loader::register_loader_world;
-use crate::measure::{best_of, p99_ns, spawn_join};
-use crate::oracle::{scan_leaks, LeakScan, Transcript, TranscriptDiff};
+use crate::measure::{best_of, p99_ns};
+use crate::oracle::{Transcript, TranscriptDiff};
 
 /// Per-origin simulated latency of the navigation site's render-blocking
 /// subresources: three critical origins at 100µs, overlapped by the loader's
@@ -360,69 +359,11 @@ pub fn run_prefetch_oracle(passes: usize) -> (TranscriptDiff, u64) {
     (on.diff(&off), prefetch_hits)
 }
 
-/// The outcome of the shared-fabric prefetching-session workload.
-#[derive(Debug, Clone, Default)]
-pub struct PrefetchIsolationReport {
-    /// The shared log scanned for cross-session cookie leakage.
-    pub leaks: LeakScan,
-    /// Prefetch hits consumed across all sessions.
-    pub prefetch_hits: u64,
-    /// Prefetch entries discarded because the live mediation plan no longer
-    /// matched the speculative one — the cache refusing to change a decision.
-    pub stale_discards: u64,
-}
-
-/// Runs `threads` prefetching browser sessions concurrently over **one**
-/// shared fabric, jar and engine. Session `t` owns `shop{t}.example` (cookie
-/// `sid{t}`) and loads hub-then-item `rounds` times with speculation enabled;
-/// the shared log is then [scanned](scan_leaks) for cross-session cookie
-/// leakage.
-///
-/// # Panics
-///
-/// Panics if any session thread fails a page load.
-#[must_use]
-pub fn run_prefetch_sessions(threads: usize, rounds: usize) -> PrefetchIsolationReport {
-    let fabric = Arc::new(SharedNetwork::new());
-    let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
-    let jar = Arc::new(SharedCookieJar::new());
-    for t in 0..threads {
-        register_prefetch_world(
-            &fabric,
-            &format!("shop{t}.example"),
-            &format!("sid{t}"),
-            Duration::from_micros(80),
-        );
-    }
-
-    let hits = spawn_join(threads, |t| {
-        let mut browser =
-            Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
-        browser.set_prefetch_enabled(true);
-        for _ in 0..rounds {
-            browser
-                .navigate(&format!("http://shop{t}.example/hub.php"))
-                .expect("shared-fabric hub load");
-            browser
-                .navigate(&format!("http://shop{t}.example/item.php"))
-                .expect("shared-fabric item load");
-        }
-        browser.prefetch_hits()
-    });
-
-    PrefetchIsolationReport {
-        leaks: scan_leaks(
-            &fabric.log(),
-            (0..threads).map(|t| (format!("shop{t}.example"), format!("sid{t}"))),
-        ),
-        prefetch_hits: hits.iter().sum(),
-        stale_discards: fabric.prefetch_stale_discards(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::spawn_join;
+    use crate::oracle::scan_leaks;
 
     #[test]
     fn the_navigation_storm_measures_both_sides() {
@@ -477,10 +418,47 @@ mod tests {
 
     #[test]
     fn prefetching_sessions_stay_isolated_on_one_fabric() {
-        let report = run_prefetch_sessions(3, 2);
-        assert_eq!(report.leaks.own_attachments.len(), 3);
-        assert_eq!(report.leaks.sessions_with_cookies(), 3);
-        assert_eq!(report.leaks.violations, 0);
-        assert_eq!(report.prefetch_hits, 6, "each round consumes its hint");
+        // 3 prefetching sessions over one fabric, jar and engine; session `t`
+        // owns `shop{t}.example` (cookie `sid{t}`) and loads hub-then-item 3
+        // times. A prefetch entry is keyed by its mediation plan, so one
+        // session's speculation can never serve another's cookie state.
+        const SESSIONS: usize = 3;
+        const ROUNDS: usize = 3;
+        let fabric = Arc::new(SharedNetwork::new());
+        let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
+        let jar = Arc::new(SharedCookieJar::new());
+        for t in 0..SESSIONS {
+            register_prefetch_world(
+                &fabric,
+                &format!("shop{t}.example"),
+                &format!("sid{t}"),
+                Duration::from_micros(80),
+            );
+        }
+        let hits = spawn_join(SESSIONS, |t| {
+            let mut browser =
+                Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
+            browser.set_prefetch_enabled(true);
+            for _ in 0..ROUNDS {
+                for page in ["hub", "item"] {
+                    browser
+                        .navigate(&format!("http://shop{t}.example/{page}.php"))
+                        .expect("shared-fabric page load");
+                }
+            }
+            browser.prefetch_hits()
+        });
+        let leaks = scan_leaks(
+            &fabric.log(),
+            (0..SESSIONS).map(|t| (format!("shop{t}.example"), format!("sid{t}"))),
+        );
+        assert_eq!(leaks.own_attachments.len(), SESSIONS);
+        assert_eq!(leaks.sessions_with_cookies(), SESSIONS);
+        assert_eq!(leaks.violations, 0);
+        assert_eq!(
+            hits.iter().sum::<u64>(),
+            (SESSIONS * ROUNDS) as u64,
+            "each round consumes its hint"
+        );
     }
 }

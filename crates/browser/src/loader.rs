@@ -22,7 +22,7 @@ use escudo_net::{Response, Url};
 
 use crate::context::SecurityContextTable;
 use crate::page::{Page, PageLoadStats, ScriptUnit};
-use crate::render::{RenderStats, Renderer};
+use crate::render::Renderer;
 
 /// Options controlling a page load.
 #[derive(Debug, Clone, Copy)]
@@ -133,16 +133,6 @@ impl PageLoader {
             },
             legacy,
         }
-    }
-
-    /// Re-runs layout on an already-loaded page (used after scripts mutate the DOM).
-    pub fn rerender(page: &mut Page, viewport_width: u32) -> RenderStats {
-        let start = Instant::now();
-        let renderer = Renderer::new(viewport_width);
-        let (_boxes, stats) = renderer.layout(&page.document);
-        page.stats.render_ns += start.elapsed().as_nanos();
-        page.render_stats = stats;
-        stats
     }
 }
 

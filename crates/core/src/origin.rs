@@ -120,12 +120,6 @@ impl Origin {
     pub fn same_origin_as(&self, other: &Origin) -> bool {
         self == other
     }
-
-    /// Serializes the origin as `scheme://host:port`.
-    #[must_use]
-    pub fn to_url_base(&self) -> String {
-        format!("{}://{}:{}", self.scheme, self.host, self.port)
-    }
 }
 
 /// The default port for a scheme (80 for http, 443 for https, 0 otherwise).

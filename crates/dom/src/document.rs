@@ -65,12 +65,6 @@ impl Document {
         self.root
     }
 
-    /// Total number of nodes ever created (including detached ones).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Recovers a [`NodeId`] from a raw arena index, validating that the index refers
     /// to an existing node. Embedders (e.g. the browser's script host) use this to
     /// round-trip node handles through foreign code without exposing arena internals.
@@ -380,15 +374,6 @@ impl Document {
     pub fn elements_by_tag_name(&self, tag: &str) -> Vec<NodeId> {
         self.descendants(self.root)
             .filter(|&id| self.is_element_named(id, tag))
-            .collect()
-    }
-
-    /// All attached elements carrying an attribute with the given name, in document
-    /// order.
-    #[must_use]
-    pub fn elements_with_attribute(&self, name: &str) -> Vec<NodeId> {
-        self.descendants(self.root)
-            .filter(|&id| self.attribute(id, name).is_some())
             .collect()
     }
 

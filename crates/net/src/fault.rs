@@ -482,11 +482,6 @@ impl SharedNetwork {
             .remove(&origin);
     }
 
-    /// Removes every installed fault plan.
-    pub fn clear_faults(&self) {
-        self.faults.write().expect("fault plan map lock").clear();
-    }
-
     /// The installed fault plan for an origin, if any.
     #[must_use]
     pub fn fault_plan(&self, origin: &Origin) -> Option<FaultPlan> {

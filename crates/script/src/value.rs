@@ -49,15 +49,6 @@ impl Value {
         }
     }
 
-    /// The numeric value when this is a number.
-    #[must_use]
-    pub fn as_number(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The `typeof` string for this value.
     #[must_use]
     pub fn type_of(&self) -> &'static str {

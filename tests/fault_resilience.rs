@@ -1,12 +1,16 @@
 //! End-to-end guarantees of the fault-injection fabric and the resilient
 //! fetch path:
 //!
+//! * the whole (app × attack × policy-mode) scenario matrix replayed under
+//!   each chaos schedule keeps every verdict and every reference-monitor
+//!   check and denial count of the fault-free matrix, with retries bounded
+//!   by the faults that caused them,
 //! * a retry reuses the original mediation plan **verbatim** — the faulted
 //!   run's request log, attached cookie names and reference-monitor counters
 //!   are byte-identical to the fault-free oracle,
 //! * the per-origin circuit breaker walks Closed → Open → HalfOpen → Closed
-//!   on a [`ManualClock`], with exactly countable trips, fast-fails, probes
-//!   and recoveries,
+//!   on a [`ManualClock`], admits one half-open probe at a time, and lands
+//!   every breaker, retry-budget and deadline counter on an exact constant,
 //! * an injected **panic** in the middle of a deadline window is contained
 //!   to its own slot and retried within the session's budget, and the fabric
 //!   serves the next window as before, and
@@ -16,20 +20,20 @@
 //! * a navigation or XHR to a panicking origin fails with an error under the
 //!   default policy instead of unwinding the session.
 //!
-//! The oracle and breaker drills are `escudo_bench::fault`'s — the same code
-//! the `fault_concurrent` CI gate drives — so the bench and these tests
-//! cannot silently diverge in what they validate.
+//! These tests are the fabric's fail-closed gates: no bench re-runs them.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use escudo::apps::scenario::{MatrixReport, AD_SLOTS};
+use escudo::apps::{AdServer, NewsSite};
 use escudo::browser::{Browser, BrowserError, PolicyMode};
 use escudo::core::ManualClock;
 use escudo::net::{
     BreakerPhase, FaultPlan, FetchPlan, FetchPolicy, NetError, Request, Response, SharedNetwork,
 };
-use escudo_bench::fault::{run_breaker_drill, run_retry_oracle};
 use escudo_bench::loader::register_loader_world;
+use escudo_bench::oracle::{run_matrix_with_hook, Transcript, TranscriptDiff};
 
 /// Runs `requests` as one logged, uncached plan of `width`, returning each
 /// slot's outcome and retries.
@@ -55,72 +59,243 @@ fn fetch(
     run_plan(fabric, vec![request], 1, policy).remove(0).0
 }
 
+/// A retrying policy with a 1 µs virtual backoff base and no deadline.
+fn retrying(max_retries: u32) -> FetchPolicy {
+    FetchPolicy::disabled()
+        .with_max_retries(max_retries)
+        .with_backoff_base_ns(1_000)
+}
+
+/// A chaos schedule: a name, the retry policy every staged session runs under
+/// and the fault plan built fresh for each of its origins (a plan owns its
+/// replay counter).
+type ChaosSchedule = (&'static str, FetchPolicy, fn() -> FaultPlan);
+
+/// The chaos schedules. Each plan's failures fit inside its policy's retry
+/// budget, so an unmasked failure would surface as a changed verdict.
+fn schedules() -> [ChaosSchedule; 3] {
+    [
+        // Every origin's first two dispatches time out; three retries mask it.
+        ("fail_first", retrying(3), || FaultPlan::new().fail_first(2)),
+        // Every third dispatch per origin times out; one retry always lands
+        // on a clean index.
+        ("every_third", retrying(2), || FaultPlan::new().every_nth(3)),
+        // A latency tax on every dispatch plus one leading timeout: slowdowns
+        // and failures are accounted separately.
+        ("slow_blip", retrying(2), || {
+            FaultPlan::new().slow_by(10_000).fail_first(1)
+        }),
+    ]
+}
+
+/// Every origin a registry scenario registers a server on. A plan installed
+/// on an origin a scenario never touches stays dormant.
+fn matrix_origins() -> Vec<String> {
+    let mut origins: Vec<String> = [
+        "http://forum.example",
+        "http://calendar.example",
+        "http://blog.example",
+        "http://spa.example",
+        "http://vault.example",
+        "http://news.example",
+        "http://evil.example",
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .collect();
+    origins.extend((0..AD_SLOTS).map(NewsSite::ad_origin));
+    origins
+}
+
+#[test]
+fn every_chaos_schedule_keeps_the_fault_free_matrix() {
+    let baseline = MatrixReport::run_registry();
+    assert!(baseline.unexpected().is_empty());
+    for (name, policy, plan) in schedules() {
+        let origins = matrix_origins();
+        let (report, fabrics) = run_matrix_with_hook(move |browser: &mut Browser| {
+            browser.set_fetch_policy(policy);
+            for origin in &origins {
+                browser.fabric().inject_fault(origin, plan());
+            }
+        });
+
+        // Chaos may move bytes in time, never a security decision.
+        assert!(
+            report.unexpected().is_empty(),
+            "{name}: cells changed verdict: {:#?}",
+            report.unexpected()
+        );
+        for mode in [PolicyMode::SameOriginOnly, PolicyMode::Escudo] {
+            let counts = |r: &MatrixReport| {
+                (
+                    r.successes(mode),
+                    r.neutralized(mode),
+                    r.total_checks(mode),
+                    r.total_denials(mode),
+                )
+            };
+            assert_eq!(
+                counts(&report),
+                counts(&baseline),
+                "{name} under {mode}: verdict or mediation counts moved"
+            );
+        }
+
+        // Every retry is caused by a fault; nothing hits a deadline or a
+        // breaker, because the schedules run breaker-less without deadlines.
+        let total = |counter: fn(&SharedNetwork) -> u64| -> u64 {
+            fabrics.iter().map(|fabric| counter(fabric)).sum()
+        };
+        let faults = total(SharedNetwork::faults_injected);
+        let retries = total(SharedNetwork::retry_attempts);
+        assert!(faults > 0 && retries > 0, "{name}: chaos never engaged");
+        assert!(
+            retries <= faults,
+            "{name}: {retries} retries for {faults} faults"
+        );
+        assert_eq!(total(SharedNetwork::retry_deadline_exhausted), 0, "{name}");
+        assert_eq!(total(SharedNetwork::breaker_fast_fails), 0, "{name}");
+    }
+}
+
+/// Stages the ad-network session (victim login, then the front page) and
+/// returns its transcript with the fabric's retries and injected faults.
+/// Under `chaos` every ad origin's first dispatch and every second dispatch
+/// to the news site time out, so the retried requests include the front
+/// page's, which carries the victim's session cookie. Two retries are
+/// allowed, with no deadline, so the outcome does not depend on how fast the
+/// host stages the page.
+fn ad_network_session(mode: PolicyMode, chaos: bool) -> (Transcript, u64, u64) {
+    let mut browser = Browser::new(mode);
+    let fabric = Arc::clone(browser.fabric());
+    let ad_origins: Vec<String> = (0..AD_SLOTS).map(NewsSite::ad_origin).collect();
+    for origin in &ad_origins {
+        fabric.register(origin, AdServer::new());
+    }
+    fabric.register("http://news.example", NewsSite::new(AD_SLOTS));
+    if chaos {
+        browser.set_fetch_policy(retrying(2));
+        for origin in &ad_origins {
+            fabric.inject_fault(origin, FaultPlan::new().fail_first(1));
+        }
+        fabric.inject_fault("http://news.example", FaultPlan::new().every_nth(2));
+    }
+    let transcript = Transcript::record(
+        &mut browser,
+        [
+            "http://news.example/login?user=victim",
+            "http://news.example/",
+        ],
+    );
+    (
+        transcript,
+        fabric.retry_attempts(),
+        fabric.faults_injected(),
+    )
+}
+
 #[test]
 fn a_retry_reuses_the_mediation_plan_verbatim() {
     for mode in [PolicyMode::SameOriginOnly, PolicyMode::Escudo] {
-        let oracle = run_retry_oracle(mode);
-        assert!(
-            oracle.logs_identical(),
-            "{mode}: faulted run's request log diverged from the fault-free oracle"
-        );
-        assert!(
-            oracle.attachments_identical(),
-            "{mode}: faulted run attached different cookies"
-        );
+        let (clean, clean_retries, _) = ad_network_session(mode, false);
+        let (faulted, retries, faults) = ad_network_session(mode, true);
+        // Identical logs (method, URL, cookie names, status), attachments in
+        // plan order and check/denial counts: a retry never re-mediates and a
+        // faulted attempt is never logged.
         assert_eq!(
-            oracle.diff.mediation_mismatches, 0,
-            "{mode}: retries re-mediated — check/denial counts moved"
+            faulted.diff(&clean),
+            TranscriptDiff {
+                requests: clean.log.len(),
+                ..TranscriptDiff::default()
+            },
+            "{mode}: the faulted run diverged from the fault-free oracle"
         );
-        assert_eq!(oracle.clean_retries, 0);
-        assert!(oracle.faulted_retries > 0, "{mode}: no retry was exercised");
-        assert_eq!(oracle.faulted_retries, oracle.faulted_faults);
+        assert_eq!(clean_retries, 0);
+        assert!(retries > 0, "{mode}: no retry was exercised");
+        assert_eq!(retries, faults, "{mode}: one retry per fault");
     }
 }
 
 #[test]
 fn the_breaker_walks_its_phases_on_a_manual_clock() {
+    // One fabric on a manual clock: no wall time enters the cooldown, backoff
+    // or deadline arithmetic, so every counter below is a constant.
     let fabric = SharedNetwork::new();
     let clock = Arc::new(ManualClock::new());
     fabric.set_clock(clock.clone());
-    fabric.register("http://api.example", |_req: &Request| {
-        Response::ok_text("pong")
-    });
-    let request = || Request::get("http://api.example/ping").unwrap();
-    let origin = request().url.origin();
-    let policy = FetchPolicy::disabled().with_breaker(2, 500_000_000);
+    for origin in [
+        "http://flaky.example",
+        "http://retry.example",
+        "http://deadline.example",
+    ] {
+        fabric.register(origin, |req: &Request| {
+            Response::ok_text(format!("pong {}", req.url.path()))
+        });
+    }
+    let ping = || Request::get("http://flaky.example/ping").unwrap();
+    let origin = ping().url.origin();
+    let breaker = FetchPolicy::disabled().with_breaker(3, 1_000_000_000);
 
     // No breaker exists until a breaker-carrying policy touches the origin.
     assert_eq!(fabric.breaker_phase(&origin), None);
 
-    fabric.inject_fault("http://api.example", FaultPlan::new().timeout());
-    assert!(fetch(&fabric, request(), &policy).is_err());
-    assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Closed));
-    assert!(fetch(&fabric, request(), &policy).is_err());
+    // Closed → Open: three consecutive timeouts trip it.
+    fabric.inject_fault("http://flaky.example", FaultPlan::new().timeout());
+    for _ in 0..2 {
+        assert!(fetch(&fabric, ping(), &breaker).is_err());
+        assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Closed));
+    }
+    assert!(fetch(&fabric, ping(), &breaker).is_err());
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Open));
-    assert_eq!(fabric.breaker_trips(), 1);
 
     // Open: fail fast with the remaining cooldown, without dispatching.
-    let faults_before = fabric.faults_injected();
-    match fetch(&fabric, request(), &policy) {
-        Err(NetError::CircuitOpen { cooldown_ns, .. }) => {
-            assert_eq!(cooldown_ns, 500_000_000);
+    for _ in 0..2 {
+        match fetch(&fabric, ping(), &breaker) {
+            Err(NetError::CircuitOpen { cooldown_ns, .. }) => {
+                assert_eq!(cooldown_ns, 1_000_000_000);
+            }
+            other => panic!("expected CircuitOpen, got {other:?}"),
         }
-        other => panic!("expected CircuitOpen, got {other:?}"),
     }
-    assert_eq!(fabric.faults_injected(), faults_before);
-    assert_eq!(fabric.breaker_fast_fails(), 1);
+    assert_eq!(fabric.faults_injected(), 3, "fast-fails never dispatch");
 
-    // Cooldown elapses on the manual clock; the healed probe re-closes it.
-    clock.advance(Duration::from_millis(500));
-    fabric.clear_fault("http://api.example");
-    assert!(fetch(&fabric, request(), &policy).is_ok());
+    // HalfOpen → Closed: the cooldown elapses on the manual clock and the
+    // origin heals. Of two requests sent together, only the first is the
+    // probe; the second fails fast, and the probe re-closes the breaker. The
+    // window sends the second before completing the first unless the first
+    // is already due, so the latency is far above any scheduling delay.
+    clock.advance(Duration::from_secs(1));
+    fabric.clear_fault("http://flaky.example");
+    fabric.set_latency("http://flaky.example", Duration::from_millis(100));
+    let probes = run_plan(&fabric, vec![ping(), ping()], 2, &breaker);
+    assert!(probes[0].0.is_ok(), "the probe failed: {:?}", probes[0].0);
+    assert!(
+        matches!(probes[1].0, Err(NetError::CircuitOpen { .. })),
+        "a second half-open request was admitted: {:?}",
+        probes[1].0
+    );
     assert_eq!(fabric.breaker_phase(&origin), Some(BreakerPhase::Closed));
+
+    // Retry budget: two leading timeouts, two retries, then success.
+    fabric.inject_fault("http://retry.example", FaultPlan::new().fail_first(2));
+    let request = Request::get("http://retry.example/r").unwrap();
+    assert!(fetch(&fabric, request, &retrying(2)).is_ok());
+
+    // Deadline: a 1 µs backoff fits under the 3 µs deadline (one retry
+    // granted); 1 + 2 µs reaches it (refused).
+    fabric.inject_fault("http://deadline.example", FaultPlan::new().timeout());
+    let request = Request::get("http://deadline.example/d").unwrap();
+    assert!(fetch(&fabric, request, &retrying(5).with_deadline_ns(3_000)).is_err());
+
+    assert_eq!(fabric.breaker_trips(), 1);
+    assert_eq!(fabric.breaker_fast_fails(), 3);
     assert_eq!(fabric.breaker_probes(), 1);
     assert_eq!(fabric.breaker_recoveries(), 1);
-
-    // The full drill (including a failed probe's re-open and the deadline
-    // arithmetic) lands on its exact constants.
-    assert!(run_breaker_drill().exact());
+    assert_eq!(fabric.retry_attempts(), 3);
+    assert_eq!(fabric.retry_successes(), 1);
+    assert_eq!(fabric.retry_deadline_exhausted(), 1);
+    assert_eq!(fabric.faults_injected(), 7);
 }
 
 #[test]
@@ -137,9 +312,7 @@ fn a_panic_mid_batch_is_contained_released_and_width_bounded() {
     });
     fabric.inject_fault("http://boom.example", FaultPlan::new().panicking());
 
-    let policy = FetchPolicy::disabled()
-        .with_max_retries(1)
-        .with_backoff_base_ns(1_000);
+    let policy = retrying(1);
     let entries: Vec<Request> = (0..6)
         .map(|i| {
             let host = if i % 3 == 1 { "boom" } else { "ok" };
@@ -186,11 +359,7 @@ fn an_unhealed_subresource_degrades_into_its_outcome_with_the_budget_spent() {
         Arc::new(escudo::net::SharedCookieJar::new()),
         Arc::clone(&fabric),
     );
-    browser.set_fetch_policy(
-        FetchPolicy::disabled()
-            .with_max_retries(2)
-            .with_backoff_base_ns(1_000),
-    );
+    browser.set_fetch_policy(retrying(2));
 
     let page = browser.navigate("http://site.example/index.php").unwrap();
     let page = browser.page(page);

@@ -2,7 +2,8 @@
 //! reading from one [`SharedCookieJar`] — over disjoint *and* overlapping hosts —
 //! must produce `Cookie` headers byte-identical to a single-threaded [`CookieJar`]
 //! oracle replaying the same operations. The disjoint-host script is
-//! `escudo_bench::concurrent`'s, the one the `jar_concurrent` CI gate replays.
+//! `escudo_bench::concurrent`'s; its 8-session × 25-round run is the tier-1
+//! gate `concurrent::tests::jar_oracle_run_is_byte_identical_single_threaded_and_concurrent`.
 
 use std::thread;
 

@@ -12,10 +12,12 @@
 //! * speculative prefetch is **oracle-equivalent**: prefetch on vs off produces
 //!   byte-identical mediation decisions, attachments and request logs.
 //!
-//! The worlds are built by `escudo_bench::loader` and `escudo_bench::scheduler`
-//! and checked by `escudo_bench::oracle` — the same builders and oracles the
-//! `loader_concurrent` and `scheduler_concurrent` CI gates drive — so the
-//! benches and these tests cannot silently diverge in what they validate.
+//! The pipelined-vs-sequential oracle, the shared-fabric isolation run and
+//! the prefetch oracle here are the loader's and the scheduler's tier-1
+//! gates. The worlds are built by `escudo_bench::loader` and
+//! `escudo_bench::scheduler`, the builders the `loader_concurrent` and
+//! `scheduler_concurrent` timing gates load, and checked by
+//! `escudo_bench::oracle`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,8 +91,14 @@ fn outcomes_and_log_are_in_document_order_under_skewed_latency() {
 
 #[test]
 fn pipelined_run_matches_the_sequential_oracle_byte_for_byte() {
+    // One image origin per image: every image's latency differs, so the
+    // pipelined completion order is the exact reverse of document order.
     let run = |workers: usize| {
-        let mut browser = browser_over(&skewed_fabric(), workers);
+        let fabric = Arc::new(SharedNetwork::new());
+        register_loader_world(&fabric, "site.example", "sid", IMAGES, IMAGES, |k| {
+            reverse_skewed_latency(IMAGES, k)
+        });
+        let mut browser = browser_over(&fabric, workers);
         Transcript::record(&mut browser, ["http://site.example/index.php"; 3])
     };
     // Byte-identical logs (method, URL, cookie names, status — in order),
@@ -112,6 +120,7 @@ fn eight_sessions_sharing_one_fabric_stay_isolated() {
     let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
     let jar = Arc::new(SharedCookieJar::new());
     const SESSIONS: usize = 8;
+    const ROUNDS: usize = 3;
     for t in 0..SESSIONS {
         register_loader_world(
             &fabric,
@@ -127,29 +136,32 @@ fn eight_sessions_sharing_one_fabric_stay_isolated() {
         let mut browser =
             Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
         browser.set_subresource_workers(4);
-        for _ in 0..2 {
+        for _ in 0..ROUNDS {
             browser
                 .navigate(&format!("http://site{t}.example/index.php"))
                 .unwrap();
         }
     });
 
-    // 8 sessions × 2 rounds × (1 page + IMAGES images), one shared log.
+    // 8 sessions × 3 rounds × (1 page + IMAGES images), one shared log.
     let scan = scan_leaks(
         &fabric.log(),
         (0..SESSIONS).map(|t| (format!("site{t}.example"), format!("sid{t}"))),
     );
-    assert_eq!(scan.requests, SESSIONS * 2 * (IMAGES + 1));
+    assert_eq!(scan.requests, SESSIONS * ROUNDS * (IMAGES + 1));
     assert_eq!(
         scan.violations, 0,
         "a cookie leaked onto another session's host"
     );
-    // Round 2's page and image requests all carry the session cookie stored
-    // in round 1 (round 1's images attach it too — same-page store).
+    // Every image request carries the session cookie the page set (round 1's
+    // images included: same-page store), and so do the pages of rounds 2
+    // and 3. A session whose images went without it would count only those
+    // two page attachments.
     for (t, own) in scan.own_attachments.iter().enumerate() {
-        assert!(
-            *own >= IMAGES,
-            "session {t} attached sid{t} only {own} times"
+        assert_eq!(
+            *own,
+            ROUNDS * IMAGES + ROUNDS - 1,
+            "session {t} attached sid{t} {own} times"
         );
     }
 }
@@ -310,6 +322,8 @@ fn prefetch_on_and_off_are_oracle_equivalent() {
     // identical per-subresource attachments — prefetch may change *when* bytes
     // move, never what ESCUDO decides.
     let (diff, prefetch_hits) = run_prefetch_oracle(3);
+    // 3 passes × (hub + 2 images + item + 2 images).
+    assert_eq!(diff.requests, 18);
     assert_eq!(prefetch_hits, 3, "speculation never engaged");
     assert_eq!(diff.log_mismatches, 0, "prefetch perturbed the request log");
     assert_eq!(

@@ -5,6 +5,9 @@
 use escudo::apps::calendar::{CalendarApp, CalendarConfig, Event};
 use escudo::apps::forum::{ForumApp, ForumConfig, Reply, Topic};
 use escudo::browser::{Browser, PolicyMode};
+use escudo::core::config::{ApiPolicy, CookiePolicy, NativeApi};
+use escudo::core::{Acl, Ring};
+use escudo::net::{Request, Response, SetCookie};
 
 /// Builds a forum, logs the victim in, seeds a topic and a reply whose body is the
 /// supplied script, then loads the topic page. Returns (browser, page).
@@ -234,6 +237,44 @@ fn table4_application_content_keeps_working() {
         browser.page(page).text_of("app-status").as_deref(),
         Some("calendar ready")
     );
+}
+
+// ------------------------------------------------------------------ Cookie reads
+
+#[test]
+fn a_cookie_read_returns_only_the_cookies_the_script_may_read() {
+    // A ring-2 script may use the cookie API, but each cookie is its own
+    // object: `sid` (ring 1) stays hidden, `theme` (ring 2) is readable.
+    let policies = |response: Response| {
+        response
+            .with_cookie_policy(
+                &CookiePolicy::new("sid", Ring::new(1)).with_acl(Acl::uniform(Ring::new(1))),
+            )
+            .with_cookie_policy(
+                &CookiePolicy::new("theme", Ring::new(2)).with_acl(Acl::uniform(Ring::new(2))),
+            )
+            .with_api_policy(&ApiPolicy::new(NativeApi::CookieApi, Ring::new(2)))
+    };
+    let mut browser = Browser::new(PolicyMode::Escudo);
+    browser
+        .fabric()
+        .register("http://app.example", move |req: &Request| {
+            if req.url.path() == "/login.php" {
+                policies(Response::ok_html("<html><body ring=1>in</body></html>"))
+                    .with_cookie(SetCookie::new("sid", "s1"))
+                    .with_cookie(SetCookie::new("theme", "dark"))
+            } else {
+                policies(Response::ok_html(
+                    "<html><body ring=1 r=1 w=1 x=1>\
+                     <div ring=2 r=2 w=2 x=2><script>document.cookie;</script></div>\
+                     </body></html>",
+                ))
+            }
+        });
+    browser.navigate("http://app.example/login.php").unwrap();
+    let page = browser.navigate("http://app.example/page.php").unwrap();
+    let outcome = &browser.page(page).script_outcomes[0];
+    assert_eq!(outcome.result.as_deref(), Ok("theme=dark"));
 }
 
 // ------------------------------------------------------------------ Tables as data

@@ -27,9 +27,9 @@
 //!   cache-off run, a one-shot prefetch entry is left for the navigation it
 //!   predicted, and a `POST` always goes to the origin.
 //!
-//! The worlds are built by `escudo_bench::cache` — the same builders the
-//! `cache_concurrent` CI gates drive — so the benches and these tests cannot
-//! silently diverge in what they validate.
+//! The TTL walk and the single-flight page here are the cache's tier-1
+//! gates. The cacheable site is `escudo_bench::cache`'s, the one the
+//! `cache_concurrent` speedup gate loads.
 //!
 //! [`ManualClock`]: escudo::core::ManualClock
 
@@ -39,13 +39,11 @@ use std::time::Duration;
 
 use escudo::browser::Browser;
 use escudo::core::config::CookiePolicy;
-use escudo::core::{engine_for_mode, Acl, PolicyMode, Ring};
+use escudo::core::{engine_for_mode, Acl, ManualClock, PolicyMode, Ring};
 use escudo::net::{
     FaultPlan, FetchPolicy, Request, Response, SetCookie, SharedCookieJar, SharedNetwork,
 };
-use escudo_bench::cache::{
-    register_cache_world, run_cache_single_flight, run_cache_ttl_walk, CACHE_WORLD_SUBRESOURCES,
-};
+use escudo_bench::cache::{register_cache_world, CACHE_WORLD_SUBRESOURCES};
 use escudo_bench::oracle::{Transcript, TranscriptDiff};
 
 fn cache_browser(fabric: &Arc<SharedNetwork>, enabled: bool) -> Browser {
@@ -189,21 +187,77 @@ fn no_store_and_unmarked_responses_are_never_persisted() {
 
 #[test]
 fn ttl_expiry_is_exactly_countable_on_a_manual_clock() {
-    let report = run_cache_ttl_walk(4);
-    assert_eq!(report.hits, 4, "one fresh hit per cycle");
-    assert_eq!(report.expired, 3, "each later cycle finds the last expired");
-    assert_eq!(report.stored, 4, "each cycle refills the entry");
+    // One `max-age=5` entry walked through store → fresh hit → expiry on a
+    // hand-advanced clock: no wall time enters the freshness check.
+    const CYCLES: u64 = 5;
+    let fabric = Arc::new(SharedNetwork::new());
+    let clock = Arc::new(ManualClock::new());
+    fabric.set_clock(clock.clone());
+    fabric.register("http://ttl.example", |_req: &Request| {
+        Response::ok_html("<html><body ring=\"1\" r=\"1\" w=\"1\" x=\"1\">fresh</body></html>")
+            .with_max_age(5)
+    });
+    let mut browser = cache_browser(&fabric, true);
+    for _ in 0..CYCLES {
+        // Miss and store, a fresh hit 4 s later, then 6 s past the store.
+        browser.navigate("http://ttl.example/page.php").unwrap();
+        clock.advance(Duration::from_secs(4));
+        browser.navigate("http://ttl.example/page.php").unwrap();
+        clock.advance(Duration::from_secs(2));
+    }
+    assert_eq!(fabric.cache_hits(), CYCLES, "one fresh hit per cycle");
+    assert_eq!(
+        fabric.cache_expired(),
+        CYCLES - 1,
+        "each later cycle finds the last entry expired"
+    );
+    assert_eq!(
+        fabric.cache_stored(),
+        CYCLES,
+        "each cycle refills the entry"
+    );
 }
 
 #[test]
 fn duplicate_plan_slots_dispatch_once_and_log_each() {
-    let report = run_cache_single_flight(5, 2);
-    assert_eq!(report.dispatches, 2, "one origin fetch per batch");
+    // A page whose plan repeats one uncacheable image URL: each batch
+    // dispatches it once and fans the response out to the duplicate slots,
+    // and every slot still logs under its own sequence number.
+    const DUPLICATES: u64 = 5;
+    const LOADS: u64 = 3;
+    let fabric = Arc::new(SharedNetwork::new());
+    let imgs = "<img src=\"http://img.flock.example/dup.png\">".repeat(DUPLICATES as usize);
+    let page = format!("<html><body ring=\"1\" r=\"1\" w=\"1\" x=\"1\">{imgs}</body></html>");
+    fabric.register("http://flock.example", move |_req: &Request| {
+        Response::ok_html(page.clone())
+    });
+    let dispatches = Arc::new(AtomicU64::new(0));
+    {
+        let dispatches = Arc::clone(&dispatches);
+        fabric.register("http://img.flock.example", move |_req: &Request| {
+            dispatches.fetch_add(1, Ordering::Relaxed);
+            Response::ok_text("img")
+        });
+    }
+    let mut browser = cache_browser(&fabric, true);
+    for _ in 0..LOADS {
+        browser.navigate("http://flock.example/index.php").unwrap();
+    }
     assert_eq!(
-        report.coalesced, 8,
-        "four duplicate slots coalesced per load"
+        dispatches.load(Ordering::Relaxed),
+        LOADS,
+        "one origin fetch per batch"
     );
-    assert_eq!(report.logged, 2 * 6, "every slot logs its own sequence");
+    assert_eq!(
+        fabric.cache_coalesced(),
+        LOADS * (DUPLICATES - 1),
+        "the other duplicate slots coalesced per load"
+    );
+    assert_eq!(
+        fabric.log().len() as u64,
+        LOADS * (1 + DUPLICATES),
+        "every slot logs its own sequence"
+    );
 }
 
 #[test]
