@@ -136,11 +136,7 @@ pub fn reverse_skewed_latency(origins: usize, k: usize) -> Duration {
 
 #[cfg(test)]
 mod tests {
-    use escudo_core::{EscudoEngine, PolicyEngine};
-
     use super::*;
-    use crate::measure::spawn_join;
-    use crate::oracle::{scan_leaks, Transcript, TranscriptDiff};
 
     #[test]
     fn timed_page_loads_count_pages() {
@@ -149,65 +145,6 @@ mod tests {
         assert_eq!(rate.ops, 3);
         assert!(rate.elapsed_ns > 0);
         assert!(rate.ns_per_op() > 0.0);
-    }
-
-    #[test]
-    fn oracle_run_is_clean_under_skewed_latency() {
-        let run = |workers: usize| {
-            let fabric = build_loader_fabric(6, 3, |k| reverse_skewed_latency(3, k));
-            let jar = Arc::new(SharedCookieJar::new());
-            let mut browser =
-                Browser::with_network(engine_for_mode(PolicyMode::Escudo), jar, fabric);
-            browser.set_subresource_workers(workers);
-            Transcript::record(&mut browser, [PAGE_URL; 2])
-        };
-        // 2 passes × (1 page + 6 images) per side.
-        assert_eq!(
-            run(8).diff(&run(1)),
-            TranscriptDiff {
-                requests: 14,
-                ..TranscriptDiff::default()
-            }
-        );
-    }
-
-    #[test]
-    fn shared_fabric_sessions_stay_isolated() {
-        // 3 sessions, one shared fabric, jar and engine; session `t` owns
-        // `site{t}.example` and its cookie `sid{t}`.
-        let fabric = Arc::new(SharedNetwork::new());
-        let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
-        let jar = Arc::new(SharedCookieJar::new());
-        for t in 0..3 {
-            register_loader_world(
-                &fabric,
-                &format!("site{t}.example"),
-                &format!("sid{t}"),
-                4,
-                4,
-                |k| Duration::from_micros(k as u64 * 100 + 50),
-            );
-        }
-        spawn_join(3, |t| {
-            let mut browser =
-                Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(&fabric));
-            browser.set_subresource_workers(4);
-            for _ in 0..2 {
-                browser
-                    .navigate(&format!("http://site{t}.example/index.php"))
-                    .expect("shared-fabric page load");
-            }
-        });
-        let scan = scan_leaks(
-            &fabric.log(),
-            (0..3).map(|t| (format!("site{t}.example"), format!("sid{t}"))),
-        );
-        // 3 sessions × 2 rounds × (1 page + 4 images).
-        assert_eq!(scan.requests, 30);
-        // Every image fetch carries the session cookie the page set, and so
-        // does round 2's page: 2 × 4 + 1.
-        assert_eq!(scan.own_attachments, [9, 9, 9]);
-        assert_eq!(scan.violations, 0);
     }
 
     #[test]

@@ -406,17 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn the_prefetch_oracle_run_is_byte_identical() {
-        let (diff, prefetch_hits) = run_prefetch_oracle(2);
-        // 2 passes × (hub + 2 imgs + item + 2 imgs) per side.
-        assert_eq!(diff.requests, 12);
-        assert_eq!(prefetch_hits, 2);
-        assert_eq!(diff.log_mismatches, 0);
-        assert_eq!(diff.attachment_mismatches, 0);
-        assert_eq!(diff.order_violations, 0);
-    }
-
-    #[test]
     fn prefetching_sessions_stay_isolated_on_one_fabric() {
         // 3 prefetching sessions over one fabric, jar and engine; session `t`
         // owns `shop{t}.example` (cookie `sid{t}`) and loads hub-then-item 3

@@ -8,7 +8,7 @@ use std::time::Instant;
 use escudo_core::config::CookiePolicy;
 use escudo_core::tenant::Tenant;
 use escudo_core::{
-    engine_for_mode, Operation, PolicyEngine, PolicyMode, PrincipalContext, PrincipalKind,
+    engine_for_mode, Operation, Origin, PolicyEngine, PolicyMode, PrincipalContext, PrincipalKind,
 };
 use escudo_dom::EventType;
 use escudo_net::{
@@ -369,7 +369,7 @@ impl Browser {
             let target = page.url.join(href)?;
             let principal = page
                 .contexts
-                .request_issuer_principal(node, &format!("anchor #{element_id}"));
+                .request_issuer_principal(node, format!("anchor #{element_id}"));
             (target, principal)
         };
         self.load_page(target, Method::Get, String::new(), principal)
@@ -443,7 +443,7 @@ impl Browser {
                 .join("&");
             let principal = page
                 .contexts
-                .request_issuer_principal(form, &format!("form #{form_id}"));
+                .request_issuer_principal(form, format!("form #{form_id}"));
             (target, method, body, principal)
         };
         self.load_page(target, method, body, principal)
@@ -903,10 +903,13 @@ impl Browser {
     ///
     /// 1. **Plan** — one walk over the document collects every fetchable
     ///    subresource (critical resources in document order, then images in
-    ///    document order), and one [`Erm::mediate_jar_many`] batch fixes every
-    ///    request's cookie attachment (one jar walk per distinct URL, one engine
-    ///    batch per page). No fetch has been dispatched yet, so no completion
-    ///    order — and no scheduling decision — can influence a decision.
+    ///    document order), the fabric is asked once per origin whether it
+    ///    serves it, and one [`Erm::mediate_jar_many`] batch fixes every
+    ///    request's cookie attachment. The plan reads one jar snapshot, taken
+    ///    with one `now`: one jar walk per (scheme, host), one `Cookie` header
+    ///    string per distinct attachment, one engine batch per page. No fetch
+    ///    has been dispatched yet, so no completion order — and no scheduling
+    ///    decision — can influence a decision.
     /// 2. **Fan out** — one [`FetchPlan`] of two stages, the already-mediated
     ///    critical requests, then the image requests, run by
     ///    [`SharedNetwork::execute`]. Each stage is a **deadline window** on
@@ -920,41 +923,48 @@ impl Browser {
         use crate::page::SubresourceKind;
 
         // ------------------------------------------------------------- phase 1
-        let critical = escudo_html::critical_resources(&page.document);
-        let images: Vec<(escudo_dom::NodeId, String)> = page
-            .document
-            .elements_by_tag_name("img")
-            .into_iter()
-            .filter_map(|node| {
-                page.document
-                    .attribute(node, "src")
-                    .map(|src| (node, src.to_string()))
-            })
-            .collect();
-        let mut planned: Vec<(escudo_dom::NodeId, Url, PrincipalContext, SubresourceKind)> =
-            Vec::new();
-        for (kind, (node, src)) in critical
-            .into_iter()
-            .map(|entry| (SubresourceKind::Critical, entry))
+        let plan_start = Instant::now();
+        let found = escudo_html::subresources(&page.document);
+        let entries = found
+            .critical
+            .iter()
+            .map(|&(node, tag, src)| (SubresourceKind::Critical, node, tag, src))
             .chain(
-                images
-                    .into_iter()
-                    .map(|entry| (SubresourceKind::Image, entry)),
-            )
-        {
-            let Ok(target) = page.url.join(&src) else {
+                found
+                    .images
+                    .iter()
+                    .map(|&(node, src)| (SubresourceKind::Image, node, "img", src)),
+            );
+        // Whether the fabric knows an origin is asked once per origin.
+        let mut origins: Vec<(Origin, bool)> = Vec::new();
+        let mut planned: Vec<(escudo_dom::NodeId, Url, PrincipalContext, SubresourceKind)> =
+            Vec::with_capacity(found.critical.len() + found.images.len());
+        for (kind, node, tag, src) in entries {
+            let Ok(target) = page.url.join(src) else {
                 continue;
             };
-            if !self.fabric.knows(&target) {
+            let seen = origins.iter().find(|(origin, _)| {
+                origin.port() == target.port()
+                    && origin.host() == target.host()
+                    && origin.scheme() == target.scheme()
+            });
+            let known = match seen {
+                Some(&(_, known)) => known,
+                None => {
+                    let origin = target.origin();
+                    let known = self.fabric.knows_origin(&origin);
+                    origins.push((origin, known));
+                    known
+                }
+            };
+            if !known {
                 continue;
             }
-            let tag = match kind {
-                SubresourceKind::Critical => page.document.tag_name(node).unwrap_or("link"),
-                SubresourceKind::Image => "img",
-            };
-            let principal = page
-                .contexts
-                .request_issuer_principal(node, &format!("{tag} src={src}"));
+            let mut label = String::with_capacity(tag.len() + " src=".len() + src.len());
+            label.push_str(tag);
+            label.push_str(" src=");
+            label.push_str(src);
+            let principal = page.contexts.request_issuer_principal(node, label);
             planned.push((node, target, principal, kind));
         }
         if planned.is_empty() {
@@ -976,11 +986,11 @@ impl Browser {
 
         let requests: Vec<Request> = planned
             .iter()
-            .zip(&attachments)
+            .zip(attachments.iter())
             .map(|((_, url, _, _), attached)| {
                 let mut request = Request::new(Method::Get, url.clone());
-                if !attached.is_empty() {
-                    request.headers.set("Cookie", attached.join("; "));
+                if !attached.header.is_empty() {
+                    request.headers.append("Cookie", attached.header.clone());
                 }
                 request
             })
@@ -1003,6 +1013,7 @@ impl Browser {
             layers,
             ..FetchPlan::new(requests, self.subresource_workers, self.fetch_policy)
         };
+        page.stats.subresource_plan_ns = plan_start.elapsed().as_nanos();
         let start = Instant::now();
         let outcomes = self.fabric.execute(plan);
         page.stats.subresource_fetch_ns = start.elapsed().as_nanos();
@@ -1011,8 +1022,9 @@ impl Browser {
         // Record outcomes in plan order, not completion order. A slot whose
         // retries ran dry degrades into `error` — the page load itself never
         // fails on a subresource.
+        page.subresources.reserve(count);
         for (((node, url, _, kind), attached), fetched) in
-            planned.into_iter().zip(attachments).zip(outcomes)
+            planned.into_iter().zip(attachments.iter()).zip(outcomes)
         {
             self.count_hit(&fetched);
             let (status, error) = match fetched.outcome {
@@ -1023,14 +1035,7 @@ impl Browser {
                 node,
                 kind,
                 url,
-                attached_cookies: attached
-                    .iter()
-                    .map(|pair| {
-                        pair.split_once('=')
-                            .map_or(pair.as_str(), |(n, _)| n)
-                            .to_string()
-                    })
-                    .collect(),
+                attached_cookies: attached.names.clone(),
                 status,
                 error,
                 retries: fetched.retries,
@@ -1280,6 +1285,33 @@ mod tests {
             .map(|e| e.url.path().to_string())
             .collect();
         assert_eq!(paths, vec!["/index.php", "/a.png", "/b.png", "/c.png"]);
+    }
+
+    #[test]
+    fn subresource_planning_time_is_recorded_only_for_pages_that_plan() {
+        let with_images = r#"<html><body ring=1>
+            <img src="http://img0.example/a.png">
+            <img src="http://img0.example/b.png">
+        </body></html>"#;
+        let mut browser = browser_with(PolicyMode::Escudo, with_images);
+        browser
+            .fabric()
+            .register("http://img0.example", |_req: &Request| {
+                Response::ok_text("img")
+            });
+        let page = browser.navigate("http://app.example/").unwrap();
+        let stats = browser.page(page).stats;
+        assert_eq!(stats.subresource_requests, 2);
+        assert!(stats.subresource_plan_ns > 0);
+
+        let mut bare = browser_with(
+            PolicyMode::Escudo,
+            "<html><body><p>no images</p></body></html>",
+        );
+        let page = bare.navigate("http://app.example/").unwrap();
+        let stats = bare.page(page).stats;
+        assert_eq!(stats.subresource_requests, 0);
+        assert_eq!(stats.subresource_plan_ns, 0);
     }
 
     #[test]

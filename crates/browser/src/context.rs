@@ -193,12 +193,16 @@ impl SecurityContextTable {
 
     /// The principal context of an HTTP-request-issuing element (img, form, a, …).
     #[must_use]
-    pub fn request_issuer_principal(&self, node: NodeId, label: &str) -> PrincipalContext {
+    pub fn request_issuer_principal(
+        &self,
+        node: NodeId,
+        label: impl Into<String>,
+    ) -> PrincipalContext {
         PrincipalContext {
             kind: PrincipalKind::RequestIssuer,
             origin: self.origin.clone(),
             ring: self.node_label(node).ring,
-            label: label.to_string(),
+            label: label.into(),
         }
     }
 }

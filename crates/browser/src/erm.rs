@@ -22,7 +22,9 @@
 //! check is denied fail-closed with [`DenyReason::Throttled`].
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
+use std::time::SystemTime;
 
 use escudo_core::policy::AuditRecord;
 use escudo_core::tenant::{AdmissionStats, EngineReader, Tenant};
@@ -30,10 +32,137 @@ use escudo_core::{
     engine_for_mode, Decision, DenyReason, EngineStats, ObjectContext, Operation, Origin,
     PolicyEngine, PolicyMode, PrincipalContext,
 };
-use escudo_net::{SharedCookieJar, Url};
+use escudo_net::{Cookie, SharedCookieJar, Url};
 
 /// A cookie candidate for batch mediation: `(name, value, origin)`.
 pub type CookieCandidate = (String, String, Origin);
+
+/// The cookies the monitor admitted onto one request.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Attachment {
+    /// The admitted cookies' names, in RFC 6265 §5.4 attach order.
+    pub names: Vec<String>,
+    /// The `Cookie` header value: the admitted `name=value` pairs joined by
+    /// `"; "`, empty when nothing was admitted.
+    pub header: String,
+}
+
+/// The cookie attachments of a page plan ([`Erm::mediate_jar_many`]), one per
+/// request in input order. Requests with the same candidate set and the same
+/// decisions share one [`Attachment`].
+#[derive(Debug, Clone, Default)]
+pub struct PlanAttachments {
+    attachments: Vec<Attachment>,
+    of_request: Vec<usize>,
+}
+
+impl PlanAttachments {
+    /// The attachment of request `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is not a request of the plan.
+    #[must_use]
+    pub fn get(&self, index: usize) -> &Attachment {
+        &self.attachments[self.of_request[index]]
+    }
+
+    /// The attachments in request order.
+    pub fn iter(&self) -> impl Iterator<Item = &Attachment> {
+        self.of_request
+            .iter()
+            .map(|&index| &self.attachments[index])
+    }
+}
+
+/// One jar walk of a page plan: the (scheme, host) it answered for and the
+/// range of the plan's cookies it returned (§5.4 order).
+struct HostWalk<'u> {
+    scheme: &'u str,
+    host: &'u str,
+    cookies: Range<usize>,
+}
+
+/// The candidate sets of a page plan, read from one jar snapshot.
+struct CandidatePlan<'u> {
+    hosts: Vec<HostWalk<'u>>,
+    /// Every host walk's cookies, walk after walk.
+    cookies: Vec<Cookie>,
+    /// Each distinct candidate list: indices into `cookies`, in §5.4 order.
+    /// Distinct hosts own distinct indices, so equal lists share a host (or
+    /// are empty).
+    sets: Vec<Vec<usize>>,
+    /// Each request's set, in input order.
+    set_of: Vec<usize>,
+}
+
+impl<'u> CandidatePlan<'u> {
+    /// Walks the jar once per (scheme, host) of `urls`, all with one `now`, and
+    /// files each URL under the set of its path-matching candidates. A page
+    /// touches a handful of hosts and sets, so both are found by linear probe.
+    fn walk(jar: &SharedCookieJar, urls: impl Iterator<Item = &'u Url>) -> Self {
+        let now = SystemTime::now();
+        let mut plan = CandidatePlan {
+            hosts: Vec::new(),
+            cookies: Vec::new(),
+            sets: Vec::new(),
+            set_of: Vec::new(),
+        };
+        let mut members: Vec<usize> = Vec::new();
+        for url in urls {
+            let seen = plan
+                .hosts
+                .iter()
+                .find(|h| h.scheme == url.scheme() && h.host == url.host());
+            let range = match seen {
+                Some(walk) => walk.cookies.clone(),
+                None => {
+                    let start = plan.cookies.len();
+                    plan.cookies
+                        .extend(jar.host_candidates(url.scheme(), url.host(), now));
+                    let range = start..plan.cookies.len();
+                    plan.hosts.push(HostWalk {
+                        scheme: url.scheme(),
+                        host: url.host(),
+                        cookies: range.clone(),
+                    });
+                    range
+                }
+            };
+            members.clear();
+            members.extend(range.filter(|&index| plan.cookies[index].path_matches(url.path())));
+            let set = match plan.sets.iter().position(|set| *set == members) {
+                Some(set) => set,
+                None => {
+                    plan.sets.push(members.clone());
+                    plan.sets.len() - 1
+                }
+            };
+            plan.set_of.push(set);
+        }
+        plan
+    }
+
+    /// The attachment of set `set`'s members for which `admitted(k)` holds,
+    /// `k` being the member's position in the set.
+    fn attachment(&self, set: usize, admitted: impl Fn(usize) -> bool) -> Attachment {
+        let mut attachment = Attachment::default();
+        for (k, &member) in self.sets[set].iter().enumerate() {
+            if !admitted(k) {
+                continue;
+            }
+            let cookie = &self.cookies[member];
+            if !attachment.header.is_empty() {
+                attachment.header.push_str("; ");
+            }
+            attachment.header.push_str(&cookie.name);
+            attachment.header.push('=');
+            attachment.header.push_str(&cookie.value);
+            attachment.names.push(cookie.name.clone());
+        }
+        attachment
+    }
+}
 
 /// Default bound on retained audit records.
 pub const DEFAULT_AUDIT_CAPACITY: usize = 4096;
@@ -336,103 +465,98 @@ impl Erm {
     }
 
     /// Page-batch jar mediation: decides the cookie attachments of *several*
-    /// requests — one per planned subresource — in **one** engine batch, walking
-    /// the jar once per distinct URL instead of once per request. Returns the
-    /// admitted `name=value` pairs per request, in input order (each request's
-    /// pairs in RFC 6265 §5.4 attach order).
+    /// requests — one per planned subresource — in **one** engine batch. The
+    /// plan reads one jar snapshot, taken with one `now`: the jar is walked once
+    /// per (scheme, host), and each URL's candidates are the path-matching
+    /// subsequence of its host's walk (§5.4 order survives the filter).
+    /// Requests with identical candidate lists share one candidate set, so
+    /// `object_for` runs once per candidate cookie, and requests whose set and
+    /// decisions agree share one [`Attachment`]: one name list and one `Cookie`
+    /// header string.
     ///
     /// This is phase 1 of the pipelined subresource loader: every decision is
     /// fixed here, deterministically, *before* any fetch is dispatched, so the
-    /// mediation outcome cannot depend on transport completion order. Counting
-    /// and auditing are identical to issuing one [`Erm::mediate_jar`] call per
-    /// request in input order.
+    /// mediation outcome cannot depend on transport completion order. The
+    /// engine batch still holds one check per (request, in-scope cookie) in
+    /// input order, so counting and auditing are identical to issuing one
+    /// [`Erm::mediate_jar`] call per request in input order.
     pub fn mediate_jar_many(
         &mut self,
         jar: &SharedCookieJar,
         requests: &[(&Url, &PrincipalContext)],
         operation: Operation,
         object_for: impl Fn(&str, Origin) -> ObjectContext,
-    ) -> Vec<Vec<String>> {
+    ) -> PlanAttachments {
         self.sync_generation();
-        // One jar walk per distinct URL (a page's subresources typically share a
-        // handful of origins, so a linear probe of the seen-list is cheap).
-        let mut unique_urls: Vec<&Url> = Vec::new();
-        let mut candidate_sets: Vec<Vec<CookieCandidate>> = Vec::new();
-        let mut set_index: Vec<usize> = Vec::with_capacity(requests.len());
-        for (url, _) in requests {
-            let index = match unique_urls.iter().position(|u| *u == *url) {
-                Some(index) => index,
-                None => {
-                    unique_urls.push(url);
-                    candidate_sets.push(
-                        jar.candidates_for(url)
-                            .into_iter()
-                            .map(|c| {
-                                let origin = c.origin();
-                                (c.name, c.value, origin)
-                            })
-                            .collect(),
-                    );
-                    candidate_sets.len() - 1
-                }
-            };
-            set_index.push(index);
-        }
+        let plan = CandidatePlan::walk(jar, requests.iter().map(|(url, _)| *url));
 
         // The same-origin baseline attaches every in-scope candidate without
         // consulting the engine — exactly like `mediate_cookies`, including the
         // admission meter (all-or-nothing over the whole plan).
         if self.mode() == PolicyMode::SameOriginOnly {
-            let total: usize = set_index.iter().map(|&i| candidate_sets[i].len()).sum();
+            let total: usize = plan.set_of.iter().map(|&set| plan.sets[set].len()).sum();
             if !self.admit(total as u64) {
-                return vec![Vec::new(); requests.len()];
+                return PlanAttachments {
+                    attachments: vec![Attachment::default()],
+                    of_request: vec![0; requests.len()],
+                };
             }
-            return set_index
-                .iter()
-                .map(|&index| {
-                    candidate_sets[index]
-                        .iter()
-                        .map(|(name, value, _)| format!("{name}={value}"))
-                        .collect()
-                })
-                .collect();
+            return PlanAttachments {
+                attachments: (0..plan.sets.len())
+                    .map(|set| plan.attachment(set, |_| true))
+                    .collect(),
+                of_request: plan.set_of,
+            };
         }
 
-        // Flatten every (request, candidate) pair into one engine batch.
-        let objects: Vec<ObjectContext> = set_index
-            .iter()
-            .flat_map(|&index| {
-                candidate_sets[index]
-                    .iter()
-                    .map(|(name, _, origin)| object_for(name, origin.clone()))
-            })
-            .collect();
+        // One cookie object per candidate, shared by every set that holds it.
+        let mut objects: Vec<Option<ObjectContext>> = vec![None; plan.cookies.len()];
+        for &member in plan.sets.iter().flatten() {
+            if objects[member].is_none() {
+                let cookie = &plan.cookies[member];
+                objects[member] = Some(object_for(&cookie.name, cookie.origin()));
+            }
+        }
+
+        // One engine batch: every (request, candidate) pair in input order.
+        let total: usize = plan.set_of.iter().map(|&set| plan.sets[set].len()).sum();
         let mut checks: Vec<(&PrincipalContext, &ObjectContext, Operation)> =
-            Vec::with_capacity(objects.len());
-        let mut remaining_objects = objects.as_slice();
-        for ((_, principal), &index) in requests.iter().zip(&set_index) {
-            let (head, tail) = remaining_objects.split_at(candidate_sets[index].len());
-            checks.extend(head.iter().map(|object| (*principal, object, operation)));
-            remaining_objects = tail;
+            Vec::with_capacity(total);
+        for ((_, principal), &set) in requests.iter().zip(&plan.set_of) {
+            checks.extend(plan.sets[set].iter().map(|&member| {
+                let object = objects[member].as_ref().expect("candidate object built");
+                (*principal, object, operation)
+            }));
         }
         let decisions = self.decide_batch(&checks);
 
-        // Split the flat decision vector back into per-request attachments.
+        // Requests whose set and decisions agree share one attachment. Each
+        // attachment remembers the first request's decision offset.
+        let admitted = |offset: usize, k: usize| decisions[offset + k].is_allowed();
+        let mut firsts: Vec<(usize, usize)> = Vec::new();
+        let mut attachments: Vec<Attachment> = Vec::new();
+        let mut of_request = Vec::with_capacity(requests.len());
         let mut offset = 0;
-        set_index
-            .iter()
-            .map(|&index| {
-                let candidates = &candidate_sets[index];
-                let attached = decisions[offset..offset + candidates.len()]
-                    .iter()
-                    .zip(candidates)
-                    .filter(|(decision, _)| decision.is_allowed())
-                    .map(|(_, (name, value, _))| format!("{name}={value}"))
-                    .collect();
-                offset += candidates.len();
-                attached
-            })
-            .collect()
+        for &set in &plan.set_of {
+            let len = plan.sets[set].len();
+            let same = |&(first_set, first): &(usize, usize)| {
+                first_set == set && (0..len).all(|k| admitted(first, k) == admitted(offset, k))
+            };
+            let index = match firsts.iter().position(same) {
+                Some(index) => index,
+                None => {
+                    attachments.push(plan.attachment(set, |k| admitted(offset, k)));
+                    firsts.push((set, offset));
+                    attachments.len() - 1
+                }
+            };
+            of_request.push(index);
+            offset += len;
+        }
+        PlanAttachments {
+            attachments,
+            of_request,
+        }
     }
 
     /// Convenience: mediate and convert a denial into an `Err(String)` describing the
@@ -626,68 +750,147 @@ mod tests {
         assert_eq!(erm.denials(), 3);
     }
 
+    /// Runs `requests` as one [`Erm::mediate_jar_many`] plan and as one
+    /// [`Erm::mediate_jar`] call per request, on fresh monitors of `mode`, and
+    /// asserts that attachments, counters and the full audit sequence agree.
+    fn assert_plan_matches_per_request(
+        jar: &SharedCookieJar,
+        requests: &[(&Url, &PrincipalContext)],
+        mode: PolicyMode,
+    ) -> PlanAttachments {
+        // Ring 0 for `admin`, ring 1 for every other cookie: decisions vary
+        // with the principal's ring *and* with the cookie.
+        let object_for = |name: &str, origin: Origin| {
+            let ring = Ring::new(u16::from(name != "admin"));
+            ObjectContext::new(ObjectKind::Cookie, origin, ring)
+                .with_acl(Acl::uniform(ring))
+                .with_label(format!("cookie {name}"))
+        };
+        let mut batch = Erm::new(mode);
+        let plan = batch.mediate_jar_many(jar, requests, Operation::Use, object_for);
+        let mut oracle = Erm::new(mode);
+        assert_eq!(plan.iter().count(), requests.len());
+        for (index, (url, principal)) in requests.iter().enumerate() {
+            let pairs = oracle.mediate_jar(jar, url, Operation::Use, principal, object_for);
+            let attachment = plan.get(index);
+            assert_eq!(
+                attachment.header,
+                pairs.join("; "),
+                "{mode:?} request {index}"
+            );
+            let names: Vec<&str> = pairs
+                .iter()
+                .map(|pair| pair.split_once('=').expect("name=value").0)
+                .collect();
+            assert_eq!(attachment.names, names, "{mode:?} request {index}");
+        }
+        assert_eq!(batch.checks(), oracle.checks());
+        assert_eq!(batch.denials(), oracle.denials());
+        assert_eq!(batch.audit(), oracle.audit());
+        plan
+    }
+
+    /// Number of distinct attachment objects a plan's requests share.
+    fn distinct(plan: &PlanAttachments) -> usize {
+        let mut shared: Vec<*const Attachment> = plan.iter().map(std::ptr::from_ref).collect();
+        shared.sort_unstable();
+        shared.dedup();
+        shared.len()
+    }
+
     #[test]
     fn mediate_jar_many_matches_per_request_mediation() {
         use escudo_net::SetCookie;
+        use std::time::{Duration, SystemTime};
 
         let jar = SharedCookieJar::new();
-        let setting = Url::parse("http://forum.example/login.php").unwrap();
-        jar.store(&setting, &SetCookie::new("sid", "s1"));
+        let forum = Url::parse("http://forum.example/login.php").unwrap();
+        jar.store(&forum, &SetCookie::new("sid", "s1"));
         jar.store(
-            &setting,
+            &forum,
             &SetCookie::new("admin", "a1").with_path("/forum/admin"),
         );
-        jar.store(
-            &Url::parse("http://img.example/a.png").unwrap(),
-            &SetCookie::new("imgsid", "i1"),
-        );
+        // Expires while resident: in scope when stored, gone when planned.
+        let mut brief = SetCookie::new("brief", "b1");
+        brief.expires = Some(SystemTime::now() + Duration::from_millis(50));
+        jar.store(&forum, &brief);
+        // One host over both schemes: `tok` is `Secure`, `pref` is not.
+        let secure_setter = Url::parse("https://shop.example/").unwrap();
+        let mut tok = SetCookie::new("tok", "t1");
+        tok.secure = true;
+        jar.store(&secure_setter, &tok);
+        jar.store(&secure_setter, &SetCookie::new("pref", "p1"));
+        // A parent-domain `Domain` cookie next to a host-only one.
+        let www = Url::parse("http://www.example.com/").unwrap();
+        let mut wide = SetCookie::new("wide", "w1");
+        wide.domain = Some("example.com".into());
+        jar.store(&www, &wide);
+        jar.store(&www, &SetCookie::new("local", "l1"));
+        std::thread::sleep(Duration::from_millis(60));
 
-        let ring1 = |_: &str, origin: Origin| {
-            ObjectContext::new(ObjectKind::Cookie, origin, Ring::new(1))
-                .with_acl(Acl::uniform(Ring::new(1)))
-        };
         let admin_url = Url::parse("http://forum.example/forum/admin/tool.php").unwrap();
-        let img_url = Url::parse("http://img.example/b.png").unwrap();
-        let p1 = script(1);
-        let p3 = script(3);
-        let img_principal = PrincipalContext::new(
-            PrincipalKind::Script,
-            Origin::new("http", "img.example", 80),
-            Ring::new(1),
-        );
-        // Mixed principals, repeated URLs (the repeated URL's jar walk happens once).
+        let index_url = Url::parse("http://forum.example/index.php").unwrap();
+        let shop_http = Url::parse("http://shop.example/cart").unwrap();
+        let shop_https = Url::parse("https://shop.example/cart").unwrap();
+        let www_url = Url::parse("http://www.example.com/a.png").unwrap();
+        let api_url = Url::parse("http://api.example.com/b.png").unwrap();
+        let (p0, p1, p3) = (script(0), script(1), script(3));
+        // The origin rule also decides: a cookie attaches only for a
+        // principal of the cookie's own origin.
+        let ring1_of = |origin: &str| {
+            PrincipalContext::new(
+                PrincipalKind::Script,
+                Origin::parse_url(origin).unwrap(),
+                Ring::new(1),
+            )
+        };
+        let shop = ring1_of("https://shop.example");
+        let www = ring1_of("http://www.example.com");
+        let parent = ring1_of("http://example.com");
+        // Mixed principals, two paths on one host, both schemes of one host,
+        // and repeated URLs.
         let requests: Vec<(&Url, &PrincipalContext)> = vec![
             (&admin_url, &p1),
-            (&img_url, &img_principal),
+            (&index_url, &p1),
+            (&shop_http, &shop),
+            (&shop_https, &shop),
+            (&www_url, &www),
+            (&api_url, &parent),
             (&admin_url, &p3),
+            (&admin_url, &p0),
+            (&index_url, &p1),
             (&admin_url, &p1),
         ];
 
-        let mut batch_erm = Erm::new(PolicyMode::Escudo);
-        let batched = batch_erm.mediate_jar_many(&jar, &requests, Operation::Use, ring1);
+        let plan = assert_plan_matches_per_request(&jar, &requests, PolicyMode::Escudo);
+        let headers: Vec<&str> = plan.iter().map(|a| a.header.as_str()).collect();
+        assert_eq!(
+            headers,
+            [
+                // §5.4 order within a request; `admin` is ring 0, denied to ring 1.
+                "sid=s1",
+                "sid=s1",
+                "pref=p1",
+                "tok=t1; pref=p1",
+                // `wide` belongs to `example.com`: the origin rule denies it
+                // to a `www.example.com` principal.
+                "local=l1",
+                "wide=w1",
+                "",
+                "admin=a1; sid=s1",
+                "sid=s1",
+                "sid=s1",
+            ]
+        );
+        // Repeated (set, decisions) outcomes share one attachment.
+        assert_eq!(distinct(&plan), 8);
 
-        let mut oracle_erm = Erm::new(PolicyMode::Escudo);
-        let singly: Vec<Vec<String>> = requests
-            .iter()
-            .map(|(url, principal)| {
-                oracle_erm.mediate_jar(&jar, url, Operation::Use, principal, ring1)
-            })
-            .collect();
-        assert_eq!(batched, singly);
-        // §5.4 order within a request, denial for the ring-3 principal.
-        assert_eq!(batched[0], vec!["admin=a1", "sid=s1"]);
-        assert_eq!(batched[1], vec!["imgsid=i1"]);
-        assert!(batched[2].is_empty());
-        // Counting and auditing identical to the per-request path.
-        assert_eq!(batch_erm.checks(), oracle_erm.checks());
-        assert_eq!(batch_erm.denials(), oracle_erm.denials());
-        assert_eq!(batch_erm.audit().len(), oracle_erm.audit().len());
-
-        // The same-origin baseline attaches every candidate without engine checks.
-        let mut sop = Erm::new(PolicyMode::SameOriginOnly);
-        let sop_batched = sop.mediate_jar_many(&jar, &requests, Operation::Use, ring1);
-        assert_eq!(sop_batched[2], vec!["admin=a1", "sid=s1"]);
-        assert_eq!(sop.checks(), 0);
+        // The same-origin baseline attaches every candidate without engine
+        // checks, one attachment per candidate set.
+        let sop = assert_plan_matches_per_request(&jar, &requests, PolicyMode::SameOriginOnly);
+        assert_eq!(sop.get(6).header, "admin=a1; sid=s1");
+        assert_eq!(sop.get(1).header, "sid=s1");
+        assert_eq!(distinct(&sop), 6);
     }
 
     #[test]
@@ -785,7 +988,8 @@ mod tests {
         let p1 = script(1);
         let requests: Vec<(&Url, &PrincipalContext)> = vec![(&url, &p1)];
         let batched = erm.mediate_jar_many(&jar, &requests, Operation::Use, ring1);
-        assert_eq!(batched, vec![Vec::<String>::new()]);
+        assert_eq!(batched.iter().count(), 1);
+        assert_eq!(batched.get(0), &Attachment::default());
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod snapshot;
 
 pub use browser::{Browser, PageId, DEFAULT_SUBRESOURCE_WORKERS};
 pub use context::SecurityContextTable;
-pub use erm::Erm;
+pub use erm::{Attachment, Erm, PlanAttachments};
 pub use error::BrowserError;
 pub use escudo_core::PolicyMode;
 pub use loader::{LoadOptions, PageLoader};

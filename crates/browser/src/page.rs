@@ -71,6 +71,11 @@ pub struct PageLoadStats {
     /// Cookie-`use` denials issued while mediating this page's subresource
     /// requests (phase 1 of the pipelined loader, before any fetch is dispatched).
     pub subresource_denials: u64,
+    /// Wall-clock time of subresource planning (phase 1), in nanoseconds: from
+    /// the start of the document walk to the handoff of the finished fetch
+    /// plan — resolution, principals, cookie mediation and request build. 0
+    /// when the page has no fetchable subresource.
+    pub subresource_plan_ns: u128,
     /// Wall-clock time of the subresource fetch fan-out (phase 2), in nanoseconds.
     /// With the pipelined loader this is the *overlapped* time, not the sum of
     /// per-fetch times.
@@ -212,6 +217,7 @@ mod tests {
             policy_cache_hits: 2,
             subresource_requests: 4,
             subresource_denials: 1,
+            subresource_plan_ns: 30,
             subresource_fetch_ns: 40,
             prefetch_issued: 2,
             prefetch_hit: true,

@@ -43,8 +43,8 @@ impl Origin {
     #[must_use]
     pub fn new(scheme: &str, host: &str, port: u16) -> Self {
         Origin {
-            scheme: scheme.to_ascii_lowercase().into(),
-            host: host.to_ascii_lowercase().into(),
+            scheme: lowercased(scheme),
+            host: lowercased(host),
             port,
         }
     }
@@ -60,40 +60,7 @@ impl Origin {
     /// Returns [`ConfigError::InvalidOrigin`] when the scheme is missing, the host is
     /// empty, or the port is not numeric.
     pub fn parse_url(url: &str) -> Result<Self, ConfigError> {
-        let url = url.trim();
-        let (scheme, rest) = url
-            .split_once("://")
-            .ok_or_else(|| ConfigError::InvalidOrigin(url.to_string()))?;
-        if scheme.is_empty()
-            || !scheme
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
-        {
-            return Err(ConfigError::InvalidOrigin(url.to_string()));
-        }
-        // Authority ends at the first '/', '?' or '#'.
-        let authority_end = rest.find(['/', '?', '#']).unwrap_or(rest.len());
-        let authority = &rest[..authority_end];
-        if authority.is_empty() {
-            return Err(ConfigError::InvalidOrigin(url.to_string()));
-        }
-        // Strip userinfo if present (rare, but cheap to support).
-        let authority = authority.rsplit('@').next().unwrap_or(authority);
-        let (host, port) = match authority.rsplit_once(':') {
-            Some((h, p)) if !p.is_empty() && p.chars().all(|c| c.is_ascii_digit()) => {
-                let port: u16 = p
-                    .parse()
-                    .map_err(|_| ConfigError::InvalidOrigin(url.to_string()))?;
-                (h, port)
-            }
-            Some((_, p)) if p.chars().any(|c| !c.is_ascii_digit()) => {
-                return Err(ConfigError::InvalidOrigin(url.to_string()))
-            }
-            _ => (authority, default_port(scheme)),
-        };
-        if host.is_empty() {
-            return Err(ConfigError::InvalidOrigin(url.to_string()));
-        }
+        let (scheme, host, port, _) = split_url(url)?;
         Ok(Origin::new(scheme, host, port))
     }
 
@@ -125,12 +92,73 @@ impl Origin {
 /// The default port for a scheme (80 for http, 443 for https, 0 otherwise).
 #[must_use]
 pub fn default_port(scheme: &str) -> u16 {
-    match scheme.to_ascii_lowercase().as_str() {
-        "http" | "ws" => 80,
-        "https" | "wss" => 443,
-        "ftp" => 21,
-        _ => 0,
+    [
+        ("http", 80),
+        ("ws", 80),
+        ("https", 443),
+        ("wss", 443),
+        ("ftp", 21),
+    ]
+    .into_iter()
+    .find(|(known, _)| scheme.eq_ignore_ascii_case(known))
+    .map_or(0, |(_, port)| port)
+}
+
+/// `text` lower-cased as a shared slice, copied once: already lower-case text
+/// (every URL the parsers produce) skips the intermediate `String`.
+fn lowercased(text: &str) -> Arc<str> {
+    if text.bytes().any(|b| b.is_ascii_uppercase()) {
+        text.to_ascii_lowercase().into()
+    } else {
+        text.into()
     }
+}
+
+/// Splits a URL string into the scheme, host and port of its origin plus the
+/// rest of the URL after the authority (path, query and fragment, possibly
+/// empty), without allocating: the scheme and host are slices of the
+/// (trimmed) input, not yet lower-cased, and a missing port is the scheme's
+/// default. [`Origin::parse_url`] builds on it, and so does a URL parser
+/// that keeps the components itself.
+///
+/// # Errors
+///
+/// Returns [`ConfigError::InvalidOrigin`] when the scheme is missing, the host is
+/// empty, or the port is not numeric.
+pub fn split_url(url: &str) -> Result<(&str, &str, u16, &str), ConfigError> {
+    let url = url.trim();
+    let invalid = || ConfigError::InvalidOrigin(url.to_string());
+    let (scheme, rest) = url.split_once("://").ok_or_else(invalid)?;
+    if scheme.is_empty()
+        || !scheme
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.'))
+    {
+        return Err(invalid());
+    }
+    // Authority ends at the first '/', '?' or '#'.
+    let authority_end = rest
+        .bytes()
+        .position(|b| matches!(b, b'/' | b'?' | b'#'))
+        .unwrap_or(rest.len());
+    let (authority, tail) = rest.split_at(authority_end);
+    if authority.is_empty() {
+        return Err(invalid());
+    }
+    // Strip userinfo if present (rare, but cheap to support).
+    let authority = authority
+        .rfind('@')
+        .map_or(authority, |at| &authority[at + 1..]);
+    let digits = |p: &str| p.bytes().all(|b| b.is_ascii_digit());
+    let (host, port) = match authority.rsplit_once(':') {
+        Some((h, p)) if !p.is_empty() && digits(p) => (h, p.parse().map_err(|_| invalid())?),
+        Some((_, p)) if !digits(p) => return Err(invalid()),
+        _ => (authority, default_port(scheme)),
+    };
+    if host.is_empty() {
+        return Err(invalid());
+    }
+    Ok((scheme, host, port, tail))
 }
 
 impl fmt::Display for Origin {

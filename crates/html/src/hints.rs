@@ -4,9 +4,10 @@
 //! plain tag queries cannot give it (they are per-tag, and planning cares
 //! about the *interleaved* order):
 //!
-//! * [`critical_resources`] — the render-blocking external subresources
+//! * [`subresources`] — the render-blocking external subresources
 //!   (`<link rel="stylesheet" href>` and `<script src>`), fetched in a
-//!   deadline window of their own ahead of the page's images;
+//!   deadline window of their own ahead of the page's images, and the images
+//!   themselves, from one walk;
 //! * [`prefetch_links`] — `<link rel="prefetch" href>` speculation hints, the
 //!   markup half of the browser's visited-link predictor, fetched on the
 //!   session's prefetch thread.
@@ -28,27 +29,53 @@ fn resource_attr<'d>(document: &'d Document, id: NodeId, attr: &str) -> Option<&
     document.attribute(id, attr).filter(|v| !v.is_empty())
 }
 
-/// The render-critical external subresources of the document —
-/// `<link rel="stylesheet" href=…>` and `<script src=…>` — in document order,
-/// as `(node, url)` pairs. Inline scripts (no `src`) and links without an
-/// `href` are not resources and are skipped.
+/// The fetchable subresources of a document, found in one walk: each entry is
+/// the element, its tag and its raw `href`/`src` value, borrowed from the
+/// document.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Subresources<'d> {
+    /// The render-critical external subresources — `<link rel="stylesheet"
+    /// href=…>` and `<script src=…>` — in document order. Inline scripts (no
+    /// `src`) and links without an `href` are not resources and are skipped.
+    pub critical: Vec<(NodeId, &'d str, &'d str)>,
+    /// Every `<img src=…>`, in document order (an empty `src` included).
+    pub images: Vec<(NodeId, &'d str)>,
+}
+
+/// The document's [`Subresources`]: critical resources and images, from one
+/// walk over the document.
 #[must_use]
-pub fn critical_resources(document: &Document) -> Vec<(NodeId, String)> {
-    document
-        .all_elements()
-        .into_iter()
-        .filter_map(|id| match document.tag_name(id) {
-            Some("link") => {
-                let rel = document.attribute(id, "rel")?;
-                if !rel_contains(rel, "stylesheet") {
-                    return None;
+pub fn subresources(document: &Document) -> Subresources<'_> {
+    let mut found = Subresources::default();
+    for id in document.descendants(document.root()) {
+        let Some(element) = document.element(id) else {
+            continue;
+        };
+        let attr = |name| element.attr(name).filter(|v: &&str| !v.is_empty());
+        match element.tag.as_str() {
+            "link"
+                if element
+                    .attr("rel")
+                    .is_some_and(|rel| rel_contains(rel, "stylesheet")) =>
+            {
+                if let Some(href) = attr("href") {
+                    found.critical.push((id, "link", href));
                 }
-                resource_attr(document, id, "href").map(|href| (id, href.to_string()))
             }
-            Some("script") => resource_attr(document, id, "src").map(|src| (id, src.to_string())),
-            _ => None,
-        })
-        .collect()
+            "script" => {
+                if let Some(src) = attr("src") {
+                    found.critical.push((id, "script", src));
+                }
+            }
+            tag if tag.eq_ignore_ascii_case("img") => {
+                if let Some(src) = element.attr("src") {
+                    found.images.push((id, src));
+                }
+            }
+            _ => {}
+        }
+    }
+    found
 }
 
 /// The document's `<link rel="prefetch" href=…>` speculation hints, in
@@ -92,11 +119,11 @@ mod tests {
             r#"<img src="/d.png">"#,
             "</body></html>"
         ));
-        let urls: Vec<String> = critical_resources(&document)
-            .into_iter()
-            .map(|(_, url)| url)
-            .collect();
+        let found = subresources(&document);
+        let urls: Vec<&str> = found.critical.iter().map(|(_, _, url)| *url).collect();
         assert_eq!(urls, vec!["/a.css", "/b.js", "/c.css"]);
+        let images: Vec<&str> = found.images.iter().map(|(_, src)| *src).collect();
+        assert_eq!(images, vec!["/d.png"]);
     }
 
     #[test]
@@ -109,7 +136,7 @@ mod tests {
             r#"<script src=""></script>"#,
             "</head></html>"
         ));
-        assert!(critical_resources(&document).is_empty());
+        assert!(subresources(&document).critical.is_empty());
         assert!(prefetch_links(&document).is_empty());
     }
 
@@ -133,9 +160,10 @@ mod tests {
     fn stylesheet_rel_is_also_token_wise() {
         let document =
             doc(r#"<html><head><link rel="preload stylesheet" href="/s.css"></head></html>"#);
-        let urls: Vec<String> = critical_resources(&document)
-            .into_iter()
-            .map(|(_, url)| url)
+        let urls: Vec<&str> = subresources(&document)
+            .critical
+            .iter()
+            .map(|(_, _, url)| *url)
             .collect();
         assert_eq!(urls, vec!["/s.css"]);
     }

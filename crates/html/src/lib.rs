@@ -40,6 +40,6 @@ pub mod token;
 pub mod tokenizer;
 
 pub use builder::{parse_document, ParseOptions, ParseReport, ParseResult};
-pub use hints::{critical_resources, prefetch_links};
+pub use hints::{prefetch_links, subresources, Subresources};
 pub use token::Token;
 pub use tokenizer::Tokenizer;

@@ -280,18 +280,30 @@ impl Cookie {
     /// separate, policy-mediated decision.)
     #[must_use]
     pub fn in_scope(&self, scheme: &str, host: &str, path: &str) -> bool {
+        self.in_host_scope(scheme, host) && self.path_matches(path)
+    }
+
+    /// Whether this cookie is in scope for a request over `scheme` to `host` at
+    /// *some* path: the `Secure` and host/`Domain` halves of
+    /// [`Cookie::in_scope`].
+    #[must_use]
+    pub fn in_host_scope(&self, scheme: &str, host: &str) -> bool {
         if self.secure && !scheme.eq_ignore_ascii_case("https") {
             return false;
         }
         // RFC 6265 §5.4: a host-only cookie matches exactly the host that set it;
         // only a cookie with an explicit `Domain` extends to subdomains.
         if self.host_only {
-            if !host.eq_ignore_ascii_case(&self.host) {
-                return false;
-            }
-        } else if !domain_matches(&self.host, host) {
-            return false;
+            host.eq_ignore_ascii_case(&self.host)
+        } else {
+            domain_matches(&self.host, host)
         }
+    }
+
+    /// Whether this cookie's `Path` scope covers a request to `path` (RFC 6265
+    /// §5.1.4 path-match): the path half of [`Cookie::in_scope`].
+    #[must_use]
+    pub fn path_matches(&self, path: &str) -> bool {
         path_matches(&self.path, path)
     }
 

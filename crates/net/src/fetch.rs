@@ -34,7 +34,9 @@
 //! or XHR to a panicking origin fails with [`NetError::FetchPanicked`]
 //! instead of unwinding the session.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::error::NetError;
@@ -189,15 +191,23 @@ impl SharedNetwork {
     /// slot's sequence. With the persistent layer in play, each miss is
     /// marked for admission or pointed at the first slot with its URL and
     /// `Cookie` header.
+    ///
+    /// Lookups borrow their keys: each slot's URL is serialized once, into
+    /// one reused buffer, and its `Cookie` header is read in place. Only a
+    /// miss the persistent layer may store owns its `(url, header)` pair.
+    /// Freshness is judged at one fabric-clock reading for the whole plan.
     fn consult(&self, base: u64, layers: CacheLayers, slots: &mut [Slot]) {
-        let mut first_slot: HashMap<(String, String), usize> = HashMap::new();
+        let now_ns = self.clock_now_ns();
+        let mut url = String::new();
         for (i, slot) in slots.iter_mut().enumerate() {
             let request = slot.request.as_ref().expect("unsent slot has request");
             if request.method != Method::Get || !request.body.is_empty() {
                 continue;
             }
-            let key = (request.url.to_string(), cookie_header(request).to_string());
-            if let Some(hit) = self.cache_lookup(&key.0, &key.1, layers) {
+            url.clear();
+            write!(url, "{}", request.url).expect("writing to a String cannot fail");
+            let cookie = cookie_header(request);
+            if let Some(hit) = self.cache_lookup(&url, cookie, now_ns, layers) {
                 self.record_cache_hit(base + i as u64, request, hit.response.status.0);
                 let source = if hit.one_shot {
                     Source::OneShot
@@ -206,14 +216,25 @@ impl SharedNetwork {
                 };
                 slot.fetched = Some(Fetched::served(hit.response, source));
             } else if layers.persistent {
-                match first_slot.get(&key) {
-                    Some(&primary) => slot.primary = Some(primary),
-                    None => {
-                        first_slot.insert(key.clone(), i);
-                        slot.store_key = Some(key);
+                slot.store_key = Some((url.clone(), cookie.to_string()));
+            }
+        }
+        // Single-flight: a repeated miss rides the first slot with its key.
+        let mut first_slot: HashMap<(&str, &str), usize> = HashMap::new();
+        let mut duplicates: Vec<(usize, usize)> = Vec::new();
+        for (i, slot) in slots.iter().enumerate() {
+            if let Some((url, cookie)) = &slot.store_key {
+                match first_slot.entry((url, cookie)) {
+                    Entry::Occupied(primary) => duplicates.push((i, *primary.get())),
+                    Entry::Vacant(vacant) => {
+                        vacant.insert(i);
                     }
                 }
             }
+        }
+        for (i, primary) in duplicates {
+            slots[i].store_key = None;
+            slots[i].primary = Some(primary);
         }
     }
 

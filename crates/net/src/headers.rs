@@ -78,21 +78,26 @@ impl Headers {
     }
 
     /// The comma-separated directives of every `Cache-Control` header line,
-    /// trimmed and lower-cased.
-    fn cache_directives(&self) -> impl Iterator<Item = String> + '_ {
-        self.get_all("Cache-Control")
-            .into_iter()
-            .flat_map(|value| value.split(','))
-            .map(|directive| directive.trim().to_ascii_lowercase())
+    /// trimmed. Directive names compare case-insensitively, in place.
+    fn cache_directives(&self) -> impl Iterator<Item = &str> + '_ {
+        self.entries
+            .iter()
+            .filter(|(name, _)| name.eq_ignore_ascii_case("Cache-Control"))
+            .flat_map(|(_, value)| value.split(','))
+            .map(str::trim)
     }
 
     /// The `max-age=N` freshness lifetime in seconds from `Cache-Control`, if any.
     /// Malformed values are ignored (the response is then simply not cacheable).
     #[must_use]
     pub fn cache_max_age(&self) -> Option<u64> {
+        const PREFIX: &str = "max-age=";
         self.cache_directives().find_map(|directive| {
-            let seconds = directive.strip_prefix("max-age=")?;
-            seconds.trim().parse().ok()
+            let name = directive.get(..PREFIX.len())?;
+            if !name.eq_ignore_ascii_case(PREFIX) {
+                return None;
+            }
+            directive[PREFIX.len()..].trim().parse().ok()
         })
     }
 
@@ -101,7 +106,7 @@ impl Headers {
     #[must_use]
     pub fn cache_no_store(&self) -> bool {
         self.cache_directives()
-            .any(|directive| directive == "no-store")
+            .any(|directive| directive.eq_ignore_ascii_case("no-store"))
     }
 }
 

@@ -3,7 +3,8 @@
 //! ESCUDO's deployability argument rests on keeping mediation overhead small, and
 //! the largest remaining hot-path cost is paying full wire latency for every repeat
 //! navigation. This module caches *transport*, never *mediation*: entries are keyed
-//! by `(method, url)` and validated against the **mediated cookie header** the
+//! by the URL (a `GET`; any other method by `"{method} {url}"`, so methods never
+//! share an entry) and validated against the **mediated cookie header** the
 //! browser's reference monitor computed for the request. The mediation plan always
 //! executes — a hit only skips the origin round-trip — so ESCUDO/SOP verdicts and
 //! check/denial counts are cache-invariant by construction. A request whose
@@ -29,6 +30,7 @@
 //!
 //! [`Clock`]: escudo_core::tenant::Clock
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -191,8 +193,14 @@ impl ResponseCache {
             && (one_shot || response.headers.cache_max_age().is_some())
     }
 
-    fn key(method: Method, url: &str) -> String {
-        format!("{method} {url}")
+    /// The entry key: a `GET` is keyed by its URL itself, borrowed; any other
+    /// method by `"{method} {url}"`. A serialized URL starts with its scheme
+    /// and holds no space, so the two forms never collide.
+    fn key(method: Method, url: &str) -> Cow<'_, str> {
+        match method {
+            Method::Get => Cow::Borrowed(url),
+            _ => Cow::Owned(format!("{method} {url}")),
+        }
     }
 
     fn shard_for(&self, key: &str) -> &Mutex<Shard> {
@@ -202,7 +210,7 @@ impl ResponseCache {
     }
 
     /// Stores a response fetched under `cookie_header`, overwriting any previous
-    /// entry for `(method, url)`. Returns `false` (and stores nothing) when
+    /// entry for `method` and `url`. Returns `false` (and stores nothing) when
     /// [`ResponseCache::admits`] refuses the response. One-shot (prefetch)
     /// entries without `max-age` fall back to [`ONE_SHOT_DEFAULT_TTL_NS`] —
     /// but a one-shot store never downgrades a fresh persistent entry to
@@ -229,7 +237,7 @@ impl ResponseCache {
         let key = ResponseCache::key(method, url);
         let mut shard = self.shard_for(&key).lock().expect("cache shard lock");
         if one_shot {
-            if let Some(existing) = shard.entries.get(&key) {
+            if let Some(existing) = shard.entries.get(key.as_ref()) {
                 if !existing.one_shot && !existing.is_expired(now_ns) {
                     return false;
                 }
@@ -245,7 +253,7 @@ impl ResponseCache {
             one_shot,
             touched,
         };
-        let overwrote = shard.entries.insert(key, entry).is_some();
+        let overwrote = shard.entries.insert(key.into_owned(), entry).is_some();
         if !overwrote && shard.entries.len() > self.shard_capacity {
             let oldest = shard
                 .entries
@@ -261,7 +269,8 @@ impl ResponseCache {
         true
     }
 
-    /// Looks up `(method, url)` under the mediated `cookie_header`, serving
+    /// Looks up `method` and `url` — borrowing the URL as the key of a `GET`,
+    /// so a lookup allocates nothing — under the mediated `cookie_header`, serving
     /// only the `layers` the caller opted into.
     ///
     /// An expired entry is removed and counted (`None`). An entry in a layer
@@ -282,42 +291,37 @@ impl ResponseCache {
             return None;
         }
         let key = ResponseCache::key(method, url);
-        let mut shard = self.shard_for(&key).lock().expect("cache shard lock");
-        let entry = shard.entries.get(&key)?;
-        if entry.is_expired(now_ns) {
-            shard.entries.remove(&key);
-            drop(shard);
-            self.expired.fetch_add(1, Ordering::Relaxed);
+        let key = key.as_ref();
+        let mut guard = self.shard_for(key).lock().expect("cache shard lock");
+        let shard = &mut *guard;
+        let entry = shard.entries.get_mut(key)?;
+        // Every outcome but a miss in a foreign layer and a persistent hit
+        // removes the entry; only a one-shot hit serves it.
+        let (counter, served) = if entry.is_expired(now_ns) {
+            (&self.expired, false)
+        } else if !layers.serves(entry.one_shot) {
             return None;
-        }
-        if !layers.serves(entry.one_shot) {
-            return None;
-        }
-        if entry.cookie_header != cookie_header {
-            shard.entries.remove(&key);
-            drop(shard);
-            self.stale.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        if entry.one_shot {
-            let entry = shard.entries.remove(&key).expect("entry present");
-            drop(shard);
-            self.one_shot_hits.fetch_add(1, Ordering::Relaxed);
+        } else if entry.cookie_header != cookie_header {
+            (&self.stale, false)
+        } else if entry.one_shot {
+            (&self.one_shot_hits, true)
+        } else {
+            shard.tick += 1;
+            entry.touched = shard.tick;
+            let response = Arc::clone(&entry.response);
+            drop(guard);
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(CacheHit {
-                response: entry.response,
-                one_shot: true,
+                response,
+                one_shot: false,
             });
-        }
-        shard.tick += 1;
-        let touched = shard.tick;
-        let entry = shard.entries.get_mut(&key).expect("entry present");
-        entry.touched = touched;
-        let response = Arc::clone(&entry.response);
-        drop(shard);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(CacheHit {
-            response,
-            one_shot: false,
+        };
+        let removed = shard.entries.remove(key).expect("entry present");
+        drop(guard);
+        counter.fetch_add(1, Ordering::Relaxed);
+        served.then_some(CacheHit {
+            response: removed.response,
+            one_shot: true,
         })
     }
 

@@ -37,6 +37,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::SystemTime;
 
 use crate::cookie::{Cookie, SetCookie};
 use crate::url::Url;
@@ -208,7 +209,7 @@ impl SharedCookieJar {
         let Some(cookie) = crate::jar::accept(url, directive) else {
             return;
         };
-        let now = std::time::SystemTime::now();
+        let now = SystemTime::now();
         let shard = self.shard_for(&cookie.host);
         let mut state = shard.state.lock().expect("jar shard lock");
         purge_expired(shard, &mut state, &cookie.host, now);
@@ -259,23 +260,40 @@ impl SharedCookieJar {
     ///
     /// Returns owned clones: candidates cross the shard-lock boundary, and the
     /// caller (the reference monitor's batch mediation) needs the name/value/origin
-    /// anyway. The request host and each of its parent-domain suffixes are probed —
-    /// one short-held shard lock per probe key, never all shards at once. Each probe
-    /// lazily drops cookies whose expiry deadline has passed (the lock is already
-    /// held, so expiry costs one `retain` pass over the probed host entry).
+    /// anyway. This is [`SharedCookieJar::host_candidates`] for the URL's scheme
+    /// and host, filtered to the cookies whose path scope covers the URL's path.
     #[must_use]
     pub fn candidates_for(&self, url: &Url) -> Vec<Cookie> {
-        let now = std::time::SystemTime::now();
+        let mut candidates = self.host_candidates(url.scheme(), url.host(), SystemTime::now());
+        candidates.retain(|c| c.path_matches(url.path()));
+        candidates
+    }
+
+    /// Every cookie in scope for a request over `scheme` to `host` at *some*
+    /// path — host-only and `Domain` scope and `Secure` applied, path not yet —
+    /// in RFC 6265 §5.4 attach order, with expiry judged at `now`.
+    ///
+    /// A request's own candidates are the subsequence whose
+    /// [`Cookie::path_matches`] its path: filtering keeps the order, so a page
+    /// plan walks the jar once per (scheme, host) and answers every URL on that
+    /// host from the one result. The request host and each of its parent-domain
+    /// suffixes are probed — one short-held shard lock per probe key, never all
+    /// shards at once. Each probe lazily drops cookies whose expiry deadline has
+    /// passed (the lock is already held, so expiry costs one `retain` pass over
+    /// the probed host entry).
+    #[must_use]
+    pub fn host_candidates(&self, scheme: &str, host: &str, now: SystemTime) -> Vec<Cookie> {
+        let host = host.to_ascii_lowercase();
         let mut matched: Vec<StoredCookie> = Vec::new();
-        for key in probe_keys(url.host()) {
-            let shard = self.shard_for(&key);
+        for key in probe_keys(&host) {
+            let shard = self.shard_for(key);
             let mut state = shard.state.lock().expect("jar shard lock");
-            purge_expired(shard, &mut state, &key, now);
-            if let Some(entries) = state.hosts.get(&key) {
+            if purge_expired(shard, &mut state, key, now) {
+                let entries = &state.hosts[key];
                 matched.extend(
                     entries
                         .iter()
-                        .filter(|s| s.cookie.in_scope(url.scheme(), url.host(), url.path()))
+                        .filter(|s| s.cookie.in_host_scope(scheme, &host))
                         .cloned(),
                 );
             }
@@ -326,7 +344,7 @@ impl SharedCookieJar {
         let key = host.to_ascii_lowercase();
         let shard = self.shard_for(&key);
         let mut state = shard.state.lock().expect("jar shard lock");
-        purge_expired(shard, &mut state, &key, std::time::SystemTime::now());
+        purge_expired(shard, &mut state, &key, SystemTime::now());
         state
             .hosts
             .get(&key)?
@@ -342,7 +360,7 @@ impl SharedCookieJar {
         let key = host.to_ascii_lowercase();
         let shard = self.shard_for(&key);
         let mut state = shard.state.lock().expect("jar shard lock");
-        purge_expired(shard, &mut state, &key, std::time::SystemTime::now());
+        purge_expired(shard, &mut state, &key, SystemTime::now());
         state
             .hosts
             .get(&key)?
@@ -359,7 +377,7 @@ impl SharedCookieJar {
         let mut state = shard.state.lock().expect("jar shard lock");
         // Expired cookies are purged first so the §5.4 victim selection can
         // never pick an expired ghost over the live cookie `get` would return.
-        purge_expired(shard, &mut state, &key, std::time::SystemTime::now());
+        purge_expired(shard, &mut state, &key, SystemTime::now());
         let Some(entries) = state.hosts.get_mut(&key) else {
             return false;
         };
@@ -388,7 +406,7 @@ impl SharedCookieJar {
         let key = host.to_ascii_lowercase();
         let shard = self.shard_for(&key);
         let mut state = shard.state.lock().expect("jar shard lock");
-        purge_expired(shard, &mut state, &key, std::time::SystemTime::now());
+        purge_expired(shard, &mut state, &key, SystemTime::now());
         let Some(entries) = state.hosts.get_mut(&key) else {
             return false;
         };
@@ -471,23 +489,27 @@ impl fmt::Display for SharedCookieJar {
 
 /// Drops every expired cookie under `key` while the shard lock is held: one
 /// `retain` pass over the probed host entry, resident count and the shard's
-/// `expired` counter updated to match. This is the "lazy expiry" half of the
-/// cookie-lifetime model — nothing sweeps the jar in the background; deadlines
-/// are enforced at the next probe of the host that holds them.
-fn purge_expired(shard: &JarShard, state: &mut ShardState, key: &str, now: std::time::SystemTime) {
+/// `expired` counter updated to match. Returns `true` when live cookies remain
+/// under `key`. This is the "lazy expiry" half of the cookie-lifetime model —
+/// nothing sweeps the jar in the background; deadlines are enforced at the
+/// next probe of the host that holds them.
+fn purge_expired(shard: &JarShard, state: &mut ShardState, key: &str, now: SystemTime) -> bool {
     let Some(entries) = state.hosts.get_mut(key) else {
-        return;
+        return false;
     };
     let before = entries.len();
     entries.retain(|s| !s.cookie.expired(now));
     let removed = before - entries.len();
-    if removed > 0 {
-        if entries.is_empty() {
-            state.hosts.remove(key);
-        }
-        state.resident -= removed;
-        shard.expired.fetch_add(removed as u64, Ordering::Relaxed);
+    if removed == 0 {
+        return true;
     }
+    let live = !entries.is_empty();
+    if !live {
+        state.hosts.remove(key);
+    }
+    state.resident -= removed;
+    shard.expired.fetch_add(removed as u64, Ordering::Relaxed);
+    live
 }
 
 /// Evicts the `count` least-recently-stored cookies (lowest touch index) from the
@@ -514,23 +536,18 @@ fn evict_least_recently_stored(state: &mut ShardState, count: usize) -> usize {
     count
 }
 
-/// The host keys a request to `host` must probe: the host itself plus every
-/// parent-domain suffix (a `Domain=example.com` cookie is stored under
-/// `example.com` but matches requests to `www.example.com`). Scope checking
-/// proper still happens per cookie via [`Cookie::in_scope`]; the keys only bound
-/// which map entries can possibly hold matches.
-fn probe_keys(host: &str) -> Vec<String> {
-    let host = host.to_ascii_lowercase();
-    let mut keys = Vec::with_capacity(4);
-    let mut rest = host.as_str();
-    keys.push(host.clone());
-    while let Some(dot) = rest.find('.') {
-        rest = &rest[dot + 1..];
-        if !rest.is_empty() {
-            keys.push(rest.to_string());
-        }
-    }
-    keys
+/// The host keys a request to `host` (already lower-cased) must probe: the
+/// host itself plus every parent-domain suffix (a `Domain=example.com` cookie
+/// is stored under `example.com` but matches requests to `www.example.com`),
+/// as slices of `host`. Scope checking proper still happens per cookie via
+/// [`Cookie::in_host_scope`]; the keys only bound which map entries can
+/// possibly hold matches.
+fn probe_keys(host: &str) -> impl Iterator<Item = &str> {
+    let suffixes = host
+        .match_indices('.')
+        .map(|(dot, _)| &host[dot + 1..])
+        .filter(|rest| !rest.is_empty());
+    std::iter::once(host).chain(suffixes)
 }
 
 #[cfg(test)]
@@ -840,12 +857,76 @@ mod tests {
     }
 
     #[test]
+    fn host_candidates_filtered_by_path_equal_candidates_for_on_a_seeded_grid() {
+        // A seeded jar of host-only, `Domain`, path-scoped and `Secure`
+        // cookies over a three-level host tree.
+        let hosts = [
+            "example.com",
+            "www.example.com",
+            "a.www.example.com",
+            "other.org",
+        ];
+        let paths = ["/", "/a", "/a/b", "/ab", "/a/b/c.png"];
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let jar = SharedCookieJar::new();
+        for i in 0..48 {
+            let host = hosts[next(hosts.len())];
+            let scheme = if next(2) == 0 { "http" } else { "https" };
+            let mut directive = SetCookie::new(format!("c{}", next(12)), i.to_string())
+                .with_path(paths[next(paths.len() - 1)]);
+            directive.secure = next(3) == 0;
+            if next(2) == 0 {
+                // Every parent suffix of the setting host is a legal `Domain`.
+                let suffix = host.find('.').map_or(host, |dot| &host[dot + 1..]);
+                directive.domain = Some(if suffix.contains('.') { suffix } else { host }.into());
+            }
+            jar.store(&url(&format!("{scheme}://{host}/a/")), &directive);
+        }
+        assert!(jar.len() > 16, "the grid must hold a real mix of cookies");
+
+        // The oracle: the whole jar in creation order, scoped per cookie,
+        // then stably sorted longest path first.
+        let everything = jar.snapshot();
+        let now = SystemTime::now();
+        for scheme in ["http", "https"] {
+            for host in hosts {
+                let walk = jar.host_candidates(scheme, host, now);
+                for path in paths {
+                    let request = url(&format!("{scheme}://{host}{path}"));
+                    let mut oracle: Vec<Cookie> = everything
+                        .iter()
+                        .filter(|c| c.in_scope(scheme, host, path))
+                        .cloned()
+                        .collect();
+                    oracle.sort_by_key(|c| std::cmp::Reverse(c.path.len()));
+                    let filtered: Vec<Cookie> = walk
+                        .iter()
+                        .filter(|c| c.path_matches(path))
+                        .cloned()
+                        .collect();
+                    assert_eq!(filtered, jar.candidates_for(&request), "{request}");
+                    assert_eq!(filtered, oracle, "{request}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn probe_keys_cover_every_parent_suffix() {
+        fn keys(host: &str) -> Vec<&str> {
+            probe_keys(host).collect()
+        }
         assert_eq!(
-            probe_keys("A.B.Example.COM"),
+            keys("a.b.example.com"),
             vec!["a.b.example.com", "b.example.com", "example.com", "com"]
         );
-        assert_eq!(probe_keys("localhost"), vec!["localhost"]);
-        assert_eq!(probe_keys("x."), vec!["x."]);
+        assert_eq!(keys("localhost"), vec!["localhost"]);
+        assert_eq!(keys("x."), vec!["x."]);
     }
 }

@@ -56,10 +56,10 @@
 //!   ([`crate::prefetch`]); the fabric only counts its requests
 //!   ([`SharedNetwork::background_requests`]).
 //! * **Mediation-keyed response cache.** The fabric owns one shared
-//!   [`ResponseCache`]: sharded,
-//!   capacity-bounded, holding `Arc<Response>` entries keyed by
-//!   `(method, url)` and validated against the **mediated cookie header** the
-//!   consuming request just computed for itself. The mediation plan is the
+//!   [`ResponseCache`]: sharded, capacity-bounded, holding `Arc<Response>`
+//!   entries keyed by URL (`"{method} {url}"` for a method other than `GET`)
+//!   and validated against the **mediated cookie header** the consuming
+//!   request just computed for itself. The mediation plan is the
 //!   key, so a stale plan (cookies or policy changed since the entry was
 //!   stored) discards the entry and the request fetches live — a hit can
 //!   never change a security decision, only skip a wire round trip whose
@@ -422,10 +422,16 @@ impl SharedNetwork {
     /// `true` when a server is registered for the origin of `url`.
     #[must_use]
     pub fn knows(&self, url: &crate::url::Url) -> bool {
+        self.knows_origin(&url.origin())
+    }
+
+    /// `true` when a server is registered for `origin`.
+    #[must_use]
+    pub fn knows_origin(&self, origin: &Origin) -> bool {
         self.servers
             .read()
             .expect("network server map lock")
-            .contains_key(&url.origin())
+            .contains_key(origin)
     }
 
     /// Reserves a contiguous block of `count` sequence numbers and returns the
@@ -439,12 +445,13 @@ impl SharedNetwork {
         self.sequence.fetch_add(count, Ordering::Relaxed)
     }
 
-    /// The *send* half of a dispatch: admits the request through the origin's
-    /// circuit breaker (when `policy` has one), consults the origin's fault
-    /// plan, and stamps the request with the instant its response is due —
-    /// now + the configured latency + any injected slowdown. Nothing waits
-    /// here; [`complete`](SharedNetwork::complete) does, and only while the
-    /// due time is still ahead.
+    /// The *send* half of a dispatch to `origin` (the request URL's origin,
+    /// which the window has already computed): admits the request through
+    /// the origin's circuit breaker (when `policy` has one), consults the
+    /// origin's fault plan, and stamps the request with the instant its
+    /// response is due — now + the configured latency + any injected
+    /// slowdown. Nothing waits here; [`complete`](SharedNetwork::complete)
+    /// does, and only while the due time is still ahead.
     ///
     /// # Errors
     ///
@@ -454,9 +461,9 @@ impl SharedNetwork {
     pub(crate) fn send(
         &self,
         request: Request,
+        origin: Origin,
         policy: &FetchPolicy,
     ) -> Result<InFlight, NetError> {
-        let origin = request.url.origin();
         self.breaker_admit(&origin, policy)?;
         // The map's read guard is dropped inside `handler()`: the wait and the
         // handler call hold only this origin's own mutex, so registration
@@ -588,6 +595,11 @@ impl SharedNetwork {
         response: Arc<Response>,
         one_shot: bool,
     ) -> bool {
+        // Refused responses (`no-store`, `Set-Cookie`, no `max-age`) never
+        // read the clock.
+        if !ResponseCache::admits(&response, one_shot) {
+            return false;
+        }
         self.cache.store(
             Method::Get,
             url,
@@ -605,16 +617,18 @@ impl SharedNetwork {
     /// the entry was stored under. On an in-layer mismatch the entry is
     /// discarded (stale plan) and `None` is returned, so a cached response can
     /// never substitute for a request the monitor would build differently
-    /// today. Expired entries (`max-age` lifetime passed on the fabric's
-    /// injectable clock) are discarded and counted the same way.
+    /// today. Expired entries (`max-age` lifetime passed at `now_ns`, a
+    /// reading of the fabric's injectable clock) are discarded and counted
+    /// the same way.
     pub(crate) fn cache_lookup(
         &self,
         url: &str,
         cookie_header: &str,
+        now_ns: u64,
         layers: CacheLayers,
     ) -> Option<CacheHit> {
         self.cache
-            .lookup(Method::Get, url, cookie_header, self.clock_now_ns(), layers)
+            .lookup(Method::Get, url, cookie_header, now_ns, layers)
     }
 
     /// Logs a cache hit under the consuming request's reserved `sequence`,
@@ -836,7 +850,7 @@ mod tests {
 
     /// Consumes the entry for a `GET` of `url` from either layer.
     fn take(net: &SharedNetwork, url: &str, cookie_header: &str) -> Option<Arc<Response>> {
-        net.cache_lookup(url, cookie_header, CacheLayers::BOTH)
+        net.cache_lookup(url, cookie_header, net.clock_now_ns(), CacheLayers::BOTH)
             .map(|hit| hit.response)
     }
 

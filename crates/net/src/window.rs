@@ -98,7 +98,7 @@ pub(crate) fn run_window(
                     .count();
                 if to_origin < MAX_IN_FLIGHT_PER_ORIGIN {
                     let (index, (offset, request)) = pending.next().expect("peeked");
-                    match fabric.send(request, &policy) {
+                    match fabric.send(request, origin, &policy) {
                         Ok(flight) => in_flight.push(Slot {
                             index,
                             offset,
@@ -154,7 +154,7 @@ pub(crate) fn run_window(
         // slot's own sequence, with a fresh due time. It keeps the slot, and
         // so its place under the width and its origin's bound.
         let retries = slot.retries + 1;
-        match fabric.send(slot.flight.request, &policy) {
+        match fabric.send(slot.flight.request, slot.flight.origin, &policy) {
             Ok(flight) => in_flight.push(Slot {
                 retries,
                 flight,

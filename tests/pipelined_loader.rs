@@ -91,13 +91,12 @@ fn outcomes_and_log_are_in_document_order_under_skewed_latency() {
 
 #[test]
 fn pipelined_run_matches_the_sequential_oracle_byte_for_byte() {
-    // One image origin per image: every image's latency differs, so the
-    // pipelined completion order is the exact reverse of document order.
+    // Two images per origin, origins reverse-skewed: the pipelined run
+    // completes the document's first images last, and each origin's images
+    // share one jar walk, one candidate set and one `Cookie` header in the
+    // page's mediation plan.
     let run = |workers: usize| {
-        let fabric = Arc::new(SharedNetwork::new());
-        register_loader_world(&fabric, "site.example", "sid", IMAGES, IMAGES, |k| {
-            reverse_skewed_latency(IMAGES, k)
-        });
+        let fabric = skewed_fabric();
         let mut browser = browser_over(&fabric, workers);
         Transcript::record(&mut browser, ["http://site.example/index.php"; 3])
     };
@@ -330,4 +329,5 @@ fn prefetch_on_and_off_are_oracle_equivalent() {
         diff.attachment_mismatches, 0,
         "prefetch changed a mediation outcome"
     );
+    assert_eq!(diff.order_violations, 0, "a log left plan order");
 }
