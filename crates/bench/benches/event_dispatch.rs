@@ -1,7 +1,6 @@
 //! Bench for §6.5's second measurement: UI-event handling with and without ESCUDO
 //! (event delivery is an implicit `use` of the target element, and the handler runs as
-//! a ring-labelled principal). Repeated dispatches hit the engine's decision cache, so
-//! this also exercises the cached mediation path end to end.
+//! a ring-labelled principal).
 //!
 //! Run with `cargo bench --bench event_dispatch` (plain `harness = false` binary).
 
@@ -32,7 +31,7 @@ fn time_dispatch(
     reps: usize,
     iters: u32,
 ) -> f64 {
-    // Warm up: page caches, interpreter, and the engine's decision cache.
+    // Warm up: page caches and the interpreter.
     for _ in 0..iters {
         browser
             .fire_event(page, "action-0", EventType::Click)
@@ -71,17 +70,15 @@ fn main() {
 
     let stats = escudo_browser.engine().stats();
     println!(
-        "  escudo overhead: {:+.1}%  (engine: {} decisions, {:.1}% cache hits)",
+        "  escudo overhead: {:+.1}%  (engine: {} decisions)",
         (with - without) / without * 100.0,
         stats.decisions,
-        stats.hit_rate() * 100.0
     );
 
     let mut json = JsonReport::new("event_dispatch");
     json.record(Kind::LowerNs, "without_escudo_ns_per_dispatch", without)
         .record(Kind::LowerNs, "with_escudo_ns_per_dispatch", with)
         .record(Kind::Info, "overhead_fraction", (with - without) / without)
-        .record(Kind::Info, "engine_decisions", stats.decisions)
-        .record(Kind::Higher, "hit_rate", stats.hit_rate());
+        .record(Kind::Info, "engine_decisions", stats.decisions);
     json.finish(&args);
 }

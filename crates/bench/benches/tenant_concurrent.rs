@@ -4,18 +4,16 @@
 //! `-- --threads N --batches B --json path`). This is a plain
 //! `harness = false` binary; it exits non-zero if a behavioural gate fails:
 //!
-//! * **isolation gate** — tenant B's p99 warm-grid mediation latency under
-//!   tenant A's 10× cache-churning storm must stay within **3×** of its
-//!   unloaded baseline, its warm-cache hit rate must hold a **0.95 floor**,
-//!   and A must force **zero** evictions on B's engine (per-tenant caches are
-//!   physically disjoint). On a host without two hardware threads the storm
-//!   and the victim timeshare one core, so the p99 ratio measures the OS
-//!   scheduler, not tenant isolation — that one ratio gate degrades to
-//!   observability with the reason printed; the eviction and hit-rate gates
-//!   hold regardless.
+//! * **isolation gate** — tenant B's p99 grid-mediation latency under
+//!   tenant A's storm must stay within **3×** of its unloaded baseline. On a
+//!   host without two hardware threads the storm and the victim timeshare
+//!   one core, so the p99 ratio measures the OS scheduler, not tenant
+//!   isolation — there the gate degrades to observability with the reason
+//!   printed.
 //!
-//! Admission, refill and hot reload are exactly countable, so their gates
-//! are tier-1 tests in `escudo_bench::tenant`:
+//! Per-tenant engine isolation, admission, refill and hot reload are exactly
+//! countable, so their gates are tier-1 tests in `escudo_bench::tenant`:
+//! `noisy_neighbor_decides_only_on_its_own_engine`,
 //! `admission_burst_is_exactly_countable`,
 //! `admission_refill_is_exact_under_the_manual_clock` and
 //! `hot_reload_storm_observes_no_torn_plans_and_no_leaks`.
@@ -35,9 +33,6 @@ use escudo_net::{Request, Response, Server};
 /// Maximum contended-over-baseline p99 ratio for the victim tenant.
 const MAX_NEIGHBOR_P99_RATIO: f64 = 3.0;
 
-/// Minimum warm-cache hit rate the victim must hold under the storm.
-const MIN_VICTIM_HIT_RATE: f64 = 0.95;
-
 struct StaticPage;
 impl Server for StaticPage {
     fn handle(&mut self, req: &Request) -> Response {
@@ -54,14 +49,11 @@ impl Server for StaticPage {
 /// [`Kind::Info`]. These are observability counters of one deterministic
 /// scenario, not gated properties of the build, and are kept judged so the
 /// trajectory's verdicts do not move until the metrics surface is redesigned.
-const JUDGED_SNAPSHOT_FIELDS: [(&str, Kind); 7] = [
-    ("engine_hit_rate", Kind::Higher),
+const JUDGED_SNAPSHOT_FIELDS: [(&str, Kind); 4] = [
     ("erm_audit_retained", Kind::Higher),
     ("erm_audit_dropped", Kind::Correctness),
     ("fabric_dropped_log_entries", Kind::Correctness),
     ("fabric_wait_overshoot_ns", Kind::LowerNs),
-    ("tenant_alpha_hit_rate", Kind::Higher),
-    ("tenant_beta_hit_rate", Kind::Higher),
 ];
 
 /// Loads a deterministic two-tenant scenario and exports its
@@ -111,14 +103,11 @@ fn main() {
     let degradation = neighbor.contended_p99_ns as f64 / neighbor.baseline_p99_ns.max(1) as f64;
     println!(
         "victim p99: {} ns alone, {} ns under the {}-thread storm ({degradation:.2}x); \
-         hit rate {:.4}, {} victim evictions; storm pushed {} decisions, {} self-evictions",
+         storm pushed {} decisions",
         neighbor.baseline_p99_ns,
         neighbor.contended_p99_ns,
         neighbor.storm_threads,
-        neighbor.victim_hit_rate,
-        neighbor.victim_evictions,
         neighbor.storm_decisions,
-        neighbor.storm_evictions
     );
     json.record(
         Kind::LowerNs,
@@ -136,17 +125,7 @@ fn main() {
         neighbor.contended_p99_spread_ns,
     )
     .record(Kind::Info, "neighbor_degradation", degradation)
-    .record(Kind::Higher, "victim_hit_rate", neighbor.victim_hit_rate)
-    .record(Kind::Info, "storm_decisions", neighbor.storm_decisions)
-    // Per-tenant engines are disjoint: the storm may evict nothing of B's.
-    .zero("neighbor_eviction_violations", neighbor.victim_evictions)
-    .check(
-        neighbor.victim_hit_rate >= MIN_VICTIM_HIT_RATE,
-        format_args!(
-            "victim warm-cache hit rate {:.4} under the storm (floor: {MIN_VICTIM_HIT_RATE})",
-            neighbor.victim_hit_rate
-        ),
-    );
+    .record(Kind::Info, "storm_decisions", neighbor.storm_decisions);
     if hardware_threads < 2 {
         println!(
             "note: single hardware thread — the storm and the victim timeshare one core, so \
@@ -156,7 +135,7 @@ fn main() {
         json.check(
             degradation <= MAX_NEIGHBOR_P99_RATIO,
             format_args!(
-                "victim p99 {degradation:.2}x of baseline under the 10x storm (gate: ≤ \
+                "victim p99 {degradation:.2}x of baseline under the storm (gate: ≤ \
                  {MAX_NEIGHBOR_P99_RATIO:.1}x, or the noisy neighbor is stalling the victim's \
                  mediation)"
             ),

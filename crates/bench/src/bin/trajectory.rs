@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run -p escudo-bench --bin trajectory -- \
-//!     --previous BENCH_6.json --current bench-json/merged.json
+//!     --previous BENCH_19.json --current BENCH_19.fresh.json
 //! ```
 
 fn main() {

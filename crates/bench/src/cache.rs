@@ -214,7 +214,7 @@ mod tests {
     /// fail-closed because the consuming header differed from the stored one.
     fn run_cache_isolation(threads: usize, rounds: usize) -> (usize, u64, u64) {
         let fabric = Arc::new(SharedNetwork::new());
-        let engine: Arc<dyn escudo_core::PolicyEngine> = Arc::new(escudo_core::EscudoEngine::new());
+        let engine = engine_for_mode(PolicyMode::Escudo);
         let policy = CookiePolicy::new("sid", Ring::new(1)).with_acl(Acl::uniform(Ring::new(1)));
         fabric.register("http://portal.example", move |req: &Request| {
             if req.url.path() == "/login.php" {

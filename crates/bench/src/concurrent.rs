@@ -1,10 +1,9 @@
 //! The concurrent decision and cookie-jar workloads behind the
 //! `policy_concurrent` and `jar_concurrent` timing gates:
 //!
-//! * [`measure_concurrent_throughput`] — T threads hammer one shared, warm
-//!   [`EscudoEngine`] with the standard decision workload inside one
-//!   [`timed_threads`] window, and report the window's cache hit rate taken
-//!   through the same concurrent `stats()` path the production monitor uses,
+//! * [`measure_concurrent_throughput`] — T threads hammer one shared ESCUDO
+//!   [`RuleEngine`] with the standard decision workload inside one
+//!   [`timed_threads`] window,
 //! * [`measure_jar_throughput`] — T threads build `Cookie` headers against one
 //!   pre-populated [`SharedCookieJar`] inside one [`timed_threads`] window.
 //!
@@ -15,29 +14,26 @@
 //! end-to-end workloads: forum, blog and calendar sessions sharing one engine,
 //! and forum sessions sharing one jar.
 
-use escudo_core::{EscudoEngine, PolicyEngine};
+use escudo_core::{PolicyEngine, PolicyMode, RuleEngine};
 use escudo_net::{CookieJar, SetCookie, SharedCookieJar, Url};
 
 use crate::measure::{timed_threads, Rate};
 use crate::workload::DecisionCheck;
 
-/// Measures steady-state aggregate decision throughput: a fresh engine is warmed with
-/// one full pass over `workload`, then `threads` OS threads each re-run the workload
-/// `passes_per_thread` times concurrently inside one [`timed_threads`] window.
-/// Returns the window's [`Rate`] (one operation = one decision) and the cache hit
-/// rate over the window only, so it reports the steady state the gate cares about,
-/// not the warm-up misses.
+/// Measures steady-state aggregate decision throughput: a fresh engine runs one
+/// warm-up pass over `workload`, then `threads` OS threads each re-run the
+/// workload `passes_per_thread` times concurrently inside one [`timed_threads`]
+/// window. Returns the window's [`Rate`]; one operation is one decision.
 #[must_use]
 pub fn measure_concurrent_throughput(
     workload: &[DecisionCheck],
     threads: usize,
     passes_per_thread: usize,
-) -> (Rate, f64) {
-    let engine = EscudoEngine::new();
+) -> Rate {
+    let engine = RuleEngine::new(PolicyMode::Escudo);
     for (principal, object, op) in workload {
         std::hint::black_box(engine.decide(principal, object, *op));
     }
-    let warm = engine.stats();
 
     let (_, window) = timed_threads(threads, |_| {
         for _ in 0..passes_per_thread {
@@ -46,21 +42,11 @@ pub fn measure_concurrent_throughput(
             }
         }
     });
-
-    let stats = engine.stats();
-    let decisions = stats.decisions - warm.decisions;
-    let hits = stats.cache_hits - warm.cache_hits;
-    let rate = Rate {
+    Rate {
         width: threads,
-        ops: decisions,
+        ops: (workload.len() * passes_per_thread * threads) as u64,
         elapsed_ns: window.as_nanos(),
-    };
-    let hit_rate = if decisions == 0 {
-        0.0
-    } else {
-        hits as f64 / decisions as f64
-    };
-    (rate, hit_rate)
+    }
 }
 
 // --------------------------------------------------------------- shared cookie jar
@@ -186,6 +172,7 @@ mod tests {
 
     use escudo_apps::{BlogApp, CalendarApp, CalendarConfig, ForumApp, ForumConfig};
     use escudo_browser::Browser;
+    use escudo_core::engine_for_mode;
 
     use super::*;
     use crate::measure::{best_of, spawn_join};
@@ -283,9 +270,9 @@ mod tests {
     fn concurrent_sessions_share_one_engine_and_all_load() {
         // Forum, blog and calendar sessions, each with its own user, server
         // and browser, sharing only the policy engine.
-        let engine = Arc::new(EscudoEngine::new());
+        let engine = engine_for_mode(PolicyMode::Escudo);
         let tallies = spawn_join(3, |t| {
-            let browser = Browser::with_engine(Arc::clone(&engine) as _);
+            let browser = Browser::with_engine(Arc::clone(&engine));
             let user = format!("user{t}");
             match t {
                 0 => drive_forum(browser, "forum.example", &user, 3),
@@ -297,23 +284,20 @@ mod tests {
             assert!(tally.page_loads >= 4, "tally: {tally:?}");
             assert!(tally.checks > 0, "tally: {tally:?}");
         }
-        // The shared engine saw every session's checks and its stats are consistent.
-        let stats = engine.stats();
-        assert!(stats.decisions > 0);
-        assert_eq!(stats.decisions, stats.cache_hits + stats.cache_misses);
-        // Repeated page loads within and across sessions hit the shared cache.
-        assert!(stats.cache_hits > 0, "stats: {stats:?}");
+        // The shared engine decided exactly every session's checks.
+        assert_eq!(
+            engine.stats().decisions,
+            tallies.iter().map(|tally| tally.checks).sum::<u64>()
+        );
     }
 
     #[test]
     fn throughput_window_is_steady_state() {
         let workload = decision_workload(8, 8);
-        let (rate, hit_rate) = measure_concurrent_throughput(&workload, 2, 3);
+        let rate = measure_concurrent_throughput(&workload, 2, 3);
         assert_eq!(rate.width, 2);
         assert_eq!(rate.ops, (workload.len() * 2 * 3) as u64);
         assert!(rate.elapsed_ns > 0);
-        // The engine was warmed before the window: the window is all cache hits.
-        assert!(hit_rate > 0.99, "steady-state hit rate: {hit_rate}");
         assert!(rate.per_sec() > 0.0);
         assert!(rate.ns_per_op() > 0.0);
     }
@@ -322,7 +306,7 @@ mod tests {
     fn best_throughput_takes_the_fastest_sample() {
         let workload = decision_workload(4, 4);
         let samples: Vec<Rate> = (0..3)
-            .map(|_| measure_concurrent_throughput(&workload, 1, 2).0)
+            .map(|_| measure_concurrent_throughput(&workload, 1, 2))
             .collect();
         let (best, spread) = best_of(samples.iter().copied(), Rate::ns_per_op);
         assert_eq!(best.ops, (workload.len() * 2) as u64);
@@ -340,11 +324,11 @@ mod tests {
         // Forum sessions on disjoint hosts storing into and attaching from
         // one shared jar: every session's host-only login cookie must reach
         // the jar under its own host and no other.
-        let engine = Arc::new(EscudoEngine::new());
+        let engine = engine_for_mode(PolicyMode::Escudo);
         let jar = Arc::new(SharedCookieJar::new());
         let host = |t: usize| format!("forum{t}.example");
         let tallies = spawn_join(3, |t| {
-            let browser = Browser::with_jar(Arc::clone(&engine) as _, Arc::clone(&jar));
+            let browser = Browser::with_jar(Arc::clone(&engine), Arc::clone(&jar));
             drive_forum(browser, &host(t), &format!("user{t}"), 3)
         });
         for tally in &tallies {

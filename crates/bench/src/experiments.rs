@@ -382,8 +382,8 @@ mod tests {
 
     #[test]
     fn figure4_shape_matches_the_paper() {
-        // A small number of runs keeps the unit test fast; the experiments binary and
-        // EXPERIMENTS.md use 90 runs like the paper.
+        // A small number of runs keeps the unit test fast; the experiments binary
+        // (README.md, "Experiments") uses 90 runs like the paper.
         let report = Figure4Report::run(5);
         assert_eq!(report.rows.len(), 8);
         for row in &report.rows {

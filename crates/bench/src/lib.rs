@@ -7,9 +7,6 @@
 //! * [`cli`] — flag parsing and the `--json` report shared by the bench
 //!   binaries: every metric is recorded with its declared kind, and the report
 //!   owns the bench's zero, threshold and no-collapse gates,
-//! * [`interner`] — the first-touch-storm workload racing the lock-free
-//!   [`escudo_core::ContextInterner`] against the retained `RwLock<ContextTable>`
-//!   reference, behind `interner_concurrent`,
 //! * [`measure`] — timed page loads and event dispatches under either policy mode,
 //!   plus the timing kit every bench shares: [`spawn_join`](measure::spawn_join)
 //!   (ordered scoped spawn-and-join), [`timed_threads`](measure::timed_threads)
@@ -37,7 +34,8 @@
 //!   bench report against the committed `BENCH_<PR>.json` snapshot (the
 //!   `trajectory` binary CI gates each PR with),
 //! * [`experiments`] — the report types printed by the `experiments` binary and
-//!   recorded in `EXPERIMENTS.md` (Figure 4, UI events, §6.3, §6.4, Tables 1–5).
+//!   summarized in README.md's "Experiments" section (Figure 4, UI events, §6.3,
+//!   §6.4, Tables 1–5).
 //!
 //! The `harness = false` bench binaries in `benches/` use the same workload and
 //! measurement code, so `cargo bench` and `cargo run --bin experiments` agree on
@@ -53,7 +51,6 @@ pub mod cache;
 pub mod cli;
 pub mod concurrent;
 pub mod experiments;
-pub mod interner;
 pub mod loader;
 pub mod measure;
 pub mod oracle;

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use escudo_browser::{Browser, PolicyMode};
 use escudo_core::context::{ObjectContext, PrincipalContext};
-use escudo_core::{EscudoEngine, Operation, PolicyEngine, SameOriginEngine};
+use escudo_core::{Operation, PolicyEngine, RuleEngine};
 use escudo_dom::EventType;
 use escudo_net::{Request, Response};
 
@@ -282,43 +282,28 @@ pub fn measure_event_dispatch(
     SampleStats::from_samples(&samples)
 }
 
-/// Cold-vs-cached decision throughput of the [`EscudoEngine`], plus the baselines.
+/// Decision throughput of the ESCUDO engine, per check and per batch, next to
+/// the raw decision procedure and the same-origin baseline engine.
 ///
-/// * `cold` — every context pair seen for the first time: interning inserts, full
-///   origin/ring/ACL evaluation, cache fill,
-/// * `cached` — the same checks repeated against the warm engine: interner and
-///   decision cache hits only,
+/// * `engine` — [`RuleEngine::decide`](PolicyEngine::decide) in ESCUDO mode,
+/// * `batch` — [`PolicyEngine::decide_many`] over the whole workload,
 /// * `free_fn` — the raw `escudo_core::policy::decide` free function (no engine),
-/// * `sop` — the [`SameOriginEngine`] baseline.
+/// * `sop` — the same-origin baseline engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecisionReport {
     /// Number of checks in the workload.
     pub checks: usize,
-    /// Nanoseconds per decision on the cold (first-touch) path.
-    pub cold_ns: f64,
-    /// Nanoseconds per decision on the cached (warm) path.
-    pub cached_ns: f64,
+    /// Nanoseconds per decision through the ESCUDO engine.
+    pub engine_ns: f64,
+    /// Nanoseconds per decision for `decide_many` batches on the ESCUDO engine.
+    pub batch_ns: f64,
     /// Nanoseconds per decision through the raw free function.
     pub free_fn_ns: f64,
     /// Nanoseconds per decision through the same-origin baseline engine.
     pub sop_ns: f64,
-    /// Nanoseconds per decision for `decide_many` batches on the warm engine.
-    pub batch_cached_ns: f64,
-    /// Cache hit rate observed on the warm engine after all passes.
-    pub hit_rate: f64,
 }
 
 impl DecisionReport {
-    /// Cold-to-cached speedup (how much repeated identical checks gain).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.cached_ns > 0.0 {
-            self.cold_ns / self.cached_ns
-        } else {
-            0.0
-        }
-    }
-
     /// Decisions per second for a per-decision cost in nanoseconds.
     #[must_use]
     pub fn per_second(ns: f64) -> f64 {
@@ -341,69 +326,40 @@ fn best_ns_per_check(passes: usize, checks: usize, mut f: impl FnMut()) -> f64 {
     best_of((0..passes).map(|_| ns_per_check(checks, &mut f)), |&ns| ns).0
 }
 
-/// Measures cold vs cached decision throughput over `workload`, taking the best of
-/// `passes` timed repetitions for every warm path (the cold path is timed exactly
-/// once per fresh engine — that is what makes it cold).
+/// Measures decision throughput over `workload`, taking the best of `passes`
+/// timed repetitions for every path.
 #[must_use]
 pub fn measure_decision_paths(workload: &[DecisionCheck], passes: usize) -> DecisionReport {
     let passes = passes.max(1);
     let n = workload.len();
-
-    // Cold: median over `passes` fresh engines, each timed on its very first pass.
-    let mut cold_samples: Vec<f64> = (0..passes)
-        .map(|_| {
-            let engine = EscudoEngine::new();
-            ns_per_check(n, || {
-                for (p, o, op) in workload {
-                    std::hint::black_box(engine.decide(p, o, *op));
-                }
-            })
+    let per_check = |engine: &RuleEngine| {
+        best_ns_per_check(passes, n, || {
+            for (p, o, op) in workload {
+                std::hint::black_box(engine.decide(p, o, *op));
+            }
         })
-        .collect();
-    cold_samples.sort_by(f64::total_cmp);
-    let cold_ns = cold_samples[cold_samples.len() / 2];
+    };
 
-    // Cached: one engine, warmed by a full pass, then the best of `passes` passes.
-    let engine = EscudoEngine::new();
-    for (p, o, op) in workload {
-        std::hint::black_box(engine.decide(p, o, *op));
-    }
-    let cached_ns = best_ns_per_check(passes, n, || {
-        for (p, o, op) in workload {
-            std::hint::black_box(engine.decide(p, o, *op));
-        }
-    });
-
-    // Batch mediation on the same warm engine.
+    let engine = RuleEngine::new(PolicyMode::Escudo);
+    let engine_ns = per_check(&engine);
     let batch: Vec<(&PrincipalContext, &ObjectContext, Operation)> =
         workload.iter().map(|(p, o, op)| (p, o, *op)).collect();
-    let batch_cached_ns = best_ns_per_check(passes, n, || {
-        std::hint::black_box(engine.decide_many(&batch)).clear()
+    let batch_ns = best_ns_per_check(passes, n, || {
+        std::hint::black_box(engine.decide_many(&batch)).clear();
     });
-
-    // Raw free function.
     let free_fn_ns = best_ns_per_check(passes, n, || {
         for (p, o, op) in workload {
             std::hint::black_box(escudo_core::decide(PolicyMode::Escudo, p, o, *op));
         }
     });
-
-    // Same-origin baseline engine.
-    let sop = SameOriginEngine::new();
-    let sop_ns = best_ns_per_check(passes, n, || {
-        for (p, o, op) in workload {
-            std::hint::black_box(sop.decide(p, o, *op));
-        }
-    });
+    let sop_ns = per_check(&RuleEngine::new(PolicyMode::SameOriginOnly));
 
     DecisionReport {
         checks: n,
-        cold_ns,
-        cached_ns,
+        engine_ns,
+        batch_ns,
         free_fn_ns,
         sop_ns,
-        batch_cached_ns,
-        hit_rate: engine.stats().hit_rate(),
     }
 }
 
@@ -491,15 +447,13 @@ mod tests {
     }
 
     #[test]
-    fn decision_paths_are_measured_and_cache_hits_observed() {
+    fn decision_paths_are_measured() {
         let workload = decision_workload(8, 8);
         let report = measure_decision_paths(&workload, 3);
         assert_eq!(report.checks, 64);
-        assert!(report.cold_ns > 0.0);
-        assert!(report.cached_ns > 0.0);
+        assert!(report.engine_ns > 0.0);
+        assert!(report.batch_ns > 0.0);
         assert!(report.free_fn_ns > 0.0);
-        assert!(report.batch_cached_ns > 0.0);
-        // After warm-up every pass hits the cache.
-        assert!(report.hit_rate > 0.5, "hit rate: {}", report.hit_rate);
+        assert!(report.sop_ns > 0.0);
     }
 }

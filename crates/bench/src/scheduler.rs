@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use escudo_browser::Browser;
 use escudo_core::config::CookiePolicy;
-use escudo_core::{engine_for_mode, Acl, EscudoEngine, PolicyEngine, PolicyMode, Ring};
+use escudo_core::{engine_for_mode, Acl, PolicyMode, Ring};
 use escudo_net::{Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
 
 use crate::loader::register_loader_world;
@@ -124,7 +124,7 @@ fn nav_p99_ns(storm_sessions: usize, navigations: usize) -> u64 {
             |k| Duration::from_micros(150 + k as u64 * 50),
         );
     }
-    let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
+    let engine = engine_for_mode(PolicyMode::Escudo);
     let jar = Arc::new(SharedCookieJar::new());
     let stop = AtomicBool::new(false);
     let mut latencies = Vec::with_capacity(navigations);
@@ -414,7 +414,7 @@ mod tests {
         const SESSIONS: usize = 3;
         const ROUNDS: usize = 3;
         let fabric = Arc::new(SharedNetwork::new());
-        let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
+        let engine = engine_for_mode(PolicyMode::Escudo);
         let jar = Arc::new(SharedCookieJar::new());
         for t in 0..SESSIONS {
             register_prefetch_world(

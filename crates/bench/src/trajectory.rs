@@ -30,12 +30,6 @@
 //! (`cargo run -p escudo-bench --bin trajectory -- --previous A --current B`)
 //! prints one line per non-Ok verdict and exits non-zero on failure, which is
 //! how CI gates each PR's bench run against the committed snapshot.
-//!
-//! The binary's second mode, `trajectory --history <dir> --current <fresh>`,
-//! scans every committed `BENCH_<n>.json` in the directory and prints a
-//! per-metric trend table — one sparkline row per metric the fresh report
-//! declares as judged, across all snapshots in PR order with the fresh run as
-//! the last column — so the whole perf story is visible in every PR.
 
 use std::fmt::Write as _;
 
@@ -609,131 +603,9 @@ pub fn render_diff(diff: &TrajectoryDiff) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// The history trend table (`--history <dir>`).
-
-/// Renders `values` as a unicode sparkline, one block per sample, min..max
-/// normalized (`None` samples — the metric did not exist yet — render as `·`).
-#[must_use]
-pub fn sparkline(values: &[Option<f64>]) -> String {
-    const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let present: Vec<f64> = values.iter().flatten().copied().collect();
-    let (min, max) = present
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-            (lo.min(*v), hi.max(*v))
-        });
-    let range = max - min;
-    values
-        .iter()
-        .map(|value| match value {
-            None => '·',
-            Some(_) if range <= f64::EPSILON => BLOCKS[3],
-            Some(v) => {
-                let normalized = (v - min) / range;
-                let index = (normalized * 7.0).round();
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                BLOCKS[(index as usize).min(7)]
-            }
-        })
-        .collect()
-}
-
-/// Renders the per-metric trend table across `columns` (labelled snapshots,
-/// oldest first): one sparkline row per numeric metric the **last** column
-/// declares as judged, so the newest declarations decide the rows. Info keys
-/// (workload shape, spreads, observability exports) stay out to keep the table
-/// the perf story, not a firehose.
-#[must_use]
-pub fn render_history(columns: &[(String, Vec<BenchReport>)]) -> String {
-    let mut out = String::new();
-    let labels: Vec<&str> = columns.iter().map(|(label, _)| label.as_str()).collect();
-    let _ = writeln!(
-        out,
-        "trajectory history: {} snapshots ({})",
-        columns.len(),
-        labels.join(" -> ")
-    );
-
-    let rows: Vec<(&str, &str)> = columns
-        .last()
-        .into_iter()
-        .flat_map(|(_, reports)| reports)
-        .flat_map(|report| {
-            report
-                .kinds
-                .iter()
-                .filter(|(key, kind)| {
-                    *kind != Kind::Info && matches!(report.get(key), Some(Metric::Num(_)))
-                })
-                .map(|(key, _)| (report.bench.as_str(), key.as_str()))
-        })
-        .collect();
-
-    let label_width = rows
-        .iter()
-        .map(|(bench, key)| bench.len() + key.len() + 1)
-        .max()
-        .unwrap_or(0);
-    for (bench, key) in rows {
-        let values: Vec<Option<f64>> = columns
-            .iter()
-            .map(|(_, reports)| {
-                reports
-                    .iter()
-                    .find(|report| report.bench == bench)
-                    .and_then(|report| match report.get(key) {
-                        Some(Metric::Num(value)) => Some(*value),
-                        _ => None,
-                    })
-            })
-            .collect();
-        let first = values.iter().flatten().next().copied().unwrap_or(0.0);
-        let last = values.iter().flatten().next_back().copied().unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "{:label_width$}  {}  {first:.3} -> {last:.3}",
-            format!("{bench}/{key}"),
-            sparkline(&values),
-        );
-    }
-    out
-}
-
 fn load(path: &str) -> Result<Vec<BenchReport>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     parse_trajectory(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Scans `dir` for committed `BENCH_<n>.json` snapshots, parses them in PR
-/// order, appends the fresh report at `current` as the last column and prints
-/// the trend table.
-fn run_history(dir: &str, current: &str) -> Result<i32, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read directory {dir}: {e}"))?;
-    let mut snapshots: Vec<(u64, Vec<BenchReport>)> = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(number) = name
-            .strip_prefix("BENCH_")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        snapshots.push((number, load(&entry.path().to_string_lossy())?));
-    }
-    if snapshots.is_empty() {
-        return Err(format!("no BENCH_<n>.json snapshots found in {dir}"));
-    }
-    snapshots.sort_by_key(|(number, _)| *number);
-    let mut columns: Vec<(String, Vec<BenchReport>)> = snapshots
-        .into_iter()
-        .map(|(number, reports)| (format!("BENCH_{number}"), reports))
-        .collect();
-    columns.push((current.to_string(), load(current)?));
-    print!("{}", render_history(&columns));
-    Ok(0)
 }
 
 fn run_diff(previous: &str, current: &str) -> Result<i32, String> {
@@ -742,15 +614,10 @@ fn run_diff(previous: &str, current: &str) -> Result<i32, String> {
     Ok(i32::from(diff.failures > 0))
 }
 
-/// The `trajectory` binary's entry point. Two modes:
-///
-/// * `--previous <BENCH_N.json> --current <fresh.json>` — diff the two
-///   snapshots; exit 0 clean or warnings only, 1 on failures, 2 on usage/IO
-///   errors,
-/// * `--history <dir> --current <fresh.json>` — print the sparkline trend
-///   table across every committed `BENCH_<n>.json` in the directory plus the
-///   fresh report; exit 0, or 2 when a file is unreadable or the directory
-///   holds no snapshots.
+/// The `trajectory` binary's entry point:
+/// `--previous <BENCH_N.json> --current <fresh.json>` diffs the two
+/// snapshots; exit 0 clean or warnings only, 1 on failures, 2 on usage/IO
+/// errors.
 #[must_use]
 pub fn run_comparator(args: &[String]) -> i32 {
     let path_flag = |flag: &str| -> Option<String> {
@@ -762,22 +629,11 @@ pub fn run_comparator(args: &[String]) -> i32 {
             }
         })
     };
-    let run = match (
-        path_flag("--history"),
-        path_flag("--previous"),
-        path_flag("--current"),
-    ) {
-        (Some(dir), None, Some(current)) => run_history(&dir, &current),
-        (None, Some(previous), Some(current)) => run_diff(&previous, &current),
-        _ => {
-            eprintln!(
-                "usage: trajectory --previous <BENCH_N.json> --current <fresh.json>\n\
-                 \u{20}      trajectory --history <dir> --current <fresh.json>"
-            );
-            return 2;
-        }
+    let (Some(previous), Some(current)) = (path_flag("--previous"), path_flag("--current")) else {
+        eprintln!("usage: trajectory --previous <BENCH_N.json> --current <fresh.json>");
+        return 2;
     };
-    run.unwrap_or_else(|error| {
+    run_diff(&previous, &current).unwrap_or_else(|error| {
         eprintln!("error: {error}");
         2
     })
@@ -980,57 +836,6 @@ mod tests {
             })
         };
         assert_eq!(verdicts(&rate(1.0), &rate(0.7)), (0, 0));
-    }
-
-    #[test]
-    fn sparkline_normalizes_and_marks_missing_samples() {
-        assert_eq!(
-            sparkline(&[Some(0.0), Some(3.5), Some(7.0)]),
-            "▁▅█".to_string()
-        );
-        assert_eq!(sparkline(&[Some(5.0), None, Some(5.0)]), "▄·▄".to_string());
-        assert_eq!(sparkline(&[None, None]), "··".to_string());
-    }
-
-    #[test]
-    fn history_table_tracks_gated_metrics_across_snapshots() {
-        // Committed snapshots carry no kinds; the fresh report's declarations
-        // pick the rows.
-        let older = parse_trajectory(
-            "{\"bench\": \"demo\", \"results\": {\"pages_per_sec\": 100, \"threads\": 8}}",
-        )
-        .unwrap();
-        let newer = parse_trajectory(
-            "{\"bench\": \"demo\", \"results\": {\"pages_per_sec\": 150, \"threads\": 8}}",
-        )
-        .unwrap();
-        let fresh = snapshot(|r| {
-            r.record(Kind::Higher, "pages_per_sec", 200.0)
-                .zero("violations", 0_u64)
-                .record(Kind::Info, "threads", 8_u64)
-                .spread("pages_per_sec", 5.0);
-        });
-        let table = render_history(&[
-            ("BENCH_6".to_string(), older),
-            ("BENCH_7".to_string(), newer),
-            ("fresh.json".to_string(), fresh),
-        ]);
-        assert!(
-            table.contains("BENCH_6 -> BENCH_7 -> fresh.json"),
-            "got:\n{table}"
-        );
-        // The throughput metric trends across every column...
-        assert!(
-            table.contains("demo/pages_per_sec") && table.contains("100.000 -> 200.000"),
-            "got:\n{table}"
-        );
-        // ...a late-added correctness counter shows a leading gap...
-        assert!(table.contains("demo/violations"), "got:\n{table}");
-        assert!(table.contains("··▄"), "got:\n{table}");
-        // ...and info keys (workload shape, spreads) and the gate flag stay out.
-        assert!(!table.contains("demo/threads"), "got:\n{table}");
-        assert!(!table.contains("spread"), "got:\n{table}");
-        assert!(!table.contains("gates_passed"), "got:\n{table}");
     }
 
     #[test]

@@ -17,7 +17,6 @@ use escudo_net::{
 };
 use escudo_script::Interpreter;
 
-use crate::context::SecurityContextTable;
 use crate::erm::Erm;
 use crate::error::BrowserError;
 use crate::host::BrowserHost;
@@ -53,7 +52,7 @@ pub const PREFETCH_MAX_CANDIDATES: usize = 8;
 /// The cookie jar is held through an `Arc<SharedCookieJar>` handle: by default each
 /// browser gets a private jar, but [`Browser::with_jar`] lets many concurrent
 /// sessions share one host-sharded store (the server-side multi-session deployment),
-/// exactly as [`Browser::with_engine`] shares one decision cache.
+/// exactly as [`Browser::with_engine`] shares one decision engine.
 pub struct Browser {
     fabric: Arc<SharedNetwork>,
     jar: Arc<SharedCookieJar>,
@@ -110,7 +109,7 @@ impl Browser {
 
     /// Creates a browser enforcing through an existing (possibly shared) decision
     /// engine. Several browsers — e.g. one per simulated user session against the same
-    /// application — can share one engine and therefore one warm decision cache. The
+    /// application — can share one engine and therefore one decision counter. The
     /// cookie jar stays private to this browser.
     #[must_use]
     pub fn with_engine(engine: Arc<dyn PolicyEngine>) -> Self {
@@ -119,7 +118,7 @@ impl Browser {
 
     /// Creates a browser enforcing through an existing engine *and* storing cookies
     /// in an existing (possibly shared) jar, over a private network fabric. This is
-    /// the multi-session deployment: N sessions share one warm decision cache and
+    /// the multi-session deployment: N sessions share one decision engine and
     /// one host-sharded cookie store, and every browser- or script-initiated
     /// request of every session mediates its cookie `use` through the same
     /// reference-monitor path.
@@ -531,9 +530,6 @@ impl Browser {
 
         page.stats.policy_checks = self.erm.checks();
         page.stats.policy_denials = self.erm.denials();
-        // Lock-free counter read: a full `stats()` snapshot sweeps every cache
-        // shard, which would serialize concurrent sessions once per page load.
-        page.stats.policy_cache_hits = self.erm.engine().cache_hits();
 
         self.pages.push(Some(page));
         Ok(PageId(self.pages.len() - 1))
@@ -556,7 +552,10 @@ impl Browser {
                 .headers
                 .set("Content-Type", "application/x-www-form-urlencoded");
         }
-        self.attach_cookies(&mut request, principal, None);
+        self.attach_cookies(
+            std::slice::from_mut(&mut request),
+            std::slice::from_ref(principal),
+        );
         let plan = FetchPlan {
             layers: CacheLayers {
                 one_shot: self.prefetch_enabled,
@@ -602,29 +601,27 @@ impl Browser {
         }
     }
 
-    /// Cookie attachment — the `use` operation. `page_contexts` supplies per-cookie
-    /// ring assignments when the request originates from a loaded page; otherwise the
-    /// browser-wide remembered policies are used. Mediation itself is the shared
-    /// [`Erm::mediate_cookies`] batch path.
-    fn attach_cookies(
-        &mut self,
-        request: &mut Request,
-        principal: &PrincipalContext,
-        page_contexts: Option<&SecurityContextTable>,
-    ) {
+    /// Cookie attachment — the `use` operation — for browser-initiated
+    /// requests (navigations, redirects, form posts and speculative
+    /// prefetches): one [`Erm::mediate_jar`] plan over `requests`, request `i`
+    /// issued by `principals[i]`, with cookie contexts from the browser-wide
+    /// remembered policies.
+    fn attach_cookies(&mut self, requests: &mut [Request], principals: &[PrincipalContext]) {
         let cookie_policies = &self.cookie_policies;
-        let attached = self.erm.mediate_jar(
-            &self.jar,
-            &request.url,
-            Operation::Use,
-            principal,
-            |name, origin| match page_contexts {
-                Some(contexts) => contexts.cookie_object(name, origin),
-                None => cookie_object_from_store(cookie_policies, name, origin),
-            },
-        );
-        if !attached.is_empty() {
-            request.headers.set("Cookie", attached.join("; "));
+        let inputs: Vec<(&Url, &PrincipalContext)> = requests
+            .iter()
+            .map(|request| &request.url)
+            .zip(principals)
+            .collect();
+        let plan = self
+            .erm
+            .mediate_jar(&self.jar, &inputs, Operation::Use, |name, origin| {
+                cookie_object_from_store(cookie_policies, name, origin)
+            });
+        for (request, attached) in requests.iter_mut().zip(plan.iter()) {
+            if !attached.header.is_empty() {
+                request.headers.set("Cookie", attached.header.clone());
+            }
         }
     }
 }
@@ -855,11 +852,13 @@ impl Browser {
         candidates
     }
 
-    /// Mediates one speculative request per candidate and submits them to the
-    /// session's prefetch thread as one speculative plan. Each request is
-    /// built exactly as the future navigation would build it — browser
-    /// principal, cookie attachment through the same reference-monitor path —
-    /// so speculation is itself fully mediated, and the attached `Cookie`
+    /// Mediates one speculative request per candidate, all in one mediation
+    /// plan, and submits them to the session's prefetch thread as one
+    /// speculative plan. Each request is built exactly as the future
+    /// navigation would build it — browser principal, cookie attachment
+    /// through the same reference-monitor path — so speculation is itself
+    /// fully mediated; a tenant-bound session pins one engine generation for
+    /// all candidates and admits them all or none. The attached `Cookie`
     /// header becomes the cache key the real navigation's plan is later
     /// validated against. Speculation spends the session's own retry budget:
     /// a transiently faulted prefetch may still land in the cache, and the
@@ -873,15 +872,15 @@ impl Browser {
         if candidates.is_empty() {
             return None;
         }
-        let requests = candidates
-            .into_iter()
-            .map(|url| {
-                let principal = PrincipalContext::browser(url.origin());
-                let mut request = Request::new(Method::Get, url);
-                self.attach_cookies(&mut request, &principal, None);
-                request
-            })
+        let principals: Vec<PrincipalContext> = candidates
+            .iter()
+            .map(|url| PrincipalContext::browser(url.origin()))
             .collect();
+        let mut requests: Vec<Request> = candidates
+            .into_iter()
+            .map(|url| Request::new(Method::Get, url))
+            .collect();
+        self.attach_cookies(&mut requests, &principals);
         let plan = FetchPlan {
             speculative: true,
             ..FetchPlan::new(requests, usize::MAX, self.fetch_policy)
@@ -904,7 +903,7 @@ impl Browser {
     /// 1. **Plan** — one walk over the document collects every fetchable
     ///    subresource (critical resources in document order, then images in
     ///    document order), the fabric is asked once per origin whether it
-    ///    serves it, and one [`Erm::mediate_jar_many`] batch fixes every
+    ///    serves it, and one [`Erm::mediate_jar`] batch fixes every
     ///    request's cookie attachment. The plan reads one jar snapshot, taken
     ///    with one `now`: one jar walk per (scheme, host), one `Cookie` header
     ///    string per distinct attachment, one engine batch per page. No fetch
@@ -976,7 +975,7 @@ impl Browser {
             .iter()
             .map(|(_, url, principal, _)| (url, principal))
             .collect();
-        let attachments = self.erm.mediate_jar_many(
+        let attachments = self.erm.mediate_jar(
             &self.jar,
             &mediation_inputs,
             Operation::Use,
@@ -1642,6 +1641,54 @@ mod tests {
         assert!(log.last().unwrap().cookie_names.is_empty());
         let stats = tenant.admission().stats();
         assert_eq!((stats.admitted, stats.rejected), (1, 1));
+    }
+
+    #[test]
+    fn tenant_speculation_is_one_plan_admitted_all_or_nothing() {
+        use escudo_core::tenant::{Tenant, TenantConfig};
+        use escudo_net::SetCookie;
+
+        struct Hub;
+        impl Server for Hub {
+            fn handle(&mut self, req: &Request) -> Response {
+                match req.url.path() {
+                    "/login.php" => Response::ok_html("<html><body ring=1>in</body></html>")
+                        .with_cookie(SetCookie::new("sid", "s1")),
+                    "/hub.php" => Response::ok_html(concat!(
+                        "<html><head>",
+                        r#"<link rel="prefetch" href="/a.php">"#,
+                        r#"<link rel="prefetch" href="/b.php">"#,
+                        "</head><body ring=1>hub</body></html>"
+                    )),
+                    _ => Response::ok_html("<html><body ring=1>item</body></html>"),
+                }
+            }
+        }
+
+        // The login attaches nothing (free); the hub navigation attaches
+        // `sid` (one token); the speculative plan asks once for both of its
+        // candidates' `sid` checks. With one token left it is shed whole:
+        // neither candidate attaches, and both checks are rejected.
+        for (burst, admitted, rejected) in [(2, 1, 2), (3, 3, 0)] {
+            let tenant = Arc::new(Tenant::new(
+                "metered",
+                TenantConfig::default().with_admission(burst, 0),
+            ));
+            let mut browser = Browser::with_tenant(Arc::clone(&tenant));
+            browser.fabric().register("http://app.example", Hub);
+            browser.set_prefetch_enabled(true);
+            browser.navigate("http://app.example/login.php").unwrap();
+            let hub = browser.navigate("http://app.example/hub.php").unwrap();
+            assert_eq!(browser.page(hub).stats.prefetch_issued, 2);
+            let stats = tenant.admission().stats();
+            assert_eq!(
+                (stats.admitted, stats.rejected),
+                (admitted, rejected),
+                "burst {burst}"
+            );
+            // A shed plan denies its checks as throttled, all of them.
+            assert_eq!(browser.erm().denials(), rejected, "burst {burst}");
+        }
     }
 
     #[test]

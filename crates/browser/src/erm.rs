@@ -5,9 +5,8 @@
 //! to the object type". In this reproduction every enforcement point funnels into
 //! [`Erm::check`], but the *decision* itself is made by a shared
 //! [`PolicyEngine`] — the ERM only enforces, audits and
-//! counts. One engine (with its context-interning table and decision cache) can back
-//! every page of a session, so hot paths hit warm caches instead of recomputing the
-//! origin/ring/ACL rules.
+//! counts. One engine can back every page of a session (or every session of a
+//! tenant), so its decision counter covers all of them.
 //!
 //! The audit log is a **bounded ring buffer**: long-running workloads keep the most
 //! recent [`Erm::audit_capacity`] records and count what was dropped, so memory no
@@ -34,9 +33,6 @@ use escudo_core::{
 };
 use escudo_net::{Cookie, SharedCookieJar, Url};
 
-/// A cookie candidate for batch mediation: `(name, value, origin)`.
-pub type CookieCandidate = (String, String, Origin);
-
 /// The cookies the monitor admitted onto one request.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Attachment {
@@ -47,7 +43,7 @@ pub struct Attachment {
     pub header: String,
 }
 
-/// The cookie attachments of a page plan ([`Erm::mediate_jar_many`]), one per
+/// The cookie attachments of a mediation plan ([`Erm::mediate_jar`]), one per
 /// request in input order. Requests with the same candidate set and the same
 /// decisions share one [`Attachment`].
 #[derive(Debug, Clone, Default)]
@@ -191,23 +187,18 @@ pub struct Erm {
     audit_dropped: u64,
     checks: u64,
     denials: u64,
-    /// When `false`, the audit log is not retained (used by the performance benchmarks
-    /// so bookkeeping measures only what the enforcement itself costs).
-    record_audit: bool,
 }
 
 impl Erm {
-    /// Creates a reference monitor enforcing the given policy mode with a fresh engine
-    /// ([`EscudoEngine`](escudo_core::EscudoEngine) for [`PolicyMode::Escudo`], the
-    /// [`SameOriginEngine`](escudo_core::SameOriginEngine) baseline otherwise).
+    /// Creates a reference monitor enforcing the given policy mode with a fresh
+    /// [`RuleEngine`](escudo_core::RuleEngine).
     #[must_use]
     pub fn new(mode: PolicyMode) -> Self {
         Erm::with_engine(engine_for_mode(mode))
     }
 
     /// Creates a reference monitor enforcing through an existing (possibly shared)
-    /// engine — this is how several pages, sessions or tenants share one decision
-    /// cache.
+    /// engine — this is how several pages, sessions or tenants share one engine.
     #[must_use]
     pub fn with_engine(engine: Arc<dyn PolicyEngine>) -> Self {
         Erm::with_binding(EngineBinding::Static(engine))
@@ -231,20 +222,12 @@ impl Erm {
             audit_dropped: 0,
             checks: 0,
             denials: 0,
-            record_audit: true,
         }
-    }
-
-    /// Disables audit-record retention (counters are still kept).
-    #[must_use]
-    pub fn without_audit(mut self) -> Self {
-        self.record_audit = false;
-        self
     }
 
     /// Bounds the audit ring buffer to `capacity` records (builder style). The oldest
     /// records are dropped first; [`Erm::audit_dropped`] counts them. A capacity of 0
-    /// retains nothing (like [`Erm::without_audit`], but still counts drops).
+    /// retains and builds no record, but still counts every drop.
     #[must_use]
     pub fn with_audit_capacity(mut self, capacity: usize) -> Self {
         self.audit_capacity = capacity;
@@ -298,7 +281,7 @@ impl Erm {
         self.tenant().map(|tenant| tenant.admission().stats())
     }
 
-    /// Interning/cache statistics of the underlying engine.
+    /// Statistics of the underlying engine.
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
         self.engine().stats()
@@ -325,10 +308,6 @@ impl Erm {
 
     fn record(&mut self, record: AuditRecord) {
         if self.audit.len() >= self.audit_capacity {
-            if self.audit_capacity == 0 {
-                self.audit_dropped += 1;
-                return;
-            }
             self.audit.pop_front();
             self.audit_dropped += 1;
         }
@@ -351,7 +330,7 @@ impl Erm {
             .expect("one check yields one decision")
     }
 
-    /// Batch mediation: one engine-lock acquisition for the whole slice. Returns the
+    /// Batch mediation: one engine batch for the whole slice. Returns the
     /// decisions in order, with counting and auditing identical to repeated
     /// [`Erm::check`] calls. For a tenant binding the whole batch is decided by
     /// **one** engine generation (pinned before the first decision) and admitted
@@ -376,111 +355,54 @@ impl Erm {
         } else {
             vec![Decision::Deny(DenyReason::Throttled); checks.len()]
         };
-        let mode = self.mode();
         self.checks += checks.len() as u64;
+        self.denials += decisions.iter().filter(|d| d.is_denied()).count() as u64;
+        if self.audit_capacity == 0 {
+            // Nothing is retained, so no record is built.
+            self.audit_dropped += checks.len() as u64;
+            return decisions;
+        }
+        let mode = self.mode();
         for ((principal, object, operation), decision) in checks.iter().zip(&decisions) {
-            if decision.is_denied() {
-                self.denials += 1;
-            }
-            if self.record_audit {
-                self.record(AuditRecord {
-                    principal: (*principal).clone(),
-                    object: (*object).clone(),
-                    operation: *operation,
-                    mode,
-                    decision: decision.clone(),
-                });
-            }
+            self.record(AuditRecord {
+                principal: (*principal).clone(),
+                object: (*object).clone(),
+                operation: *operation,
+                mode,
+                decision: decision.clone(),
+            });
         }
         decisions
     }
 
-    /// Batch-mediates `operation` over cookie candidates, returning the `name=value`
-    /// pairs the policy admits (in candidate order). `object_for` supplies the
-    /// cookie's security context — the page's context table, or the browser-wide
-    /// policy store when no page is loaded. Under the same-origin baseline every
-    /// in-scope cookie is admitted without consulting the engine: that is exactly
-    /// the legacy behaviour CSRF exploits.
+    /// Cookie mediation, the one entry point for every request and every
+    /// `document.cookie` read: batch-mediates `operation` over every cookie the
+    /// shared jar holds in scope for each of `requests`, in RFC 6265 §5.4
+    /// attach order (longest path first, then earliest creation), and decides
+    /// the whole plan in **one** engine batch. `object_for` supplies each
+    /// cookie's security context (the page's context table, or the
+    /// browser-wide policy store when no page is loaded).
     ///
-    /// This is the single implementation behind both browser-initiated and
-    /// script-initiated requests, so enforcement can never diverge between them.
-    pub fn mediate_cookies(
-        &mut self,
-        candidates: &[CookieCandidate],
-        operation: Operation,
-        principal: &PrincipalContext,
-        object_for: impl Fn(&str, Origin) -> ObjectContext,
-    ) -> Vec<String> {
-        self.sync_generation();
-        if self.mode() == PolicyMode::SameOriginOnly {
-            // The baseline consults no engine, but admission still meters the
-            // mediation (fail-closed: a throttled plan attaches nothing).
-            if !self.admit(candidates.len() as u64) {
-                return Vec::new();
-            }
-            return candidates
-                .iter()
-                .map(|(name, value, _)| format!("{name}={value}"))
-                .collect();
-        }
-        let objects: Vec<ObjectContext> = candidates
-            .iter()
-            .map(|(name, _, origin)| object_for(name, origin.clone()))
-            .collect();
-        let checks: Vec<(&PrincipalContext, &ObjectContext, Operation)> = objects
-            .iter()
-            .map(|object| (principal, object, operation))
-            .collect();
-        self.decide_batch(&checks)
-            .iter()
-            .zip(candidates)
-            .filter(|(decision, _)| decision.is_allowed())
-            .map(|(_, (name, value, _))| format!("{name}={value}"))
-            .collect()
-    }
-
-    /// Batch-mediates `operation` over every cookie the shared jar holds in scope for
-    /// a request to `url`, in RFC 6265 §5.4 attach order (longest path first, then
-    /// earliest creation). One snapshot pass over the jar's shards collects the
-    /// candidates, then one [`Erm::mediate_cookies`] batch decides them — the jar's
-    /// scope answer and the engine's `use` decision stay cleanly split, and both
-    /// browser- and script-initiated requests funnel through this same path.
-    pub fn mediate_jar(
-        &mut self,
-        jar: &SharedCookieJar,
-        url: &Url,
-        operation: Operation,
-        principal: &PrincipalContext,
-        object_for: impl Fn(&str, Origin) -> ObjectContext,
-    ) -> Vec<String> {
-        let candidates: Vec<CookieCandidate> = jar
-            .candidates_for(url)
-            .into_iter()
-            .map(|c| {
-                let origin = c.origin();
-                (c.name, c.value, origin)
-            })
-            .collect();
-        self.mediate_cookies(&candidates, operation, principal, object_for)
-    }
-
-    /// Page-batch jar mediation: decides the cookie attachments of *several*
-    /// requests — one per planned subresource — in **one** engine batch. The
-    /// plan reads one jar snapshot, taken with one `now`: the jar is walked once
-    /// per (scheme, host), and each URL's candidates are the path-matching
+    /// The plan reads one jar snapshot, taken with one `now`: the jar is walked
+    /// once per (scheme, host), and each URL's candidates are the path-matching
     /// subsequence of its host's walk (§5.4 order survives the filter).
     /// Requests with identical candidate lists share one candidate set, so
     /// `object_for` runs once per candidate cookie, and requests whose set and
     /// decisions agree share one [`Attachment`]: one name list and one `Cookie`
     /// header string.
     ///
-    /// This is phase 1 of the pipelined subresource loader: every decision is
-    /// fixed here, deterministically, *before* any fetch is dispatched, so the
-    /// mediation outcome cannot depend on transport completion order. The
-    /// engine batch still holds one check per (request, in-scope cookie) in
-    /// input order, so counting and auditing are identical to issuing one
-    /// [`Erm::mediate_jar`] call per request in input order.
-    pub fn mediate_jar_many(
+    /// A tenant-bound monitor pins one engine generation for the whole plan
+    /// and asks admission once for all its checks, all or nothing; a throttled
+    /// plan attaches nothing. Under the same-origin baseline every in-scope
+    /// cookie is admitted without consulting the engine: that is exactly the
+    /// legacy behaviour CSRF exploits. The engine batch holds one check per
+    /// (request, in-scope cookie) in input order, so counting and auditing do
+    /// not depend on how requests are grouped into plans.
+    ///
+    /// For a page's subresources this is phase 1 of the pipelined loader:
+    /// every decision is fixed here, before any fetch is dispatched, so the
+    /// mediation outcome cannot depend on transport completion order.
+    pub fn mediate_jar(
         &mut self,
         jar: &SharedCookieJar,
         requests: &[(&Url, &PrincipalContext)],
@@ -491,8 +413,7 @@ impl Erm {
         let plan = CandidatePlan::walk(jar, requests.iter().map(|(url, _)| *url));
 
         // The same-origin baseline attaches every in-scope candidate without
-        // consulting the engine — exactly like `mediate_cookies`, including the
-        // admission meter (all-or-nothing over the whole plan).
+        // consulting the engine, but admission still meters the plan.
         if self.mode() == PolicyMode::SameOriginOnly {
             let total: usize = plan.set_of.iter().map(|&set| plan.sets[set].len()).sum();
             if !self.admit(total as u64) {
@@ -621,7 +542,7 @@ impl Erm {
 mod tests {
     use super::*;
     use escudo_core::context::{ObjectKind, PrincipalKind};
-    use escudo_core::{Acl, EscudoEngine, Origin, Ring};
+    use escudo_core::{Acl, Origin, Ring};
 
     fn site() -> Origin {
         Origin::new("http", "forum.example", 80)
@@ -682,15 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn audit_can_be_disabled_for_benchmarks() {
-        let mut erm = Erm::new(PolicyMode::Escudo).without_audit();
-        erm.check(&script(3), &cookie(), Operation::Read);
-        assert_eq!(erm.checks(), 1);
-        assert_eq!(erm.denials(), 1);
-        assert!(erm.audit().is_empty());
-    }
-
-    #[test]
     fn audit_ring_buffer_is_bounded_and_counts_drops() {
         let mut erm = Erm::new(PolicyMode::Escudo).with_audit_capacity(3);
         for _ in 0..10 {
@@ -700,23 +612,27 @@ mod tests {
         assert_eq!(erm.audit().len(), 3);
         assert_eq!(erm.audit_dropped(), 7);
         assert_eq!(erm.audit_capacity(), 3);
-        // Zero capacity retains nothing but keeps counting.
+        // Zero capacity retains nothing but keeps counting checks, denials
+        // and drops.
         let mut none = Erm::new(PolicyMode::Escudo).with_audit_capacity(0);
         none.check(&script(1), &cookie(), Operation::Read);
+        none.check(&script(3), &cookie(), Operation::Read);
         assert!(none.audit().is_empty());
-        assert_eq!(none.audit_dropped(), 1);
+        assert_eq!(none.checks(), 2);
+        assert_eq!(none.denials(), 1);
+        assert_eq!(none.audit_dropped(), 2);
     }
 
     #[test]
-    fn shared_engine_caches_across_monitors() {
-        let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
+    fn monitors_share_one_engine() {
+        let engine = engine_for_mode(PolicyMode::Escudo);
         let mut a = Erm::with_engine(Arc::clone(&engine));
         let mut b = Erm::with_engine(Arc::clone(&engine));
         a.check(&script(1), &cookie(), Operation::Read);
-        // Same decision through a different monitor: served from the shared cache.
         b.check(&script(1), &cookie(), Operation::Read);
-        assert_eq!(engine.stats().cache_hits, 1);
+        assert_eq!(engine.stats().decisions, 2);
         assert_eq!(a.engine_stats().decisions, 2);
+        assert_eq!(a.checks(), 1);
     }
 
     #[test]
@@ -740,19 +656,57 @@ mod tests {
         };
 
         // §5.4 order: the longest-path cookie first, then creation order.
-        let attached = erm.mediate_jar(&jar, &request, Operation::Use, &script(1), ring1);
-        assert_eq!(attached, vec!["admin=a1", "sid=s1", "data=d1"]);
+        let p1 = script(1);
+        let plan = erm.mediate_jar(&jar, &[(&request, &p1)], Operation::Use, ring1);
+        assert_eq!(plan.get(0).header, "admin=a1; sid=s1; data=d1");
+        assert_eq!(plan.get(0).names, ["admin", "sid", "data"]);
         assert_eq!(erm.checks(), 3);
 
         // A ring-3 principal is denied every ring-1 cookie — same batch path.
-        let attached = erm.mediate_jar(&jar, &request, Operation::Use, &script(3), ring1);
-        assert!(attached.is_empty());
+        let p3 = script(3);
+        let plan = erm.mediate_jar(&jar, &[(&request, &p3)], Operation::Use, ring1);
+        assert_eq!(plan.get(0), &Attachment::default());
         assert_eq!(erm.denials(), 3);
     }
 
-    /// Runs `requests` as one [`Erm::mediate_jar_many`] plan and as one
-    /// [`Erm::mediate_jar`] call per request, on fresh monitors of `mode`, and
-    /// asserts that attachments, counters and the full audit sequence agree.
+    /// The per-request reference path: one jar query, one admission request
+    /// and one engine batch per request. Plan mediation is compared against
+    /// it.
+    fn mediate_one(
+        erm: &mut Erm,
+        jar: &SharedCookieJar,
+        url: &Url,
+        principal: &PrincipalContext,
+        object_for: impl Fn(&str, Origin) -> ObjectContext,
+    ) -> Vec<String> {
+        erm.sync_generation();
+        let candidates = jar.candidates_for(url);
+        let pair = |cookie: &Cookie| format!("{}={}", cookie.name, cookie.value);
+        if erm.mode() == PolicyMode::SameOriginOnly {
+            if !erm.admit(candidates.len() as u64) {
+                return Vec::new();
+            }
+            return candidates.iter().map(pair).collect();
+        }
+        let objects: Vec<ObjectContext> = candidates
+            .iter()
+            .map(|cookie| object_for(&cookie.name, cookie.origin()))
+            .collect();
+        let checks: Vec<(&PrincipalContext, &ObjectContext, Operation)> = objects
+            .iter()
+            .map(|object| (principal, object, Operation::Use))
+            .collect();
+        erm.decide_batch(&checks)
+            .iter()
+            .zip(&candidates)
+            .filter(|(decision, _)| decision.is_allowed())
+            .map(|(_, cookie)| pair(cookie))
+            .collect()
+    }
+
+    /// Runs `requests` as one [`Erm::mediate_jar`] plan and through
+    /// [`mediate_one`] per request, on fresh monitors of `mode`, and asserts
+    /// that attachments, counters and the full audit sequence agree.
     fn assert_plan_matches_per_request(
         jar: &SharedCookieJar,
         requests: &[(&Url, &PrincipalContext)],
@@ -767,11 +721,11 @@ mod tests {
                 .with_label(format!("cookie {name}"))
         };
         let mut batch = Erm::new(mode);
-        let plan = batch.mediate_jar_many(jar, requests, Operation::Use, object_for);
+        let plan = batch.mediate_jar(jar, requests, Operation::Use, object_for);
         let mut oracle = Erm::new(mode);
         assert_eq!(plan.iter().count(), requests.len());
         for (index, (url, principal)) in requests.iter().enumerate() {
-            let pairs = oracle.mediate_jar(jar, url, Operation::Use, principal, object_for);
+            let pairs = mediate_one(&mut oracle, jar, url, principal, object_for);
             let attachment = plan.get(index);
             assert_eq!(
                 attachment.header,
@@ -977,19 +931,20 @@ mod tests {
                 .with_acl(Acl::uniform(Ring::new(1)))
         };
         let mut erm = Erm::with_tenant(Arc::clone(&tenant));
-        // First plan: one candidate, one token — attaches.
-        let attached = erm.mediate_jar(&jar, &url, Operation::Use, &script(1), ring1);
-        assert_eq!(attached, vec!["sid=s1"]);
-        // Bucket empty: the baseline fast path is still metered, attaches nothing.
-        let attached = erm.mediate_jar(&jar, &url, Operation::Use, &script(1), ring1);
-        assert!(attached.is_empty());
-        assert_eq!(tenant.admission().stats().rejected, 1);
-        // The batched plan path sheds whole as well.
         let p1 = script(1);
-        let requests: Vec<(&Url, &PrincipalContext)> = vec![(&url, &p1)];
-        let batched = erm.mediate_jar_many(&jar, &requests, Operation::Use, ring1);
-        assert_eq!(batched.iter().count(), 1);
-        assert_eq!(batched.get(0), &Attachment::default());
+        // First plan: one candidate, one token — attaches.
+        let plan = erm.mediate_jar(&jar, &[(&url, &p1)], Operation::Use, ring1);
+        assert_eq!(plan.get(0).header, "sid=s1");
+        // Bucket empty: the baseline fast path is still metered, and a
+        // two-request plan is shed whole: both attach nothing.
+        let plan = erm.mediate_jar(&jar, &[(&url, &p1), (&url, &p1)], Operation::Use, ring1);
+        assert_eq!(plan.iter().count(), 2);
+        assert!(plan
+            .iter()
+            .all(|attachment| attachment == &Attachment::default()));
+        // Rejection counts the plan's checks, one per candidate.
+        assert_eq!(tenant.admission().stats().rejected, 2);
+        assert_eq!(erm.checks(), 0, "the baseline consults no engine");
     }
 
     #[test]

@@ -216,20 +216,19 @@ impl<'a> BrowserHost<'a> {
 
     /// Attaches cookies to an outgoing request according to the policy mode: the
     /// legacy baseline attaches everything in scope (which is what CSRF exploits),
-    /// ESCUDO performs a `use` check per cookie — decided as one batch so the engine
-    /// lock is taken once per request, not once per cookie. The candidates come from
-    /// the (possibly session-shared) jar through [`Erm::mediate_jar`], the same path
-    /// browser-initiated requests take.
+    /// ESCUDO performs a `use` check per cookie, all in one batch. The candidates
+    /// come from the (possibly session-shared) jar through [`Erm::mediate_jar`],
+    /// the same path browser-initiated requests take.
     fn attach_cookies(&mut self, request: &mut Request, principal: &PrincipalContext) {
-        let attached = self.erm.mediate_jar(
+        let plan = self.erm.mediate_jar(
             self.jar,
-            &request.url,
+            &[(&request.url, principal)],
             Operation::Use,
-            principal,
             |name, origin| self.contexts.cookie_object(name, origin),
         );
+        let attached = &plan.get(0).header;
         if !attached.is_empty() {
-            request.headers.set("Cookie", attached.join("; "));
+            request.headers.set("Cookie", attached.clone());
         }
     }
 }
@@ -372,14 +371,13 @@ impl Host for BrowserHost<'_> {
 
     fn cookie_get(&mut self) -> Result<String, HostError> {
         self.check_api(NativeApi::CookieApi)?;
-        let visible = self.erm.mediate_jar(
+        let plan = self.erm.mediate_jar(
             self.jar,
-            &self.page_url,
+            &[(&self.page_url, &self.principal)],
             Operation::Read,
-            &self.principal,
             |name, origin| self.contexts.cookie_object(name, origin),
         );
-        Ok(visible.join("; "))
+        Ok(plan.get(0).header.clone())
     }
 
     fn cookie_set(&mut self, cookie: &str) -> Result<(), HostError> {

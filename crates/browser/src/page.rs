@@ -62,9 +62,6 @@ pub struct PageLoadStats {
     pub policy_checks: u64,
     /// Denials issued during the load.
     pub policy_denials: u64,
-    /// Decisions the shared engine served from its memoization cache (cumulative for
-    /// the engine, like `policy_checks`).
-    pub policy_cache_hits: u64,
     /// Subresource (`img`) fetches dispatched for this page — including ones whose
     /// dispatch failed (the per-subresource outcome records the error).
     pub subresource_requests: u64,
@@ -214,7 +211,6 @@ mod tests {
             render_ns: 15,
             policy_checks: 3,
             policy_denials: 1,
-            policy_cache_hits: 2,
             subresource_requests: 4,
             subresource_denials: 1,
             subresource_plan_ns: 30,

@@ -1,12 +1,11 @@
 //! One coherent observability surface for the whole control plane.
 //!
-//! Every layer of the stack keeps its own counters — the engine's cache
-//! shards, the reference monitor's check/denial/audit-drop tallies, the cookie
+//! Every layer of the stack keeps its own counters — the engine's decision
+//! count, the reference monitor's check/denial/audit-drop tallies, the cookie
 //! jar's shard statistics, the network fabric's request log, prefetch cache
 //! and speculative-request count, and each tenant's admission bucket. Before
 //! this module, some of those counters ([`Erm::audit_dropped`], the
-//! [`SameOriginEngine`](escudo_core::SameOriginEngine) baseline's stats) had no
-//! exported surface at all: they could be asserted in unit tests but never
+//! same-origin baseline's stats) had no exported surface at all: they could be asserted in unit tests but never
 //! observed from a running deployment.
 //!
 //! [`ControlPlaneSnapshot`] gathers all of them into a single struct with a
@@ -150,9 +149,7 @@ impl FabricCounters {
 }
 
 /// One tenant's slice of the control plane: its engine generation, the
-/// generation's cache statistics, its admission bucket and its fetch fault
-/// budget (the [`FetchPolicy`](escudo_net::FetchPolicy) posture tenant-bound
-/// sessions dispatch under).
+/// generation's engine statistics and its admission bucket.
 #[derive(Debug, Clone)]
 pub struct TenantSnapshot {
     /// The tenant id.
@@ -163,7 +160,7 @@ pub struct TenantSnapshot {
     pub engine: EngineStats,
     /// The tenant's admission-control counters.
     pub admission: AdmissionStats,
-    /// The tenant's configuration (policy mode, cache bound, admission posture).
+    /// The tenant's configuration (policy mode, admission posture).
     pub config: TenantConfig,
 }
 
@@ -212,8 +209,7 @@ impl std::fmt::Display for HealthVerdict {
 #[derive(Debug, Clone)]
 pub struct ControlPlaneSnapshot {
     /// Statistics of the engine the observed session currently enforces
-    /// through (works for [`EscudoEngine`](escudo_core::EscudoEngine) and the
-    /// [`SameOriginEngine`](escudo_core::SameOriginEngine) baseline alike).
+    /// through, in either policy mode.
     pub engine: EngineStats,
     /// The observed session's reference-monitor counters.
     pub erm: ErmCounters,
@@ -350,33 +346,6 @@ impl ControlPlaneSnapshot {
         let mut push = |key: String, value: f64| fields.push((key, value));
 
         push("engine_decisions".into(), self.engine.decisions as f64);
-        push("engine_cache_hits".into(), self.engine.cache_hits as f64);
-        push(
-            "engine_cache_misses".into(),
-            self.engine.cache_misses as f64,
-        );
-        push("engine_hit_rate".into(), self.engine.hit_rate());
-        push(
-            "engine_interned_principals".into(),
-            self.engine.interned_principals as f64,
-        );
-        push(
-            "engine_interned_objects".into(),
-            self.engine.interned_objects as f64,
-        );
-        push(
-            "engine_interner_cas_retries".into(),
-            self.engine.interner_cas_retries as f64,
-        );
-        push(
-            "engine_interner_max_bucket_depth".into(),
-            self.engine.interner_max_bucket_depth as f64,
-        );
-        push("engine_evictions".into(), self.engine.evictions as f64);
-        push(
-            "engine_cache_shards".into(),
-            self.engine.shards.len() as f64,
-        );
 
         push("erm_checks".into(), self.erm.checks as f64);
         push("erm_denials".into(), self.erm.denials as f64);
@@ -468,7 +437,6 @@ impl ControlPlaneSnapshot {
                 format!("{prefix}_decisions"),
                 tenant.engine.decisions as f64,
             );
-            push(format!("{prefix}_hit_rate"), tenant.engine.hit_rate());
             push(
                 format!("{prefix}_admitted"),
                 tenant.admission.admitted as f64,
@@ -498,7 +466,7 @@ mod tests {
         let principal = PrincipalContext::new(PrincipalKind::Script, origin.clone(), Ring::new(1));
         let object = ObjectContext::new(ObjectKind::Cookie, origin, Ring::new(1));
 
-        // A SameOriginEngine-backed monitor with a tiny audit ring: after three
+        // A same-origin monitor with a tiny audit ring: after three
         // checks the ring has dropped one record — and both the baseline's
         // stats and the drop counter are now reachable through the snapshot.
         let mut erm = Erm::new(PolicyMode::SameOriginOnly).with_audit_capacity(2);

@@ -3,7 +3,7 @@
 //!
 //! ESCUDO's protection model assumes one reference monitor per browser; a
 //! served deployment runs many origin-groups (*tenants*) in one process. This
-//! module is the routing layer above the sharded [`EscudoEngine`]:
+//! module is the routing layer above the [`RuleEngine`]:
 //!
 //! * [`EngineHandle`] — an epoch/generation-swapped `Arc` pointer to a
 //!   [`PolicyEngine`]. A hot policy reload ([`EngineHandle::swap`]) publishes a
@@ -18,17 +18,15 @@
 //!   counter. Enforced at the `Erm` facade so browser- and script-initiated
 //!   paths are both covered.
 //! * [`TenantRegistry`] — tenant id → [`Tenant`], each tenant owning an
-//!   independent engine (own cache/interner bounds, own
-//!   [`ShardStats`](crate::ShardStats)) and its own admission bucket, so a
-//!   noisy tenant can neither evict another's warm decisions nor starve its
-//!   mediation.
+//!   independent engine (own policy mode, own decision counter) and its own
+//!   admission bucket, so a noisy tenant cannot starve another's mediation.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 
-use crate::engine::{EngineStats, EscudoEngine, PolicyEngine, SameOriginEngine};
+use crate::engine::{EngineStats, PolicyEngine, RuleEngine};
 use crate::policy::PolicyMode;
 
 // ---------------------------------------------------------------------------
@@ -385,10 +383,6 @@ fn saturating_bump(counter: &AtomicU64, n: u64) {
 pub struct TenantConfig {
     /// The policy mode the tenant's engine enforces.
     pub mode: PolicyMode,
-    /// Decision-cache bound of the tenant's engine (entries across shards).
-    pub cache_capacity: usize,
-    /// Cache shard count (0 = [`default_shard_count`](crate::default_shard_count)).
-    pub shard_count: usize,
     /// Admission-bucket capacity (0 = unlimited).
     pub admission_burst: u64,
     /// Admission refill rate, tokens per second.
@@ -399,8 +393,6 @@ impl Default for TenantConfig {
     fn default() -> Self {
         TenantConfig {
             mode: PolicyMode::Escudo,
-            cache_capacity: crate::engine::DEFAULT_CACHE_CAPACITY,
-            shard_count: 0,
             admission_burst: 0,
             admission_refill_per_sec: 0,
         }
@@ -415,20 +407,6 @@ impl TenantConfig {
         self
     }
 
-    /// Bounds the tenant's decision cache (builder style).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the cache shard count (builder style; 0 = auto).
-    #[must_use]
-    pub fn with_shards(mut self, shard_count: usize) -> Self {
-        self.shard_count = shard_count;
-        self
-    }
-
     /// Sets the admission token bucket (builder style).
     #[must_use]
     pub fn with_admission(mut self, burst: u64, refill_per_sec: u64) -> Self {
@@ -437,23 +415,10 @@ impl TenantConfig {
         self
     }
 
-    /// Builds a fresh engine for this configuration — an independently bounded
-    /// [`EscudoEngine`] or the [`SameOriginEngine`] baseline.
+    /// Builds a fresh [`RuleEngine`] for this configuration's mode.
     #[must_use]
     pub fn build_engine(&self) -> Arc<dyn PolicyEngine> {
-        match self.mode {
-            PolicyMode::Escudo => {
-                if self.shard_count == 0 {
-                    Arc::new(EscudoEngine::with_cache_capacity(self.cache_capacity))
-                } else {
-                    Arc::new(EscudoEngine::with_shards(
-                        self.shard_count,
-                        self.cache_capacity,
-                    ))
-                }
-            }
-            PolicyMode::SameOriginOnly => Arc::new(SameOriginEngine::new()),
-        }
+        Arc::new(RuleEngine::new(self.mode))
     }
 }
 
@@ -528,7 +493,7 @@ impl Tenant {
     }
 
     /// Hot policy reload with a fresh engine built from this tenant's own
-    /// configuration (new cache, new interner — a true policy epoch). Returns
+    /// configuration (a fresh decision counter — a true policy epoch). Returns
     /// the retired generation.
     pub fn reload(&self) -> Arc<EngineGeneration> {
         self.handle.swap(self.config.build_engine())
@@ -766,14 +731,8 @@ mod tests {
     fn registry_routes_by_id_with_independent_engines() {
         let registry = TenantRegistry::new();
         assert!(registry.is_empty());
-        let a = registry.register("a", TenantConfig::default().with_cache_capacity(256));
-        let b = registry.register(
-            "b",
-            TenantConfig::default()
-                .with_cache_capacity(64)
-                .with_shards(4)
-                .with_admission(10, 100),
-        );
+        let a = registry.register("a", TenantConfig::default());
+        let b = registry.register("b", TenantConfig::default().with_admission(10, 100));
         assert_eq!(registry.len(), 2);
         assert_eq!(registry.get("a").unwrap().id(), "a");
         assert!(registry.get("ghost").is_none());
@@ -782,7 +741,7 @@ mod tests {
         let again = registry.register("a", TenantConfig::default());
         assert!(Arc::ptr_eq(&a, &again));
 
-        // Independent engines: deciding through A warms only A's cache.
+        // Independent engines: deciding through A counts only on A's engine.
         let (principal, object) = check_pair();
         a.handle()
             .current()
@@ -790,7 +749,7 @@ mod tests {
             .decide(&principal, &object, Operation::Read);
         assert_eq!(a.engine_stats().decisions, 1);
         assert_eq!(b.engine_stats().decisions, 0);
-        assert_eq!(b.config().cache_capacity, 64);
+        assert_eq!(b.config().admission_burst, 10);
         assert_eq!(b.admission().stats().burst, 10);
 
         // Registry-level reload bumps only the named tenant's generation.
@@ -817,6 +776,5 @@ mod tests {
             .is_allowed());
         // The baseline's stats surface through the same path as Escudo's.
         assert_eq!(tenant.engine_stats().decisions, 1);
-        assert_eq!(tenant.engine_stats().cache_misses, 1);
     }
 }

@@ -12,7 +12,7 @@
 //! decided by the attach filter the caller (the browser's reference monitor) passes
 //! to [`SharedCookieJar::cookie_header_for`].
 //!
-//! Layout mirrors the sharded decision cache in `escudo-core`:
+//! Layout:
 //!
 //! * the store is split into [`SharedCookieJar::shard_count`] shards (a power of two,
 //!   so shard selection is a mask over the host hash), each an independent `Mutex`'d

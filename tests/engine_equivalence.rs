@@ -1,5 +1,5 @@
-//! Engine/decide equivalence: the pluggable engines must return **byte-identical**
-//! decisions to the `escudo_core::policy::decide` free function, cached or not.
+//! Engine/decide equivalence: the engines, however built, must return
+//! **byte-identical** decisions to the `escudo_core::policy::decide` free function.
 //!
 //! The grid is exhaustive over rings 0..=3 for principal and object, every
 //! `Operation`, same- and cross-origin pairs, a spread of ACL variants, and both
@@ -8,9 +8,9 @@
 use std::sync::Arc;
 
 use escudo::core::context::{ObjectContext, ObjectKind, PrincipalContext, PrincipalKind};
+use escudo::core::tenant::TenantConfig;
 use escudo::core::{
-    decide, engine_for_mode, Acl, EscudoEngine, Operation, Origin, PolicyEngine, PolicyMode, Ring,
-    SameOriginEngine,
+    decide, engine_for_mode, Acl, Operation, Origin, PolicyEngine, PolicyMode, Ring,
 };
 
 fn site() -> Origin {
@@ -62,54 +62,41 @@ fn grid() -> Vec<(PrincipalContext, ObjectContext, Operation)> {
     checks
 }
 
-#[test]
-fn escudo_engine_matches_decide_cold_and_cached() {
-    let engine = EscudoEngine::new();
+/// Asserts that `engine` decides every grid point exactly as `decide(mode, …)`,
+/// and counts each decision once.
+fn assert_matches_decide(engine: &dyn PolicyEngine, mode: PolicyMode) {
     let grid = grid();
     // 4 principal rings × 4 object rings × 9 ACLs × 2 origins × 2 kinds × 3 ops.
     assert_eq!(grid.len(), 1728);
+    assert_eq!(engine.mode(), mode);
     for (principal, object, op) in &grid {
-        let expected = decide(PolicyMode::Escudo, principal, object, *op);
-        // Cold (first touch) …
         assert_eq!(
             engine.decide(principal, object, *op),
-            expected,
-            "cold mismatch: {principal} / {object} / {op}"
-        );
-        // … and cached (second touch) must be byte-identical.
-        assert_eq!(
-            engine.decide(principal, object, *op),
-            expected,
-            "cached mismatch: {principal} / {object} / {op}"
+            decide(mode, principal, object, *op),
+            "{mode:?} mismatch: {principal} / {object} / {op}"
         );
     }
-    let stats = engine.stats();
-    assert_eq!(stats.decisions, 2 * grid.len() as u64);
-    assert!(stats.cache_hits >= grid.len() as u64);
+    assert_eq!(engine.stats().decisions, grid.len() as u64);
 }
 
 #[test]
-fn uncached_escudo_engine_matches_decide() {
-    let engine = EscudoEngine::with_cache_capacity(0);
-    for (principal, object, op) in &grid() {
-        assert_eq!(
-            engine.decide(principal, object, *op),
-            decide(PolicyMode::Escudo, principal, object, *op),
-            "uncached mismatch: {principal} / {object} / {op}"
-        );
-    }
-    assert_eq!(engine.stats().cache_hits, 0);
+fn escudo_engine_matches_decide() {
+    assert_matches_decide(&*engine_for_mode(PolicyMode::Escudo), PolicyMode::Escudo);
 }
 
 #[test]
 fn same_origin_engine_matches_same_origin_mode() {
-    let engine = SameOriginEngine::new();
-    for (principal, object, op) in &grid() {
-        assert_eq!(
-            engine.decide(principal, object, *op),
-            decide(PolicyMode::SameOriginOnly, principal, object, *op),
-            "sop mismatch: {principal} / {object} / {op}"
-        );
+    assert_matches_decide(
+        &*engine_for_mode(PolicyMode::SameOriginOnly),
+        PolicyMode::SameOriginOnly,
+    );
+}
+
+#[test]
+fn tenant_built_engines_match_decide() {
+    for mode in [PolicyMode::Escudo, PolicyMode::SameOriginOnly] {
+        let engine = TenantConfig::default().with_mode(mode).build_engine();
+        assert_matches_decide(&*engine, mode);
     }
 }
 

@@ -25,7 +25,7 @@ use std::thread;
 use std::time::Duration;
 
 use escudo::browser::Browser;
-use escudo::core::{engine_for_mode, EscudoEngine, PolicyEngine, PolicyMode};
+use escudo::core::{engine_for_mode, PolicyMode};
 use escudo::net::{Request, Response, SharedCookieJar, SharedNetwork, Url};
 use escudo_bench::loader::{register_loader_world, reverse_skewed_latency};
 use escudo_bench::measure::spawn_join;
@@ -116,7 +116,7 @@ fn pipelined_run_matches_the_sequential_oracle_byte_for_byte() {
 #[test]
 fn eight_sessions_sharing_one_fabric_stay_isolated() {
     let fabric = Arc::new(SharedNetwork::new());
-    let engine: Arc<dyn PolicyEngine> = Arc::new(EscudoEngine::new());
+    let engine = engine_for_mode(PolicyMode::Escudo);
     let jar = Arc::new(SharedCookieJar::new());
     const SESSIONS: usize = 8;
     const ROUNDS: usize = 3;
@@ -231,12 +231,12 @@ fn navigate_during_bulk_storm(
     nav_url: &str,
     navigations: usize,
 ) {
-    let engine = Arc::new(EscudoEngine::new());
+    let engine = engine_for_mode(PolicyMode::Escudo);
     let jar = Arc::new(SharedCookieJar::new());
     let stop = AtomicBool::new(false);
     thread::scope(|scope| {
         let storm_fabric = Arc::clone(fabric);
-        let storm_engine: Arc<dyn PolicyEngine> = Arc::clone(&engine) as _;
+        let storm_engine = Arc::clone(&engine);
         let storm_jar = Arc::clone(&jar);
         let stop = &stop;
         let storm = scope.spawn(move || {
@@ -254,11 +254,8 @@ fn navigate_during_bulk_storm(
             }
             loads
         });
-        let mut browser = Browser::with_network(
-            Arc::clone(&engine) as _,
-            Arc::clone(&jar),
-            Arc::clone(fabric),
-        );
+        let mut browser =
+            Browser::with_network(Arc::clone(&engine), Arc::clone(&jar), Arc::clone(fabric));
         browser.set_subresource_workers(8);
         for _ in 0..navigations {
             let page = browser.navigate(nav_url).unwrap();
