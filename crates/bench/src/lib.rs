@@ -15,8 +15,9 @@
 //!   and the nearest-rank [`p99_ns`](measure::p99_ns),
 //! * [`oracle`] — the mediation oracles the tier-1 tests share: one session
 //!   [`Transcript`](oracle::Transcript) whose diff counts log, attachment,
-//!   order and mediation mismatches, one leak scan over a shared log, and one
-//!   scenario-matrix run under a session hook,
+//!   order and mediation mismatches, one leak scan over a shared log, one
+//!   scenario-matrix run under a session hook, and the two-pass labelling
+//!   [`label_oracle`](oracle::label_oracle) the loader's walk is held to,
 //! * [`concurrent`] — the concurrent decision-throughput and cookie-jar
 //!   header-build measurements behind `policy_concurrent` and
 //!   `jar_concurrent`, plus the jar oracle script,

@@ -14,11 +14,18 @@
 //! * [`run_matrix_with_hook`] — the full scenario matrix with a hook applied
 //!   to every staged session browser, handing back the session fabrics so a
 //!   run can count what the variant (chaos, cache) actually did.
+//!
+//! The contexts mediation decides from are themselves checked against one
+//! oracle: [`label_oracle`], a two-pass labelling written for clarity, which
+//! the page loader's one-pass walk must reproduce node for node.
 
 use std::sync::{Arc, Mutex};
 
 use escudo_apps::scenario::{install_chaos_hook, registry, MatrixReport};
-use escudo_browser::Browser;
+use escudo_browser::{Browser, SecurityContextTable};
+use escudo_core::config::{AcAttributes, ResolvedLabel};
+use escudo_core::{Origin, Ring};
+use escudo_dom::{Document, NodeId};
 use escudo_net::{LoggedRequest, SharedNetwork};
 
 /// One session's mediation record.
@@ -185,6 +192,69 @@ pub fn run_matrix_with_hook(
     };
     let fabrics = std::mem::take(&mut *fabrics.lock().expect("session fabric sink lock"));
     (report, fabrics)
+}
+
+/// The reference labelling of a parsed page of `origin` whose response did
+/// (`header_config`) or did not carry an ESCUDO policy header, in two plain
+/// passes: the oracle the page loader's one-pass walk is tested against.
+/// Returns the page's context table, without policies, and its legacy flag.
+///
+/// 1. A scan of every element decides `legacy`: the page declares no
+///    `ring`/`r`/`w`/`x` attribute (names matched case-sensitively, values
+///    unchecked) and no policy header.
+/// 2. A depth-first walk with an explicit stack labels every element: an AC
+///    tag (per [`AcAttributes::parse`], which matches names in any case and
+///    reads a malformed declaration as none) resolves against the enclosing
+///    scope's ring, ring 0 outside every scope; any other element takes the
+///    enclosing scope's label, or the page default outside every scope.
+///    Other nodes get no entry, so they read as the page default.
+#[must_use]
+pub fn label_oracle(
+    document: &Document,
+    origin: Origin,
+    header_config: bool,
+) -> (SecurityContextTable, bool) {
+    let has_ac_tags = document.all_elements().iter().any(|&node| {
+        document
+            .attributes(node)
+            .iter()
+            .any(|(name, _)| matches!(name.as_str(), "ring" | "r" | "w" | "x"))
+    });
+    let legacy = !(has_ac_tags || header_config);
+    let mut contexts = SecurityContextTable::new(origin, legacy);
+    // (node, label of the nearest enclosing AC scope, if any)
+    let mut stack: Vec<(NodeId, Option<ResolvedLabel>)> = document
+        .children(document.root())
+        .map(|child| (child, None))
+        .collect();
+    while let Some((node, inherited)) = stack.pop() {
+        let label_for_children = if document.element(node).is_some() {
+            let attrs = AcAttributes::parse(
+                document
+                    .attributes(node)
+                    .iter()
+                    .map(|(n, v)| (n.as_str(), v.as_str())),
+            )
+            .unwrap_or_default();
+            let label = if attrs.is_ac_tag() {
+                attrs.resolve(inherited.map_or(Ring::INNERMOST, |l| l.ring))
+            } else {
+                inherited.unwrap_or_else(|| contexts.default_label())
+            };
+            contexts.set_node_label(node, label);
+            if attrs.is_ac_tag() {
+                Some(label)
+            } else {
+                inherited
+            }
+        } else {
+            inherited
+        };
+        for child in document.children(node) {
+            stack.push((child, label_for_children));
+        }
+    }
+    (contexts, legacy)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use escudo_script::Interpreter;
 use crate::erm::Erm;
 use crate::error::BrowserError;
 use crate::host::BrowserHost;
-use crate::loader::{LoadOptions, PageLoader};
+use crate::loader::{LoadOptions, PageLoader, ResponsePolicies};
 use crate::page::{Page, ScriptOutcome, SubresourceOutcome};
 use crate::render::Renderer;
 
@@ -456,7 +456,7 @@ impl Browser {
         principal: PrincipalContext,
     ) -> Result<PageId, BrowserError> {
         let prefetch_hits_before = self.prefetch_hits;
-        let mut response = self.fetch(url.clone(), method, body, &principal)?;
+        let (mut response, mut policies) = self.fetch(url.clone(), method, body, &principal)?;
         let mut final_url = url;
         // Follow a small number of redirects (form POST → see-other → GET).
         let mut redirects = 0;
@@ -466,7 +466,7 @@ impl Browser {
             };
             final_url = final_url.join(&location)?;
             let browser_principal = PrincipalContext::browser(final_url.origin());
-            response = self.fetch(
+            (response, policies) = self.fetch(
                 final_url.clone(),
                 Method::Get,
                 String::new(),
@@ -482,16 +482,13 @@ impl Browser {
             mode: self.erm.mode(),
             viewport_width: self.viewport_width,
         };
-        let mut page = PageLoader::load(&final_url, &response, &options);
+        let mut page = PageLoader::load(&final_url, &response, policies, &options);
 
-        // Remember the cookie policies this application declared, and make previously
-        // remembered policies for the same origin available to this page.
-        for policy in page.contexts.cookie_policies().to_vec() {
-            self.remember_cookie_policy(final_url.host(), policy);
-        }
-        let host = final_url.host().to_string();
+        // `fetch` remembered the cookie policies this response declared; make
+        // every remembered policy for the same host available to this page.
+        let host = final_url.host();
         for (policy_host, policy) in &self.cookie_policies {
-            if policy_host.eq_ignore_ascii_case(&host)
+            if policy_host.eq_ignore_ascii_case(host)
                 && page.contexts.cookie_policy(&policy.name).is_none()
             {
                 page.contexts.add_cookie_policy(policy.clone());
@@ -537,14 +534,15 @@ impl Browser {
 
     /// Issues one HTTP request with policy-mediated cookie attachment, as a
     /// width-1 plan that may use the cache layers this session opted into, and
-    /// stores any cookies (and cookie policies) the response carries.
+    /// stores any cookies (and cookie policies) the response carries. Returns
+    /// the response with its policy headers, parsed once here.
     fn fetch(
         &mut self,
         url: Url,
         method: Method,
         body: String,
         principal: &PrincipalContext,
-    ) -> Result<Arc<Response>, BrowserError> {
+    ) -> Result<(Arc<Response>, ResponsePolicies), BrowserError> {
         let mut request = Request::new(method, url.clone());
         if !body.is_empty() {
             request.body = body;
@@ -574,10 +572,11 @@ impl Browser {
                 self.jar.store(&url, &directive);
             }
         }
-        for policy in response.cookie_policies() {
+        let policies = ResponsePolicies::parse(&response);
+        for policy in &policies.cookies {
             self.remember_cookie_policy(url.host(), policy);
         }
-        Ok(response)
+        Ok((response, policies))
     }
 
     /// Counts a cache hit by the layer that served it.
@@ -589,15 +588,18 @@ impl Browser {
         }
     }
 
-    fn remember_cookie_policy(&mut self, host: &str, policy: CookiePolicy) {
+    fn remember_cookie_policy(&mut self, host: &str, policy: &CookiePolicy) {
         if let Some(entry) = self
             .cookie_policies
             .iter_mut()
             .find(|(h, p)| h.eq_ignore_ascii_case(host) && p.name == policy.name)
         {
-            entry.1 = policy;
+            if entry.1 != *policy {
+                entry.1 = policy.clone();
+            }
         } else {
-            self.cookie_policies.push((host.to_string(), policy));
+            self.cookie_policies
+                .push((host.to_string(), policy.clone()));
         }
     }
 
@@ -642,14 +644,14 @@ fn cookie_object_from_store(
             origin: cookie_origin,
             ring: policy.ring,
             acl: policy.acl,
-            label: format!("cookie {name}"),
+            label: format!("cookie {name}").into(),
         },
         None => escudo_core::ObjectContext {
             kind: escudo_core::ObjectKind::Cookie,
             origin: cookie_origin,
             ring: escudo_core::Ring::INNERMOST,
             acl: escudo_core::Acl::permissive(),
-            label: format!("cookie {name}"),
+            label: format!("cookie {name}").into(),
         },
     }
 }
@@ -754,7 +756,7 @@ impl Browser {
             kind: PrincipalKind::EventHandler,
             origin: page.origin.clone(),
             ring: page.contexts.node_label(node).ring,
-            label: format!("on{event} handler of #{element_id}"),
+            label: format!("on{event} handler of #{element_id}").into(),
         };
         let ring = principal.ring;
         let mode = self.erm.mode();
@@ -938,6 +940,9 @@ impl Browser {
         let mut origins: Vec<(Origin, bool)> = Vec::new();
         let mut planned: Vec<(escudo_dom::NodeId, Url, PrincipalContext, SubresourceKind)> =
             Vec::with_capacity(found.critical.len() + found.images.len());
+        // Each principal's label is written here, then copied once into its
+        // shared `Arc<str>`.
+        let mut label = String::new();
         for (kind, node, tag, src) in entries {
             let Ok(target) = page.url.join(src) else {
                 continue;
@@ -959,11 +964,11 @@ impl Browser {
             if !known {
                 continue;
             }
-            let mut label = String::with_capacity(tag.len() + " src=".len() + src.len());
+            label.clear();
             label.push_str(tag);
             label.push_str(" src=");
             label.push_str(src);
-            let principal = page.contexts.request_issuer_principal(node, label);
+            let principal = page.contexts.request_issuer_principal(node, label.as_str());
             planned.push((node, target, principal, kind));
         }
         if planned.is_empty() {

@@ -5,8 +5,14 @@
 //! it available whenever a principal makes a request". This table is that store. It is
 //! deliberately **not** part of the DOM: scripts have no way to read or write it, which
 //! is what makes the one-time ring mapping tamper-proof (§5).
+//!
+//! Node labels are a dense side table indexed by [`NodeId::index`]: the page loader
+//! fills it in one pre-order walk of the parsed document, each element's entry
+//! derived from its parent's, and nodes created at run time extend it. An empty entry
+//! (a text node, or an element outside every AC scope) reads as the page default.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use escudo_core::config::{ApiPolicy, CookiePolicy, NativeApi, ResolvedLabel};
 use escudo_core::{Acl, ObjectContext, ObjectKind, Origin, PrincipalContext, PrincipalKind, Ring};
@@ -16,7 +22,8 @@ use escudo_dom::NodeId;
 #[derive(Debug, Clone)]
 pub struct SecurityContextTable {
     origin: Origin,
-    node_labels: HashMap<NodeId, ResolvedLabel>,
+    /// Indexed by [`NodeId::index`]; `None` reads as [`Self::default_label`].
+    node_labels: Vec<Option<ResolvedLabel>>,
     cookie_policies: Vec<CookiePolicy>,
     api_rings: HashMap<NativeApi, Ring>,
     /// The label applied to content that carries no configuration at all (legacy pages
@@ -45,7 +52,7 @@ impl SecurityContextTable {
         };
         SecurityContextTable {
             origin,
-            node_labels: HashMap::new(),
+            node_labels: Vec::new(),
             cookie_policies: Vec::new(),
             api_rings: HashMap::new(),
             default_label,
@@ -64,25 +71,30 @@ impl SecurityContextTable {
         self.default_label
     }
 
+    /// Replaces every node label with `node_labels`, indexed by [`NodeId::index`]:
+    /// the page loader's one labelling pass hands its table over here.
+    pub(crate) fn set_node_labels(&mut self, node_labels: Vec<Option<ResolvedLabel>>) {
+        self.node_labels = node_labels;
+    }
+
     /// Records the label of a node (done exactly once, at parse/creation time).
     pub fn set_node_label(&mut self, node: NodeId, label: ResolvedLabel) {
-        self.node_labels.insert(node, label);
+        let index = node.index();
+        if index >= self.node_labels.len() {
+            self.node_labels.resize(index + 1, None);
+        }
+        self.node_labels[index] = Some(label);
     }
 
     /// The label of a node (falling back to the page default for unlabeled nodes, e.g.
-    /// text nodes or nodes created before labelling).
+    /// text nodes, elements outside every AC scope, or nodes created before labelling).
     #[must_use]
     pub fn node_label(&self, node: NodeId) -> ResolvedLabel {
         self.node_labels
-            .get(&node)
+            .get(node.index())
             .copied()
+            .flatten()
             .unwrap_or(self.default_label)
-    }
-
-    /// Number of labelled nodes.
-    #[must_use]
-    pub fn labelled_nodes(&self) -> usize {
-        self.node_labels.len()
     }
 
     /// Adds a cookie policy received via the `X-Escudo-Cookie-Policy` header.
@@ -132,7 +144,7 @@ impl SecurityContextTable {
             origin: self.origin.clone(),
             ring: resolved.ring,
             acl: resolved.acl,
-            label: label.to_string(),
+            label: label.into(),
         }
     }
 
@@ -155,7 +167,7 @@ impl SecurityContextTable {
             origin: cookie_origin,
             ring,
             acl,
-            label: format!("cookie {name}"),
+            label: format!("cookie {name}").into(),
         }
     }
 
@@ -168,7 +180,7 @@ impl SecurityContextTable {
             origin: self.origin.clone(),
             ring,
             acl: Acl::uniform(ring),
-            label: format!("native API {api}"),
+            label: format!("native API {api}").into(),
         }
     }
 
@@ -187,7 +199,7 @@ impl SecurityContextTable {
             kind: PrincipalKind::Script,
             origin: self.origin.clone(),
             ring: self.node_label(node).ring,
-            label: label.to_string(),
+            label: label.into(),
         }
     }
 
@@ -196,7 +208,7 @@ impl SecurityContextTable {
     pub fn request_issuer_principal(
         &self,
         node: NodeId,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
     ) -> PrincipalContext {
         PrincipalContext {
             kind: PrincipalKind::RequestIssuer,
@@ -252,7 +264,6 @@ mod tests {
             },
         );
         assert_eq!(table.node_label(node).ring, Ring::new(2));
-        assert_eq!(table.labelled_nodes(), 1);
         assert_eq!(table.node_label(other).ring, Ring::OUTERMOST);
     }
 

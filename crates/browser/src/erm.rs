@@ -96,13 +96,13 @@ impl<'u> CandidatePlan<'u> {
     /// Walks the jar once per (scheme, host) of `urls`, all with one `now`, and
     /// files each URL under the set of its path-matching candidates. A page
     /// touches a handful of hosts and sets, so both are found by linear probe.
-    fn walk(jar: &SharedCookieJar, urls: impl Iterator<Item = &'u Url>) -> Self {
+    fn walk(jar: &SharedCookieJar, urls: impl ExactSizeIterator<Item = &'u Url>) -> Self {
         let now = SystemTime::now();
         let mut plan = CandidatePlan {
             hosts: Vec::new(),
             cookies: Vec::new(),
             sets: Vec::new(),
-            set_of: Vec::new(),
+            set_of: Vec::with_capacity(urls.len()),
         };
         let mut members: Vec<usize> = Vec::new();
         for url in urls {
@@ -386,10 +386,12 @@ impl Erm {
     /// The plan reads one jar snapshot, taken with one `now`: the jar is walked
     /// once per (scheme, host), and each URL's candidates are the path-matching
     /// subsequence of its host's walk (§5.4 order survives the filter).
-    /// Requests with identical candidate lists share one candidate set, so
-    /// `object_for` runs once per candidate cookie, and requests whose set and
-    /// decisions agree share one [`Attachment`]: one name list and one `Cookie`
-    /// header string.
+    /// Requests with identical candidate lists share one candidate set, and
+    /// `object_for` runs once per distinct (name, origin) candidate cookie,
+    /// so it must depend on nothing else. Requests whose set and decisions
+    /// agree share one [`Attachment`]: one name list and one `Cookie` header
+    /// string. Auditing copies no label: a record shares its principal's and
+    /// its object's.
     ///
     /// A tenant-bound monitor pins one engine generation for the whole plan
     /// and asks admission once for all its checks, all or nothing; a throttled
@@ -430,13 +432,27 @@ impl Erm {
             };
         }
 
-        // One cookie object per candidate, shared by every set that holds it.
-        let mut objects: Vec<Option<ObjectContext>> = vec![None; plan.cookies.len()];
+        // One cookie object per distinct (name, origin) among the candidates,
+        // shared by every set that holds it: a `Domain` cookie that several
+        // host walks return is one object.
+        let mut objects: Vec<(usize, ObjectContext)> = Vec::new();
+        let mut object_of: Vec<usize> = vec![usize::MAX; plan.cookies.len()];
         for &member in plan.sets.iter().flatten() {
-            if objects[member].is_none() {
-                let cookie = &plan.cookies[member];
-                objects[member] = Some(object_for(&cookie.name, cookie.origin()));
+            if object_of[member] != usize::MAX {
+                continue;
             }
+            let cookie = &plan.cookies[member];
+            let built = objects.iter().position(|&(first, _)| {
+                let other = &plan.cookies[first];
+                other.name == cookie.name
+                    && other.host == cookie.host
+                    && other.scheme == cookie.scheme
+                    && other.port == cookie.port
+            });
+            object_of[member] = built.unwrap_or_else(|| {
+                objects.push((member, object_for(&cookie.name, cookie.origin())));
+                objects.len() - 1
+            });
         }
 
         // One engine batch: every (request, candidate) pair in input order.
@@ -444,10 +460,11 @@ impl Erm {
         let mut checks: Vec<(&PrincipalContext, &ObjectContext, Operation)> =
             Vec::with_capacity(total);
         for ((_, principal), &set) in requests.iter().zip(&plan.set_of) {
-            checks.extend(plan.sets[set].iter().map(|&member| {
-                let object = objects[member].as_ref().expect("candidate object built");
-                (*principal, object, operation)
-            }));
+            checks.extend(
+                plan.sets[set]
+                    .iter()
+                    .map(|&member| (*principal, &objects[object_of[member]].1, operation)),
+            );
         }
         let decisions = self.decide_batch(&checks);
 
@@ -495,7 +512,7 @@ impl Erm {
                 label = if object.label.is_empty() {
                     object.kind.to_string()
                 } else {
-                    object.label.clone()
+                    object.label.to_string()
                 }
             )),
         }

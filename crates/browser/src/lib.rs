@@ -71,7 +71,7 @@ pub use context::SecurityContextTable;
 pub use erm::{Attachment, Erm, PlanAttachments};
 pub use error::BrowserError;
 pub use escudo_core::PolicyMode;
-pub use loader::{LoadOptions, PageLoader};
+pub use loader::{LoadOptions, PageLoader, ResponsePolicies};
 pub use page::{Page, PageLoadStats, ScriptOutcome, SubresourceOutcome};
 pub use render::{LayoutBox, RenderStats, Renderer};
 pub use snapshot::{

@@ -6,15 +6,16 @@
 //!   label `body` directly, not only `div`s);
 //! * the **scoping rule** clamps every nested declaration to its enclosing scope;
 //! * missing specifications fail safe (least-privileged ring, ring-0-only ACL);
-//! * cookie and native-API rings come from the optional HTTP headers;
+//! * cookie and native-API rings come from the optional HTTP headers, parsed once
+//!   per response ([`ResponsePolicies`]);
 //! * a page with *no* ESCUDO configuration at all is a legacy page: it collapses to a
 //!   single fully-privileged ring, i.e. exactly the same-origin policy;
-//! * the mapping is performed once, on a table the DOM cannot reach, so later
-//!   `setAttribute` calls cannot re-map anything.
+//! * the mapping is performed once, in one pre-order walk, on a table the DOM cannot
+//!   reach, so later `setAttribute` calls cannot re-map anything.
 
 use std::time::Instant;
 
-use escudo_core::config::{AcAttributes, ResolvedLabel};
+use escudo_core::config::{AcAttributes, ApiPolicy, CookiePolicy, ResolvedLabel};
 use escudo_core::{PolicyMode, Ring};
 use escudo_dom::{Document, NodeId};
 use escudo_html::{parse_document, ParseOptions};
@@ -42,17 +43,50 @@ impl Default for LoadOptions {
     }
 }
 
+/// The ESCUDO policy headers of one response, parsed once when the response is
+/// fetched. Malformed headers are skipped (see [`Response::cookie_policies`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ResponsePolicies {
+    /// The `X-Escudo-Cookie-Policy` headers, in header order.
+    pub cookies: Vec<CookiePolicy>,
+    /// The `X-Escudo-Api-Policy` headers, in header order.
+    pub apis: Vec<ApiPolicy>,
+}
+
+impl ResponsePolicies {
+    /// Parses both policy headers of `response`.
+    #[must_use]
+    pub fn parse(response: &Response) -> Self {
+        ResponsePolicies {
+            cookies: response.cookie_policies(),
+            apis: response.api_policies(),
+        }
+    }
+
+    /// `true` when the response declared no policy at all.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.cookies.is_empty() && self.apis.is_empty()
+    }
+}
+
 /// The page loader. Stateless; all state lives in the returned [`Page`].
 #[derive(Debug, Clone, Default)]
 pub struct PageLoader;
 
 impl PageLoader {
-    /// Builds a [`Page`] from a fetched response.
+    /// Builds a [`Page`] from a fetched response and its already-parsed policy
+    /// headers.
     ///
     /// Scripts are collected but **not** executed here — execution needs network and
     /// cookie access and is driven by [`Browser`](crate::Browser).
     #[must_use]
-    pub fn load(url: &Url, response: &Response, options: &LoadOptions) -> Page {
+    pub fn load(
+        url: &Url,
+        response: &Response,
+        policies: ResponsePolicies,
+        options: &LoadOptions,
+    ) -> Page {
         let origin = url.origin();
 
         // 1. Parse. Nonce validation is an ESCUDO behaviour; the legacy baseline
@@ -68,26 +102,21 @@ impl PageLoader {
 
         // 2–3. Security-context extraction is ESCUDO bookkeeping; a legacy (SOP-only)
         // browser ignores the AC attributes and policy headers entirely, which is
-        // exactly the baseline Figure 4 compares against.
+        // exactly the baseline Figure 4 compares against. Under ESCUDO one pre-order
+        // walk labels every element and finds whether the page declares any AC
+        // attribute; the page is legacy when it declares none and its response
+        // carried no policy header. The parsed policies move into the table.
         let (legacy, contexts, label_ns) = match options.mode {
             PolicyMode::Escudo => {
                 let label_start = Instant::now();
-                let has_header_config =
-                    !response.cookie_policies().is_empty() || !response.api_policies().is_empty();
-                // Cheap scan: an AC tag declares at least one of ring/r/w/x.
-                let has_ac_tags = document.all_elements().iter().any(|&node| {
-                    document
-                        .attributes(node)
-                        .iter()
-                        .any(|(name, _)| matches!(name.as_str(), "ring" | "r" | "w" | "x"))
-                });
-                let legacy = !(has_ac_tags || has_header_config);
+                let (node_labels, has_ac_tags) = label_document(&document);
+                let legacy = !has_ac_tags && policies.is_empty();
                 let mut contexts = SecurityContextTable::new(origin.clone(), legacy);
-                label_document(&document, &mut contexts);
-                for policy in response.cookie_policies() {
+                contexts.set_node_labels(node_labels);
+                for policy in policies.cookies {
                     contexts.add_cookie_policy(policy);
                 }
-                for policy in response.api_policies() {
+                for policy in policies.apis {
                     contexts.set_api_ring(policy);
                 }
                 (legacy, contexts, label_start.elapsed().as_nanos())
@@ -136,47 +165,46 @@ impl PageLoader {
     }
 }
 
-/// Walks the document once, assigning every element its resolved label according to
-/// the scoping rule and the fail-safe defaults.
-fn label_document(document: &Document, contexts: &mut SecurityContextTable) {
-    // (node, inherited label from the nearest enclosing AC scope, if any)
-    let mut stack: Vec<(NodeId, Option<ResolvedLabel>)> = document
-        .children(document.root())
-        .map(|child| (child, None))
-        .collect();
-    // Depth-first; order of labelling does not matter, only parentage.
-    while let Some((node, inherited)) = stack.pop() {
-        let label_for_children = if document.element(node).is_some() {
-            let attrs = AcAttributes::parse(
-                document
-                    .attributes(node)
-                    .iter()
-                    .map(|(n, v)| (n.as_str(), v.as_str())),
-            )
+/// Labels every element of `document` in one pre-order walk, returning the dense
+/// label table (indexed by [`NodeId::index`]) and whether any element carries an
+/// AC attribute.
+///
+/// Pre-order visits a parent before its children, so each element's entry derives
+/// from its parent's: an AC tag resolves its declaration against the enclosing
+/// scope's ring (ring 0 outside every scope, where the application's own markup is
+/// the page itself), and any other element copies its parent's entry. Elements
+/// outside every AC scope and non-element nodes keep an empty entry, which reads
+/// as the page default — so the table does not depend on whether the page turns
+/// out to be legacy.
+///
+/// An AC attribute, for the legacy test, is a `ring`/`r`/`w`/`x` attribute whose
+/// name matches case-sensitively, whatever its value; the label itself comes from
+/// [`AcAttributes::parse`], which matches names in any case and treats a malformed
+/// declaration as none.
+fn label_document(document: &Document) -> (Vec<Option<ResolvedLabel>>, bool) {
+    let mut labels: Vec<Option<ResolvedLabel>> = vec![None; document.node_count()];
+    let mut has_ac_tags = false;
+    for node in document.descendants(document.root()) {
+        if document.element(node).is_none() {
+            continue;
+        }
+        let attributes = document.attributes(node);
+        has_ac_tags = has_ac_tags
+            || attributes
+                .iter()
+                .any(|(name, _)| matches!(name.as_str(), "ring" | "r" | "w" | "x"));
+        let inherited = document
+            .parent(node)
+            .and_then(|parent| labels[parent.index()]);
+        let attrs = AcAttributes::parse(attributes.iter().map(|(n, v)| (n.as_str(), v.as_str())))
             .unwrap_or_default();
-            let label = if attrs.is_ac_tag() {
-                // The scope bound is the enclosing AC scope's ring; outside any scope
-                // the application's own markup is the page itself (ring 0).
-                let bound = inherited.map_or(Ring::INNERMOST, |l| l.ring);
-                attrs.resolve(bound)
-            } else {
-                inherited.unwrap_or_else(|| contexts.default_label())
-            };
-            contexts.set_node_label(node, label);
-            if attrs.is_ac_tag() {
-                Some(label)
-            } else {
-                inherited
-            }
+        labels[node.index()] = if attrs.is_ac_tag() {
+            Some(attrs.resolve(inherited.map_or(Ring::INNERMOST, |label| label.ring)))
         } else {
-            // Text/comment nodes take the enclosing label implicitly via their parent
-            // element; no entry is needed.
             inherited
         };
-        for child in document.children(node) {
-            stack.push((child, label_for_children));
-        }
     }
+    (labels, has_ac_tags)
 }
 
 /// Labels a subtree created at run time (via the DOM API or `innerHTML`): every new
@@ -250,6 +278,7 @@ mod tests {
         PageLoader::load(
             &url,
             &response,
+            ResponsePolicies::parse(&response),
             &LoadOptions {
                 mode,
                 viewport_width: 1024,
@@ -333,7 +362,12 @@ mod tests {
                 escudo_core::config::NativeApi::XmlHttpRequest,
                 Ring::new(1),
             ));
-        let page = PageLoader::load(&url, &response, &LoadOptions::default());
+        let page = PageLoader::load(
+            &url,
+            &response,
+            ResponsePolicies::parse(&response),
+            &LoadOptions::default(),
+        );
         assert!(!page.legacy);
         assert_eq!(
             page.contexts.cookie_policy("sid").unwrap().ring,
@@ -351,7 +385,12 @@ mod tests {
         let url = Url::parse("http://app.example/").unwrap();
         let response = Response::ok_html("<html><body><p>plain</p></body></html>")
             .with_cookie_policy(&escudo_core::config::CookiePolicy::new("sid", Ring::new(1)));
-        let page = PageLoader::load(&url, &response, &LoadOptions::default());
+        let page = PageLoader::load(
+            &url,
+            &response,
+            ResponsePolicies::parse(&response),
+            &LoadOptions::default(),
+        );
         assert!(!page.legacy);
     }
 

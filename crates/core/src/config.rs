@@ -47,9 +47,13 @@ pub struct AcAttributes {
 }
 
 impl AcAttributes {
-    /// Parses the ESCUDO attributes out of an element's attribute list. Unrelated
-    /// attributes are ignored; malformed ESCUDO attributes are reported so the browser
-    /// can fall back to fail-safe defaults (and log the problem) rather than guess.
+    /// Parses the ESCUDO attributes out of an element's attribute list. Names match
+    /// in any ASCII case (`RING` is `ring`), compared in place, so parsing allocates
+    /// nothing unless it reports an error; a later duplicate overrides an earlier
+    /// one. Unrelated attributes are ignored; malformed ESCUDO attributes are
+    /// reported so the browser can fall back to fail-safe defaults (and log the
+    /// problem) rather than guess. The page loader calls this once per element, in
+    /// its single labelling walk.
     ///
     /// # Errors
     ///
@@ -59,34 +63,24 @@ impl AcAttributes {
         I: IntoIterator<Item = (&'a str, S)>,
         S: AsRef<str>,
     {
+        let acl_bound = |value: &str| {
+            value
+                .parse()
+                .map_err(|_| ConfigError::InvalidAcl(value.into()))
+        };
         let mut out = AcAttributes::default();
         for (name, value) in attributes {
             let value = value.as_ref();
-            match name.to_ascii_lowercase().as_str() {
-                "ring" => out.ring = Some(value.parse()?),
-                "r" => {
-                    out.read = Some(
-                        value
-                            .parse()
-                            .map_err(|_| ConfigError::InvalidAcl(value.into()))?,
-                    )
-                }
-                "w" => {
-                    out.write = Some(
-                        value
-                            .parse()
-                            .map_err(|_| ConfigError::InvalidAcl(value.into()))?,
-                    )
-                }
-                "x" => {
-                    out.use_ = Some(
-                        value
-                            .parse()
-                            .map_err(|_| ConfigError::InvalidAcl(value.into()))?,
-                    )
-                }
-                "nonce" => out.nonce = Some(value.parse()?),
-                _ => {}
+            if name.eq_ignore_ascii_case("ring") {
+                out.ring = Some(value.parse()?);
+            } else if name.eq_ignore_ascii_case("r") {
+                out.read = Some(acl_bound(value)?);
+            } else if name.eq_ignore_ascii_case("w") {
+                out.write = Some(acl_bound(value)?);
+            } else if name.eq_ignore_ascii_case("x") {
+                out.use_ = Some(acl_bound(value)?);
+            } else if name.eq_ignore_ascii_case("nonce") {
+                out.nonce = Some(value.parse()?);
             }
         }
         Ok(out)
@@ -394,6 +388,19 @@ mod tests {
         assert_eq!(
             attrs.declared_acl(),
             Some(Acl::new(Ring::new(1), Ring::new(0), Ring::new(2)))
+        );
+    }
+
+    #[test]
+    fn attribute_names_match_in_any_case() {
+        let attrs = AcAttributes::parse([("RING", "2"), ("R", "1"), ("Nonce", "7")]).unwrap();
+        assert_eq!(attrs.ring, Some(Ring::new(2)));
+        assert_eq!(attrs.read, Some(Ring::new(1)));
+        assert_eq!(attrs.nonce, Some("7".parse().unwrap()));
+        // A name that only contains an AC name is not one.
+        assert_eq!(
+            AcAttributes::parse([("rings", "2"), ("xr", "1")]).unwrap(),
+            AcAttributes::default()
         );
     }
 

@@ -8,6 +8,7 @@
 //! mutate them.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::acl::Acl;
 use crate::operation::Operation;
@@ -77,8 +78,9 @@ pub struct PrincipalContext {
     /// The ring the principal executes in.
     pub ring: Ring,
     /// A human-readable description used in audit logs and deny reasons
-    /// (e.g. `"inline script #3"`, `"img src=http://evil/…"`).
-    pub label: String,
+    /// (e.g. `"inline script #3"`, `"img src=http://evil/…"`). Shared, so an
+    /// audit record copies a reference, not the text.
+    pub label: Arc<str>,
 }
 
 impl PrincipalContext {
@@ -89,13 +91,13 @@ impl PrincipalContext {
             kind,
             origin,
             ring,
-            label: String::new(),
+            label: Arc::default(),
         }
     }
 
     /// Attaches a human-readable label (builder style).
     #[must_use]
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+    pub fn with_label(mut self, label: impl Into<Arc<str>>) -> Self {
         self.label = label.into();
         self
     }
@@ -134,7 +136,8 @@ pub struct ObjectContext {
     /// by the ring rule alone, which we represent with a fully permissive ACL.
     pub acl: Acl,
     /// A human-readable description used in audit logs (e.g. `"cookie phpbb2mysql_sid"`).
-    pub label: String,
+    /// Shared, so an audit record copies a reference, not the text.
+    pub label: Arc<str>,
 }
 
 impl ObjectContext {
@@ -146,7 +149,7 @@ impl ObjectContext {
             origin,
             ring,
             acl: Acl::permissive(),
-            label: String::new(),
+            label: Arc::default(),
         }
     }
 
@@ -161,7 +164,7 @@ impl ObjectContext {
 
     /// Attaches a human-readable label (builder style).
     #[must_use]
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+    pub fn with_label(mut self, label: impl Into<Arc<str>>) -> Self {
         self.label = label.into();
         self
     }

@@ -77,6 +77,13 @@ impl Document {
         }
     }
 
+    /// The number of nodes in the arena, attached or not: one more than the largest
+    /// [`NodeId::index`] in use, for sizing side tables keyed by node index.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
     // ---------------------------------------------------------------- creation
 
     /// Creates a detached element node.

@@ -42,8 +42,9 @@ use std::sync::Arc;
 use crate::error::NetError;
 use crate::fault::FetchPolicy;
 use crate::message::{Method, Request, Response};
-use crate::response_cache::CacheLayers;
+use crate::response_cache::{CacheLayers, ResponseCache};
 use crate::shared_network::SharedNetwork;
+use crate::url::Url;
 use crate::window::run_window;
 
 /// A batch of already-mediated requests and what their transport may use.
@@ -125,8 +126,8 @@ impl Fetched {
 struct Slot {
     /// Taken when the request goes on the wire.
     request: Option<Request>,
-    /// `(url, Cookie header)` of a cacheable miss the persistent layer may admit.
-    store_key: Option<(String, String)>,
+    /// A cacheable miss whose wire response the persistent layer may admit.
+    storable: bool,
     /// The earlier slot whose fetch this duplicate rides.
     primary: Option<usize>,
     fetched: Option<Fetched>,
@@ -189,13 +190,15 @@ impl SharedNetwork {
 
     /// Looks every cacheable slot up in `layers`, logging each hit under its
     /// slot's sequence. With the persistent layer in play, each miss is
-    /// marked for admission or pointed at the first slot with its URL and
-    /// `Cookie` header.
+    /// marked storable or pointed at the first slot with its URL and `Cookie`
+    /// header.
     ///
     /// Lookups borrow their keys: each slot's URL is serialized once, into
-    /// one reused buffer, and its `Cookie` header is read in place. Only a
-    /// miss the persistent layer may store owns its `(url, header)` pair.
-    /// Freshness is judged at one fabric-clock reading for the whole plan.
+    /// one reused buffer, and its `Cookie` header is read in place.
+    /// Single-flight keys on the slots' own URLs and headers, borrowed too;
+    /// an owned `(url, header)` pair is built only for a wire response the
+    /// persistent layer admits ([`SharedNetwork::run_stage`]). Freshness is
+    /// judged at one fabric-clock reading for the whole plan.
     fn consult(&self, base: u64, layers: CacheLayers, slots: &mut [Slot]) {
         let now_ns = self.clock_now_ns();
         let mut url = String::new();
@@ -215,33 +218,35 @@ impl SharedNetwork {
                     Source::Persistent
                 };
                 slot.fetched = Some(Fetched::served(hit.response, source));
-            } else if layers.persistent {
-                slot.store_key = Some((url.clone(), cookie.to_string()));
+            } else {
+                slot.storable = layers.persistent;
             }
         }
         // Single-flight: a repeated miss rides the first slot with its key.
-        let mut first_slot: HashMap<(&str, &str), usize> = HashMap::new();
+        let mut first_slot: HashMap<(&Url, &str), usize> = HashMap::new();
         let mut duplicates: Vec<(usize, usize)> = Vec::new();
         for (i, slot) in slots.iter().enumerate() {
-            if let Some((url, cookie)) = &slot.store_key {
-                match first_slot.entry((url, cookie)) {
-                    Entry::Occupied(primary) => duplicates.push((i, *primary.get())),
-                    Entry::Vacant(vacant) => {
-                        vacant.insert(i);
-                    }
+            let Some(request) = slot.request.as_ref().filter(|_| slot.storable) else {
+                continue;
+            };
+            match first_slot.entry((&request.url, cookie_header(request))) {
+                Entry::Occupied(primary) => duplicates.push((i, *primary.get())),
+                Entry::Vacant(vacant) => {
+                    vacant.insert(i);
                 }
             }
         }
         for (i, primary) in duplicates {
-            slots[i].store_key = None;
+            slots[i].storable = false;
             slots[i].primary = Some(primary);
         }
     }
 
     /// Runs the slots at `indices` as one deadline window, which spends its
-    /// own retry budget, and offers each successful cacheable response to the
+    /// own retry budget, and offers each successful storable response to the
     /// persistent layer, whose
-    /// [`ResponseCache::admits`](crate::ResponseCache::admits) decides.
+    /// [`ResponseCache::admits`](crate::ResponseCache::admits) decides before
+    /// the entry's key is built.
     fn run_stage(
         &self,
         base: Option<u64>,
@@ -259,13 +264,20 @@ impl SharedNetwork {
             .collect();
         let results = run_window(self, base, entries, width, policy);
         for (i, (outcome, retries)) in indices.into_iter().zip(results) {
-            let outcome = outcome.map(Arc::new);
-            let cached = match (&outcome, &slots[i].store_key) {
-                (Ok(response), Some((url, cookie))) => {
-                    self.cache_store(url, cookie, Arc::clone(response), false)
+            let mut cached = false;
+            let outcome = outcome.map(|(response, request)| {
+                let response = Arc::new(response);
+                if slots[i].storable && ResponseCache::admits(&response, false) {
+                    let url = request.url.to_string();
+                    cached = self.cache_store(
+                        &url,
+                        cookie_header(&request),
+                        Arc::clone(&response),
+                        false,
+                    );
                 }
-                _ => false,
-            };
+                response
+            });
             slots[i].fetched = Some(Fetched {
                 outcome,
                 retries,

@@ -43,8 +43,10 @@ use crate::shared_network::{InFlight, SharedNetwork};
 /// overall `width` bounds the plan as a whole; this bounds each origin.
 pub const MAX_IN_FLIGHT_PER_ORIGIN: usize = 6;
 
-/// One slot's final outcome plus the retries that slot consumed.
-pub(crate) type SlotResult = (Result<Response, NetError>, u32);
+/// One slot's final outcome plus the retries that slot consumed. A response
+/// comes back with the request it answers, so the caller can key a cache
+/// entry by it without having copied the request's URL beforehand.
+pub(crate) type SlotResult = (Result<(Response, Request), NetError>, u32);
 
 /// An in-flight slot: its result position, its log sequence offset, the
 /// retries it has consumed, and the request on the wire.
@@ -135,13 +137,14 @@ pub(crate) fn run_window(
             )))
         });
         let Some(budget) = &budget else {
-            results[slot.index] = Some((outcome, 0));
+            results[slot.index] =
+                Some((outcome.map(|response| (response, slot.flight.request)), 0));
             continue;
         };
         let error = match outcome {
             Ok(response) => {
                 budget.record_success(fabric, &slot.flight.origin, slot.retries);
-                results[slot.index] = Some((Ok(response), slot.retries));
+                results[slot.index] = Some((Ok((response, slot.flight.request)), slot.retries));
                 continue;
             }
             Err(error) => error,
