@@ -1,7 +1,7 @@
 //! The browser: navigation, script execution, request issuance, event dispatch,
 //! history and visited links.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -24,9 +24,21 @@ use crate::loader::{LoadOptions, PageLoader, ResponsePolicies};
 use crate::page::{Page, ScriptOutcome, SubresourceOutcome};
 use crate::render::Renderer;
 
-/// A handle to a loaded page.
+/// A handle to a loaded page. Ids count up from 0 in load order and are never
+/// reused, so the id of an evicted page can never name a newer one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageId(usize);
+
+/// Pages one session retains: the current page plus the
+/// `RETAINED_PAGES - 1` loaded before it, its back/forward window. The
+/// navigation that loads one page more drops the oldest. A constant, not a
+/// setting: Firefox likewise keeps at most 8 pages for back/forward.
+pub const RETAINED_PAGES: usize = 8;
+
+/// URLs one session's history keeps, newest last; a navigation past the bound
+/// drops the oldest, so a script's `history.length` saturates here. Chromium
+/// caps session history at the same 50 entries.
+pub const MAX_HISTORY: usize = 50;
 
 /// Default bound on the subresource requests one page load keeps **in
 /// flight** at once overall — the width of its subresource plan's deadline
@@ -49,6 +61,10 @@ pub const PREFETCH_MAX_CANDIDATES: usize = 8;
 /// The browser. One instance corresponds to one browsing session (cookie jar, history,
 /// visited links) enforcing one [`PolicyMode`].
 ///
+/// What a session retains is bounded, however long it runs: the newest
+/// [`RETAINED_PAGES`] pages and the newest [`MAX_HISTORY`] history entries.
+/// Only the visited-link set grows, and only with distinct URLs.
+///
 /// The cookie jar is held through an `Arc<SharedCookieJar>` handle: by default each
 /// browser gets a private jar, but [`Browser::with_jar`] lets many concurrent
 /// sessions share one host-sharded store (the server-side multi-session deployment),
@@ -57,9 +73,13 @@ pub struct Browser {
     fabric: Arc<SharedNetwork>,
     jar: Arc<SharedCookieJar>,
     erm: Erm,
-    history: Vec<Url>,
+    /// The newest [`MAX_HISTORY`] URLs navigated to, oldest first.
+    history: VecDeque<Url>,
     visited: HashSet<String>,
-    pages: Vec<Option<Page>>,
+    /// The newest [`RETAINED_PAGES`] pages, oldest first.
+    pages: VecDeque<Page>,
+    /// The id of `pages[0]`; every lower id was evicted.
+    first_retained: usize,
     viewport_width: u32,
     /// Bound on a page's in-flight subresource requests overall (≥ 1; 1 =
     /// fully sequential; `usize::MAX` = only the per-origin bound).
@@ -173,9 +193,10 @@ impl Browser {
             erm,
             fabric,
             jar,
-            history: Vec::new(),
+            history: VecDeque::new(),
             visited: HashSet::new(),
-            pages: Vec::new(),
+            pages: VecDeque::new(),
+            first_retained: 0,
             viewport_width: 1024,
             subresource_workers: DEFAULT_SUBRESOURCE_WORKERS,
             cookie_policies: Vec::new(),
@@ -308,9 +329,9 @@ impl Browser {
         &self.erm
     }
 
-    /// Navigation history (oldest first).
+    /// Navigation history, oldest first: the newest [`MAX_HISTORY`] URLs.
     #[must_use]
-    pub fn history(&self) -> &[Url] {
+    pub fn history(&self) -> &VecDeque<Url> {
         &self.history
     }
 
@@ -322,15 +343,35 @@ impl Browser {
             .unwrap_or(false)
     }
 
-    /// A loaded page.
+    /// A retained page: the current page or one loaded before it, up to
+    /// [`RETAINED_PAGES`] in all.
     ///
     /// # Panics
     ///
-    /// Panics if `id` does not refer to a loaded page (page ids come from this
-    /// browser's own navigation methods, so an invalid id is a programming error).
+    /// Panics only if `id` is outside that window: a page this browser has
+    /// evicted, or an id it never issued. Use [`Browser::try_page`] where an id
+    /// may be that old.
     #[must_use]
     pub fn page(&self, id: PageId) -> &Page {
-        self.pages[id.0].as_ref().expect("page id is valid")
+        self.try_page(id)
+            .expect("page id is within the retained window")
+    }
+
+    /// A retained page, as [`Browser::page`] without the panic.
+    ///
+    /// # Errors
+    ///
+    /// [`BrowserError::NoSuchPage`] when `id` names an evicted page or one this
+    /// browser never issued.
+    pub fn try_page(&self, id: PageId) -> Result<&Page, BrowserError> {
+        self.slot(id).map(|slot| &self.pages[slot])
+    }
+
+    /// The position of page `id` in `pages`, if it is retained.
+    fn slot(&self, id: PageId) -> Result<usize, BrowserError> {
+        id.0.checked_sub(self.first_retained)
+            .filter(|&slot| slot < self.pages.len())
+            .ok_or(BrowserError::NoSuchPage(id.0))
     }
 
     // ------------------------------------------------------------- navigation
@@ -352,11 +393,11 @@ impl Browser {
     ///
     /// # Errors
     ///
-    /// Fails when the element does not exist, has no `href`, or the target host is
-    /// unreachable.
+    /// Fails when the page is not retained, the element does not exist or has no
+    /// `href`, or the target host is unreachable.
     pub fn click_link(&mut self, page: PageId, element_id: &str) -> Result<PageId, BrowserError> {
         let (target, principal) = {
-            let page = self.page(page);
+            let page = self.try_page(page)?;
             let node = page
                 .document
                 .get_element_by_id(element_id)
@@ -379,7 +420,8 @@ impl Browser {
     ///
     /// # Errors
     ///
-    /// Fails when the form does not exist or the target host is unreachable.
+    /// Fails when the page is not retained, the form does not exist, or the
+    /// target host is unreachable.
     pub fn submit_form(
         &mut self,
         page: PageId,
@@ -387,7 +429,7 @@ impl Browser {
         overrides: &[(&str, &str)],
     ) -> Result<PageId, BrowserError> {
         let (target, method, body, principal) = {
-            let page = self.page(page);
+            let page = self.try_page(page)?;
             let form = page
                 .document
                 .get_element_by_id(form_id)
@@ -496,7 +538,10 @@ impl Browser {
         }
 
         // Browser state: history and visited links (mandatorily ring 0).
-        self.history.push(final_url.clone());
+        if self.history.len() == MAX_HISTORY {
+            self.history.pop_front();
+        }
+        self.history.push_back(final_url.clone());
         self.visited.insert(final_url.to_string());
 
         // Execute the page's scripts in document order.
@@ -528,8 +573,14 @@ impl Browser {
         page.stats.policy_checks = self.erm.checks();
         page.stats.policy_denials = self.erm.denials();
 
-        self.pages.push(Some(page));
-        Ok(PageId(self.pages.len() - 1))
+        // The oldest retained page is dropped here, before the push, so the
+        // window never holds more than `RETAINED_PAGES`.
+        if self.pages.len() == RETAINED_PAGES {
+            self.pages.pop_front();
+            self.first_retained += 1;
+        }
+        self.pages.push_back(page);
+        Ok(PageId(self.first_retained + self.pages.len() - 1))
     }
 
     /// Issues one HTTP request with policy-mediated cookie attachment, as a
@@ -709,27 +760,17 @@ impl Browser {
     ///
     /// # Errors
     ///
-    /// Fails when the page or element does not exist.
+    /// Fails when the page is not retained or the element does not exist. An
+    /// event sent to an evicted page fails closed: no check is made and no
+    /// handler runs.
     pub fn fire_event(
         &mut self,
         page_id: PageId,
         element_id: &str,
         event: EventType,
     ) -> Result<Option<ScriptOutcome>, BrowserError> {
-        let mut page = self.pages[page_id.0]
-            .take()
-            .ok_or(BrowserError::NoSuchPage(page_id.0))?;
-        let result = self.fire_event_inner(&mut page, element_id, event);
-        self.pages[page_id.0] = Some(page);
-        result
-    }
-
-    fn fire_event_inner(
-        &mut self,
-        page: &mut Page,
-        element_id: &str,
-        event: EventType,
-    ) -> Result<Option<ScriptOutcome>, BrowserError> {
+        let slot = self.slot(page_id)?;
+        let page = &mut self.pages[slot];
         let node = page
             .document
             .get_element_by_id(element_id)
@@ -1710,5 +1751,135 @@ mod tests {
         ));
         assert!(browser.navigate("http://unregistered.example/").is_err());
         assert!(browser.navigate("not a url").is_err());
+    }
+
+    /// A page with a handler, a self link and a form, so that an entry point
+    /// can fail only on its page id.
+    const INTERACTIVE: &str = r#"<html><body ring=1 r=1 w=1 x=1>
+        <div id=status>idle</div>
+        <button id=button onclick="document.getElementById('status').innerHTML = 'clicked';">go</button>
+        <a id=link href="/index.php">again</a>
+        <form id=form action="/index.php" method=get><input name=q value=x></form>
+    </body></html>"#;
+
+    /// A session that has evicted its first page, that page's id, and an id
+    /// the session never issued (issued by another browser that loaded more).
+    fn session_with_stale_ids() -> (Browser, PageId, PageId) {
+        let mut browser = browser_with(PolicyMode::Escudo, INTERACTIVE);
+        let evicted = browser.navigate("http://app.example/index.php").unwrap();
+        for _ in 0..RETAINED_PAGES {
+            browser.navigate("http://app.example/index.php").unwrap();
+        }
+        let mut other = browser_with(PolicyMode::Escudo, INTERACTIVE);
+        let mut foreign = other.navigate("http://app.example/index.php").unwrap();
+        for _ in 0..2 * RETAINED_PAGES {
+            foreign = other.navigate("http://app.example/index.php").unwrap();
+        }
+        assert!(matches!(
+            browser.try_page(evicted),
+            Err(BrowserError::NoSuchPage(0))
+        ));
+        assert!(other.try_page(foreign).is_ok());
+        (browser, evicted, foreign)
+    }
+
+    /// `fire_event` on `stale` fails with `NoSuchPage` before any check is
+    /// made or any handler runs.
+    fn assert_event_fails_closed(browser: &mut Browser, stale: PageId) {
+        let checks = browser.erm().checks();
+        let audited = browser.erm().audit().len();
+        let logged = browser.fabric().log_len();
+        let error = browser
+            .fire_event(stale, "button", EventType::Click)
+            .unwrap_err();
+        assert_eq!(error, BrowserError::NoSuchPage(stale.0));
+        assert_eq!(browser.erm().checks(), checks);
+        assert_eq!(browser.erm().audit().len(), audited);
+        assert_eq!(browser.fabric().log_len(), logged);
+    }
+
+    #[test]
+    fn an_event_on_an_evicted_page_fails_closed() {
+        let (mut browser, evicted, _) = session_with_stale_ids();
+        assert_event_fails_closed(&mut browser, evicted);
+        // The retained pages still take the same event.
+        let current = PageId(RETAINED_PAGES);
+        assert!(browser
+            .fire_event(current, "button", EventType::Click)
+            .unwrap()
+            .unwrap()
+            .succeeded());
+        assert_eq!(
+            browser.page(current).text_of("status").as_deref(),
+            Some("clicked")
+        );
+    }
+
+    #[test]
+    fn an_event_on_a_never_issued_page_fails_closed() {
+        let (mut browser, _, foreign) = session_with_stale_ids();
+        assert_event_fails_closed(&mut browser, foreign);
+    }
+
+    #[test]
+    fn a_link_on_an_evicted_page_is_no_such_page() {
+        let (mut browser, evicted, _) = session_with_stale_ids();
+        let logged = browser.fabric().log_len();
+        assert_eq!(
+            browser.click_link(evicted, "link"),
+            Err(BrowserError::NoSuchPage(0))
+        );
+        assert_eq!(browser.fabric().log_len(), logged);
+        assert!(browser.click_link(PageId(1), "link").is_ok());
+    }
+
+    #[test]
+    fn a_link_on_a_never_issued_page_is_no_such_page() {
+        let (mut browser, _, foreign) = session_with_stale_ids();
+        assert_eq!(
+            browser.click_link(foreign, "link"),
+            Err(BrowserError::NoSuchPage(foreign.0))
+        );
+    }
+
+    #[test]
+    fn a_form_on_an_evicted_page_is_no_such_page() {
+        let (mut browser, evicted, _) = session_with_stale_ids();
+        let logged = browser.fabric().log_len();
+        assert_eq!(
+            browser.submit_form(evicted, "form", &[]),
+            Err(BrowserError::NoSuchPage(0))
+        );
+        assert_eq!(browser.fabric().log_len(), logged);
+        assert!(browser.submit_form(PageId(1), "form", &[]).is_ok());
+    }
+
+    #[test]
+    fn a_form_on_a_never_issued_page_is_no_such_page() {
+        let (mut browser, _, foreign) = session_with_stale_ids();
+        assert_eq!(
+            browser.submit_form(foreign, "form", &[]),
+            Err(BrowserError::NoSuchPage(foreign.0))
+        );
+    }
+
+    #[test]
+    fn history_keeps_the_newest_urls_and_scripts_read_the_bound() {
+        let mut browser = browser_with(
+            PolicyMode::Escudo,
+            "<html><body><script>history.length;</script></body></html>",
+        );
+        let urls: Vec<String> = (0..MAX_HISTORY + 10)
+            .map(|i| format!("http://app.example/p{i}.php"))
+            .collect();
+        let mut page = None;
+        for url in &urls {
+            page = Some(browser.navigate(url).unwrap());
+        }
+        let newest: Vec<String> = browser.history().iter().map(Url::to_string).collect();
+        assert_eq!(newest, urls[urls.len() - MAX_HISTORY..]);
+        let page = browser.page(page.unwrap());
+        assert_eq!(page.script_outcomes[0].result, Ok(MAX_HISTORY.to_string()));
+        assert!(urls.iter().all(|url| browser.is_visited(url)));
     }
 }

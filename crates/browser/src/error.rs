@@ -10,7 +10,9 @@ use escudo_net::NetError;
 pub enum BrowserError {
     /// The network layer failed (unknown host, bad URL, …).
     Net(NetError),
-    /// The referenced page id is not loaded.
+    /// The referenced page is not retained: the browser evicted it from its
+    /// back/forward window ([`RETAINED_PAGES`](crate::RETAINED_PAGES)), or
+    /// never issued the id.
     NoSuchPage(usize),
     /// The referenced element does not exist in the page.
     NoSuchElement(String),

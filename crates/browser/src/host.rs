@@ -30,6 +30,8 @@ pub struct BrowserHost<'a> {
     pub(crate) contexts: &'a mut SecurityContextTable,
     pub(crate) jar: &'a SharedCookieJar,
     pub(crate) fabric: &'a SharedNetwork,
+    /// Entries in the session history, which keeps at most
+    /// [`MAX_HISTORY`](crate::MAX_HISTORY): what `history.length` reads.
     pub(crate) history_len: usize,
     pub(crate) page_url: Url,
     pub(crate) principal: PrincipalContext,

@@ -66,7 +66,7 @@ pub mod page;
 pub mod render;
 pub mod snapshot;
 
-pub use browser::{Browser, PageId, DEFAULT_SUBRESOURCE_WORKERS};
+pub use browser::{Browser, PageId, DEFAULT_SUBRESOURCE_WORKERS, MAX_HISTORY, RETAINED_PAGES};
 pub use context::SecurityContextTable;
 pub use erm::{Attachment, Erm, PlanAttachments};
 pub use error::BrowserError;

@@ -289,7 +289,8 @@ impl ControlPlaneSnapshot {
     ///   over 50% is [`HealthVerdict::Failing`].
     /// * **Audit drop rate** — audit records dropped per mediated check. Over
     ///   5% is `Degraded`; over 50% is `Failing` (the audit trail no longer
-    ///   reflects enforcement).
+    ///   reflects enforcement). A monitor of audit capacity 0 keeps no trail
+    ///   by design and drops every record, so this signal is skipped for it.
     /// * **Prefetch staleness** — stale discards / (hits + stale discards).
     ///   Over 50% is `Degraded`: the prefetcher is mostly wasted work.
     /// * **Log drops** — any dropped request-log entry is `Degraded` (the
@@ -313,7 +314,11 @@ impl ControlPlaneSnapshot {
             )
         });
         let shed_rate = rate(rejected, admitted.saturating_add(rejected));
-        let audit_drop_rate = rate(self.erm.audit_dropped, self.erm.checks);
+        let audit_drop_rate = if self.erm.audit_capacity == 0 {
+            0.0
+        } else {
+            rate(self.erm.audit_dropped, self.erm.checks)
+        };
         let prefetch_stale_rate = rate(
             self.fabric.prefetch_stale_discards,
             self.fabric
@@ -576,6 +581,28 @@ mod tests {
         assert_eq!(snapshot.health(), HealthVerdict::Degraded);
         snapshot.erm.audit_dropped = 80;
         assert_eq!(snapshot.health(), HealthVerdict::Failing);
+    }
+
+    #[test]
+    fn a_monitor_with_auditing_off_reads_ok() {
+        use escudo_core::context::{ObjectContext, ObjectKind, PrincipalContext, PrincipalKind};
+        use escudo_core::{Operation, Origin, Ring};
+
+        let origin = Origin::new("http", "app.example", 80);
+        let principal = PrincipalContext::new(PrincipalKind::Script, origin.clone(), Ring::new(1));
+        let object = ObjectContext::new(ObjectKind::Cookie, origin, Ring::new(1));
+        let mut erm = Erm::new(PolicyMode::Escudo).with_audit_capacity(0);
+        for _ in 0..10 {
+            erm.check(&principal, &object, Operation::Read);
+        }
+        let jar = SharedCookieJar::new();
+        let fabric = SharedNetwork::new();
+        let snapshot = ControlPlaneSnapshot::gather(&erm, &jar, &fabric, None);
+        // Every record was dropped, and the count still says so.
+        assert_eq!(snapshot.erm.audit_capacity, 0);
+        assert_eq!(snapshot.erm.audit_dropped, 10);
+        assert_eq!(snapshot.erm.checks, 10);
+        assert_eq!(snapshot.health(), HealthVerdict::Ok);
     }
 
     #[test]
