@@ -68,7 +68,7 @@ fn main() {
     let with = time_dispatch(&mut escudo_browser, escudo_page, REPS, ITERS);
     println!("  with_escudo     {with:>9.1} ns/dispatch");
 
-    let stats = escudo_browser.engine().stats();
+    let stats = escudo_browser.erm().engine_stats();
     println!(
         "  escudo overhead: {:+.1}%  (engine: {} decisions)",
         (with - without) / without * 100.0,

@@ -11,7 +11,13 @@
 //!   isolation — there the gate degrades to observability with the reason
 //!   printed.
 //!
-//! Per-tenant engine isolation, admission, refill and hot reload are exactly
+//! Each tenant publishes its policy (generation and mode) as one atomic word.
+//! A monitor pins it with one load, and a browser session pins once per
+//! navigation, event dispatch and prefetch, so a hot reload takes effect at
+//! the next of those. The storm's mediation and the victim's share no lock
+//! and no counter.
+//!
+//! Per-tenant isolation, admission, refill and hot reload are exactly
 //! countable, so their gates are tier-1 tests in `escudo_bench::tenant`:
 //! `noisy_neighbor_decides_only_on_its_own_engine`,
 //! `admission_burst_is_exactly_countable`,

@@ -162,11 +162,12 @@ impl Browser {
     }
 
     /// Creates a browser session bound to a control-plane tenant: every
-    /// enforcement point routes through the tenant's generation-swapped
-    /// [`EngineHandle`](escudo_core::tenant::EngineHandle) and its token-bucket
-    /// admission control. A hot policy reload ([`Tenant::reload`]) published by
-    /// the control plane is picked up at the next mediation plan boundary — a
-    /// reload mid-navigation never splits one plan across generations.
+    /// enforcement point decides under the tenant's published
+    /// [`TenantPolicy`](escudo_core::TenantPolicy) and passes its token-bucket
+    /// admission control. The session pins the policy (one atomic load) at the
+    /// start of each navigation, event dispatch and prefetch, so a hot policy
+    /// reload ([`Tenant::reload`]) takes effect at the next of those — a reload
+    /// that lands mid-navigation never splits one page across generations.
     #[must_use]
     pub fn with_tenant(tenant: Arc<Tenant>) -> Self {
         Browser::with_tenant_network(
@@ -209,19 +210,12 @@ impl Browser {
         }
     }
 
-    /// The policy mode in force. For a tenant-bound session this reflects the
-    /// tenant's *current* engine generation and may change across a hot reload.
+    /// The policy mode in force. For a tenant-bound session this is the mode
+    /// of the generation pinned at the start of the last navigation, event
+    /// dispatch or prefetch, and may change across a hot reload.
     #[must_use]
     pub fn mode(&self) -> PolicyMode {
         self.erm.mode()
-    }
-
-    /// The policy engine backing every enforcement point of this browser: the
-    /// static engine it was constructed with, or — for a tenant-bound session —
-    /// the engine of the generation pinned by the last mediation plan.
-    #[must_use]
-    pub fn engine(&self) -> &Arc<dyn PolicyEngine> {
-        self.erm.engine()
     }
 
     /// The control-plane tenant this session is bound to, if any.
@@ -304,7 +298,7 @@ impl Browser {
     /// Sets the resilience policy for every fetch this session makes —
     /// navigations, the subresource fan-out and script-initiated XHR. Retries
     /// re-dispatch the already-mediated request **verbatim** (one mediation
-    /// plan, one engine generation, no re-mediation), so the policy can mask
+    /// plan, one policy generation, no re-mediation), so the policy can mask
     /// transient fabric faults but never widen a security decision. The
     /// default is [`FetchPolicy::disabled`]: one attempt per request.
     pub fn set_fetch_policy(&mut self, policy: FetchPolicy) {
@@ -497,6 +491,9 @@ impl Browser {
         body: String,
         principal: PrincipalContext,
     ) -> Result<PageId, BrowserError> {
+        // One pin per navigation: the request, labelling, the page's scripts
+        // and its subresources are all decided under one tenant generation.
+        self.erm.pin();
         let prefetch_hits_before = self.prefetch_hits;
         let (mut response, mut policies) = self.fetch(url.clone(), method, body, &principal)?;
         let mut final_url = url;
@@ -517,9 +514,8 @@ impl Browser {
             redirects += 1;
         }
 
-        // Build the page. The mode is read once here — the same plan-boundary
-        // snapshot the mediation batches below use — so a tenant hot reload
-        // mid-navigation cannot split this page across policy modes.
+        // Build the page under the mode pinned above, the one every later
+        // check of this navigation uses.
         let options = LoadOptions {
             mode: self.erm.mode(),
             viewport_width: self.viewport_width,
@@ -717,38 +713,20 @@ impl Browser {
             let principal = page
                 .contexts
                 .script_principal(unit.node, &format!("script in {}", unit.ring));
-            let mode = self.erm.mode();
-            let outcome = {
-                let mut host = BrowserHost::new(
-                    mode,
-                    &mut self.erm,
-                    &mut page.document,
-                    &mut page.contexts,
-                    &self.jar,
-                    &self.fabric,
-                    self.history.len(),
-                    page.url.clone(),
-                    principal,
-                    self.fetch_policy,
-                    self.response_cache_enabled,
-                );
-                let mut interpreter = Interpreter::new(&mut host);
-                let result = interpreter.run(&unit.source);
-                match result {
-                    Ok(value) => ScriptOutcome {
-                        node: unit.node,
-                        ring: unit.ring,
-                        result: Ok(value.to_string()),
-                        denied: false,
-                    },
-                    Err(error) => ScriptOutcome {
-                        node: unit.node,
-                        ring: unit.ring,
-                        denied: error.is_access_denied(),
-                        result: Err(error.to_string()),
-                    },
-                }
-            };
+            let mut host = BrowserHost::new(
+                &mut self.erm,
+                &mut page.document,
+                &mut page.contexts,
+                &self.jar,
+                &self.fabric,
+                self.history.len(),
+                page.url.clone(),
+                principal,
+                self.fetch_policy,
+                self.response_cache_enabled,
+            );
+            let result = Interpreter::new(&mut host).run(&unit.source);
+            let outcome = ScriptOutcome::of(unit.node, unit.ring, result);
             page.stats.script_ns += start.elapsed().as_nanos();
             page.script_outcomes.push(outcome);
         }
@@ -770,6 +748,7 @@ impl Browser {
         event: EventType,
     ) -> Result<Option<ScriptOutcome>, BrowserError> {
         let slot = self.slot(page_id)?;
+        self.erm.pin();
         let page = &mut self.pages[slot];
         let node = page
             .document
@@ -800,37 +779,20 @@ impl Browser {
             label: format!("on{event} handler of #{element_id}").into(),
         };
         let ring = principal.ring;
-        let mode = self.erm.mode();
-        let outcome = {
-            let mut host = BrowserHost::new(
-                mode,
-                &mut self.erm,
-                &mut page.document,
-                &mut page.contexts,
-                &self.jar,
-                &self.fabric,
-                self.history.len(),
-                page.url.clone(),
-                principal,
-                self.fetch_policy,
-                self.response_cache_enabled,
-            );
-            let mut interpreter = Interpreter::new(&mut host);
-            match interpreter.run(&source) {
-                Ok(value) => ScriptOutcome {
-                    node,
-                    ring,
-                    result: Ok(value.to_string()),
-                    denied: false,
-                },
-                Err(error) => ScriptOutcome {
-                    node,
-                    ring,
-                    denied: error.is_access_denied(),
-                    result: Err(error.to_string()),
-                },
-            }
-        };
+        let mut host = BrowserHost::new(
+            &mut self.erm,
+            &mut page.document,
+            &mut page.contexts,
+            &self.jar,
+            &self.fabric,
+            self.history.len(),
+            page.url.clone(),
+            principal,
+            self.fetch_policy,
+            self.response_cache_enabled,
+        );
+        let result = Interpreter::new(&mut host).run(&source);
+        let outcome = ScriptOutcome::of(node, ring, result);
         page.stats.script_ns += start.elapsed().as_nanos();
         page.script_outcomes.push(outcome.clone());
         Ok(Some(outcome))
@@ -852,6 +814,7 @@ impl Browser {
         let Some(url) = url.filter(|url| self.prefetch_enabled && self.fabric.knows(url)) else {
             return false;
         };
+        self.erm.pin();
         self.submit_speculative(vec![url])
             .is_some_and(|batch| batch.join().iter().any(|fetched| fetched.cached))
     }
@@ -900,8 +863,8 @@ impl Browser {
     /// speculative plan. Each request is built exactly as the future
     /// navigation would build it — browser principal, cookie attachment
     /// through the same reference-monitor path — so speculation is itself
-    /// fully mediated; a tenant-bound session pins one engine generation for
-    /// all candidates and admits them all or none. The attached `Cookie`
+    /// fully mediated; a tenant-bound session decides all candidates under
+    /// its pinned generation and admits them all or none. The attached `Cookie`
     /// header becomes the cache key the real navigation's plan is later
     /// validated against. Speculation spends the session's own retry budget:
     /// a transiently faulted prefetch may still land in the cache, and the
@@ -1607,21 +1570,24 @@ mod tests {
         assert_eq!(a.fabric().log()[0].url.path(), "/from-b.php");
     }
 
-    #[test]
-    fn tenant_bound_session_observes_hot_reload_at_the_next_navigation() {
-        use escudo_core::tenant::{Tenant, TenantConfig};
-
-        let html = r#"<html><body ring=1 r=1 w=1 x=1>
+    /// A ring-1 post and a ring-3 comment script that overwrites it: denied
+    /// under ESCUDO, allowed under the same-origin baseline.
+    const DEFACEABLE: &str = r#"<html><body ring=1 r=1 w=1 x=1>
             <div ring=1 r=1 w=1 x=1 id=post>Original</div>
             <div ring=3 r=3 w=3 x=3 id=comment>
               <script>document.getElementById('post').innerHTML = 'defaced';</script>
             </div>
         </body></html>"#;
+
+    #[test]
+    fn tenant_bound_session_observes_hot_reload_at_the_next_navigation() {
+        use escudo_core::tenant::{Tenant, TenantConfig};
+
         let tenant = Arc::new(Tenant::new("acme", TenantConfig::default()));
         let mut browser = Browser::with_tenant(Arc::clone(&tenant));
         browser
             .fabric()
-            .register("http://app.example", Static(html.to_string()));
+            .register("http://app.example", Static(DEFACEABLE.to_string()));
         assert_eq!(browser.tenant().unwrap().id(), "acme");
         assert_eq!(browser.mode(), PolicyMode::Escudo);
 
@@ -1636,11 +1602,7 @@ mod tests {
         // The control plane hot-reloads the tenant to the SOP baseline. The
         // already-loaded page is untouched; the *next* navigation pins the new
         // generation and the same attack now succeeds.
-        tenant.reload_with(
-            TenantConfig::default()
-                .with_mode(PolicyMode::SameOriginOnly)
-                .build_engine(),
-        );
+        tenant.reload_with(PolicyMode::SameOriginOnly);
         let page = browser.navigate("http://app.example/").unwrap();
         assert!(!browser.page(page).any_script_denied());
         assert_eq!(
@@ -1649,6 +1611,44 @@ mod tests {
         );
         assert_eq!(browser.mode(), PolicyMode::SameOriginOnly);
         assert_eq!(tenant.generation(), 2);
+    }
+
+    #[test]
+    fn a_reload_inside_a_navigation_waits_for_the_next_navigation() {
+        use escudo_core::tenant::{Tenant, TenantConfig};
+
+        use PolicyMode::{Escudo, SameOriginOnly};
+        for (from, to, first, second) in [
+            (Escudo, SameOriginOnly, "Original", "defaced"),
+            (SameOriginOnly, Escudo, "defaced", "Original"),
+        ] {
+            // The server reloads the tenant while serving the first response:
+            // after the session pinned generation 1, before the page exists.
+            let tenant = Arc::new(Tenant::new("acme", TenantConfig::default().with_mode(from)));
+            let reloader = Arc::clone(&tenant);
+            let mut browser = Browser::with_tenant(Arc::clone(&tenant));
+            browser
+                .fabric()
+                .register("http://app.example", move |_: &Request| {
+                    if reloader.generation() == 1 {
+                        reloader.reload_with(to);
+                    }
+                    Response::ok_html(DEFACEABLE)
+                });
+
+            let page = browser.navigate("http://app.example/").unwrap();
+            assert_eq!(tenant.generation(), 2);
+            assert_eq!(browser.page(page).text_of("post").as_deref(), Some(first));
+            let audit = browser.erm().audit();
+            assert!(!audit.is_empty());
+            assert!(audit.iter().all(|record| record.mode == from), "{from:?}");
+            assert_eq!(browser.erm().generation(), Some(1));
+
+            let page = browser.navigate("http://app.example/").unwrap();
+            assert_eq!(browser.erm().generation(), Some(2));
+            assert_eq!(browser.mode(), to);
+            assert_eq!(browser.page(page).text_of("post").as_deref(), Some(second));
+        }
     }
 
     #[test]

@@ -3,22 +3,25 @@
 //! The prototype's ERM "enforces access-decisions based on the security contexts" and
 //! "is spread over several places because the places to embed the checks is specific
 //! to the object type". In this reproduction every enforcement point funnels into
-//! [`Erm::check`], but the *decision* itself is made by a shared
-//! [`PolicyEngine`] — the ERM only enforces, audits and
-//! counts. One engine can back every page of a session (or every session of a
-//! tenant), so its decision counter covers all of them.
+//! [`Erm::check`], but the *decision* itself is [`escudo_core::policy::decide`],
+//! made through a shared [`PolicyEngine`] or a tenant — the ERM only enforces,
+//! audits and counts. One engine can back every page of a session (or every
+//! session of a deployment), so its decision counter covers all of them.
 //!
 //! The audit log is a **bounded ring buffer**: long-running workloads keep the most
 //! recent [`Erm::audit_capacity`] records and count what was dropped, so memory no
 //! longer grows without limit.
 //!
 //! In the multi-tenant control plane the monitor binds to a [`Tenant`] instead of a
-//! fixed engine ([`Erm::with_tenant`]): every mediation entry point revalidates the
-//! tenant's generation-swapped [`EngineHandle`](escudo_core::EngineHandle) **once**,
-//! so a hot policy reload lands between mediation plans, never inside one — and the
-//! tenant's token-bucket [`AdmissionControl`](escudo_core::AdmissionControl) is
-//! enforced here, covering browser- and script-initiated paths alike. A throttled
-//! check is denied fail-closed with [`DenyReason::Throttled`].
+//! fixed engine ([`Erm::with_tenant`]). The binding holds the tenant's
+//! [`TenantPolicy`] as last pinned, and only [`Erm::pin`] re-reads it: one atomic
+//! load of the tenant's published word. The browser pins once per navigation,
+//! event dispatch and prefetch, so a hot policy reload lands between those units
+//! of work, never inside one — a page is labelled, scripted and audited under one
+//! generation. The tenant's token-bucket
+//! [`AdmissionControl`](escudo_core::AdmissionControl) is enforced here, covering
+//! browser- and script-initiated paths alike. A throttled check is denied
+//! fail-closed with [`DenyReason::Throttled`].
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -26,7 +29,7 @@ use std::sync::Arc;
 use std::time::SystemTime;
 
 use escudo_core::policy::AuditRecord;
-use escudo_core::tenant::{AdmissionStats, EngineReader, Tenant};
+use escudo_core::tenant::{AdmissionStats, Tenant, TenantPolicy};
 use escudo_core::{
     engine_for_mode, Decision, DenyReason, EngineStats, ObjectContext, Operation, Origin,
     PolicyEngine, PolicyMode, PrincipalContext,
@@ -163,22 +166,22 @@ impl<'u> CandidatePlan<'u> {
 /// Default bound on retained audit records.
 pub const DEFAULT_AUDIT_CAPACITY: usize = 4096;
 
-/// What the monitor decides through: a fixed engine, or a tenant whose
-/// generation-swapped handle is revalidated at each mediation entry point.
+/// What the monitor decides through: a fixed engine, or a tenant and the
+/// policy last pinned from it.
 #[derive(Debug, Clone)]
 enum EngineBinding {
     /// One engine for the monitor's lifetime (the library deployment).
     Static(Arc<dyn PolicyEngine>),
-    /// A control-plane tenant: engine reads go through a generation-checked
-    /// reader, admission goes through the tenant's token bucket.
+    /// A control-plane tenant: decisions follow `pinned` until the next
+    /// [`Erm::pin`], admission goes through the tenant's token bucket.
     Tenant {
         tenant: Arc<Tenant>,
-        reader: EngineReader,
+        pinned: TenantPolicy,
     },
 }
 
-/// The reference monitor: a facade over a shared [`PolicyEngine`] plus a bounded
-/// audit ring buffer and plain counters.
+/// The reference monitor: a facade over a shared [`PolicyEngine`] or a tenant,
+/// plus a bounded audit ring buffer and plain counters.
 #[derive(Debug, Clone)]
 pub struct Erm {
     binding: EngineBinding,
@@ -198,20 +201,19 @@ impl Erm {
     }
 
     /// Creates a reference monitor enforcing through an existing (possibly shared)
-    /// engine — this is how several pages, sessions or tenants share one engine.
+    /// engine — this is how several pages or sessions share one engine.
     #[must_use]
     pub fn with_engine(engine: Arc<dyn PolicyEngine>) -> Self {
         Erm::with_binding(EngineBinding::Static(engine))
     }
 
-    /// Creates a reference monitor bound to a control-plane tenant: decisions go
-    /// through the tenant's generation-swapped engine handle (revalidated once per
-    /// mediation plan, so a hot reload is never observed mid-plan), and every plan
-    /// first passes the tenant's admission bucket.
+    /// Creates a reference monitor bound to a control-plane tenant, pinned to
+    /// the tenant's current policy: decisions follow that policy until the next
+    /// [`Erm::pin`], and every plan first passes the tenant's admission bucket.
     #[must_use]
     pub fn with_tenant(tenant: Arc<Tenant>) -> Self {
-        let reader = EngineReader::new(tenant.handle().clone());
-        Erm::with_binding(EngineBinding::Tenant { tenant, reader })
+        let pinned = tenant.policy();
+        Erm::with_binding(EngineBinding::Tenant { tenant, pinned })
     }
 
     fn with_binding(binding: EngineBinding) -> Self {
@@ -238,21 +240,22 @@ impl Erm {
         self
     }
 
-    /// The policy mode in force. For a tenant binding this is the mode of the
-    /// generation pinned by the last mediation (a hot reload shows up here once
-    /// the next plan revalidates the handle).
-    #[must_use]
-    pub fn mode(&self) -> PolicyMode {
-        self.engine().mode()
+    /// Re-pins a tenant binding to the tenant's published policy (one atomic
+    /// load). Every check until the next pin is decided and audited under the
+    /// pinned generation. A static binding has nothing to pin.
+    pub fn pin(&mut self) {
+        if let EngineBinding::Tenant { tenant, pinned } = &mut self.binding {
+            *pinned = tenant.policy();
+        }
     }
 
-    /// The decision engine: the static engine, or the tenant engine generation
-    /// pinned by the last mediation.
+    /// The policy mode in force: the static engine's, or the mode of the
+    /// tenant generation last pinned.
     #[must_use]
-    pub fn engine(&self) -> &Arc<dyn PolicyEngine> {
+    pub fn mode(&self) -> PolicyMode {
         match &self.binding {
-            EngineBinding::Static(engine) => engine,
-            EngineBinding::Tenant { reader, .. } => reader.pinned().engine(),
+            EngineBinding::Static(engine) => engine.mode(),
+            EngineBinding::Tenant { pinned, .. } => pinned.mode,
         }
     }
 
@@ -265,13 +268,12 @@ impl Erm {
         }
     }
 
-    /// The engine generation the last mediation plan was pinned to (`None` for a
-    /// static binding).
+    /// The tenant generation last pinned (`None` for a static binding).
     #[must_use]
     pub fn generation(&self) -> Option<u64> {
         match &self.binding {
             EngineBinding::Static(_) => None,
-            EngineBinding::Tenant { reader, .. } => Some(reader.pinned().generation()),
+            EngineBinding::Tenant { pinned, .. } => Some(pinned.generation),
         }
     }
 
@@ -281,19 +283,13 @@ impl Erm {
         self.tenant().map(|tenant| tenant.admission().stats())
     }
 
-    /// Statistics of the underlying engine.
+    /// Decision counters: the static engine's, or the bound tenant's count
+    /// since its last reload.
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
-        self.engine().stats()
-    }
-
-    /// Revalidates a tenant binding against the handle's published generation.
-    /// Called exactly once at each public mediation entry point: everything a
-    /// single plan decides afterwards reads the pinned generation, so the plan
-    /// is generation-consistent even while a hot reload lands concurrently.
-    fn sync_generation(&mut self) {
-        if let EngineBinding::Tenant { reader, .. } = &mut self.binding {
-            reader.refresh();
+        match &self.binding {
+            EngineBinding::Static(engine) => engine.stats(),
+            EngineBinding::Tenant { tenant, .. } => tenant.engine_stats(),
         }
     }
 
@@ -315,7 +311,7 @@ impl Erm {
     }
 
     /// Mediates one access. Returns the decision and records it. A tenant-bound
-    /// monitor revalidates the engine generation first and passes the tenant's
+    /// monitor decides under its pinned generation and passes the tenant's
     /// admission bucket; a throttled check is denied with
     /// [`DenyReason::Throttled`].
     pub fn check(
@@ -324,8 +320,7 @@ impl Erm {
         object: &ObjectContext,
         operation: Operation,
     ) -> Decision {
-        self.sync_generation();
-        self.decide_batch(&[(principal, object, operation)])
+        self.check_many(&[(principal, object, operation)])
             .pop()
             .expect("one check yields one decision")
     }
@@ -333,27 +328,20 @@ impl Erm {
     /// Batch mediation: one engine batch for the whole slice. Returns the
     /// decisions in order, with counting and auditing identical to repeated
     /// [`Erm::check`] calls. For a tenant binding the whole batch is decided by
-    /// **one** engine generation (pinned before the first decision) and admitted
-    /// all-or-nothing by the token bucket.
+    /// the pinned generation and admitted all-or-nothing by the token bucket.
     pub fn check_many(
         &mut self,
         checks: &[(&PrincipalContext, &ObjectContext, Operation)],
     ) -> Vec<Decision> {
-        self.sync_generation();
-        self.decide_batch(checks)
-    }
-
-    /// Decides one already-pinned mediation plan: no generation revalidation
-    /// happens here, so every caller that syncs once and then issues one or more
-    /// `decide_batch` calls stays on a single generation for the whole plan.
-    fn decide_batch(
-        &mut self,
-        checks: &[(&PrincipalContext, &ObjectContext, Operation)],
-    ) -> Vec<Decision> {
-        let decisions = if self.admit(checks.len() as u64) {
-            self.engine().decide_many(checks)
-        } else {
-            vec![Decision::Deny(DenyReason::Throttled); checks.len()]
+        let decisions = match &self.binding {
+            EngineBinding::Static(engine) => engine.decide_many(checks),
+            EngineBinding::Tenant { tenant, pinned } => {
+                if tenant.admission().try_admit(checks.len() as u64) {
+                    tenant.decide_many(*pinned, checks)
+                } else {
+                    vec![Decision::Deny(DenyReason::Throttled); checks.len()]
+                }
+            }
         };
         self.checks += checks.len() as u64;
         self.denials += decisions.iter().filter(|d| d.is_denied()).count() as u64;
@@ -393,9 +381,9 @@ impl Erm {
     /// string. Auditing copies no label: a record shares its principal's and
     /// its object's.
     ///
-    /// A tenant-bound monitor pins one engine generation for the whole plan
-    /// and asks admission once for all its checks, all or nothing; a throttled
-    /// plan attaches nothing. Under the same-origin baseline every in-scope
+    /// A tenant-bound monitor decides the whole plan under its pinned
+    /// generation and asks admission once for all its checks, all or nothing;
+    /// a throttled plan attaches nothing. Under the same-origin baseline every in-scope
     /// cookie is admitted without consulting the engine: that is exactly the
     /// legacy behaviour CSRF exploits. The engine batch holds one check per
     /// (request, in-scope cookie) in input order, so counting and auditing do
@@ -411,7 +399,6 @@ impl Erm {
         operation: Operation,
         object_for: impl Fn(&str, Origin) -> ObjectContext,
     ) -> PlanAttachments {
-        self.sync_generation();
         let plan = CandidatePlan::walk(jar, requests.iter().map(|(url, _)| *url));
 
         // The same-origin baseline attaches every in-scope candidate without
@@ -466,7 +453,7 @@ impl Erm {
                     .map(|&member| (*principal, &objects[object_of[member]].1, operation)),
             );
         }
-        let decisions = self.decide_batch(&checks);
+        let decisions = self.check_many(&checks);
 
         // Requests whose set and decisions agree share one attachment. Each
         // attachment remembers the first request's decision offset.
@@ -696,7 +683,6 @@ mod tests {
         principal: &PrincipalContext,
         object_for: impl Fn(&str, Origin) -> ObjectContext,
     ) -> Vec<String> {
-        erm.sync_generation();
         let candidates = jar.candidates_for(url);
         let pair = |cookie: &Cookie| format!("{}={}", cookie.name, cookie.value);
         if erm.mode() == PolicyMode::SameOriginOnly {
@@ -713,7 +699,7 @@ mod tests {
             .iter()
             .map(|object| (principal, object, Operation::Use))
             .collect();
-        erm.decide_batch(&checks)
+        erm.check_many(&checks)
             .iter()
             .zip(&candidates)
             .filter(|(decision, _)| decision.is_allowed())
@@ -878,14 +864,23 @@ mod tests {
             .check(&script(3), &cookie(), Operation::Read)
             .is_denied());
 
-        tenant.reload_with(
-            TenantConfig::default()
-                .with_mode(PolicyMode::SameOriginOnly)
-                .build_engine(),
-        );
-        // Until the next mediation the monitor still reports the pinned epoch.
+        tenant.reload_with(PolicyMode::SameOriginOnly);
+        // Until the next pin the monitor decides, audits and reports under the
+        // pinned epoch: ESCUDO denies the ring-3 write SOP would allow.
+        let (p1, p3, object) = (script(1), script(3), cookie());
+        let decisions = erm.check_many(&[
+            (&p1, &object, Operation::Read),
+            (&p3, &object, Operation::Write),
+        ]);
+        assert!(decisions[0].is_allowed());
+        assert!(matches!(
+            decisions[1].deny_reason(),
+            Some(DenyReason::RingRule { .. })
+        ));
+        assert!(erm.audit().iter().all(|r| r.mode == PolicyMode::Escudo));
         assert_eq!(erm.generation(), Some(1));
-        // The next plan revalidates: same check, new generation, SOP semantics.
+        // The next plan pins first: same check, new generation, SOP semantics.
+        erm.pin();
         assert!(erm
             .check(&script(3), &cookie(), Operation::Read)
             .is_allowed());

@@ -24,7 +24,6 @@ use crate::loader::label_dynamic_subtree;
 
 /// The state handed to the interpreter for one script execution.
 pub struct BrowserHost<'a> {
-    pub(crate) mode: PolicyMode,
     pub(crate) erm: &'a mut Erm,
     pub(crate) document: &'a mut Document,
     pub(crate) contexts: &'a mut SecurityContextTable,
@@ -49,7 +48,7 @@ pub struct BrowserHost<'a> {
 impl std::fmt::Debug for BrowserHost<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BrowserHost")
-            .field("mode", &self.mode)
+            .field("mode", &self.erm.mode())
             .field("principal", &self.principal.ring)
             .field("page_url", &self.page_url)
             .finish()
@@ -60,7 +59,6 @@ impl<'a> BrowserHost<'a> {
     /// Assembles a host for one script execution.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        mode: PolicyMode,
         erm: &'a mut Erm,
         document: &'a mut Document,
         contexts: &'a mut SecurityContextTable,
@@ -73,7 +71,6 @@ impl<'a> BrowserHost<'a> {
         response_cache_enabled: bool,
     ) -> Self {
         BrowserHost {
-            mode,
             erm,
             document,
             contexts,
@@ -322,7 +319,7 @@ impl Host for BrowserHost<'_> {
         let node = self.node(node)?;
         // §5(1): the ring mapping happens exactly once; configuration attributes are
         // not remappable through the DOM API.
-        if self.mode == PolicyMode::Escudo
+        if self.erm.mode() == PolicyMode::Escudo
             && AC_ATTRIBUTES
                 .iter()
                 .any(|attr| attr.eq_ignore_ascii_case(name))
@@ -386,7 +383,7 @@ impl Host for BrowserHost<'_> {
         self.check_api(NativeApi::CookieApi)?;
         let directive = SetCookie::parse(cookie)
             .map_err(|e| HostError::Unsupported(format!("malformed cookie: {e}")))?;
-        if self.mode == PolicyMode::Escudo {
+        if self.erm.mode() == PolicyMode::Escudo {
             let object = self
                 .contexts
                 .cookie_object(&directive.name, self.page_url.origin());

@@ -4,6 +4,7 @@ use escudo_core::{Origin, Ring};
 use escudo_dom::{Document, NodeId};
 use escudo_html::ParseReport;
 use escudo_net::Url;
+use escudo_script::{ScriptError, Value};
 
 use crate::context::SecurityContextTable;
 use crate::render::RenderStats;
@@ -33,6 +34,18 @@ pub struct ScriptOutcome {
 }
 
 impl ScriptOutcome {
+    /// The outcome of a run of script `node`, in `ring`, that ended in `result`.
+    pub(crate) fn of(node: NodeId, ring: Ring, result: Result<Value, ScriptError>) -> Self {
+        ScriptOutcome {
+            node,
+            ring,
+            denied: matches!(&result, Err(error) if error.is_access_denied()),
+            result: result
+                .map(|value| value.to_string())
+                .map_err(|e| e.to_string()),
+        }
+    }
+
     /// `true` when the script was stopped by the ESCUDO reference monitor.
     #[must_use]
     pub fn was_denied(&self) -> bool {

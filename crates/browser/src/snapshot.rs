@@ -14,8 +14,8 @@
 //! export it verbatim and the trajectory comparator can diff snapshots across
 //! commits without schema drift.
 
-use escudo_core::tenant::{AdmissionStats, TenantConfig, TenantRegistry};
-use escudo_core::EngineStats;
+use escudo_core::tenant::{AdmissionStats, Tenant, TenantConfig, TenantRegistry};
+use escudo_core::{EngineStats, PolicyMode};
 use escudo_net::{JarStats, SharedCookieJar, SharedNetwork};
 
 use crate::browser::Browser;
@@ -148,20 +148,39 @@ impl FabricCounters {
     }
 }
 
-/// One tenant's slice of the control plane: its engine generation, the
-/// generation's engine statistics and its admission bucket.
+/// One tenant's slice of the control plane: its published policy, the
+/// decisions counted since its last reload and its admission bucket.
 #[derive(Debug, Clone)]
 pub struct TenantSnapshot {
     /// The tenant id.
     pub id: String,
-    /// The currently published engine generation.
+    /// The currently published generation.
     pub generation: u64,
-    /// The current generation's engine statistics.
+    /// The policy mode of the currently published generation.
+    pub mode: PolicyMode,
+    /// Decisions counted since the last reload.
     pub engine: EngineStats,
     /// The tenant's admission-control counters.
     pub admission: AdmissionStats,
-    /// The tenant's configuration (policy mode, admission posture).
+    /// The tenant's configuration (first policy mode, admission posture).
     pub config: TenantConfig,
+}
+
+impl TenantSnapshot {
+    /// Reads `tenant`'s slice; generation and mode come from one load of its
+    /// published policy.
+    #[must_use]
+    pub fn of(tenant: &Tenant) -> Self {
+        let policy = tenant.policy();
+        TenantSnapshot {
+            id: tenant.id().to_string(),
+            generation: policy.generation,
+            mode: policy.mode,
+            engine: tenant.engine_stats(),
+            admission: tenant.admission().stats(),
+            config: *tenant.config(),
+        }
+    }
 }
 
 /// A one-word judgement over a [`ControlPlaneSnapshot`]'s own fields: is this
@@ -237,13 +256,7 @@ impl ControlPlaneSnapshot {
                 registry
                     .tenants()
                     .iter()
-                    .map(|tenant| TenantSnapshot {
-                        id: tenant.id().to_string(),
-                        generation: tenant.generation(),
-                        engine: tenant.engine_stats(),
-                        admission: tenant.admission().stats(),
-                        config: *tenant.config(),
-                    })
+                    .map(|tenant| TenantSnapshot::of(tenant))
                     .collect()
             })
             .unwrap_or_default();
@@ -270,13 +283,7 @@ impl ControlPlaneSnapshot {
         );
         if registry.is_none() {
             if let Some(tenant) = browser.tenant() {
-                snapshot.tenants.push(TenantSnapshot {
-                    id: tenant.id().to_string(),
-                    generation: tenant.generation(),
-                    engine: tenant.engine_stats(),
-                    admission: tenant.admission().stats(),
-                    config: *tenant.config(),
-                });
+                snapshot.tenants.push(TenantSnapshot::of(tenant));
             }
         }
         snapshot
@@ -458,8 +465,6 @@ impl ControlPlaneSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use escudo_core::tenant::{Tenant, TenantConfig};
-    use escudo_core::PolicyMode;
     use std::sync::Arc;
 
     #[test]
@@ -557,6 +562,7 @@ mod tests {
         snapshot.tenants.push(TenantSnapshot {
             id: "metered".into(),
             generation: 1,
+            mode: PolicyMode::Escudo,
             engine: EngineStats::default(),
             admission: AdmissionStats {
                 admitted: 90,
@@ -632,6 +638,14 @@ mod tests {
         assert_eq!(snapshot.tenants.len(), 1);
         assert_eq!(snapshot.tenants[0].id, "solo");
         assert_eq!(snapshot.tenants[0].generation, 1);
+        // After a reload the slice shows the published policy, not the
+        // configured mode.
+        tenant.reload_with(PolicyMode::SameOriginOnly);
+        let solo = &ControlPlaneSnapshot::from_browser(&browser, None).tenants[0];
+        assert_eq!(
+            (solo.generation, solo.mode, solo.config.mode),
+            (2, PolicyMode::SameOriginOnly, PolicyMode::Escudo)
+        );
 
         let plain = Browser::new(PolicyMode::Escudo);
         let snapshot = ControlPlaneSnapshot::from_browser(&plain, None);

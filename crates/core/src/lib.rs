@@ -26,9 +26,9 @@
 //! * [`config`] — the AC-tag attribute format and the optional HTTP headers used to
 //!   label cookies and native APIs,
 //! * [`scoping`] — the scoping rule that clamps children to their parent's privilege,
-//! * [`tenant`] — the multi-tenant control plane: generation-swapped engine
-//!   handles for hot policy reload, per-tenant token-bucket admission control
-//!   and the tenant registry,
+//! * [`tenant`] — the multi-tenant control plane: each tenant's policy
+//!   (generation and mode) published as one atomic word for hot reload,
+//!   per-tenant token-bucket admission control and the tenant registry,
 //! * [`nonce`] — markup-randomization nonces that defeat node-splitting attacks,
 //! * [`taxonomy`] — the principal/object inventory of the paper's Table 1.
 //!
@@ -83,6 +83,6 @@ pub use origin::Origin;
 pub use policy::{decide, Decision, DenyReason, PolicyMode};
 pub use ring::Ring;
 pub use tenant::{
-    AdmissionControl, AdmissionStats, Clock, EngineGeneration, EngineHandle, EngineReader,
-    ManualClock, MonotonicClock, Tenant, TenantConfig, TenantRegistry,
+    AdmissionControl, AdmissionStats, Clock, ManualClock, MonotonicClock, Tenant, TenantConfig,
+    TenantPolicy, TenantRegistry,
 };

@@ -1,173 +1,59 @@
-//! The multi-tenant policy control plane: generation-swapped engine handles,
+//! The multi-tenant policy control plane: each tenant's published policy,
 //! token-bucket admission control and the tenant registry.
 //!
 //! ESCUDO's protection model assumes one reference monitor per browser; a
 //! served deployment runs many origin-groups (*tenants*) in one process. This
-//! module is the routing layer above the [`RuleEngine`]:
+//! module is the routing layer above [`crate::policy::decide`]:
 //!
-//! * [`EngineHandle`] — an epoch/generation-swapped `Arc` pointer to a
-//!   [`PolicyEngine`]. A hot policy reload ([`EngineHandle::swap`]) publishes a
-//!   new [`EngineGeneration`] without stalling in-flight `decide_many`
-//!   batches: readers pin a generation with one `Arc` clone and keep deciding
-//!   against it; the retired generation is freed when its last reader drops.
-//!   This is a std-only `ArcSwap` equivalent — a `Mutex`-guarded writer plus a
-//!   generation-checked `Arc` clone on the read side ([`EngineReader`]), so
-//!   the steady-state read path is a single atomic load.
+//! * [`TenantPolicy`] — a generation number and the [`PolicyMode`] it
+//!   enforces, packed in one `AtomicU64`: pinning it ([`Tenant::policy`]) is
+//!   one Acquire load, a hot reload ([`Tenant::reload_with`]) one
+//!   `fetch_update`, and a plan decided under a pinned value is never torn.
 //! * [`AdmissionControl`] — a token bucket rate-limiting mediation throughput
 //!   per tenant, with configurable burst/refill and a saturating `rejected`
 //!   counter. Enforced at the `Erm` facade so browser- and script-initiated
 //!   paths are both covered.
 //! * [`TenantRegistry`] — tenant id → [`Tenant`], each tenant owning an
-//!   independent engine (own policy mode, own decision counter) and its own
-//!   admission bucket, so a noisy tenant cannot starve another's mediation.
+//!   independent policy word, decision counter and admission bucket, so a
+//!   noisy tenant cannot starve another's mediation.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use crate::engine::{EngineStats, PolicyEngine, RuleEngine};
-use crate::policy::PolicyMode;
+use crate::context::{ObjectContext, PrincipalContext};
+use crate::engine::EngineStats;
+use crate::operation::Operation;
+use crate::policy::{decide, Decision, PolicyMode};
 
 // ---------------------------------------------------------------------------
-// Engine generations.
+// Published policy.
 
-/// One published policy-engine generation. Readers pin a generation by cloning
-/// its `Arc`; the generation stays alive exactly as long as someone still
-/// decides against it.
-#[derive(Debug)]
-pub struct EngineGeneration {
-    engine: Arc<dyn PolicyEngine>,
-    generation: u64,
+/// A tenant's published policy: the generation number (1 at creation, bumped
+/// by every reload) and the mode that generation enforces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TenantPolicy {
+    /// The generation number.
+    pub generation: u64,
+    /// The policy mode of this generation.
+    pub mode: PolicyMode,
 }
 
-impl EngineGeneration {
-    /// The engine of this generation.
-    #[must_use]
-    pub fn engine(&self) -> &Arc<dyn PolicyEngine> {
-        &self.engine
+impl TenantPolicy {
+    fn pack(self) -> u64 {
+        self.generation << 1 | u64::from(self.mode == PolicyMode::SameOriginOnly)
     }
 
-    /// The generation number (1 for the engine a handle was created with,
-    /// incremented by every [`EngineHandle::swap`]).
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-}
-
-/// A generation-swapped engine pointer: the writer publishes a new engine
-/// under a mutex, readers validate a cached `Arc` clone against an atomic
-/// generation counter ([`EngineReader`]). Cloning the handle shares the same
-/// underlying slot.
-#[derive(Debug, Clone)]
-pub struct EngineHandle {
-    shared: Arc<HandleShared>,
-}
-
-#[derive(Debug)]
-struct HandleShared {
-    /// Published generation number; read-side fast path. Written under the
-    /// `current` mutex, so it never runs ahead of the published `Arc`.
-    generation: AtomicU64,
-    current: Mutex<Arc<EngineGeneration>>,
-}
-
-impl EngineHandle {
-    /// Creates a handle publishing `engine` as generation 1.
-    #[must_use]
-    pub fn new(engine: Arc<dyn PolicyEngine>) -> Self {
-        EngineHandle {
-            shared: Arc::new(HandleShared {
-                generation: AtomicU64::new(1),
-                current: Mutex::new(Arc::new(EngineGeneration {
-                    engine,
-                    generation: 1,
-                })),
-            }),
+    fn unpack(word: u64) -> Self {
+        let mode = match word & 1 {
+            0 => PolicyMode::Escudo,
+            _ => PolicyMode::SameOriginOnly,
+        };
+        TenantPolicy {
+            generation: word >> 1,
+            mode,
         }
-    }
-
-    /// The currently published generation number (one atomic load).
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.shared.generation.load(Ordering::Acquire)
-    }
-
-    /// Clones the currently published generation (brief mutex hold; use an
-    /// [`EngineReader`] on hot paths so this only happens after a swap).
-    #[must_use]
-    pub fn current(&self) -> Arc<EngineGeneration> {
-        Arc::clone(&self.shared.current.lock().expect("engine slot poisoned"))
-    }
-
-    /// Hot policy reload: publishes `engine` as a new generation and returns
-    /// the retired one. In-flight batches pinned to the retired generation
-    /// finish against it undisturbed; it is freed when its last reader drops.
-    pub fn swap(&self, engine: Arc<dyn PolicyEngine>) -> Arc<EngineGeneration> {
-        let mut slot = self.shared.current.lock().expect("engine slot poisoned");
-        let next = slot.generation + 1;
-        let retired = std::mem::replace(
-            &mut *slot,
-            Arc::new(EngineGeneration {
-                engine,
-                generation: next,
-            }),
-        );
-        // Publish the number only after the Arc is in place, still under the
-        // lock: a reader that observes `next` will find generation `>= next`
-        // in the slot.
-        self.shared.generation.store(next, Ordering::Release);
-        retired
-    }
-
-    /// A `Weak` witness on the currently published generation — lets tests
-    /// verify that a generation retired by [`EngineHandle::swap`] is actually
-    /// dropped once its last reader finishes (no leak).
-    #[must_use]
-    pub fn witness(&self) -> Weak<EngineGeneration> {
-        Arc::downgrade(&self.current())
-    }
-}
-
-/// The read side of an [`EngineHandle`]: caches an `Arc` clone of one
-/// generation and revalidates it with a single atomic load. The mutex is only
-/// touched when a swap actually happened, so steady-state mediation never
-/// contends with other readers or the writer.
-#[derive(Debug, Clone)]
-pub struct EngineReader {
-    handle: EngineHandle,
-    cached: Arc<EngineGeneration>,
-}
-
-impl EngineReader {
-    /// Creates a reader pinned to the handle's current generation.
-    #[must_use]
-    pub fn new(handle: EngineHandle) -> Self {
-        let cached = handle.current();
-        EngineReader { handle, cached }
-    }
-
-    /// Revalidates the cached generation, re-pinning to the newest published
-    /// one if a swap happened. Returns the (now current) pinned generation.
-    pub fn refresh(&mut self) -> &Arc<EngineGeneration> {
-        if self.handle.generation() != self.cached.generation {
-            self.cached = self.handle.current();
-        }
-        &self.cached
-    }
-
-    /// The pinned generation, without revalidating. Batches use this so every
-    /// decision of one mediation plan comes from one generation.
-    #[must_use]
-    pub fn pinned(&self) -> &Arc<EngineGeneration> {
-        &self.cached
-    }
-
-    /// The handle this reader validates against.
-    #[must_use]
-    pub fn handle(&self) -> &EngineHandle {
-        &self.handle
     }
 }
 
@@ -378,10 +264,10 @@ fn saturating_bump(counter: &AtomicU64, n: u64) {
 // ---------------------------------------------------------------------------
 // Tenants and the registry.
 
-/// Per-tenant engine and admission configuration.
+/// Per-tenant policy and admission configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantConfig {
-    /// The policy mode the tenant's engine enforces.
+    /// The policy mode the tenant's first generation enforces.
     pub mode: PolicyMode,
     /// Admission-bucket capacity (0 = unlimited).
     pub admission_burst: u64,
@@ -414,22 +300,19 @@ impl TenantConfig {
         self.admission_refill_per_sec = refill_per_sec;
         self
     }
-
-    /// Builds a fresh [`RuleEngine`] for this configuration's mode.
-    #[must_use]
-    pub fn build_engine(&self) -> Arc<dyn PolicyEngine> {
-        Arc::new(RuleEngine::new(self.mode))
-    }
 }
 
-/// One tenant of the control plane: a generation-swapped engine plus an
-/// admission bucket. Cheap to share (`Arc<Tenant>`); every browser session
-/// bound to the tenant reads the same handle and bucket.
+/// One tenant of the control plane: a published [`TenantPolicy`], the count
+/// of decisions made under its generation, and an admission bucket. Cheap to
+/// share (`Arc<Tenant>`); every browser session bound to the tenant reads the
+/// same word and bucket.
 #[derive(Debug)]
 pub struct Tenant {
     id: String,
     config: TenantConfig,
-    handle: EngineHandle,
+    /// The published [`TenantPolicy`], as `generation << 1 | sop_bit`.
+    policy: AtomicU64,
+    decisions: AtomicU64,
     admission: AdmissionControl,
 }
 
@@ -444,10 +327,15 @@ impl Tenant {
     /// [`Clock`] — a [`ManualClock`] makes throttling fully deterministic.
     #[must_use]
     pub fn with_clock(id: &str, config: TenantConfig, clock: Arc<dyn Clock>) -> Self {
+        let first = TenantPolicy {
+            generation: 1,
+            mode: config.mode,
+        };
         Tenant {
             id: id.to_string(),
             config,
-            handle: EngineHandle::new(config.build_engine()),
+            policy: AtomicU64::new(first.pack()),
+            decisions: AtomicU64::new(0),
             admission: AdmissionControl::with_clock(
                 config.admission_burst,
                 config.admission_refill_per_sec,
@@ -468,40 +356,71 @@ impl Tenant {
         &self.config
     }
 
-    /// The generation-swapped engine handle.
-    #[must_use]
-    pub fn handle(&self) -> &EngineHandle {
-        &self.handle
-    }
-
     /// The admission bucket.
     #[must_use]
     pub fn admission(&self) -> &AdmissionControl {
         &self.admission
     }
 
+    /// The currently published policy (one Acquire load). A caller pins a
+    /// plan by deciding the whole plan against the value it read here.
+    #[must_use]
+    pub fn policy(&self) -> TenantPolicy {
+        TenantPolicy::unpack(self.policy.load(Ordering::Acquire))
+    }
+
     /// The currently published generation number.
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.handle.generation()
+        self.policy().generation
     }
 
-    /// Statistics of the currently published engine generation.
+    /// Decisions counted since the last reload. The count is exact only when
+    /// no plan runs across a reload: a plan pinned before the reload counts
+    /// toward the new generation if it is decided after the reset.
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
-        self.handle.current().engine().stats()
+        EngineStats {
+            decisions: self.decisions.load(Ordering::Relaxed),
+            cache_hits: 0,
+        }
     }
 
-    /// Hot policy reload with a fresh engine built from this tenant's own
-    /// configuration (a fresh decision counter — a true policy epoch). Returns
-    /// the retired generation.
-    pub fn reload(&self) -> Arc<EngineGeneration> {
-        self.handle.swap(self.config.build_engine())
+    /// Decides `checks` in order under the `pinned` policy's mode, each
+    /// exactly as [`decide`] would, and counts them.
+    pub fn decide_many(
+        &self,
+        pinned: TenantPolicy,
+        checks: &[(&PrincipalContext, &ObjectContext, Operation)],
+    ) -> Vec<Decision> {
+        self.decisions
+            .fetch_add(checks.len() as u64, Ordering::Relaxed);
+        checks
+            .iter()
+            .map(|(principal, object, op)| decide(pinned.mode, principal, object, *op))
+            .collect()
     }
 
-    /// Hot policy reload publishing the given engine as the next generation.
-    pub fn reload_with(&self, engine: Arc<dyn PolicyEngine>) -> Arc<EngineGeneration> {
-        self.handle.swap(engine)
+    /// Hot policy reload of this tenant's own configured mode: publishes the
+    /// next generation and restarts the decision count. Returns the retired
+    /// policy.
+    pub fn reload(&self) -> TenantPolicy {
+        self.reload_with(self.config.mode)
+    }
+
+    /// Hot policy reload publishing `mode` as the next generation. Plans
+    /// pinned to the retired policy finish under it undisturbed.
+    pub fn reload_with(&self, mode: PolicyMode) -> TenantPolicy {
+        let next = |word| {
+            let generation = TenantPolicy::unpack(word).generation + 1;
+            Some(TenantPolicy { generation, mode }.pack())
+        };
+        let retired = self
+            .policy
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, next)
+            .expect("the update always publishes");
+        self.decisions.store(0, Ordering::Relaxed);
+        TenantPolicy::unpack(retired)
     }
 }
 
@@ -522,7 +441,7 @@ impl TenantRegistry {
 
     /// Returns the tenant registered under `id`, creating it with `config` if
     /// absent. An existing tenant is returned unchanged — re-registration
-    /// never resets a live engine or its counters (use [`Tenant::reload`]).
+    /// never resets a live policy or its counters (use [`Tenant::reload`]).
     pub fn register(&self, id: &str, config: TenantConfig) -> Arc<Tenant> {
         if let Some(existing) = self.get(id) {
             return existing;
@@ -572,9 +491,9 @@ impl TenantRegistry {
         self.len() == 0
     }
 
-    /// Hot-reloads the tenant registered under `id` (fresh engine from its own
-    /// config). Returns the retired generation, or `None` for an unknown id.
-    pub fn reload(&self, id: &str) -> Option<Arc<EngineGeneration>> {
+    /// Hot-reloads the tenant registered under `id` to its own configured
+    /// mode. Returns the retired policy, or `None` for an unknown id.
+    pub fn reload(&self, id: &str) -> Option<TenantPolicy> {
         self.get(id).map(|tenant| tenant.reload())
     }
 }
@@ -594,50 +513,30 @@ mod tests {
     }
 
     #[test]
-    fn swap_publishes_a_new_generation_without_disturbing_pinned_readers() {
+    fn reload_publishes_the_next_word_without_disturbing_pinned_plans() {
         let tenant = Tenant::new("acme", TenantConfig::default());
-        let mut reader = EngineReader::new(tenant.handle().clone());
-        assert_eq!(reader.pinned().generation(), 1);
-        assert_eq!(reader.pinned().engine().mode(), PolicyMode::Escudo);
-
-        let retired = tenant.reload_with(
-            TenantConfig::default()
-                .with_mode(PolicyMode::SameOriginOnly)
-                .build_engine(),
+        let pinned = tenant.policy();
+        assert_eq!((pinned.generation, pinned.mode), (1, PolicyMode::Escudo));
+        assert_eq!(tenant.reload_with(PolicyMode::SameOriginOnly), pinned);
+        let published = tenant.policy();
+        assert_eq!(
+            (published.generation, published.mode),
+            (2, PolicyMode::SameOriginOnly)
         );
-        assert_eq!(retired.generation(), 1);
-        assert_eq!(tenant.generation(), 2);
 
-        // The reader stays pinned to generation 1 until it refreshes — an
-        // in-flight batch is never torn across the swap.
+        // A plan pinned before the reload is still decided under ESCUDO.
         let (principal, object) = check_pair();
-        assert!(reader
-            .pinned()
-            .engine()
-            .decide(&principal, &object, Operation::Read)
-            .is_denied());
-        assert_eq!(reader.refresh().generation(), 2);
-        assert!(reader
-            .pinned()
-            .engine()
-            .decide(&principal, &object, Operation::Read)
-            .is_allowed());
-    }
+        let check = [(&principal, &object, Operation::Read)];
+        assert!(tenant.decide_many(pinned, &check)[0].is_denied());
+        assert!(tenant.decide_many(published, &check)[0].is_allowed());
+        assert_eq!(tenant.engine_stats().decisions, 2);
 
-    #[test]
-    fn retired_generations_are_dropped_when_the_last_reader_lets_go() {
-        let handle = EngineHandle::new(TenantConfig::default().build_engine());
-        let witness = handle.witness();
-        let pinned = handle.current();
-        let retired = handle.swap(TenantConfig::default().build_engine());
-        assert_eq!(retired.generation(), 1);
-        drop(retired);
-        // Still alive: `pinned` reads against it.
-        assert!(witness.upgrade().is_some());
-        drop(pinned);
-        assert!(
-            witness.upgrade().is_none(),
-            "retired generation must be freed once its last reader drops"
+        // `reload` publishes the configured mode and restarts the count.
+        assert_eq!(tenant.reload(), published);
+        assert_eq!(tenant.policy().mode, PolicyMode::Escudo);
+        assert_eq!(
+            (tenant.generation(), tenant.engine_stats().decisions),
+            (3, 0)
         );
     }
 
@@ -741,12 +640,9 @@ mod tests {
         let again = registry.register("a", TenantConfig::default());
         assert!(Arc::ptr_eq(&a, &again));
 
-        // Independent engines: deciding through A counts only on A's engine.
+        // Independent counters: deciding through A counts only on A.
         let (principal, object) = check_pair();
-        a.handle()
-            .current()
-            .engine()
-            .decide(&principal, &object, Operation::Read);
+        a.decide_many(a.policy(), &[(&principal, &object, Operation::Read)]);
         assert_eq!(a.engine_stats().decisions, 1);
         assert_eq!(b.engine_stats().decisions, 0);
         assert_eq!(b.config().admission_burst, 10);
@@ -767,13 +663,12 @@ mod tests {
             "legacy",
             TenantConfig::default().with_mode(PolicyMode::SameOriginOnly),
         );
-        let generation = tenant.handle().current();
-        assert_eq!(generation.engine().mode(), PolicyMode::SameOriginOnly);
+        let pinned = tenant.policy();
+        assert_eq!(pinned.mode, PolicyMode::SameOriginOnly);
         let (principal, object) = check_pair();
-        assert!(generation
-            .engine()
-            .decide(&principal, &object, Operation::Read)
-            .is_allowed());
+        assert!(
+            tenant.decide_many(pinned, &[(&principal, &object, Operation::Read)])[0].is_allowed()
+        );
         // The baseline's stats surface through the same path as Escudo's.
         assert_eq!(tenant.engine_stats().decisions, 1);
     }

@@ -1,5 +1,6 @@
-//! Engine/decide equivalence: the engines, however built, must return
-//! **byte-identical** decisions to the `escudo_core::policy::decide` free function.
+//! Engine/decide equivalence: the engines, and the reference monitor however it
+//! is bound, must return **byte-identical** decisions to the
+//! `escudo_core::policy::decide` free function.
 //!
 //! The grid is exhaustive over rings 0..=3 for principal and object, every
 //! `Operation`, same- and cross-origin pairs, a spread of ACL variants, and both
@@ -7,10 +8,11 @@
 
 use std::sync::Arc;
 
+use escudo::browser::Erm;
 use escudo::core::context::{ObjectContext, ObjectKind, PrincipalContext, PrincipalKind};
-use escudo::core::tenant::TenantConfig;
+use escudo::core::tenant::{Tenant, TenantConfig};
 use escudo::core::{
-    decide, engine_for_mode, Acl, Operation, Origin, PolicyEngine, PolicyMode, Ring,
+    decide, engine_for_mode, Acl, Decision, Operation, Origin, PolicyEngine, PolicyMode, Ring,
 };
 
 fn site() -> Origin {
@@ -62,41 +64,61 @@ fn grid() -> Vec<(PrincipalContext, ObjectContext, Operation)> {
     checks
 }
 
-/// Asserts that `engine` decides every grid point exactly as `decide(mode, …)`,
-/// and counts each decision once.
-fn assert_matches_decide(engine: &dyn PolicyEngine, mode: PolicyMode) {
+/// Asserts that `decide_one` decides every grid point exactly as
+/// `decide(mode, …)`.
+fn assert_matches_decide(
+    mode: PolicyMode,
+    mut decide_one: impl FnMut(&PrincipalContext, &ObjectContext, Operation) -> Decision,
+) {
     let grid = grid();
     // 4 principal rings × 4 object rings × 9 ACLs × 2 origins × 2 kinds × 3 ops.
     assert_eq!(grid.len(), 1728);
-    assert_eq!(engine.mode(), mode);
     for (principal, object, op) in &grid {
         assert_eq!(
-            engine.decide(principal, object, *op),
+            decide_one(principal, object, *op),
             decide(mode, principal, object, *op),
             "{mode:?} mismatch: {principal} / {object} / {op}"
         );
     }
-    assert_eq!(engine.stats().decisions, grid.len() as u64);
+}
+
+/// The grid through `mode`'s engine, which counts each decision once.
+fn assert_engine_matches_decide(mode: PolicyMode) {
+    let engine = engine_for_mode(mode);
+    assert_eq!(engine.mode(), mode);
+    assert_matches_decide(mode, |p, o, op| engine.decide(p, o, op));
+    assert_eq!(engine.stats().decisions, 1728);
 }
 
 #[test]
 fn escudo_engine_matches_decide() {
-    assert_matches_decide(&*engine_for_mode(PolicyMode::Escudo), PolicyMode::Escudo);
+    assert_engine_matches_decide(PolicyMode::Escudo);
 }
 
 #[test]
 fn same_origin_engine_matches_same_origin_mode() {
-    assert_matches_decide(
-        &*engine_for_mode(PolicyMode::SameOriginOnly),
-        PolicyMode::SameOriginOnly,
-    );
+    assert_engine_matches_decide(PolicyMode::SameOriginOnly);
 }
 
+/// The grid through the reference monitor: a static binding, a tenant
+/// configured in `mode`, and a tenant reloaded into `mode` from the other one.
+/// Each decision must be `decide(mode, …)` and each audit record must name
+/// `mode`.
 #[test]
-fn tenant_built_engines_match_decide() {
-    for mode in [PolicyMode::Escudo, PolicyMode::SameOriginOnly] {
-        let engine = TenantConfig::default().with_mode(mode).build_engine();
-        assert_matches_decide(&*engine, mode);
+fn static_and_tenant_monitors_match_decide() {
+    use PolicyMode::{Escudo, SameOriginOnly};
+    for (mode, other) in [(Escudo, SameOriginOnly), (SameOriginOnly, Escudo)] {
+        let tenant = |mode| Arc::new(Tenant::new("t", TenantConfig::default().with_mode(mode)));
+        let reloaded = tenant(other);
+        let mut flipped = Erm::with_tenant(Arc::clone(&reloaded));
+        reloaded.reload_with(mode);
+        flipped.pin();
+        for mut erm in [Erm::new(mode), Erm::with_tenant(tenant(mode)), flipped] {
+            assert_matches_decide(mode, |p, o, op| erm.check(p, o, op));
+            assert_eq!(erm.audit().len(), 1728);
+            assert!(erm.audit().iter().all(|record| record.mode == mode));
+            assert_eq!(erm.engine_stats().decisions, 1728);
+        }
     }
 }
 
