@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use escudo_browser::Browser;
+use escudo_browser::{Browser, FabricCounters};
 use escudo_core::config::CookiePolicy;
 use escudo_core::{engine_for_mode, Acl, PolicyMode, Ring};
 use escudo_net::{Request, Response, SetCookie, SharedCookieJar, SharedNetwork};
@@ -150,7 +150,7 @@ pub fn run_cache_speedup(latency: Duration, passes: usize) -> CacheSpeedupReport
         (
             total_ns as f64 / passes.max(1) as f64,
             browser.cache_hits(),
-            fabric.cache_stored(),
+            FabricCounters::gather(&fabric).cache_stored,
         )
     };
 
@@ -257,7 +257,7 @@ mod tests {
         (
             sessions.iter().map(|s| s.0).sum(),
             sessions.iter().map(|s| s.1).sum(),
-            fabric.prefetch_stale_discards(),
+            FabricCounters::gather(&fabric).cache_stale_discards,
         )
     }
 

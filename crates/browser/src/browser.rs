@@ -1055,7 +1055,7 @@ impl Browser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use escudo_net::{FaultPlan, Response, Server};
+    use escudo_net::{FabricCounters, FaultPlan, Response, Server};
 
     struct Static(String);
     impl Server for Static {
@@ -1454,14 +1454,20 @@ mod tests {
         // Speculation is a per-session opt-in: a default session never touches
         // the prefetch cache.
         browser.navigate("http://app.example/hub.php").unwrap();
-        assert_eq!(browser.fabric().prefetched_entries(), 0);
+        assert_eq!(
+            FabricCounters::gather(browser.fabric()).prefetched_entries,
+            0
+        );
         assert!(!browser.prefetch("http://app.example/next.php"));
 
         browser.set_prefetch_enabled(true);
         let hub = browser.navigate("http://app.example/hub.php").unwrap();
         assert_eq!(browser.page(hub).stats.prefetch_issued, 1);
         assert!(!browser.page(hub).stats.prefetch_hit);
-        assert_eq!(browser.fabric().prefetched_entries(), 1);
+        assert_eq!(
+            FabricCounters::gather(browser.fabric()).prefetched_entries,
+            1
+        );
 
         // The speculative fetch is unlogged; the log grows only when the hit
         // is consumed — under the navigation's own sequence number.
@@ -1469,15 +1475,19 @@ mod tests {
         let next = browser.navigate("http://app.example/next.php").unwrap();
         assert!(browser.page(next).stats.prefetch_hit);
         assert_eq!(browser.prefetch_hits(), 1);
-        assert_eq!(browser.fabric().prefetch_hits(), 1);
-        assert_eq!(browser.fabric().prefetched_entries(), 0);
+        let counters = FabricCounters::gather(browser.fabric());
+        assert_eq!(counters.prefetch_hits, 1);
+        assert_eq!(counters.prefetched_entries, 0);
         let log = browser.fabric().log();
         assert_eq!(log.len(), logged_before + 1);
         assert_eq!(log.last().unwrap().url.path(), "/next.php");
 
         // The explicit API refills the cache for the next repeat navigation.
         assert!(browser.prefetch("http://app.example/next.php"));
-        assert_eq!(browser.fabric().prefetched_entries(), 1);
+        assert_eq!(
+            FabricCounters::gather(browser.fabric()).prefetched_entries,
+            1
+        );
         assert!(!browser.prefetch("http://unregistered.example/x"));
         assert!(!browser.prefetch("not a url"));
     }
@@ -1510,9 +1520,10 @@ mod tests {
             let page = browser.navigate("http://app.example/hub.php").unwrap();
             assert_eq!(browser.page(page).stats.prefetch_issued, 1);
             let fabric = Arc::clone(browser.fabric());
-            assert_eq!(fabric.prefetched_entries(), usize::from(healed));
-            assert_eq!(fabric.retry_attempts(), u64::from(healed));
-            assert_eq!(fabric.retry_successes(), u64::from(healed));
+            let counters = FabricCounters::gather(&fabric);
+            assert_eq!(counters.prefetched_entries, u64::from(healed));
+            assert_eq!(counters.retry_attempts, u64::from(healed));
+            assert_eq!(counters.retry_successes, u64::from(healed));
             // Speculation logs nothing: the log holds the hub alone.
             let log = browser.fabric().log();
             assert_eq!(log.len(), 1);
@@ -1520,10 +1531,13 @@ mod tests {
 
             let item = browser.navigate("http://item.example/item.php").unwrap();
             assert_eq!(browser.page(item).stats.prefetch_hit, healed);
-            assert_eq!(fabric.prefetch_hits(), u64::from(healed));
+            assert_eq!(
+                FabricCounters::gather(&fabric).prefetch_hits,
+                u64::from(healed)
+            );
             // One timed-out speculative dispatch in both runs; a live fetch
             // is the item origin's second dispatch and goes through.
-            assert_eq!(fabric.faults_injected(), 1);
+            assert_eq!(FabricCounters::gather(&fabric).fault_injected, 1);
             assert_eq!(browser.fabric().log().len(), 2);
         }
     }
@@ -1546,7 +1560,10 @@ mod tests {
         browser.navigate("http://app.example/seen.php").unwrap();
         let again = browser.navigate("http://app.example/index.php").unwrap();
         assert_eq!(browser.page(again).stats.prefetch_issued, 1);
-        assert_eq!(browser.fabric().prefetched_entries(), 1);
+        assert_eq!(
+            FabricCounters::gather(browser.fabric()).prefetched_entries,
+            1
+        );
         let hit = browser.navigate("http://app.example/seen.php").unwrap();
         assert!(browser.page(hit).stats.prefetch_hit);
     }

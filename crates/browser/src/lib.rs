@@ -71,9 +71,8 @@ pub use context::SecurityContextTable;
 pub use erm::{Attachment, Erm, PlanAttachments};
 pub use error::BrowserError;
 pub use escudo_core::PolicyMode;
+pub use escudo_net::FabricCounters;
 pub use loader::{LoadOptions, PageLoader, ResponsePolicies};
 pub use page::{Page, PageLoadStats, ScriptOutcome, SubresourceOutcome};
 pub use render::{LayoutBox, RenderStats, Renderer};
-pub use snapshot::{
-    ControlPlaneSnapshot, ErmCounters, FabricCounters, HealthVerdict, TenantSnapshot,
-};
+pub use snapshot::{ControlPlaneSnapshot, ErmCounters, HealthVerdict, TenantSnapshot};

@@ -1,12 +1,10 @@
 //! One coherent observability surface for the whole control plane.
 //!
-//! Every layer of the stack keeps its own counters — the engine's decision
-//! count, the reference monitor's check/denial/audit-drop tallies, the cookie
-//! jar's shard statistics, the network fabric's request log, prefetch cache
-//! and speculative-request count, and each tenant's admission bucket. Before
-//! this module, some of those counters ([`Erm::audit_dropped`], the
-//! same-origin baseline's stats) had no exported surface at all: they could be asserted in unit tests but never
-//! observed from a running deployment.
+//! Every layer of the stack keeps its own counters and reports them through
+//! one stats struct: the engine's [`EngineStats`], the reference monitor's
+//! [`ErmCounters`], the cookie jar's [`JarStats`], the network fabric's
+//! [`FabricCounters`] (declared and read in `escudo_net`, next to the atomics
+//! they read) and each tenant's [`AdmissionStats`].
 //!
 //! [`ControlPlaneSnapshot`] gathers all of them into a single struct with a
 //! **stable field layout** ([`ControlPlaneSnapshot::fields`]): every snapshot
@@ -16,7 +14,7 @@
 
 use escudo_core::tenant::{AdmissionStats, Tenant, TenantConfig, TenantRegistry};
 use escudo_core::{EngineStats, PolicyMode};
-use escudo_net::{JarStats, SharedCookieJar, SharedNetwork};
+use escudo_net::{FabricCounters, JarStats, SharedCookieJar, SharedNetwork};
 
 use crate::browser::Browser;
 use crate::erm::Erm;
@@ -47,103 +45,6 @@ impl ErmCounters {
             audit_retained: erm.audit().len() as u64,
             audit_capacity: erm.audit_capacity() as u64,
             audit_dropped: erm.audit_dropped(),
-        }
-    }
-}
-
-/// Counters of one [`SharedNetwork`] fabric: request log, prefetch cache,
-/// speculative requests, the precision of its latency waits and the deadline
-/// window's per-origin deferrals.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FabricCounters {
-    /// Requests currently resident in the bounded log.
-    pub log_len: u64,
-    /// Bound on retained log entries.
-    pub log_capacity: u64,
-    /// Log entries dropped because the log was full.
-    pub dropped_log_entries: u64,
-    /// Navigations served from the prefetch cache.
-    pub prefetch_hits: u64,
-    /// Prefetched entries discarded because their mediation plan went stale.
-    pub prefetch_stale_discards: u64,
-    /// Entries resident in the prefetch cache.
-    pub prefetched_entries: u64,
-    /// Speculative requests completed on prefetch threads
-    /// ([`SharedNetwork::background_requests`]).
-    pub pool_jobs_executed: u64,
-    /// Always 0: nothing preempts a fetch. Kept only because perfbench reads
-    /// it for `net.fetch_pool.preemptions_per_op`.
-    pub pool_preemptions: u64,
-    /// Failing faults injected by installed fault plans (timeouts + panics).
-    pub fault_injected: u64,
-    /// Dispatches slowed by an injected `SlowBy` schedule.
-    pub fault_slowdowns: u64,
-    /// Retry attempts granted across all resilient dispatches.
-    pub retry_attempts: u64,
-    /// Resilient dispatches that succeeded only after retrying.
-    pub retry_successes: u64,
-    /// Retries refused because a batch deadline budget ran dry.
-    pub retry_deadline_exhausted: u64,
-    /// Circuit-breaker trips (including half-open re-trips).
-    pub breaker_trips: u64,
-    /// Half-open probes admitted after a breaker cooldown.
-    pub breaker_probes: u64,
-    /// Breakers closed by a successful half-open probe.
-    pub breaker_recoveries: u64,
-    /// Dispatches refused outright by an open breaker.
-    pub breaker_fast_fails: u64,
-    /// Fetches served from persistent response-cache entries (zero-copy hits).
-    pub cache_hits: u64,
-    /// Cache entries discarded because their freshness TTL had lapsed.
-    pub cache_expired: u64,
-    /// Cache entries evicted by the per-shard LRU capacity bound.
-    pub cache_evictions: u64,
-    /// Responses inserted into the cache (both layers).
-    pub cache_stored: u64,
-    /// Duplicate plan slots served by batch-level single-flight coalescing.
-    pub cache_coalesced: u64,
-    /// Entries currently resident in the response cache (both layers).
-    pub cache_entries: u64,
-    /// Latency waits that actually slept.
-    pub latency_waits: u64,
-    /// Total nanoseconds those waits woke past their due times.
-    pub wait_overshoot_ns: u64,
-    /// Deadline-window requests whose send waited on an origin's in-flight
-    /// bound, their own or the one holding the plan's head.
-    pub window_origin_deferrals: u64,
-}
-
-impl FabricCounters {
-    /// Reads the counters of `fabric`.
-    #[must_use]
-    pub fn gather(fabric: &SharedNetwork) -> Self {
-        FabricCounters {
-            log_len: fabric.log_len() as u64,
-            log_capacity: fabric.log_capacity() as u64,
-            dropped_log_entries: fabric.dropped_log_entries(),
-            prefetch_hits: fabric.prefetch_hits(),
-            prefetch_stale_discards: fabric.prefetch_stale_discards(),
-            prefetched_entries: fabric.prefetched_entries() as u64,
-            pool_jobs_executed: fabric.background_requests(),
-            pool_preemptions: 0,
-            fault_injected: fabric.faults_injected(),
-            fault_slowdowns: fabric.fault_slowdowns(),
-            retry_attempts: fabric.retry_attempts(),
-            retry_successes: fabric.retry_successes(),
-            retry_deadline_exhausted: fabric.retry_deadline_exhausted(),
-            breaker_trips: fabric.breaker_trips(),
-            breaker_probes: fabric.breaker_probes(),
-            breaker_recoveries: fabric.breaker_recoveries(),
-            breaker_fast_fails: fabric.breaker_fast_fails(),
-            cache_hits: fabric.cache_hits(),
-            cache_expired: fabric.cache_expired(),
-            cache_evictions: fabric.cache_evictions(),
-            cache_stored: fabric.cache_stored(),
-            cache_coalesced: fabric.cache_coalesced(),
-            cache_entries: fabric.cache_entries() as u64,
-            latency_waits: fabric.latency_waits(),
-            wait_overshoot_ns: fabric.wait_overshoot_ns(),
-            window_origin_deferrals: fabric.window_origin_deferrals(),
         }
     }
 }
@@ -347,10 +248,11 @@ impl ControlPlaneSnapshot {
     }
 
     /// The snapshot flattened to `(key, value)` pairs in a **stable order**:
-    /// `engine_*`, then `erm_*`, then `jar_*`, then `fabric_*`, then one
-    /// `tenant_<id>_*` block per tenant in id order. This is the layout the
-    /// benches' `--json` writer exports, so adding a field here (always at the
-    /// end of its block) is the only way the exported schema may evolve.
+    /// `engine_*`, then `erm_*`, then `jar_*`, then the fabric block in
+    /// [`FabricCounters::fields`]' order, then one `tenant_<id>_*` block per
+    /// tenant in id order. This is the layout the benches' `--json` writer
+    /// exports, so adding a field (always at the end of its block) is the
+    /// only way the exported schema may evolve.
     #[must_use]
     #[allow(clippy::cast_precision_loss)]
     pub fn fields(&self) -> Vec<(String, f64)> {
@@ -372,75 +274,9 @@ impl ControlPlaneSnapshot {
         push("jar_resident".into(), self.jar.resident as f64);
         push("jar_shards".into(), self.jar.shards.len() as f64);
 
-        push("fabric_log_len".into(), self.fabric.log_len as f64);
-        push(
-            "fabric_log_capacity".into(),
-            self.fabric.log_capacity as f64,
-        );
-        push(
-            "fabric_dropped_log_entries".into(),
-            self.fabric.dropped_log_entries as f64,
-        );
-        push(
-            "fabric_prefetch_hits".into(),
-            self.fabric.prefetch_hits as f64,
-        );
-        push(
-            "fabric_prefetch_stale_discards".into(),
-            self.fabric.prefetch_stale_discards as f64,
-        );
-        push(
-            "fabric_prefetched_entries".into(),
-            self.fabric.prefetched_entries as f64,
-        );
-        push(
-            "fabric_pool_jobs_executed".into(),
-            self.fabric.pool_jobs_executed as f64,
-        );
-
-        // Chaos counters, exported by the benches as `cp_fault_*` /
-        // `cp_retry_*` / `cp_breaker_*` — the trajectory comparator treats
-        // them as informational so chaos tallies can never flake a perf gate.
-        push("fault_injected".into(), self.fabric.fault_injected as f64);
-        push("fault_slowdowns".into(), self.fabric.fault_slowdowns as f64);
-        push("retry_attempts".into(), self.fabric.retry_attempts as f64);
-        push("retry_successes".into(), self.fabric.retry_successes as f64);
-        push(
-            "retry_deadline_exhausted".into(),
-            self.fabric.retry_deadline_exhausted as f64,
-        );
-        push("breaker_trips".into(), self.fabric.breaker_trips as f64);
-        push("breaker_probes".into(), self.fabric.breaker_probes as f64);
-        push(
-            "breaker_recoveries".into(),
-            self.fabric.breaker_recoveries as f64,
-        );
-        push(
-            "breaker_fast_fails".into(),
-            self.fabric.breaker_fast_fails as f64,
-        );
-
-        // Response-cache counters, exported by the benches as `cp_cache_*` —
-        // informational to the trajectory comparator (hit-rate *gates* stay in
-        // the benches themselves, where the workload is controlled).
-        push("cache_hits".into(), self.fabric.cache_hits as f64);
-        push("cache_expired".into(), self.fabric.cache_expired as f64);
-        push("cache_evictions".into(), self.fabric.cache_evictions as f64);
-        push("cache_stored".into(), self.fabric.cache_stored as f64);
-        push("cache_coalesced".into(), self.fabric.cache_coalesced as f64);
-        push("cache_entries".into(), self.fabric.cache_entries as f64);
-        push(
-            "fabric_latency_waits".into(),
-            self.fabric.latency_waits as f64,
-        );
-        push(
-            "fabric_wait_overshoot_ns".into(),
-            self.fabric.wait_overshoot_ns as f64,
-        );
-        push(
-            "fabric_window_origin_deferrals".into(),
-            self.fabric.window_origin_deferrals as f64,
-        );
+        for (key, value) in self.fabric.fields() {
+            push(key.into(), value as f64);
+        }
 
         for tenant in &self.tenants {
             let prefix = format!("tenant_{}", tenant.id);
@@ -511,24 +347,58 @@ mod tests {
 
         let fields = snapshot.fields();
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        // The four layer blocks appear in order, each block contiguous.
-        let first_of = |prefix: &str| keys.iter().position(|k| k.starts_with(prefix)).unwrap();
-        assert!(first_of("engine_") < first_of("erm_"));
-        assert!(first_of("erm_") < first_of("jar_"));
-        assert!(first_of("jar_") < first_of("fabric_"));
-        assert!(first_of("fabric_") < first_of("tenant_alpha_"));
-        assert!(first_of("tenant_alpha_") < first_of("tenant_beta_"));
-        // The wait-precision counters, then the window's per-origin
-        // deferrals, close the fabric block.
-        let tenants = first_of("tenant_alpha_");
-        assert_eq!(
-            keys[tenants - 3..tenants],
-            [
-                "fabric_latency_waits",
-                "fabric_wait_overshoot_ns",
-                "fabric_window_origin_deferrals"
-            ]
-        );
+        // The whole exported layout, key by key: the layer blocks in order,
+        // each contiguous, tenants in id order. `cache_stale_discards` is the
+        // only key appended inside the fabric block since it was first pinned.
+        let tenant = |id: &str| {
+            ["generation", "decisions", "admitted", "rejected"].map(|k| format!("tenant_{id}_{k}"))
+        };
+        let expected: Vec<String> = [
+            "engine_decisions",
+            "erm_checks",
+            "erm_denials",
+            "erm_audit_retained",
+            "erm_audit_capacity",
+            "erm_audit_dropped",
+            "jar_stored",
+            "jar_replaced",
+            "jar_evicted",
+            "jar_expired",
+            "jar_resident",
+            "jar_shards",
+            "fabric_log_len",
+            "fabric_log_capacity",
+            "fabric_dropped_log_entries",
+            "fabric_prefetch_hits",
+            "fabric_prefetch_stale_discards",
+            "fabric_prefetched_entries",
+            "fabric_pool_jobs_executed",
+            "fault_injected",
+            "fault_slowdowns",
+            "retry_attempts",
+            "retry_successes",
+            "retry_deadline_exhausted",
+            "breaker_trips",
+            "breaker_probes",
+            "breaker_recoveries",
+            "breaker_fast_fails",
+            "cache_hits",
+            "cache_expired",
+            "cache_evictions",
+            "cache_stored",
+            "cache_coalesced",
+            "cache_entries",
+            "cache_stale_discards",
+            "fabric_latency_waits",
+            "fabric_wait_overshoot_ns",
+            "fabric_window_origin_deferrals",
+        ]
+        .map(String::from)
+        .into_iter()
+        .chain(tenant("alpha"))
+        .chain(tenant("beta"))
+        .collect();
+        assert_eq!(keys, expected);
 
         let get = |key: &str| {
             fields

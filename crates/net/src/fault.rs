@@ -348,9 +348,10 @@ impl Breaker {
     }
 }
 
-/// The fabric-wide chaos observability counters, all monotonic. Surfaced in
-/// `ControlPlaneSnapshot` (and therefore the bench reports) as `cp_fault_*`,
-/// `cp_retry_*` and `cp_breaker_*` keys.
+/// The fabric-wide chaos observability counters, all monotonic. Read only
+/// through [`FabricCounters::gather`](crate::FabricCounters::gather), which
+/// exports them under the `fault_*`, `retry_*` and `breaker_*` keys (the
+/// benches prefix them with `cp_`).
 #[derive(Debug, Default)]
 pub(crate) struct ChaosCounters {
     pub(crate) faults_injected: AtomicU64,
@@ -636,68 +637,13 @@ impl SharedNetwork {
             .get(origin)
             .map_or(0, |state| state.counter.load(Ordering::Relaxed))
     }
-
-    /// Failing faults injected so far (timeouts and planned panics).
-    #[must_use]
-    pub fn faults_injected(&self) -> u64 {
-        self.chaos().faults_injected.load(Ordering::Relaxed)
-    }
-
-    /// Dispatches slowed by an injected [`FaultSchedule::SlowBy`] schedule.
-    #[must_use]
-    pub fn fault_slowdowns(&self) -> u64 {
-        self.chaos().fault_slowdowns.load(Ordering::Relaxed)
-    }
-
-    /// Retry attempts granted across all resilient dispatches.
-    #[must_use]
-    pub fn retry_attempts(&self) -> u64 {
-        self.chaos().retry_attempts.load(Ordering::Relaxed)
-    }
-
-    /// Resilient dispatches that succeeded only after at least one retry.
-    #[must_use]
-    pub fn retry_successes(&self) -> u64 {
-        self.chaos().retry_successes.load(Ordering::Relaxed)
-    }
-
-    /// Retries refused because the batch deadline budget was exhausted.
-    #[must_use]
-    pub fn retry_deadline_exhausted(&self) -> u64 {
-        self.chaos()
-            .retry_deadline_exhausted
-            .load(Ordering::Relaxed)
-    }
-
-    /// Times an origin breaker tripped open (including half-open re-trips).
-    #[must_use]
-    pub fn breaker_trips(&self) -> u64 {
-        self.chaos().breaker_trips.load(Ordering::Relaxed)
-    }
-
-    /// Half-open probes admitted after a breaker cooldown elapsed.
-    #[must_use]
-    pub fn breaker_probes(&self) -> u64 {
-        self.chaos().breaker_probes.load(Ordering::Relaxed)
-    }
-
-    /// Breakers closed by a successful half-open probe.
-    #[must_use]
-    pub fn breaker_recoveries(&self) -> u64 {
-        self.chaos().breaker_recoveries.load(Ordering::Relaxed)
-    }
-
-    /// Dispatches refused outright by an open (or probing) breaker.
-    #[must_use]
-    pub fn breaker_fast_fails(&self) -> u64 {
-        self.chaos().breaker_fast_fails.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::{Request, Response};
+    use crate::FabricCounters;
     use escudo_core::ManualClock;
 
     fn echo(req: &Request) -> Response {
@@ -744,7 +690,7 @@ mod tests {
         }
         // The schedule heals at index 2.
         assert!(net.fetch("http://a.example/ok").is_ok());
-        assert_eq!(net.faults_injected(), 2);
+        assert_eq!(FabricCounters::gather(&net).fault_injected, 2);
         assert_eq!(net.log_len(), 1, "faulted dispatches are never logged");
         // Re-installing a plan replays from index 0.
         net.inject_fault("http://a.example", FaultPlan::new().fail_first(1));
@@ -772,9 +718,10 @@ mod tests {
         let policy = FetchPolicy::default().with_max_retries(2);
         let response = net.fetch_with("http://flaky.example/x", &policy).unwrap();
         assert_eq!(response.body, "/x");
-        assert_eq!(net.retry_attempts(), 2);
-        assert_eq!(net.retry_successes(), 1);
-        assert_eq!(net.faults_injected(), 2);
+        let counters = FabricCounters::gather(&net);
+        assert_eq!(counters.retry_attempts, 2);
+        assert_eq!(counters.retry_successes, 1);
+        assert_eq!(counters.fault_injected, 2);
         assert_eq!(net.log_len(), 1, "one success, logged once");
     }
 
@@ -788,15 +735,16 @@ mod tests {
             .fetch_with("http://down.example/x", &policy)
             .unwrap_err();
         assert!(matches!(err, NetError::Timeout { .. }));
-        assert_eq!(net.retry_attempts(), 3, "exactly max_retries retries");
-        assert_eq!(net.faults_injected(), 4, "initial attempt + 3 retries");
+        let counters = FabricCounters::gather(&net);
+        assert_eq!(counters.retry_attempts, 3, "exactly max_retries retries");
+        assert_eq!(counters.fault_injected, 4, "initial attempt + 3 retries");
         // A missing server is permanent: no retry is burned on it.
-        let before = net.retry_attempts();
+        let before = FabricCounters::gather(&net).retry_attempts;
         let err = net
             .fetch_with("http://nowhere.example/", &policy)
             .unwrap_err();
         assert!(matches!(err, NetError::HostUnreachable(_)));
-        assert_eq!(net.retry_attempts(), before);
+        assert_eq!(FabricCounters::gather(&net).retry_attempts, before);
     }
 
     #[test]
@@ -815,9 +763,10 @@ mod tests {
             .fetch_with("http://down.example/x", &policy)
             .unwrap_err();
         assert!(matches!(err, NetError::Timeout { .. }));
-        assert_eq!(net.retry_attempts(), 1);
-        assert_eq!(net.retry_deadline_exhausted(), 1);
-        assert_eq!(net.faults_injected(), 2, "two attempts total");
+        let counters = FabricCounters::gather(&net);
+        assert_eq!(counters.retry_attempts, 1);
+        assert_eq!(counters.retry_deadline_exhausted, 1);
+        assert_eq!(counters.fault_injected, 2, "two attempts total");
     }
 
     #[test]
@@ -836,14 +785,14 @@ mod tests {
             assert!(matches!(err, NetError::Timeout { .. }));
         }
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Open));
-        assert_eq!(net.breaker_trips(), 1);
+        assert_eq!(FabricCounters::gather(&net).breaker_trips, 1);
 
         // Open within the cooldown: fail fast, carrying the remaining wait.
         let err = net.fetch_with("http://sick.example/", &policy).unwrap_err();
         assert!(
             matches!(err, NetError::CircuitOpen { cooldown_ns, .. } if cooldown_ns == 1_000_000_000)
         );
-        assert_eq!(net.breaker_fast_fails(), 1);
+        assert_eq!(FabricCounters::gather(&net).breaker_fast_fails, 1);
 
         // Cooldown elapses; the origin heals; the single probe closes it.
         clock.advance_ns(1_000_000_000);
@@ -851,8 +800,9 @@ mod tests {
         let ok = net.fetch_with("http://sick.example/ok", &policy).unwrap();
         assert_eq!(ok.body, "/ok");
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Closed));
-        assert_eq!(net.breaker_probes(), 1);
-        assert_eq!(net.breaker_recoveries(), 1);
+        let counters = FabricCounters::gather(&net);
+        assert_eq!(counters.breaker_probes, 1);
+        assert_eq!(counters.breaker_recoveries, 1);
     }
 
     #[test]
@@ -872,9 +822,10 @@ mod tests {
         // Still faulted: the probe fails and the breaker re-trips.
         let _ = net.fetch_with("http://sick.example/", &policy);
         assert_eq!(net.breaker_phase(&origin), Some(BreakerPhase::Open));
-        assert_eq!(net.breaker_trips(), 2);
-        assert_eq!(net.breaker_probes(), 1);
-        assert_eq!(net.breaker_recoveries(), 0);
+        let counters = FabricCounters::gather(&net);
+        assert_eq!(counters.breaker_trips, 2);
+        assert_eq!(counters.breaker_probes, 1);
+        assert_eq!(counters.breaker_recoveries, 0);
     }
 
     #[test]
@@ -887,7 +838,7 @@ mod tests {
             .fetch_with("http://a.example/x", &FetchPolicy::disabled())
             .unwrap();
         assert_eq!(response.body, "/x");
-        assert_eq!(net.retry_attempts(), 0);
+        assert_eq!(FabricCounters::gather(&net).retry_attempts, 0);
         assert_eq!(
             net.breaker_phase(&Origin::parse_url("http://a.example").unwrap()),
             None
@@ -902,7 +853,8 @@ mod tests {
         let start = std::time::Instant::now();
         assert!(net.fetch("http://slowed.example/").is_ok());
         assert!(start.elapsed() >= std::time::Duration::from_millis(1));
-        assert_eq!(net.fault_slowdowns(), 1);
-        assert_eq!(net.faults_injected(), 0, "a slowdown is not a failure");
+        let counters = FabricCounters::gather(&net);
+        assert_eq!(counters.fault_slowdowns, 1);
+        assert_eq!(counters.fault_injected, 0, "a slowdown is not a failure");
     }
 }

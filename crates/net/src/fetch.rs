@@ -17,7 +17,7 @@
 //! 3. **Single-flight.** When the plan may use the persistent layer, a later
 //!    slot repeating an earlier miss's (URL, `Cookie` header) rides that
 //!    slot's fetch. It is logged under its own sequence and counted in
-//!    [`SharedNetwork::cache_coalesced`].
+//!    [`FabricCounters::cache_coalesced`](crate::FabricCounters::cache_coalesced).
 //! 4. **Windows.** Each stage runs as one deadline window ([`crate::window`])
 //!    with its own retry budget. A duplicate whose primary failed runs after
 //!    all stages, in plan order, as its own width-1 window with its own

@@ -72,5 +72,5 @@ pub use network::{LoggedRequest, Server};
 pub use prefetch::{BackgroundBatch, Prefetcher};
 pub use response_cache::{CacheHit, CacheLayers, ResponseCache};
 pub use shared_jar::{JarShardStats, JarStats, SharedCookieJar};
-pub use shared_network::SharedNetwork;
+pub use shared_network::{FabricCounters, SharedNetwork};
 pub use url::Url;

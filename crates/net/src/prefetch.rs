@@ -126,20 +126,12 @@ impl BackgroundBatch {
     }
 }
 
-impl SharedNetwork {
-    /// Speculative requests completed on prefetch threads, failed ones
-    /// included.
-    #[must_use]
-    pub fn background_requests(&self) -> u64 {
-        self.background_requests.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FetchPolicy;
     use crate::message::{Request, Response};
+    use crate::FabricCounters;
     use std::time::Duration;
 
     fn submit(
@@ -183,7 +175,7 @@ mod tests {
         assert_eq!(bodies, ["/a", "/b", "/c"]);
         // Speculative dispatches never touch the sequence-ordered log.
         assert_eq!(fabric.log_len(), 0);
-        assert_eq!(fabric.background_requests(), 3);
+        assert_eq!(FabricCounters::gather(&fabric).pool_jobs_executed, 3);
         assert!(submit(&mut prefetcher, &fabric, &[]).is_empty());
     }
 
@@ -208,6 +200,6 @@ mod tests {
         assert!(results[2].is_ok());
         // The same thread serves the next batch.
         assert!(submit(&mut prefetcher, &fabric, &urls[..1])[0].is_ok());
-        assert_eq!(fabric.background_requests(), 4);
+        assert_eq!(FabricCounters::gather(&fabric).pool_jobs_executed, 4);
     }
 }

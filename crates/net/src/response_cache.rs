@@ -142,18 +142,20 @@ pub struct CacheHit {
     pub one_shot: bool,
 }
 
-/// The sharded, capacity-bounded, mediation-keyed response cache.
+/// The sharded, capacity-bounded, mediation-keyed response cache. Its
+/// counters are read through [`FabricCounters`](crate::FabricCounters).
 #[derive(Debug)]
 pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: usize,
-    hits: AtomicU64,
-    one_shot_hits: AtomicU64,
-    stale: AtomicU64,
-    expired: AtomicU64,
-    evicted: AtomicU64,
-    stored: AtomicU64,
-    coalesced: AtomicU64,
+    pub(crate) hits: AtomicU64,
+    pub(crate) one_shot_hits: AtomicU64,
+    pub(crate) stale: AtomicU64,
+    pub(crate) one_shot_stale: AtomicU64,
+    pub(crate) expired: AtomicU64,
+    pub(crate) evicted: AtomicU64,
+    pub(crate) stored: AtomicU64,
+    pub(crate) coalesced: AtomicU64,
 }
 
 impl ResponseCache {
@@ -172,6 +174,7 @@ impl ResponseCache {
             hits: AtomicU64::new(0),
             one_shot_hits: AtomicU64::new(0),
             stale: AtomicU64::new(0),
+            one_shot_stale: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             stored: AtomicU64::new(0),
@@ -302,7 +305,12 @@ impl ResponseCache {
         } else if !layers.serves(entry.one_shot) {
             return None;
         } else if entry.cookie_header != cookie_header {
-            (&self.stale, false)
+            let stale = if entry.one_shot {
+                &self.one_shot_stale
+            } else {
+                &self.stale
+            };
+            (stale, false)
         } else if entry.one_shot {
             (&self.one_shot_hits, true)
         } else {
@@ -340,62 +348,16 @@ impl ResponseCache {
         self.len() == 0
     }
 
-    /// Live one-shot (prefetched) entries across all shards.
-    #[must_use]
-    pub fn one_shot_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("cache shard lock")
-                    .entries
-                    .values()
-                    .filter(|e| e.one_shot)
-                    .count()
-            })
-            .sum()
-    }
-
-    /// Persistent-entry hits served so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// One-shot (prefetch) hits served so far.
-    #[must_use]
-    pub fn one_shot_hits(&self) -> u64 {
-        self.one_shot_hits.load(Ordering::Relaxed)
-    }
-
-    /// Entries discarded because the mediated cookie header changed.
-    #[must_use]
-    pub fn stale_discards(&self) -> u64 {
-        self.stale.load(Ordering::Relaxed)
-    }
-
-    /// Entries discarded at lookup because their `max-age` lifetime had passed.
-    #[must_use]
-    pub fn expired(&self) -> u64 {
-        self.expired.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted to keep a shard within capacity.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Successful stores (including overwrites).
-    #[must_use]
-    pub fn stored(&self) -> u64 {
-        self.stored.load(Ordering::Relaxed)
-    }
-
-    /// Duplicate plan slots served from a single dispatch (batch single-flight).
-    #[must_use]
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
+    /// Live entries across all shards, and how many of them are one-shot
+    /// (prefetched): one lock per shard.
+    pub(crate) fn entry_counts(&self) -> (usize, usize) {
+        self.shards.iter().fold((0, 0), |(all, one_shot), shard| {
+            let shard = shard.lock().expect("cache shard lock");
+            (
+                all + shard.entries.len(),
+                one_shot + shard.entries.values().filter(|e| e.one_shot).count(),
+            )
+        })
     }
 
     /// Records `n` duplicate plan slots coalesced onto one dispatch.
@@ -407,6 +369,10 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn read(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
 
     fn cacheable(body: &str, max_age: u64) -> Response {
         Response::ok_text(body).with_max_age(max_age)
@@ -437,7 +403,7 @@ mod tests {
             .expect("hit");
         assert!(!hit.one_shot);
         assert_eq!(hit.response.body, "static");
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(read(&cache.hits), 1);
         // A hit leaves a persistent entry in place.
         assert!(cache
             .lookup(Method::Get, "http://a/x", "", 0, CacheLayers::BOTH)
@@ -466,12 +432,12 @@ mod tests {
             0,
             true
         ));
-        assert_eq!(cache.one_shot_len(), 1);
+        assert_eq!(cache.entry_counts().1, 1);
         let hit = cache
             .lookup(Method::Get, "http://a/p", "sid=1", 0, CacheLayers::BOTH)
             .expect("hit");
         assert!(hit.one_shot);
-        assert_eq!(cache.one_shot_hits(), 1);
+        assert_eq!(read(&cache.one_shot_hits), 1);
         assert!(cache
             .lookup(Method::Get, "http://a/p", "sid=1", 0, CacheLayers::BOTH)
             .is_none());
@@ -498,12 +464,12 @@ mod tests {
                 CacheLayers::BOTH
             )
             .is_none());
-        assert_eq!(cache.stale_discards(), 1);
+        assert_eq!(read(&cache.stale), 1);
         // Fail closed: the entry is gone, even for the original header.
         assert!(cache
             .lookup(Method::Get, "http://a/x", "sid=alice", 0, CacheLayers::BOTH)
             .is_none());
-        assert_eq!(cache.stale_discards(), 1);
+        assert_eq!(read(&cache.stale), 1);
     }
 
     #[test]
@@ -536,7 +502,7 @@ mod tests {
                 CacheLayers::BOTH
             )
             .is_none());
-        assert_eq!(cache.expired(), 1);
+        assert_eq!(read(&cache.expired), 1);
         assert!(cache.is_empty());
     }
 
@@ -548,7 +514,7 @@ mod tests {
             cache.store(Method::Get, &url, "", cacheable("x", 60), 0, false);
         }
         assert!(cache.len() <= 4);
-        assert_eq!(cache.evictions() + cache.len() as u64, 32);
+        assert_eq!(read(&cache.evicted) + cache.len() as u64, 32);
         // Overwriting an existing URL does not evict.
         let survivor = (0..32)
             .map(|i| format!("http://a/{i}"))
@@ -558,9 +524,9 @@ mod tests {
                     .is_some()
             })
             .expect("some entry survives");
-        let before = cache.evictions();
+        let before = read(&cache.evicted);
         cache.store(Method::Get, &survivor, "", cacheable("y", 60), 0, false);
-        assert_eq!(cache.evictions(), before);
+        assert_eq!(read(&cache.evicted), before);
         assert_eq!(
             cache
                 .lookup(Method::Get, &survivor, "", 0, CacheLayers::BOTH)
@@ -579,7 +545,7 @@ mod tests {
         assert!(!cache.store(Method::Get, "http://a/t", "", tainted.clone(), 0, false));
         assert!(!cache.store(Method::Get, "http://a/t", "", tainted, 0, true));
         assert!(cache.is_empty());
-        assert_eq!(cache.stored(), 0);
+        assert_eq!(read(&cache.stored), 0);
     }
 
     #[test]
@@ -666,7 +632,7 @@ mod tests {
                 CacheLayers::BOTH
             )
             .is_none());
-        assert_eq!(cache.expired(), 1);
+        assert_eq!(read(&cache.expired), 1);
         assert!(cache.is_empty());
     }
 
@@ -693,7 +659,7 @@ mod tests {
         assert!(cache
             .lookup(Method::Get, "http://a/p", "", 0, CacheLayers::PERSISTENT)
             .is_none());
-        assert_eq!(cache.one_shot_len(), 1, "the one-shot entry stays");
+        assert_eq!(cache.entry_counts().1, 1, "the one-shot entry stays");
         // …and a one-shot-only consumer must not serve the persistent one.
         assert!(cache
             .lookup(Method::Get, "http://a/x", "", 0, CacheLayers::ONE_SHOT)
@@ -709,7 +675,7 @@ mod tests {
                 CacheLayers::PERSISTENT
             )
             .is_none());
-        assert_eq!(cache.stale_discards(), 0);
+        assert_eq!(read(&cache.stale) + read(&cache.one_shot_stale), 0);
         // Each entry still serves its own layer.
         assert!(cache
             .lookup(Method::Get, "http://a/p", "", 0, CacheLayers::ONE_SHOT)

@@ -47,14 +47,14 @@
 //!   50µs to 1ns, once. An origin therefore costs its configured latency,
 //!   not latency plus the kernel's timer coalescing. Where the slack cannot
 //!   be changed (no procfs, a read-only `/proc`, another OS) the OS default
-//!   stays. [`SharedNetwork::latency_waits`] and
-//!   [`SharedNetwork::wait_overshoot_ns`] count the waits and how late they
+//!   stays. [`FabricCounters::latency_waits`] and
+//!   [`FabricCounters::wait_overshoot_ns`] count the waits and how late they
 //!   woke.
 //! * **No threads of its own.** Every page plan is a deadline window on its
 //!   navigating thread. Background prefetch, the one fetch that must overlap
 //!   the navigating thread, runs on its session's own thread
 //!   ([`crate::prefetch`]); the fabric only counts its requests
-//!   ([`SharedNetwork::background_requests`]).
+//!   ([`FabricCounters::pool_jobs_executed`]).
 //! * **Mediation-keyed response cache.** The fabric owns one shared
 //!   [`ResponseCache`]: sharded, capacity-bounded, holding `Arc<Response>`
 //!   entries keyed by URL (`"{method} {url}"` for a method other than `GET`)
@@ -66,6 +66,10 @@
 //!   request bytes it already proved identical. Speculative prefetch is the
 //!   cache's *one-shot* layer: entries parked by background speculation are
 //!   consumed at most once, exactly as the old bespoke prefetch cache did.
+//! * **One counter reader.** Every counter the fabric keeps (log drops,
+//!   chaos, cache, prefetch, waits, window deferrals) is read through
+//!   [`FabricCounters::gather`]; [`FabricCounters::fields`] exports them
+//!   under stable keys.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -301,37 +305,10 @@ impl SharedNetwork {
         }
     }
 
-    /// The fabric's chaos counters (crate-internal; read through the public
-    /// per-counter getters in [`crate::fault`]).
+    /// The fabric's chaos counters (crate-internal; read through
+    /// [`FabricCounters::gather`]).
     pub(crate) fn chaos(&self) -> &crate::fault::ChaosCounters {
         &self.chaos
-    }
-
-    /// Latency waits that actually slept: completions whose due time was still
-    /// ahead. Zero-latency dispatches, and in-flight requests that came due
-    /// while the window was busy, never count.
-    #[must_use]
-    pub fn latency_waits(&self) -> u64 {
-        self.latency_waits.load(Ordering::Relaxed)
-    }
-
-    /// Total time, in nanoseconds, the counted latency waits woke past their
-    /// due times (never negative: a wait does not end before its due time).
-    /// Divided by [`latency_waits`](SharedNetwork::latency_waits) it is the
-    /// mean overshoot per wait.
-    #[must_use]
-    pub fn wait_overshoot_ns(&self) -> u64 {
-        self.wait_overshoot_ns.load(Ordering::Relaxed)
-    }
-
-    /// Deadline-window requests whose send had to wait because an origin
-    /// already had [`MAX_IN_FLIGHT_PER_ORIGIN`](crate::window::MAX_IN_FLIGHT_PER_ORIGIN)
-    /// requests in flight: sends go out in plan order, so a request held at
-    /// its origin's bound holds back every request behind it too. Each
-    /// request counts once, however long it waited.
-    #[must_use]
-    pub fn window_origin_deferrals(&self) -> u64 {
-        self.window_origin_deferrals.load(Ordering::Relaxed)
     }
 
     /// Registers a server for an origin given as a URL string (the path is
@@ -495,8 +472,8 @@ impl SharedNetwork {
     /// wait on each thread lowers that thread's timer slack to 1ns, once,
     /// where the OS allows it; from then on a wait ends within microseconds
     /// of the due time. Each wait that slept counts in
-    /// [`latency_waits`](SharedNetwork::latency_waits), and how late it woke
-    /// in [`wait_overshoot_ns`](SharedNetwork::wait_overshoot_ns).
+    /// [`FabricCounters::latency_waits`], and how late it woke in
+    /// [`FabricCounters::wait_overshoot_ns`].
     ///
     /// # Panics
     ///
@@ -643,65 +620,6 @@ impl SharedNetwork {
         self.record(sequence, request, status);
     }
 
-    /// One-shot (speculative) cache entries consumed by a request whose
-    /// mediation plan still matched.
-    #[must_use]
-    pub fn prefetch_hits(&self) -> u64 {
-        self.cache.one_shot_hits()
-    }
-
-    /// Cache entries discarded because the consuming request's mediation plan
-    /// no longer matched the one they were stored under.
-    #[must_use]
-    pub fn prefetch_stale_discards(&self) -> u64 {
-        self.cache.stale_discards()
-    }
-
-    /// Parked speculative (one-shot) responses currently cached.
-    #[must_use]
-    pub fn prefetched_entries(&self) -> usize {
-        self.cache.one_shot_len()
-    }
-
-    /// Persistent cache entries served (one-shot hits count separately under
-    /// [`prefetch_hits`](SharedNetwork::prefetch_hits)).
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Cache entries discarded at lookup because their `max-age` lifetime had
-    /// passed on the fabric's clock.
-    #[must_use]
-    pub fn cache_expired(&self) -> u64 {
-        self.cache.expired()
-    }
-
-    /// Cache entries evicted to keep a shard within capacity.
-    #[must_use]
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
-    }
-
-    /// Successful cache stores (including overwrites), both layers.
-    #[must_use]
-    pub fn cache_stored(&self) -> u64 {
-        self.cache.stored()
-    }
-
-    /// Duplicate plan slots served from a single dispatch by batch-level
-    /// single-flight coalescing.
-    #[must_use]
-    pub fn cache_coalesced(&self) -> u64 {
-        self.cache.coalesced()
-    }
-
-    /// Total live cache entries, both layers.
-    #[must_use]
-    pub fn cache_entries(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Logs `request` and its response `status` in the stripe `sequence`
     /// selects. A full stripe is a ring: its oldest entry (the one recorded
     /// first in this stripe) is taken off the front, overwritten in place
@@ -798,11 +716,152 @@ impl SharedNetwork {
     pub fn log_capacity(&self) -> usize {
         self.stripe_capacity * self.stripes.len()
     }
+}
 
-    /// Number of log entries dropped because their stripe was full.
+/// Declares [`FabricCounters`] from one table: each row is a counter's doc,
+/// its field and the key [`FabricCounters::fields`] exports it under, in
+/// export order.
+macro_rules! fabric_counters {
+    ($($(#[doc = $doc:literal])+ $field:ident => $key:literal,)+) => {
+        /// Counters of one [`SharedNetwork`] fabric: request log, prefetch
+        /// cache, speculative requests, chaos (faults, retries, breakers),
+        /// response cache, the precision of its latency waits and the deadline
+        /// window's per-origin deferrals. [`FabricCounters::gather`] is the
+        /// one reader of the atomics behind them.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct FabricCounters {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+            /// Always 0: nothing preempts a fetch. Kept only because perfbench
+            /// reads it for `net.fetch_pool.preemptions_per_op`; not exported.
+            pub pool_preemptions: u64,
+        }
+
+        impl FabricCounters {
+            /// The counters flattened to `(key, value)` pairs in table order:
+            /// the fabric block of the control-plane snapshot's stable
+            /// layout. A new counter is appended at the end of its group.
+            #[must_use]
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($key, self.$field)),+]
+            }
+        }
+    };
+}
+
+fabric_counters! {
+    /// Requests currently resident in the bounded log.
+    log_len => "fabric_log_len",
+    /// Bound on retained log entries ([`SharedNetwork::log_capacity`]).
+    log_capacity => "fabric_log_capacity",
+    /// Log entries dropped because their stripe was full; cumulative, so
+    /// [`SharedNetwork::clear_log`] does not reset it.
+    dropped_log_entries => "fabric_dropped_log_entries",
+    /// One-shot (speculative) cache entries consumed by a request whose
+    /// mediation plan still matched.
+    prefetch_hits => "fabric_prefetch_hits",
+    /// Prefetched (one-shot) entries discarded because the consuming
+    /// request's mediation plan no longer matched the one they were stored
+    /// under.
+    prefetch_stale_discards => "fabric_prefetch_stale_discards",
+    /// Prefetched (one-shot) entries resident in the cache.
+    prefetched_entries => "fabric_prefetched_entries",
+    /// Speculative requests completed on prefetch threads, failed ones
+    /// included.
+    pool_jobs_executed => "fabric_pool_jobs_executed",
+    // Chaos counters: informational to the trajectory comparator, so chaos
+    // tallies can never flake a perf gate.
+    /// Failing faults injected by installed fault plans (timeouts and
+    /// planned panics).
+    fault_injected => "fault_injected",
+    /// Dispatches slowed by an injected
+    /// [`FaultSchedule::SlowBy`](crate::FaultSchedule::SlowBy) schedule.
+    fault_slowdowns => "fault_slowdowns",
+    /// Retry attempts granted across all resilient dispatches.
+    retry_attempts => "retry_attempts",
+    /// Resilient dispatches that succeeded only after at least one retry.
+    retry_successes => "retry_successes",
+    /// Retries refused because the batch deadline budget ran dry.
+    retry_deadline_exhausted => "retry_deadline_exhausted",
+    /// Times an origin breaker tripped open (including half-open re-trips).
+    breaker_trips => "breaker_trips",
+    /// Half-open probes admitted after a breaker cooldown elapsed.
+    breaker_probes => "breaker_probes",
+    /// Breakers closed by a successful half-open probe.
+    breaker_recoveries => "breaker_recoveries",
+    /// Dispatches refused outright by an open (or probing) breaker.
+    breaker_fast_fails => "breaker_fast_fails",
+    // Response-cache counters: informational too; hit-rate gates stay in the
+    // benches, where the workload is controlled.
+    /// Persistent cache entries served (zero-copy hits); one-shot hits count
+    /// under `prefetch_hits`.
+    cache_hits => "cache_hits",
+    /// Cache entries (either layer) discarded at lookup because their
+    /// lifetime had passed on the fabric's clock.
+    cache_expired => "cache_expired",
+    /// Cache entries evicted to keep a shard within capacity.
+    cache_evictions => "cache_evictions",
+    /// Successful cache stores (including overwrites), both layers.
+    cache_stored => "cache_stored",
+    /// Duplicate plan slots served from a single dispatch by batch-level
+    /// single-flight coalescing.
+    cache_coalesced => "cache_coalesced",
+    /// Live cache entries, both layers.
+    cache_entries => "cache_entries",
+    /// Persistent entries discarded because the consuming request's mediation
+    /// plan no longer matched the one they were stored under.
+    cache_stale_discards => "cache_stale_discards",
+    /// Latency waits that actually slept: completions whose due time was
+    /// still ahead. Zero-latency dispatches, and in-flight requests that came
+    /// due while the window was busy, never count.
+    latency_waits => "fabric_latency_waits",
+    /// Total nanoseconds the counted latency waits woke past their due times
+    /// (never negative). Divided by `latency_waits` it is the mean overshoot.
+    wait_overshoot_ns => "fabric_wait_overshoot_ns",
+    /// Deadline-window requests whose send waited because an origin already
+    /// had [`MAX_IN_FLIGHT_PER_ORIGIN`](crate::window::MAX_IN_FLIGHT_PER_ORIGIN)
+    /// requests in flight, their own or the one holding the plan's head. Each
+    /// request counts once, however long it waited.
+    window_origin_deferrals => "fabric_window_origin_deferrals",
+}
+
+impl FabricCounters {
+    /// Reads every counter of `fabric` where it lives: the log and wait
+    /// counters on the fabric, the chaos counters, and the response cache's
+    /// counters plus one walk of its shards for both entry counts.
     #[must_use]
-    pub fn dropped_log_entries(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+    pub fn gather(fabric: &SharedNetwork) -> Self {
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let (chaos, cache) = (&fabric.chaos, &fabric.cache);
+        let (cache_entries, prefetched_entries) = cache.entry_counts();
+        FabricCounters {
+            log_len: fabric.log_len() as u64,
+            log_capacity: fabric.log_capacity() as u64,
+            dropped_log_entries: read(&fabric.dropped),
+            prefetch_hits: read(&cache.one_shot_hits),
+            prefetch_stale_discards: read(&cache.one_shot_stale),
+            prefetched_entries: prefetched_entries as u64,
+            pool_jobs_executed: read(&fabric.background_requests),
+            pool_preemptions: 0,
+            fault_injected: read(&chaos.faults_injected),
+            fault_slowdowns: read(&chaos.fault_slowdowns),
+            retry_attempts: read(&chaos.retry_attempts),
+            retry_successes: read(&chaos.retry_successes),
+            retry_deadline_exhausted: read(&chaos.retry_deadline_exhausted),
+            breaker_trips: read(&chaos.breaker_trips),
+            breaker_probes: read(&chaos.breaker_probes),
+            breaker_recoveries: read(&chaos.breaker_recoveries),
+            breaker_fast_fails: read(&chaos.breaker_fast_fails),
+            cache_hits: read(&cache.hits),
+            cache_expired: read(&cache.expired),
+            cache_evictions: read(&cache.evicted),
+            cache_stored: read(&cache.stored),
+            cache_coalesced: read(&cache.coalesced),
+            cache_entries: cache_entries as u64,
+            cache_stale_discards: read(&cache.stale),
+            latency_waits: read(&fabric.latency_waits),
+            wait_overshoot_ns: read(&fabric.wait_overshoot_ns),
+            window_origin_deferrals: read(&fabric.window_origin_deferrals),
+        }
     }
 }
 
@@ -818,11 +877,7 @@ impl fmt::Debug for SharedNetwork {
                     .keys()
                     .collect::<Vec<_>>(),
             )
-            .field("logged_requests", &self.log_len())
-            .field("dropped_log_entries", &self.dropped_log_entries())
-            .field("background_requests", &self.background_requests())
-            .field("prefetched_entries", &self.prefetched_entries())
-            .field("prefetch_hits", &self.prefetch_hits())
+            .field("counters", &FabricCounters::gather(self))
             .finish()
     }
 }
@@ -935,12 +990,16 @@ mod tests {
             net.fetch(&format!("http://a.example/{i}")).unwrap();
         }
         assert_eq!(net.log_len(), 8);
-        assert_eq!(net.dropped_log_entries(), 4);
+        assert_eq!(FabricCounters::gather(&net).dropped_log_entries, 4);
         let first = net.log()[0].url.path().to_string();
         assert_eq!(first, "/4", "oldest entries dropped first");
         net.clear_log();
         assert_eq!(net.log_len(), 0);
-        assert_eq!(net.dropped_log_entries(), 4, "drop counter is cumulative");
+        assert_eq!(
+            FabricCounters::gather(&net).dropped_log_entries,
+            4,
+            "drop counter is cumulative"
+        );
     }
 
     #[test]
@@ -951,7 +1010,7 @@ mod tests {
             net.fetch(&format!("http://a.example/{i}")).unwrap();
         }
         assert_eq!(net.log_len(), 32);
-        assert_eq!(net.dropped_log_entries(), 968);
+        assert_eq!(FabricCounters::gather(&net).dropped_log_entries, 968);
         let paths: Vec<String> = net.log().iter().map(|e| e.url.path().to_string()).collect();
         let newest: Vec<String> = (968..1000).map(|i| format!("/{i}")).collect();
         assert_eq!(paths, newest);
@@ -974,7 +1033,10 @@ mod tests {
             }
         });
         assert_eq!(net.log_len(), 64);
-        assert_eq!(net.log_len() as u64 + net.dropped_log_entries(), 20_000);
+        assert_eq!(
+            net.log_len() as u64 + FabricCounters::gather(&net).dropped_log_entries,
+            20_000
+        );
         assert!(net.log().iter().all(|e| e.cookie_names == ["sid"]));
     }
 
@@ -1055,14 +1117,15 @@ mod tests {
         for i in 0..5 {
             net.fetch(&format!("http://fast.example/{i}")).unwrap();
         }
-        assert_eq!(net.latency_waits(), 0, "zero latency never sleeps");
-        assert_eq!(net.wait_overshoot_ns(), 0);
+        let counters = FabricCounters::gather(&net);
+        assert_eq!(counters.latency_waits, 0, "zero latency never sleeps");
+        assert_eq!(counters.wait_overshoot_ns, 0);
         for i in 0..7 {
             net.fetch(&format!("http://slow.example/{i}")).unwrap();
         }
-        assert_eq!(net.latency_waits(), 7);
+        assert_eq!(FabricCounters::gather(&net).latency_waits, 7);
         net.fetch("http://fast.example/after").unwrap();
-        assert_eq!(net.latency_waits(), 7);
+        assert_eq!(FabricCounters::gather(&net).latency_waits, 7);
     }
 
     /// Reads the calling thread's timer slack, or `None` where procfs does
@@ -1128,23 +1191,27 @@ mod tests {
         let response = speculate(&net, url);
         assert_eq!(net.log_len(), 0, "speculative dispatches are unlogged");
         net.cache_store(url, "sid=abc", response, true);
-        assert_eq!(net.prefetched_entries(), 1);
+        assert_eq!(FabricCounters::gather(&net).prefetched_entries, 1);
 
         // A different plan (the jar changed since the speculation) discards
         // the entry instead of serving it.
         assert!(take(&net, url, "sid=zzz").is_none());
-        assert_eq!(net.prefetch_stale_discards(), 1);
-        assert_eq!(net.prefetched_entries(), 0, "stale entries are discarded");
+        let counters = FabricCounters::gather(&net);
+        assert_eq!(counters.prefetch_stale_discards, 1);
+        assert_eq!(
+            counters.prefetched_entries, 0,
+            "stale entries are discarded"
+        );
 
         // A matching plan consumes the entry exactly once.
         let response = speculate(&net, url);
         net.cache_store(url, "sid=abc", response, true);
         let hit = take(&net, url, "sid=abc").unwrap();
         assert_eq!(hit.body, "GET /page");
-        assert_eq!(net.prefetch_hits(), 1);
+        assert_eq!(FabricCounters::gather(&net).prefetch_hits, 1);
         assert!(take(&net, url, "sid=abc").is_none());
         assert_eq!(
-            net.prefetch_stale_discards(),
+            FabricCounters::gather(&net).prefetch_stale_discards,
             1,
             "a plain miss is not a stale discard"
         );
@@ -1160,21 +1227,25 @@ mod tests {
         for i in 0..stored {
             net.cache_store(&format!("http://a.example/{i}"), "", ok.clone(), true);
         }
+        let counters = FabricCounters::gather(&net);
         assert!(
-            net.prefetched_entries() <= RESPONSE_CACHE_CAPACITY,
+            counters.prefetched_entries <= RESPONSE_CACHE_CAPACITY as u64,
             "the cache stays within its capacity bound"
         );
         assert_eq!(
-            net.cache_evictions() + net.prefetched_entries() as u64,
+            counters.cache_evictions + counters.prefetched_entries,
             stored as u64,
             "every overflow store evicted exactly one entry"
         );
         // Re-storing a URL overwrites in place rather than duplicating or evicting.
         let url = &format!("http://a.example/{}", stored - 1);
-        let evictions_before = net.cache_evictions();
+        let evictions_before = FabricCounters::gather(&net).cache_evictions;
         net.cache_store(url, "a=1", ok.clone(), true);
         net.cache_store(url, "a=2", ok, true);
-        assert_eq!(net.cache_evictions(), evictions_before);
+        assert_eq!(
+            FabricCounters::gather(&net).cache_evictions,
+            evictions_before
+        );
         assert!(take(&net, url, "a=2").is_some());
         assert!(take(&net, url, "a=2").is_none());
     }
@@ -1247,8 +1318,9 @@ mod tests {
             baseline,
             "faulted dispatches must be excluded from the EWMA"
         );
-        assert_eq!(net.fault_slowdowns(), 10);
-        assert_eq!(net.faults_injected(), 5);
+        let counters = FabricCounters::gather(&net);
+        assert_eq!(counters.fault_slowdowns, 10);
+        assert_eq!(counters.fault_injected, 5);
         // Healing the origin resumes EWMA updates.
         net.clear_fault("http://a.example");
         net.fetch("http://a.example/healed").unwrap();

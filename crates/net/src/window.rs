@@ -66,7 +66,7 @@ struct Slot {
 /// Sends go out in plan order. A head whose origin is at its bound waits,
 /// with the entries behind it, for the next completion (head-of-line); the
 /// first such hold counts every entry still pending in
-/// [`SharedNetwork::window_origin_deferrals`].
+/// [`FabricCounters::window_origin_deferrals`](crate::FabricCounters::window_origin_deferrals).
 ///
 /// A panic inside a handler, injected or real, fails its own slot with
 /// [`NetError::FetchPanicked`] (a transient error, so a retry budget may
@@ -176,6 +176,7 @@ pub(crate) fn run_window(
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::FabricCounters;
     use escudo_core::Origin;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
@@ -294,7 +295,7 @@ mod tests {
                     let fabric = fabric.upgrade().unwrap();
                     let sent = fabric.fault_plan_sends(&h0) + fabric.fault_plan_sends(&boom);
                     let before = calls.fetch_add(1, Ordering::SeqCst) as u64;
-                    let done = before + fabric.faults_injected();
+                    let done = before + FabricCounters::gather(&fabric).fault_injected;
                     high_water.fetch_max(usize::try_from(sent - done).unwrap(), Ordering::SeqCst);
                     Response::ok_text(req.url.path().to_string())
                 }
@@ -326,7 +327,10 @@ mod tests {
                 }
             }
             assert_eq!(calls.load(Ordering::SeqCst), REQUESTS);
-            assert_eq!(fabric.faults_injected(), if panicking { 2 } else { 0 });
+            assert_eq!(
+                FabricCounters::gather(&fabric).fault_injected,
+                if panicking { 2 } else { 0 }
+            );
             assert_eq!(
                 high_water.load(Ordering::SeqCst),
                 width.min(MAX_IN_FLIGHT_PER_ORIGIN),
@@ -371,7 +375,7 @@ mod tests {
         let b = calls[7].1 - start;
         assert!(b >= Duration::from_millis(20), "B answered after {b:?}");
         // A's seventh request and B, both held at A's bound.
-        assert_eq!(fabric.window_origin_deferrals(), 2);
+        assert_eq!(FabricCounters::gather(&fabric).window_origin_deferrals, 2);
     }
 
     #[test]
@@ -390,7 +394,7 @@ mod tests {
             let results = fabric.run_plan(entries, usize::MAX, &FetchPolicy::disabled());
             assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
             assert_eq!(
-                fabric.window_origin_deferrals(),
+                FabricCounters::gather(&fabric).window_origin_deferrals,
                 deferred,
                 "{REQUESTS} requests over {origins} origin(s)"
             );
@@ -432,9 +436,10 @@ mod tests {
         let retries: Vec<u32> = results.iter().map(|(_, retries)| *retries).collect();
         assert_eq!(retries, vec![0, 1, 0, 0, 0, 0, 0, 0]);
         assert!(results.iter().all(|(outcome, _)| outcome.is_ok()));
-        assert_eq!(fabric.faults_injected(), 1);
-        assert_eq!(fabric.retry_attempts(), 1);
-        assert_eq!(fabric.retry_successes(), 1);
+        let counters = FabricCounters::gather(&fabric);
+        assert_eq!(counters.fault_injected, 1);
+        assert_eq!(counters.retry_attempts, 1);
+        assert_eq!(counters.retry_successes, 1);
         // The timed-out attempt never reached a handler or the log; the
         // healed re-send logged under slot 1's own sequence, so the sorted
         // log still reads in plan order.

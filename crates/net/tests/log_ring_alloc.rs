@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use escudo_net::{Request, SharedNetwork};
+use escudo_net::{FabricCounters, Request, SharedNetwork};
 
 struct Counting;
 
@@ -90,7 +90,7 @@ fn a_full_log_records_without_allocating() {
 
     assert_eq!(ALLOCATIONS.load(Ordering::Relaxed), 0);
     assert_eq!(net.log_len(), 64);
-    assert_eq!(net.dropped_log_entries(), 64 + 1_000);
+    assert_eq!(FabricCounters::gather(&net).dropped_log_entries, 64 + 1_000);
     let log = net.log();
     assert_eq!(log.last().map(|e| e.url.path()), Some("/page0999"));
     assert!(log.iter().all(|e| e.cookie_names == ["sid", "theme"]));

@@ -30,7 +30,8 @@ use escudo::apps::{AdServer, NewsSite};
 use escudo::browser::{Browser, BrowserError, PolicyMode};
 use escudo::core::ManualClock;
 use escudo::net::{
-    BreakerPhase, FaultPlan, FetchPlan, FetchPolicy, NetError, Request, Response, SharedNetwork,
+    BreakerPhase, FabricCounters, FaultPlan, FetchPlan, FetchPolicy, NetError, Request, Response,
+    SharedNetwork,
 };
 use escudo_bench::loader::register_loader_world;
 use escudo_bench::oracle::{run_matrix_with_hook, Transcript, TranscriptDiff};
@@ -144,18 +145,21 @@ fn every_chaos_schedule_keeps_the_fault_free_matrix() {
 
         // Every retry is caused by a fault; nothing hits a deadline or a
         // breaker, because the schedules run breaker-less without deadlines.
-        let total = |counter: fn(&SharedNetwork) -> u64| -> u64 {
-            fabrics.iter().map(|fabric| counter(fabric)).sum()
+        let total = |counter: fn(&FabricCounters) -> u64| -> u64 {
+            fabrics
+                .iter()
+                .map(|fabric| counter(&FabricCounters::gather(fabric)))
+                .sum()
         };
-        let faults = total(SharedNetwork::faults_injected);
-        let retries = total(SharedNetwork::retry_attempts);
+        let faults = total(|c| c.fault_injected);
+        let retries = total(|c| c.retry_attempts);
         assert!(faults > 0 && retries > 0, "{name}: chaos never engaged");
         assert!(
             retries <= faults,
             "{name}: {retries} retries for {faults} faults"
         );
-        assert_eq!(total(SharedNetwork::retry_deadline_exhausted), 0, "{name}");
-        assert_eq!(total(SharedNetwork::breaker_fast_fails), 0, "{name}");
+        assert_eq!(total(|c| c.retry_deadline_exhausted), 0, "{name}");
+        assert_eq!(total(|c| c.breaker_fast_fails), 0, "{name}");
     }
 }
 
@@ -190,8 +194,8 @@ fn ad_network_session(mode: PolicyMode, chaos: bool) -> (Transcript, u64, u64) {
     );
     (
         transcript,
-        fabric.retry_attempts(),
-        fabric.faults_injected(),
+        FabricCounters::gather(&fabric).retry_attempts,
+        FabricCounters::gather(&fabric).fault_injected,
     )
 }
 
@@ -258,7 +262,11 @@ fn the_breaker_walks_its_phases_on_a_manual_clock() {
             other => panic!("expected CircuitOpen, got {other:?}"),
         }
     }
-    assert_eq!(fabric.faults_injected(), 3, "fast-fails never dispatch");
+    assert_eq!(
+        FabricCounters::gather(&fabric).fault_injected,
+        3,
+        "fast-fails never dispatch"
+    );
 
     // HalfOpen → Closed: the cooldown elapses on the manual clock and the
     // origin heals. Of two requests sent together, only the first is the
@@ -288,14 +296,15 @@ fn the_breaker_walks_its_phases_on_a_manual_clock() {
     let request = Request::get("http://deadline.example/d").unwrap();
     assert!(fetch(&fabric, request, &retrying(5).with_deadline_ns(3_000)).is_err());
 
-    assert_eq!(fabric.breaker_trips(), 1);
-    assert_eq!(fabric.breaker_fast_fails(), 3);
-    assert_eq!(fabric.breaker_probes(), 1);
-    assert_eq!(fabric.breaker_recoveries(), 1);
-    assert_eq!(fabric.retry_attempts(), 3);
-    assert_eq!(fabric.retry_successes(), 1);
-    assert_eq!(fabric.retry_deadline_exhausted(), 1);
-    assert_eq!(fabric.faults_injected(), 7);
+    let counters = FabricCounters::gather(&fabric);
+    assert_eq!(counters.breaker_trips, 1);
+    assert_eq!(counters.breaker_fast_fails, 3);
+    assert_eq!(counters.breaker_probes, 1);
+    assert_eq!(counters.breaker_recoveries, 1);
+    assert_eq!(counters.retry_attempts, 3);
+    assert_eq!(counters.retry_successes, 1);
+    assert_eq!(counters.retry_deadline_exhausted, 1);
+    assert_eq!(counters.fault_injected, 7);
 }
 
 #[test]

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use escudo::browser::Browser;
 use escudo::core::{engine_for_mode, PolicyMode};
-use escudo::net::{Request, Response, SharedCookieJar, SharedNetwork, Url};
+use escudo::net::{FabricCounters, Request, Response, SharedCookieJar, SharedNetwork, Url};
 use escudo_bench::loader::{register_loader_world, reverse_skewed_latency};
 use escudo_bench::measure::spawn_join;
 use escudo_bench::oracle::{scan_leaks, Transcript, TranscriptDiff};
@@ -303,7 +303,7 @@ fn page_loads_next_to_a_bulk_storm_all_succeed() {
     for fabric in [&latency_bound, &handler_bound] {
         navigate_during_bulk_storm(fabric, "http://bulk.example/index.php", NAV_PAGE_URL, 40);
         assert_eq!(
-            fabric.background_requests(),
+            FabricCounters::gather(fabric).pool_jobs_executed,
             0,
             "a page load without prefetch sent speculative requests"
         );

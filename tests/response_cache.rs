@@ -5,7 +5,8 @@
 //!   page state — a hit skips transport, never a mediation step,
 //! * the cache key includes the exact mediated `Cookie` header, so two
 //!   sessions with different cookies **never** share an entry: the foreign
-//!   entry is discarded fail-closed and refetched,
+//!   entry is discarded fail-closed and refetched, and counted as a
+//!   persistent stale discard, never as prefetch staleness,
 //! * `Cache-Control: no-store` is honored and a response without an explicit
 //!   `max-age` is never persisted,
 //! * `max-age` expiry is **exactly countable** under a hand-advanced
@@ -37,11 +38,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use escudo::browser::Browser;
+use escudo::browser::{Browser, ControlPlaneSnapshot, HealthVerdict};
 use escudo::core::config::CookiePolicy;
 use escudo::core::{engine_for_mode, Acl, ManualClock, PolicyMode, Ring};
 use escudo::net::{
-    FaultPlan, FetchPolicy, Request, Response, SetCookie, SharedCookieJar, SharedNetwork,
+    FabricCounters, FaultPlan, FetchPolicy, Request, Response, SetCookie, SharedCookieJar,
+    SharedNetwork,
 };
 use escudo_bench::cache::{register_cache_world, CACHE_WORLD_SUBRESOURCES};
 use escudo_bench::oracle::{Transcript, TranscriptDiff};
@@ -89,39 +91,41 @@ fn cache_on_and_off_runs_are_oracle_equivalent() {
     );
 }
 
+/// A portal whose `max-age` page echoes the exact `Cookie` header the origin
+/// received (a cross-header cache hit would surface the wrong echo), and two
+/// cache-on sessions on it, logged in as alice and bob.
+fn portal_sessions(fabric: &Arc<SharedNetwork>) -> (Browser, Browser) {
+    let policy = CookiePolicy::new("sid", Ring::new(1)).with_acl(Acl::uniform(Ring::new(1)));
+    fabric.register("http://portal.example", move |req: &Request| {
+        if req.url.path() == "/login.php" {
+            let user = req.param("user").unwrap_or_default();
+            Response::ok_html("<html><body ring=\"1\" r=\"1\" w=\"1\" x=\"1\">in</body></html>")
+                .with_cookie(SetCookie::new("sid", user))
+                .with_cookie_policy(&policy)
+        } else {
+            let echo = req.headers.get("Cookie").unwrap_or("").to_string();
+            Response::ok_html(format!(
+                "<html><body ring=\"1\" r=\"1\" w=\"1\" x=\"1\">\
+                 <p id=\"who\">{echo}</p></body></html>"
+            ))
+            .with_max_age(3600)
+            .with_cookie_policy(&policy)
+        }
+    });
+    let [alice, bob] = ["alice", "bob"].map(|user| {
+        let mut browser = cache_browser(fabric, true);
+        browser
+            .navigate(&format!("http://portal.example/login.php?user={user}"))
+            .unwrap();
+        browser
+    });
+    (alice, bob)
+}
+
 #[test]
 fn sessions_with_different_cookie_headers_never_share_entries() {
     let fabric = Arc::new(SharedNetwork::new());
-    let policy = CookiePolicy::new("sid", Ring::new(1)).with_acl(Acl::uniform(Ring::new(1)));
-    {
-        let policy = policy.clone();
-        fabric.register("http://portal.example", move |req: &Request| {
-            if req.url.path() == "/login.php" {
-                let user = req.param("user").unwrap_or_default();
-                Response::ok_html("<html><body ring=\"1\" r=\"1\" w=\"1\" x=\"1\">in</body></html>")
-                    .with_cookie(SetCookie::new("sid", user))
-                    .with_cookie_policy(&policy)
-            } else {
-                // The body names the exact Cookie header the origin received:
-                // a cross-header cache hit would surface the wrong echo.
-                let echo = req.headers.get("Cookie").unwrap_or("").to_string();
-                Response::ok_html(format!(
-                    "<html><body ring=\"1\" r=\"1\" w=\"1\" x=\"1\">\
-                     <p id=\"who\">{echo}</p></body></html>"
-                ))
-                .with_max_age(3600)
-                .with_cookie_policy(&policy)
-            }
-        });
-    }
-
-    let mut alice = cache_browser(&fabric, true);
-    let mut bob = cache_browser(&fabric, true);
-    alice
-        .navigate("http://portal.example/login.php?user=alice")
-        .unwrap();
-    bob.navigate("http://portal.example/login.php?user=bob")
-        .unwrap();
+    let (mut alice, mut bob) = portal_sessions(&fabric);
 
     // Alice stores the entry under her header; Bob's lookup must refuse it.
     let page = alice.navigate("http://portal.example/page.php").unwrap();
@@ -130,7 +134,7 @@ fn sessions_with_different_cookie_headers_never_share_entries() {
     assert_eq!(bob.page(page).text_of("who").unwrap(), "sid=bob");
     assert_eq!(bob.cache_hits(), 0, "Bob must not hit Alice's entry");
     assert_eq!(
-        fabric.prefetch_stale_discards(),
+        FabricCounters::gather(&fabric).cache_stale_discards,
         1,
         "Alice's entry is discarded fail-closed, not served"
     );
@@ -143,7 +147,33 @@ fn sessions_with_different_cookie_headers_never_share_entries() {
     let page = alice.navigate("http://portal.example/page.php").unwrap();
     assert_eq!(alice.page(page).text_of("who").unwrap(), "sid=alice");
     assert_eq!(alice.cache_hits(), 0);
-    assert_eq!(fabric.prefetch_stale_discards(), 2);
+    assert_eq!(FabricCounters::gather(&fabric).cache_stale_discards, 2);
+}
+
+#[test]
+fn persistent_stale_discards_are_not_prefetch_staleness() {
+    // Two sessions without prefetch take turns on one `max-age` page: each
+    // lookup after the first finds the other's entry and discards it.
+    let fabric = Arc::new(SharedNetwork::new());
+    let (mut alice, mut bob) = portal_sessions(&fabric);
+    for _ in 0..3 {
+        for session in [&mut alice, &mut bob] {
+            session.navigate("http://portal.example/page.php").unwrap();
+        }
+    }
+    let counters = FabricCounters::gather(&fabric);
+    assert_eq!(
+        (
+            counters.prefetch_hits,
+            counters.prefetch_stale_discards,
+            counters.cache_stale_discards
+        ),
+        (0, 0, 5)
+    );
+    // Cross-session discards are the cache failing closed, not wasted
+    // speculation.
+    let snapshot = ControlPlaneSnapshot::from_browser(&alice, None);
+    assert_eq!(snapshot.health(), HealthVerdict::Ok);
 }
 
 #[test]
@@ -181,8 +211,9 @@ fn no_store_and_unmarked_responses_are_never_persisted() {
         "every load refetched"
     );
     assert_eq!(browser.cache_hits(), 0);
-    assert_eq!(fabric.cache_stored(), 0);
-    assert_eq!(fabric.cache_entries(), 0);
+    let counters = FabricCounters::gather(&fabric);
+    assert_eq!(counters.cache_stored, 0);
+    assert_eq!(counters.cache_entries, 0);
 }
 
 #[test]
@@ -205,14 +236,18 @@ fn ttl_expiry_is_exactly_countable_on_a_manual_clock() {
         browser.navigate("http://ttl.example/page.php").unwrap();
         clock.advance(Duration::from_secs(2));
     }
-    assert_eq!(fabric.cache_hits(), CYCLES, "one fresh hit per cycle");
     assert_eq!(
-        fabric.cache_expired(),
+        FabricCounters::gather(&fabric).cache_hits,
+        CYCLES,
+        "one fresh hit per cycle"
+    );
+    assert_eq!(
+        FabricCounters::gather(&fabric).cache_expired,
         CYCLES - 1,
         "each later cycle finds the last entry expired"
     );
     assert_eq!(
-        fabric.cache_stored(),
+        FabricCounters::gather(&fabric).cache_stored,
         CYCLES,
         "each cycle refills the entry"
     );
@@ -249,7 +284,7 @@ fn duplicate_plan_slots_dispatch_once_and_log_each() {
         "one origin fetch per batch"
     );
     assert_eq!(
-        fabric.cache_coalesced(),
+        FabricCounters::gather(&fabric).cache_coalesced,
         LOADS * (DUPLICATES - 1),
         "the other duplicate slots coalesced per load"
     );
@@ -287,11 +322,11 @@ fn set_cookie_responses_are_never_shared_across_sessions() {
     second.navigate("http://acct.example/page.php").unwrap();
 
     assert_eq!(
-        fabric.cache_stored(),
+        FabricCounters::gather(&fabric).cache_stored,
         0,
         "a Set-Cookie response must never be admitted"
     );
-    assert_eq!(fabric.cache_entries(), 0);
+    assert_eq!(FabricCounters::gather(&fabric).cache_entries, 0);
     assert_eq!(second.cache_hits(), 0, "the second session fetched live");
 
     // Each session holds the token its own live response minted.
@@ -329,7 +364,7 @@ fn a_prefetch_only_session_never_consumes_a_persistent_entry() {
     // A cache-enabled session stores the persistent entry.
     let mut cacher = cache_browser(&fabric, true);
     cacher.navigate("http://news.example/page.php").unwrap();
-    assert_eq!(fabric.cache_stored(), 1);
+    assert_eq!(FabricCounters::gather(&fabric).cache_stored, 1);
 
     // A session that opted into speculation only (cache off) looks up with
     // the one-shot layer alone: the persistent entry is neither served nor
@@ -364,7 +399,7 @@ fn a_cache_only_session_never_consumes_a_one_shot_entry() {
     let mut speculator = cache_browser(&fabric, false);
     speculator.set_prefetch_enabled(true);
     assert!(speculator.prefetch("http://feed.example/next.php"));
-    assert_eq!(fabric.prefetched_entries(), 1);
+    assert_eq!(FabricCounters::gather(&fabric).prefetched_entries, 1);
 
     // A cache-only session looks up with the persistent layer alone: the
     // one-shot entry is left in place and the navigation dispatches live.
@@ -372,9 +407,9 @@ fn a_cache_only_session_never_consumes_a_one_shot_entry() {
     cache_only.navigate("http://feed.example/next.php").unwrap();
     assert_eq!(cache_only.cache_hits(), 0);
     assert_eq!(cache_only.prefetch_hits(), 0);
-    assert_eq!(fabric.prefetch_hits(), 0);
+    assert_eq!(FabricCounters::gather(&fabric).prefetch_hits, 0);
     assert_eq!(
-        fabric.prefetched_entries(),
+        FabricCounters::gather(&fabric).prefetched_entries,
         1,
         "the speculative entry must survive a cache-only lookup"
     );
@@ -383,7 +418,7 @@ fn a_cache_only_session_never_consumes_a_one_shot_entry() {
     // The speculating session's own navigation consumes it as planned.
     speculator.navigate("http://feed.example/next.php").unwrap();
     assert_eq!(speculator.prefetch_hits(), 1);
-    assert_eq!(fabric.prefetched_entries(), 0);
+    assert_eq!(FabricCounters::gather(&fabric).prefetched_entries, 0);
     assert_eq!(dispatches.load(Ordering::Relaxed), 2);
 }
 
@@ -517,21 +552,21 @@ fn an_xhr_never_consumes_a_one_shot_prefetch_entry() {
     let mut browser = cache_browser(&fabric, true);
     browser.set_prefetch_enabled(true);
     assert!(browser.prefetch("http://xhr.example/feed.json"));
-    assert_eq!(fabric.prefetched_entries(), 1);
+    assert_eq!(FabricCounters::gather(&fabric).prefetched_entries, 1);
 
     // The XHR consults the persistent layer only: it fetches live and leaves
     // the speculative entry in place.
     let page = browser.navigate("http://xhr.example/page.php").unwrap();
     assert_eq!(script_result(&browser, page), "GET /feed.json #1");
     assert_eq!(calls.load(Ordering::Relaxed), 2);
-    assert_eq!(fabric.prefetch_hits(), 0);
+    assert_eq!(FabricCounters::gather(&fabric).prefetch_hits, 0);
     assert_eq!(browser.prefetch_hits(), 0);
-    assert_eq!(fabric.prefetched_entries(), 1);
+    assert_eq!(FabricCounters::gather(&fabric).prefetched_entries, 1);
 
     // The navigation the speculation predicted still consumes it.
     browser.navigate("http://xhr.example/feed.json").unwrap();
     assert_eq!(browser.prefetch_hits(), 1);
-    assert_eq!(fabric.prefetched_entries(), 0);
+    assert_eq!(FabricCounters::gather(&fabric).prefetched_entries, 0);
     assert_eq!(calls.load(Ordering::Relaxed), 2);
 }
 
@@ -554,6 +589,7 @@ fn a_post_xhr_neither_consults_nor_stores() {
         "GET /data.json #0|POST /data.json #1|GET /data.json #0"
     );
     assert_eq!(calls.load(Ordering::Relaxed), 2);
-    assert_eq!(fabric.cache_stored(), 1);
-    assert_eq!(fabric.cache_hits(), 1);
+    let counters = FabricCounters::gather(&fabric);
+    assert_eq!(counters.cache_stored, 1);
+    assert_eq!(counters.cache_hits, 1);
 }
